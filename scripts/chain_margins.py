@@ -23,7 +23,6 @@ from gowers import (
     chain_verify,
     generate,
     lf2_chain_verify,
-    random_single_instance,
     random_slf_instance,
     represent,
     single_chain_verify,
@@ -62,7 +61,9 @@ def margin_rows(cfg: MarginConfig):
                 ("two-copy", chain_verify(random_slf_instance(w, idx, cfg.caps), cfg.budget)),
                 (
                     "single-copy",
-                    single_chain_verify(random_single_instance(w, idx, cfg.caps), cfg.budget),
+                    single_chain_verify(
+                        random_slf_instance(w, idx, cfg.caps, copies=1), cfg.budget
+                    ),
                 ),
             ]
             exps = Lf2Exponents.all_ones(cfg.r)

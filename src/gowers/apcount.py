@@ -28,7 +28,7 @@ from .errors import ShapeMismatch
 from .genmeasure import GeneratorSpec, generate
 from .gowersnorm import EdgeFn, u_norm_fast
 from .hypersystem import relabel, represent
-from .linform import Cap, SingleSlfInstance, single_chain_verify, slf_single_lhs
+from .linform import Cap, SlfInstance, q_value, single_chain_verify
 from .report import VerificationReport, eq_check
 
 CSV_HEADER = "n,k,density,prediction,ratio,trivial_count,nontrivial_count"
@@ -147,8 +147,9 @@ def telescoping_check(
     single-copy centered terms of the represented hypergraph.
 
     Term m centers the edge omitting vertex m, keeps the weights of edges
-    omitting 0..m-1 and replaces the rest by one; each term is evaluated by
-    ``slf_single_lhs`` after relabeling vertex m to the distinguished slot.
+    omitting 0..m-1 and replaces the rest by one; each term is the empty-set
+    chain quantity ``q_value(inst, ())`` of a single-copy instance, after
+    relabeling vertex m to the distinguished slot.
     With ``with_chains`` the composed chain bound of each term is attached as
     a measured ratio.
     """
@@ -158,19 +159,19 @@ def telescoping_check(
     terms = []
     for m in range(r + 1):
         wm = relabel(w, _transposition(r, m))
-        caps: dict[tuple[int, ...], Cap] = {}
+        caps: dict[tuple[tuple[int, ...], int], Cap] = {}
         gs = {}
         for j in range(1, r + 1):
             edge = wm.system.edge_omitting(j)
             old = 0 if j == m else j
             if old < m:
-                caps[edge] = Cap.NU
-                gs[edge] = wm.weights[edge]
+                caps[(edge, 0)] = Cap.NU
+                gs[(edge, 0)] = wm.weights[edge]
             else:
-                caps[edge] = Cap.ONE
-                gs[edge] = EdgeFn.ones(edge, wm.system.edge_dims(edge))
-        inst = SingleSlfInstance(wm, caps, gs)
-        term = slf_single_lhs(inst, budget)
+                caps[(edge, 0)] = Cap.ONE
+                gs[(edge, 0)] = EdgeFn.ones(edge, wm.system.edge_dims(edge))
+        inst = SlfInstance(wm, caps, gs)
+        term = q_value(inst, (), budget)
         terms.append(term)
         report.ratios[f"term-{m}"] = term
         if with_chains:

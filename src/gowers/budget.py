@@ -3,11 +3,13 @@
 Every brute-force engine estimates its term count (index-space size times
 factors per term) before touching memory and refuses to start if the estimate
 exceeds the budget.  The default budget is 1e8 and can be overridden per call
-or through the GOWERS_BUDGET environment variable.
+or through the GOWERS_BUDGET environment variable; a value that is not a
+finite positive number is refused rather than taken to switch the guard off.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import BudgetExceeded
@@ -17,16 +19,24 @@ ENV_VAR = "GOWERS_BUDGET"
 
 
 def resolve_budget(budget: float | None = None) -> float:
-    """Explicit argument wins, then the environment variable, then the default."""
+    """Explicit argument wins, then the environment variable, then the default.
+
+    Raises ValueError, naming the value, for a budget that is NaN, infinite,
+    zero or negative.
+    """
     if budget is not None:
-        return float(budget)
-    raw = os.environ.get(ENV_VAR)
-    if raw is not None:
+        value, source = float(budget), "budget"
+    else:
+        raw = os.environ.get(ENV_VAR)
+        if raw is None:
+            return DEFAULT_BUDGET
         try:
-            return float(raw)
+            value, source = float(raw), ENV_VAR
         except ValueError as exc:
             raise ValueError(f"{ENV_VAR} must be a number, got {raw!r}") from exc
-    return DEFAULT_BUDGET
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{source} must be a finite positive number, got {value!r}")
+    return value
 
 
 def check_budget(estimated: float, budget: float | None = None, what: str = "") -> float:

@@ -21,7 +21,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .apcount import RelszConfig, ap_density, hypothesis_ratio, relsz_experiment, telescoping_check
+from .apcount import (
+    CSV_HEADER,
+    RelszConfig,
+    ap_density,
+    hypothesis_ratio,
+    relsz_experiment,
+    telescoping_check,
+)
 from .budget import DEFAULT_BUDGET, resolve_budget
 from .errors import BudgetExceeded, GowersError, NumericalInconsistency
 from .genmeasure import KINDS, GeneratorSpec, generate
@@ -49,11 +56,10 @@ from .linform import (
     lf2_term,
     nu_prime,
     nu_prime_l2_dev,
-    random_single_instance,
+    q_value,
     random_slf_instance,
     single_chain_verify,
     slf_lhs,
-    slf_single_lhs,
 )
 from .report import VerificationReport, eq_check
 
@@ -153,9 +159,7 @@ def _emit(obj: dict, args) -> None:
             ap = obj["ap"]
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(
-                ["n", "k", "density", "prediction", "ratio", "trivial_count", "nontrivial_count"]
-            )
+            writer.writerow(CSV_HEADER.split(","))
             writer.writerow(
                 [
                     ap["n"],
@@ -350,8 +354,8 @@ def _cmd_slf_single(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
     w = represent(nu, args.r)
-    inst = random_single_instance(w, args.instance_seed, args.caps)
-    lhs = slf_single_lhs(inst, args.budget)
+    inst = random_slf_instance(w, args.instance_seed, args.caps, copies=1)
+    lhs = q_value(inst, (), args.budget)
     report = single_chain_verify(inst, args.budget)
     inputs = {
         "spec": spec.to_json_obj(),
@@ -543,7 +547,7 @@ def _suite_chains(n: int, r: int, seeds: int, budget) -> VerificationReport:
         _fold(rep, chain_verify(random_slf_instance(w, s), budget), f"two-copy seed={s}")
         _fold(
             rep,
-            single_chain_verify(random_single_instance(w, s), budget),
+            single_chain_verify(random_slf_instance(w, s, copies=1), budget),
             f"single-copy seed={s}",
         )
     return rep
@@ -757,6 +761,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        resolve_budget(args.budget)  # refuse a bad budget before any work
         return args.func(args)
     except BudgetExceeded as exc:
         budget = exc.budget if exc.budget else resolve_budget(args.budget)

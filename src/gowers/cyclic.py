@@ -21,7 +21,13 @@ import warnings
 
 import numpy as np
 
-from .errors import EmptySet, OutOfRange, ShapeMismatch, SupBelowOneWarning
+from .errors import (
+    EmptySet,
+    NumericalInconsistency,
+    OutOfRange,
+    ShapeMismatch,
+    SupBelowOneWarning,
+)
 
 
 def fsum(values: Iterable[float]) -> float:
@@ -167,7 +173,8 @@ def from_set(members: Iterable[int], n: int) -> Measure:
         raise EmptySet("from_set requires a nonempty set")
     _validate_members(S, n)
     weight = Fraction(n, len(S))
-    assert weight * len(S) == n  # exact rational identity behind E nu = 1
+    if weight * len(S) != n:  # exact rational identity behind E nu = 1
+        raise NumericalInconsistency(f"(N/|S|) * |S| = {weight * len(S)}, not N = {n}")
     vals = np.zeros(n)
     vals[sorted(S)] = float(weight)
     fn = CyclicFn(n, vals)

@@ -27,6 +27,7 @@ from .errors import (
     CompositeModulus,
     ModulusTooSmall,
     NotRepresentation,
+    NumericalInconsistency,
     ShapeMismatch,
     SupBelowOneWarning,
 )
@@ -210,7 +211,10 @@ def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...
         ys.append(sum(c * int(x[v]) for c, v in zip(coeffs, edge)) % n)
     d = sum(int(v) for v in x) % n
     for j in range(r):
-        assert (ys[j + 1] - ys[j]) % n == d % n
+        if (ys[j + 1] - ys[j]) % n != d % n:
+            raise NumericalInconsistency(
+                f"evaluation points {ys} are not a progression with difference {d}"
+            )
     return tuple(ys), d
 
 

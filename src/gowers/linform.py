@@ -15,6 +15,10 @@ that connect them:
   other edge weights), its second moment, and the telescoped decomposition of
   that second moment into centered terms, each with its own doubling chain.
 
+All three chains are one operation applied step by step: double every
+factor over the copy patterns of the doubled vertices (``_double``) and split
+off the factors whose edge misses the newly doubled vertex.
+
 Every intermediate inequality is checked exactly at finite N with a relative
 slack for roundoff; asymptotic statements are never asserted, only reported
 as measured ratios.
@@ -32,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -57,6 +61,8 @@ from .report import VerificationReport, eq_check, ineq_check
 # A free variable is a vertex together with a copy index; copy None means the
 # coordinate is not doubled.
 Var = tuple[int, int | None]
+# A factor is an array plus the variable read by each of its axes.
+Factor = tuple[np.ndarray, list[Var]]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -69,7 +75,7 @@ def _var_order_key(v: Var):
 
 
 def expect_product(
-    factors: list[tuple[np.ndarray, list[Var]]],
+    factors: list[Factor],
     budget: float | None = None,
     what: str = "",
 ) -> float:
@@ -98,6 +104,18 @@ def expect_product(
     expr = ",".join("".join(letter[v] for v in axes) for _, axes in factors) + "->"
     total = float(np.einsum(expr, *[arr for arr, _ in factors], optimize=False))
     return total / npoints
+
+
+def _double(factors: list[Factor], d: tuple[int, ...]) -> list[Factor]:
+    """Each factor once per copy pattern of the doubled vertices d, pattern
+    order innermost: a plain axis of a vertex in d reads that vertex's copy
+    in the pattern, every other axis is kept."""
+    patterns = [dict(zip(d, omega)) for omega in itertools.product((0, 1), repeat=len(d))]
+    return [
+        (arr, [(v, copy_of.get(v)) if c is None else (v, c) for v, c in axes])
+        for arr, axes in factors
+        for copy_of in patterns
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +164,7 @@ class CubePattern:
         return "".join(str(b) for b in self.bits)
 
 
-def _cube_factors(g: EdgeFn, support: Iterable[CubeVertex]) -> list[tuple[np.ndarray, list[Var]]]:
+def _cube_factors(g: EdgeFn, support: Iterable[CubeVertex]) -> list[Factor]:
     factors = []
     for omega in support:
         axes: list[Var] = [(v, omega[i]) for i, v in enumerate(g.edge)]
@@ -217,7 +235,7 @@ def binomial_expansion_identity(
 
 
 # ---------------------------------------------------------------------------
-# Strong-linear-forms instances (two minorants per edge, doubled vertex 0)
+# Strong-linear-forms instances (minorants per edge and copy of vertex 0)
 
 
 class Cap(Enum):
@@ -233,6 +251,16 @@ def _cap_fn(w: WeightedHypergraph, edge: Edge, cap: Cap) -> EdgeFn:
     return EdgeFn.ones(edge, w.system.edge_dims(edge))
 
 
+def _slots(r: int, copies: Iterable[int] = (0, 1)) -> list[tuple[Edge, int]]:
+    """(edge, copy of vertex 0) for every edge containing vertex 0, edges by
+    their omitted vertex ascending, copies inner."""
+    return [
+        (tuple(v for v in range(r + 1) if v != j), copy)
+        for j in range(1, r + 1)
+        for copy in copies
+    ]
+
+
 def _validate_minorant(g: EdgeFn, gbar: EdgeFn, where: str) -> None:
     if not g.same_shape(gbar):
         raise ShapeMismatch(f"minorant at {where} has wrong shape")
@@ -245,8 +273,13 @@ def _validate_minorant(g: EdgeFn, gbar: EdgeFn, where: str) -> None:
 @dataclass(frozen=True)
 class SlfInstance:
     """A weighted hypergraph plus, for every edge other than the one omitting
-    vertex 0 and for each of the two copies of vertex 0, a cap and a minorant
-    dominated by it."""
+    vertex 0 and for each copy of vertex 0, a cap and a minorant dominated by
+    it, keyed (edge, copy).
+
+    The copies are {0, 1}, or {0} alone for the single-copy variant, in
+    which vertex 0 is never doubled and each chain step needs half the
+    factors.
+    """
 
     hypergraph: WeightedHypergraph
     caps: dict[tuple[Edge, int], Cap]
@@ -254,15 +287,15 @@ class SlfInstance:
 
     def __post_init__(self):
         w = self.hypergraph
-        keys = {
-            (w.system.edge_omitting(j), copy)
-            for j in range(1, w.r + 1)
-            for copy in (0, 1)
-        }
-        if set(self.caps.keys()) != keys or set(self.gs.keys()) != keys:
+        keys = set(_slots(w.r, self.copies))
+        if (
+            self.copies not in ((0,), (0, 1))
+            or set(self.caps.keys()) != keys
+            or set(self.gs.keys()) != keys
+        ):
             raise ShapeMismatch(
                 "caps and minorants must cover every non-distinguished edge "
-                "in both copies"
+                "in copy 0 or in both copies"
             )
         for key in sorted(keys):
             edge, copy = key
@@ -273,6 +306,10 @@ class SlfInstance:
     @property
     def r(self) -> int:
         return self.hypergraph.r
+
+    @property
+    def copies(self) -> tuple[int, ...]:
+        return tuple(sorted({key[1] for key in self.gs}))
 
     def gbar(self, key: tuple[Edge, int]) -> EdgeFn:
         return _cap_fn(self.hypergraph, key[0], self.caps[key])
@@ -327,8 +364,8 @@ def _normalize_subset(w: WeightedHypergraph, d: Iterable[int]) -> tuple[int, ...
 
 def slf_lhs(inst: SlfInstance, budget: float | None = None) -> float:
     """The strong-linear-forms expectation: centered distinguished weight
-    times the product of every minorant, averaged over both copies of vertex
-    0 and one copy of each remaining coordinate.
+    times the product of every minorant, averaged over each copy of vertex 0
+    and one copy of each remaining coordinate.
 
     Evaluated by averaging each copy's minorant product over vertex 0 first;
     this is a different route from ``q_value`` with the empty subset, and the
@@ -338,13 +375,14 @@ def slf_lhs(inst: SlfInstance, budget: float | None = None) -> float:
     r = w.r
     n0 = w.system.dims[0]
     e0 = _distinguished_edge(w)
-    cost = float(n0) ** 2 * math.prod(w.system.edge_dims(e0)) * (2 * r + 1)
+    c = len(inst.copies)
+    cost = float(n0) ** c * math.prod(w.system.edge_dims(e0)) * (c * r + 1)
     check_budget(cost, budget, what="strong-linear-forms expectation")
 
     # Copy products live on (x_0, x_{e0}); axis a+1 belongs to vertex e0[a].
     full_shape = (n0,) + w.system.edge_dims(e0)
-    copy_means = []
-    for copy in (0, 1):
+    total = w.weights[e0].values - 1.0
+    for copy in inst.copies:
         prod = np.ones(full_shape)
         for j in range(1, r + 1):
             edge = w.system.edge_omitting(j)
@@ -352,39 +390,32 @@ def slf_lhs(inst: SlfInstance, budget: float | None = None) -> float:
             # Expand g onto (x_0, x_{e0}) by inserting the missing vertex axis.
             expanded = np.expand_dims(g.values, axis=1 + e0.index(j))
             prod = prod * expanded
-        copy_means.append(prod.mean(axis=0))
-    centered = w.weights[e0].values - 1.0
-    total = centered * copy_means[0] * copy_means[1]
+        total = total * prod.mean(axis=0)
     return float(total.mean())
 
 
-def _slf_factors(
-    inst: SlfInstance, d: tuple[int, ...]
-) -> list[tuple[np.ndarray, list[Var]]]:
-    """Factors of the chain quantity at doubled subset d: the centered
-    distinguished weight over every copy pattern of d, and each minorant with
-    edge containing d, doubled over d, at its own copy of vertex 0."""
+def _origin_axes(edge: Edge, copy: int | None) -> list[Var]:
+    """Axes of an edge that reads vertex 0 at ``copy`` and the rest plain."""
+    return [(v, copy) if v == 0 else (v, None) for v in edge]
+
+
+def _slf_base(inst: SlfInstance) -> tuple[list[Factor], list[Factor]]:
+    """Undoubled factors of the chain quantity (the centered distinguished
+    weight, then each minorant at its own copy of vertex 0) and the caps of
+    the minorants on the same axes.  With one copy vertex 0 stays plain."""
     w = inst.hypergraph
     e0 = _distinguished_edge(w)
-    centered = w.weights[e0].values - 1.0
-    factors: list[tuple[np.ndarray, list[Var]]] = []
-    for omega in itertools.product((0, 1), repeat=len(d)):
-        copy_of = dict(zip(d, omega))
-        axes: list[Var] = [(v, copy_of.get(v)) for v in e0]
-        factors.append((centered, axes))
-    for copy in (0, 1):
-        for j in range(1, w.r + 1):
-            if j in d:
-                continue  # edge omitting j does not contain all of d
-            edge = w.system.edge_omitting(j)
-            g = inst.gs[(edge, copy)]
-            for omega in itertools.product((0, 1), repeat=len(d)):
-                copy_of = dict(zip(d, omega))
-                axes = [
-                    (v, copy) if v == 0 else (v, copy_of.get(v)) for v in edge
-                ]
-                factors.append((g.values, axes))
-    return factors
+    two = len(inst.copies) == 2
+    slots = [
+        (w.system.edge_omitting(j), copy)
+        for copy in inst.copies
+        for j in range(1, w.r + 1)
+    ]
+    axes = [_origin_axes(edge, copy if two else None) for edge, copy in slots]
+    base = [(w.weights[e0].values - 1.0, _origin_axes(e0, None))]
+    base += [(inst.gs[slot].values, ax) for slot, ax in zip(slots, axes)]
+    caps = [(inst.gbar(slot).values, ax) for slot, ax in zip(slots, axes)]
+    return base, caps
 
 
 def q_value(
@@ -396,8 +427,9 @@ def q_value(
     gives the box-norm power of the centered distinguished weight.
     """
     dd = _normalize_subset(inst.hypergraph, d)
+    base, _ = _slf_base(inst)
     return expect_product(
-        _slf_factors(inst, dd), budget, what=f"chain quantity at d={dd}"
+        _chain_factors(base, dd), budget, what=f"chain quantity at d={dd}"
     )
 
 
@@ -409,20 +441,6 @@ class YbarStats:
     mean: float
     factor_count: int
     sup_power_bound: float
-
-
-def _ybar_factors(
-    inst: "SlfInstance", d: tuple[int, ...], j: int
-) -> list[tuple[np.ndarray, list[Var]]]:
-    edge = inst.hypergraph.system.edge_omitting(j)
-    factors = []
-    for copy in (0, 1):
-        gbar = inst.gbar((edge, copy))
-        for omega in itertools.product((0, 1), repeat=len(d)):
-            copy_of = dict(zip(d, omega))
-            axes = [(v, copy) if v == 0 else (v, copy_of.get(v)) for v in edge]
-            factors.append((gbar.values, axes))
-    return factors
 
 
 def ybar_sq_expectation(
@@ -440,11 +458,32 @@ def ybar_sq_expectation(
     dd = _normalize_subset(w, d)
     if j in dd or j == 0 or j > w.r:
         raise InvalidSubset(f"next vertex {j} must lie outside d and the origin")
-    factors = _ybar_factors(inst, dd, j)
-    mean = expect_product(factors, budget, what="capped product mean")
-    mean_sq = expect_product(factors + factors, budget, what="capped product second moment")
     if sup is None:
         sup = sup_norm(w)
+    _, caps = _slf_base(inst)
+    return _split_stats(_split_factors(caps, dd, j), sup, budget)
+
+
+# ---------------------------------------------------------------------------
+# Doubling chains
+
+
+def _chain_factors(base: list[Factor], d: tuple[int, ...]) -> list[Factor]:
+    """The chain quantity at doubled set d: the base factors whose edge
+    contains d, doubled over d.  The others were split off when their
+    missing vertex was doubled."""
+    return _double([f for f in base if set(d) <= {v for v, _ in f[1]}], d)
+
+
+def _split_factors(caps: list[Factor], d: tuple[int, ...], j: int) -> list[Factor]:
+    """The capped factors split off when j is doubled after d: those whose
+    edge misses j, doubled over d."""
+    return _double([f for f in caps if j not in {v for v, _ in f[1]}], d)
+
+
+def _split_stats(factors: list[Factor], sup: float, budget: float | None) -> YbarStats:
+    mean = expect_product(factors, budget, what="capped product mean")
+    mean_sq = expect_product(factors + factors, budget, what="capped product second moment")
     count = len(factors)
     return YbarStats(mean_sq, mean, count, mean * sup**count)
 
@@ -454,302 +493,158 @@ def _root(value: float, denom_log2: int, scale: float = 1.0) -> float:
     return clamp_cube_average(value, scale) ** (1.0 / 2.0**denom_log2)
 
 
-def _chain_report(
+def _chain(
     name: str,
-    r: int,
+    base: list[Factor],
+    caps: list[Factor],
+    sets: list[tuple[int, ...]],
+    letters: tuple[str, str],
     sup: float,
-    q_at: Mapping[tuple[int, ...], float],
-    stats_at: Mapping[tuple[tuple[int, ...], int], YbarStats],
-    e0: Edge,
-    box_power: float,
+    budget: float | None,
     slack_rel: float,
-) -> VerificationReport:
-    """Shared verification logic for the doubled and single-copy chains."""
+) -> tuple[VerificationReport, dict[tuple[int, ...], float], float]:
+    """Shared core of every doubling chain.
+
+    Evaluates the chain quantity q at each doubled set d in ``sets`` and the
+    split-off moments at each step (d, j), one for every vertex j of the last
+    set with d and d + j both in ``sets``, then checks every Cauchy-Schwarz step
+    q(d)^2 <= q(d + j) * E[Ybar^2] and every pointwise bound
+    E[Ybar^2] <= E[Ybar] * sup^(factor count).  ``caps`` replace the base
+    factors in Ybar; ``letters`` name d and j in the check ids.  Returns the
+    report, q at each set, and the product of the step roots
+    E[Ybar^2]^(1/2^t) along the ascending path to the last set.
+    """
+    a, b = letters
+    last = sets[-1]
+    steps = [
+        (d, j) for d in sets for j in last if j not in d and tuple(sorted(d + (j,))) in sets
+    ]
+    q_at = {
+        d: expect_product(_chain_factors(base, d), budget, what=f"{name} at {a}={d}")
+        for d in sets
+    }
+    stats_at = {
+        (d, j): _split_stats(_split_factors(caps, d, j), sup, budget) for d, j in steps
+    }
     report = VerificationReport(name=name)
-    full = tuple(e0)
-    for d, j in sorted(stats_at.keys()):
+    for d, j in sorted(steps):
         stats = stats_at[(d, j)]
-        d_next = tuple(sorted(d + (j,)))
         lhs = q_at[d] ** 2
-        rhs = q_at[d_next] * stats.mean_sq
+        rhs = q_at[tuple(sorted(d + (j,)))] * stats.mean_sq
         slack = slack_rel * max(1.0, abs(lhs), abs(rhs))
-        report.add(
-            ineq_check(f"cs-step d={list(d)} j={j}", lhs, rhs, slack)
-        )
+        report.add(ineq_check(f"cs-step {a}={list(d)} {b}={j}", lhs, rhs, slack))
         slack_sup = slack_rel * max(1.0, stats.mean_sq, stats.sup_power_bound)
         report.add(
             ineq_check(
-                f"sup-pointwise d={list(d)} j={j}",
+                f"sup-pointwise {a}={list(d)} {b}={j}",
                 stats.mean_sq,
                 stats.sup_power_bound,
                 slack_sup,
                 note=f"exponent {stats.factor_count}",
             )
         )
-    endpoint = q_at[full]
-    tol = slack_rel * max(1.0, abs(endpoint), abs(box_power))
-    report.add(eq_check("endpoint-box-power", endpoint, box_power, tol))
-
-    # Composed bound along the canonical ascending chain.
-    lhs_abs = abs(q_at[()])
     bound = 1.0
-    d: tuple[int, ...] = ()
-    for t, j in enumerate(full, start=1):
-        stats = stats_at[(d, j)]
-        bound *= _root(stats.mean_sq, t, scale=max(1.0, abs(stats.mean_sq)))
-        d = tuple(sorted(d + (j,)))
-    bound *= _root(q_at[full], r, scale=max(1.0, abs(q_at[full])))
+    for t in range(len(last)):
+        mean_sq = stats_at[(last[:t], last[t])].mean_sq
+        bound *= _root(mean_sq, t + 1, scale=max(1.0, abs(mean_sq)))
+    return report, q_at, bound
+
+
+def _close(
+    report: VerificationReport,
+    lhs_abs: float,
+    bound: float,
+    box_norm: float,
+    sup: float,
+    sup_power: float,
+    ratio_key: str,
+    slack_rel: float,
+) -> VerificationReport:
+    """Check the composed bound and record the measured ratios."""
     slack = slack_rel * max(1.0, lhs_abs, bound)
     report.add(ineq_check("composed-chain-bound", lhs_abs, bound, slack))
-
-    box_norm = _root(box_power, r, scale=max(1.0, abs(box_power)))
     report.ratios["lhs"] = lhs_abs
     report.ratios["composed-bound"] = bound
     report.ratios["box-norm-centered"] = box_norm
     report.ratios["sup"] = sup
+    denom = box_norm * sup**sup_power
+    if denom > 0:
+        report.ratios[ratio_key] = lhs_abs / denom
     return report
+
+
+def _slf_chain(
+    inst: SlfInstance, budget: float | None, slack_rel: float
+) -> VerificationReport:
+    w = inst.hypergraph
+    r = w.r
+    e0 = _distinguished_edge(w)
+    sup = sup_norm(w)
+    single = len(inst.copies) == 1
+    sets = [d for size in range(r + 1) for d in itertools.combinations(e0, size)]
+    base, caps = _slf_base(inst)
+    name = "single-copy-chain" if single else "strong-linear-forms-chain"
+    report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget, slack_rel)
+    box_power = box_norm_brute(w.weights[e0].centered(), budget=budget) ** (2.0**r)
+    endpoint = q_at[e0]
+    tol = slack_rel * max(1.0, abs(endpoint), abs(box_power))
+    report.add(eq_check("endpoint-box-power", endpoint, box_power, tol))
+
+    bound *= _root(endpoint, r, scale=max(1.0, abs(endpoint)))
+    box_norm = _root(box_power, r, scale=max(1.0, abs(box_power)))
+    if single:
+        ratio_key, sup_power = "lhs-over-boxnorm-times-sup-half-power", r / 2.0
+    else:
+        ratio_key, sup_power = "lhs-over-boxnorm-times-sup-power", r
+    return _close(
+        report, abs(q_at[()]), bound, box_norm, sup, sup_power, ratio_key, slack_rel
+    )
 
 
 def chain_verify(
     inst: SlfInstance, budget: float | None = None, slack_rel: float = 1e-9
 ) -> VerificationReport:
     """Verify every exact Cauchy-Schwarz step, every pointwise sup bound, the
-    endpoint identity, and the composed bound for a doubled instance.
+    endpoint identity, and the composed bound for an instance with one or two
+    copies of vertex 0.
 
-    The measured ratio of the expectation to boxnorm * sup^r is reported but
-    never asserted; at finite N it stands in for an asymptotic statement.
+    The measured ratio of the expectation to boxnorm * sup^r (sup^(r/2) with
+    one copy) is reported but never asserted; at finite N it stands in for an
+    asymptotic statement.
     """
-    w = inst.hypergraph
-    r = w.r
-    e0 = _distinguished_edge(w)
-    sup = sup_norm(w)
-    q_at: dict[tuple[int, ...], float] = {}
-    for size in range(r + 1):
-        for d in itertools.combinations(e0, size):
-            q_at[d] = q_value(inst, d, budget)
-    stats_at: dict[tuple[tuple[int, ...], int], YbarStats] = {}
-    for d in list(q_at.keys()):
-        if len(d) == r:
-            continue
-        for j in e0:
-            if j not in d:
-                stats_at[(d, j)] = ybar_sq_expectation(inst, d, j, budget, sup=sup)
-    box_power = box_norm_brute(w.weights[e0].centered(), budget=budget) ** (2.0**r)
-    report = _chain_report(
-        "strong-linear-forms-chain", r, sup, q_at, stats_at, e0, box_power, slack_rel
-    )
-    lhs = abs(q_at[()])
-    denom = report.ratios["box-norm-centered"] * sup**r
-    if denom > 0:
-        report.ratios["lhs-over-boxnorm-times-sup-power"] = lhs / denom
-    return report
-
-
-def random_slf_instance(
-    w: WeightedHypergraph, seed: int, caps_mode: str = "mixed"
-) -> SlfInstance:
-    """Seeded random instance: each slot draws a cap (or uses the forced
-    mode) and a minorant that is the cap times i.i.d. uniforms on [0, 1]."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    caps: dict[tuple[Edge, int], Cap] = {}
-    gs: dict[tuple[Edge, int], EdgeFn] = {}
-    for j in range(1, w.r + 1):
-        edge = w.system.edge_omitting(j)
-        dims = w.system.edge_dims(edge)
-        for copy in (0, 1):
-            if caps_mode == "mixed":
-                cap = Cap.NU if rng.random() < 0.5 else Cap.ONE
-            else:
-                cap = Cap(caps_mode)
-            caps[(edge, copy)] = cap
-            base = _cap_fn(w, edge, cap).values
-            gs[(edge, copy)] = EdgeFn(edge, dims, base * rng.random(dims))
-    return SlfInstance(w, caps, gs)
-
-
-# ---------------------------------------------------------------------------
-# Single-copy variant (one minorant per edge, vertex 0 never doubled)
-
-
-@dataclass(frozen=True)
-class SingleSlfInstance:
-    """Single-copy variant: one cap and one minorant per non-distinguished
-    edge; vertex 0 is never doubled, so each chain step needs half the
-    factors of the doubled version."""
-
-    hypergraph: WeightedHypergraph
-    caps: dict[Edge, Cap]
-    gs: dict[Edge, EdgeFn]
-
-    def __post_init__(self):
-        w = self.hypergraph
-        keys = {w.system.edge_omitting(j) for j in range(1, w.r + 1)}
-        if set(self.caps.keys()) != keys or set(self.gs.keys()) != keys:
-            raise ShapeMismatch(
-                "caps and minorants must cover every non-distinguished edge"
-            )
-        for edge in sorted(keys):
-            _validate_minorant(
-                self.gs[edge], _cap_fn(w, edge, self.caps[edge]), f"{edge}"
-            )
-
-    @property
-    def r(self) -> int:
-        return self.hypergraph.r
-
-    def gbar(self, edge: Edge) -> EdgeFn:
-        return _cap_fn(self.hypergraph, edge, self.caps[edge])
-
-    def to_json_obj(self) -> dict:
-        return {
-            "hypergraph": self.hypergraph.to_json_obj(),
-            "gs": [
-                {
-                    "edge": list(edge),
-                    "cap": self.caps[edge].value,
-                    "values": [float(v) for v in self.gs[edge].values.ravel()],
-                }
-                for edge in sorted(self.gs.keys())
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SingleSlfInstance":
-        w = WeightedHypergraph.from_json_obj(obj["hypergraph"])
-        caps: dict[Edge, Cap] = {}
-        gs: dict[Edge, EdgeFn] = {}
-        for entry in obj["gs"]:
-            edge = tuple(int(v) for v in entry["edge"])
-            dims = w.system.edge_dims(edge)
-            caps[edge] = Cap(entry["cap"])
-            gs[edge] = EdgeFn(
-                edge, dims, np.asarray(entry["values"], dtype=np.float64).reshape(dims)
-            )
-        return cls(w, caps, gs)
-
-
-def slf_single_lhs(inst: SingleSlfInstance, budget: float | None = None) -> float:
-    """Single-copy strong-linear-forms expectation over one copy of every
-    coordinate: centered distinguished weight times one minorant per edge."""
-    w = inst.hypergraph
-    e0 = _distinguished_edge(w)
-    factors: list[tuple[np.ndarray, list[Var]]] = [
-        (w.weights[e0].values - 1.0, [(v, None) for v in e0])
-    ]
-    for j in range(1, w.r + 1):
-        edge = w.system.edge_omitting(j)
-        factors.append((inst.gs[edge].values, [(v, None) for v in edge]))
-    return expect_product(factors, budget, what="single-copy expectation")
-
-
-def _single_factors(
-    inst: SingleSlfInstance, d: tuple[int, ...]
-) -> list[tuple[np.ndarray, list[Var]]]:
-    w = inst.hypergraph
-    e0 = _distinguished_edge(w)
-    centered = w.weights[e0].values - 1.0
-    factors: list[tuple[np.ndarray, list[Var]]] = []
-    for omega in itertools.product((0, 1), repeat=len(d)):
-        copy_of = dict(zip(d, omega))
-        factors.append((centered, [(v, copy_of.get(v)) for v in e0]))
-    for j in range(1, w.r + 1):
-        if j in d:
-            continue
-        edge = w.system.edge_omitting(j)
-        g = inst.gs[edge]
-        for omega in itertools.product((0, 1), repeat=len(d)):
-            copy_of = dict(zip(d, omega))
-            factors.append((g.values, [(v, copy_of.get(v)) for v in edge]))
-    return factors
-
-
-def q_single_value(
-    inst: SingleSlfInstance, d: Iterable[int], budget: float | None = None
-) -> float:
-    dd = _normalize_subset(inst.hypergraph, d)
-    return expect_product(
-        _single_factors(inst, dd), budget, what=f"single-copy chain quantity d={dd}"
-    )
-
-
-def ybar_single_sq_expectation(
-    inst: SingleSlfInstance,
-    d: Iterable[int],
-    j: int,
-    budget: float | None = None,
-    sup: float | None = None,
-) -> YbarStats:
-    w = inst.hypergraph
-    dd = _normalize_subset(w, d)
-    if j in dd or j == 0 or j > w.r:
-        raise InvalidSubset(f"next vertex {j} must lie outside d and the origin")
-    edge = w.system.edge_omitting(j)
-    gbar = inst.gbar(edge)
-    factors = []
-    for omega in itertools.product((0, 1), repeat=len(dd)):
-        copy_of = dict(zip(dd, omega))
-        factors.append((gbar.values, [(v, copy_of.get(v)) for v in edge]))
-    mean = expect_product(factors, budget, what="capped product mean")
-    mean_sq = expect_product(
-        factors + factors, budget, what="capped product second moment"
-    )
-    if sup is None:
-        sup = sup_norm(w)
-    count = len(factors)
-    return YbarStats(mean_sq, mean, count, mean * sup**count)
+    return _slf_chain(inst, budget, slack_rel)
 
 
 def single_chain_verify(
-    inst: SingleSlfInstance, budget: float | None = None, slack_rel: float = 1e-9
+    inst: SlfInstance, budget: float | None = None, slack_rel: float = 1e-9
 ) -> VerificationReport:
-    """Chain verification for the single-copy variant; each step's capped
-    product has at most 2^|d| factors instead of 2^(|d|+1)."""
-    w = inst.hypergraph
-    r = w.r
-    e0 = _distinguished_edge(w)
-    sup = sup_norm(w)
-    q_at: dict[tuple[int, ...], float] = {}
-    for size in range(r + 1):
-        for d in itertools.combinations(e0, size):
-            q_at[d] = q_single_value(inst, d, budget)
-    stats_at: dict[tuple[tuple[int, ...], int], YbarStats] = {}
-    for d in list(q_at.keys()):
-        if len(d) == r:
-            continue
-        for j in e0:
-            if j not in d:
-                stats_at[(d, j)] = ybar_single_sq_expectation(
-                    inst, d, j, budget, sup=sup
-                )
-    box_power = box_norm_brute(w.weights[e0].centered(), budget=budget) ** (2.0**r)
-    report = _chain_report(
-        "single-copy-chain", r, sup, q_at, stats_at, e0, box_power, slack_rel
-    )
-    lhs = abs(q_at[()])
-    denom = report.ratios["box-norm-centered"] * sup ** (r / 2.0)
-    if denom > 0:
-        report.ratios["lhs-over-boxnorm-times-sup-half-power"] = lhs / denom
-    return report
+    """``chain_verify`` under the name of the single-copy variant, whose
+    capped products have 2^|d| factors per step instead of 2^(|d|+1)."""
+    return _slf_chain(inst, budget, slack_rel)
 
 
-def random_single_instance(
-    w: WeightedHypergraph, seed: int, caps_mode: str = "mixed"
-) -> SingleSlfInstance:
-    """Single-copy analogue of ``random_slf_instance``."""
+def random_slf_instance(
+    w: WeightedHypergraph, seed: int, caps_mode: str = "mixed", copies: int = 2
+) -> SlfInstance:
+    """Seeded random instance with one or two copies of vertex 0: each slot
+    draws a cap (or uses the forced mode) and a minorant that is the cap
+    times i.i.d. uniforms on [0, 1].  Slots are drawn edge by edge (omitted
+    vertex ascending), copies inner."""
+    if copies not in (1, 2):
+        raise ValueError(f"copies must be 1 or 2, got {copies}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    caps: dict[Edge, Cap] = {}
-    gs: dict[Edge, EdgeFn] = {}
-    for j in range(1, w.r + 1):
-        edge = w.system.edge_omitting(j)
+    caps: dict[tuple[Edge, int], Cap] = {}
+    gs: dict[tuple[Edge, int], EdgeFn] = {}
+    for edge, copy in _slots(w.r, range(copies)):
         dims = w.system.edge_dims(edge)
         if caps_mode == "mixed":
             cap = Cap.NU if rng.random() < 0.5 else Cap.ONE
         else:
             cap = Cap(caps_mode)
-        caps[edge] = cap
+        caps[(edge, copy)] = cap
         base = _cap_fn(w, edge, cap).values
-        gs[edge] = EdgeFn(edge, dims, base * rng.random(dims))
-    return SingleSlfInstance(w, caps, gs)
+        gs[(edge, copy)] = EdgeFn(edge, dims, base * rng.random(dims))
+    return SlfInstance(w, caps, gs)
 
 
 # ---------------------------------------------------------------------------
@@ -807,33 +702,19 @@ class Lf2Exponents:
     table: dict[tuple[Edge, int], int]
 
     def __post_init__(self):
-        expected = {
-            (tuple(v for v in range(self.r + 1) if v != j), copy)
-            for j in range(1, self.r + 1)
-            for copy in (0, 1)
-        }
-        if set(self.table.keys()) != expected:
+        if set(self.table.keys()) != set(_slots(self.r)):
             raise ShapeMismatch("exponent table must cover every (edge, copy) slot")
         if any(n not in (0, 1) for n in self.table.values()):
             raise ValueError("exponents must be 0 or 1")
 
     @classmethod
     def all_ones(cls, r: int) -> "Lf2Exponents":
-        table = {
-            (tuple(v for v in range(r + 1) if v != j), copy): 1
-            for j in range(1, r + 1)
-            for copy in (0, 1)
-        }
-        return cls(r, table)
+        return cls(r, dict.fromkeys(_slots(r), 1))
 
     @classmethod
     def from_bits(cls, r: int, bits: Iterable[int]) -> "Lf2Exponents":
         bits = list(int(b) for b in bits)
-        slots = [
-            (tuple(v for v in range(r + 1) if v != j), copy)
-            for j in range(1, r + 1)
-            for copy in (0, 1)
-        ]
+        slots = _slots(r)
         if len(bits) != len(slots):
             raise ShapeMismatch(f"need {len(slots)} exponent bits, got {len(bits)}")
         return cls(r, dict(zip(slots, bits)))
@@ -875,13 +756,25 @@ def lf2_expectation(
     of the active edge weights, each reading its own copy of vertex 0."""
     if exps.r != w.r:
         raise ShapeMismatch("exponent arity does not match hypergraph")
-    factors: list[tuple[np.ndarray, list[Var]]] = []
-    for edge, copy in exps.active_slots():
-        fn = w.weights[edge]
-        factors.append(
-            (fn.values, [(v, copy) if v == 0 else (v, None) for v in edge])
-        )
+    factors = [
+        (w.weights[edge].values, _origin_axes(edge, copy))
+        for edge, copy in exps.active_slots()
+    ]
     return expect_product(factors, budget, what="doubled-origin expectation")
+
+
+def _lf2_factors(w: WeightedHypergraph, ej: Edge, exps: Lf2Exponents) -> list[Factor]:
+    """Factors of the centered term at edge ej: (weight - 1) on ej at copy 0
+    of vertex 0, then every other active slot's weight at its own copy."""
+    if exps.r != w.r:
+        raise ShapeMismatch("exponent arity does not match hypergraph")
+    factors = [(w.weights[ej].values - 1.0, _origin_axes(ej, 0))]
+    factors += [
+        (w.weights[edge].values, _origin_axes(edge, copy))
+        for edge, copy in exps.active_slots()
+        if (edge, copy) != (ej, 0)
+    ]
+    return factors
 
 
 def lf2_term(
@@ -892,20 +785,7 @@ def lf2_term(
     active slot contributes its weight unchanged."""
     if not (1 <= j <= w.r):
         raise InvalidSubset(f"edge index {j} must be in 1..{w.r}")
-    if exps.r != w.r:
-        raise ShapeMismatch("exponent arity does not match hypergraph")
-    ej = w.system.edge_omitting(j)
-    centered = w.weights[ej].values - 1.0
-    factors: list[tuple[np.ndarray, list[Var]]] = [
-        (centered, [(v, 0) if v == 0 else (v, None) for v in ej])
-    ]
-    for edge, copy in exps.active_slots():
-        if (edge, copy) == (ej, 0):
-            continue
-        fn = w.weights[edge]
-        factors.append(
-            (fn.values, [(v, copy) if v == 0 else (v, None) for v in edge])
-        )
+    factors = _lf2_factors(w, w.system.edge_omitting(j), exps)
     return expect_product(factors, budget, what="centered doubled-origin term")
 
 
@@ -961,84 +841,22 @@ def lf2_chain_verify(
     r = w.r
     ej = w.system.edge_omitting(j)
     others = tuple(v for v in ej if v != 0)
+    base = _lf2_factors(w, ej, exps)
     sup = sup_norm(w)
-    centered = w.weights[ej].values - 1.0
     n_final = exps.table[(ej, 1)]
-
-    def chain_factors(c: tuple[int, ...]) -> list[tuple[np.ndarray, list[Var]]]:
-        factors: list[tuple[np.ndarray, list[Var]]] = []
-        for omega in itertools.product((0, 1), repeat=len(c)):
-            copy_of = dict(zip(c, omega))
-            factors.append(
-                (centered, [(0, 0) if v == 0 else (v, copy_of.get(v)) for v in ej])
-            )
-        for edge, copy in exps.active_slots():
-            if (edge, copy) == (ej, 0):
-                continue
-            if any(v not in edge for v in c):
-                continue  # this edge was split off when its missing vertex doubled
-            fn = w.weights[edge]
-            for omega in itertools.product((0, 1), repeat=len(c)):
-                copy_of = dict(zip(c, omega))
-                factors.append(
-                    (fn.values, [(v, copy) if v == 0 else (v, copy_of.get(v)) for v in edge])
-                )
-        return factors
-
-    report = VerificationReport(name="centered-term-chain")
+    prefixes = [others[:t] for t in range(len(others) + 1)]
+    # The split-off edge weights are their own caps.
+    report, q_at, bound = _chain(
+        "centered-term-chain", base, base, prefixes, ("c", "v"), sup, budget, slack_rel
+    )
     report.notes.append(
         "final raw cube factor applies the centered edge's copy-1 exponent "
         f"uniformly (value {n_final})"
     )
-    q_at: dict[tuple[int, ...], float] = {}
-    prefixes = [others[:t] for t in range(len(others) + 1)]
-    for c in prefixes:
-        q_at[c] = expect_product(
-            chain_factors(c), budget, what=f"centered-term chain at c={c}"
-        )
-
-    bound = 1.0
-    for t in range(len(others)):
-        c, v_next = prefixes[t], others[t]
-        edge_out = w.system.edge_omitting(v_next)
-        out_factors = []
-        for copy in (0, 1):
-            if exps.table[(edge_out, copy)] != 1 or (edge_out, copy) == (ej, 0):
-                continue
-            fn = w.weights[edge_out]
-            for omega in itertools.product((0, 1), repeat=len(c)):
-                copy_of = dict(zip(c, omega))
-                out_factors.append(
-                    (fn.values, [(vv, copy) if vv == 0 else (vv, copy_of.get(vv)) for vv in edge_out])
-                )
-        mean = expect_product(out_factors, budget, what="split-off mean")
-        mean_sq = expect_product(
-            out_factors + out_factors, budget, what="split-off second moment"
-        )
-        count = len(out_factors)
-        lhs = q_at[c] ** 2
-        rhs = q_at[prefixes[t + 1]] * mean_sq
-        slack = slack_rel * max(1.0, abs(lhs), abs(rhs))
-        report.add(ineq_check(f"cs-step c={list(c)} v={v_next}", lhs, rhs, slack))
-        sup_bound = mean * sup**count
-        slack_sup = slack_rel * max(1.0, mean_sq, sup_bound)
-        report.add(
-            ineq_check(
-                f"sup-pointwise c={list(c)} v={v_next}",
-                mean_sq,
-                sup_bound,
-                slack_sup,
-                note=f"exponent {count}",
-            )
-        )
-        bound *= _root(mean_sq, t + 1, scale=max(1.0, abs(mean_sq)))
 
     # Final split: double vertex 0 separately in the centered and raw halves.
-    c_star = prefixes[-1]
-    box_factors = []
-    for omega in itertools.product((0, 1), repeat=len(ej)):
-        copy_of = dict(zip(ej, omega))
-        box_factors.append((centered, [(v, copy_of[v]) for v in ej]))
+    centered = base[0][0]
+    box_factors = _double([(centered, [(v, None) for v in ej])], ej)
     box_power = expect_product(box_factors, budget, what="centered box power")
     if n_final == 1:
         cube_power = cube_expectation(
@@ -1046,7 +864,7 @@ def lf2_chain_verify(
         )
     else:
         cube_power = 1.0
-    lhs = q_at[c_star] ** 2
+    lhs = q_at[others] ** 2
     rhs = box_power * cube_power
     slack = slack_rel * max(1.0, abs(lhs), abs(rhs))
     report.add(ineq_check("final-split", lhs, rhs, slack))
@@ -1054,14 +872,5 @@ def lf2_chain_verify(
     box_norm = _root(box_power, r, scale=max(1.0, abs(box_power)))
     bound *= box_norm
     bound *= _root(cube_power, r, scale=max(1.0, abs(cube_power)))
-    lhs_abs = abs(q_at[()])
-    slack = slack_rel * max(1.0, lhs_abs, bound)
-    report.add(ineq_check("composed-chain-bound", lhs_abs, bound, slack))
-    report.ratios["lhs"] = lhs_abs
-    report.ratios["composed-bound"] = bound
-    report.ratios["box-norm-centered"] = box_norm
-    report.ratios["sup"] = sup
-    denom = box_norm * sup ** (r - 1)
-    if denom > 0:
-        report.ratios["lhs-over-boxnorm-times-sup-power"] = lhs_abs / denom
-    return report
+    ratio_key = "lhs-over-boxnorm-times-sup-power"
+    return _close(report, abs(q_at[()]), bound, box_norm, sup, r - 1, ratio_key, slack_rel)

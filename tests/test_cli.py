@@ -62,6 +62,9 @@ class TestNorm:
         assert obj["inputs"]["spec"]["n"] == 10
 
 
+_SMALL_BRUTE = ["norm", "--kind", "constant", "--n", "8", "--k", "2", "--mode", "brute"]
+
+
 class TestBudget:
     def test_over_budget_exits_2_with_suggestion(self, capsys):
         code, _, err = _run(capsys, ["slf", "--n", "31", "--r", "3"])
@@ -79,6 +82,27 @@ class TestBudget:
         )
         assert code == 2
         assert "budget exceeded" in err
+
+    def test_nan_budget_refused(self, capsys):
+        # NaN compares false against every estimate, so it used to switch
+        # every guard off.
+        code, out, err = _run(capsys, _SMALL_BRUTE + ["--budget", "nan"])
+        assert code == 2
+        assert out == ""
+        assert "budget must be a finite positive number, got nan" in err
+
+    def test_negative_budget_refused(self, capsys):
+        code, out, err = _run(capsys, _SMALL_BRUTE + ["--budget", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "got -1.0" in err
+
+    def test_nan_env_budget_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv("GOWERS_BUDGET", "nan")
+        code, out, err = _run(capsys, _SMALL_BRUTE)
+        assert code == 2
+        assert out == ""
+        assert "GOWERS_BUDGET must be a finite positive number, got nan" in err
 
     def test_suggested_n_fits(self, capsys):
         base = ["norm", "--kind", "constant", "--k", "3", "--mode", "brute",

@@ -18,7 +18,6 @@ from gowers import (
     InvalidSubset,
     Lf2Exponents,
     ShapeMismatch,
-    SingleSlfInstance,
     SlfInstance,
     binomial_expansion_identity,
     box_norm_brute,
@@ -33,16 +32,12 @@ from gowers import (
     lf2_term,
     nu_prime,
     nu_prime_l2_dev,
-    q_single_value,
     q_value,
-    random_single_instance,
     random_slf_instance,
     represent,
     single_chain_verify,
     slf_lhs,
-    slf_single_lhs,
     ybar_sq_expectation,
-    ybar_single_sq_expectation,
 )
 
 
@@ -289,52 +284,92 @@ class TestSlfTwoCopy:
         assert slf_lhs(again) == slf_lhs(inst)
 
 
-def _single_lhs_loop(inst: SingleSlfInstance) -> float:
+def _single_lhs_loop(inst: SlfInstance) -> float:
     w = inst.hypergraph
     n = w.system.dims[0]
     nu0 = w.weight_omitting(0).values
-    g1 = inst.gs[(0, 2)].values
-    g2 = inst.gs[(0, 1)].values
+    g1 = inst.gs[((0, 2), 0)].values
+    g2 = inst.gs[((0, 1), 0)].values
     total = 0.0
     for x0, x1, x2 in itertools.product(range(n), repeat=3):
         total += (nu0[x1, x2] - 1.0) * g1[x0, x2] * g2[x0, x1]
     return total / n**3
 
 
+def _q_single_loop_d1(inst: SlfInstance) -> float:
+    """Loop oracle for the single-copy chain quantity with vertex 1 doubled
+    (r = 2): the edge omitting 1 is split off and vertex 0 stays shared."""
+    w = inst.hypergraph
+    n = w.system.dims[0]
+    nu0 = w.weight_omitting(0).values
+    g2 = inst.gs[((0, 1), 0)].values
+    total = 0.0
+    for x0, x1a, x1b, x2 in itertools.product(range(n), repeat=4):
+        total += (
+            (nu0[x1a, x2] - 1.0) * (nu0[x1b, x2] - 1.0) * g2[x0, x1a] * g2[x0, x1b]
+        )
+    return total / n**4
+
+
 class TestSlfSingleCopy:
     def test_lhs_loop_oracle(self):
         w = represent(_measure(seed=11), 2)
-        inst = random_single_instance(w, 11)
-        assert slf_single_lhs(inst) == pytest.approx(
+        inst = random_slf_instance(w, 11, copies=1)
+        assert q_value(inst, ()) == pytest.approx(
             _single_lhs_loop(inst), rel=1e-10, abs=1e-14
         )
 
     def test_lhs_equals_empty_chain_quantity(self):
         w = represent(_measure(seed=12), 2)
-        inst = random_single_instance(w, 12)
-        assert slf_single_lhs(inst) == pytest.approx(
-            q_single_value(inst, ()), rel=1e-10, abs=1e-14
+        inst = random_slf_instance(w, 12, copies=1)
+        assert slf_lhs(inst) == pytest.approx(
+            q_value(inst, ()), rel=1e-10, abs=1e-14
         )
+
+    def test_q_loop_oracle(self):
+        w = represent(_measure(n=5, seed=15), 2)
+        inst = random_slf_instance(w, 15, copies=1)
+        assert q_value(inst, (1,)) == pytest.approx(
+            _q_single_loop_d1(inst), rel=1e-10, abs=1e-14
+        )
+
+    def test_draw_order_pinned(self):
+        # The single-copy stream draws the two-copy slots without the copy-1
+        # ones; the first minorant value for seed 11 is pinned.
+        w = represent(_measure(seed=11), 2)
+        inst = random_slf_instance(w, 11, copies=1)
+        assert inst.copies == (0,)
+        assert inst.gs[((0, 2), 0)].values.flat[0] == 1.711571533648263
+
+    def test_copies_validated(self):
+        w = represent(_measure(seed=16), 2)
+        with pytest.raises(ValueError):
+            random_slf_instance(w, 16, copies=3)
+        inst = random_slf_instance(w, 16, copies=1)
+        shifted = {(edge, 1): g for (edge, _), g in inst.gs.items()}
+        caps = {(edge, 1): cap for (edge, _), cap in inst.caps.items()}
+        with pytest.raises(ShapeMismatch):
+            SlfInstance(w, caps, shifted)
 
     def test_factor_count_halved(self):
         w = represent(_measure(seed=13), 2)
-        inst = random_single_instance(w, 13)
-        stats = ybar_single_sq_expectation(inst, (), 1)
+        inst = random_slf_instance(w, 13, copies=1)
+        stats = ybar_sq_expectation(inst, (), 1)
         assert stats.factor_count == 1  # 2^|d| with d empty
-        stats = ybar_single_sq_expectation(inst, (2,), 1)
+        stats = ybar_sq_expectation(inst, (2,), 1)
         assert stats.factor_count == 2
 
     def test_chain_verify_passes(self):
         for seed in range(3):
             w = represent(_measure(seed=seed), 2)
-            report = single_chain_verify(random_single_instance(w, seed))
+            report = single_chain_verify(random_slf_instance(w, seed, copies=1))
             assert report.passed, report.failures()
 
     def test_endpoint_is_box_power(self):
         w = represent(_measure(seed=14), 2)
-        inst = random_single_instance(w, 14)
+        inst = random_slf_instance(w, 14, copies=1)
         centered = w.weight_omitting(0).centered()
-        assert q_single_value(inst, (1, 2)) == pytest.approx(
+        assert q_value(inst, (1, 2)) == pytest.approx(
             box_norm_brute(centered) ** 4, rel=1e-9, abs=1e-12
         )
 
