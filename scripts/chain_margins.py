@@ -14,7 +14,6 @@ import argparse
 import csv
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, replace
 
 from gowers import (
     EmptySetGenerated,
@@ -31,18 +30,13 @@ from gowers import (
 HEADER = ("variant", "r", "n", "seed", "check", "lhs", "rhs", "margin", "pass")
 
 
-@dataclass(frozen=True)
-class MarginConfig:
-    r: int = 2
-    moduli: tuple[int, ...] = (5, 7, 11)
-    seeds: int = 10
-    caps: str = "mixed"
-    budget: float | None = None
+def _moduli(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
-def _measures(cfg: MarginConfig, n: int):
+def _measures(n: int, count: int):
     found, seed = 0, 0
-    while found < cfg.seeds:
+    while found < count:
         try:
             nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=seed))
         except EmptySetGenerated:
@@ -53,29 +47,29 @@ def _measures(cfg: MarginConfig, n: int):
         seed += 1
 
 
-def margin_rows(cfg: MarginConfig):
-    for n in cfg.moduli:
-        for idx, nu in _measures(cfg, n):
-            w = represent(nu, cfg.r)
+def margin_rows(args):
+    for n in args.moduli:
+        for idx, nu in _measures(n, args.seeds):
+            w = represent(nu, args.r)
             reports = [
-                ("two-copy", chain_verify(random_slf_instance(w, idx, cfg.caps), cfg.budget)),
+                ("two-copy", chain_verify(random_slf_instance(w, idx, args.caps), args.budget)),
                 (
                     "single-copy",
                     single_chain_verify(
-                        random_slf_instance(w, idx, cfg.caps, copies=1), cfg.budget
+                        random_slf_instance(w, idx, args.caps, copies=1), args.budget
                     ),
                 ),
             ]
-            exps = Lf2Exponents.all_ones(cfg.r)
-            for j in range(1, cfg.r + 1):
+            exps = Lf2Exponents.all_ones(args.r)
+            for j in range(1, args.r + 1):
                 reports.append(
-                    (f"doubled-origin-j{j}", lf2_chain_verify(w, j, exps, cfg.budget))
+                    (f"doubled-origin-j{j}", lf2_chain_verify(w, j, exps, args.budget))
                 )
             for variant, report in reports:
                 for c in report.checks:
                     yield (
                         variant,
-                        cfg.r,
+                        args.r,
                         n,
                         idx,
                         c.check,
@@ -88,25 +82,15 @@ def margin_rows(cfg: MarginConfig):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--r", type=int, default=None, help="hypergraph arity")
-    parser.add_argument("--moduli", default=None, help="comma-separated prime moduli")
-    parser.add_argument("--seeds", type=int, default=None, help="instances per modulus")
-    parser.add_argument("--caps", choices=("one", "nu", "mixed"), default=None)
+    parser.add_argument("--r", type=int, default=2, help="hypergraph arity")
+    parser.add_argument(
+        "--moduli", type=_moduli, default=(5, 7, 11), help="comma-separated prime moduli"
+    )
+    parser.add_argument("--seeds", type=int, default=10, help="instances per modulus")
+    parser.add_argument("--caps", choices=("one", "nu", "mixed"), default="mixed")
     parser.add_argument("--budget", type=float, default=None)
     parser.add_argument("--output", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
-
-    cfg = MarginConfig()
-    if args.r is not None:
-        cfg = replace(cfg, r=args.r)
-    if args.moduli:
-        cfg = replace(cfg, moduli=tuple(int(x) for x in args.moduli.split(",")))
-    if args.seeds is not None:
-        cfg = replace(cfg, seeds=args.seeds)
-    if args.caps is not None:
-        cfg = replace(cfg, caps=args.caps)
-    if args.budget is not None:
-        cfg = replace(cfg, budget=args.budget)
 
     worst: dict[str, float] = defaultdict(lambda: float("inf"))
     failures = 0
@@ -114,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(HEADER)
-        for row in margin_rows(cfg):
+        for row in margin_rows(args):
             writer.writerow(row)
             family = row[4].split(" ")[0]
             worst[family] = min(worst[family], float(row[7]))

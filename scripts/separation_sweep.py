@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
 
 from gowers import GeneratorSpec, ap_density, generate, hypothesis_ratio
 
@@ -28,26 +27,21 @@ HEADER = (
     "density",
     "density_minus_one",
 )
+KINDS = ("random", "interval", "quadratic")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    moduli: tuple[int, ...] = (257, 1009, 4093)
-    p: float = 0.2
-    seeds: int = 10
-    r: int = 2
-    kinds: tuple[str, ...] = ("random", "interval", "quadratic")
-    budget: float | None = None
+def _moduli(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
-def sweep_rows(cfg: SweepConfig):
-    for n in cfg.moduli:
-        for kind in cfg.kinds:
-            seeds = range(cfg.seeds) if kind == "random" else (0,)
+def sweep_rows(args):
+    for n in args.moduli:
+        for kind in KINDS:
+            seeds = range(args.seeds) if kind == "random" else (0,)
             for seed in seeds:
-                nu = generate(GeneratorSpec(kind=kind, n=n, p=cfg.p, seed=seed))
-                hr = hypothesis_ratio(nu, cfg.r)
-                ap = ap_density([nu.fn] * (cfg.r + 1), cfg.budget)
+                nu = generate(GeneratorSpec(kind=kind, n=n, p=args.p, seed=seed))
+                hr = hypothesis_ratio(nu, args.r)
+                ap = ap_density([nu.fn] * (args.r + 1), args.budget)
                 yield (
                     kind,
                     n,
@@ -63,31 +57,21 @@ def sweep_rows(cfg: SweepConfig):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--moduli", default=None, help="comma-separated moduli")
-    parser.add_argument("--p", type=float, default=None, help="target density")
-    parser.add_argument("--seeds", type=int, default=None, help="random draws per modulus")
-    parser.add_argument("--r", type=int, default=None, help="norm order")
+    parser.add_argument(
+        "--moduli", type=_moduli, default=(257, 1009, 4093), help="comma-separated moduli"
+    )
+    parser.add_argument("--p", type=float, default=0.2, help="target density")
+    parser.add_argument("--seeds", type=int, default=10, help="random draws per modulus")
+    parser.add_argument("--r", type=int, default=2, help="norm order")
     parser.add_argument("--budget", type=float, default=None)
     parser.add_argument("--output", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
-
-    cfg = SweepConfig()
-    if args.moduli:
-        cfg = replace(cfg, moduli=tuple(int(x) for x in args.moduli.split(",")))
-    if args.p is not None:
-        cfg = replace(cfg, p=args.p)
-    if args.seeds is not None:
-        cfg = replace(cfg, seeds=args.seeds)
-    if args.r is not None:
-        cfg = replace(cfg, r=args.r)
-    if args.budget is not None:
-        cfg = replace(cfg, budget=args.budget)
 
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(HEADER)
-        for row in sweep_rows(cfg):
+        for row in sweep_rows(args):
             writer.writerow(row)
     finally:
         if args.output:

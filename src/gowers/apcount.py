@@ -27,9 +27,9 @@ from .cyclic import CyclicFn, Measure
 from .errors import ShapeMismatch
 from .genmeasure import GeneratorSpec, generate
 from .gowersnorm import EdgeFn, u_norm_fast
-from .hypersystem import relabel, represent
+from .hypersystem import is_prime, relabel, represent
 from .linform import Cap, SlfInstance, q_value, single_chain_verify
-from .report import VerificationReport, eq_check
+from .report import TOL, VerificationReport, eq_check
 
 CSV_HEADER = "n,k,density,prediction,ratio,trivial_count,nontrivial_count"
 
@@ -79,7 +79,9 @@ def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     if any(f.n != n for f in fs):
         raise ShapeMismatch("all weight functions must share the modulus")
     k = len(fs)
-    check_budget(float(n) ** 2 * k, budget, what=f"progression density (k={k}, n={n})")
+    check_budget(
+        float(n) ** 2 * k, budget, what=f"progression density (k={k}, n={n})", power=2
+    )
     per_diff = []
     trivial = 0
     nontrivial = 0
@@ -137,11 +139,7 @@ def _transposition(r: int, m: int) -> tuple[int, ...]:
 
 
 def telescoping_check(
-    nu: Measure,
-    r: int,
-    budget: float | None = None,
-    tol: float = 1e-9,
-    with_chains: bool = False,
+    nu: Measure, r: int, budget: float | None = None, with_chains: bool = False
 ) -> VerificationReport:
     """Verify that the progression density minus one equals the sum of the
     single-copy centered terms of the represented hypergraph.
@@ -181,35 +179,23 @@ def telescoping_check(
                 if not c.passed:
                     report.add(c)
     total = math.fsum(terms)
-    report.add(eq_check("telescoping-count-identity", lam - 1.0, total, tol))
+    report.add(eq_check("telescoping-count-identity", lam - 1.0, total, TOL))
     report.ratios["density"] = lam
     return report
 
 
-@dataclass(frozen=True)
-class RelszConfig:
-    """One pseudorandom-density experiment: a generated measure, the
-    progression length r+1, and whether to attach per-term chain bounds."""
-
-    spec: GeneratorSpec
-    r: int
-    with_chains: bool = False
-    budget: float | None = None
-
-
-def relsz_experiment(cfg: RelszConfig) -> tuple[ApReport, VerificationReport]:
-    """Measure how far a generated measure is from density one on
-    progressions, alongside its uniformity-norm ratios and, for prime moduli,
-    the exact telescoping decomposition with optional chain bounds."""
-    nu = generate(cfg.spec)
-    ap = ap_density([nu.fn] * (cfg.r + 1), cfg.budget)
-    ratios = hypothesis_ratio(nu, cfg.r)
-    from .hypersystem import is_prime  # local import keeps module load light
-
-    if is_prime(cfg.spec.n) and cfg.spec.n > cfg.r:
-        report = telescoping_check(
-            nu, cfg.r, budget=cfg.budget, with_chains=cfg.with_chains
-        )
+def relsz_experiment(
+    spec: GeneratorSpec, r: int, with_chains: bool = False, budget: float | None = None
+) -> tuple[ApReport, VerificationReport]:
+    """Measure how far the measure ``spec`` generates is from density one on
+    length-(r+1) progressions, alongside its uniformity-norm ratios and, for
+    prime moduli, the exact telescoping decomposition with optional per-term
+    chain bounds."""
+    nu = generate(spec)
+    ap = ap_density([nu.fn] * (r + 1), budget)
+    ratios = hypothesis_ratio(nu, r)
+    if is_prime(spec.n) and spec.n > r:
+        report = telescoping_check(nu, r, budget=budget, with_chains=with_chains)
     else:
         report = VerificationReport(name="progression-telescoping")
         report.notes.append("modulus not prime above the arity; telescoping skipped")

@@ -39,12 +39,16 @@ def resolve_budget(budget: float | None = None) -> float:
     return value
 
 
-def check_budget(estimated: float, budget: float | None = None, what: str = "") -> float:
+def check_budget(
+    estimated: float, budget: float | None = None, what: str = "", power: int = 0
+) -> float:
     """Raise BudgetExceeded when ``estimated`` products exceed the budget.
 
-    Returns the resolved budget so callers can thread it to sub-steps.
+    ``power`` is the exponent of the modulus in the step's cost; a refusal
+    carries it so the caller can suggest a modulus that fits.  Returns the
+    resolved budget so callers can thread it to sub-steps.
     """
     limit = resolve_budget(budget)
     if estimated > limit:
-        raise BudgetExceeded(estimated, limit, what)
+        raise BudgetExceeded(estimated, limit, what, power)
     return limit

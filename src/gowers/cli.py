@@ -5,7 +5,8 @@ file holding one), runs the requested computation, and writes a
 machine-readable report to stdout or a file.  Exit code 0 means every check
 passed, 1 means at least one check failed, 2 means a usage or budget error.
 Budget errors carry the estimated elementary-product count and, when the
-cost model scales with the modulus, a suggested feasible modulus.
+refused step's cost scales with the modulus, the largest prime modulus at
+which that step fits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .apcount import (
     CSV_HEADER,
-    RelszConfig,
+    ApReport,
     ap_density,
     hypothesis_ratio,
     relsz_experiment,
@@ -40,7 +41,7 @@ from .gowersnorm import (
     u_norm_brute,
     u_norm_fast,
 )
-from .hypersystem import ap_values, progression_count_check, represent
+from .hypersystem import ap_values, is_prime, progression_count_check, represent
 from .linform import (
     Cap,
     CubePattern,
@@ -61,24 +62,9 @@ from .linform import (
     single_chain_verify,
     slf_lhs,
 )
-from .report import VerificationReport, eq_check
+from .report import TOL, VerificationReport, eq_check
 
 SCHEMA = 1
-
-# Dominant modulus exponent of each subcommand's budgeted cost, used to turn
-# a budget overrun into a suggested feasible modulus.  args -> power.
-_COST_POWERS = {
-    "norm": lambda a: a.k + 1,
-    "boxnorm": lambda a: 2 * a.r,
-    "represent": lambda a: a.r + 1,
-    "cube": lambda a: 2 * a.r,
-    "slf": lambda a: 2 * a.r + 2,
-    "slf-single": lambda a: 2 * a.r + 1,
-    "nuprime": lambda a: a.r + 2,
-    "lf2": lambda a: 2 * a.r,
-    "count": lambda a: a.r + 1,
-    "experiment": lambda a: 2 * a.r + 1,
-}
 
 
 class UsageError(Exception):
@@ -92,6 +78,11 @@ def _spec_from_args(args) -> GeneratorSpec:
     if args.n is None:
         raise UsageError("--n is required (or pass --input with a spec file)")
     return GeneratorSpec(kind=args.kind, n=args.n, p=args.p, seed=args.seed)
+
+
+def _seeded(n: int, s: int):
+    """The random measure of density one half that the verify suites draw."""
+    return generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
 
 
 def _add_measure_args(p: argparse.ArgumentParser) -> None:
@@ -118,10 +109,6 @@ def _fold(dst: VerificationReport, sub: VerificationReport, prefix: str) -> None
     for c in sub.checks:
         dst.add(replace(c, check=f"{prefix}: {c.check}"))
     dst.notes.extend(f"{prefix}: {note}" for note in sub.notes)
-
-
-def _random_edge_fn(rng, edge: tuple[int, ...], dims: tuple[int, ...]) -> EdgeFn:
-    return EdgeFn(edge, dims, rng.random(dims) * 2.0 - 1.0)
 
 
 def _checks_csv(reports: list[dict]) -> str:
@@ -156,22 +143,7 @@ def _values_csv(values: dict) -> str:
 def _emit(obj: dict, args) -> None:
     if args.format == "csv":
         if "ap" in obj:
-            ap = obj["ap"]
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(CSV_HEADER.split(","))
-            writer.writerow(
-                [
-                    ap["n"],
-                    ap["k"],
-                    repr(ap["density"]),
-                    repr(ap["prediction"]),
-                    repr(ap["ratio"]),
-                    ap["trivial_count"],
-                    ap["nontrivial_count"],
-                ]
-            )
-            text = buf.getvalue()
+            text = f"{CSV_HEADER}\n{ApReport(**obj['ap']).to_csv_row()}\n"
         elif "suites" in obj:
             text = _checks_csv(obj["suites"])
         elif "reports" in obj:
@@ -197,6 +169,101 @@ def _result(args, command: str, inputs: dict, extra: dict, passed: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
+# One helper per check family, each shared by a subcommand and its verify
+# suite; the check ids of the two differ only by the tag the caller passes.
+
+
+def _agreement(check: str, f, k: int, budget):
+    """The order-k norm of f by the brute and the fast route, checked equal."""
+    brute = u_norm_brute(f, k, budget)
+    return eq_check(check, brute, u_norm_fast(f, k), TOL * max(1.0, brute))
+
+
+def _gcs_case(rep, key: int, dims, prefix: str, margin: str | None, budget) -> None:
+    """Fold into rep the product-form bound for one tuple of random functions
+    on the product of ``dims``, drawn from Philox(key).  With a ``margin`` id
+    every slot holds the same function and the equality margin is checked
+    under that id; without one every slot is drawn afresh."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    edge = tuple(range(1, len(dims) + 1))
+
+    def draw() -> EdgeFn:
+        return EdgeFn(edge, dims, rng.random(dims) * 2.0 - 1.0)
+
+    vertices = cube_vertices(len(dims))
+    gs = dict.fromkeys(vertices, draw()) if margin else {om: draw() for om in vertices}
+    sub = gcs_verify(gs, budget=budget)
+    _fold(rep, sub, prefix)
+    if margin:
+        lhs, rhs = sub.ratios["lhs"], sub.ratios["rhs"]
+        rep.add(eq_check(margin, lhs, rhs, TOL * max(1.0, rhs)))
+
+
+def _preservation(rep, nu, w, tag: str, budget) -> float:
+    """Check the box norm of every centered edge weight of w against the
+    uniformity norm of nu - 1, and return that norm."""
+    u = u_norm_fast(nu.centered(), w.r)
+    for j in range(w.r + 1):
+        box = box_norm_brute(w.weight_omitting(j).centered(), budget)
+        rep.add(eq_check(f"norm-preservation{tag} j={j}", box, u, TOL))
+    return u
+
+
+def _density(nu, w, tag: str, budget):
+    """The product of all edge weights of w checked against the progression
+    density of nu."""
+    density = ap_density([nu.fn] * (w.r + 1), budget).density
+    return eq_check(f"progression-density{tag}", progression_count_check(w), density, TOL)
+
+
+def _map_failures(w, points) -> int:
+    """How many points map to evaluation points that do not step by their
+    common difference."""
+    n, r = w.modulus, w.r
+    bad = 0
+    for x in points:
+        ys, d = ap_values(w, x)
+        if any((ys[j + 1] - ys[j]) % n != d for j in range(r)):
+            bad += 1
+    return bad
+
+
+def _moments(rep, w, tag: str, budget) -> dict[str, float]:
+    """Check the second moment of the conditional product weight against the
+    doubled-origin expectation, and its centered moment against the moment
+    expansion; return the three moments."""
+    prime = nu_prime(w, budget)
+    m1 = prime.mean()
+    m2_direct = math.fsum((prime.values.ravel() ** 2).tolist()) / prime.npoints
+    m2_doubled = lf2_expectation(w, Lf2Exponents.all_ones(w.r), budget)
+    dev = nu_prime_l2_dev(w, budget)
+    rep.add(
+        eq_check(
+            f"doubled-origin-second-moment{tag}",
+            m2_direct,
+            m2_doubled,
+            TOL * max(1.0, abs(m2_direct)),
+        )
+    )
+    rep.add(
+        eq_check(
+            f"centered-moment-expansion{tag}",
+            dev,
+            m2_doubled - 2.0 * m1 + 1.0,
+            TOL * max(1.0, abs(dev)),
+        )
+    )
+    return {"mean": m1, "second-moment": m2_direct, "centered-second-moment": dev}
+
+
+def _lf2_reports(w, exps: Lf2Exponents, js, budget) -> list[VerificationReport]:
+    """The telescoping report of exps, then the chain of each edge in js."""
+    return [lf2_telescoping(w, exps, budget)] + [
+        lf2_chain_verify(w, j, exps, budget) for j in js
+    ]
+
+
+# ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
@@ -204,21 +271,18 @@ def _cmd_norm(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
     f = nu.centered() if args.centered else nu.fn
-    values: dict[str, float] = {}
-    checks = []
-    if args.mode in ("brute", "both"):
-        values["brute"] = u_norm_brute(f, args.k, args.budget)
-    if args.mode in ("fast", "both"):
-        values["fast"] = u_norm_fast(f, args.k)
+    passed = True
     if args.mode == "both":
-        scale = max(1.0, abs(values["brute"]))
-        checks.append(
-            eq_check("dual-route-agreement", values["brute"], values["fast"], 1e-9 * scale)
-        )
-    passed = all(c.passed for c in checks)
-    extra = {"values": values}
-    if checks:
-        extra["checks"] = [c.to_json_obj() for c in checks]
+        check = _agreement("dual-route-agreement", f, args.k, args.budget)
+        passed = check.passed
+        extra = {
+            "values": {"brute": check.lhs, "fast": check.rhs},
+            "checks": [check.to_json_obj()],
+        }
+    elif args.mode == "brute":
+        extra = {"values": {"brute": u_norm_brute(f, args.k, args.budget)}}
+    else:
+        extra = {"values": {"fast": u_norm_fast(f, args.k)}}
     inputs = {"spec": spec.to_json_obj(), "k": args.k, "mode": args.mode, "centered": args.centered}
     return _result(args, "norm", inputs, extra, passed)
 
@@ -240,29 +304,10 @@ def _cmd_gcs(args) -> int:
     dims = tuple(int(d) for d in args.dims.split(","))
     if not dims or any(d < 1 for d in dims):
         raise UsageError(f"--dims must be positive integers, got {args.dims!r}")
-    edge = tuple(range(1, len(dims) + 1))
     merged = VerificationReport(name="box-norm-product-bound")
     for t in range(args.tuples):
-        rng = np.random.Generator(np.random.Philox(key=args.seed + t))
-        if args.equal:
-            g = _random_edge_fn(rng, edge, dims)
-            gs = {omega: g for omega in cube_vertices(len(dims))}
-        else:
-            gs = {
-                omega: _random_edge_fn(rng, edge, dims)
-                for omega in cube_vertices(len(dims))
-            }
-        sub = gcs_verify(gs, budget=args.budget)
-        _fold(merged, sub, f"tuple {t}")
-        if args.equal:
-            merged.add(
-                eq_check(
-                    f"tuple {t}: equality-margin",
-                    sub.ratios["lhs"],
-                    sub.ratios["rhs"],
-                    1e-9 * max(1.0, sub.ratios["rhs"]),
-                )
-            )
+        margin = f"tuple {t}: equality-margin" if args.equal else None
+        _gcs_case(merged, args.seed + t, dims, f"tuple {t}", margin, args.budget)
     inputs = {
         "dims": list(dims),
         "tuples": args.tuples,
@@ -275,30 +320,18 @@ def _cmd_gcs(args) -> int:
 def _cmd_represent(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
-    w = represent(nu, args.r)
-    u = u_norm_fast(nu.centered(), args.r)
-    report = VerificationReport(name="representation")
-    for j in range(args.r + 1):
-        box = box_norm_brute(w.weight_omitting(j).centered(), args.budget)
-        report.add(eq_check(f"norm-preservation j={j}", box, u, 1e-9))
     n, r = spec.n, args.r
+    w = represent(nu, r)
+    report = VerificationReport(name="representation")
+    u = _preservation(report, nu, w, "", args.budget)
     if float(n) ** (r + 1) <= 50_000:
-        points = itertools.product(range(n), repeat=r + 1)
+        points = list(itertools.product(range(n), repeat=r + 1))
     else:
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
-        points = (tuple(int(v) for v in rng.integers(0, n, size=r + 1)) for _ in range(2000))
-    bad = 0
-    total = 0
-    for x in points:
-        ys, d = ap_values(w, x)
-        total += 1
-        if any((ys[j + 1] - ys[j]) % n != d for j in range(r)):
-            bad += 1
-    report.add(eq_check(f"progression-map ({total} points)", float(bad), 0.0, 0.0))
-    density = ap_density([nu.fn] * (r + 1), args.budget).density
-    report.add(
-        eq_check("progression-density", progression_count_check(w), density, 1e-9)
-    )
+        points = [tuple(int(v) for v in rng.integers(0, n, size=r + 1)) for _ in range(2000)]
+    bad = _map_failures(w, points)
+    report.add(eq_check(f"progression-map ({len(points)} points)", bad, 0.0, 0.0))
+    report.add(_density(nu, w, "", args.budget))
     report.ratios["u-norm-centered"] = u
     report.ratios["sup"] = nu.sup
     inputs = {"spec": spec.to_json_obj(), "r": args.r}
@@ -334,12 +367,18 @@ def _cmd_cube(args) -> int:
 
 
 def _cmd_slf(args) -> int:
+    """``slf`` (two copies of vertex 0) and ``slf-single`` (one copy)."""
     spec = _spec_from_args(args)
     nu = generate(spec)
     w = represent(nu, args.r)
-    inst = random_slf_instance(w, args.instance_seed, args.caps)
-    lhs = slf_lhs(inst, args.budget)
-    report = chain_verify(inst, args.budget)
+    if args.command == "slf":
+        inst = random_slf_instance(w, args.instance_seed, args.caps)
+        lhs = slf_lhs(inst, args.budget)
+        report = chain_verify(inst, args.budget)
+    else:
+        inst = random_slf_instance(w, args.instance_seed, args.caps, copies=1)
+        lhs = q_value(inst, (), args.budget)
+        report = single_chain_verify(inst, args.budget)
     inputs = {
         "spec": spec.to_json_obj(),
         "r": args.r,
@@ -347,55 +386,15 @@ def _cmd_slf(args) -> int:
         "instance_seed": args.instance_seed,
     }
     extra = {"values": {"lhs": lhs}, "report": report.to_json_obj()}
-    return _result(args, "slf", inputs, extra, report.passed)
-
-
-def _cmd_slf_single(args) -> int:
-    spec = _spec_from_args(args)
-    nu = generate(spec)
-    w = represent(nu, args.r)
-    inst = random_slf_instance(w, args.instance_seed, args.caps, copies=1)
-    lhs = q_value(inst, (), args.budget)
-    report = single_chain_verify(inst, args.budget)
-    inputs = {
-        "spec": spec.to_json_obj(),
-        "r": args.r,
-        "caps": args.caps,
-        "instance_seed": args.instance_seed,
-    }
-    extra = {"values": {"lhs": lhs}, "report": report.to_json_obj()}
-    return _result(args, "slf-single", inputs, extra, report.passed)
+    return _result(args, args.command, inputs, extra, report.passed)
 
 
 def _cmd_nuprime(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
     w = represent(nu, args.r)
-    prime = nu_prime(w, args.budget)
-    m1 = prime.mean()
-    m2_direct = math.fsum((prime.values.ravel() ** 2).tolist()) / prime.npoints
-    m2_doubled = lf2_expectation(w, Lf2Exponents.all_ones(args.r), args.budget)
-    dev = nu_prime_l2_dev(w, args.budget)
     report = VerificationReport(name="product-weight-moments")
-    report.add(
-        eq_check(
-            "doubled-origin-second-moment",
-            m2_direct,
-            m2_doubled,
-            1e-9 * max(1.0, abs(m2_direct)),
-        )
-    )
-    report.add(
-        eq_check(
-            "centered-moment-expansion",
-            dev,
-            m2_doubled - 2.0 * m1 + 1.0,
-            1e-9 * max(1.0, abs(dev)),
-        )
-    )
-    report.ratios["mean"] = m1
-    report.ratios["second-moment"] = m2_direct
-    report.ratios["centered-second-moment"] = dev
+    report.ratios.update(_moments(report, w, "", args.budget))
     inputs = {"spec": spec.to_json_obj(), "r": args.r}
     return _result(args, "nuprime", inputs, {"report": report.to_json_obj()}, report.passed)
 
@@ -407,10 +406,8 @@ def _cmd_lf2(args) -> int:
     exps = Lf2Exponents.all_ones(args.r)
     if args.exponents is not None:
         exps = Lf2Exponents.from_bits(args.r, [int(ch) for ch in args.exponents])
-    reports = [lf2_telescoping(w, exps, args.budget)]
     js = range(1, args.r + 1) if args.j is None else [args.j]
-    for j in js:
-        reports.append(lf2_chain_verify(w, j, exps, args.budget))
+    reports = _lf2_reports(w, exps, js, args.budget)
     passed = all(rep.passed for rep in reports)
     inputs = {
         "spec": spec.to_json_obj(),
@@ -434,8 +431,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_experiment(args) -> int:
     spec = _spec_from_args(args)
-    cfg = RelszConfig(spec=spec, r=args.r, with_chains=args.with_chains, budget=args.budget)
-    ap, report = relsz_experiment(cfg)
+    ap, report = relsz_experiment(spec, args.r, args.with_chains, args.budget)
     inputs = {"spec": spec.to_json_obj(), "r": args.r, "with_chains": args.with_chains}
     extra = {"ap": ap.to_json_obj(), "report": report.to_json_obj()}
     return _result(args, "experiment", inputs, extra, report.passed)
@@ -451,67 +447,32 @@ def _suite_dual_route(n: int, seeds: int, budget) -> VerificationReport:
     # the 2^k-th root far past any fixed tolerance when the true value is 0.
     rep = VerificationReport(name="uniformity-norm-dual-route")
     for s in range(seeds):
-        nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
+        nu = _seeded(n, s)
         for label, f, orders in (("raw", nu.fn, (1, 2, 3)), ("centered", nu.centered(), (2, 3))):
             for k in orders:
-                b = u_norm_brute(f, k, budget)
-                rep.add(
-                    eq_check(
-                        f"dual-route seed={s} {label} k={k}",
-                        b,
-                        u_norm_fast(f, k),
-                        1e-9 * max(1.0, b),
-                    )
-                )
+                rep.add(_agreement(f"dual-route seed={s} {label} k={k}", f, k, budget))
     return rep
 
 
 def _suite_gcs(seeds: int, budget) -> VerificationReport:
     rep = VerificationReport(name="box-norm-product-bound")
     for dims in ((5,), (3, 4)):
-        edge = tuple(range(1, len(dims) + 1))
         for s in range(seeds):
-            rng = np.random.Generator(np.random.Philox(key=s))
-            gs = {om: _random_edge_fn(rng, edge, dims) for om in cube_vertices(len(dims))}
-            _fold(rep, gcs_verify(gs, budget=budget), f"dims={dims} seed={s}")
-        rng = np.random.Generator(np.random.Philox(key=seeds))
-        g = _random_edge_fn(rng, edge, dims)
-        gs = {om: g for om in cube_vertices(len(dims))}
-        sub = gcs_verify(gs, budget=budget)
-        _fold(rep, sub, f"dims={dims} equal")
-        rep.add(
-            eq_check(
-                f"dims={dims} equality-margin",
-                sub.ratios["lhs"],
-                sub.ratios["rhs"],
-                1e-9 * max(1.0, sub.ratios["rhs"]),
-            )
-        )
+            _gcs_case(rep, s, dims, f"dims={dims} seed={s}", None, budget)
+        _gcs_case(rep, seeds, dims, f"dims={dims} equal", f"dims={dims} equality-margin", budget)
     return rep
 
 
 def _suite_representation(n: int, r: int, seeds: int, budget) -> VerificationReport:
     rep = VerificationReport(name="representation")
     for s in range(seeds):
-        nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
+        nu = _seeded(n, s)
         w = represent(nu, r)
-        u = u_norm_fast(nu.centered(), r)
-        for j in range(r + 1):
-            box = box_norm_brute(w.weight_omitting(j).centered(), budget)
-            rep.add(eq_check(f"norm-preservation seed={s} j={j}", box, u, 1e-9))
-        density = ap_density([nu.fn] * (r + 1), budget).density
-        rep.add(
-            eq_check(
-                f"progression-density seed={s}", progression_count_check(w), density, 1e-9
-            )
-        )
-    w = represent(generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=0)), r)
-    bad = 0
-    for x in itertools.product(range(n), repeat=r + 1):
-        ys, d = ap_values(w, x)
-        if any((ys[j + 1] - ys[j]) % n != d for j in range(r)):
-            bad += 1
-    rep.add(eq_check(f"progression-map exhaustive n={n} r={r}", float(bad), 0.0, 0.0))
+        _preservation(rep, nu, w, f" seed={s}", budget)
+        rep.add(_density(nu, w, f" seed={s}", budget))
+    w = represent(_seeded(n, 0), r)
+    bad = _map_failures(w, itertools.product(range(n), repeat=r + 1))
+    rep.add(eq_check(f"progression-map exhaustive n={n} r={r}", bad, 0.0, 0.0))
     return rep
 
 
@@ -528,8 +489,7 @@ def _suite_cube(n: int, r: int, seeds: int, budget) -> VerificationReport:
             for _ in range(7)
         ]
     for s in range(seeds):
-        nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
-        g = represent(nu, r).weight_omitting(0)
+        g = represent(_seeded(n, s), r).weight_omitting(0)
         for pat in patterns:
             if pat.weight() == 0:
                 continue
@@ -542,8 +502,7 @@ def _suite_chains(n: int, r: int, seeds: int, budget) -> VerificationReport:
     rep = VerificationReport(name="strong-linear-forms-chain")
     count = seeds if r == 2 else min(seeds, 3)
     for s in range(count):
-        nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
-        w = represent(nu, r)
+        w = represent(_seeded(n, s), r)
         _fold(rep, chain_verify(random_slf_instance(w, s), budget), f"two-copy seed={s}")
         _fold(
             rep,
@@ -556,29 +515,7 @@ def _suite_chains(n: int, r: int, seeds: int, budget) -> VerificationReport:
 def _suite_nuprime(n: int, r: int, seeds: int, budget) -> VerificationReport:
     rep = VerificationReport(name="product-weight-moments")
     for s in range(seeds):
-        nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
-        w = represent(nu, r)
-        prime = nu_prime(w, budget)
-        m1 = prime.mean()
-        m2_direct = math.fsum((prime.values.ravel() ** 2).tolist()) / prime.npoints
-        m2_doubled = lf2_expectation(w, Lf2Exponents.all_ones(r), budget)
-        dev = nu_prime_l2_dev(w, budget)
-        rep.add(
-            eq_check(
-                f"doubled-origin-second-moment seed={s}",
-                m2_direct,
-                m2_doubled,
-                1e-9 * max(1.0, abs(m2_direct)),
-            )
-        )
-        rep.add(
-            eq_check(
-                f"centered-moment-expansion seed={s}",
-                dev,
-                m2_doubled - 2.0 * m1 + 1.0,
-                1e-9 * max(1.0, abs(dev)),
-            )
-        )
+        _moments(rep, represent(_seeded(n, s), r), f" seed={s}", budget)
     return rep
 
 
@@ -586,19 +523,18 @@ def _suite_lf2(n: int, r: int, seeds: int, budget) -> VerificationReport:
     rep = VerificationReport(name="doubled-origin-telescoping")
     exps = Lf2Exponents.all_ones(r)
     for s in range(seeds):
-        nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
-        w = represent(nu, r)
-        _fold(rep, lf2_telescoping(w, exps, budget), f"seed={s}")
-        for j in range(1, r + 1):
-            _fold(rep, lf2_chain_verify(w, j, exps, budget), f"seed={s} j={j}")
+        w = represent(_seeded(n, s), r)
+        telescoping, *chains = _lf2_reports(w, exps, range(1, r + 1), budget)
+        _fold(rep, telescoping, f"seed={s}")
+        for j, chain in enumerate(chains, start=1):
+            _fold(rep, chain, f"seed={s} j={j}")
     return rep
 
 
 def _suite_count(n: int, r: int, seeds: int, budget) -> VerificationReport:
     rep = VerificationReport(name="progression-telescoping")
     for s in range(seeds):
-        nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
-        _fold(rep, telescoping_check(nu, r, budget), f"seed={s}")
+        _fold(rep, telescoping_check(_seeded(n, s), r, budget), f"seed={s}")
     return rep
 
 
@@ -709,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--caps", choices=("one", "nu", "mixed"), default="mixed")
     p.add_argument("--instance-seed", type=int, default=0)
-    p.set_defaults(func=_cmd_slf_single)
+    p.set_defaults(func=_cmd_slf)
 
     p = sub.add_parser("nuprime", help="conditional product weight moments")
     _add_measure_args(p)
@@ -748,13 +684,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _suggest_n(n: int, power: int, estimated: float, budget: float) -> int | None:
-    if n is None or power <= 0 or estimated <= 0 or estimated <= budget:
+def _suggest_n(
+    n: int | None, r: int, power: int, estimated: float, budget: float
+) -> int | None:
+    """Largest prime m with r < m < n at which a step that costs ``estimated``
+    at modulus n, scaled as m^power, fits the budget."""
+    if not n or power <= 0:
         return None
-    m = int(n * (budget / estimated) ** (1.0 / power))
-    while m > 1 and estimated * (m / n) ** power > budget:
+    m = min(n - 1, int(n * (budget / estimated) ** (1.0 / power)) + 1)
+    while m > r and not (is_prime(m) and estimated * (m / n) ** power <= budget):
         m -= 1
-    return max(m, 1)
+    return m if m > r else None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -764,30 +704,24 @@ def main(argv: list[str] | None = None) -> int:
         resolve_budget(args.budget)  # refuse a bad budget before any work
         return args.func(args)
     except BudgetExceeded as exc:
-        budget = exc.budget if exc.budget else resolve_budget(args.budget)
         sys.stderr.write(
             f"budget exceeded: estimated {exc.estimated:.3g} elementary products "
-            f"> budget {budget:.3g}"
+            f"> budget {exc.budget:.3g}"
             + (f" ({exc.what})" if exc.what else "")
             + "\n"
         )
-        power_fn = _COST_POWERS.get(args.command)
-        n = getattr(args, "n", None)
-        if power_fn is not None and n:
-            m = _suggest_n(n, power_fn(args), exc.estimated, budget)
-            if m is not None and m < n:
-                sys.stderr.write(
-                    f"suggestion: retry with --n <= {m} (assuming cost ~ n^{power_fn(args)}) "
-                    "or raise --budget / GOWERS_BUDGET\n"
-                )
+        n, r = getattr(args, "n", None), getattr(args, "r", 0)
+        m = _suggest_n(n, r, exc.power, exc.estimated, exc.budget)
+        if m is not None:
+            sys.stderr.write(
+                f"suggestion: retry with --n <= {m} (assuming cost ~ n^{exc.power}) "
+                "or raise --budget / GOWERS_BUDGET\n"
+            )
         return 2
     except NumericalInconsistency as exc:
         sys.stderr.write(f"numerical inconsistency: {exc}\n")
         return 1
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (GowersError, OSError, ValueError) as exc:
+    except (UsageError, GowersError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

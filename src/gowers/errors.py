@@ -55,13 +55,16 @@ class CapViolation(GowersError):
 class BudgetExceeded(GowersError):
     """A brute-force evaluation would exceed the elementary-product budget.
 
-    Carries the estimated term count so callers can report what was asked for.
+    Carries the estimated term count so callers can report what was asked
+    for, and ``power``, the exponent of the modulus in the step's cost (0 when
+    unknown), so they can suggest a modulus that fits.
     """
 
-    def __init__(self, estimated: float, budget: float, what: str = ""):
+    def __init__(self, estimated: float, budget: float, what: str = "", power: int = 0):
         self.estimated = float(estimated)
         self.budget = float(budget)
         self.what = what
+        self.power = power
         label = f" for {what}" if what else ""
         super().__init__(
             f"estimated {estimated:.3g} elementary products{label} "

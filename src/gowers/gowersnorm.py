@@ -21,7 +21,6 @@ bit-identical results.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -31,7 +30,7 @@ import numpy as np
 from .budget import check_budget
 from .cyclic import CyclicFn
 from .errors import NumericalInconsistency, ShapeMismatch
-from .report import VerificationReport, ineq_check
+from .report import TOL, VerificationReport, ineq_check
 
 # Absolute clamp tolerance for cube averages that are squares analytically
 # but may round slightly negative.
@@ -81,7 +80,7 @@ def u_norm_brute(f: CyclicFn, k: int, budget: float | None = None) -> float:
         raise ValueError(f"order must be >= 1, got {k}")
     n = f.n
     cost = float(n) ** (k + 1) * (2.0**k)
-    check_budget(cost, budget, what=f"u_norm_brute(k={k}, n={n})")
+    check_budget(cost, budget, what=f"u_norm_brute(k={k}, n={n})", power=k + 1)
     vals = f.values
     doubled = np.concatenate([vals, vals])
 
@@ -158,7 +157,7 @@ class EdgeFn:
 
     ``edge`` lists the vertex labels in strictly ascending order and ``dims``
     gives the matching set sizes; ``values`` is indexed with one axis per
-    vertex in that order (row-major flattening is the serialization order).
+    vertex in that order.
     """
 
     edge: tuple[int, ...]
@@ -199,26 +198,6 @@ class EdgeFn:
 
     def same_shape(self, other: "EdgeFn") -> bool:
         return self.edge == other.edge and self.dims == other.dims
-
-    def to_json_obj(self) -> dict:
-        return {
-            "edge": list(self.edge),
-            "dims": list(self.dims),
-            "values": [float(v) for v in self.values.ravel()],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "EdgeFn":
-        dims = tuple(int(d) for d in obj["dims"])
-        vals = np.asarray(obj["values"], dtype=np.float64).reshape(dims)
-        return cls(tuple(int(v) for v in obj["edge"]), dims, vals)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EdgeFn":
-        return cls.from_json_obj(json.loads(text))
 
     @classmethod
     def ones(cls, edge: tuple[int, ...], dims: tuple[int, ...]) -> "EdgeFn":
@@ -273,7 +252,7 @@ def mixed_cube_expectation(
     kk = len(some.edge)
     npts = float(some.npoints)
     cost = npts**2 * (2.0**kk)
-    check_budget(cost, budget, what=f"cube expectation on edge {some.edge}")
+    check_budget(cost, budget, what=f"cube expectation on edge {some.edge}", power=2 * kk)
     return _box_einsum(gs) / npts**2
 
 
@@ -283,40 +262,31 @@ def box_norm_brute(g: EdgeFn, budget: float | None = None) -> float:
     kk = len(g.edge)
     npts = float(g.npoints)
     cost = npts**2 * (2.0**kk)
-    check_budget(cost, budget, what=f"box norm on edge {g.edge}")
+    check_budget(cost, budget, what=f"box norm on edge {g.edge}", power=2 * kk)
     avg = _box_einsum({omega: g for omega in cube_vertices(kk)}) / npts**2
     scale = float(np.max(np.abs(g.values))) ** (2.0**kk)
     return clamp_cube_average(avg, scale) ** (1.0 / 2.0**kk)
 
 
 def gcs_verify(
-    gs: Mapping[CubeVertex, EdgeFn],
-    budget: float | None = None,
-    slack_rel: float = 1e-9,
+    gs: Mapping[CubeVertex, EdgeFn], budget: float | None = None
 ) -> VerificationReport:
     """Check |E prod_omega g_omega(x^omega)| <= prod_omega boxnorm(g_omega).
 
-    Passes when RHS - LHS >= -slack_rel * max(1, RHS), so the equality case
+    Passes when RHS - LHS >= -TOL * max(1, RHS), so the equality case
     (all functions identical) is accepted up to roundoff.
     """
     some = _validate_cube_assignment(gs)
     kk = len(some.edge)
     npts = float(some.npoints)
     cost = (2.0**kk + 1.0) * npts**2 * (2.0**kk)
-    check_budget(cost, budget, what=f"product-form bound on edge {some.edge}")
+    check_budget(cost, budget, what=f"product-form bound on edge {some.edge}", power=2 * kk)
     lhs = abs(mixed_cube_expectation(gs, budget=budget))
     rhs = 1.0
     for omega in cube_vertices(kk):
         rhs *= box_norm_brute(gs[omega], budget=budget)
     report = VerificationReport(name="box-norm-product-bound")
-    report.add(
-        ineq_check(
-            "gowers-cauchy-schwarz",
-            lhs,
-            rhs,
-            slack=slack_rel * max(1.0, rhs),
-        )
-    )
+    report.add(ineq_check("gowers-cauchy-schwarz", lhs, rhs, slack=TOL * max(1.0, rhs)))
     report.ratios["lhs"] = lhs
     report.ratios["rhs"] = rhs
     return report

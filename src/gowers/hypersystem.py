@@ -15,7 +15,6 @@ nu - 1.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -124,34 +123,6 @@ class WeightedHypergraph:
     def weight_omitting(self, j: int) -> EdgeFn:
         return self.weights[self.system.edge_omitting(j)]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "r": self.system.r,
-            "dims": list(self.system.dims),
-            "edges": [
-                {"edge": list(edge), "values": [float(v) for v in fn.values.ravel()]}
-                for edge, fn in sorted(self.weights.items())
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "WeightedHypergraph":
-        system = HypergraphSystem(int(obj["r"]), tuple(int(d) for d in obj["dims"]))
-        weights = {}
-        for entry in obj["edges"]:
-            edge = tuple(int(v) for v in entry["edge"])
-            dims = system.edge_dims(edge)
-            vals = np.asarray(entry["values"], dtype=np.float64).reshape(dims)
-            weights[edge] = EdgeFn(edge, dims, vals)
-        return cls(system, weights)
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightedHypergraph":
-        return cls.from_json_obj(json.loads(text))
-
 
 def sup_norm(w: WeightedHypergraph) -> float:
     """Largest weight value over all edges; warns below one, where sup-power
@@ -241,23 +212,6 @@ def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:
         vals = np.transpose(old_fn.values, axes)
         weights[new_edge] = EdgeFn(new_edge, system.edge_dims(new_edge), vals)
     return WeightedHypergraph(system, weights)
-
-
-def constant_hypergraph(r: int, n: int, value: float = 1.0) -> WeightedHypergraph:
-    """All edge weights identically ``value`` on Z_N^r coordinates."""
-    system = HypergraphSystem(r, (n,) * (r + 1))
-    weights = {
-        edge: EdgeFn(edge, system.edge_dims(edge), np.full((n,) * r, float(value)))
-        for edge in system.edges
-    }
-    return WeightedHypergraph(system, weights)
-
-
-def hypergraph_from_edge_measures(
-    r: int, dims: tuple[int, ...], fns: dict[Edge, EdgeFn]
-) -> WeightedHypergraph:
-    system = HypergraphSystem(r, dims)
-    return WeightedHypergraph(system, dict(fns))
 
 
 def progression_count_check(w: WeightedHypergraph) -> float:

@@ -32,7 +32,6 @@ einsum, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,7 +55,7 @@ from .gowersnorm import (
     cube_vertices,
 )
 from .hypersystem import Edge, WeightedHypergraph, sup_norm
-from .report import VerificationReport, eq_check, ineq_check
+from .report import TOL, VerificationReport, eq_check, ineq_check
 
 # A free variable is a vertex together with a copy index; copy None means the
 # coordinate is not doubled.
@@ -100,7 +99,9 @@ def expect_product(
         raise ShapeMismatch("too many free variables")
     letter = {var: _LETTERS[i] for i, var in enumerate(order)}
     npoints = float(math.prod(sizes.values()))
-    check_budget(npoints * len(factors), budget, what=what or "product expectation")
+    check_budget(
+        npoints * len(factors), budget, what=what or "product expectation", power=len(order)
+    )
     expr = ",".join("".join(letter[v] for v in axes) for _, axes in factors) + "->"
     total = float(np.einsum(expr, *[arr for arr, _ in factors], optimize=False))
     return total / npoints
@@ -192,7 +193,7 @@ def cube_centered_expectation(
     """Same as ``cube_expectation`` with g - 1 at the active vertices.
 
     With ``check`` on, the product-form bound |value| <= boxnorm(g-1)^weight
-    is verified (a slack of 1e-9 times the bound absorbs roundoff).
+    is verified (a slack of TOL times the bound absorbs roundoff).
     """
     if pat.k != len(g.edge):
         raise ShapeMismatch("pattern dimension does not match edge size")
@@ -204,7 +205,7 @@ def cube_centered_expectation(
     )
     if check:
         bound = box_norm_brute(centered, budget=budget) ** pat.weight()
-        if abs(value) > bound + 1e-9 * max(1.0, bound):
+        if abs(value) > bound + TOL * max(1.0, bound):
             raise NumericalInconsistency(
                 f"centered cube expectation {value} exceeds product bound {bound}"
             )
@@ -212,7 +213,7 @@ def cube_centered_expectation(
 
 
 def binomial_expansion_identity(
-    g: EdgeFn, pat: CubePattern, budget: float | None = None, tol: float = 1e-9
+    g: EdgeFn, pat: CubePattern, budget: float | None = None
 ) -> VerificationReport:
     """Check E[prod nu] = sum over sub-supports of E[prod (nu-1)].
 
@@ -228,7 +229,7 @@ def binomial_expansion_identity(
             terms.append(cube_centered_expectation(g, sub, budget, check=False))
     rhs = math.fsum(terms)
     report = VerificationReport(name="cube-binomial-expansion")
-    report.add(eq_check("binomial-expansion", lhs, rhs, tol))
+    report.add(eq_check("binomial-expansion", lhs, rhs, TOL))
     report.ratios["raw"] = lhs
     report.ratios["centered-sum"] = rhs
     return report
@@ -314,41 +315,6 @@ class SlfInstance:
     def gbar(self, key: tuple[Edge, int]) -> EdgeFn:
         return _cap_fn(self.hypergraph, key[0], self.caps[key])
 
-    def to_json_obj(self) -> dict:
-        return {
-            "hypergraph": self.hypergraph.to_json_obj(),
-            "gs": [
-                {
-                    "edge": list(edge),
-                    "copy": copy,
-                    "cap": self.caps[(edge, copy)].value,
-                    "values": [float(v) for v in self.gs[(edge, copy)].values.ravel()],
-                }
-                for edge, copy in sorted(self.gs.keys())
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SlfInstance":
-        w = WeightedHypergraph.from_json_obj(obj["hypergraph"])
-        caps: dict[tuple[Edge, int], Cap] = {}
-        gs: dict[tuple[Edge, int], EdgeFn] = {}
-        for entry in obj["gs"]:
-            edge = tuple(int(v) for v in entry["edge"])
-            copy = int(entry["copy"])
-            dims = w.system.edge_dims(edge)
-            vals = np.asarray(entry["values"], dtype=np.float64).reshape(dims)
-            caps[(edge, copy)] = Cap(entry["cap"])
-            gs[(edge, copy)] = EdgeFn(edge, dims, vals)
-        return cls(w, caps, gs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SlfInstance":
-        return cls.from_json_obj(json.loads(text))
-
 
 def _distinguished_edge(w: WeightedHypergraph) -> Edge:
     return w.system.edge_omitting(0)
@@ -377,7 +343,7 @@ def slf_lhs(inst: SlfInstance, budget: float | None = None) -> float:
     e0 = _distinguished_edge(w)
     c = len(inst.copies)
     cost = float(n0) ** c * math.prod(w.system.edge_dims(e0)) * (c * r + 1)
-    check_budget(cost, budget, what="strong-linear-forms expectation")
+    check_budget(cost, budget, what="strong-linear-forms expectation", power=c + r)
 
     # Copy products live on (x_0, x_{e0}); axis a+1 belongs to vertex e0[a].
     full_shape = (n0,) + w.system.edge_dims(e0)
@@ -501,7 +467,6 @@ def _chain(
     letters: tuple[str, str],
     sup: float,
     budget: float | None,
-    slack_rel: float,
 ) -> tuple[VerificationReport, dict[tuple[int, ...], float], float]:
     """Shared core of every doubling chain.
 
@@ -531,9 +496,9 @@ def _chain(
         stats = stats_at[(d, j)]
         lhs = q_at[d] ** 2
         rhs = q_at[tuple(sorted(d + (j,)))] * stats.mean_sq
-        slack = slack_rel * max(1.0, abs(lhs), abs(rhs))
+        slack = TOL * max(1.0, abs(lhs), abs(rhs))
         report.add(ineq_check(f"cs-step {a}={list(d)} {b}={j}", lhs, rhs, slack))
-        slack_sup = slack_rel * max(1.0, stats.mean_sq, stats.sup_power_bound)
+        slack_sup = TOL * max(1.0, stats.mean_sq, stats.sup_power_bound)
         report.add(
             ineq_check(
                 f"sup-pointwise {a}={list(d)} {b}={j}",
@@ -558,10 +523,9 @@ def _close(
     sup: float,
     sup_power: float,
     ratio_key: str,
-    slack_rel: float,
 ) -> VerificationReport:
     """Check the composed bound and record the measured ratios."""
-    slack = slack_rel * max(1.0, lhs_abs, bound)
+    slack = TOL * max(1.0, lhs_abs, bound)
     report.add(ineq_check("composed-chain-bound", lhs_abs, bound, slack))
     report.ratios["lhs"] = lhs_abs
     report.ratios["composed-bound"] = bound
@@ -573,9 +537,7 @@ def _close(
     return report
 
 
-def _slf_chain(
-    inst: SlfInstance, budget: float | None, slack_rel: float
-) -> VerificationReport:
+def _slf_chain(inst: SlfInstance, budget: float | None) -> VerificationReport:
     w = inst.hypergraph
     r = w.r
     e0 = _distinguished_edge(w)
@@ -584,10 +546,10 @@ def _slf_chain(
     sets = [d for size in range(r + 1) for d in itertools.combinations(e0, size)]
     base, caps = _slf_base(inst)
     name = "single-copy-chain" if single else "strong-linear-forms-chain"
-    report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget, slack_rel)
+    report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget)
     box_power = box_norm_brute(w.weights[e0].centered(), budget=budget) ** (2.0**r)
     endpoint = q_at[e0]
-    tol = slack_rel * max(1.0, abs(endpoint), abs(box_power))
+    tol = TOL * max(1.0, abs(endpoint), abs(box_power))
     report.add(eq_check("endpoint-box-power", endpoint, box_power, tol))
 
     bound *= _root(endpoint, r, scale=max(1.0, abs(endpoint)))
@@ -596,14 +558,10 @@ def _slf_chain(
         ratio_key, sup_power = "lhs-over-boxnorm-times-sup-half-power", r / 2.0
     else:
         ratio_key, sup_power = "lhs-over-boxnorm-times-sup-power", r
-    return _close(
-        report, abs(q_at[()]), bound, box_norm, sup, sup_power, ratio_key, slack_rel
-    )
+    return _close(report, abs(q_at[()]), bound, box_norm, sup, sup_power, ratio_key)
 
 
-def chain_verify(
-    inst: SlfInstance, budget: float | None = None, slack_rel: float = 1e-9
-) -> VerificationReport:
+def chain_verify(inst: SlfInstance, budget: float | None = None) -> VerificationReport:
     """Verify every exact Cauchy-Schwarz step, every pointwise sup bound, the
     endpoint identity, and the composed bound for an instance with one or two
     copies of vertex 0.
@@ -612,15 +570,13 @@ def chain_verify(
     one copy) is reported but never asserted; at finite N it stands in for an
     asymptotic statement.
     """
-    return _slf_chain(inst, budget, slack_rel)
+    return _slf_chain(inst, budget)
 
 
-def single_chain_verify(
-    inst: SlfInstance, budget: float | None = None, slack_rel: float = 1e-9
-) -> VerificationReport:
+def single_chain_verify(inst: SlfInstance, budget: float | None = None) -> VerificationReport:
     """``chain_verify`` under the name of the single-copy variant, whose
     capped products have 2^|d| factors per step instead of 2^(|d|+1)."""
-    return _slf_chain(inst, budget, slack_rel)
+    return _slf_chain(inst, budget)
 
 
 def random_slf_instance(
@@ -658,7 +614,7 @@ def nu_prime(w: WeightedHypergraph, budget: float | None = None) -> EdgeFn:
     e0 = _distinguished_edge(w)
     n0 = w.system.dims[0]
     cost = float(n0) * math.prod(w.system.edge_dims(e0)) * r
-    check_budget(cost, budget, what="conditional product weight")
+    check_budget(cost, budget, what="conditional product weight", power=r + 1)
     vertices = [0] + list(e0)
     letter = {v: _LETTERS[i] for i, v in enumerate(vertices)}
     subs = []
@@ -674,7 +630,7 @@ def nu_prime(w: WeightedHypergraph, budget: float | None = None) -> EdgeFn:
 
 def nu_prime_l2_dev(w: WeightedHypergraph, budget: float | None = None) -> float:
     """E[(nu' - 1)^2], with the expansion through the first two moments
-    checked internally to 1e-9."""
+    checked internally to TOL."""
     fn = nu_prime(w, budget)
     flat = fn.values.ravel().tolist()
     npts = fn.npoints
@@ -682,7 +638,7 @@ def nu_prime_l2_dev(w: WeightedHypergraph, budget: float | None = None) -> float
     m1 = math.fsum(flat) / npts
     m2 = math.fsum(v * v for v in flat) / npts
     expanded = m2 - 2.0 * m1 + 1.0
-    if abs(dev - expanded) > 1e-9 * max(1.0, abs(m2)):
+    if abs(dev - expanded) > TOL * max(1.0, abs(m2)):
         raise NumericalInconsistency(
             f"second-moment expansion mismatch: {dev} vs {expanded}"
         )
@@ -731,23 +687,6 @@ class Lf2Exponents:
     def active_slots(self) -> list[tuple[Edge, int]]:
         return [key for key in sorted(self.table.keys()) if self.table[key] == 1]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "r": self.r,
-            "exponents": [
-                {"edge": list(edge), "copy": copy, "n": self.table[(edge, copy)]}
-                for edge, copy in sorted(self.table.keys())
-            ],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Lf2Exponents":
-        table = {
-            (tuple(int(v) for v in entry["edge"]), int(entry["copy"])): int(entry["n"])
-            for entry in obj["exponents"]
-        }
-        return cls(int(obj["r"]), table)
-
 
 def lf2_expectation(
     w: WeightedHypergraph, exps: Lf2Exponents, budget: float | None = None
@@ -790,10 +729,7 @@ def lf2_term(
 
 
 def lf2_telescoping(
-    w: WeightedHypergraph,
-    exps: Lf2Exponents,
-    budget: float | None = None,
-    tol: float = 1e-9,
+    w: WeightedHypergraph, exps: Lf2Exponents, budget: float | None = None
 ) -> VerificationReport:
     """Peel active slots one at a time (canonical slot order); each step's
     centered term comes from ``lf2_term``, with the two copies of vertex 0
@@ -814,7 +750,7 @@ def lf2_telescoping(
         current = current.with_slot(edge, copy, 0)
     total = math.fsum(terms)
     scale = max(1.0, abs(full))
-    report.add(eq_check("telescoping-sum", full - 1.0, total, tol * scale))
+    report.add(eq_check("telescoping-sum", full - 1.0, total, TOL * scale))
     report.ratios["expectation"] = full
     return report
 
@@ -824,7 +760,6 @@ def lf2_chain_verify(
     j: int,
     exps: Lf2Exponents,
     budget: float | None = None,
-    slack_rel: float = 1e-9,
 ) -> VerificationReport:
     """Doubling chain for a centered term: double the coordinates of the
     centered edge other than vertex 0 one at a time (ascending), splitting
@@ -847,7 +782,7 @@ def lf2_chain_verify(
     prefixes = [others[:t] for t in range(len(others) + 1)]
     # The split-off edge weights are their own caps.
     report, q_at, bound = _chain(
-        "centered-term-chain", base, base, prefixes, ("c", "v"), sup, budget, slack_rel
+        "centered-term-chain", base, base, prefixes, ("c", "v"), sup, budget
     )
     report.notes.append(
         "final raw cube factor applies the centered edge's copy-1 exponent "
@@ -866,11 +801,11 @@ def lf2_chain_verify(
         cube_power = 1.0
     lhs = q_at[others] ** 2
     rhs = box_power * cube_power
-    slack = slack_rel * max(1.0, abs(lhs), abs(rhs))
+    slack = TOL * max(1.0, abs(lhs), abs(rhs))
     report.add(ineq_check("final-split", lhs, rhs, slack))
 
     box_norm = _root(box_power, r, scale=max(1.0, abs(box_power)))
     bound *= box_norm
     bound *= _root(cube_power, r, scale=max(1.0, abs(cube_power)))
     ratio_key = "lhs-over-boxnorm-times-sup-power"
-    return _close(report, abs(q_at[()]), bound, box_norm, sup, r - 1, ratio_key, slack_rel)
+    return _close(report, abs(q_at[()]), bound, box_norm, sup, r - 1, ratio_key)

@@ -11,6 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+# Tolerance of the identity and inequality checks: absolute for quantities of
+# order one, otherwise scaled by max(1, magnitude of the sides).
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Check:

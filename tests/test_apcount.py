@@ -13,7 +13,6 @@ from gowers import (
     CSV_HEADER,
     CyclicFn,
     GeneratorSpec,
-    RelszConfig,
     ap_density,
     from_set,
     generate,
@@ -195,8 +194,7 @@ class TestTelescoping:
 
 class TestRelszExperiment:
     def test_prime_modulus_full_report(self):
-        cfg = RelszConfig(GeneratorSpec(kind="random", n=7, p=0.5, seed=1), 2)
-        ap, report = relsz_experiment(cfg)
+        ap, report = relsz_experiment(GeneratorSpec(kind="random", n=7, p=0.5, seed=1), 2)
         assert ap.n == 7 and ap.k == 3
         assert report.passed, report.failures()
         for key in (
@@ -211,24 +209,22 @@ class TestRelszExperiment:
         )
 
     def test_composite_modulus_skips_telescoping(self):
-        cfg = RelszConfig(GeneratorSpec(kind="random", n=8, p=0.5, seed=0), 2)
-        ap, report = relsz_experiment(cfg)
+        ap, report = relsz_experiment(GeneratorSpec(kind="random", n=8, p=0.5, seed=0), 2)
         assert ap.n == 8
         assert not report.checks
         assert any("telescoping skipped" in note for note in report.notes)
         assert "norm" in report.ratios
 
     def test_with_chains(self):
-        cfg = RelszConfig(
+        _, report = relsz_experiment(
             GeneratorSpec(kind="random", n=7, p=0.6, seed=2), 2, with_chains=True
         )
-        _, report = relsz_experiment(cfg)
         assert report.passed, report.failures()
         assert "term-1-chain-bound" in report.ratios
 
     def test_deterministic(self):
-        cfg = RelszConfig(GeneratorSpec(kind="random", n=7, p=0.5, seed=3), 2)
-        a1, r1 = relsz_experiment(cfg)
-        a2, r2 = relsz_experiment(cfg)
+        spec = GeneratorSpec(kind="random", n=7, p=0.5, seed=3)
+        a1, r1 = relsz_experiment(spec, 2)
+        a2, r2 = relsz_experiment(spec, 2)
         assert a1 == a2
         assert r1.to_json() == r2.to_json()

@@ -2,9 +2,11 @@
 and the built-in verification suite."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from gowers import is_prime
 from gowers.cli import build_parser, main
 
 
@@ -112,6 +114,20 @@ class TestBudget:
         m = int(err.split("--n <=")[1].split()[0])
         code2, _, err2 = _run(capsys, base + ["--n", str(m)])
         assert code2 == 0, err2
+
+    @pytest.mark.parametrize("command,n", [("slf", 29), ("represent", 101)])
+    def test_suggestion_is_prime_and_clears_the_step(self, capsys, command, n):
+        # The refused step reports its own cost exponent, so the suggestion
+        # is a modulus the CLI accepts and the step no longer refuses.
+        code, _, err = _run(capsys, [command, "--r", "3", "--n", str(n)])
+        assert code == 2
+        refusal = err.splitlines()[0]
+        step = refusal[refusal.index(" (") :]
+        m = int(err.split("--n <=")[1].split()[0])
+        assert 3 < m < n and is_prime(m)
+        code2, _, err2 = _run(capsys, [command, "--r", "3", "--n", str(m)])
+        assert code2 in (0, 2), err2
+        assert step not in err2
 
 
 class TestErrors:
@@ -285,6 +301,19 @@ class TestOutputFormats:
         assert code == 0
         obj = json.loads(path.read_text())
         assert obj["schema"] == 1
+
+
+class TestCheckIds:
+    def test_check_ids_pinned(self, capsys):
+        # Every (report, check id) pair, in order, as recorded before each
+        # subcommand and its verify suite started sharing one check helper.
+        fixture = Path(__file__).parent / "data" / "check_ids.json"
+        for command, expected in json.loads(fixture.read_text()).items():
+            code, obj, _ = _run_json(capsys, command.split())
+            assert code == 0, command
+            reports = obj.get("suites") or obj.get("reports") or [obj["report"]]
+            ids = [[rep["name"], c["check"]] for rep in reports for c in rep["checks"]]
+            assert ids == expected, command
 
 
 class TestParser:

@@ -1,7 +1,4 @@
-"""Functions on Z_N, measures, and the Fourier layer."""
-
-import json
-import math
+"""Functions on Z_N and measures."""
 
 import numpy as np
 import pytest
@@ -16,13 +13,7 @@ from gowers import (
     OutOfRange,
     ShapeMismatch,
     SupBelowOneWarning,
-    dft,
-    difference_fn,
     from_set,
-    idft,
-    parseval_gap,
-    set_from_json_obj,
-    set_to_json_obj,
 )
 
 
@@ -55,30 +46,12 @@ class TestCyclicFn:
         with pytest.raises(ValueError):
             f.values[0] = 9.0
 
-    def test_json_roundtrip(self):
-        f = random_cyclic(9, seed=3)
-        g = CyclicFn.from_json(f.to_json())
-        assert g.n == f.n
-        assert np.array_equal(g.values, f.values)
-
     @given(st.integers(min_value=2, max_value=32), st.integers(), st.integers())
     def test_shift_composes(self, n, a, b):
         f = random_cyclic(n, seed=n)
         lhs = f.shift(a).shift(b)
         rhs = f.shift((a + b) % n)
         assert np.array_equal(lhs.values, rhs.values)
-
-
-class TestSetSerialization:
-    def test_roundtrip(self):
-        obj = set_to_json_obj({3, 1, 4}, 6)
-        assert obj == {"n": 6, "members": [1, 3, 4]}
-        members, n = set_from_json_obj(obj)
-        assert members == frozenset({1, 3, 4}) and n == 6
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            set_from_json_obj({"n": 4, "members": [0, 4]})
 
 
 class TestMeasure:
@@ -124,59 +97,3 @@ class TestMeasure:
         with pytest.warns(SupBelowOneWarning):
             Measure.from_fn(CyclicFn.constant(4, 0.5))
 
-    def test_json_roundtrip(self):
-        nu = from_set({1, 3}, 6)
-        again = Measure.from_json_obj(json.loads(json.dumps(nu.to_json_obj())))
-        assert again.sup == nu.sup and again.p == nu.p
-        assert np.array_equal(again.fn.values, nu.fn.values)
-
-
-class TestFourier:
-    def test_dft_constant(self):
-        spec = dft(CyclicFn.constant(8, 3.0))
-        assert spec.coefficients[0] == pytest.approx(3.0, abs=1e-14)
-        assert np.max(np.abs(spec.coefficients[1:])) < 1e-14
-
-    def test_dft_point_mass_is_flat(self):
-        vals = np.zeros(8)
-        vals[0] = 1.0
-        spec = dft(CyclicFn(8, vals))
-        assert np.allclose(spec.coefficients, 1.0 / 8.0, atol=1e-15)
-
-    def test_power_moments(self):
-        vals = np.zeros(4)
-        vals[0] = 4.0  # normalized point mass: every coefficient is 1
-        spec = dft(CyclicFn(4, vals))
-        assert spec.power(2) == pytest.approx(4.0, rel=1e-12)
-        assert spec.power(4) == pytest.approx(4.0, rel=1e-12)
-
-    @pytest.mark.parametrize("n", [8, 64, 257, 4096])
-    def test_parseval(self, n):
-        f = random_cyclic(n, seed=n, low=-1.0, high=1.0)
-        assert parseval_gap(f) <= 1e-12
-
-    def test_idft_roundtrip(self):
-        f = random_cyclic(12, seed=5, low=-2.0, high=2.0)
-        g = idft(dft(f))
-        assert np.max(np.abs(g.values - f.values)) < 1e-12
-
-    @given(st.integers(min_value=2, max_value=64))
-    def test_parseval_property(self, n):
-        f = random_cyclic(n, seed=1000 + n, low=-1.0, high=1.0)
-        assert parseval_gap(f) <= 1e-12
-
-
-class TestDifferenceFn:
-    def test_two_point_example(self):
-        f = CyclicFn(4, [1.0, 1.0, 0.0, 0.0])  # indicator of {0, 1}
-        d = difference_fn(f, 1)
-        assert [d(x) for x in range(4)] == [1.0, 0.0, 0.0, 0.0]
-
-    def test_zero_shift_squares(self):
-        f = random_cyclic(6, seed=9, low=-1.0, high=1.0)
-        d = difference_fn(f, 0)
-        assert np.allclose(d.values, f.values**2)
-
-    def test_shift_wraps(self):
-        f = random_cyclic(5, seed=2)
-        assert np.array_equal(difference_fn(f, 7).values, difference_fn(f, 2).values)

@@ -158,14 +158,6 @@ class TestEdgeFn:
         assert g.mean() == 2.5
         assert g.centered().values[1, 1] == 3.0
 
-    def test_json_row_major(self):
-        g = EdgeFn((1, 3), (2, 3), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        obj = g.to_json_obj()
-        assert obj["values"] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        again = EdgeFn.from_json_obj(obj)
-        assert again.edge == (1, 3)
-        assert np.array_equal(again.values, g.values)
-
 
 def _box_pow_loop(g: EdgeFn) -> float:
     """Independent nested-loop evaluation of the box power of an edge

@@ -16,10 +16,8 @@ from gowers import (
     ap_density,
     ap_values,
     box_norm_brute,
-    constant_hypergraph,
     from_set,
     generate,
-    hypergraph_from_edge_measures,
     is_prime,
     progression_count_check,
     relabel,
@@ -136,7 +134,10 @@ class TestApValues:
                 assert (ys[j + 1] - ys[j]) % n == d
 
     def test_rejects_without_forms(self):
-        w = constant_hypergraph(2, 5)
+        system = HypergraphSystem(2, (5, 5, 5))
+        w = WeightedHypergraph(
+            system, {e: EdgeFn.ones(e, system.edge_dims(e)) for e in system.edges}
+        )
         with pytest.raises(NotRepresentation):
             ap_values(w, (0, 0, 0))
 
@@ -185,7 +186,10 @@ class TestRelabel:
 
 class TestCounting:
     def test_constant_hypergraph(self):
-        w = constant_hypergraph(2, 4, 1.5)
+        system = HypergraphSystem(2, (4, 4, 4))
+        w = WeightedHypergraph(
+            system, {e: EdgeFn(e, (4, 4), np.full((4, 4), 1.5)) for e in system.edges}
+        )
         assert progression_count_check(w) == pytest.approx(1.5**3, rel=1e-12)
 
     @pytest.mark.parametrize("n,r", [(5, 2), (7, 2), (5, 3)])
@@ -195,22 +199,3 @@ class TestCounting:
         density = ap_density([nu.fn] * (r + 1)).density
         assert progression_count_check(w) == pytest.approx(density, abs=1e-12)
 
-
-class TestSerialization:
-    def test_roundtrip(self):
-        w = represent(from_set({1, 3}, 5), 2)
-        again = WeightedHypergraph.from_json(w.to_json())
-        assert again.r == 2
-        for j in range(3):
-            assert np.array_equal(
-                again.weight_omitting(j).values, w.weight_omitting(j).values
-            )
-
-    def test_from_edge_measures(self):
-        sys2 = HypergraphSystem(2, (4, 4, 4))
-        fns = {}
-        for j in range(3):
-            edge = sys2.edge_omitting(j)
-            fns[edge] = EdgeFn.ones(edge, sys2.edge_dims(edge))
-        w = hypergraph_from_edge_measures(2, (4, 4, 4), fns)
-        assert progression_count_check(w) == pytest.approx(1.0, rel=1e-12)

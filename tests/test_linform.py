@@ -278,11 +278,6 @@ class TestSlfTwoCopy:
         nu = _instance(seed=9, caps="nu")
         assert all(cap == Cap.NU for cap in nu.caps.values())
 
-    def test_json_roundtrip(self):
-        inst = _instance(seed=10)
-        again = SlfInstance.from_json(inst.to_json())
-        assert slf_lhs(again) == slf_lhs(inst)
-
 
 def _single_lhs_loop(inst: SlfInstance) -> float:
     w = inst.hypergraph
@@ -472,11 +467,6 @@ class TestLf2:
             Lf2Exponents.from_bits(2, [1, 1, 1])
         with pytest.raises(ShapeMismatch):
             Lf2Exponents(2, {((1, 2), 0): 1})
-
-    def test_exponent_json_roundtrip(self):
-        exps = Lf2Exponents.from_bits(2, [1, 0, 0, 1])
-        again = Lf2Exponents.from_json_obj(exps.to_json_obj())
-        assert again == exps
 
     def test_constant_degeneracy(self):
         w = represent(generate(GeneratorSpec(kind="constant", n=5)), 2)
