@@ -80,11 +80,6 @@ def _spec_from_args(args) -> GeneratorSpec:
     return GeneratorSpec(kind=args.kind, n=args.n, p=args.p, seed=args.seed)
 
 
-def _seeded(n: int, s: int):
-    """The random measure of density one half that the verify suites draw."""
-    return generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
-
-
 def _add_measure_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=KINDS, default="random", help="measure generator")
     p.add_argument("--n", type=int, default=None, help="modulus N")
@@ -438,16 +433,17 @@ def _cmd_experiment(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Full verification suite
+# Full verification suite.  The suites take the seeded measures that
+# ``_cmd_verify`` builds once: ``nus`` holds one measure per seed, ``measures``
+# one (measure, representation) pair per seed.
 
 
-def _suite_dual_route(n: int, seeds: int, budget) -> VerificationReport:
+def _suite_dual_route(nus, budget) -> VerificationReport:
     # k = 1 runs on the raw measure only: a centered measure has mean exactly
     # zero, and the brute route's roundoff residue (~n*eps) is amplified by
     # the 2^k-th root far past any fixed tolerance when the true value is 0.
     rep = VerificationReport(name="uniformity-norm-dual-route")
-    for s in range(seeds):
-        nu = _seeded(n, s)
+    for s, nu in enumerate(nus):
         for label, f, orders in (("raw", nu.fn, (1, 2, 3)), ("centered", nu.centered(), (2, 3))):
             for k in orders:
                 rep.add(_agreement(f"dual-route seed={s} {label} k={k}", f, k, budget))
@@ -463,20 +459,20 @@ def _suite_gcs(seeds: int, budget) -> VerificationReport:
     return rep
 
 
-def _suite_representation(n: int, r: int, seeds: int, budget) -> VerificationReport:
+def _suite_representation(measures, w0, budget) -> VerificationReport:
+    """``w0`` is the representation of seed 0, whose map is checked at every
+    point."""
     rep = VerificationReport(name="representation")
-    for s in range(seeds):
-        nu = _seeded(n, s)
-        w = represent(nu, r)
+    for s, (nu, w) in enumerate(measures):
         _preservation(rep, nu, w, f" seed={s}", budget)
         rep.add(_density(nu, w, f" seed={s}", budget))
-    w = represent(_seeded(n, 0), r)
-    bad = _map_failures(w, itertools.product(range(n), repeat=r + 1))
+    n, r = w0.modulus, w0.r
+    bad = _map_failures(w0, itertools.product(range(n), repeat=r + 1))
     rep.add(eq_check(f"progression-map exhaustive n={n} r={r}", bad, 0.0, 0.0))
     return rep
 
 
-def _suite_cube(n: int, r: int, seeds: int, budget) -> VerificationReport:
+def _suite_cube(measures, r: int, budget) -> VerificationReport:
     rep = VerificationReport(name="cube-expansion")
     if r == 2:
         patterns = [
@@ -488,8 +484,8 @@ def _suite_cube(n: int, r: int, seeds: int, budget) -> VerificationReport:
             CubePattern(r, tuple(int(b) for b in rng.integers(0, 2, size=2**r)))
             for _ in range(7)
         ]
-    for s in range(seeds):
-        g = represent(_seeded(n, s), r).weight_omitting(0)
+    for s, (_, w) in enumerate(measures):
+        g = w.weight_omitting(0)
         for pat in patterns:
             if pat.weight() == 0:
                 continue
@@ -498,11 +494,9 @@ def _suite_cube(n: int, r: int, seeds: int, budget) -> VerificationReport:
     return rep
 
 
-def _suite_chains(n: int, r: int, seeds: int, budget) -> VerificationReport:
+def _suite_chains(measures, r: int, budget) -> VerificationReport:
     rep = VerificationReport(name="strong-linear-forms-chain")
-    count = seeds if r == 2 else min(seeds, 3)
-    for s in range(count):
-        w = represent(_seeded(n, s), r)
+    for s, (_, w) in enumerate(measures if r == 2 else measures[:3]):
         _fold(rep, chain_verify(random_slf_instance(w, s), budget), f"two-copy seed={s}")
         _fold(
             rep,
@@ -512,18 +506,17 @@ def _suite_chains(n: int, r: int, seeds: int, budget) -> VerificationReport:
     return rep
 
 
-def _suite_nuprime(n: int, r: int, seeds: int, budget) -> VerificationReport:
+def _suite_nuprime(measures, budget) -> VerificationReport:
     rep = VerificationReport(name="product-weight-moments")
-    for s in range(seeds):
-        _moments(rep, represent(_seeded(n, s), r), f" seed={s}", budget)
+    for s, (_, w) in enumerate(measures):
+        _moments(rep, w, f" seed={s}", budget)
     return rep
 
 
-def _suite_lf2(n: int, r: int, seeds: int, budget) -> VerificationReport:
+def _suite_lf2(measures, r: int, budget) -> VerificationReport:
     rep = VerificationReport(name="doubled-origin-telescoping")
     exps = Lf2Exponents.all_ones(r)
-    for s in range(seeds):
-        w = represent(_seeded(n, s), r)
+    for s, (_, w) in enumerate(measures):
         telescoping, *chains = _lf2_reports(w, exps, range(1, r + 1), budget)
         _fold(rep, telescoping, f"seed={s}")
         for j, chain in enumerate(chains, start=1):
@@ -531,10 +524,10 @@ def _suite_lf2(n: int, r: int, seeds: int, budget) -> VerificationReport:
     return rep
 
 
-def _suite_count(n: int, r: int, seeds: int, budget) -> VerificationReport:
+def _suite_count(measures, r: int, budget) -> VerificationReport:
     rep = VerificationReport(name="progression-telescoping")
-    for s in range(seeds):
-        _fold(rep, telescoping_check(_seeded(n, s), r, budget), f"seed={s}")
+    for s, (nu, _) in enumerate(measures):
+        _fold(rep, telescoping_check(nu, r, budget), f"seed={s}")
     return rep
 
 
@@ -566,17 +559,26 @@ def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
 
 
 def _cmd_verify(args) -> int:
-    n, r, seeds = args.n, args.r, args.seeds
-    suites = [
-        _suite_dual_route(n, seeds, args.budget),
-        _suite_gcs(seeds, args.budget),
-        _suite_representation(n, r, seeds, args.budget),
-        _suite_cube(n, r, seeds, args.budget),
-        _suite_chains(n, r, seeds, args.budget),
-        _suite_nuprime(n, r, seeds, args.budget),
-        _suite_lf2(n, r, seeds, args.budget),
-        _suite_count(n, r, seeds, args.budget),
-        _suite_degenerate(n, r, args.budget),
+    n, r, seeds, budget = args.n, args.r, args.seeds, args.budget
+    # The random measures of density one half, one per seed; seed 0 is drawn
+    # even without seeds, because the exhaustive map check reads it.
+    nus = [
+        generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s))
+        for s in range(max(seeds, 1))
+    ]
+    suites = [_suite_dual_route(nus[:seeds], budget), _suite_gcs(seeds, budget)]
+    # Represented only after the two suites that need no representation, so
+    # a size that their budget checks refuse never allocates one.
+    pairs = [(nu, represent(nu, r)) for nu in nus]
+    measures = pairs[:seeds]
+    suites += [
+        _suite_representation(measures, pairs[0][1], budget),
+        _suite_cube(measures, r, budget),
+        _suite_chains(measures, r, budget),
+        _suite_nuprime(measures, budget),
+        _suite_lf2(measures, r, budget),
+        _suite_count(measures, r, budget),
+        _suite_degenerate(n, r, budget),
     ]
     passed = all(s.passed for s in suites)
     inputs = {"n": n, "r": r, "seeds": seeds}

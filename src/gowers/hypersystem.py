@@ -26,7 +26,6 @@ from .errors import (
     CompositeModulus,
     ModulusTooSmall,
     NotRepresentation,
-    NumericalInconsistency,
     ShapeMismatch,
     SupBelowOneWarning,
 )
@@ -165,9 +164,11 @@ def represent(nu: Measure, r: int) -> WeightedHypergraph:
 
 def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Evaluation points (y_0, ..., y_r) of the stored linear forms at x and
-    their common difference d = sum_i x_i mod N.
+    the coordinate sum d = sum_i x_i mod N.
 
-    Only available when the hypergraph came from ``represent``.
+    For a correct representation the points form a progression with common
+    difference d; callers check that, so a broken map is reported as a
+    failed check.  Only available when the hypergraph came from ``represent``.
     """
     if w.forms is None or w.modulus is None:
         raise NotRepresentation("hypergraph was not built by represent()")
@@ -180,13 +181,7 @@ def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...
         edge = w.system.edge_omitting(j)
         coeffs = w.forms[j]
         ys.append(sum(c * int(x[v]) for c, v in zip(coeffs, edge)) % n)
-    d = sum(int(v) for v in x) % n
-    for j in range(r):
-        if (ys[j + 1] - ys[j]) % n != d % n:
-            raise NumericalInconsistency(
-                f"evaluation points {ys} are not a progression with difference {d}"
-            )
-    return tuple(ys), d
+    return tuple(ys), sum(int(v) for v in x) % n
 
 
 def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:

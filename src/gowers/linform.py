@@ -25,12 +25,14 @@ as measured ratios.
 
 Free variables are canonically ordered with doubled copies first (vertex
 ascending, copy 0 before copy 1) and plain coordinates after (vertex
-ascending); evaluation order is fixed by this convention plus unoptimized
-einsum, so repeated runs are bit-identical.
+ascending).  Every expectation is evaluated by a fixed bucket-elimination
+plan, each bucket contracted by unoptimized einsum with its output axes in
+this order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -73,6 +75,79 @@ def _var_order_key(v: Var):
     return (copy is None, vertex, 0 if copy is None else copy)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A fixed contraction order for one factor structure.
+
+    Slots 0..F-1 hold the factors; step i reads the slots in ``steps[i][0]``,
+    contracts them with the einsum expression ``steps[i][1]`` and stores the
+    result in slot F+i.  ``scalars`` are the slots left holding scalars.
+    ``cost`` is the sum over steps of scope points times factors read, and
+    ``power`` the largest number of variables in one step's scope.
+    """
+
+    steps: tuple[tuple[tuple[int, ...], str], ...]
+    scalars: tuple[int, ...]
+    cost: float
+    power: int
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan(subscripts: str, sizes: tuple[int, ...]) -> _Plan:
+    """Bucket-elimination plan for a factor structure: ``subscripts`` holds
+    the axes of every factor in einsum form, the i-th variable of the
+    canonical order written as the i-th letter, and ``sizes`` the size of
+    each variable in that order.
+
+    Each step takes the variable whose bucket (the live factors that read it)
+    spans the fewest index points, ties going to the smaller bucket and then
+    to the canonical order.  It replaces the bucket by one factor over the
+    variables of its scope that some other live factor reads, axes in
+    canonical order, and sums out the rest of the scope.  When one bucket
+    holding every factor costs no more, the plan is that bucket.  Plans
+    depend only on this structure, so they are cached.
+    """
+    terms = subscripts.split(",")
+    order = _LETTERS[: len(sizes)]
+    size = dict(zip(order, sizes))
+    live = {slot: set(term) for slot, term in enumerate(terms)}
+    subs = dict(enumerate(terms))
+
+    def bucket_of(var: str) -> tuple[list[int], str]:
+        bucket = [slot for slot, scope in live.items() if var in scope]
+        scope = set().union(*(live[slot] for slot in bucket))
+        return bucket, "".join(v for v in order if v in scope)
+
+    def rank(var: str) -> tuple[int, int]:
+        bucket, scope = bucket_of(var)
+        return math.prod(size[v] for v in scope), len(bucket)
+
+    steps = []
+    cost = 0.0
+    power = 0
+    remaining = order
+    while remaining:
+        var = min(remaining, key=rank)
+        bucket, scope = bucket_of(var)
+        outside = set().union(*(sc for slot, sc in live.items() if slot not in bucket))
+        out = "".join(v for v in scope if v in outside)
+        steps.append((tuple(bucket), ",".join(subs.pop(s) for s in bucket) + "->" + out))
+        cost += float(math.prod(size[v] for v in scope)) * len(bucket)
+        power = max(power, len(scope))
+        for s in bucket:
+            del live[s]
+        slot = len(terms) + len(steps) - 1
+        live[slot], subs[slot] = set(out), out
+        remaining = "".join(v for v in remaining if v in outside)
+    whole = tuple(slot for slot, term in enumerate(terms) if term)
+    one_bucket = float(math.prod(sizes)) * len(whole)
+    if whole and one_bucket <= cost:
+        scalars = tuple(slot for slot, term in enumerate(terms) if not term)
+        step = (whole, ",".join(terms[s] for s in whole) + "->")
+        return _Plan((step,), scalars + (len(terms),), one_bucket, len(order))
+    return _Plan(tuple(steps), tuple(live), cost, power)
+
+
 def expect_product(
     factors: list[Factor],
     budget: float | None = None,
@@ -81,8 +156,9 @@ def expect_product(
     """E[prod of factors] over all variables that occur, uniformly.
 
     Each factor is an array plus the variable name of each of its axes.  The
-    empty product has expectation one.  Cost is charged as index-space size
-    times factor count before any work happens.
+    empty product has expectation one.  The sum runs by a bucket-elimination
+    plan (``_plan``) and is charged at the planned cost, the sum over buckets
+    of scope points times bucket factors, before any work happens.
     """
     if not factors:
         return 1.0
@@ -90,21 +166,23 @@ def expect_product(
     for arr, axes in factors:
         if arr.ndim != len(axes):
             raise ShapeMismatch("factor axis labels do not match array rank")
-        for ax, var in enumerate(axes):
-            size = arr.shape[ax]
+        for var, size in zip(axes, arr.shape):
             if sizes.setdefault(var, size) != size:
                 raise ShapeMismatch(f"variable {var} has conflicting sizes")
     order = sorted(sizes, key=_var_order_key)
     if len(order) > len(_LETTERS):
         raise ShapeMismatch("too many free variables")
-    letter = {var: _LETTERS[i] for i, var in enumerate(order)}
-    npoints = float(math.prod(sizes.values()))
-    check_budget(
-        npoints * len(factors), budget, what=what or "product expectation", power=len(order)
-    )
-    expr = ",".join("".join(letter[v] for v in axes) for _, axes in factors) + "->"
-    total = float(np.einsum(expr, *[arr for arr, _ in factors], optimize=False))
-    return total / npoints
+    letter = dict(zip(order, _LETTERS))
+    subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in factors])
+    plan = _plan(subscripts, tuple([sizes[v] for v in order]))
+    check_budget(plan.cost, budget, what=what or "product expectation", power=plan.power)
+    slots: list[np.ndarray | None] = [arr for arr, _ in factors]
+    for inputs, expr in plan.steps:
+        slots.append(np.einsum(expr, *[slots[i] for i in inputs], optimize=False))
+        for i in inputs:
+            slots[i] = None
+    total = math.prod([float(slots[i]) for i in plan.scalars])
+    return total / float(math.prod(sizes.values()))
 
 
 def _double(factors: list[Factor], d: tuple[int, ...]) -> list[Factor]:
@@ -188,12 +266,11 @@ def cube_centered_expectation(
     g: EdgeFn,
     pat: CubePattern,
     budget: float | None = None,
-    check: bool = True,
 ) -> float:
     """Same as ``cube_expectation`` with g - 1 at the active vertices.
 
-    With ``check`` on, the product-form bound |value| <= boxnorm(g-1)^weight
-    is verified (a slack of TOL times the bound absorbs roundoff).
+    The product-form bound |value| <= boxnorm(g-1)^weight is verified (a
+    slack of TOL times the bound absorbs roundoff).
     """
     if pat.k != len(g.edge):
         raise ShapeMismatch("pattern dimension does not match edge size")
@@ -203,12 +280,11 @@ def cube_centered_expectation(
     value = expect_product(
         _cube_factors(centered, pat.support()), budget, what="centered cube expectation"
     )
-    if check:
-        bound = box_norm_brute(centered, budget=budget) ** pat.weight()
-        if abs(value) > bound + TOL * max(1.0, bound):
-            raise NumericalInconsistency(
-                f"centered cube expectation {value} exceeds product bound {bound}"
-            )
+    bound = box_norm_brute(centered, budget=budget) ** pat.weight()
+    if abs(value) > bound + TOL * max(1.0, bound):
+        raise NumericalInconsistency(
+            f"centered cube expectation {value} exceeds product bound {bound}"
+        )
     return value
 
 
@@ -222,11 +298,13 @@ def binomial_expansion_identity(
     """
     lhs = cube_expectation(g, pat, budget)
     support = pat.support()
+    centered = g.centered()
     terms = [1.0]
     for size in range(1, len(support) + 1):
+        # Each subset keeps the cube-vertex order of the support.
         for subset in itertools.combinations(support, size):
-            sub = CubePattern.from_support(pat.k, subset)
-            terms.append(cube_centered_expectation(g, sub, budget, check=False))
+            factors = _cube_factors(centered, subset)
+            terms.append(expect_product(factors, budget, what="centered cube expectation"))
     rhs = math.fsum(terms)
     report = VerificationReport(name="cube-binomial-expansion")
     report.add(eq_check("binomial-expansion", lhs, rhs, TOL))

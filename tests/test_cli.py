@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, JSON/CSV stability, budget errors,
 and the built-in verification suite."""
 
+import dataclasses
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from gowers import is_prime
+import gowers.cli as cli
+from gowers import from_set, is_prime, represent
 from gowers.cli import build_parser, main
 
 
@@ -314,6 +317,41 @@ class TestCheckIds:
             reports = obj.get("suites") or obj.get("reports") or [obj["report"]]
             ids = [[rep["name"], c["check"]] for rep in reports for c in rep["checks"]]
             assert ids == expected, command
+
+
+class TestProgressionMap:
+    def test_broken_map_fails_as_a_check(self):
+        # A wrong coefficient must be counted by the check, not raised from
+        # inside ap_values.
+        n, r = 7, 2
+        w = represent(from_set({0, 1, 3}, n), r)
+        forms = list(w.forms)
+        forms[1] = ((forms[1][0] + 1) % n,) + forms[1][1:]
+        broken = dataclasses.replace(w, forms=tuple(forms))
+        points = list(itertools.product(range(n), repeat=r + 1))
+        assert cli._map_failures(w, points) == 0
+        assert cli._map_failures(broken, points) > 0
+
+
+class TestVerifyInputs:
+    def test_each_seeded_measure_built_and_represented_once(self, capsys, monkeypatch):
+        specs, measures = [], []
+        real_generate, real_represent = cli.generate, cli.represent
+
+        def generate(spec):
+            specs.append(spec)
+            return real_generate(spec)
+
+        def represent(nu, r):
+            measures.append(nu.fn.values.tobytes())
+            return real_represent(nu, r)
+
+        monkeypatch.setattr(cli, "generate", generate)
+        monkeypatch.setattr(cli, "represent", represent)
+        code, _, _ = _run(capsys, ["verify", "--r", "2", "--n", "5", "--seeds", "3"])
+        assert code == 0
+        assert len(specs) == len(set(map(repr, specs))) == 3 + 1  # seeds + constant
+        assert len(measures) == len(set(measures)) == 3 + 1
 
 
 class TestParser:

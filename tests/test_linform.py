@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import gowers.linform as linform
 from conftest import philox
 from gowers import (
     AllZeroPattern,
+    BudgetExceeded,
     Cap,
     CapViolation,
     CubePattern,
@@ -37,6 +41,7 @@ from gowers import (
     represent,
     single_chain_verify,
     slf_lhs,
+    u_norm_fast,
     ybar_sq_expectation,
 )
 
@@ -85,6 +90,124 @@ class TestExpectProduct:
         x = expect_product(f1, None, what="o1")
         y = expect_product(f2, None, what="o2")
         assert x == pytest.approx(y, rel=1e-12)
+
+
+def _einsum_oracle(factors) -> float:
+    """The whole product summed by one unoptimized einsum over every
+    variable at once, divided by the number of index points."""
+    names = {v: chr(ord("a") + i) for i, v in enumerate(dict.fromkeys(
+        v for _, axes in factors for v in axes))}
+    expr = ",".join("".join(names[v] for v in axes) for _, axes in factors) + "->"
+    total = float(np.einsum(expr, *[arr for arr, _ in factors], optimize=False))
+    sizes = {v: arr.shape[i] for arr, axes in factors for i, v in enumerate(axes)}
+    return total / math.prod(sizes.values())
+
+
+_VARS = [(v, c) for v in range(3) for c in (None, 0, 1)]
+
+
+@st.composite
+def _factor_graphs(draw):
+    """1-6 factors over 1-6 variables of sizes 1-5; a factor may read a
+    variable twice or read none (a scalar)."""
+    used = draw(st.lists(st.sampled_from(_VARS), min_size=1, max_size=6, unique=True))
+    size = {v: draw(st.integers(1, 5)) for v in used}
+    axes_lists = draw(
+        st.lists(st.lists(st.sampled_from(used), max_size=4), min_size=1, max_size=6)
+    )
+    rng = philox(draw(st.integers(0, 2**32 - 1)))
+    return [
+        (0.5 + rng.random(tuple(size[v] for v in axes)), axes) for axes in axes_lists
+    ]
+
+
+# Three size-1 variables read pairwise: any elimination order charges 4
+# products against 3 for one einsum over the whole (one-point) space.
+_TRIANGLE = [
+    (np.full((1, 1), 2.0), [(1, None), (2, None)]),
+    (np.full((1, 1), 3.0), [(2, None), (3, None)]),
+    (np.full((1, 1), 5.0), [(1, None), (3, None)]),
+]
+
+
+class TestPlanner:
+    """The bucket-elimination route of ``expect_product`` against one
+    unoptimized einsum over the whole product space."""
+
+    @given(_factor_graphs())
+    def test_matches_single_einsum(self, factors):
+        got = expect_product(factors)
+        assert got == pytest.approx(_einsum_oracle(factors), rel=1e-12)
+        assert expect_product(factors) == got  # bit-identical on repeat
+
+    @example(_TRIANGLE)
+    @given(_factor_graphs())
+    def test_charge_at_most_naive(self, factors):
+        charges = []
+
+        def record(estimated, *args, **kwargs):
+            charges.append(estimated)
+            return 1e8
+
+        sizes = {v: arr.shape[i] for arr, axes in factors for i, v in enumerate(axes)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linform, "check_budget", record)
+            expect_product(factors)
+        assert len(charges) == 1
+        assert charges[0] <= math.prod(sizes.values()) * len(factors)
+
+    @given(_factor_graphs())
+    def test_tiny_budget_refused_before_any_einsum(self, factors):
+        def no_einsum(*args, **kwargs):
+            raise RuntimeError("einsum ran before the budget check")
+
+        if not any(axes for _, axes in factors):
+            return  # a product of scalars costs nothing
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "einsum", no_einsum)
+            with pytest.raises(BudgetExceeded):
+                expect_product(factors, budget=0.5)
+
+    def test_charge_is_the_planned_cost(self):
+        # A chain a-b-c-d of three matrices: the plan sums a out of the
+        # first and d out of the last (n^2 products each), then b (2 n^2),
+        # then c (2 n); one einsum over the whole space would charge 3 n^4.
+        n = 7
+        rng = philox(12)
+        factors = [
+            (rng.random((n, n)), [(1, None), (2, None)]),
+            (rng.random((n, n)), [(2, None), (3, None)]),
+            (rng.random((n, n)), [(3, None), (4, None)]),
+        ]
+        with pytest.raises(BudgetExceeded) as err:
+            expect_product(factors, budget=4.0 * n**2 + 2 * n - 1)
+        assert err.value.estimated == 4.0 * n**2 + 2 * n
+        assert err.value.power == 2
+        assert expect_product(factors, budget=4.0 * n**2 + 2 * n) == pytest.approx(
+            _einsum_oracle(factors), rel=1e-12
+        )
+
+
+class TestOracleIndependence:
+    """The oracle side of the endpoint and norm-preservation checks must not
+    evaluate through the planner it checks."""
+
+    def test_oracles_compute_without_the_planner(self, monkeypatch):
+        class PlannerCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise PlannerCalled
+
+        monkeypatch.setattr(linform, "expect_product", refuse)
+        monkeypatch.setattr(linform, "_plan", refuse)
+        nu = _measure(n=7, seed=1)
+        inst = random_slf_instance(represent(nu, 2), 1)
+        with pytest.raises(PlannerCalled):
+            q_value(inst, (1, 2))
+        centered = inst.hypergraph.weight_omitting(0).centered()
+        box_power = box_norm_brute(centered) ** 4
+        assert box_power == pytest.approx(u_norm_fast(nu.centered(), 2) ** 4, rel=1e-9)
 
 
 def _cube_loop(g: EdgeFn, pattern: CubePattern) -> float:
