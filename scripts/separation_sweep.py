@@ -40,7 +40,7 @@ def sweep_rows(args):
             seeds = range(args.seeds) if kind == "random" else (0,)
             for seed in seeds:
                 nu = generate(GeneratorSpec(kind=kind, n=n, p=args.p, seed=seed))
-                hr = hypothesis_ratio(nu, args.r)
+                hr = hypothesis_ratio(nu, args.r, args.budget)
                 ap = ap_density([nu.fn] * (args.r + 1), args.budget)
                 yield (
                     kind,

@@ -27,7 +27,7 @@ from .cyclic import CyclicFn, Measure
 from .errors import ShapeMismatch
 from .genmeasure import GeneratorSpec, generate
 from .gowersnorm import EdgeFn, u_norm_fast
-from .hypersystem import is_prime, relabel, represent
+from .hypersystem import WeightedHypergraph, is_prime, relabel, represent
 from .linform import Cap, SlfInstance, q_value, single_chain_verify
 from .report import TOL, VerificationReport, eq_check
 
@@ -124,9 +124,9 @@ class HypothesisRatio:
         }
 
 
-def hypothesis_ratio(nu: Measure, r: int) -> HypothesisRatio:
+def hypothesis_ratio(nu: Measure, r: int, budget: float | None = None) -> HypothesisRatio:
     """Order-r uniformity norm of nu - 1 compared with p^r and p^(r/2)."""
-    norm = u_norm_fast(nu.centered(), r)
+    norm = u_norm_fast(nu.centered(), r, budget)
     return HypothesisRatio(
         nu.n, r, nu.p, norm, norm / nu.p**r, norm / nu.p ** (r / 2.0)
     )
@@ -139,10 +139,10 @@ def _transposition(r: int, m: int) -> tuple[int, ...]:
 
 
 def telescoping_check(
-    nu: Measure, r: int, budget: float | None = None, with_chains: bool = False
+    nu: Measure, w: WeightedHypergraph, budget: float | None = None, with_chains: bool = False
 ) -> VerificationReport:
-    """Verify that the progression density minus one equals the sum of the
-    single-copy centered terms of the represented hypergraph.
+    """Verify that the progression density of nu minus one equals the sum of
+    the single-copy centered terms of its representation w.
 
     Term m centers the edge omitting vertex m, keeps the weights of edges
     omitting 0..m-1 and replaces the rest by one; each term is the empty-set
@@ -151,7 +151,7 @@ def telescoping_check(
     With ``with_chains`` the composed chain bound of each term is attached as
     a measured ratio.
     """
-    w = represent(nu, r)
+    r = w.r
     lam = ap_density([nu.fn] * (r + 1), budget).density
     report = VerificationReport(name="progression-telescoping")
     terms = []
@@ -193,9 +193,9 @@ def relsz_experiment(
     chain bounds."""
     nu = generate(spec)
     ap = ap_density([nu.fn] * (r + 1), budget)
-    ratios = hypothesis_ratio(nu, r)
+    ratios = hypothesis_ratio(nu, r, budget)
     if is_prime(spec.n) and spec.n > r:
-        report = telescoping_check(nu, r, budget=budget, with_chains=with_chains)
+        report = telescoping_check(nu, represent(nu, r), budget, with_chains)
     else:
         report = VerificationReport(name="progression-telescoping")
         report.notes.append("modulus not prime above the arity; telescoping skipped")

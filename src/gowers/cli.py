@@ -171,7 +171,7 @@ def _result(args, command: str, inputs: dict, extra: dict, passed: bool) -> int:
 def _agreement(check: str, f, k: int, budget):
     """The order-k norm of f by the brute and the fast route, checked equal."""
     brute = u_norm_brute(f, k, budget)
-    return eq_check(check, brute, u_norm_fast(f, k), TOL * max(1.0, brute))
+    return eq_check(check, brute, u_norm_fast(f, k, budget), TOL * max(1.0, brute))
 
 
 def _gcs_case(rep, key: int, dims, prefix: str, margin: str | None, budget) -> None:
@@ -197,7 +197,7 @@ def _gcs_case(rep, key: int, dims, prefix: str, margin: str | None, budget) -> N
 def _preservation(rep, nu, w, tag: str, budget) -> float:
     """Check the box norm of every centered edge weight of w against the
     uniformity norm of nu - 1, and return that norm."""
-    u = u_norm_fast(nu.centered(), w.r)
+    u = u_norm_fast(nu.centered(), w.r, budget)
     for j in range(w.r + 1):
         box = box_norm_brute(w.weight_omitting(j).centered(), budget)
         rep.add(eq_check(f"norm-preservation{tag} j={j}", box, u, TOL))
@@ -277,7 +277,7 @@ def _cmd_norm(args) -> int:
     elif args.mode == "brute":
         extra = {"values": {"brute": u_norm_brute(f, args.k, args.budget)}}
     else:
-        extra = {"values": {"fast": u_norm_fast(f, args.k)}}
+        extra = {"values": {"fast": u_norm_fast(f, args.k, args.budget)}}
     inputs = {"spec": spec.to_json_obj(), "k": args.k, "mode": args.mode, "centered": args.centered}
     return _result(args, "norm", inputs, extra, passed)
 
@@ -286,7 +286,7 @@ def _cmd_boxnorm(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
     w = represent(nu, args.r)
-    values = {"u-norm-centered": u_norm_fast(nu.centered(), args.r)}
+    values = {"u-norm-centered": u_norm_fast(nu.centered(), args.r, args.budget)}
     for j in range(args.r + 1):
         g = w.weight_omitting(j)
         values[f"box-norm-raw-j{j}"] = box_norm_brute(g, args.budget)
@@ -299,6 +299,8 @@ def _cmd_gcs(args) -> int:
     dims = tuple(int(d) for d in args.dims.split(","))
     if not dims or any(d < 1 for d in dims):
         raise UsageError(f"--dims must be positive integers, got {args.dims!r}")
+    if args.tuples < 0:
+        raise UsageError(f"--tuples must be nonnegative, got {args.tuples}")
     merged = VerificationReport(name="box-norm-product-bound")
     for t in range(args.tuples):
         margin = f"tuple {t}: equality-margin" if args.equal else None
@@ -418,7 +420,7 @@ def _cmd_count(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
     ap = ap_density([nu.fn] * (args.r + 1), args.budget)
-    hr = hypothesis_ratio(nu, args.r)
+    hr = hypothesis_ratio(nu, args.r, args.budget)
     inputs = {"spec": spec.to_json_obj(), "r": args.r}
     extra = {"ap": ap.to_json_obj(), "ratios": hr.to_json_obj()}
     return _result(args, "count", inputs, extra, True)
@@ -524,10 +526,10 @@ def _suite_lf2(measures, r: int, budget) -> VerificationReport:
     return rep
 
 
-def _suite_count(measures, r: int, budget) -> VerificationReport:
+def _suite_count(measures, budget) -> VerificationReport:
     rep = VerificationReport(name="progression-telescoping")
-    for s, (nu, _) in enumerate(measures):
-        _fold(rep, telescoping_check(nu, r, budget), f"seed={s}")
+    for s, (nu, w) in enumerate(measures):
+        _fold(rep, telescoping_check(nu, w, budget), f"seed={s}")
     return rep
 
 
@@ -535,7 +537,7 @@ def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
     rep = VerificationReport(name="degenerate-exactness")
     nu = generate(GeneratorSpec(kind="constant", n=n))
     w = represent(nu, r)
-    rep.add(eq_check("u-norm-centered", u_norm_fast(nu.centered(), r), 0.0, 0.0))
+    rep.add(eq_check("u-norm-centered", u_norm_fast(nu.centered(), r, budget), 0.0, 0.0))
     caps = {}
     gs = {}
     for j in range(1, r + 1):
@@ -560,6 +562,8 @@ def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
 
 def _cmd_verify(args) -> int:
     n, r, seeds, budget = args.n, args.r, args.seeds, args.budget
+    if seeds < 0:
+        raise UsageError(f"--seeds must be nonnegative, got {seeds}")
     # The random measures of density one half, one per seed; seed 0 is drawn
     # even without seeds, because the exhaustive map check reads it.
     nus = [
@@ -577,7 +581,7 @@ def _cmd_verify(args) -> int:
         _suite_chains(measures, r, budget),
         _suite_nuprime(measures, budget),
         _suite_lf2(measures, r, budget),
-        _suite_count(measures, r, budget),
+        _suite_count(measures, budget),
         _suite_degenerate(n, r, budget),
     ]
     passed = all(s.passed for s in suites)

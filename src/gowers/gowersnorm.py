@@ -5,7 +5,8 @@ Two independent routes are kept deliberately separate:
 * ``u_norm_brute`` evaluates the defining cube average term by term over the
   full (k+1)-dimensional index space.
 * ``u_norm_fast`` uses the recursion through multiplicative differences with
-  a Fourier base case at order two.
+  a Fourier base case at order two, walking the difference parameter h in
+  blocks so that no N x N array is ever formed.
 
 ``box_norm_brute`` evaluates the box-norm cube average of a function on a
 product of finite vertex sets, again by direct enumeration, and
@@ -36,8 +37,9 @@ from .report import TOL, VerificationReport, ineq_check
 # but may round slightly negative.
 CLAMP_TOL = 1e-9
 
-# Target number of elements per brute-force chunk.
-_CHUNK_ELEMS = 1 << 22
+# Target number of elements per chunk: rows of the brute-force sum, blocks of
+# difference parameters in the fast route.
+_CHUNK_ELEMS = 1 << 16
 
 CubeVertex = tuple[int, ...]
 
@@ -110,45 +112,39 @@ def u_norm_brute(f: CyclicFn, k: int, budget: float | None = None) -> float:
     return clamp_cube_average(avg, scale) ** (1.0 / 2.0**k)
 
 
-def _shift_matrix(vals: np.ndarray) -> np.ndarray:
-    """Row h is x -> f(x + h), materialized as strided views of two periods."""
-    n = vals.size
-    doubled = np.concatenate([vals, vals])
-    stride = doubled.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        doubled, shape=(n, n), strides=(stride, stride), writeable=False
-    )
-
-
-def _u_pow_fast(vals: np.ndarray, k: int) -> float:
-    """The 2^k-th power of the order-k norm, via the difference recursion."""
-    n = vals.size
-    if k == 1:
-        m = math.fsum(vals.tolist()) / n
-        return m * m
+def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
+    """The 2^k-th power of the order-k norm (k >= 2) of each row of an (m, N)
+    array: the spectral identity at order two, above it E_h of the order-(k-1)
+    power of row * row(. + h), with h walked in blocks of _CHUNK_ELEMS values."""
+    m, n = rows.shape
     if k == 2:
-        coeffs = np.fft.fft(vals) / n
-        mag4 = (coeffs.real**2 + coeffs.imag**2) ** 2
-        return math.fsum(mag4.tolist())
-    diffs = vals[None, :] * _shift_matrix(vals)
-    if k == 3:
-        # Batched order-2 base case across all difference parameters h.
-        coeffs = np.fft.fft(diffs, axis=1) / n
-        per_h = np.sum((coeffs.real**2 + coeffs.imag**2) ** 2, axis=1)
-        return math.fsum(per_h.tolist()) / n
-    return math.fsum(_u_pow_fast(diffs[h], k - 1) for h in range(n)) / n
+        coeffs = np.fft.fft(rows, axis=1)
+        coeffs /= n
+        return np.sum((coeffs.real**2 + coeffs.imag**2) ** 2, axis=1)
+    x = np.arange(n)
+    doubled = np.concatenate([rows, rows], axis=1)
+    step = max(1, _CHUNK_ELEMS // (m * n))
+    per_h = []
+    for start in range(0, n, step):
+        hs = np.arange(start, min(start + step, n))
+        diffs = rows[:, None, :] * doubled[:, hs[:, None] + x]
+        per_h.append(_u_pows(diffs.reshape(-1, n), k - 1).reshape(m, -1))
+    return np.array([math.fsum(row) / n for row in np.concatenate(per_h, axis=1).tolist()])
 
 
-def u_norm_fast(f: CyclicFn, k: int) -> float:
-    """Order-k uniformity norm via E_h of the order-(k-1) power of f * f(.+h),
-    with the spectral identity as the order-2 base case."""
+def u_norm_fast(f: CyclicFn, k: int, budget: float | None = None) -> float:
+    """Order-k uniformity norm by the difference recursion of ``_u_pows``,
+    charged the N^(k-1) difference values it forms."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
+    n = f.n
+    power = max(1, k - 1)
+    check_budget(float(n) ** power, budget, what=f"u_norm_fast(k={k}, n={n})", power=power)
     if k == 1:
-        return abs(math.fsum(f.values.tolist()) / f.n)
-    power = _u_pow_fast(f.values, k)
+        return abs(math.fsum(f.values.tolist()) / n)
+    avg = float(_u_pows(f.values[None, :], k)[0])
     scale = float(np.max(np.abs(f.values))) ** (2.0**k)
-    return clamp_cube_average(power, scale) ** (1.0 / 2.0**k)
+    return clamp_cube_average(avg, scale) ** (1.0 / 2.0**k)
 
 
 @dataclass(frozen=True)

@@ -147,17 +147,13 @@ def represent(nu: Measure, r: int) -> WeightedHypergraph:
     if n <= r:
         raise ModulusTooSmall(f"modulus {n} must exceed the arity {r}")
     system = HypergraphSystem(r, (n,) * (r + 1))
-    grids = np.indices((n,) * r)
     weights: dict[Edge, EdgeFn] = {}
     forms = []
     for j in range(r + 1):
         edge = system.edge_omitting(j)
         coeffs = tuple((j - i) % n for i in edge)
         forms.append(coeffs)
-        idx = np.zeros((n,) * r, dtype=np.int64)
-        for axis, c in enumerate(coeffs):
-            idx += c * grids[axis]
-        idx %= n
+        idx = sum(np.ix_(*[c * np.arange(n) for c in coeffs])) % n
         weights[edge] = EdgeFn(edge, (n,) * r, nu.fn.values[idx])
     return WeightedHypergraph(system, weights, forms=tuple(forms), modulus=n)
 

@@ -315,7 +315,7 @@ def test_c09_telescoping_identity(verdict):
         specs = [GeneratorSpec(kind="interval", n=n, p=0.4)]
         specs += [GeneratorSpec(kind="quadratic", n=n, p=0.4)]
         for nu in [generate(s) for s in specs] + _random_measures(n, 2, start_seed=900 + n):
-            report = telescoping_check(nu, 2)
+            report = telescoping_check(nu, represent(nu, 2))
             if not report.passed:
                 verdict("c09", False, f"telescoping failed at {n=}")
             worst = max(worst, abs(report.checks[-1].margin))

@@ -18,6 +18,7 @@ from gowers import (
     generate,
     hypothesis_ratio,
     relsz_experiment,
+    represent,
     telescoping_check,
 )
 from gowers.errors import ShapeMismatch
@@ -160,7 +161,8 @@ class TestTelescoping:
         ],
     )
     def test_identity_holds(self, members, n, r):
-        report = telescoping_check(from_set(members, n), r)
+        nu = from_set(members, n)
+        report = telescoping_check(nu, represent(nu, r))
         assert report.passed, report.failures()
         assert set(f"term-{m}" for m in range(r + 1)) <= set(report.ratios)
         assert "density" in report.ratios
@@ -168,18 +170,20 @@ class TestTelescoping:
     def test_first_term_vanishes(self):
         # The first decomposition step replaces every non-distinguished edge
         # weight by one, so the term is the mean of the centered weight: zero.
-        report = telescoping_check(from_set({1, 2, 4}, 7), 2)
+        nu = from_set({1, 2, 4}, 7)
+        report = telescoping_check(nu, represent(nu, 2))
         assert abs(report.ratios["term-0"]) < 1e-12
 
     def test_sum_matches_density(self):
         nu = from_set({0, 3, 5, 9}, 11)
-        report = telescoping_check(nu, 2)
+        report = telescoping_check(nu, represent(nu, 2))
         lam = ap_density([nu.fn] * 3).density
         total = math.fsum(report.ratios[f"term-{m}"] for m in range(3))
         assert lam - 1.0 == pytest.approx(total, abs=1e-12)
 
     def test_with_chains_attaches_bounds(self):
-        report = telescoping_check(from_set({1, 2, 4}, 7), 2, with_chains=True)
+        nu = from_set({1, 2, 4}, 7)
+        report = telescoping_check(nu, represent(nu, 2), with_chains=True)
         assert report.passed, report.failures()
         for m in range(3):
             bound = report.ratios[f"term-{m}-chain-bound"]
@@ -188,7 +192,8 @@ class TestTelescoping:
     def test_random_measures(self):
         for seed in range(3):
             spec = GeneratorSpec(kind="random", n=11, p=0.4, seed=seed)
-            report = telescoping_check(generate(spec), 2)
+            nu = generate(spec)
+            report = telescoping_check(nu, represent(nu, 2))
             assert report.passed, report.failures()
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import gowers.apcount as apcount
 import gowers.cli as cli
 from gowers import from_set, is_prime, represent
 from gowers.cli import build_parser, main
@@ -110,13 +111,14 @@ class TestBudget:
         assert "GOWERS_BUDGET must be a finite positive number, got nan" in err
 
     def test_suggested_n_fits(self, capsys):
-        base = ["norm", "--kind", "constant", "--k", "3", "--mode", "brute",
-                "--budget", "1000000"]
-        code, _, err = _run(capsys, base + ["--n", "200"])
-        assert code == 2
-        m = int(err.split("--n <=")[1].split()[0])
-        code2, _, err2 = _run(capsys, base + ["--n", str(m)])
-        assert code2 == 0, err2
+        for mode, n in (("brute", 200), ("fast", 2048)):
+            base = ["norm", "--kind", "constant", "--k", "3", "--mode", mode,
+                    "--budget", "1000000"]
+            code, _, err = _run(capsys, base + ["--n", str(n)])
+            assert code == 2, mode
+            m = int(err.split("--n <=")[1].split()[0])
+            code2, _, err2 = _run(capsys, base + ["--n", str(m)])
+            assert code2 == 0, err2
 
     @pytest.mark.parametrize("command,n", [("slf", 29), ("represent", 101)])
     def test_suggestion_is_prime_and_clears_the_step(self, capsys, command, n):
@@ -134,6 +136,17 @@ class TestBudget:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv,option",
+        [(["gcs", "--tuples", "-1"], "--tuples"), (["verify", "--seeds", "-1", "--n", "5"], "--seeds")],
+        ids=["tuples", "seeds"],
+    )
+    def test_negative_count_is_usage_error(self, capsys, argv, option):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {option} must be nonnegative" in err
+
     def test_composite_modulus(self, capsys):
         code, _, err = _run(
             capsys, ["represent", "--kind", "constant", "--n", "6", "--r", "2"]
@@ -337,6 +350,8 @@ class TestVerifyInputs:
     def test_each_seeded_measure_built_and_represented_once(self, capsys, monkeypatch):
         specs, measures = [], []
         real_generate, real_represent = cli.generate, cli.represent
+        # apcount is patched too, so a representation rebuilt inside a
+        # library step is counted as well.
 
         def generate(spec):
             specs.append(spec)
@@ -348,6 +363,7 @@ class TestVerifyInputs:
 
         monkeypatch.setattr(cli, "generate", generate)
         monkeypatch.setattr(cli, "represent", represent)
+        monkeypatch.setattr(apcount, "represent", represent)
         code, _, _ = _run(capsys, ["verify", "--r", "2", "--n", "5", "--seeds", "3"])
         assert code == 0
         assert len(specs) == len(set(map(repr, specs))) == 3 + 1  # seeds + constant

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gowers.gowersnorm as gowersnorm
 from conftest import philox, random_cyclic, random_edge_fn
 from gowers import (
     BudgetExceeded,
@@ -90,6 +92,46 @@ class TestDualRoute:
         # Large enough that the brute route splits into several chunks.
         f = random_cyclic(64, seed=8, low=0.0, high=1.0)
         assert u_norm_brute(f, 2) == pytest.approx(u_norm_fast(f, 2), rel=1e-9)
+
+
+class TestFastRecursion:
+    @pytest.mark.parametrize("n,k", [(13, 3), (31, 3), (13, 4), (31, 4), (11, 5)])
+    def test_block_size_keeps_every_bit(self, monkeypatch, n, k):
+        # The spectral base case and the per-row sums work row by row, so
+        # walking one h per block changes no bit of the result.
+        f = random_cyclic(n, seed=n + k, low=-1.0, high=1.0)
+        fast = u_norm_fast(f, k)
+        if float(n) ** (k + 1) * 2.0**k <= 1e8:  # the brute fits the default budget
+            assert fast == pytest.approx(u_norm_brute(f, k), rel=1e-9)
+        monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", 1)
+        assert u_norm_fast(f, k) == fast
+
+    def test_order_three_memory_is_blocked(self):
+        # An N x N array of differences alone would take 32 MB here.
+        f = random_cyclic(2048, seed=3)
+        tracemalloc.start()
+        try:
+            u_norm_fast(f, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_budget_charges_difference_values(self):
+        f = CyclicFn.constant(64, 1.0)
+        with pytest.raises(BudgetExceeded) as err:
+            u_norm_fast(f, 4, budget=64.0**3 - 1.0)
+        assert err.value.estimated == 64.0**3 and err.value.power == 3
+        assert u_norm_fast(f, 4, budget=64.0**3) == pytest.approx(1.0, rel=1e-12)
+
+    def test_independent_of_the_brute_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fast route called into the brute route")
+
+        for name in ("u_norm_brute", "_kahan_add", "_box_einsum"):
+            monkeypatch.setattr(gowersnorm, name, refuse)
+        f = random_cyclic(12, seed=5, low=-1.0, high=1.0)
+        assert u_norm_fast(f, 3) > 0.0
 
 
 class TestUNormProperties:
