@@ -66,6 +66,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", type=float, default=None)
     parser.add_argument("--output", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
+    if args.seeds < 0:
+        parser.error(f"--seeds must be nonnegative, got {args.seeds}")
 
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:

@@ -27,7 +27,13 @@ from .cyclic import CyclicFn, Measure
 from .errors import ShapeMismatch
 from .genmeasure import GeneratorSpec, generate
 from .gowersnorm import EdgeFn, u_norm_fast
-from .hypersystem import WeightedHypergraph, is_prime, relabel, represent
+from .hypersystem import (
+    WeightedHypergraph,
+    charge_representation,
+    is_prime,
+    relabel,
+    represent,
+)
 from .linform import Cap, SlfInstance, q_value, single_chain_verify
 from .report import TOL, VerificationReport, eq_check
 
@@ -195,6 +201,7 @@ def relsz_experiment(
     ap = ap_density([nu.fn] * (r + 1), budget)
     ratios = hypothesis_ratio(nu, r, budget)
     if is_prime(spec.n) and spec.n > r:
+        charge_representation(spec.n, r, budget)
         report = telescoping_check(nu, represent(nu, r), budget, with_chains)
     else:
         report = VerificationReport(name="progression-telescoping")

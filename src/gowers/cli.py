@@ -35,13 +35,19 @@ from .errors import BudgetExceeded, GowersError, NumericalInconsistency
 from .genmeasure import KINDS, GeneratorSpec, generate
 from .gowersnorm import (
     EdgeFn,
-    box_norm_brute,
+    box_norm,
     cube_vertices,
     gcs_verify,
     u_norm_brute,
     u_norm_fast,
 )
-from .hypersystem import ap_values, is_prime, progression_count_check, represent
+from .hypersystem import (
+    ap_values,
+    charge_representation,
+    is_prime,
+    progression_count_check,
+    represent,
+)
 from .linform import (
     Cap,
     CubePattern,
@@ -168,6 +174,12 @@ def _result(args, command: str, inputs: dict, extra: dict, passed: bool) -> int:
 # suite; the check ids of the two differ only by the tag the caller passes.
 
 
+def _represent(nu, r: int, budget):
+    """represent(nu, r), once its edge weights fit the budget."""
+    charge_representation(nu.n, r, budget)
+    return represent(nu, r)
+
+
 def _agreement(check: str, f, k: int, budget):
     """The order-k norm of f by the brute and the fast route, checked equal."""
     brute = u_norm_brute(f, k, budget)
@@ -199,7 +211,7 @@ def _preservation(rep, nu, w, tag: str, budget) -> float:
     uniformity norm of nu - 1, and return that norm."""
     u = u_norm_fast(nu.centered(), w.r, budget)
     for j in range(w.r + 1):
-        box = box_norm_brute(w.weight_omitting(j).centered(), budget)
+        box = box_norm(w.weight_omitting(j).centered(), budget)
         rep.add(eq_check(f"norm-preservation{tag} j={j}", box, u, TOL))
     return u
 
@@ -285,12 +297,12 @@ def _cmd_norm(args) -> int:
 def _cmd_boxnorm(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
-    w = represent(nu, args.r)
+    w = _represent(nu, args.r, args.budget)
     values = {"u-norm-centered": u_norm_fast(nu.centered(), args.r, args.budget)}
     for j in range(args.r + 1):
         g = w.weight_omitting(j)
-        values[f"box-norm-raw-j{j}"] = box_norm_brute(g, args.budget)
-        values[f"box-norm-centered-j{j}"] = box_norm_brute(g.centered(), args.budget)
+        values[f"box-norm-raw-j{j}"] = box_norm(g, args.budget)
+        values[f"box-norm-centered-j{j}"] = box_norm(g.centered(), args.budget)
     inputs = {"spec": spec.to_json_obj(), "r": args.r}
     return _result(args, "boxnorm", inputs, {"values": values}, True)
 
@@ -318,7 +330,7 @@ def _cmd_represent(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
     n, r = spec.n, args.r
-    w = represent(nu, r)
+    w = _represent(nu, r, args.budget)
     report = VerificationReport(name="representation")
     u = _preservation(report, nu, w, "", args.budget)
     if float(n) ** (r + 1) <= 50_000:
@@ -338,7 +350,7 @@ def _cmd_represent(args) -> int:
 def _cmd_cube(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
-    w = represent(nu, args.r)
+    w = _represent(nu, args.r, args.budget)
     g = w.weight_omitting(args.j)
     if args.pattern is None:
         pat = CubePattern.all_ones(len(g.edge))
@@ -367,7 +379,7 @@ def _cmd_slf(args) -> int:
     """``slf`` (two copies of vertex 0) and ``slf-single`` (one copy)."""
     spec = _spec_from_args(args)
     nu = generate(spec)
-    w = represent(nu, args.r)
+    w = _represent(nu, args.r, args.budget)
     if args.command == "slf":
         inst = random_slf_instance(w, args.instance_seed, args.caps)
         lhs = slf_lhs(inst, args.budget)
@@ -389,7 +401,7 @@ def _cmd_slf(args) -> int:
 def _cmd_nuprime(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
-    w = represent(nu, args.r)
+    w = _represent(nu, args.r, args.budget)
     report = VerificationReport(name="product-weight-moments")
     report.ratios.update(_moments(report, w, "", args.budget))
     inputs = {"spec": spec.to_json_obj(), "r": args.r}
@@ -399,7 +411,7 @@ def _cmd_nuprime(args) -> int:
 def _cmd_lf2(args) -> int:
     spec = _spec_from_args(args)
     nu = generate(spec)
-    w = represent(nu, args.r)
+    w = _represent(nu, args.r, args.budget)
     exps = Lf2Exponents.all_ones(args.r)
     if args.exponents is not None:
         exps = Lf2Exponents.from_bits(args.r, [int(ch) for ch in args.exponents])
@@ -536,7 +548,7 @@ def _suite_count(measures, budget) -> VerificationReport:
 def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
     rep = VerificationReport(name="degenerate-exactness")
     nu = generate(GeneratorSpec(kind="constant", n=n))
-    w = represent(nu, r)
+    w = _represent(nu, r, budget)
     rep.add(eq_check("u-norm-centered", u_norm_fast(nu.centered(), r, budget), 0.0, 0.0))
     caps = {}
     gs = {}
@@ -573,7 +585,7 @@ def _cmd_verify(args) -> int:
     suites = [_suite_dual_route(nus[:seeds], budget), _suite_gcs(seeds, budget)]
     # Represented only after the two suites that need no representation, so
     # a size that their budget checks refuse never allocates one.
-    pairs = [(nu, represent(nu, r)) for nu in nus]
+    pairs = [(nu, _represent(nu, r, budget)) for nu in nus]
     measures = pairs[:seeds]
     suites += [
         _suite_representation(measures, pairs[0][1], budget),
@@ -723,6 +735,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"suggestion: retry with --n <= {m} (assuming cost ~ n^{exc.power}) "
                 "or raise --budget / GOWERS_BUDGET\n"
             )
+        else:
+            sys.stderr.write("suggestion: raise --budget / GOWERS_BUDGET\n")
         return 2
     except NumericalInconsistency as exc:
         sys.stderr.write(f"numerical inconsistency: {exc}\n")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import check_budget
 from .cyclic import Measure
 from .errors import (
     CompositeModulus,
@@ -134,6 +135,16 @@ def sup_norm(w: WeightedHypergraph) -> float:
             stacklevel=2,
         )
     return sup
+
+
+def charge_representation(n: int, r: int, budget: float | None = None) -> None:
+    """Charge the (r+1)·N^r edge-weight values ``represent`` allocates.
+
+    A step of its own, taken before ``represent``, so that ``represent``
+    keeps its two-argument signature.
+    """
+    what = f"representation (r={r}, n={n})"
+    check_budget((r + 1) * float(n) ** r, budget, what=what, power=r)
 
 
 def represent(nu: Measure, r: int) -> WeightedHypergraph:

@@ -52,7 +52,7 @@ from .errors import (
 from .gowersnorm import (
     CubeVertex,
     EdgeFn,
-    box_norm_brute,
+    box_norm,
     clamp_cube_average,
     cube_vertices,
 )
@@ -280,7 +280,7 @@ def cube_centered_expectation(
     value = expect_product(
         _cube_factors(centered, pat.support()), budget, what="centered cube expectation"
     )
-    bound = box_norm_brute(centered, budget=budget) ** pat.weight()
+    bound = box_norm(centered, budget=budget) ** pat.weight()
     if abs(value) > bound + TOL * max(1.0, bound):
         raise NumericalInconsistency(
             f"centered cube expectation {value} exceeds product bound {bound}"
@@ -597,7 +597,7 @@ def _close(
     report: VerificationReport,
     lhs_abs: float,
     bound: float,
-    box_norm: float,
+    box: float,
     sup: float,
     sup_power: float,
     ratio_key: str,
@@ -607,9 +607,9 @@ def _close(
     report.add(ineq_check("composed-chain-bound", lhs_abs, bound, slack))
     report.ratios["lhs"] = lhs_abs
     report.ratios["composed-bound"] = bound
-    report.ratios["box-norm-centered"] = box_norm
+    report.ratios["box-norm-centered"] = box
     report.ratios["sup"] = sup
-    denom = box_norm * sup**sup_power
+    denom = box * sup**sup_power
     if denom > 0:
         report.ratios[ratio_key] = lhs_abs / denom
     return report
@@ -625,18 +625,18 @@ def _slf_chain(inst: SlfInstance, budget: float | None) -> VerificationReport:
     base, caps = _slf_base(inst)
     name = "single-copy-chain" if single else "strong-linear-forms-chain"
     report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget)
-    box_power = box_norm_brute(w.weights[e0].centered(), budget=budget) ** (2.0**r)
+    box_power = box_norm(w.weights[e0].centered(), budget=budget) ** (2.0**r)
     endpoint = q_at[e0]
     tol = TOL * max(1.0, abs(endpoint), abs(box_power))
     report.add(eq_check("endpoint-box-power", endpoint, box_power, tol))
 
     bound *= _root(endpoint, r, scale=max(1.0, abs(endpoint)))
-    box_norm = _root(box_power, r, scale=max(1.0, abs(box_power)))
+    box = _root(box_power, r, scale=max(1.0, abs(box_power)))
     if single:
         ratio_key, sup_power = "lhs-over-boxnorm-times-sup-half-power", r / 2.0
     else:
         ratio_key, sup_power = "lhs-over-boxnorm-times-sup-power", r
-    return _close(report, abs(q_at[()]), bound, box_norm, sup, sup_power, ratio_key)
+    return _close(report, abs(q_at[()]), bound, box, sup, sup_power, ratio_key)
 
 
 def chain_verify(inst: SlfInstance, budget: float | None = None) -> VerificationReport:
@@ -882,8 +882,8 @@ def lf2_chain_verify(
     slack = TOL * max(1.0, abs(lhs), abs(rhs))
     report.add(ineq_check("final-split", lhs, rhs, slack))
 
-    box_norm = _root(box_power, r, scale=max(1.0, abs(box_power)))
-    bound *= box_norm
+    box = _root(box_power, r, scale=max(1.0, abs(box_power)))
+    bound *= box
     bound *= _root(cube_power, r, scale=max(1.0, abs(cube_power)))
     ratio_key = "lhs-over-boxnorm-times-sup-power"
-    return _close(report, abs(q_at[()]), bound, box_norm, sup, r - 1, ratio_key)
+    return _close(report, abs(q_at[()]), bound, box, sup, r - 1, ratio_key)

@@ -39,13 +39,13 @@ class Check:
 def ineq_check(check: str, lhs: float, rhs: float, slack: float, note: str = "") -> Check:
     """Record ``lhs <= rhs`` up to ``slack``; margin is rhs - lhs."""
     margin = rhs - lhs
-    return Check(check, float(lhs), float(rhs), float(margin), margin >= -slack, note)
+    return Check(check, float(lhs), float(rhs), float(margin), bool(margin >= -slack), note)
 
 
 def eq_check(check: str, lhs: float, rhs: float, tol: float, note: str = "") -> Check:
     """Record ``lhs == rhs`` up to ``tol``; margin is the signed difference."""
     margin = rhs - lhs
-    return Check(check, float(lhs), float(rhs), float(margin), abs(margin) <= tol, note)
+    return Check(check, float(lhs), float(rhs), float(margin), bool(abs(margin) <= tol), note)
 
 
 @dataclass

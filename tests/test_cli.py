@@ -6,12 +6,14 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gowers.apcount as apcount
 import gowers.cli as cli
 from gowers import from_set, is_prime, represent
 from gowers.cli import build_parser, main
+from gowers.report import VerificationReport, eq_check, ineq_check
 
 
 def _run(capsys, argv):
@@ -146,6 +148,23 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"error: {option} must be nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "argv,suggestion",
+        [
+            # 9 * 11^8 weights, about 14 GiB of float64; no prime above r=8
+            # fits, so only the budget can be raised.
+            (["boxnorm", "--r", "8", "--n", "11"], "raise --budget / GOWERS_BUDGET"),
+            (["experiment", "--r", "3", "--n", "1009", "--with-chains"], "retry with --n <="),
+        ],
+        ids=["boxnorm", "experiment"],
+    )
+    def test_representation_size_refused_before_allocation(self, capsys, argv, suggestion):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"(representation (r={argv[2]}, n={argv[4]}))" in err
+        assert f"suggestion: {suggestion}" in err
 
     def test_composite_modulus(self, capsys):
         code, _, err = _run(
@@ -309,6 +328,18 @@ class TestOutputFormats:
         lines = out.splitlines()
         assert lines[0] == "n,k,density,prediction,ratio,trivial_count,nontrivial_count"
         assert lines[1].split(",")[0] == "7"
+
+    def test_numpy_sides_serialise(self, capsys):
+        # A numpy-scalar side used to make the pass flag an np.bool_, which
+        # the JSON writer cannot serialise.
+        report = VerificationReport(name="numpy-sides")
+        report.add(ineq_check("ineq", np.float64(1.0), np.float64(2.0), 0.0))
+        report.add(eq_check("eq", np.float64(1.0), np.float64(1.0), 0.0))
+        assert all(type(c.passed) is bool for c in report.checks)
+        args = build_parser().parse_args(["gcs"])
+        cli._emit({"report": report.to_json_obj()}, args)
+        obj = json.loads(capsys.readouterr().out)
+        assert [c["pass"] for c in obj["report"]["checks"]] == [True, True]
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"

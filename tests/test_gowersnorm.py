@@ -17,6 +17,7 @@ from gowers import (
     EdgeFn,
     NumericalInconsistency,
     ShapeMismatch,
+    box_norm,
     box_norm_brute,
     clamp_cube_average,
     cube_vertices,
@@ -242,6 +243,40 @@ class TestBoxNorm:
             box_norm_brute(g, budget=100.0)
 
 
+class TestBoxNormRecursion:
+    """The pair recursion of ``box_norm`` against its oracle
+    ``box_norm_brute``, which enumerates the whole box."""
+
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_agrees_with_brute(self, dims, seed):
+        g = random_edge_fn(tuple(range(1, len(dims) + 1)), tuple(dims), seed=seed)
+        assert box_norm(g) == pytest.approx(box_norm_brute(g), rel=1e-9)
+
+    @pytest.mark.parametrize("dims", [(7,), (6, 5), (5, 4, 3), (3, 4, 2, 3)])
+    def test_block_size_does_not_change_the_value(self, dims, monkeypatch):
+        g = random_edge_fn(tuple(range(1, len(dims) + 1)), dims, seed=len(dims))
+        blocked = box_norm(g)
+        monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", 1)
+        assert box_norm(g) == blocked
+
+    def test_charge_is_the_work_done(self):
+        # npoints^2 / d_k = 60^2 / 5 products, a cost of order 2k - 1.
+        g = random_edge_fn((1, 2, 3), (3, 4, 5), seed=8)
+        with pytest.raises(BudgetExceeded) as exc:
+            box_norm(g, budget=719.0)
+        assert exc.value.estimated == 720.0
+        assert exc.value.power == 5
+        assert box_norm(g, budget=720.0) == box_norm(g)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_returns_a_python_float(self, k):
+        g = random_edge_fn(tuple(range(1, k + 1)), (3,) * k, seed=k)
+        assert type(box_norm(g)) is float
+
+
 class TestMixedCube:
     def test_all_equal_reduces_to_box_power(self):
         g = random_edge_fn((1, 2), (3, 4), seed=5)
@@ -326,3 +361,16 @@ class TestGcsVerify:
         }
         with pytest.raises(BudgetExceeded):
             gcs_verify(gs, budget=50.0)
+
+    def test_charge_is_one_mixed_expectation_and_recursive_norms(self):
+        # 2^k npoints^2 for the mixed expectation plus 2^k box norms of
+        # npoints^2 / d_k each: 4 * 144 + 4 * 36.
+        gs = {
+            omega: random_edge_fn((1, 2), (3, 4), seed=omega[0] + 2 * omega[1])
+            for omega in cube_vertices(2)
+        }
+        with pytest.raises(BudgetExceeded) as exc:
+            gcs_verify(gs, budget=719.0)
+        assert exc.value.estimated == 720.0
+        assert exc.value.power == 4
+        assert gcs_verify(gs, budget=720.0).passed

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gowers.gowersnorm as gowersnorm
 import gowers.linform as linform
 from conftest import philox
 from gowers import (
@@ -24,6 +25,7 @@ from gowers import (
     ShapeMismatch,
     SlfInstance,
     binomial_expansion_identity,
+    box_norm,
     box_norm_brute,
     chain_verify,
     cube_centered_expectation,
@@ -208,6 +210,30 @@ class TestOracleIndependence:
         centered = inst.hypergraph.weight_omitting(0).centered()
         box_power = box_norm_brute(centered) ** 4
         assert box_power == pytest.approx(u_norm_fast(nu.centered(), 2) ** 4, rel=1e-9)
+
+    def test_box_norm_computes_without_the_other_routes(self, monkeypatch):
+        # box_norm is the runtime side of norm preservation and of the
+        # endpoint check, so it may share no evaluation code with the
+        # planner, the brute-force box or the difference recursion.
+        class OtherRouteCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise OtherRouteCalled
+
+        nu = _measure(n=7, seed=1)
+        centered = represent(nu, 2).weight_omitting(0).centered()
+        for module, name in (
+            (linform, "expect_product"),
+            (linform, "_plan"),
+            (gowersnorm, "_box_einsum"),
+            (gowersnorm, "_u_pows"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        got = box_norm(centered)
+        monkeypatch.undo()
+        assert got == pytest.approx(box_norm_brute(centered), rel=1e-9)
+        assert got == pytest.approx(u_norm_fast(nu.centered(), 2), rel=1e-9)
 
 
 def _cube_loop(g: EdgeFn, pattern: CubePattern) -> float:

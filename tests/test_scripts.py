@@ -55,3 +55,13 @@ def test_separation_sweep(tmp_path, monkeypatch):
     assert [row[0] for row in rows[1:5]] == ["random", "random", "interval", "quadratic"]
     for row in rows[1:]:
         assert float(row[8]) == pytest.approx(float(row[7]) - 1.0, abs=1e-15)
+
+
+def test_separation_sweep_refuses_negative_seeds(capsys, monkeypatch):
+    script = _load("separation_sweep", monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--seeds", "-1", "--moduli", "11"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seeds must be nonnegative, got -1" in captured.err
