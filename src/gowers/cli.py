@@ -154,7 +154,8 @@ def _emit(obj: dict, args) -> None:
         else:
             text = _values_csv(obj.get("values", {}))
     else:
-        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        # Strict JSON: a NaN or infinite number raises ValueError (exit 2).
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -16,7 +16,8 @@ as well:
 * ``box_norm`` uses the pair recursion
   ||g||^(2^k) = E_{x1,x1'} ||g(x1, .) g(x1', .)||^(2^(k-1)) down to a Gram
   matrix base case, walking the pairs in blocks, and is the route every
-  runtime caller takes.
+  runtime box norm takes.  The chain router of ``linform`` runs the same
+  recursion (``_box_pows``) batched over many functions at once.
 
 ``gcs_verify`` checks the product-form Cauchy-Schwarz bound for a full
 assignment of functions to cube vertices.

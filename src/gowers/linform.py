@@ -25,9 +25,16 @@ as measured ratios.
 
 Free variables are canonically ordered with doubled copies first (vertex
 ascending, copy 0 before copy 1) and plain coordinates after (vertex
-ascending).  Every expectation is evaluated by a fixed bucket-elimination
-plan, each bucket contracted by unoptimized einsum with its output axes in
-this order, so repeated runs are bit-identical.
+ascending).  ``expect_product`` evaluates an expectation by a fixed
+bucket-elimination plan, each bucket contracted by unoptimized einsum with
+its output axes in this order.  The chains evaluate their doubled quantities
+through ``_doubled``, which takes the cheaper of that plan and a box route:
+since no factor reads a copy of a doubled vertex, the expectation is the
+mean over the other variables of a box power (``gowersnorm._box_pows``) of
+the product of the undoubled factors.  ``q_value``, ``ybar_sq_expectation``
+and ``cube_expectation`` stay on the planner and are the router's test
+oracles.  Both routes reduce over fixed shapes, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -49,12 +56,16 @@ from .errors import (
     NumericalInconsistency,
     ShapeMismatch,
 )
+from .cyclic import CyclicFn
 from .gowersnorm import (
+    _CHUNK_ELEMS,
     CubeVertex,
     EdgeFn,
+    _box_pows,
     box_norm,
     clamp_cube_average,
     cube_vertices,
+    u_norm_fast,
 )
 from .hypersystem import Edge, WeightedHypergraph, sup_norm
 from .report import TOL, VerificationReport, eq_check, ineq_check
@@ -64,6 +75,10 @@ from .report import TOL, VerificationReport, eq_check, ineq_check
 Var = tuple[int, int | None]
 # A factor is an array plus the variable read by each of its axes.
 Factor = tuple[np.ndarray, list[Var]]
+# The structure of a factor: the shape of its array and its axes.
+Shaped = tuple[tuple[int, ...], list[Var]]
+# The structures of a factor list, hashable, as a cache key.
+Structure = tuple[tuple[tuple[int, ...], tuple[Var, ...]], ...]
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -148,6 +163,35 @@ def _plan(subscripts: str, sizes: tuple[int, ...]) -> _Plan:
     return _Plan(tuple(steps), tuple(live), cost, power)
 
 
+def _planned(shaped: list[Shaped]) -> tuple[_Plan, dict[Var, int]]:
+    """The plan of a nonempty list of factor structures and the size of
+    each variable."""
+    sizes: dict[Var, int] = {}
+    for shape, axes in shaped:
+        if len(shape) != len(axes):
+            raise ShapeMismatch("factor axis labels do not match array rank")
+        for var, size in zip(axes, shape):
+            if sizes.setdefault(var, size) != size:
+                raise ShapeMismatch(f"variable {var} has conflicting sizes")
+    order = sorted(sizes, key=_var_order_key)
+    if len(order) > len(_LETTERS):
+        raise ShapeMismatch("too many free variables")
+    letter = dict(zip(order, _LETTERS))
+    subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in shaped])
+    return _plan(subscripts, tuple([sizes[v] for v in order])), sizes
+
+
+def _run(plan: _Plan, factors: list[Factor], points: float) -> float:
+    """Contract the factors step by step as the plan says; the sum divided
+    by the number of index points."""
+    slots: list[np.ndarray | None] = [arr for arr, _ in factors]
+    for inputs, expr in plan.steps:
+        slots.append(np.einsum(expr, *[slots[i] for i in inputs], optimize=False))
+        for i in inputs:
+            slots[i] = None
+    return math.prod([float(slots[i]) for i in plan.scalars]) / points
+
+
 def expect_product(
     factors: list[Factor],
     budget: float | None = None,
@@ -162,39 +206,131 @@ def expect_product(
     """
     if not factors:
         return 1.0
-    sizes: dict[Var, int] = {}
-    for arr, axes in factors:
-        if arr.ndim != len(axes):
-            raise ShapeMismatch("factor axis labels do not match array rank")
-        for var, size in zip(axes, arr.shape):
-            if sizes.setdefault(var, size) != size:
-                raise ShapeMismatch(f"variable {var} has conflicting sizes")
-    order = sorted(sizes, key=_var_order_key)
-    if len(order) > len(_LETTERS):
-        raise ShapeMismatch("too many free variables")
-    letter = dict(zip(order, _LETTERS))
-    subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in factors])
-    plan = _plan(subscripts, tuple([sizes[v] for v in order]))
+    plan, sizes = _planned([(arr.shape, axes) for arr, axes in factors])
     check_budget(plan.cost, budget, what=what or "product expectation", power=plan.power)
-    slots: list[np.ndarray | None] = [arr for arr, _ in factors]
-    for inputs, expr in plan.steps:
-        slots.append(np.einsum(expr, *[slots[i] for i in inputs], optimize=False))
-        for i in inputs:
-            slots[i] = None
-    total = math.prod([float(slots[i]) for i in plan.scalars])
-    return total / float(math.prod(sizes.values()))
+    return _run(plan, factors, float(math.prod(sizes.values())))
 
 
-def _double(factors: list[Factor], d: tuple[int, ...]) -> list[Factor]:
-    """Each factor once per copy pattern of the doubled vertices d, pattern
-    order innermost: a plain axis of a vertex in d reads that vertex's copy
-    in the pattern, every other axis is kept."""
+def _double(factors: list, d: tuple[int, ...]) -> list:
+    """Each factor (or factor structure) once per copy pattern of the
+    doubled vertices d, pattern order innermost: a plain axis of a vertex in
+    d reads that vertex's copy in the pattern, every other axis is kept."""
     patterns = [dict(zip(d, omega)) for omega in itertools.product((0, 1), repeat=len(d))]
     return [
         (arr, [(v, copy_of.get(v)) if c is None else (v, c) for v, c in axes])
         for arr, axes in factors
         for copy_of in patterns
     ]
+
+
+def _on_planner(
+    factors: list[Factor], d: tuple[int, ...], budget: float | None = None, what: str = ""
+) -> float:
+    """E[prod of _double(factors, d)] on the planner alone: the test oracle
+    of ``_doubled``, and the route of a chain endpoint that ``box_norm``
+    checks."""
+    return expect_product(_double(factors, d), budget, what)
+
+
+def _structure(factors: list[Factor]) -> Structure:
+    return tuple([(arr.shape, tuple(axes)) for arr, axes in factors])
+
+
+@dataclass(frozen=True)
+class _BoxLayout:
+    """How ``_box_route`` builds F for one structure.  F's axes are z in
+    canonical order, then d; ``perms`` and ``shapes`` turn each factor into
+    a view over them (size one on the axes it does not read).  A block fixes
+    the first ``len(fixed)`` axes of z, of sizes ``fixed``, and is reshaped
+    to ``block``, (functions, *d sizes); ``points`` is the size of z."""
+
+    perms: tuple[tuple[int, ...], ...]
+    shapes: tuple[tuple[int, ...], ...]
+    fixed: tuple[int, ...]
+    block: tuple[int, ...]
+    points: int
+
+
+@functools.lru_cache(maxsize=4096)
+def _box_layout(structure: Structure, d: tuple[int, ...]) -> _BoxLayout:
+    """The layout of the box route: blocks fix the shortest leading prefix
+    of z that leaves at most _CHUNK_ELEMS elements of F (or all of z)."""
+    size = {var: n for shape, axes in structure for var, n in zip(axes, shape)}
+    dvars = [(v, None) for v in d]
+    zvars = sorted(set(size) - set(dvars), key=_var_order_key)
+    order = zvars + dvars
+    shape = [size[v] for v in order]
+    fixed, elems = 0, math.prod(shape)
+    while fixed < len(zvars) and elems > _CHUNK_ELEMS:
+        elems //= shape[fixed]
+        fixed += 1
+    perms = tuple(
+        tuple(sorted(range(len(axes)), key=lambda a: order.index(axes[a])))
+        for _, axes in structure
+    )
+    shapes = tuple(
+        tuple(n if v in axes else 1 for v, n in zip(order, shape)) for _, axes in structure
+    )
+    block = (-1, *shape[len(zvars) :])
+    points = math.prod(shape[: len(zvars)])
+    return _BoxLayout(perms, shapes, tuple(shape[:fixed]), block, points)
+
+
+def _box_route(factors: list[Factor], d: tuple[int, ...]) -> float:
+    """E_z of the box power over d of F_z, where F is the product of the
+    factors and z the variables other than the plain axes of d; no factor
+    may read a copy of a vertex in d.  z is walked in blocks, and F is built
+    for one block at a time (``_box_layout``)."""
+    layout = _box_layout(_structure(factors), d)
+    views = [
+        arr.transpose(perm).reshape(shape)
+        for (arr, _), perm, shape in zip(factors, layout.perms, layout.shapes)
+    ]
+    pows = []
+    for prefix in itertools.product(*[range(n) for n in layout.fixed]):
+        values = None
+        for view in views:
+            part = view[tuple([i if n > 1 else 0 for i, n in zip(prefix, view.shape)])]
+            values = part if values is None else values * part
+        pows.append(_box_pows(np.reshape(values, layout.block)))
+    return math.fsum(np.concatenate(pows)) / layout.points
+
+
+@functools.lru_cache(maxsize=4096)
+def _route(structure: Structure, d: tuple[int, ...]) -> tuple[_Plan | None, float, int, float]:
+    """How ``_doubled`` evaluates one structure (the shape and axes of each
+    factor) doubled over d: the plan, or None for the box route, then the
+    charge, its cost exponent and the number of index points.
+
+    When no factor reads a copy of a vertex in d, the box route is charged
+    m |d-box| products per factor to build F plus the m |d-box|^2 / d_last
+    products of the box recursion, m the number of points of z.  It is
+    taken when that is below the planned cost; ties, d empty and a vertex of
+    d that no factor reads go to the planner.
+    """
+    plan, sizes = _planned(_double([(shape, list(axes)) for shape, axes in structure], d))
+    points = float(math.prod(sizes.values()))
+    plain = all(c is None for _, axes in structure for v, c in axes if v in d)
+    if d and plain and all((v, 1) in sizes for v in d):
+        box = float(math.prod([sizes[(v, 0)] for v in d]))
+        cost = points / box * len(structure) + points / sizes[(d[-1], 0)]
+        if cost < plan.cost:
+            return None, cost, len(sizes) - 1, points
+    return plan, plan.cost, plan.power, points
+
+
+def _doubled(
+    factors: list[Factor], d: tuple[int, ...], budget: float | None = None, what: str = ""
+) -> float:
+    """E[prod of _double(factors, d)] by the cheaper of the planner and
+    ``_box_route``, charged at the cost of the route taken (``_route``)."""
+    if not factors:
+        return 1.0
+    plan, cost, power, points = _route(_structure(factors), d)
+    check_budget(cost, budget, what=what or "product expectation", power=power)
+    if plan is None:
+        return _box_route(factors, d)
+    return _run(plan, _double(factors, d), points)
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +549,16 @@ def slf_lhs(inst: SlfInstance, budget: float | None = None) -> float:
 
     Evaluated by averaging each copy's minorant product over vertex 0 first;
     this is a different route from ``q_value`` with the empty subset, and the
-    two must agree.  Budgeted at the defining sum's cost.
+    two must agree.  Charged the products it forms: r + 1 per point of
+    (x_0, x_{e0}) and copy, c (r + 1) N^(r+1) for c copies.
     """
     w = inst.hypergraph
     r = w.r
     n0 = w.system.dims[0]
     e0 = _distinguished_edge(w)
     c = len(inst.copies)
-    cost = float(n0) ** c * math.prod(w.system.edge_dims(e0)) * (c * r + 1)
-    check_budget(cost, budget, what="strong-linear-forms expectation", power=c + r)
+    cost = float(c * (r + 1)) * n0 * math.prod(w.system.edge_dims(e0))
+    check_budget(cost, budget, what="strong-linear-forms expectation", power=r + 1)
 
     # Copy products live on (x_0, x_{e0}); axis a+1 belongs to vertex e0[a].
     full_shape = (n0,) + w.system.edge_dims(e0)
@@ -472,9 +609,7 @@ def q_value(
     """
     dd = _normalize_subset(inst.hypergraph, d)
     base, _ = _slf_base(inst)
-    return expect_product(
-        _chain_factors(base, dd), budget, what=f"chain quantity at d={dd}"
-    )
+    return _on_planner(_kept(base, dd), dd, budget, what=f"chain quantity at d={dd}")
 
 
 @dataclass(frozen=True)
@@ -505,30 +640,32 @@ def ybar_sq_expectation(
     if sup is None:
         sup = sup_norm(w)
     _, caps = _slf_base(inst)
-    return _split_stats(_split_factors(caps, dd, j), sup, budget)
+    return _ybar(_missing(caps, j), dd, sup, functools.partial(_on_planner, budget=budget))
 
 
 # ---------------------------------------------------------------------------
 # Doubling chains
 
 
-def _chain_factors(base: list[Factor], d: tuple[int, ...]) -> list[Factor]:
-    """The chain quantity at doubled set d: the base factors whose edge
-    contains d, doubled over d.  The others were split off when their
-    missing vertex was doubled."""
-    return _double([f for f in base if set(d) <= {v for v, _ in f[1]}], d)
+def _kept(base: list[Factor], d: tuple[int, ...]) -> list[Factor]:
+    """The base factors of the chain quantity at doubled set d: those whose
+    edge contains d.  The others were split off when their missing vertex
+    was doubled."""
+    return [f for f in base if set(d) <= {v for v, _ in f[1]}]
 
 
-def _split_factors(caps: list[Factor], d: tuple[int, ...], j: int) -> list[Factor]:
-    """The capped factors split off when j is doubled after d: those whose
-    edge misses j, doubled over d."""
-    return _double([f for f in caps if j not in {v for v, _ in f[1]}], d)
+def _missing(caps: list[Factor], j: int) -> list[Factor]:
+    """The capped factors split off when j is doubled: those whose edge
+    misses j."""
+    return [f for f in caps if j not in {v for v, _ in f[1]}]
 
 
-def _split_stats(factors: list[Factor], sup: float, budget: float | None) -> YbarStats:
-    mean = expect_product(factors, budget, what="capped product mean")
-    mean_sq = expect_product(factors + factors, budget, what="capped product second moment")
-    count = len(factors)
+def _ybar(factors: list[Factor], d: tuple[int, ...], sup: float, evaluate) -> YbarStats:
+    """Moments of the split-off factors doubled over d, each taken by
+    ``evaluate(factors, d, what=...)``."""
+    mean = evaluate(factors, d, what="capped product mean")
+    mean_sq = evaluate(factors + factors, d, what="capped product second moment")
+    count = len(factors) * 2 ** len(d)
     return YbarStats(mean_sq, mean, count, mean * sup**count)
 
 
@@ -545,6 +682,7 @@ def _chain(
     letters: tuple[str, str],
     sup: float,
     budget: float | None,
+    planned: tuple[tuple[int, ...], ...] = (),
 ) -> tuple[VerificationReport, dict[tuple[int, ...], float], float]:
     """Shared core of every doubling chain.
 
@@ -553,9 +691,11 @@ def _chain(
     set with d and d + j both in ``sets``, then checks every Cauchy-Schwarz step
     q(d)^2 <= q(d + j) * E[Ybar^2] and every pointwise bound
     E[Ybar^2] <= E[Ybar] * sup^(factor count).  ``caps`` replace the base
-    factors in Ybar; ``letters`` name d and j in the check ids.  Returns the
-    report, q at each set, and the product of the step roots
-    E[Ybar^2]^(1/2^t) along the ascending path to the last set.
+    factors in Ybar; ``letters`` name d and j in the check ids.  Every
+    quantity runs through ``_doubled``, except q at the sets in ``planned``,
+    which stays on the planner.  Returns the report, q at each set, and the
+    product of the step roots E[Ybar^2]^(1/2^t) along the ascending path to
+    the last set.
     """
     a, b = letters
     last = sets[-1]
@@ -563,12 +703,13 @@ def _chain(
         (d, j) for d in sets for j in last if j not in d and tuple(sorted(d + (j,))) in sets
     ]
     q_at = {
-        d: expect_product(_chain_factors(base, d), budget, what=f"{name} at {a}={d}")
+        d: (_on_planner if d in planned else _doubled)(
+            _kept(base, d), d, budget, what=f"{name} at {a}={d}"
+        )
         for d in sets
     }
-    stats_at = {
-        (d, j): _split_stats(_split_factors(caps, d, j), sup, budget) for d, j in steps
-    }
+    evaluate = functools.partial(_doubled, budget=budget)
+    stats_at = {(d, j): _ybar(_missing(caps, j), d, sup, evaluate) for d, j in steps}
     report = VerificationReport(name=name)
     for d, j in sorted(steps):
         stats = stats_at[(d, j)]
@@ -615,6 +756,24 @@ def _close(
     return report
 
 
+def _endpoint_box_power(w: WeightedHypergraph, budget: float | None) -> float:
+    """The box power of the centered distinguished weight by a route that
+    shares no code with ``_doubled``'s box route, so that it can check the
+    chain's endpoint.  For a represented hypergraph it is the order-r
+    uniformity power of nu - 1, equal by norm preservation, with
+    nu(y) = w_{e0}(y / c, 0, ..., 0) mod N for the first coefficient c of
+    the form of e0.  Otherwise (no forms) it is ``box_norm``, and the
+    endpoint stays on the planner."""
+    r = w.r
+    g = w.weights[_distinguished_edge(w)]
+    if w.forms is None:
+        return box_norm(g.centered(), budget=budget) ** (2.0**r)
+    n = w.system.dims[0]
+    ys = np.arange(n) * pow(w.forms[0][0], -1, n) % n
+    centered = CyclicFn(n, g.values[(ys,) + (0,) * (r - 1)] - 1.0)
+    return u_norm_fast(centered, r, budget) ** (2.0**r)
+
+
 def _slf_chain(inst: SlfInstance, budget: float | None) -> VerificationReport:
     w = inst.hypergraph
     r = w.r
@@ -624,8 +783,9 @@ def _slf_chain(inst: SlfInstance, budget: float | None) -> VerificationReport:
     sets = [d for size in range(r + 1) for d in itertools.combinations(e0, size)]
     base, caps = _slf_base(inst)
     name = "single-copy-chain" if single else "strong-linear-forms-chain"
-    report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget)
-    box_power = box_norm(w.weights[e0].centered(), budget=budget) ** (2.0**r)
+    planned = () if w.forms is not None else (e0,)
+    report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget, planned)
+    box_power = _endpoint_box_power(w, budget)
     endpoint = q_at[e0]
     tol = TOL * max(1.0, abs(endpoint), abs(box_power))
     report.add(eq_check("endpoint-box-power", endpoint, box_power, tol))
@@ -868,13 +1028,11 @@ def lf2_chain_verify(
     )
 
     # Final split: double vertex 0 separately in the centered and raw halves.
-    centered = base[0][0]
-    box_factors = _double([(centered, [(v, None) for v in ej])], ej)
-    box_power = expect_product(box_factors, budget, what="centered box power")
+    plain = [(v, None) for v in ej]
+    box_power = _doubled([(base[0][0], plain)], ej, budget, what="centered box power")
     if n_final == 1:
-        cube_power = cube_expectation(
-            w.weights[ej], CubePattern.all_ones(len(ej)), budget
-        )
+        raw = [(w.weights[ej].values, plain)]
+        cube_power = _doubled(raw, ej, budget, what="cube expectation")
     else:
         cube_power = 1.0
     lhs = q_at[others] ** 2

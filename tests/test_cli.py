@@ -4,6 +4,7 @@ and the built-in verification suite."""
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import gowers.apcount as apcount
 import gowers.cli as cli
+import gowers.linform as linform
 from gowers import from_set, is_prime, represent
 from gowers.cli import build_parser, main
 from gowers.report import VerificationReport, eq_check, ineq_check
@@ -78,9 +80,17 @@ class TestBudget:
         code, _, err = _run(capsys, ["slf", "--n", "31", "--r", "3"])
         assert code == 2
         assert "budget exceeded" in err
-        assert "estimated 2e+08" in err
+        assert "estimated 1.72e+08" in err
+        assert "(strong-linear-forms-chain at d=(1,))" in err
         assert "suggestion: retry with --n <=" in err
         assert "GOWERS_BUDGET" in err
+
+    def test_slf_lhs_charged_the_work_done(self, capsys):
+        # Charged the defining sum N^(c+r) (cr+1), the strong-linear-forms
+        # expectation refused N=67 at 1.01e8; it forms 2 * 3 * 67^3 products.
+        code, _, err = _run(capsys, ["slf", "--r", "2", "--n", "67"])
+        assert "strong-linear-forms expectation" not in err
+        assert code == 0, err
 
     def test_explicit_tiny_budget(self, capsys):
         code, _, err = _run(
@@ -341,6 +351,20 @@ class TestOutputFormats:
         obj = json.loads(capsys.readouterr().out)
         assert [c["pass"] for c in obj["report"]["checks"]] == [True, True]
 
+    def test_nan_is_a_clean_error(self, capsys, monkeypatch):
+        # A progression ratio is NaN when its prediction is zero.  Written as
+        # the bare token NaN it made invalid JSON under exit 0.
+        real = cli.ap_density
+
+        def nan_ratio(fs, budget=None):
+            return dataclasses.replace(real(fs, budget), ratio=math.nan)
+
+        monkeypatch.setattr(cli, "ap_density", nan_ratio)
+        code, out, err = _run(capsys, ["count", "--n", "7", "--seed", "1", "--r", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code = main(["norm", "--n", "7", "--k", "2", "--output", str(path)])
@@ -361,6 +385,25 @@ class TestCheckIds:
             reports = obj.get("suites") or obj.get("reports") or [obj["report"]]
             ids = [[rep["name"], c["check"]] for rep in reports for c in rep["checks"]]
             assert ids == expected, command
+
+
+class TestMutations:
+    def test_scaled_router_value_fails(self, capsys, monkeypatch):
+        # Every doubled chain quantity is off by one part in a million; the
+        # endpoint check, against the uniformity norm, must catch it.
+        argv = ["slf-single", "--r", "3", "--n", "7"]
+        code, _, err = _run(capsys, argv)
+        assert code == 0, err
+        real = linform._doubled
+
+        def scaled(*args, **kwargs):
+            return real(*args, **kwargs) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(linform, "_doubled", scaled)
+        code, obj, _ = _run_json(capsys, argv)
+        assert code == 1
+        failed = [c["check"] for c in obj["report"]["checks"] if not c["pass"]]
+        assert "endpoint-box-power" in failed
 
 
 class TestProgressionMap:

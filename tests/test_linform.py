@@ -3,10 +3,11 @@ doubled-origin engines, each validated against explicit loop oracles."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import gowers.gowersnorm as gowersnorm
@@ -19,6 +20,7 @@ from gowers import (
     CapViolation,
     CubePattern,
     EdgeFn,
+    EmptySetGenerated,
     GeneratorSpec,
     InvalidSubset,
     Lf2Exponents,
@@ -40,6 +42,7 @@ from gowers import (
     nu_prime_l2_dev,
     q_value,
     random_slf_instance,
+    relabel,
     represent,
     single_chain_verify,
     slf_lhs,
@@ -235,6 +238,74 @@ class TestOracleIndependence:
         assert got == pytest.approx(box_norm_brute(centered), rel=1e-9)
         assert got == pytest.approx(u_norm_fast(nu.centered(), 2), rel=1e-9)
 
+    def test_endpoint_oracle_computes_without_the_box_recursion(self, monkeypatch):
+        # Once q(e0) runs the box recursion, the endpoint of a represented
+        # hypergraph must be checked against the difference recursion.
+        class BoxRecursionCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise BoxRecursionCalled
+
+        w = represent(_measure(n=7, seed=2), 3)
+        for module, name in (
+            (linform, "_box_pows"),
+            (linform, "box_norm"),
+            (gowersnorm, "_box_pows"),
+            (gowersnorm, "box_norm"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        got = linform._endpoint_box_power(w, None)
+        with pytest.raises(BoxRecursionCalled):
+            linform._endpoint_box_power(relabel(w, (0, 1, 2, 3)), None)
+        monkeypatch.undo()
+        centered = w.weight_omitting(0).centered()
+        assert got == pytest.approx(box_norm_brute(centered) ** 8, rel=1e-9)
+
+    def test_router_box_route_computes_without_the_other_routes(self, monkeypatch):
+        # The box route of q(e0) may use neither the planner's contraction
+        # steps nor the difference recursion of its endpoint oracle.
+        class OtherRouteCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise OtherRouteCalled
+
+        inst = random_slf_instance(represent(_measure(n=7, seed=3), 3), 3, copies=1)
+        e0 = (1, 2, 3)
+        factors = linform._kept(linform._slf_base(inst)[0], e0)
+        for module, name in (
+            (linform, "expect_product"),
+            (linform, "_run"),
+            (linform, "u_norm_fast"),
+            (gowersnorm, "u_norm_fast"),
+            (gowersnorm, "_u_pows"),
+            (np, "einsum"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        got = linform._doubled(factors, e0)
+        monkeypatch.undo()
+        assert got == pytest.approx(q_value(inst, e0), rel=1e-12)
+
+    @pytest.mark.parametrize("represented", [True, False])
+    def test_endpoint_route_depends_on_the_oracle(self, represented, monkeypatch):
+        # A hand-built hypergraph has no forms to recover nu from, so its
+        # endpoint oracle is box_norm and q(e0) must stay on the planner.
+        w = represent(_measure(n=5, seed=4), 2)
+        if not represented:
+            w = relabel(w, (0, 1, 2))
+        routed = []
+        real = linform._doubled
+
+        def spy(factors, d, *args, **kwargs):
+            routed.append(d)
+            return real(factors, d, *args, **kwargs)
+
+        monkeypatch.setattr(linform, "_doubled", spy)
+        report = chain_verify(random_slf_instance(w, 4, copies=1))
+        assert report.passed, report.failures()
+        assert ((1, 2) in routed) is represented
+
 
 def _cube_loop(g: EdgeFn, pattern: CubePattern) -> float:
     """Loop oracle: every vertex of the edge doubled, one factor per vertex
@@ -335,6 +406,22 @@ def _q_loop_d1(inst: SlfInstance) -> float:
 
 
 class TestSlfTwoCopy:
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_lhs_charged_the_work_done(self, copies):
+        # r + 1 products per point of (x_0, x_1, x_2) and copy: c (r+1) N^(r+1).
+        w = represent(_measure(n=5, seed=1), 2)
+        charges = []
+
+        def record(estimated, budget=None, what="", power=0):
+            charges.append((estimated, what, power))
+            return 1e8
+
+        inst = random_slf_instance(w, 1, copies=copies)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linform, "check_budget", record)
+            slf_lhs(inst)
+        assert charges == [(copies * 3 * 5.0**3, "strong-linear-forms expectation", 3)]
+
     def test_lhs_loop_oracle(self):
         inst = _instance(seed=1)
         assert slf_lhs(inst) == pytest.approx(_slf_lhs_loop(inst), rel=1e-10, abs=1e-14)
@@ -622,3 +709,97 @@ class TestLf2:
         exps = Lf2Exponents.all_ones(2)
         assert lf2_expectation(w, exps) == 1.0
         assert lf2_term(w, 1, exps) == 0.0
+
+
+def _chain_quantities(kind: str, r: int, n: int, seed: int):
+    """(factors, d, oracle) for every quantity the chain of a random
+    instance routes through ``_doubled``; each oracle runs on the planner
+    alone."""
+    w = represent(generate(GeneratorSpec(kind="random", n=n, p=0.6, seed=seed)), r)
+    out = []
+    if kind == "lf2":
+        exps = Lf2Exponents.all_ones(r)
+        ej = w.system.edge_omitting(1 + seed % r)
+        base = caps = linform._lf2_factors(w, ej, exps)
+        others = tuple(v for v in ej if v != 0)
+        sets = [others[:t] for t in range(len(others) + 1)]
+        plain = [(v, None) for v in ej]
+        for fs in ([(base[0][0], plain)], [(w.weights[ej].values, plain)]):
+            out.append((fs, ej, expect_product(linform._double(fs, ej))))
+    else:
+        inst = random_slf_instance(w, seed, copies=1 if kind == "slf-single" else 2)
+        base, caps = linform._slf_base(inst)
+        sets = [d for size in range(r + 1) for d in itertools.combinations(range(1, r + 1), size)]
+    for d in sets:
+        kept = linform._kept(base, d)
+        oracle = q_value(inst, d) if kind != "lf2" else expect_product(linform._double(kept, d))
+        out.append((kept, d, oracle))
+        for j in sets[-1]:
+            if j in d or tuple(sorted(d + (j,))) not in sets:
+                continue
+            fs = linform._missing(caps, j)
+            if kind == "lf2":
+                mean = expect_product(linform._double(fs, d))
+                mean_sq = expect_product(linform._double(fs + fs, d))
+            else:
+                stats = ybar_sq_expectation(inst, d, j)
+                mean, mean_sq = stats.mean, stats.mean_sq
+            out += [(fs, d, mean), (fs + fs, d, mean_sq)]
+    return out
+
+
+class TestDoubledRouter:
+    """``_doubled`` and its box route against the planner, which stays the
+    oracle of every chain quantity."""
+
+    @given(
+        st.sampled_from(["slf", "slf-single", "lf2"]),
+        st.sampled_from([(2, 5), (2, 7), (3, 5)]),
+        st.integers(0, 2**16),
+    )
+    def test_matches_the_planner_at_every_d(self, kind, rn, seed):
+        try:
+            quantities = _chain_quantities(kind, *rn, seed)
+        except EmptySetGenerated:
+            assume(False)
+        for factors, d, oracle in quantities:
+            assert linform._doubled(factors, d) == pytest.approx(oracle, rel=1e-12)
+            if d:
+                box = linform._box_route(factors, d)
+                assert box == pytest.approx(oracle, rel=1e-12)
+
+    def test_block_size_does_not_change_the_value(self, monkeypatch):
+        # Two-copy r=3 at d=(1,): z = (x0 copy 0, x0 copy 1, x2, x3), so F
+        # has 11^5 elements at N=11, walked in 11 blocks or one z point at a
+        # time.
+        inst = random_slf_instance(represent(_measure(n=11, seed=5), 3), 5)
+        factors = linform._kept(linform._slf_base(inst)[0], (1,))
+        route = linform._route(tuple((a.shape, tuple(ax)) for a, ax in factors), (1,))
+        assert route[0] is None  # the box route
+        whole = linform._doubled(factors, (1,))
+        monkeypatch.setattr(linform, "_CHUNK_ELEMS", 1)
+        monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", 1)
+        assert linform._doubled(factors, (1,)) == whole
+
+    def test_charge_is_the_box_route(self):
+        # Single copy, r=4, N=11, d=(1,2,3): z = (x0, x4), so F takes
+        # 2 * 11^5 products and the recursion 11^2 * 11^6 / 11; the planner
+        # would charge 2.59e8.
+        inst = random_slf_instance(represent(_measure(n=11, seed=6), 4), 6, copies=1)
+        factors = linform._kept(linform._slf_base(inst)[0], (1, 2, 3))
+        with pytest.raises(BudgetExceeded) as exc:
+            linform._doubled(factors, (1, 2, 3), budget=1e7)
+        assert exc.value.estimated == 2 * 11.0**5 + 11.0**7
+        assert exc.value.power == 7
+
+    def test_memory_stays_within_blocks(self):
+        # Built whole, F and the first pairs of the recursion peak near 5 MB.
+        inst = random_slf_instance(represent(_measure(n=11, seed=7), 4), 7, copies=1)
+        factors = linform._kept(linform._slf_base(inst)[0], (1, 2, 3))
+        tracemalloc.start()
+        try:
+            linform._doubled(factors, (1, 2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
