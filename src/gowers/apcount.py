@@ -26,7 +26,7 @@ from .budget import check_budget
 from .cyclic import CyclicFn, Measure
 from .errors import ShapeMismatch
 from .genmeasure import GeneratorSpec, generate
-from .gowersnorm import EdgeFn, u_norm_fast
+from .gowersnorm import _CHUNK_ELEMS, EdgeFn, u_norm_fast
 from .hypersystem import (
     WeightedHypergraph,
     charge_representation,
@@ -73,11 +73,27 @@ class ApReport:
         )
 
 
+def _shifts(values: np.ndarray, j: int) -> np.ndarray:
+    """Read-only (N, N) view whose entry [d, a] is values[(a + j*d) mod N]:
+    values tiled j+1 times, read with strides (j, 1) elements, so no shifted
+    copy is formed."""
+    n = values.size
+    tiled = np.tile(values, j + 1)
+    step = tiled.strides[0]
+    view = np.ndarray((n, n), tiled.dtype, tiled, 0, (j * step, step))
+    view.flags.writeable = False
+    return view
+
+
 def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     """Weighted density of length-k progressions, differences 0..N-1.
 
-    Partial sums are taken per difference and merged with exact compensated
-    summation in ascending difference order.
+    Each f_j (j >= 1) is read through the strided view ``_shifts(f_j, j)``,
+    whose entry [d, a] is f_j((a + j*d) mod N).  Differences are walked in
+    blocks of at most ``_CHUNK_ELEMS`` elements (or one row); each block is
+    the product f_0 * f_1 * ... * f_(k-1) in that order, summed per row.
+    The per-difference sums are merged with exact compensated summation in
+    ascending difference order, so no N x N array is formed.
     """
     if not fs:
         raise ShapeMismatch("need at least one weight function")
@@ -88,19 +104,22 @@ def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     check_budget(
         float(n) ** 2 * k, budget, what=f"progression density (k={k}, n={n})", power=2
     )
+    views = [_shifts(f.values, j) for j, f in enumerate(fs[1:], start=1)]
+    rows = max(1, _CHUNK_ELEMS // n)
     per_diff = []
     trivial = 0
     nontrivial = 0
-    for d in range(n):
-        prod = fs[0].values.copy()
-        for j in range(1, k):
-            prod *= np.roll(fs[j].values, -(j * d) % n)
-        count = int(np.count_nonzero(prod))
-        if d == 0:
-            trivial = count
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        prod = np.repeat(fs[0].values[None, :], stop - start, axis=0)
+        for view in views:
+            prod *= view[start:stop]
+        if start == 0:
+            trivial = int(np.count_nonzero(prod[0]))
+            nontrivial += int(np.count_nonzero(prod[1:]))
         else:
-            nontrivial += count
-        per_diff.append(float(np.sum(prod)))
+            nontrivial += int(np.count_nonzero(prod))
+        per_diff.extend(np.sum(prod, axis=1).tolist())
     density = math.fsum(per_diff) / float(n) ** 2
     prediction = math.prod(f.mean() for f in fs)
     ratio = density / prediction if prediction != 0 else float("nan")
@@ -157,8 +176,16 @@ def telescoping_check(
     With ``with_chains`` the composed chain bound of each term is attached as
     a measured ratio.
     """
+    lam = ap_density([nu.fn] * (w.r + 1), budget).density
+    return _telescoping(w, lam, budget, with_chains)
+
+
+def _telescoping(
+    w: WeightedHypergraph, lam: float, budget: float | None, with_chains: bool
+) -> VerificationReport:
+    """``telescoping_check`` against the already computed progression
+    density lam of the represented measure."""
     r = w.r
-    lam = ap_density([nu.fn] * (r + 1), budget).density
     report = VerificationReport(name="progression-telescoping")
     terms = []
     for m in range(r + 1):
@@ -202,7 +229,7 @@ def relsz_experiment(
     ratios = hypothesis_ratio(nu, r, budget)
     if is_prime(spec.n) and spec.n > r:
         charge_representation(spec.n, r, budget)
-        report = telescoping_check(nu, represent(nu, r), budget, with_chains)
+        report = _telescoping(represent(nu, r), ap.density, budget, with_chains)
     else:
         report = VerificationReport(name="progression-telescoping")
         report.notes.append("modulus not prime above the arity; telescoping skipped")

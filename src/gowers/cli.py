@@ -3,7 +3,8 @@
 Each subcommand builds its inputs from a seeded generator spec (or a JSON
 file holding one), runs the requested computation, and writes a
 machine-readable report to stdout or a file.  Exit code 0 means every check
-passed, 1 means at least one check failed, 2 means a usage or budget error.
+passed, 1 means at least one check failed, 2 means a usage, budget or
+out-of-memory error.
 Budget errors carry the estimated elementary-product count and, when the
 refused step's cost scales with the modulus, the largest prime modulus at
 which that step fits.
@@ -744,6 +745,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (UsageError, GowersError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        sys.stderr.write(
+            f"error: out of memory{detail}; retry with a smaller --n or a lower "
+            "--budget / GOWERS_BUDGET\n"
+        )
         return 2
 
 

@@ -4,9 +4,12 @@ Two independent routes are kept deliberately separate:
 
 * ``u_norm_brute`` evaluates the defining cube average term by term over the
   full (k+1)-dimensional index space.
-* ``u_norm_fast`` uses the recursion through multiplicative differences with
-  a Fourier base case at order two, walking the difference parameter h in
-  blocks so that no N x N array is ever formed.
+* ``u_norm_fast`` uses the recursion through multiplicative differences
+  down to the spectral identity at order two, whose base transforms each
+  real row with a real FFT and weighs the nonnegative frequencies by their
+  conjugate pairs.  Shifted rows are read from a strided view of the doubled
+  rows, and the difference parameter h is walked in blocks, so no N x N
+  array is ever formed.
 
 Box norms of a function on a product of finite vertex sets have two routes
 as well:
@@ -126,19 +129,30 @@ def u_norm_brute(f: CyclicFn, k: int, budget: float | None = None) -> float:
 def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
     """The 2^k-th power of the order-k norm (k >= 2) of each row of an (m, N)
     array: the spectral identity at order two, above it E_h of the order-(k-1)
-    power of row * row(. + h), with h walked in blocks of _CHUNK_ELEMS values."""
+    power of row * row(. + h), with h walked in blocks of _CHUNK_ELEMS values.
+
+    The rows are real, so at order two only the nonnegative frequencies are
+    transformed: bin 0 counts once, each interior bin stands for itself and
+    its conjugate, and the Nyquist bin of an even N counts once.  Above it,
+    row(. + h) is read from a read-only (m, N, N) view of the doubled rows
+    with strides (row, 1, 1); the ndarray constructor, unlike as_strided,
+    refuses a view that reads past the buffer, and costs a fifth as much,
+    which small-N calls notice."""
     m, n = rows.shape
     if k == 2:
-        coeffs = np.fft.fft(rows, axis=1)
+        coeffs = np.fft.rfft(rows, axis=1)
         coeffs /= n
-        return np.sum((coeffs.real**2 + coeffs.imag**2) ** 2, axis=1)
-    x = np.arange(n)
+        pows = (coeffs.real**2 + coeffs.imag**2) ** 2
+        pows[:, 1 : (n + 1) // 2] *= 2.0
+        return np.sum(pows, axis=1)
     doubled = np.concatenate([rows, rows], axis=1)
+    s_row, s_col = doubled.strides
+    shifted = np.ndarray((m, n, n), doubled.dtype, doubled, 0, (s_row, s_col, s_col))
+    shifted.flags.writeable = False
     step = max(1, _CHUNK_ELEMS // (m * n))
     per_h = []
     for start in range(0, n, step):
-        hs = np.arange(start, min(start + step, n))
-        diffs = rows[:, None, :] * doubled[:, hs[:, None] + x]
+        diffs = rows[:, None, :] * shifted[:, start : start + step]
         per_h.append(_u_pows(diffs.reshape(-1, n), k - 1).reshape(m, -1))
     return np.array([math.fsum(row) / n for row in np.concatenate(per_h, axis=1).tolist()])
 

@@ -3,11 +3,15 @@ experiments, validated against explicit loop oracles and frozen values."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import random_cyclic
+import gowers.apcount as apcount
+from conftest import philox, random_cyclic
 from gowers import (
     BudgetExceeded,
     CSV_HEADER,
@@ -42,6 +46,70 @@ def _density_loop(fs):
                 else:
                     nontrivial += 1
     return math.fsum(total) / n**2, trivial, nontrivial
+
+
+def _density_per_difference(fs):
+    """The per-difference loop ap_density ran before it read shifts through
+    strided views: one np.roll per factor and difference, each difference
+    summed on its own, the sums merged by fsum in ascending order."""
+    n = fs[0].n
+    per_diff = []
+    trivial = 0
+    nontrivial = 0
+    for d in range(n):
+        prod = fs[0].values.copy()
+        for j in range(1, len(fs)):
+            prod *= np.roll(fs[j].values, -(j * d) % n)
+        count = int(np.count_nonzero(prod))
+        if d == 0:
+            trivial = count
+        else:
+            nontrivial += count
+        per_diff.append(float(np.sum(prod)))
+    return math.fsum(per_diff) / float(n) ** 2, trivial, nontrivial
+
+
+def _signed_with_zeros(n, k, seed, zero_share):
+    rng = philox(seed)
+    return [
+        CyclicFn(n, np.where(rng.random(n) < zero_share, 0.0, rng.uniform(-1.0, 1.0, n)))
+        for _ in range(k)
+    ]
+
+
+class TestStridedDensity:
+    @given(
+        n=st.integers(1, 200),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    )
+    def test_matches_per_difference_loop(self, n, k, seed, zero_share):
+        fs = _signed_with_zeros(n, k, seed, zero_share)
+        report = ap_density(fs)
+        density, trivial, nontrivial = _density_per_difference(fs)
+        assert report.density == density
+        assert report.trivial_count == trivial
+        assert report.nontrivial_count == nontrivial
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (7, 3), (97, 2), (300, 4)])
+    def test_block_size_keeps_every_bit(self, monkeypatch, n, k):
+        fs = _signed_with_zeros(n, k, seed=n + k, zero_share=0.3)
+        report = ap_density(fs)
+        monkeypatch.setattr(apcount, "_CHUNK_ELEMS", 1)
+        # repr compares floats bit for bit and a NaN ratio equal to itself.
+        assert repr(ap_density(fs)) == repr(report)
+
+    def test_memory_is_blocked(self):
+        # One N x N array of products would take 134 MB here.
+        fs = [random_cyclic(4096, seed=i, low=-1.0, high=1.0) for i in range(4)]
+        tracemalloc.start()
+        try:
+            ap_density(fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestApDensity:

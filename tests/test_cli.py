@@ -13,7 +13,15 @@ import pytest
 import gowers.apcount as apcount
 import gowers.cli as cli
 import gowers.linform as linform
-from gowers import from_set, is_prime, represent
+from gowers import (
+    GeneratorSpec,
+    ap_density,
+    from_set,
+    generate,
+    is_prime,
+    represent,
+    telescoping_check,
+)
 from gowers.cli import build_parser, main
 from gowers.report import VerificationReport, eq_check, ineq_check
 
@@ -365,6 +373,18 @@ class TestOutputFormats:
         assert out == ""
         assert err.startswith("error: Out of range float values are not JSON compliant")
 
+    def test_out_of_memory_is_a_clean_error(self, capsys, monkeypatch):
+        # Exit 1 means a check failed; running out of memory is not one.
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 134. MiB")
+
+        monkeypatch.setattr(cli, "u_norm_fast", exhausted)
+        code, out, err = _run(capsys, ["norm", "--n", "7", "--k", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory (Unable to allocate 134. MiB)")
+        assert "Traceback" not in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code = main(["norm", "--n", "7", "--k", "2", "--output", str(path)])
@@ -387,6 +407,25 @@ class TestCheckIds:
             assert ids == expected, command
 
 
+def _progression_view_one_step_long(monkeypatch):
+    """ap_density reads f_j at a + (j+1)*d."""
+    real = apcount._shifts
+    monkeypatch.setattr(apcount, "_shifts", lambda values, j: real(values, j + 1))
+
+
+def _spectrum_without_nyquist(monkeypatch):
+    """The order-two base of u_norm_fast loses the Nyquist bin of an even N."""
+    real = np.fft.rfft
+
+    def dropped(a, *args, **kwargs):
+        coeffs = real(a, *args, **kwargs)
+        if np.shape(a)[-1] % 2 == 0:
+            coeffs[..., -1] = 0.0
+        return coeffs
+
+    monkeypatch.setattr(np.fft, "rfft", dropped)
+
+
 class TestMutations:
     def test_scaled_router_value_fails(self, capsys, monkeypatch):
         # Every doubled chain quantity is off by one part in a million; the
@@ -404,6 +443,22 @@ class TestMutations:
         assert code == 1
         failed = [c["check"] for c in obj["report"]["checks"] if not c["pass"]]
         assert "endpoint-box-power" in failed
+
+    @pytest.mark.parametrize(
+        "fault,argv",
+        [
+            (_progression_view_one_step_long, ["verify", "--r", "2", "--n", "7"]),
+            # verify runs at primes only, so an even modulus needs norm.
+            (_spectrum_without_nyquist, ["norm", "--k", "3", "--n", "16", "--mode", "both"]),
+        ],
+        ids=["ap-view-one-step-long", "rfft-without-nyquist"],
+    )
+    def test_fast_path_fault_fails(self, capsys, monkeypatch, fault, argv):
+        code, _, err = _run(capsys, argv)
+        assert code == 0, err
+        fault(monkeypatch)
+        code, _, _ = _run(capsys, argv)
+        assert code == 1
 
 
 class TestProgressionMap:
@@ -442,6 +497,30 @@ class TestVerifyInputs:
         assert code == 0
         assert len(specs) == len(set(map(repr, specs))) == 3 + 1  # seeds + constant
         assert len(measures) == len(set(measures)) == 3 + 1
+
+
+class TestExperimentInputs:
+    def test_progression_density_computed_once(self, capsys, monkeypatch):
+        calls = []
+        real = apcount.ap_density
+
+        def counted(fs, budget=None):
+            calls.append(len(fs))
+            return real(fs, budget)
+
+        monkeypatch.setattr(apcount, "ap_density", counted)
+        monkeypatch.setattr(cli, "ap_density", counted)
+        code, obj, _ = _run_json(capsys, ["experiment", "--r", "2", "--n", "11"])
+        monkeypatch.undo()
+        assert code == 0
+        assert calls == [3]
+        # The report is the one telescoping_check builds with its own density.
+        nu = generate(GeneratorSpec.from_json_obj(obj["inputs"]["spec"]))
+        expect = telescoping_check(nu, represent(nu, 2)).to_json_obj()
+        got = obj["report"]
+        assert got["checks"] == expect["checks"]
+        assert {key: got["ratios"][key] for key in expect["ratios"]} == expect["ratios"]
+        assert obj["ap"] == ap_density([nu.fn] * 3).to_json_obj()
 
 
 class TestParser:

@@ -107,6 +107,15 @@ class TestFastRecursion:
         monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", 1)
         assert u_norm_fast(f, k) == fast
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 17])
+    def test_real_spectrum_matches_complex_formula(self, n):
+        # The order-two base transforms only the nonnegative frequencies; the
+        # full complex spectrum, each bin counted once, is its reference.
+        rows = philox(n).random((3, n)) * 2.0 - 1.0
+        coeffs = np.fft.fft(rows, axis=1) / n
+        expect = np.sum((coeffs.real**2 + coeffs.imag**2) ** 2, axis=1)
+        np.testing.assert_allclose(gowersnorm._u_pows(rows, 2), expect, rtol=1e-13, atol=0)
+
     def test_order_three_memory_is_blocked(self):
         # An N x N array of differences alone would take 32 MB here.
         f = random_cyclic(2048, seed=3)

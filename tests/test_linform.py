@@ -26,6 +26,7 @@ from gowers import (
     Lf2Exponents,
     ShapeMismatch,
     SlfInstance,
+    ap_density,
     binomial_expansion_identity,
     box_norm,
     box_norm_brute,
@@ -286,6 +287,27 @@ class TestOracleIndependence:
         got = linform._doubled(factors, e0)
         monkeypatch.undo()
         assert got == pytest.approx(q_value(inst, e0), rel=1e-12)
+
+    def test_spectral_engines_compute_without_the_chain_routes(self, monkeypatch):
+        # ap_density and u_norm_fast are the oracles of the progression and
+        # endpoint checks, so neither may reach the planner or the box route.
+        class ChainRouteCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise ChainRouteCalled
+
+        nu = _measure(n=7, seed=5)
+        expect = (ap_density([nu.fn] * 4), u_norm_fast(nu.centered(), 3))
+        for module, name in (
+            (linform, "expect_product"),
+            (linform, "_run"),
+            (linform, "_box_route"),
+            (linform, "_box_pows"),
+            (gowersnorm, "_box_pows"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert (ap_density([nu.fn] * 4), u_norm_fast(nu.centered(), 3)) == expect
 
     @pytest.mark.parametrize("represented", [True, False])
     def test_endpoint_route_depends_on_the_oracle(self, represented, monkeypatch):
