@@ -26,6 +26,7 @@ from gowers import (
     represent,
     single_chain_verify,
 )
+from gowers.cli import guarded
 
 HEADER = ("variant", "r", "n", "seed", "check", "lhs", "rhs", "margin", "pass")
 
@@ -91,7 +92,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", type=float, default=None)
     parser.add_argument("--output", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
+    return guarded(lambda: _write(args), args.budget)
 
+
+def _write(args) -> int:
     worst: dict[str, float] = defaultdict(lambda: float("inf"))
     failures = 0
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout

@@ -15,6 +15,7 @@ import csv
 import sys
 
 from gowers import GeneratorSpec, ap_density, generate, hypothesis_ratio
+from gowers.cli import guarded
 
 HEADER = (
     "kind",
@@ -69,6 +70,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.seeds < 0:
         parser.error(f"--seeds must be nonnegative, got {args.seeds}")
 
+    return guarded(lambda: _write(args), args.budget)
+
+
+def _write(args) -> int:
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")

@@ -26,10 +26,10 @@ import numpy as np
 from .apcount import (
     CSV_HEADER,
     ApReport,
+    _telescoping,
     ap_density,
     hypothesis_ratio,
     relsz_experiment,
-    telescoping_check,
 )
 from .budget import DEFAULT_BUDGET, resolve_budget
 from .errors import BudgetExceeded, GowersError, NumericalInconsistency
@@ -54,6 +54,7 @@ from .linform import (
     CubePattern,
     Lf2Exponents,
     SlfInstance,
+    _l2_dev,
     binomial_expansion_identity,
     chain_verify,
     cube_centered_expectation,
@@ -218,11 +219,12 @@ def _preservation(rep, nu, w, tag: str, budget) -> float:
     return u
 
 
-def _density(nu, w, tag: str, budget):
-    """The product of all edge weights of w checked against the progression
-    density of nu."""
+def _density(rep, nu, w, tag: str, budget) -> float:
+    """Check the product of all edge weights of w against the progression
+    density of nu, and return that density."""
     density = ap_density([nu.fn] * (w.r + 1), budget).density
-    return eq_check(f"progression-density{tag}", progression_count_check(w), density, TOL)
+    rep.add(eq_check(f"progression-density{tag}", progression_count_check(w), density, TOL))
+    return density
 
 
 def _map_failures(w, points) -> int:
@@ -245,7 +247,7 @@ def _moments(rep, w, tag: str, budget) -> dict[str, float]:
     m1 = prime.mean()
     m2_direct = math.fsum((prime.values.ravel() ** 2).tolist()) / prime.npoints
     m2_doubled = lf2_expectation(w, Lf2Exponents.all_ones(w.r), budget)
-    dev = nu_prime_l2_dev(w, budget)
+    dev = _l2_dev(prime)
     rep.add(
         eq_check(
             f"doubled-origin-second-moment{tag}",
@@ -342,7 +344,7 @@ def _cmd_represent(args) -> int:
         points = [tuple(int(v) for v in rng.integers(0, n, size=r + 1)) for _ in range(2000)]
     bad = _map_failures(w, points)
     report.add(eq_check(f"progression-map ({len(points)} points)", bad, 0.0, 0.0))
-    report.add(_density(nu, w, "", args.budget))
+    _density(report, nu, w, "", args.budget)
     report.ratios["u-norm-centered"] = u
     report.ratios["sup"] = nu.sup
     inputs = {"spec": spec.to_json_obj(), "r": args.r}
@@ -475,17 +477,18 @@ def _suite_gcs(seeds: int, budget) -> VerificationReport:
     return rep
 
 
-def _suite_representation(measures, w0, budget) -> VerificationReport:
-    """``w0`` is the representation of seed 0, whose map is checked at every
-    point."""
+def _suite_representation(measures, w0, budget) -> tuple[VerificationReport, list[float]]:
+    """The suite and the progression density of each measure.  ``w0`` is the
+    representation of seed 0, whose map is checked at every point."""
     rep = VerificationReport(name="representation")
+    densities = []
     for s, (nu, w) in enumerate(measures):
         _preservation(rep, nu, w, f" seed={s}", budget)
-        rep.add(_density(nu, w, f" seed={s}", budget))
+        densities.append(_density(rep, nu, w, f" seed={s}", budget))
     n, r = w0.modulus, w0.r
     bad = _map_failures(w0, itertools.product(range(n), repeat=r + 1))
     rep.add(eq_check(f"progression-map exhaustive n={n} r={r}", bad, 0.0, 0.0))
-    return rep
+    return rep, densities
 
 
 def _suite_cube(measures, r: int, budget) -> VerificationReport:
@@ -540,10 +543,10 @@ def _suite_lf2(measures, r: int, budget) -> VerificationReport:
     return rep
 
 
-def _suite_count(measures, budget) -> VerificationReport:
+def _suite_count(measures, densities, budget) -> VerificationReport:
     rep = VerificationReport(name="progression-telescoping")
-    for s, (nu, w) in enumerate(measures):
-        _fold(rep, telescoping_check(nu, w, budget), f"seed={s}")
+    for s, ((_, w), density) in enumerate(zip(measures, densities)):
+        _fold(rep, _telescoping(w, density, budget, False), f"seed={s}")
     return rep
 
 
@@ -589,13 +592,14 @@ def _cmd_verify(args) -> int:
     # a size that their budget checks refuse never allocates one.
     pairs = [(nu, _represent(nu, r, budget)) for nu in nus]
     measures = pairs[:seeds]
+    representation, densities = _suite_representation(measures, pairs[0][1], budget)
     suites += [
-        _suite_representation(measures, pairs[0][1], budget),
+        representation,
         _suite_cube(measures, r, budget),
         _suite_chains(measures, r, budget),
         _suite_nuprime(measures, budget),
         _suite_lf2(measures, r, budget),
-        _suite_count(measures, budget),
+        _suite_count(measures, densities, budget),
         _suite_degenerate(n, r, budget),
     ]
     passed = all(s.passed for s in suites)
@@ -717,12 +721,13 @@ def _suggest_n(
     return m if m > r else None
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
+    """Exit code of ``run()`` under ``budget``, for the command line and the
+    scripts alike: an error is reported on stderr and gives 2, or 1 for a
+    numerical inconsistency.  A budget refusal suggests a prime below n."""
     try:
-        resolve_budget(args.budget)  # refuse a bad budget before any work
-        return args.func(args)
+        resolve_budget(budget)  # refuse a bad budget before any work
+        return run()
     except BudgetExceeded as exc:
         sys.stderr.write(
             f"budget exceeded: estimated {exc.estimated:.3g} elementary products "
@@ -730,7 +735,6 @@ def main(argv: list[str] | None = None) -> int:
             + (f" ({exc.what})" if exc.what else "")
             + "\n"
         )
-        n, r = getattr(args, "n", None), getattr(args, "r", 0)
         m = _suggest_n(n, r, exc.power, exc.estimated, exc.budget)
         if m is not None:
             sys.stderr.write(
@@ -753,6 +757,12 @@ def main(argv: list[str] | None = None) -> int:
             "--budget / GOWERS_BUDGET\n"
         )
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    n, r = getattr(args, "n", None), getattr(args, "r", 0)
+    return guarded(lambda: args.func(args), args.budget, n, r)
 
 
 if __name__ == "__main__":

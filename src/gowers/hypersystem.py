@@ -92,8 +92,8 @@ class WeightedHypergraph:
     """Edge weights for every edge of a HypergraphSystem.
 
     ``forms`` and ``modulus`` carry the linear-form coefficients when the
-    weights came from ``represent``; direct constructions leave them None and
-    ``ap_values`` then refuses to answer.
+    weights came from ``represent`` or ``relabel``; direct constructions
+    leave them None and ``ap_values`` then refuses to answer.
     """
 
     system: HypergraphSystem
@@ -175,7 +175,7 @@ def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...
 
     For a correct representation the points form a progression with common
     difference d; callers check that, so a broken map is reported as a
-    failed check.  Only available when the hypergraph came from ``represent``.
+    failed check.  Only available when the hypergraph carries forms.
     """
     if w.forms is None or w.modulus is None:
         raise NotRepresentation("hypergraph was not built by represent()")
@@ -194,9 +194,9 @@ def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...
 def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:
     """Pull the hypergraph back along a vertex permutation.
 
-    ``perm[i]`` is the old label of new vertex i.  Linear-form metadata is
-    dropped: a permuted representation no longer lists its evaluation points
-    in progression order.
+    ``perm[i]`` is the old label of new vertex i.  Linear forms are pulled
+    back along the weights' axis map, so each weight stays nu at its form;
+    a permuted representation's evaluation points are a permuted progression.
     """
     r = w.r
     if sorted(perm) != list(range(r + 1)):
@@ -204,6 +204,7 @@ def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:
     dims = tuple(w.system.dims[perm[i]] for i in range(r + 1))
     system = HypergraphSystem(r, dims)
     weights: dict[Edge, EdgeFn] = {}
+    forms = []
     for j in range(r + 1):
         new_edge = system.edge_omitting(j)
         old_fn = w.weight_omitting(perm[j])
@@ -213,7 +214,9 @@ def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:
         axes = tuple(old_edge.index(perm[v]) for v in new_edge)
         vals = np.transpose(old_fn.values, axes)
         weights[new_edge] = EdgeFn(new_edge, system.edge_dims(new_edge), vals)
-    return WeightedHypergraph(system, weights)
+        if w.forms is not None:
+            forms.append(tuple(w.forms[perm[j]][a] for a in axes))
+    return WeightedHypergraph(system, weights, tuple(forms) if forms else None, w.modulus)
 
 
 def progression_count_check(w: WeightedHypergraph) -> float:

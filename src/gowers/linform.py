@@ -25,16 +25,16 @@ as measured ratios.
 
 Free variables are canonically ordered with doubled copies first (vertex
 ascending, copy 0 before copy 1) and plain coordinates after (vertex
-ascending).  ``expect_product`` evaluates an expectation by a fixed
-bucket-elimination plan, each bucket contracted by unoptimized einsum with
-its output axes in this order.  The chains evaluate their doubled quantities
-through ``_doubled``, which takes the cheaper of that plan and a box route:
-since no factor reads a copy of a doubled vertex, the expectation is the
-mean over the other variables of a box power (``gowersnorm._box_pows``) of
-the product of the undoubled factors.  ``q_value``, ``ybar_sq_expectation``
-and ``cube_expectation`` stay on the planner and are the router's test
-oracles.  Both routes reduce over fixed shapes, so repeated runs are
-bit-identical.
+ascending).  ``_doubled`` evaluates every expectation, of factors doubled
+over a vertex set d, by the route ``_route`` caches for their structure: a
+fixed bucket-elimination plan, each bucket contracted by unoptimized einsum
+with its output axes in this order, or, when cheaper, a box route: since no
+factor reads a copy of a doubled vertex, the expectation is the mean over
+the other variables of a box power (``gowersnorm._box_pows``) of the
+product of the undoubled factors.  ``expect_product`` is ``_doubled`` at
+d=(), always the plan.  ``q_value``, ``ybar_sq_expectation`` and
+``cube_expectation`` stay on the plan and are the router's test oracles.
+Both routes reduce over fixed shapes, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -75,8 +75,6 @@ from .report import TOL, VerificationReport, eq_check, ineq_check
 Var = tuple[int, int | None]
 # A factor is an array plus the variable read by each of its axes.
 Factor = tuple[np.ndarray, list[Var]]
-# The structure of a factor: the shape of its array and its axes.
-Shaped = tuple[tuple[int, ...], list[Var]]
 # The structures of a factor list, hashable, as a cache key.
 Structure = tuple[tuple[tuple[int, ...], tuple[Var, ...]], ...]
 
@@ -97,14 +95,16 @@ class _Plan:
     Slots 0..F-1 hold the factors; step i reads the slots in ``steps[i][0]``,
     contracts them with the einsum expression ``steps[i][1]`` and stores the
     result in slot F+i.  ``scalars`` are the slots left holding scalars.
-    ``cost`` is the sum over steps of scope points times factors read, and
-    ``power`` the largest number of variables in one step's scope.
+    ``cost`` is the sum over steps of scope points times factors read,
+    ``power`` the largest number of variables in one step's scope, and
+    ``points`` the number of index points.
     """
 
     steps: tuple[tuple[tuple[int, ...], str], ...]
     scalars: tuple[int, ...]
     cost: float
     power: int
+    points: float
 
 
 @functools.lru_cache(maxsize=4096)
@@ -140,6 +140,7 @@ def _plan(subscripts: str, sizes: tuple[int, ...]) -> _Plan:
     steps = []
     cost = 0.0
     power = 0
+    points = float(math.prod(sizes))
     remaining = order
     while remaining:
         var = min(remaining, key=rank)
@@ -159,29 +160,11 @@ def _plan(subscripts: str, sizes: tuple[int, ...]) -> _Plan:
     if whole and one_bucket <= cost:
         scalars = tuple(slot for slot, term in enumerate(terms) if not term)
         step = (whole, ",".join(terms[s] for s in whole) + "->")
-        return _Plan((step,), scalars + (len(terms),), one_bucket, len(order))
-    return _Plan(tuple(steps), tuple(live), cost, power)
+        return _Plan((step,), scalars + (len(terms),), one_bucket, len(order), points)
+    return _Plan(tuple(steps), tuple(live), cost, power, points)
 
 
-def _planned(shaped: list[Shaped]) -> tuple[_Plan, dict[Var, int]]:
-    """The plan of a nonempty list of factor structures and the size of
-    each variable."""
-    sizes: dict[Var, int] = {}
-    for shape, axes in shaped:
-        if len(shape) != len(axes):
-            raise ShapeMismatch("factor axis labels do not match array rank")
-        for var, size in zip(axes, shape):
-            if sizes.setdefault(var, size) != size:
-                raise ShapeMismatch(f"variable {var} has conflicting sizes")
-    order = sorted(sizes, key=_var_order_key)
-    if len(order) > len(_LETTERS):
-        raise ShapeMismatch("too many free variables")
-    letter = dict(zip(order, _LETTERS))
-    subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in shaped])
-    return _plan(subscripts, tuple([sizes[v] for v in order])), sizes
-
-
-def _run(plan: _Plan, factors: list[Factor], points: float) -> float:
+def _run(plan: _Plan, factors: list[Factor]) -> float:
     """Contract the factors step by step as the plan says; the sum divided
     by the number of index points."""
     slots: list[np.ndarray | None] = [arr for arr, _ in factors]
@@ -189,26 +172,7 @@ def _run(plan: _Plan, factors: list[Factor], points: float) -> float:
         slots.append(np.einsum(expr, *[slots[i] for i in inputs], optimize=False))
         for i in inputs:
             slots[i] = None
-    return math.prod([float(slots[i]) for i in plan.scalars]) / points
-
-
-def expect_product(
-    factors: list[Factor],
-    budget: float | None = None,
-    what: str = "",
-) -> float:
-    """E[prod of factors] over all variables that occur, uniformly.
-
-    Each factor is an array plus the variable name of each of its axes.  The
-    empty product has expectation one.  The sum runs by a bucket-elimination
-    plan (``_plan``) and is charged at the planned cost, the sum over buckets
-    of scope points times bucket factors, before any work happens.
-    """
-    if not factors:
-        return 1.0
-    plan, sizes = _planned([(arr.shape, axes) for arr, axes in factors])
-    check_budget(plan.cost, budget, what=what or "product expectation", power=plan.power)
-    return _run(plan, factors, float(math.prod(sizes.values())))
+    return math.prod([float(slots[i]) for i in plan.scalars]) / plan.points
 
 
 def _double(factors: list, d: tuple[int, ...]) -> list:
@@ -223,38 +187,29 @@ def _double(factors: list, d: tuple[int, ...]) -> list:
     ]
 
 
-def _on_planner(
-    factors: list[Factor], d: tuple[int, ...], budget: float | None = None, what: str = ""
-) -> float:
-    """E[prod of _double(factors, d)] on the planner alone: the test oracle
-    of ``_doubled``, and the route of a chain endpoint that ``box_norm``
-    checks."""
-    return expect_product(_double(factors, d), budget, what)
-
-
-def _structure(factors: list[Factor]) -> Structure:
-    return tuple([(arr.shape, tuple(axes)) for arr, axes in factors])
-
-
 @dataclass(frozen=True)
 class _BoxLayout:
     """How ``_box_route`` builds F for one structure.  F's axes are z in
     canonical order, then d; ``perms`` and ``shapes`` turn each factor into
     a view over them (size one on the axes it does not read).  A block fixes
     the first ``len(fixed)`` axes of z, of sizes ``fixed``, and is reshaped
-    to ``block``, (functions, *d sizes); ``points`` is the size of z."""
+    to ``block``, (functions, *d sizes); ``points`` is the size of z, and
+    ``cost`` and ``power`` are the route's charge and its exponent."""
 
     perms: tuple[tuple[int, ...], ...]
     shapes: tuple[tuple[int, ...], ...]
     fixed: tuple[int, ...]
     block: tuple[int, ...]
     points: int
+    cost: float
+    power: int
 
 
-@functools.lru_cache(maxsize=4096)
 def _box_layout(structure: Structure, d: tuple[int, ...]) -> _BoxLayout:
     """The layout of the box route: blocks fix the shortest leading prefix
-    of z that leaves at most _CHUNK_ELEMS elements of F (or all of z)."""
+    of z that leaves at most _CHUNK_ELEMS elements of F (or all of z).  It
+    is charged m |d-box| products per factor to build F plus the
+    m |d-box|^2 / d_last of the box recursion, m the number of points of z."""
     size = {var: n for shape, axes in structure for var, n in zip(axes, shape)}
     dvars = [(v, None) for v in d]
     zvars = sorted(set(size) - set(dvars), key=_var_order_key)
@@ -273,15 +228,18 @@ def _box_layout(structure: Structure, d: tuple[int, ...]) -> _BoxLayout:
     )
     block = (-1, *shape[len(zvars) :])
     points = math.prod(shape[: len(zvars)])
-    return _BoxLayout(perms, shapes, tuple(shape[:fixed]), block, points)
+    box = math.prod(shape[len(zvars) :])
+    doubled = float(points * box * box)
+    cost = doubled / box * len(structure) + doubled / size[dvars[-1]]
+    power = len(order) + len(d) - 1
+    return _BoxLayout(perms, shapes, tuple(shape[:fixed]), block, points, cost, power)
 
 
-def _box_route(factors: list[Factor], d: tuple[int, ...]) -> float:
+def _box_route(factors: list[Factor], layout: _BoxLayout) -> float:
     """E_z of the box power over d of F_z, where F is the product of the
     factors and z the variables other than the plain axes of d; no factor
     may read a copy of a vertex in d.  z is walked in blocks, and F is built
-    for one block at a time (``_box_layout``)."""
-    layout = _box_layout(_structure(factors), d)
+    for one block at a time, as the layout says."""
     views = [
         arr.transpose(perm).reshape(shape)
         for (arr, _), perm, shape in zip(factors, layout.perms, layout.shapes)
@@ -297,40 +255,69 @@ def _box_route(factors: list[Factor], d: tuple[int, ...]) -> float:
 
 
 @functools.lru_cache(maxsize=4096)
-def _route(structure: Structure, d: tuple[int, ...]) -> tuple[_Plan | None, float, int, float]:
+def _route(structure: Structure, d: tuple[int, ...]) -> _Plan | _BoxLayout:
     """How ``_doubled`` evaluates one structure (the shape and axes of each
-    factor) doubled over d: the plan, or None for the box route, then the
-    charge, its cost exponent and the number of index points.
-
-    When no factor reads a copy of a vertex in d, the box route is charged
-    m |d-box| products per factor to build F plus the m |d-box|^2 / d_last
-    products of the box recursion, m the number of points of z.  It is
-    taken when that is below the planned cost; ties, d empty and a vertex of
-    d that no factor reads go to the planner.
+    factor) doubled over d: the plan of the doubled structure (``_plan``),
+    or the box route (``_box_layout``) when no factor reads a copy of a
+    vertex in d and that route costs less.  Ties, d empty and a vertex of d
+    that no factor reads go to the plan.
     """
-    plan, sizes = _planned(_double([(shape, list(axes)) for shape, axes in structure], d))
-    points = float(math.prod(sizes.values()))
+    doubled = _double(structure, d)
+    sizes: dict[Var, int] = {}
+    for shape, axes in doubled:
+        if len(shape) != len(axes):
+            raise ShapeMismatch("factor axis labels do not match array rank")
+        for var, size in zip(axes, shape):
+            if sizes.setdefault(var, size) != size:
+                raise ShapeMismatch(f"variable {var} has conflicting sizes")
+    order = sorted(sizes, key=_var_order_key)
+    if len(order) > len(_LETTERS):
+        raise ShapeMismatch("too many free variables")
+    letter = dict(zip(order, _LETTERS))
+    subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in doubled])
+    plan = _plan(subscripts, tuple([sizes[v] for v in order]))
     plain = all(c is None for _, axes in structure for v, c in axes if v in d)
     if d and plain and all((v, 1) in sizes for v in d):
-        box = float(math.prod([sizes[(v, 0)] for v in d]))
-        cost = points / box * len(structure) + points / sizes[(d[-1], 0)]
-        if cost < plan.cost:
-            return None, cost, len(sizes) - 1, points
-    return plan, plan.cost, plan.power, points
+        layout = _box_layout(structure, d)
+        if layout.cost < plan.cost:
+            return layout
+    return plan
 
 
 def _doubled(
     factors: list[Factor], d: tuple[int, ...], budget: float | None = None, what: str = ""
 ) -> float:
-    """E[prod of _double(factors, d)] by the cheaper of the planner and
-    ``_box_route``, charged at the cost of the route taken (``_route``)."""
+    """E[prod of _double(factors, d)] by the route ``_route`` takes, charged
+    at that route's cost before any work happens."""
     if not factors:
         return 1.0
-    plan, cost, power, points = _route(_structure(factors), d)
-    check_budget(cost, budget, what=what or "product expectation", power=power)
-    if plan is None:
-        return _box_route(factors, d)
-    return _run(plan, _double(factors, d), points)
+    route = _route(tuple([(arr.shape, tuple(axes)) for arr, axes in factors]), d)
+    check_budget(route.cost, budget, what=what or "product expectation", power=route.power)
+    if isinstance(route, _BoxLayout):
+        return _box_route(factors, route)
+    return _run(route, _double(factors, d))
+
+
+def expect_product(
+    factors: list[Factor], budget: float | None = None, what: str = ""
+) -> float:
+    """E[prod of factors] over all variables that occur, uniformly.
+
+    Each factor is an array plus the variable name of each of its axes.  The
+    empty product has expectation one.  The sum runs by a bucket-elimination
+    plan (``_plan``) and is charged at the planned cost, the sum over buckets
+    of scope points times bucket factors, before any work happens.
+    """
+    return _doubled(factors, (), budget, what)
+
+
+def _on_planner(
+    factors: list[Factor], d: tuple[int, ...], budget: float | None = None, what: str = ""
+) -> float:
+    """E[prod of _double(factors, d)] on the planner alone: the test oracle
+    of ``_doubled``, and the route of a chain endpoint that ``box_norm``
+    checks."""
+    return expect_product(_double(factors, d), budget, what)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +614,6 @@ def ybar_sq_expectation(
     d: Iterable[int],
     j: int,
     budget: float | None = None,
-    sup: float | None = None,
 ) -> YbarStats:
     """First and second moments of the capped product over the edge omitting
     j (the one edge missing the next doubling vertex) at doubled subset d,
@@ -637,10 +623,9 @@ def ybar_sq_expectation(
     dd = _normalize_subset(w, d)
     if j in dd or j == 0 or j > w.r:
         raise InvalidSubset(f"next vertex {j} must lie outside d and the origin")
-    if sup is None:
-        sup = sup_norm(w)
     _, caps = _slf_base(inst)
-    return _ybar(_missing(caps, j), dd, sup, functools.partial(_on_planner, budget=budget))
+    evaluate = functools.partial(_on_planner, budget=budget)
+    return _ybar(_missing(caps, j), dd, sup_norm(w), evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +654,9 @@ def _ybar(factors: list[Factor], d: tuple[int, ...], sup: float, evaluate) -> Yb
     return YbarStats(mean_sq, mean, count, mean * sup**count)
 
 
-def _root(value: float, denom_log2: int, scale: float = 1.0) -> float:
-    """(value)^(1/2^denom_log2) with the nonnegativity clamp."""
-    return clamp_cube_average(value, scale) ** (1.0 / 2.0**denom_log2)
+def _root(value: float, denom_log2: int) -> float:
+    """(value)^(1/2^denom_log2), clamped to zero at the value's own scale."""
+    return clamp_cube_average(value, abs(value)) ** (1.0 / 2.0**denom_log2)
 
 
 def _chain(
@@ -730,7 +715,7 @@ def _chain(
     bound = 1.0
     for t in range(len(last)):
         mean_sq = stats_at[(last[:t], last[t])].mean_sq
-        bound *= _root(mean_sq, t + 1, scale=max(1.0, abs(mean_sq)))
+        bound *= _root(mean_sq, t + 1)
     return report, q_at, bound
 
 
@@ -790,8 +775,8 @@ def _slf_chain(inst: SlfInstance, budget: float | None) -> VerificationReport:
     tol = TOL * max(1.0, abs(endpoint), abs(box_power))
     report.add(eq_check("endpoint-box-power", endpoint, box_power, tol))
 
-    bound *= _root(endpoint, r, scale=max(1.0, abs(endpoint)))
-    box = _root(box_power, r, scale=max(1.0, abs(box_power)))
+    bound *= _root(endpoint, r)
+    box = _root(box_power, r)
     if single:
         ratio_key, sup_power = "lhs-over-boxnorm-times-sup-half-power", r / 2.0
     else:
@@ -869,7 +854,11 @@ def nu_prime(w: WeightedHypergraph, budget: float | None = None) -> EdgeFn:
 def nu_prime_l2_dev(w: WeightedHypergraph, budget: float | None = None) -> float:
     """E[(nu' - 1)^2], with the expansion through the first two moments
     checked internally to TOL."""
-    fn = nu_prime(w, budget)
+    return _l2_dev(nu_prime(w, budget))
+
+
+def _l2_dev(fn: EdgeFn) -> float:
+    """``nu_prime_l2_dev`` of an already built conditional product weight."""
     flat = fn.values.ravel().tolist()
     npts = fn.npoints
     dev = math.fsum((v - 1.0) ** 2 for v in flat) / npts
@@ -1040,8 +1029,8 @@ def lf2_chain_verify(
     slack = TOL * max(1.0, abs(lhs), abs(rhs))
     report.add(ineq_check("final-split", lhs, rhs, slack))
 
-    box = _root(box_power, r, scale=max(1.0, abs(box_power)))
+    box = _root(box_power, r)
     bound *= box
-    bound *= _root(cube_power, r, scale=max(1.0, abs(cube_power)))
+    bound *= _root(cube_power, r)
     ratio_key = "lhs-over-boxnorm-times-sup-power"
     return _close(report, abs(q_at[()]), bound, box, sup, r - 1, ratio_key)

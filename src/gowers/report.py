@@ -63,11 +63,6 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
-    def extend(self, other: "VerificationReport") -> None:
-        self.checks.extend(other.checks)
-        self.ratios.update(other.ratios)
-        self.notes.extend(other.notes)
-
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 

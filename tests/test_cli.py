@@ -299,6 +299,16 @@ class TestSubcommands:
         assert code == 0
         assert "density-minus-one" in obj["report"]["ratios"]
 
+    def test_experiment_chains_at_r4(self, capsys):
+        # The telescoping chains run on relabeled representations, which
+        # keep their forms: the endpoint takes the box route and u_norm_fast
+        # checks it, where the plan would be refused at 2.59e8.
+        code, obj, _ = _run_json(
+            capsys, ["experiment", "--n", "11", "--r", "4", "--with-chains"]
+        )
+        assert code == 0
+        assert all(f"term-{m}-chain-bound" in obj["report"]["ratios"] for m in range(5))
+
     def test_verify_small(self, capsys):
         code, obj, _ = _run_json(capsys, ["verify", "--n", "5", "--seeds", "2"])
         assert code == 0
@@ -497,6 +507,28 @@ class TestVerifyInputs:
         assert code == 0
         assert len(specs) == len(set(map(repr, specs))) == 3 + 1  # seeds + constant
         assert len(measures) == len(set(measures)) == 3 + 1
+
+
+    @pytest.mark.parametrize(
+        "module, name", [(apcount, "ap_density"), (linform, "nu_prime")], ids=["density", "weight"]
+    )
+    def test_each_density_and_product_weight_built_once(
+        self, capsys, monkeypatch, module, name
+    ):
+        # One progression density and one conditional product weight for each
+        # of the ten seeded measures and for the constant measure.
+        real = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+        code, _, _ = _run(capsys, ["verify", "--r", "2", "--n", "7"])
+        assert code == 0
+        assert len(calls) == 10 + 1
 
 
 class TestExperimentInputs:

@@ -162,11 +162,18 @@ class TestRelabel:
             for b in range(n):
                 assert g_new.values[a, b] == g_old.values[a, b]
 
-    def test_transposition_drops_forms(self):
-        w = represent(from_set({1, 2}, 5), 2)
-        v = relabel(w, (1, 0, 2))
-        with pytest.raises(NotRepresentation):
-            ap_values(v, (0, 0, 0))
+    def test_relabeled_weights_are_nu_at_their_forms(self):
+        # Each form is pulled back along the weight's axis map, so every
+        # relabeled weight is still nu at its form.
+        n = 5
+        for r, perm in ((2, (1, 0, 2)), (2, (2, 0, 1)), (3, (3, 1, 0, 2))):
+            nu = generate(GeneratorSpec(kind="random", n=n, p=0.6, seed=r))
+            v = relabel(represent(nu, r), perm)
+            assert v.modulus == n
+            for j, edge in enumerate(v.system.edges):
+                for x in itertools.product(range(n), repeat=r):
+                    y = sum(c * xi for c, xi in zip(v.forms[j], x)) % n
+                    assert v.weights[edge].values[x] == nu.fn.values[y]
 
     def test_axis_order_transposed(self):
         # A permutation that reorders the labels inside an edge must

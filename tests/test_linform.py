@@ -1,6 +1,7 @@
 """Centered product expectations, Cauchy-Schwarz chains, and the
 doubled-origin engines, each validated against explicit loop oracles."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -26,6 +27,7 @@ from gowers import (
     Lf2Exponents,
     ShapeMismatch,
     SlfInstance,
+    WeightedHypergraph,
     ap_density,
     binomial_expansion_identity,
     box_norm,
@@ -43,7 +45,6 @@ from gowers import (
     nu_prime_l2_dev,
     q_value,
     random_slf_instance,
-    relabel,
     represent,
     single_chain_verify,
     slf_lhs,
@@ -158,9 +159,12 @@ class TestPlanner:
         sizes = {v: arr.shape[i] for arr, axes in factors for i, v in enumerate(axes)}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linform, "check_budget", record)
-            expect_product(factors)
-        assert len(charges) == 1
+            got = expect_product(factors)
+            doubled = linform._doubled(factors, ())
+        assert len(charges) == 2
         assert charges[0] <= math.prod(sizes.values()) * len(factors)
+        # expect_product is _doubled at d=(): the same bits at the same charge.
+        assert (got, charges[0]) == (doubled, charges[1])
 
     @given(_factor_graphs())
     def test_tiny_budget_refused_before_any_einsum(self, factors):
@@ -192,6 +196,21 @@ class TestPlanner:
         assert expect_product(factors, budget=4.0 * n**2 + 2 * n) == pytest.approx(
             _einsum_oracle(factors), rel=1e-12
         )
+
+
+    def test_seen_structure_is_not_planned_again(self, monkeypatch):
+        # The route is cached per structure, so a repeat call, even on new
+        # values, goes straight to the contraction.
+        rng = philox(13)
+        factors = [(rng.random((4, 6)), [(1, None), (2, None)]), (rng.random(6), [(2, None)])]
+        warm = expect_product(factors)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("planned a structure already seen")
+
+        monkeypatch.setattr(linform, "_plan", refuse)
+        doubled = [(2.0 * arr, axes) for arr, axes in factors]
+        assert expect_product(doubled) == pytest.approx(4.0 * warm, rel=1e-12)
 
 
 class TestOracleIndependence:
@@ -258,7 +277,7 @@ class TestOracleIndependence:
             monkeypatch.setattr(module, name, refuse)
         got = linform._endpoint_box_power(w, None)
         with pytest.raises(BoxRecursionCalled):
-            linform._endpoint_box_power(relabel(w, (0, 1, 2, 3)), None)
+            linform._endpoint_box_power(WeightedHypergraph(w.system, w.weights), None)
         monkeypatch.undo()
         centered = w.weight_omitting(0).centered()
         assert got == pytest.approx(box_norm_brute(centered) ** 8, rel=1e-9)
@@ -315,7 +334,7 @@ class TestOracleIndependence:
         # endpoint oracle is box_norm and q(e0) must stay on the planner.
         w = represent(_measure(n=5, seed=4), 2)
         if not represented:
-            w = relabel(w, (0, 1, 2))
+            w = WeightedHypergraph(w.system, w.weights)
         routed = []
         real = linform._doubled
 
@@ -770,6 +789,10 @@ def _chain_quantities(kind: str, r: int, n: int, seed: int):
     return out
 
 
+def _structure(factors):
+    return tuple((arr.shape, tuple(axes)) for arr, axes in factors)
+
+
 class TestDoubledRouter:
     """``_doubled`` and its box route against the planner, which stays the
     oracle of every chain quantity."""
@@ -787,7 +810,8 @@ class TestDoubledRouter:
         for factors, d, oracle in quantities:
             assert linform._doubled(factors, d) == pytest.approx(oracle, rel=1e-12)
             if d:
-                box = linform._box_route(factors, d)
+                layout = linform._box_layout(_structure(factors), d)
+                box = linform._box_route(factors, layout)
                 assert box == pytest.approx(oracle, rel=1e-12)
 
     def test_block_size_does_not_change_the_value(self, monkeypatch):
@@ -796,11 +820,15 @@ class TestDoubledRouter:
         # time.
         inst = random_slf_instance(represent(_measure(n=11, seed=5), 3), 5)
         factors = linform._kept(linform._slf_base(inst)[0], (1,))
-        route = linform._route(tuple((a.shape, tuple(ax)) for a, ax in factors), (1,))
-        assert route[0] is None  # the box route
+        route_key = _structure(factors)
+        route = linform._route(route_key, (1,))
+        assert isinstance(route, linform._BoxLayout)  # the box route
         whole = linform._doubled(factors, (1,))
         monkeypatch.setattr(linform, "_CHUNK_ELEMS", 1)
         monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", 1)
+        # A fresh route cache, so that the layout is built again in blocks.
+        monkeypatch.setattr(linform, "_route", functools.lru_cache()(linform._route.__wrapped__))
+        assert linform._route(route_key, (1,)).fixed == (11,) * 4
         assert linform._doubled(factors, (1,)) == whole
 
     def test_charge_is_the_box_route(self):

@@ -3,6 +3,8 @@ a small size and writes a well-formed table."""
 
 import csv
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,23 @@ def test_separation_sweep_refuses_negative_seeds(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--seeds must be nonnegative, got -1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separation_sweep.py", "--moduli", "257", "--seeds", "1", "--budget", "10"],
+        ["chain_margins.py", "--moduli", "5", "--seeds", "1", "--budget", "10"],
+    ],
+)
+def test_budget_refusal_exits_2(argv):
+    # The scripts map errors to exit codes as the command line does: a
+    # refused step is a clean exit 2, not a traceback with exit 1.
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "budget exceeded" in done.stderr
+    assert "Traceback" not in done.stderr
