@@ -27,6 +27,7 @@ from gowers import (
     single_chain_verify,
 )
 from gowers.cli import guarded
+from gowers.hypersystem import charge_representation
 
 HEADER = ("variant", "r", "n", "seed", "check", "lhs", "rhs", "margin", "pass")
 
@@ -51,6 +52,7 @@ def _measures(n: int, count: int):
 def margin_rows(args):
     for n in args.moduli:
         for idx, nu in _measures(n, args.seeds):
+            charge_representation(n, args.r, args.budget)
             w = represent(nu, args.r)
             reports = [
                 ("two-copy", chain_verify(random_slf_instance(w, idx, args.caps), args.budget)),

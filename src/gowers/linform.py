@@ -26,15 +26,19 @@ as measured ratios.
 Free variables are canonically ordered with doubled copies first (vertex
 ascending, copy 0 before copy 1) and plain coordinates after (vertex
 ascending).  ``_doubled`` evaluates every expectation, of factors doubled
-over a vertex set d, by the route ``_route`` caches for their structure: a
-fixed bucket-elimination plan, each bucket contracted by unoptimized einsum
-with its output axes in this order, or, when cheaper, a box route: since no
-factor reads a copy of a doubled vertex, the expectation is the mean over
-the other variables of a box power (``gowersnorm._box_pows``) of the
-product of the undoubled factors.  ``expect_product`` is ``_doubled`` at
-d=(), always the plan.  ``q_value``, ``ybar_sq_expectation`` and
-``cube_expectation`` stay on the plan and are the router's test oracles.
-Both routes reduce over fixed shapes, so repeated runs are bit-identical.
+over a vertex set d, by the cheapest of three routes, which ``_route``
+caches for their structure: a fixed bucket-elimination plan, each bucket
+contracted by unoptimized einsum with its output axes in this order; a box
+route: since no factor reads a copy of a doubled vertex, the expectation is
+the mean over the other variables z of a box power
+(``gowersnorm._box_pows``) of the product of the undoubled factors; and a
+split route, when z falls into components that share no variable: the
+doubled product then factors pointwise, so the expectation is the mean over
+both copies of d of the product of one marginal per component.
+``expect_product`` is ``_doubled`` at d=(), always the plan.  ``q_value``,
+``ybar_sq_expectation`` and ``cube_expectation`` stay on the plan and are
+the router's test oracles.  Every route reduces over fixed shapes, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -187,14 +191,23 @@ def _double(factors: list, d: tuple[int, ...]) -> list:
     ]
 
 
+def _view(
+    axes: tuple[Var, ...], order: list[Var], size: dict[Var, int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that puts a factor's axes in ``order``, and the shape
+    that then views it over ``order``: size one on the axes it does not read."""
+    perm = tuple(sorted(range(len(axes)), key=lambda a: order.index(axes[a])))
+    return perm, tuple(size[v] if v in axes else 1 for v in order)
+
+
 @dataclass(frozen=True)
 class _BoxLayout:
     """How ``_box_route`` builds F for one structure.  F's axes are z in
     canonical order, then d; ``perms`` and ``shapes`` turn each factor into
-    a view over them (size one on the axes it does not read).  A block fixes
-    the first ``len(fixed)`` axes of z, of sizes ``fixed``, and is reshaped
-    to ``block``, (functions, *d sizes); ``points`` is the size of z, and
-    ``cost`` and ``power`` are the route's charge and its exponent."""
+    a view over them (``_view``).  A block fixes the first ``len(fixed)``
+    axes of z, of sizes ``fixed``, and is reshaped to ``block``,
+    (functions, *d sizes); ``points`` is the size of z, and ``cost`` and
+    ``power`` are the route's charge and its exponent."""
 
     perms: tuple[tuple[int, ...], ...]
     shapes: tuple[tuple[int, ...], ...]
@@ -219,13 +232,7 @@ def _box_layout(structure: Structure, d: tuple[int, ...]) -> _BoxLayout:
     while fixed < len(zvars) and elems > _CHUNK_ELEMS:
         elems //= shape[fixed]
         fixed += 1
-    perms = tuple(
-        tuple(sorted(range(len(axes)), key=lambda a: order.index(axes[a])))
-        for _, axes in structure
-    )
-    shapes = tuple(
-        tuple(n if v in axes else 1 for v, n in zip(order, shape)) for _, axes in structure
-    )
+    perms, shapes = zip(*[_view(axes, order, size) for _, axes in structure])
     block = (-1, *shape[len(zvars) :])
     points = math.prod(shape[: len(zvars)])
     box = math.prod(shape[len(zvars) :])
@@ -254,12 +261,117 @@ def _box_route(factors: list[Factor], layout: _BoxLayout) -> float:
     return math.fsum(np.concatenate(pows)) / layout.points
 
 
+@dataclass(frozen=True)
+class _SplitLayout:
+    """How ``_split_route`` builds F_C for each component C: component c
+    holds the factors ``members[c]``, which ``perms`` and ``shapes`` turn
+    into views (``_view``) over d, then z_C in canonical order, and
+    ``points[c]`` is the size of z_C.  ``dims`` are the sizes of d, and a
+    block holds ``rows`` values of copy 0 of d's first vertex; ``cost`` and
+    ``power`` are the route's charge and its exponent."""
+
+    members: tuple[tuple[int, ...], ...]
+    perms: tuple[tuple[int, ...], ...]
+    shapes: tuple[tuple[int, ...], ...]
+    points: tuple[int, ...]
+    dims: tuple[int, ...]
+    rows: int
+    cost: float
+    power: int
+
+
+def _split_layout(structure: Structure, d: tuple[int, ...]) -> _SplitLayout | None:
+    """The layout of the split route for a structure the box route applies
+    to, or None where the split route does not apply.
+
+    Two factors share a component when they read a common variable of z,
+    the variables other than the plain axes of d.  The route applies when
+    there are at least two components, each with some variable of z and
+    each reading every vertex of d.  A block fixes whole rows of copy 0 of
+    d's first vertex, at most _CHUNK_ELEMS marginal elements or one row
+    (all of them when |d| = 1, whose marginal is one Gram matrix).  For
+    each component it is charged m |d-box| products per factor to build F,
+    the m |d-box| (n1 + n1 n2 + ...) of the pairings and the m |d-box|^2 of
+    the Gram, m the size of z_C, plus |d-box|^2 per component for the
+    product.
+    """
+    size = {var: n for shape, axes in structure for var, n in zip(axes, shape)}
+    dvars = [(v, None) for v in d]
+    groups: list[tuple[list[int], set[Var]]] = []
+    for i, (_, axes) in enumerate(structure):
+        z = set(axes) - set(dvars)
+        joined = [g for g in groups if g[1] & z]
+        groups = [g for g in groups if not g[1] & z]
+        groups.append(([i] + [m for g in joined for m in g[0]], z.union(*[g[1] for g in joined])))
+    groups = sorted((sorted(members), z) for members, z in groups)
+    if len(groups) < 2 or any(
+        not z or not set(dvars) <= {v for m in members for v in structure[m][1]}
+        for members, z in groups
+    ):
+        return None
+    dims = tuple(size[v] for v in dvars)
+    box = math.prod(dims)
+    pairings = sum(math.prod(dims[: i + 1]) for i in range(len(d) - 1))
+    views, points = {}, []
+    cost = len(groups) * box * box
+    for members, z in groups:
+        order = dvars + sorted(z, key=_var_order_key)
+        views.update({m: _view(structure[m][1], order, size) for m in members})
+        points.append(math.prod(size[v] for v in z))
+        cost += points[-1] * box * (len(members) + pairings + box)
+    perms, shapes = zip(*[views[i] for i in range(len(structure))])
+    rows = dims[0] if len(d) == 1 else max(1, _CHUNK_ELEMS // (box * box // dims[0]))
+    power = max(len(z) for _, z in groups) + 2 * len(d)
+    return _SplitLayout(
+        tuple(tuple(members) for members, _ in groups),
+        perms, shapes, tuple(points), dims, rows, float(cost), power,
+    )
+
+
+def _split_route(factors: list[Factor], layout: _SplitLayout) -> float:
+    """E over both copies of d of the product over components C of the
+    marginal M_C(x^0, x^1) = E_{z_C} prod_omega F_C(z_C, x^omega), F_C the
+    product of C's factors: the doubled product factors pointwise because
+    no variable of z is read by two components.  Each M_C pairs the first
+    |d| - 1 vertices of F_C and takes one batched Gram matrix over z_C on
+    the last.  Copy 0 of the first vertex is walked in blocks of whole rows,
+    as the layout says; each row is summed over a fixed shape and the rows
+    by ``math.fsum``, so the value does not depend on the block size."""
+    views = [
+        arr.transpose(perm).reshape(shape)
+        for (arr, _), perm, shape in zip(factors, layout.perms, layout.shapes)
+    ]
+    fs = []
+    for members, m in zip(layout.members, layout.points):
+        f = functools.reduce(np.multiply, [views[i] for i in members])
+        fs.append((np.reshape(f, (*layout.dims, m)), m))
+    k = len(layout.dims)
+    sums = []
+    for start in range(0, layout.dims[0], layout.rows):
+        prod = None
+        for f, m in fs:
+            block = f[start : start + layout.rows]
+            pairs = block[:, None] * f[None] if k > 1 else block
+            for axis in range(2, 2 * k - 2, 2):
+                pairs = np.expand_dims(pairs, axis + 1) * np.expand_dims(pairs, axis)
+            marginal = pairs @ pairs.swapaxes(-1, -2)
+            marginal /= m
+            prod = marginal if prod is None else prod * marginal
+        sums.append(np.sum(prod.reshape(len(prod), -1), axis=1))
+    box = math.prod(layout.dims)
+    return math.fsum(np.concatenate(sums)) / (box * box)
+
+
 @functools.lru_cache(maxsize=4096)
-def _route(structure: Structure, d: tuple[int, ...]) -> _Plan | _BoxLayout:
+def _route(
+    structure: Structure, d: tuple[int, ...]
+) -> _Plan | _BoxLayout | _SplitLayout:
     """How ``_doubled`` evaluates one structure (the shape and axes of each
-    factor) doubled over d: the plan of the doubled structure (``_plan``),
-    or the box route (``_box_layout``) when no factor reads a copy of a
-    vertex in d and that route costs less.  Ties, d empty and a vertex of d
+    factor) doubled over d: the cheapest of the plan of the doubled
+    structure (``_plan``), the box route (``_box_layout``) when no factor
+    reads a copy of a vertex in d, and the split route (``_split_layout``)
+    when moreover the variables outside d fall into independent components.
+    Ties go to the earlier route in that order; d empty and a vertex of d
     that no factor reads go to the plan.
     """
     doubled = _double(structure, d)
@@ -276,12 +388,14 @@ def _route(structure: Structure, d: tuple[int, ...]) -> _Plan | _BoxLayout:
     letter = dict(zip(order, _LETTERS))
     subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in doubled])
     plan = _plan(subscripts, tuple([sizes[v] for v in order]))
+    routes: list[_Plan | _BoxLayout | _SplitLayout] = [plan]
     plain = all(c is None for _, axes in structure for v, c in axes if v in d)
     if d and plain and all((v, 1) in sizes for v in d):
-        layout = _box_layout(structure, d)
-        if layout.cost < plan.cost:
-            return layout
-    return plan
+        routes.append(_box_layout(structure, d))
+        split = _split_layout(structure, d)
+        if split is not None:
+            routes.append(split)
+    return min(routes, key=lambda route: route.cost)
 
 
 def _doubled(
@@ -295,6 +409,8 @@ def _doubled(
     check_budget(route.cost, budget, what=what or "product expectation", power=route.power)
     if isinstance(route, _BoxLayout):
         return _box_route(factors, route)
+    if isinstance(route, _SplitLayout):
+        return _split_route(factors, route)
     return _run(route, _double(factors, d))
 
 

@@ -100,6 +100,19 @@ class TestBudget:
         assert "strong-linear-forms expectation" not in err
         assert code == 0, err
 
+    def test_two_copy_r4_fits_at_11(self, capsys):
+        # The chain quantities at |d|=3 split into three independent
+        # marginals, 6.96e7 products; the box route charged 2.20e8.
+        code, _, err = _run(capsys, ["slf", "--r", "4", "--n", "11"])
+        assert code == 0, err
+
+    def test_two_copy_r4_refused_at_13(self, capsys):
+        code, out, err = _run(capsys, ["slf", "--r", "4", "--n", "13"])
+        assert code == 2
+        assert out == ""
+        assert "(strong-linear-forms-chain at d=(1, 2, 3))" in err
+        assert "suggestion: retry with --n <= 11 (assuming cost ~ n^7)" in err
+
     def test_explicit_tiny_budget(self, capsys):
         code, _, err = _run(
             capsys,

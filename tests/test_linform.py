@@ -1,6 +1,7 @@
 """Centered product expectations, Cauchy-Schwarz chains, and the
 doubled-origin engines, each validated against explicit loop oracles."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -306,6 +307,35 @@ class TestOracleIndependence:
         got = linform._doubled(factors, e0)
         monkeypatch.undo()
         assert got == pytest.approx(q_value(inst, e0), rel=1e-12)
+
+    def test_router_split_route_computes_without_the_other_routes(self, monkeypatch):
+        # The split route of a two-copy chain quantity may use neither the
+        # planner's contraction steps, the box route and its recursion, nor
+        # the difference recursion of the endpoint oracle.
+        class OtherRouteCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise OtherRouteCalled
+
+        inst = random_slf_instance(represent(_measure(n=7, seed=3), 3), 3)
+        d = (1, 2)
+        factors = linform._kept(linform._slf_base(inst)[0], d)
+        route = linform._route(_structure(factors), d)
+        assert isinstance(route, linform._SplitLayout)
+        for module, name in (
+            (linform, "expect_product"),
+            (linform, "_run"),
+            (linform, "_box_route"),
+            (linform, "_box_pows"),
+            (gowersnorm, "_box_pows"),
+            (linform, "u_norm_fast"),
+            (gowersnorm, "u_norm_fast"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        got = linform._doubled(factors, d)
+        monkeypatch.undo()
+        assert got == pytest.approx(q_value(inst, d), rel=1e-12)
 
     def test_spectral_engines_compute_without_the_chain_routes(self, monkeypatch):
         # ap_density and u_norm_fast are the oracles of the progression and
@@ -752,11 +782,11 @@ class TestLf2:
         assert lf2_term(w, 1, exps) == 0.0
 
 
-def _chain_quantities(kind: str, r: int, n: int, seed: int):
+def _chain_factors(kind: str, w: WeightedHypergraph, seed: int):
     """(factors, d, oracle) for every quantity the chain of a random
-    instance routes through ``_doubled``; each oracle runs on the planner
-    alone."""
-    w = represent(generate(GeneratorSpec(kind="random", n=n, p=0.6, seed=seed)), r)
+    instance routes through ``_doubled``; each oracle is a thunk that runs
+    on the planner alone."""
+    r = w.r
     out = []
     if kind == "lf2":
         exps = Lf2Exponents.all_ones(r)
@@ -766,27 +796,39 @@ def _chain_quantities(kind: str, r: int, n: int, seed: int):
         sets = [others[:t] for t in range(len(others) + 1)]
         plain = [(v, None) for v in ej]
         for fs in ([(base[0][0], plain)], [(w.weights[ej].values, plain)]):
-            out.append((fs, ej, expect_product(linform._double(fs, ej))))
+            out.append((fs, ej, functools.partial(linform._on_planner, fs, ej)))
     else:
         inst = random_slf_instance(w, seed, copies=1 if kind == "slf-single" else 2)
         base, caps = linform._slf_base(inst)
         sets = [d for size in range(r + 1) for d in itertools.combinations(range(1, r + 1), size)]
     for d in sets:
         kept = linform._kept(base, d)
-        oracle = q_value(inst, d) if kind != "lf2" else expect_product(linform._double(kept, d))
-        out.append((kept, d, oracle))
+        if kind == "lf2":
+            out.append((kept, d, functools.partial(linform._on_planner, kept, d)))
+        else:
+            out.append((kept, d, functools.partial(q_value, inst, d)))
         for j in sets[-1]:
             if j in d or tuple(sorted(d + (j,))) not in sets:
                 continue
             fs = linform._missing(caps, j)
             if kind == "lf2":
-                mean = expect_product(linform._double(fs, d))
-                mean_sq = expect_product(linform._double(fs + fs, d))
+                mean = functools.partial(linform._on_planner, fs, d)
+                mean_sq = functools.partial(linform._on_planner, fs + fs, d)
             else:
-                stats = ybar_sq_expectation(inst, d, j)
-                mean, mean_sq = stats.mean, stats.mean_sq
+                mean = functools.partial(_ybar_moment, inst, d, j, "mean")
+                mean_sq = functools.partial(_ybar_moment, inst, d, j, "mean_sq")
             out += [(fs, d, mean), (fs + fs, d, mean_sq)]
     return out
+
+
+def _ybar_moment(inst: SlfInstance, d: tuple, j: int, name: str) -> float:
+    return getattr(ybar_sq_expectation(inst, d, j), name)
+
+
+def _chain_quantities(kind: str, r: int, n: int, seed: int):
+    """``_chain_factors`` of a random measure, each oracle evaluated."""
+    w = represent(generate(GeneratorSpec(kind="random", n=n, p=0.6, seed=seed)), r)
+    return [(fs, d, oracle()) for fs, d, oracle in _chain_factors(kind, w, seed)]
 
 
 def _structure(factors):
@@ -813,6 +855,10 @@ class TestDoubledRouter:
                 layout = linform._box_layout(_structure(factors), d)
                 box = linform._box_route(factors, layout)
                 assert box == pytest.approx(oracle, rel=1e-12)
+                split = linform._split_layout(_structure(factors), d)
+                if split is not None:
+                    got = linform._split_route(factors, split)
+                    assert got == pytest.approx(oracle, rel=1e-12)
 
     def test_block_size_does_not_change_the_value(self, monkeypatch):
         # Two-copy r=3 at d=(1,): z = (x0 copy 0, x0 copy 1, x2, x3), so F
@@ -853,3 +899,69 @@ class TestDoubledRouter:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_route_taken(self):
+        # At r=4, N=7 the split route wins only for the two-copy chain
+        # quantity at |d| = r-1, whose z falls into three components: x4 of
+        # the centered weight and copy 0 and copy 1 of x0 of the minorants.
+        w = represent(_measure(n=7, seed=8), 4)
+        routes = {}
+        for kind in ("slf", "slf-single", "lf2"):
+            for factors, d, _ in _chain_factors(kind, w, 8):
+                kind_of = type(linform._route(_structure(factors), d)).__name__
+                routes.setdefault(kind_of, set()).add((kind, d, len(factors)))
+        assert routes["_SplitLayout"] == {
+            ("slf", d, 3) for d in itertools.combinations(range(1, 5), 3)
+        }
+
+    def test_split_block_size_does_not_change_the_value(self, monkeypatch):
+        # Two-copy r=4, N=11, d=(1,2,3): each marginal row holds 11^5
+        # elements, more than a block, so one row per block either way; a
+        # one-element block keeps it at one row.
+        factors = _two_copy_r4()
+        route_key = _structure(factors)
+        assert isinstance(linform._route(route_key, (1, 2, 3)), linform._SplitLayout)
+        whole = linform._doubled(factors, (1, 2, 3))
+        monkeypatch.setattr(linform, "_CHUNK_ELEMS", 1)
+        monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", 1)
+        monkeypatch.setattr(linform, "_route", functools.lru_cache()(linform._route.__wrapped__))
+        assert linform._route(route_key, (1, 2, 3)).rows == 1
+        assert linform._doubled(factors, (1, 2, 3)) == whole
+
+    def test_split_rows_per_block(self, monkeypatch):
+        # At N=7 a default block holds three rows of 7^5 marginal elements;
+        # walking one row at a time gives the same bits.
+        factors = _two_copy_r4(n=7)
+        layout = linform._split_layout(_structure(factors), (1, 2, 3))
+        assert layout.rows == 3
+        whole = linform._split_route(factors, layout)
+        one_row = dataclasses.replace(layout, rows=1)
+        assert linform._split_route(factors, one_row) == whole
+
+    def test_charge_is_the_split_route(self):
+        # Three components, each of one factor over one z variable: per
+        # component 11^4 to build F, 11^4 (11 + 11^2) to pair x1 and x2 and
+        # 11^7 for the Gram, plus 11^6 for its share of the product; the box
+        # route would charge 3 * 11^6 + 11^8 = 2.20e8.
+        factors = _two_copy_r4()
+        with pytest.raises(BudgetExceeded) as exc:
+            linform._doubled(factors, (1, 2, 3), budget=1e7)
+        n = 11
+        assert exc.value.estimated == 3.0 * (n**4 + n**5 + n**6 + n**7) + 3.0 * n**6
+        assert exc.value.power == 7
+
+    def test_split_memory_stays_within_blocks(self):
+        factors = _two_copy_r4()
+        tracemalloc.start()
+        try:
+            linform._doubled(factors, (1, 2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def _two_copy_r4(n: int = 11) -> list:
+    """The two-copy chain quantity's factors at r=4, d=(1,2,3)."""
+    inst = random_slf_instance(represent(_measure(n=n, seed=9), 4), 9)
+    return linform._kept(linform._slf_base(inst)[0], (1, 2, 3))

@@ -87,3 +87,16 @@ def test_budget_refusal_exits_2(argv):
     assert done.returncode == 2
     assert "budget exceeded" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_chain_margins_charges_the_representation():
+    # As on the command line, the edge weights are charged before they are
+    # allocated, so the representation is the step refused, not a chain step.
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    argv = ["--r", "3", "--moduli", "5", "--seeds", "1", "--budget", "10"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "chain_margins.py"), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "(representation (r=3, n=5))" in done.stderr
