@@ -25,7 +25,6 @@ import numpy as np
 from .budget import check_budget
 from .cyclic import CyclicFn, Measure
 from .errors import ShapeMismatch
-from .genmeasure import GeneratorSpec, generate
 from .gowersnorm import _CHUNK_ELEMS, EdgeFn, u_norm_fast
 from .hypersystem import (
     WeightedHypergraph,
@@ -218,17 +217,15 @@ def _telescoping(
 
 
 def relsz_experiment(
-    spec: GeneratorSpec, r: int, with_chains: bool = False, budget: float | None = None
+    nu: Measure, r: int, with_chains: bool = False, budget: float | None = None
 ) -> tuple[ApReport, VerificationReport]:
-    """Measure how far the measure ``spec`` generates is from density one on
-    length-(r+1) progressions, alongside its uniformity-norm ratios and, for
-    prime moduli, the exact telescoping decomposition with optional per-term
-    chain bounds."""
-    nu = generate(spec)
+    """Measure how far nu is from density one on length-(r+1) progressions,
+    alongside its uniformity-norm ratios and, for prime moduli, the exact
+    telescoping decomposition with optional per-term chain bounds."""
     ap = ap_density([nu.fn] * (r + 1), budget)
     ratios = hypothesis_ratio(nu, r, budget)
-    if is_prime(spec.n) and spec.n > r:
-        charge_representation(spec.n, r, budget)
+    if is_prime(nu.n) and nu.n > r:
+        charge_representation(nu.n, r, budget)
         report = _telescoping(represent(nu, r), ap.density, budget, with_chains)
     else:
         report = VerificationReport(name="progression-telescoping")

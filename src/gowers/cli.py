@@ -3,8 +3,8 @@
 Each subcommand builds its inputs from a seeded generator spec (or a JSON
 file holding one), runs the requested computation, and writes a
 machine-readable report to stdout or a file.  Exit code 0 means every check
-passed, 1 means at least one check failed, 2 means a usage, budget or
-out-of-memory error.
+passed, 1 means at least one check failed, 2 means a usage, budget,
+out-of-memory or internal error.
 Budget errors carry the estimated elementary-product count and, when the
 refused step's cost scales with the modulus, the largest prime modulus at
 which that step fits.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -50,10 +51,8 @@ from .hypersystem import (
     represent,
 )
 from .linform import (
-    Cap,
     CubePattern,
     Lf2Exponents,
-    SlfInstance,
     _l2_dev,
     binomial_expansion_identity,
     chain_verify,
@@ -80,20 +79,12 @@ class UsageError(Exception):
 
 
 def _spec_from_args(args) -> GeneratorSpec:
-    if getattr(args, "input", None):
+    if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             return GeneratorSpec.from_json_obj(json.load(fh))
     if args.n is None:
         raise UsageError("--n is required (or pass --input with a spec file)")
     return GeneratorSpec(kind=args.kind, n=args.n, p=args.p, seed=args.seed)
-
-
-def _add_measure_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=KINDS, default="random", help="measure generator")
-    p.add_argument("--n", type=int, default=None, help="modulus N")
-    p.add_argument("--p", type=float, default=0.5, help="target density in (0, 1]")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--input", default=None, help="JSON file with a generator spec")
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
@@ -165,11 +156,20 @@ def _emit(obj: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _result(args, command: str, inputs: dict, extra: dict, passed: bool) -> int:
-    obj = {"schema": SCHEMA, "command": command, "inputs": inputs, "pass": passed}
+def _result(args, inputs: dict, extra: dict, passed: bool) -> int:
+    obj = {"schema": SCHEMA, "command": args.command, "inputs": inputs, "pass": passed}
     obj.update(extra)
     _emit(obj, args)
     return 0 if passed else 1
+
+
+def _measure(handler, args) -> int:
+    """Run a measure subcommand: generate the measure its spec names, once,
+    and report the spec along with the (inputs, extra, passed) that
+    ``handler(args, spec, nu)`` returns."""
+    spec = _spec_from_args(args)
+    inputs, extra, passed = handler(args, spec, generate(spec))
+    return _result(args, {"spec": spec.to_json_obj(), **inputs}, extra, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +275,11 @@ def _lf2_reports(w, exps: Lf2Exponents, js, budget) -> list[VerificationReport]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers.  A measure subcommand's handler takes the parsed
+# arguments, the spec and its measure, and returns (inputs, extra, passed).
 
 
-def _cmd_norm(args) -> int:
-    spec = _spec_from_args(args)
-    nu = generate(spec)
+def _cmd_norm(args, spec, nu):
     f = nu.centered() if args.centered else nu.fn
     passed = True
     if args.mode == "both":
@@ -294,21 +293,17 @@ def _cmd_norm(args) -> int:
         extra = {"values": {"brute": u_norm_brute(f, args.k, args.budget)}}
     else:
         extra = {"values": {"fast": u_norm_fast(f, args.k, args.budget)}}
-    inputs = {"spec": spec.to_json_obj(), "k": args.k, "mode": args.mode, "centered": args.centered}
-    return _result(args, "norm", inputs, extra, passed)
+    return {"k": args.k, "mode": args.mode, "centered": args.centered}, extra, passed
 
 
-def _cmd_boxnorm(args) -> int:
-    spec = _spec_from_args(args)
-    nu = generate(spec)
+def _cmd_boxnorm(args, spec, nu):
     w = _represent(nu, args.r, args.budget)
     values = {"u-norm-centered": u_norm_fast(nu.centered(), args.r, args.budget)}
     for j in range(args.r + 1):
         g = w.weight_omitting(j)
         values[f"box-norm-raw-j{j}"] = box_norm(g, args.budget)
         values[f"box-norm-centered-j{j}"] = box_norm(g.centered(), args.budget)
-    inputs = {"spec": spec.to_json_obj(), "r": args.r}
-    return _result(args, "boxnorm", inputs, {"values": values}, True)
+    return {"r": args.r}, {"values": values}, True
 
 
 def _cmd_gcs(args) -> int:
@@ -327,12 +322,10 @@ def _cmd_gcs(args) -> int:
         "seed": args.seed,
         "equal": args.equal,
     }
-    return _result(args, "gcs", inputs, {"report": merged.to_json_obj()}, merged.passed)
+    return _result(args, inputs, {"report": merged.to_json_obj()}, merged.passed)
 
 
-def _cmd_represent(args) -> int:
-    spec = _spec_from_args(args)
-    nu = generate(spec)
+def _cmd_represent(args, spec, nu):
     n, r = spec.n, args.r
     w = _represent(nu, r, args.budget)
     report = VerificationReport(name="representation")
@@ -347,13 +340,10 @@ def _cmd_represent(args) -> int:
     _density(report, nu, w, "", args.budget)
     report.ratios["u-norm-centered"] = u
     report.ratios["sup"] = nu.sup
-    inputs = {"spec": spec.to_json_obj(), "r": args.r}
-    return _result(args, "represent", inputs, {"report": report.to_json_obj()}, report.passed)
+    return {"r": r}, {"report": report.to_json_obj()}, report.passed
 
 
-def _cmd_cube(args) -> int:
-    spec = _spec_from_args(args)
-    nu = generate(spec)
+def _cmd_cube(args, spec, nu):
     w = _represent(nu, args.r, args.budget)
     g = w.weight_omitting(args.j)
     if args.pattern is None:
@@ -369,20 +359,12 @@ def _cmd_cube(args) -> int:
         "cube-centered-expectation": cube_centered_expectation(g, pat, args.budget),
     }
     report = binomial_expansion_identity(g, pat, args.budget)
-    inputs = {
-        "spec": spec.to_json_obj(),
-        "r": args.r,
-        "j": args.j,
-        "pattern": pat.to_string(),
-    }
-    extra = {"values": values, "report": report.to_json_obj()}
-    return _result(args, "cube", inputs, extra, report.passed)
+    inputs = {"r": args.r, "j": args.j, "pattern": pat.to_string()}
+    return inputs, {"values": values, "report": report.to_json_obj()}, report.passed
 
 
-def _cmd_slf(args) -> int:
+def _cmd_slf(args, spec, nu):
     """``slf`` (two copies of vertex 0) and ``slf-single`` (one copy)."""
-    spec = _spec_from_args(args)
-    nu = generate(spec)
     w = _represent(nu, args.r, args.budget)
     if args.command == "slf":
         inst = random_slf_instance(w, args.instance_seed, args.caps)
@@ -392,62 +374,43 @@ def _cmd_slf(args) -> int:
         inst = random_slf_instance(w, args.instance_seed, args.caps, copies=1)
         lhs = q_value(inst, (), args.budget)
         report = single_chain_verify(inst, args.budget)
-    inputs = {
-        "spec": spec.to_json_obj(),
-        "r": args.r,
-        "caps": args.caps,
-        "instance_seed": args.instance_seed,
-    }
-    extra = {"values": {"lhs": lhs}, "report": report.to_json_obj()}
-    return _result(args, args.command, inputs, extra, report.passed)
+    inputs = {"r": args.r, "caps": args.caps, "instance_seed": args.instance_seed}
+    return inputs, {"values": {"lhs": lhs}, "report": report.to_json_obj()}, report.passed
 
 
-def _cmd_nuprime(args) -> int:
-    spec = _spec_from_args(args)
-    nu = generate(spec)
+def _cmd_nuprime(args, spec, nu):
     w = _represent(nu, args.r, args.budget)
     report = VerificationReport(name="product-weight-moments")
     report.ratios.update(_moments(report, w, "", args.budget))
-    inputs = {"spec": spec.to_json_obj(), "r": args.r}
-    return _result(args, "nuprime", inputs, {"report": report.to_json_obj()}, report.passed)
+    return {"r": args.r}, {"report": report.to_json_obj()}, report.passed
 
 
-def _cmd_lf2(args) -> int:
-    spec = _spec_from_args(args)
-    nu = generate(spec)
+def _cmd_lf2(args, spec, nu):
     w = _represent(nu, args.r, args.budget)
     exps = Lf2Exponents.all_ones(args.r)
     if args.exponents is not None:
         exps = Lf2Exponents.from_bits(args.r, [int(ch) for ch in args.exponents])
     js = range(1, args.r + 1) if args.j is None else [args.j]
     reports = _lf2_reports(w, exps, js, args.budget)
-    passed = all(rep.passed for rep in reports)
     inputs = {
-        "spec": spec.to_json_obj(),
         "r": args.r,
         "j": args.j,
         "exponents": "".join(str(exps.table[k]) for k in sorted(exps.table)),
     }
     extra = {"reports": [rep.to_json_obj() for rep in reports]}
-    return _result(args, "lf2", inputs, extra, passed)
+    return inputs, extra, all(rep.passed for rep in reports)
 
 
-def _cmd_count(args) -> int:
-    spec = _spec_from_args(args)
-    nu = generate(spec)
+def _cmd_count(args, spec, nu):
     ap = ap_density([nu.fn] * (args.r + 1), args.budget)
     hr = hypothesis_ratio(nu, args.r, args.budget)
-    inputs = {"spec": spec.to_json_obj(), "r": args.r}
-    extra = {"ap": ap.to_json_obj(), "ratios": hr.to_json_obj()}
-    return _result(args, "count", inputs, extra, True)
+    return {"r": args.r}, {"ap": ap.to_json_obj(), "ratios": hr.to_json_obj()}, True
 
 
-def _cmd_experiment(args) -> int:
-    spec = _spec_from_args(args)
-    ap, report = relsz_experiment(spec, args.r, args.with_chains, args.budget)
-    inputs = {"spec": spec.to_json_obj(), "r": args.r, "with_chains": args.with_chains}
-    extra = {"ap": ap.to_json_obj(), "report": report.to_json_obj()}
-    return _result(args, "experiment", inputs, extra, report.passed)
+def _cmd_experiment(args, spec, nu):
+    ap, report = relsz_experiment(nu, args.r, args.with_chains, args.budget)
+    inputs = {"r": args.r, "with_chains": args.with_chains}
+    return inputs, {"ap": ap.to_json_obj(), "report": report.to_json_obj()}, report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +518,8 @@ def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
     nu = generate(GeneratorSpec(kind="constant", n=n))
     w = _represent(nu, r, budget)
     rep.add(eq_check("u-norm-centered", u_norm_fast(nu.centered(), r, budget), 0.0, 0.0))
-    caps = {}
-    gs = {}
-    for j in range(1, r + 1):
-        edge = w.system.edge_omitting(j)
-        for copy in (0, 1):
-            caps[(edge, copy)] = Cap.ONE
-            gs[(edge, copy)] = EdgeFn.ones(edge, w.system.edge_dims(edge))
-    rep.add(eq_check("centered-product", slf_lhs(SlfInstance(w, caps, gs), budget), 0.0, 0.0))
+    inst = random_slf_instance(w, 0, "one")
+    rep.add(eq_check("centered-product", slf_lhs(inst, budget), 0.0, 0.0))
     exps = Lf2Exponents.all_ones(r)
     rep.add(eq_check("doubled-origin-term", lf2_term(w, 1, exps, budget), 0.0, 0.0))
     rep.add(eq_check("product-weight-deviation", nu_prime_l2_dev(w, budget), 0.0, 0.0))
@@ -605,11 +562,27 @@ def _cmd_verify(args) -> int:
     passed = all(s.passed for s in suites)
     inputs = {"n": n, "r": r, "seeds": seeds}
     extra = {"suites": [s.to_json_obj() for s in suites]}
-    return _result(args, "verify", inputs, extra, passed)
+    return _result(args, inputs, extra, passed)
 
 
 # ---------------------------------------------------------------------------
 # Parser and entry point
+
+
+def _measure_command(sub, name: str, help: str, handler, r: bool = True):
+    """Register a measure subcommand: the generator flags, the common flags,
+    a required --r unless ``r`` is false, and ``handler`` run by ``_measure``."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--kind", choices=KINDS, default="random", help="measure generator")
+    p.add_argument("--n", type=int, default=None, help="modulus N")
+    p.add_argument("--p", type=float, default=0.5, help="target density in (0, 1]")
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
+    p.add_argument("--input", default=None, help="JSON file with a generator spec")
+    _add_common_args(p)
+    if r:
+        p.add_argument("--r", type=int, required=True)
+    p.set_defaults(func=functools.partial(_measure, handler))
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -619,19 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("norm", help="uniformity norm of a generated measure")
-    _add_measure_args(p)
-    _add_common_args(p)
+    p = _measure_command(sub, "norm", "uniformity norm of a generated measure", _cmd_norm, r=False)
     p.add_argument("--k", type=int, required=True, help="norm order")
     p.add_argument("--mode", choices=("brute", "fast", "both"), default="fast")
     p.add_argument("--centered", action="store_true", help="use the measure minus one")
-    p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("boxnorm", help="box norms of the representation edge weights")
-    _add_measure_args(p)
-    _add_common_args(p)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_boxnorm)
+    _measure_command(sub, "boxnorm", "box norms of the representation edge weights", _cmd_boxnorm)
 
     p = sub.add_parser("gcs", help="product-form bound on seeded random tuples")
     _add_common_args(p)
@@ -641,62 +607,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equal", action="store_true", help="use one function for every slot")
     p.set_defaults(func=_cmd_gcs)
 
-    p = sub.add_parser("represent", help="build the representation and verify it")
-    _add_measure_args(p)
-    _add_common_args(p)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_represent)
+    _measure_command(sub, "represent", "build the representation and verify it", _cmd_represent)
 
-    p = sub.add_parser("cube", help="cube expectations and the expansion identity")
-    _add_measure_args(p)
-    _add_common_args(p)
-    p.add_argument("--r", type=int, required=True)
+    p = _measure_command(sub, "cube", "cube expectations and the expansion identity", _cmd_cube)
     p.add_argument("--j", type=int, default=0, help="edge (omitted vertex) to use")
     p.add_argument("--pattern", default=None, help="bit string over the cube vertices")
-    p.set_defaults(func=_cmd_cube)
 
-    p = sub.add_parser("slf", help="centered product expectation and its chain")
-    _add_measure_args(p)
-    _add_common_args(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--caps", choices=("one", "nu", "mixed"), default="mixed")
-    p.add_argument("--instance-seed", type=int, default=0)
-    p.set_defaults(func=_cmd_slf)
+    for name, help in (
+        ("slf", "centered product expectation and its chain"),
+        ("slf-single", "single-copy centered product and chain"),
+    ):
+        p = _measure_command(sub, name, help, _cmd_slf)
+        p.add_argument("--caps", choices=("one", "nu", "mixed"), default="mixed")
+        p.add_argument("--instance-seed", type=int, default=0)
 
-    p = sub.add_parser("slf-single", help="single-copy centered product and chain")
-    _add_measure_args(p)
-    _add_common_args(p)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--caps", choices=("one", "nu", "mixed"), default="mixed")
-    p.add_argument("--instance-seed", type=int, default=0)
-    p.set_defaults(func=_cmd_slf)
+    _measure_command(sub, "nuprime", "conditional product weight moments", _cmd_nuprime)
 
-    p = sub.add_parser("nuprime", help="conditional product weight moments")
-    _add_measure_args(p)
-    _add_common_args(p)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_nuprime)
-
-    p = sub.add_parser("lf2", help="doubled-origin telescoping and chains")
-    _add_measure_args(p)
-    _add_common_args(p)
-    p.add_argument("--r", type=int, required=True)
+    p = _measure_command(sub, "lf2", "doubled-origin telescoping and chains", _cmd_lf2)
     p.add_argument("--j", type=int, default=None, help="restrict the chain to one edge")
     p.add_argument("--exponents", default=None, help="bit string over (edge, copy) slots")
-    p.set_defaults(func=_cmd_lf2)
 
-    p = sub.add_parser("count", help="progression density and hypothesis ratios")
-    _add_measure_args(p)
-    _add_common_args(p)
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_count)
+    _measure_command(sub, "count", "progression density and hypothesis ratios", _cmd_count)
 
-    p = sub.add_parser("experiment", help="density, ratios, and telescoping end to end")
-    _add_measure_args(p)
-    _add_common_args(p)
-    p.add_argument("--r", type=int, required=True)
+    p = _measure_command(
+        sub, "experiment", "density, ratios, and telescoping end to end", _cmd_experiment
+    )
     p.add_argument("--with-chains", action="store_true")
-    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", help="full property suite at fixed sizes")
     _add_common_args(p)
@@ -724,7 +660,8 @@ def _suggest_n(
 def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
     """Exit code of ``run()`` under ``budget``, for the command line and the
     scripts alike: an error is reported on stderr and gives 2, or 1 for a
-    numerical inconsistency.  A budget refusal suggests a prime below n."""
+    numerical inconsistency; any other exception is an internal error, 2.
+    A budget refusal suggests a prime below n."""
     try:
         resolve_budget(budget)  # refuse a bad budget before any work
         return run()
@@ -756,6 +693,9 @@ def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
             f"error: out of memory{detail}; retry with a smaller --n or a lower "
             "--budget / GOWERS_BUDGET\n"
         )
+        return 2
+    except Exception as exc:
+        sys.stderr.write(f"error: internal error ({type(exc).__name__}: {exc})\n")
         return 2
 
 

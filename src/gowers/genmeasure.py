@@ -56,12 +56,21 @@ class GeneratorSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GeneratorSpec":
-        return cls(
-            str(obj["kind"]),
-            int(obj["n"]),
-            float(obj.get("p", 0.5)),
-            int(obj.get("seed", 0)),
-        )
+        """The spec a JSON object holds; ``kind`` and ``n`` are required,
+        and a missing or unconvertible field raises ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"generator spec must be a JSON object, got {obj!r}")
+        fields = (("kind", str, None), ("n", int, None), ("p", float, 0.5), ("seed", int, 0))
+        values = []
+        for key, convert, default in fields:
+            value = obj.get(key, default)
+            if value is None:
+                raise ValueError(f"generator spec field {key!r} is missing or null")
+            try:
+                values.append(convert(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"generator spec field {key!r} cannot be {value!r}") from None
+        return cls(*values)
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorSpec":

@@ -26,19 +26,20 @@ as measured ratios.
 Free variables are canonically ordered with doubled copies first (vertex
 ascending, copy 0 before copy 1) and plain coordinates after (vertex
 ascending).  ``_doubled`` evaluates every expectation, of factors doubled
-over a vertex set d, by the cheapest of three routes, which ``_route``
-caches for their structure: a fixed bucket-elimination plan, each bucket
-contracted by unoptimized einsum with its output axes in this order; a box
-route: since no factor reads a copy of a doubled vertex, the expectation is
-the mean over the other variables z of a box power
+over a vertex set d, by a route that ``_route`` caches for their structure.
+At d=() it is a fixed bucket-elimination plan, each bucket contracted by
+unoptimized einsum with its output axes in this order; ``expect_product``
+is ``_doubled`` at d=().  At nonempty d, where every vertex of d must be
+read and no factor may read a copy of one, it is the cheaper of two: a box
+route, the mean over the other variables z of a box power
 (``gowersnorm._box_pows``) of the product of the undoubled factors; and a
 split route, when z falls into components that share no variable: the
 doubled product then factors pointwise, so the expectation is the mean over
 both copies of d of the product of one marginal per component.
-``expect_product`` is ``_doubled`` at d=(), always the plan.  ``q_value``,
-``ybar_sq_expectation`` and ``cube_expectation`` stay on the plan and are
-the router's test oracles.  Every route reduces over fixed shapes, so
-repeated runs are bit-identical.
+``q_value``, ``ybar_sq_expectation`` and ``cube_expectation`` run the plan
+on the explicitly doubled factors (``_on_planner``) and are the router's
+test oracles.  Every route reduces over fixed shapes, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -179,10 +180,11 @@ def _run(plan: _Plan, factors: list[Factor]) -> float:
     return math.prod([float(slots[i]) for i in plan.scalars]) / plan.points
 
 
-def _double(factors: list, d: tuple[int, ...]) -> list:
-    """Each factor (or factor structure) once per copy pattern of the
-    doubled vertices d, pattern order innermost: a plain axis of a vertex in
-    d reads that vertex's copy in the pattern, every other axis is kept."""
+def _double(factors: list[Factor], d: tuple[int, ...]) -> list[Factor]:
+    """Each factor once per copy pattern of the doubled vertices d, pattern
+    order innermost: a plain axis of a vertex in d reads that vertex's copy
+    in the pattern, every other axis is kept.  Only the planner oracle
+    ``_on_planner`` doubles factors this way."""
     patterns = [dict(zip(d, omega)) for omega in itertools.product((0, 1), repeat=len(d))]
     return [
         (arr, [(v, copy_of.get(v)) if c is None else (v, c) for v, c in axes])
@@ -367,35 +369,31 @@ def _route(
     structure: Structure, d: tuple[int, ...]
 ) -> _Plan | _BoxLayout | _SplitLayout:
     """How ``_doubled`` evaluates one structure (the shape and axes of each
-    factor) doubled over d: the cheapest of the plan of the doubled
-    structure (``_plan``), the box route (``_box_layout``) when no factor
-    reads a copy of a vertex in d, and the split route (``_split_layout``)
-    when moreover the variables outside d fall into independent components.
-    Ties go to the earlier route in that order; d empty and a vertex of d
-    that no factor reads go to the plan.
+    factor) doubled over d.  At d empty it is the plan of the structure
+    (``_plan``).  Otherwise every vertex of d must be read by some factor,
+    and by none at a copy; the route is then the cheaper of the box route
+    (``_box_layout``) and, when the variables outside d fall into
+    independent components, the split route (``_split_layout``), ties going
+    to the box route.
     """
-    doubled = _double(structure, d)
     sizes: dict[Var, int] = {}
-    for shape, axes in doubled:
+    for shape, axes in structure:
         if len(shape) != len(axes):
             raise ShapeMismatch("factor axis labels do not match array rank")
         for var, size in zip(axes, shape):
             if sizes.setdefault(var, size) != size:
                 raise ShapeMismatch(f"variable {var} has conflicting sizes")
+    if d:
+        if {var for var in sizes if var[0] in d} != {(v, None) for v in d}:
+            raise ShapeMismatch(f"every vertex of d={d} must be read, and only plain")
+        routes = [_box_layout(structure, d), _split_layout(structure, d)]
+        return min([r for r in routes if r is not None], key=lambda route: route.cost)
     order = sorted(sizes, key=_var_order_key)
     if len(order) > len(_LETTERS):
         raise ShapeMismatch("too many free variables")
     letter = dict(zip(order, _LETTERS))
-    subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in doubled])
-    plan = _plan(subscripts, tuple([sizes[v] for v in order]))
-    routes: list[_Plan | _BoxLayout | _SplitLayout] = [plan]
-    plain = all(c is None for _, axes in structure for v, c in axes if v in d)
-    if d and plain and all((v, 1) in sizes for v in d):
-        routes.append(_box_layout(structure, d))
-        split = _split_layout(structure, d)
-        if split is not None:
-            routes.append(split)
-    return min(routes, key=lambda route: route.cost)
+    subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in structure])
+    return _plan(subscripts, tuple([sizes[v] for v in order]))
 
 
 def _doubled(
@@ -411,7 +409,7 @@ def _doubled(
         return _box_route(factors, route)
     if isinstance(route, _SplitLayout):
         return _split_route(factors, route)
-    return _run(route, _double(factors, d))
+    return _run(route, factors)
 
 
 def expect_product(
@@ -962,9 +960,12 @@ def nu_prime(w: WeightedHypergraph, budget: float | None = None) -> EdgeFn:
         fn = w.weight_omitting(j)
         subs.append("".join(letter[v] for v in fn.edge))
         operands.append(fn.values)
-    out = "".join(letter[v] for v in e0)
+    shape = w.system.edge_dims(e0)
+    out = "".join(letter[v] for v in e0 if letter[v] in "".join(subs))
     vals = np.einsum(",".join(subs) + "->" + out, *operands, optimize=False) / n0
-    return EdgeFn(e0, w.system.edge_dims(e0), vals)
+    if not out:  # r=1: no factor reads the one vertex of e0, so nu' is constant
+        vals = np.full(shape, float(vals))
+    return EdgeFn(e0, shape, vals)
 
 
 def nu_prime_l2_dev(w: WeightedHypergraph, budget: float | None = None) -> float:

@@ -267,7 +267,8 @@ class TestTelescoping:
 
 class TestRelszExperiment:
     def test_prime_modulus_full_report(self):
-        ap, report = relsz_experiment(GeneratorSpec(kind="random", n=7, p=0.5, seed=1), 2)
+        nu = generate(GeneratorSpec(kind="random", n=7, p=0.5, seed=1))
+        ap, report = relsz_experiment(nu, 2)
         assert ap.n == 7 and ap.k == 3
         assert report.passed, report.failures()
         for key in (
@@ -282,7 +283,8 @@ class TestRelszExperiment:
         )
 
     def test_composite_modulus_skips_telescoping(self):
-        ap, report = relsz_experiment(GeneratorSpec(kind="random", n=8, p=0.5, seed=0), 2)
+        nu = generate(GeneratorSpec(kind="random", n=8, p=0.5, seed=0))
+        ap, report = relsz_experiment(nu, 2)
         assert ap.n == 8
         assert not report.checks
         assert any("telescoping skipped" in note for note in report.notes)
@@ -290,14 +292,14 @@ class TestRelszExperiment:
 
     def test_with_chains(self):
         _, report = relsz_experiment(
-            GeneratorSpec(kind="random", n=7, p=0.6, seed=2), 2, with_chains=True
+            generate(GeneratorSpec(kind="random", n=7, p=0.6, seed=2)), 2, with_chains=True
         )
         assert report.passed, report.failures()
         assert "term-1-chain-bound" in report.ratios
 
     def test_deterministic(self):
         spec = GeneratorSpec(kind="random", n=7, p=0.5, seed=3)
-        a1, r1 = relsz_experiment(spec, 2)
-        a2, r2 = relsz_experiment(spec, 2)
+        a1, r1 = relsz_experiment(generate(spec), 2)
+        a2, r2 = relsz_experiment(generate(spec), 2)
         assert a1 == a2
         assert r1.to_json() == r2.to_json()

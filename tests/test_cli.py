@@ -12,6 +12,7 @@ import pytest
 
 import gowers.apcount as apcount
 import gowers.cli as cli
+import gowers.genmeasure as genmeasure
 import gowers.linform as linform
 from gowers import (
     GeneratorSpec,
@@ -226,6 +227,35 @@ class TestErrors:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ("{}", "'kind'"),
+            ("[1]", "JSON object"),
+            ('{"kind": "random", "n": 7, "p": null}', "'p'"),
+        ],
+        ids=["empty", "list", "null-density"],
+    )
+    def test_malformed_spec_is_usage_error(self, capsys, tmp_path, text, field):
+        # Exit 1 means a check failed; a bad spec file is a usage error.
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, ["norm", "--input", str(path), "--k", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: generator spec") and field in err
+        assert "Traceback" not in err
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(cli, "u_norm_fast", broken)
+        code, out, err = _run(capsys, ["norm", "--n", "7", "--k", "2"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: internal error (RuntimeError: engine fault)\n"
+
 
 class TestSubcommands:
     def test_boxnorm_values(self, capsys):
@@ -321,6 +351,13 @@ class TestSubcommands:
         )
         assert code == 0
         assert all(f"term-{m}-chain-bound" in obj["report"]["ratios"] for m in range(5))
+
+    @pytest.mark.parametrize("command", ["nuprime", "verify"])
+    def test_arity_one(self, capsys, command):
+        # At r=1 the conditional product weight reads no vertex of e0.
+        code, obj, err = _run_json(capsys, [command, "--r", "1", "--n", "5"])
+        assert code == 0, err
+        assert obj["pass"] is True
 
     def test_verify_small(self, capsys):
         code, obj, _ = _run_json(capsys, ["verify", "--n", "5", "--seeds", "2"])
@@ -542,6 +579,39 @@ class TestVerifyInputs:
         code, _, _ = _run(capsys, ["verify", "--r", "2", "--n", "7"])
         assert code == 0
         assert len(calls) == 10 + 1
+
+
+MEASURE_COMMANDS = [
+    ["norm", "--k", "2"],
+    ["boxnorm", "--r", "2"],
+    ["represent", "--r", "2"],
+    ["cube", "--r", "2"],
+    ["slf", "--r", "2"],
+    ["slf-single", "--r", "2"],
+    ["nuprime", "--r", "2"],
+    ["lf2", "--r", "2"],
+    ["count", "--r", "2"],
+    ["experiment", "--r", "2", "--with-chains"],
+]
+
+
+class TestMeasureInputs:
+    @pytest.mark.parametrize("argv", MEASURE_COMMANDS, ids=[a[0] for a in MEASURE_COMMANDS])
+    def test_measure_generated_once(self, capsys, monkeypatch, argv):
+        # Every random measure is drawn by generate_set, whichever module
+        # calls generate.
+        specs = []
+        real = genmeasure.generate_set
+
+        def generate_set(spec):
+            specs.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(genmeasure, "generate_set", generate_set)
+        code, obj, _ = _run_json(capsys, argv + ["--n", "5", "--seed", "1"])
+        assert code == 0
+        assert specs == [GeneratorSpec(kind="random", n=5, seed=1)]
+        assert obj["inputs"]["spec"] == specs[0].to_json_obj()
 
 
 class TestExperimentInputs:

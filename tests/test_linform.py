@@ -960,6 +960,37 @@ class TestDoubledRouter:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_nonempty_d_never_plans(self, monkeypatch):
+        # At nonempty d the router chooses between the box and split routes
+        # only; the plan serves d=() and the planner oracle.
+        class PlanBuilt(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise PlanBuilt
+
+        w = represent(_measure(n=5, seed=9), 3)
+        quantities = [
+            (factors, d)
+            for kind in ("slf", "slf-single", "lf2")
+            for factors, d, _ in _chain_factors(kind, w, 9)
+            if d
+        ]
+        monkeypatch.setattr(linform, "_route", functools.lru_cache()(linform._route.__wrapped__))
+        monkeypatch.setattr(linform, "_plan", refuse)
+        for factors, d in quantities:
+            linform._doubled(factors, d)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [[(1, 0), (2, None)], [(2, None), (3, None)]],
+        ids=["reads-a-copy-of-d", "d-unread"],
+    )
+    def test_malformed_doubled_structure(self, axes):
+        # Neither has a box or split route; neither may fall back to the plan.
+        with pytest.raises(ShapeMismatch):
+            linform._doubled([(np.ones((3, 3)), axes)], (1,))
+
 
 def _two_copy_r4(n: int = 11) -> list:
     """The two-copy chain quantity's factors at r=4, d=(1,2,3)."""
