@@ -53,6 +53,7 @@ from .hypersystem import (
 from .linform import (
     CubePattern,
     Lf2Exponents,
+    _binomial_reports,
     _l2_dev,
     binomial_expansion_identity,
     chain_verify,
@@ -348,12 +349,12 @@ def _cmd_cube(args, spec, nu):
     g = w.weight_omitting(args.j)
     if args.pattern is None:
         pat = CubePattern.all_ones(len(g.edge))
+    elif len(args.pattern) != 2 ** len(g.edge):
+        raise UsageError(
+            f"pattern has {len(args.pattern)} bits but the edge cube needs {2 ** len(g.edge)}"
+        )
     else:
         pat = CubePattern.from_string(args.pattern)
-        if pat.k != len(g.edge):
-            raise UsageError(
-                f"pattern has {2 ** pat.k} bits but the edge cube needs {2 ** len(g.edge)}"
-            )
     values = {
         "cube-expectation": cube_expectation(g, pat, args.budget),
         "cube-centered-expectation": cube_centered_expectation(g, pat, args.budget),
@@ -466,12 +467,10 @@ def _suite_cube(measures, r: int, budget) -> VerificationReport:
             CubePattern(r, tuple(int(b) for b in rng.integers(0, 2, size=2**r)))
             for _ in range(7)
         ]
+    patterns = [pat for pat in patterns if pat.weight()]
     for s, (_, w) in enumerate(measures):
-        g = w.weight_omitting(0)
-        for pat in patterns:
-            if pat.weight() == 0:
-                continue
-            sub = binomial_expansion_identity(g, pat, budget)
+        subs = _binomial_reports(w.weight_omitting(0), patterns, budget)
+        for pat, sub in zip(patterns, subs):
             _fold(rep, sub, f"seed={s} pattern={pat.to_string()}")
     return rep
 

@@ -29,6 +29,14 @@ SET_KINDS = ("random", "interval", "quadratic", "singleton")
 GENERATOR_STREAM = "philox-key-u01-v1"
 
 
+def _integral(value) -> int:
+    """``int(value)``, refusing a bool and a float with a fractional part,
+    which ``int`` would silently truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str
@@ -60,7 +68,12 @@ class GeneratorSpec:
         and a missing or unconvertible field raises ValueError naming it."""
         if not isinstance(obj, dict):
             raise ValueError(f"generator spec must be a JSON object, got {obj!r}")
-        fields = (("kind", str, None), ("n", int, None), ("p", float, 0.5), ("seed", int, 0))
+        fields = (
+            ("kind", str, None),
+            ("n", _integral, None),
+            ("p", float, 0.5),
+            ("seed", _integral, 0),
+        )
         values = []
         for key, convert, default in fields:
             value = obj.get(key, default)

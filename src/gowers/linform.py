@@ -6,7 +6,10 @@ that connect them:
 
 * cube-pattern expectations over a single edge (products of the edge weight
   over chosen cube vertices) and the binomial expansion that relates raw and
-  centered patterns;
+  centered patterns, whose centered terms are evaluated once per orbit of
+  the coordinate flips (copy swaps) on sub-supports, through a per-k table
+  of class representatives, and shared across the patterns of one edge
+  weight (``_binomial_reports``);
 * the strong-linear-forms expectation with a centered distinguished edge and
   one minorant per remaining edge and copy, together with the doubling chain
   that bounds it by a box-norm power of the centered edge;
@@ -525,6 +528,78 @@ def cube_centered_expectation(
     return value
 
 
+# Largest cube dimension with a class table; it has 2^(2^k) entries, so
+# 65,536 at k=4 but 2^32 at k=5.
+_TABLE_K = 4
+
+
+def _flipped(mask, t: int, n: int):
+    """The sub-support ``mask`` (bit j: the j-th of the n cube vertices)
+    with each coordinate flipped where the t-th vertex has a one, so bit j
+    moves to bit j ^ t.  ``mask`` is an int or an integer array."""
+    out = 0
+    for j in range(n):
+        out = out | (((mask >> (j ^ t)) & 1) << j)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _flip_classes(k: int) -> list[int]:
+    """The class representative, the least mask of its orbit under the 2^k
+    coordinate flips, of every sub-support mask of the k-dimensional cube."""
+    n = 2**k
+    masks = np.arange(2**n, dtype=np.int64)
+    reps = masks
+    for t in range(1, n):
+        reps = np.minimum(reps, _flipped(masks, t, n))
+    return reps.tolist()
+
+
+def _binomial_reports(
+    g: EdgeFn, patterns: Iterable[CubePattern], budget: float | None = None
+) -> list[VerificationReport]:
+    """``binomial_expansion_identity`` of each pattern, sharing one memo of
+    centered terms.
+
+    Swapping the two copies of a cube coordinate relabels the integration
+    variables, so a centered term is constant on each orbit of the
+    coordinate flips.  Each orbit is evaluated once, at its representative
+    with its vertices in cube-vertex order, and charged before it runs.
+    """
+    k = len(g.edge)
+    vertices = cube_vertices(k)
+    n = len(vertices)
+    table = _flip_classes(k) if k <= _TABLE_K else None
+    centered = g.centered()
+    terms: dict[int, float] = {}
+    reports = []
+    for pat in patterns:
+        lhs = cube_expectation(g, pat, budget)
+        full = sum([1 << j for j, b in enumerate(pat.bits) if b])
+        # Every nonempty submask of ``full``, in falling order; fsum rounds
+        # the exact sum, so the order does not show.
+        parts = [1.0]
+        sub = full
+        while sub:
+            rep = table[sub] if table is not None else min(
+                [_flipped(sub, t, n) for t in range(n)]
+            )
+            if rep not in terms:
+                support = [om for j, om in enumerate(vertices) if rep >> j & 1]
+                terms[rep] = expect_product(
+                    _cube_factors(centered, support), budget, what="centered cube expectation"
+                )
+            parts.append(terms[rep])
+            sub = (sub - 1) & full
+        rhs = math.fsum(parts)
+        report = VerificationReport(name="cube-binomial-expansion")
+        report.add(eq_check("binomial-expansion", lhs, rhs, TOL))
+        report.ratios["raw"] = lhs
+        report.ratios["centered-sum"] = rhs
+        reports.append(report)
+    return reports
+
+
 def binomial_expansion_identity(
     g: EdgeFn, pat: CubePattern, budget: float | None = None
 ) -> VerificationReport:
@@ -533,21 +608,7 @@ def binomial_expansion_identity(
     The empty sub-support contributes one.  Exact identity by expanding
     nu = (nu - 1) + 1 at each active vertex.
     """
-    lhs = cube_expectation(g, pat, budget)
-    support = pat.support()
-    centered = g.centered()
-    terms = [1.0]
-    for size in range(1, len(support) + 1):
-        # Each subset keeps the cube-vertex order of the support.
-        for subset in itertools.combinations(support, size):
-            factors = _cube_factors(centered, subset)
-            terms.append(expect_product(factors, budget, what="centered cube expectation"))
-    rhs = math.fsum(terms)
-    report = VerificationReport(name="cube-binomial-expansion")
-    report.add(eq_check("binomial-expansion", lhs, rhs, TOL))
-    report.ratios["raw"] = lhs
-    report.ratios["centered-sum"] = rhs
-    return report
+    return _binomial_reports(g, [pat], budget)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -206,13 +206,15 @@ class TestErrors:
         assert "error:" in err
 
     def test_cube_pattern_length(self, capsys):
-        code, _, err = _run(
+        # Three bits fit no cube; the message counts them against the edge's.
+        code, out, err = _run(
             capsys,
             ["cube", "--kind", "constant", "--n", "5", "--r", "2",
              "--pattern", "101"],
         )
         assert code == 2
-        assert "error:" in err
+        assert out == ""
+        assert err == "error: pattern has 3 bits but the edge cube needs 4\n"
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -233,8 +235,11 @@ class TestErrors:
             ("{}", "'kind'"),
             ("[1]", "JSON object"),
             ('{"kind": "random", "n": 7, "p": null}', "'p'"),
+            ('{"kind": "random", "n": 7.9}', "'n'"),
+            ('{"kind": "random", "n": 7, "seed": 1.5}', "'seed'"),
+            ('{"kind": "random", "n": true}', "'n'"),
         ],
-        ids=["empty", "list", "null-density"],
+        ids=["empty", "list", "null-density", "fractional-n", "fractional-seed", "bool-n"],
     )
     def test_malformed_spec_is_usage_error(self, capsys, tmp_path, text, field):
         # Exit 1 means a check failed; a bad spec file is a usage error.

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import gowers.cli as cli
 import gowers.gowersnorm as gowersnorm
 import gowers.linform as linform
 from conftest import philox
@@ -36,6 +37,7 @@ from gowers import (
     chain_verify,
     cube_centered_expectation,
     cube_expectation,
+    cube_vertices,
     expect_product,
     generate,
     lf2_chain_verify,
@@ -440,6 +442,127 @@ class TestCubeEngines:
         for bits in ("1111", "1010", "0111"):
             report = binomial_expansion_identity(g, CubePattern.from_string(bits))
             assert report.passed, report.failures()
+
+
+def _mask(k: int, subset) -> int:
+    return sum([1 << j for j, om in enumerate(cube_vertices(k)) if om in subset])
+
+
+def _binomial_loop(g: EdgeFn, pat: CubePattern) -> dict:
+    """Oracle: the centered term of every nonempty sub-support, each from
+    its own expectation, keyed by the sub-support in cube-vertex order."""
+    support = pat.support()
+    centered = g.centered()
+    return {
+        subset: expect_product(linform._cube_factors(centered, subset))
+        for size in range(1, len(support) + 1)
+        for subset in itertools.combinations(support, size)
+    }
+
+
+def _cube_patterns(k: int, count: int, seed: int) -> list[CubePattern]:
+    rng = philox(seed)
+    return [CubePattern.all_ones(k)] + [
+        CubePattern(k, tuple(int(b) for b in rng.integers(0, 2, size=2**k)))
+        for _ in range(count)
+    ]
+
+
+class TestBinomialClasses:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_class_table_matches_orbits(self, k):
+        vertices = cube_vertices(k)
+        table = linform._flip_classes(k)
+        reps = set()
+        for size in range(len(vertices) + 1):
+            for subset in itertools.combinations(vertices, size):
+                orbit = [
+                    [tuple(a ^ b for a, b in zip(om, flip)) for om in subset]
+                    for flip in vertices
+                ]
+                least = min(_mask(k, member) for member in orbit)
+                assert table[_mask(k, subset)] == least
+                reps.add(least)
+        # Burnside over the 2^k flips, the empty class included.
+        assert len(reps) == {1: 3, 2: 7, 3: 46}[k]
+
+    @pytest.mark.parametrize("r,n", [(2, 7), (3, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_terms_match_loop_oracle(self, r, n, seed):
+        g = represent(_measure(n=n, seed=seed), r).weight_omitting(0)
+        patterns = [p for p in _cube_patterns(r, 4, seed) if p.weight()]
+        centered = g.centered()
+        table = linform._flip_classes(r)
+        vertices = cube_vertices(r)
+        reports = linform._binomial_reports(g, patterns)
+        for pat, report in zip(patterns, reports):
+            assert report.passed, report.failures()
+            terms = _binomial_loop(g, pat)
+            for subset, term in terms.items():
+                rep = table[_mask(r, subset)]
+                rep_support = [om for j, om in enumerate(vertices) if rep >> j & 1]
+                rep_term = expect_product(linform._cube_factors(centered, rep_support))
+                assert rep_term == pytest.approx(term, rel=1e-12, abs=1e-15)
+            oracle = math.fsum([1.0, *terms.values()])
+            assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
+
+    def test_untabled_dimension_matches_loop_oracle(self):
+        # k=5 has no class table (2^32 masks); its classes come from the
+        # flips of each sub-support.
+        g = EdgeFn((1, 2, 3, 4, 5), (2,) * 5, 0.5 + philox(3).random((2,) * 5))
+        pat = CubePattern.from_support(5, [(0,) * 5, (1, 0, 0, 0, 0), (1, 1, 0, 1, 1)])
+        report = binomial_expansion_identity(g, pat)
+        assert report.passed, report.failures()
+        oracle = math.fsum([1.0, *_binomial_loop(g, pat).values()])
+        assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
+
+    def test_one_expectation_per_class_in_verify_suite(self, monkeypatch):
+        # 45 nonempty classes at k=3 plus 8 left-hand sides per seed; one
+        # expectation per sub-support and pattern made 416.
+        calls = []
+        real = linform.expect_product
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("what"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linform, "expect_product", counted)
+        measures = []
+        for seed in range(2):
+            nu = _measure(n=5, seed=seed, p=0.5)
+            measures.append((nu, represent(nu, 3)))
+        report = cli._suite_cube(measures, 3, None)
+        assert report.passed, report.failures()
+        assert len(calls) == 2 * 53
+        assert calls.count("cube expectation") == 2 * 8
+
+    def test_scaled_class_term_fails(self, monkeypatch):
+        g = represent(_measure(n=5, seed=1), 3).weight_omitting(0)
+        pat = CubePattern.all_ones(3)
+        terms = {}
+        real = linform.expect_product
+
+        def recorded(factors, budget=None, what=""):
+            value = real(factors, budget, what)
+            if what == "centered cube expectation":
+                terms[tuple([tuple(axes) for _, axes in factors])] = value
+            return value
+
+        monkeypatch.setattr(linform, "expect_product", recorded)
+        assert binomial_expansion_identity(g, pat).passed
+        target = max(terms, key=lambda key: abs(terms[key]))
+
+        def scaled(factors, budget=None, what=""):
+            value = real(factors, budget, what)
+            if what == "centered cube expectation" and target == tuple(
+                [tuple(axes) for _, axes in factors]
+            ):
+                value *= 1.0 + 1e-6
+            return value
+
+        monkeypatch.setattr(linform, "expect_product", scaled)
+        report = binomial_expansion_identity(g, pat)
+        assert [c.check for c in report.failures()] == ["binomial-expansion"]
 
 
 def _slf_lhs_loop(inst: SlfInstance) -> float:
