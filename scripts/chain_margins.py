@@ -98,20 +98,23 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _write(args) -> int:
-    worst: dict[str, float] = defaultdict(lambda: float("inf"))
-    failures = 0
+    # Every row is computed before the output is opened, so a run that fails
+    # part way writes nothing.
+    rows = list(margin_rows(args))
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(HEADER)
-        for row in margin_rows(args):
-            writer.writerow(row)
-            family = row[4].split(" ")[0]
-            worst[family] = min(worst[family], float(row[7]))
-            failures += 0 if row[8] else 1
+        writer.writerows(rows)
     finally:
         if args.output:
             out.close()
+    worst: dict[str, float] = defaultdict(lambda: float("inf"))
+    failures = 0
+    for row in rows:
+        family = row[4].split(" ")[0]
+        worst[family] = min(worst[family], float(row[7]))
+        failures += 0 if row[8] else 1
     for family in sorted(worst):
         sys.stderr.write(f"worst margin {family}: {worst[family]:.3e}\n")
     sys.stderr.write(f"failing checks: {failures}\n")

@@ -74,12 +74,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _write(args) -> int:
+    # Every row is computed before the output is opened, so a run that fails
+    # part way writes nothing.
+    rows = list(sweep_rows(args))
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(HEADER)
-        for row in sweep_rows(args):
-            writer.writerow(row)
+        writer.writerows(rows)
     finally:
         if args.output:
             out.close()

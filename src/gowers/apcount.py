@@ -90,9 +90,17 @@ def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     Each f_j (j >= 1) is read through the strided view ``_shifts(f_j, j)``,
     whose entry [d, a] is f_j((a + j*d) mod N).  Differences are walked in
     blocks of at most ``_CHUNK_ELEMS`` elements (or one row); each block is
-    the product f_0 * f_1 * ... * f_(k-1) in that order, summed per row.
-    The per-difference sums are merged with exact compensated summation in
-    ascending difference order, so no N x N array is formed.
+    the product f_0 * f_1 * ... * f_(k-1) in that order, formed in one
+    preallocated buffer and summed per row.  The per-difference sums are
+    merged with exact compensated summation in ascending difference order,
+    so no N x N array is formed.
+
+    When the tuple is a palindrome by value (f_j = f_(k-1-j)), reflecting a
+    progression, (a, d) -> (a + (k-1)*d, -d), maps the progressions of
+    difference N - d one to one onto those of difference d with the tuple
+    reversed, which is the same tuple: both rows hold the same products.
+    Then only d = 0..N//2 are walked, and each 0 < d < N/2 counts twice in
+    the sum and in the nonzero count; doubling is exact.
     """
     if not fs:
         raise ShapeMismatch("need at least one weight function")
@@ -103,26 +111,30 @@ def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     check_budget(
         float(n) ** 2 * k, budget, what=f"progression density (k={k}, n={n})", power=2
     )
+    palindrome = all(np.array_equal(f.values, g.values) for f, g in zip(fs, fs[::-1]))
+    walk = n // 2 + 1 if palindrome else n
     views = [_shifts(f.values, j) for j, f in enumerate(fs[1:], start=1)]
     rows = max(1, _CHUNK_ELEMS // n)
-    per_diff = []
-    trivial = 0
-    nontrivial = 0
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        prod = np.repeat(fs[0].values[None, :], stop - start, axis=0)
-        for view in views:
+    buf = np.empty((min(rows, walk), n))
+    sum_blocks = []
+    count_blocks = []
+    for start in range(0, walk, rows):
+        stop = min(start + rows, walk)
+        prod = buf[: stop - start]
+        np.multiply(fs[0].values, views[0][start:stop] if views else 1.0, out=prod)
+        for view in views[1:]:
             prod *= view[start:stop]
-        if start == 0:
-            trivial = int(np.count_nonzero(prod[0]))
-            nontrivial += int(np.count_nonzero(prod[1:]))
-        else:
-            nontrivial += int(np.count_nonzero(prod))
-        per_diff.extend(np.sum(prod, axis=1).tolist())
-    density = math.fsum(per_diff) / float(n) ** 2
+        sum_blocks.append(np.sum(prod, axis=1))
+        count_blocks.append(np.count_nonzero(prod, axis=1))
+    sums = np.concatenate(sum_blocks)
+    counts = np.concatenate(count_blocks)
+    if palindrome:
+        sums[1 : (n + 1) // 2] *= 2.0
+        counts[1 : (n + 1) // 2] *= 2
+    density = math.fsum(sums.tolist()) / float(n) ** 2
     prediction = math.prod(f.mean() for f in fs)
     ratio = density / prediction if prediction != 0 else float("nan")
-    return ApReport(n, k, density, prediction, ratio, trivial, nontrivial)
+    return ApReport(n, k, density, prediction, ratio, int(counts[0]), int(np.sum(counts[1:])))
 
 
 @dataclass(frozen=True)

@@ -308,7 +308,10 @@ def _cmd_boxnorm(args, spec, nu):
 
 
 def _cmd_gcs(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        dims = ()
     if not dims or any(d < 1 for d in dims):
         raise UsageError(f"--dims must be positive integers, got {args.dims!r}")
     if args.tuples < 0:

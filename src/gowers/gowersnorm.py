@@ -9,7 +9,9 @@ Two independent routes are kept deliberately separate:
   real row with a real FFT and weighs the nonnegative frequencies by their
   conjugate pairs.  Shifted rows are read from a strided view of the doubled
   rows, and the difference parameter h is walked in blocks, so no N x N
-  array is ever formed.
+  array is ever formed.  For a real row the difference at -h is the one at
+  h shifted, so the terms for h and N - h are equal and each level forms
+  only h = 0..N//2, counting the interior ones twice.
 
 Box norms of a function on a product of finite vertex sets have two routes
 as well:
@@ -133,8 +135,14 @@ def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
 
     The rows are real, so at order two only the nonnegative frequencies are
     transformed: bin 0 counts once, each interior bin stands for itself and
-    its conjugate, and the Nyquist bin of an even N counts once.  Above it,
-    row(. + h) is read from a read-only (m, N, N) view of the doubled rows
+    its conjugate, and the Nyquist bin of an even N counts once.  Above it
+    the differences pair up the same way: row * row(. - h) is row * row(. + h)
+    shifted by -h, and the order-(k-1) power is shift-invariant, so only
+    h = 0..N//2 are formed; h = 0 counts once, each 0 < h < N/2 stands for
+    itself and N - h, and h = N/2 of an even N counts once.  Doubling is
+    exact, so the per-row fsum still merges exact terms, and the halving
+    compounds over the levels (about 2^(k-2) fewer differences).  row(. + h)
+    is read from a read-only (m, N//2 + 1, N) view of the doubled rows
     with strides (row, 1, 1); the ndarray constructor, unlike as_strided,
     refuses a view that reads past the buffer, and costs a fifth as much,
     which small-N calls notice."""
@@ -145,21 +153,25 @@ def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
         pows = (coeffs.real**2 + coeffs.imag**2) ** 2
         pows[:, 1 : (n + 1) // 2] *= 2.0
         return np.sum(pows, axis=1)
+    half = n // 2 + 1
     doubled = np.concatenate([rows, rows], axis=1)
     s_row, s_col = doubled.strides
-    shifted = np.ndarray((m, n, n), doubled.dtype, doubled, 0, (s_row, s_col, s_col))
+    shifted = np.ndarray((m, half, n), doubled.dtype, doubled, 0, (s_row, s_col, s_col))
     shifted.flags.writeable = False
     step = max(1, _CHUNK_ELEMS // (m * n))
     per_h = []
-    for start in range(0, n, step):
+    for start in range(0, half, step):
         diffs = rows[:, None, :] * shifted[:, start : start + step]
         per_h.append(_u_pows(diffs.reshape(-1, n), k - 1).reshape(m, -1))
-    return np.array([math.fsum(row) / n for row in np.concatenate(per_h, axis=1).tolist()])
+    pows = np.concatenate(per_h, axis=1)
+    pows[:, 1 : (n + 1) // 2] *= 2.0
+    return np.array([math.fsum(row) / n for row in pows.tolist()])
 
 
 def u_norm_fast(f: CyclicFn, k: int, budget: float | None = None) -> float:
     """Order-k uniformity norm by the difference recursion of ``_u_pows``,
-    charged the N^(k-1) difference values it forms."""
+    charged the N^(k-1) difference values of the full walk (the reflection
+    h <-> N - h forms about 2^(2-k) of them)."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     n = f.n

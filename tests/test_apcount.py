@@ -77,6 +77,15 @@ def _signed_with_zeros(n, k, seed, zero_share):
     ]
 
 
+def _palindromic(n, k, seed, zero_share, equal=False):
+    """A tuple with f_j = f_(k-1-j): k copies of one function, or ceil(k/2)
+    distinct functions mirrored, (f, g, f) at k=3 and (f, g, g, f) at k=4."""
+    if equal:
+        return _signed_with_zeros(n, 1, seed, zero_share) * k
+    half = _signed_with_zeros(n, (k + 1) // 2, seed, zero_share)
+    return half + half[: k // 2][::-1]
+
+
 class TestStridedDensity:
     @given(
         n=st.integers(1, 200),
@@ -92,24 +101,88 @@ class TestStridedDensity:
         assert report.trivial_count == trivial
         assert report.nontrivial_count == nontrivial
 
+    @given(
+        n=st.integers(1, 200),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+        equal=st.booleans(),
+    )
+    def test_palindromes_match_per_difference_loop(self, n, k, seed, zero_share, equal):
+        # A palindromic tuple walks only d = 0..N//2 and counts each
+        # 0 < d < N/2 twice.  Rows d and N - d hold the same products summed
+        # in another order, so the density agrees to roundoff, measured
+        # against the density of the |f_j|; the counts agree exactly.
+        fs = _palindromic(n, k, seed, zero_share, equal)
+        report = ap_density(fs)
+        density, trivial, nontrivial = _density_per_difference(fs)
+        scale = _density_per_difference([CyclicFn(n, np.abs(f.values)) for f in fs])[0]
+        assert report.density == pytest.approx(density, rel=1e-12, abs=1e-12 * scale)
+        assert report.trivial_count == trivial
+        assert report.nontrivial_count == nontrivial
+
+    @pytest.mark.parametrize("pattern", ["fghf", "fgff", "ffgf", "fgfg"])
+    def test_near_palindromes_take_the_full_walk(self, pattern):
+        # Ends or halves that agree are not enough: rows d and N - d differ,
+        # so these tuples keep the full walk and every bit of it.
+        named = dict(zip("fgh", _signed_with_zeros(64, 3, seed=9, zero_share=0.3)))
+        fs = [named[c] for c in pattern]
+        report = ap_density(fs)
+        expect = _density_per_difference(fs)
+        assert (report.density, report.trivial_count, report.nontrivial_count) == expect
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_palindromes_walk_half_the_differences(self, monkeypatch, n):
+        walked = []
+
+        class Rows(np.ndarray):
+            def __getitem__(self, item):
+                walked.append(item.stop)
+                return super().__getitem__(item)
+
+        shifts = apcount._shifts
+        monkeypatch.setattr(apcount, "_shifts", lambda values, j: shifts(values, j).view(Rows))
+        f, g = _signed_with_zeros(n, 2, seed=n, zero_share=0.0)
+        f_copy = CyclicFn(n, f.values.copy())
+        for fs, last in [
+            ([f, g, f_copy], n // 2 + 1),
+            ([f] * 4, n // 2 + 1),
+            ([f, g, g], n),
+            ([f, f, g, f], n),
+        ]:
+            walked.clear()
+            ap_density(fs)
+            assert max(walked) == last
+
+    def test_palindrome_is_recognised_by_value(self):
+        f = random_cyclic(101, seed=3, low=-1.0, high=1.0)
+        copies = [CyclicFn(101, f.values.copy()) for _ in range(4)]
+        assert repr(ap_density(copies)) == repr(ap_density([f] * 4))
+
     @pytest.mark.parametrize("n,k", [(1, 3), (7, 3), (97, 2), (300, 4)])
     def test_block_size_keeps_every_bit(self, monkeypatch, n, k):
-        fs = _signed_with_zeros(n, k, seed=n + k, zero_share=0.3)
-        report = ap_density(fs)
+        # The second tuple is a palindrome, so it takes the half walk.
+        tuples = [
+            _signed_with_zeros(n, k, seed=n + k, zero_share=0.3),
+            _palindromic(n, k, seed=n + k, zero_share=0.3),
+        ]
+        reports = [ap_density(fs) for fs in tuples]
         monkeypatch.setattr(apcount, "_CHUNK_ELEMS", 1)
         # repr compares floats bit for bit and a NaN ratio equal to itself.
-        assert repr(ap_density(fs)) == repr(report)
+        assert [repr(ap_density(fs)) for fs in tuples] == [repr(r) for r in reports]
 
     def test_memory_is_blocked(self):
-        # One N x N array of products would take 134 MB here.
+        # One N x N array of products would take 134 MB here.  The second
+        # tuple is a palindrome, so it takes the half walk.
         fs = [random_cyclic(4096, seed=i, low=-1.0, high=1.0) for i in range(4)]
-        tracemalloc.start()
-        try:
-            ap_density(fs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        for tup in (fs, [fs[0]] * 4):
+            tracemalloc.start()
+            try:
+                ap_density(tup)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6
 
 
 class TestApDensity:

@@ -181,6 +181,13 @@ class TestErrors:
         assert out == ""
         assert f"error: {option} must be nonnegative" in err
 
+    @pytest.mark.parametrize("dims", ["3,,4", "3,x", "0,2"])
+    def test_malformed_dims_name_the_flag(self, capsys, dims):
+        code, out, err = _run(capsys, ["gcs", "--dims", dims])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --dims must be positive integers, got {dims!r}\n"
+
     @pytest.mark.parametrize(
         "argv,suggestion",
         [

@@ -89,6 +89,15 @@ class TestDualRoute:
         b = u_norm_brute(f, k)
         assert u_norm_fast(f, k) == pytest.approx(b, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_agreement_small_moduli(self, n, k):
+        # Every level of the fast route forms only h = 0..N//2; at even N
+        # the difference h = N/2 pairs with itself and counts once.
+        f = random_cyclic(n, seed=10 * n + k, low=-1.0, high=1.0)
+        b = u_norm_brute(f, k)
+        assert u_norm_fast(f, k) == pytest.approx(b, rel=1e-9, abs=1e-12)
+
     def test_chunked_brute_matches_small(self):
         # Large enough that the brute route splits into several chunks.
         f = random_cyclic(64, seed=8, low=0.0, high=1.0)
@@ -96,7 +105,9 @@ class TestDualRoute:
 
 
 class TestFastRecursion:
-    @pytest.mark.parametrize("n,k", [(13, 3), (31, 3), (13, 4), (31, 4), (11, 5)])
+    @pytest.mark.parametrize(
+        "n,k", [(13, 3), (31, 3), (13, 4), (31, 4), (11, 5), (16, 3), (32, 3), (12, 4), (10, 5)]
+    )
     def test_block_size_keeps_every_bit(self, monkeypatch, n, k):
         # The spectral base case and the per-row sums work row by row, so
         # walking one h per block changes no bit of the result.
@@ -106,6 +117,23 @@ class TestFastRecursion:
             assert fast == pytest.approx(u_norm_brute(f, k), rel=1e-9)
         monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", 1)
         assert u_norm_fast(f, k) == fast
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_each_level_forms_half_the_differences(self, monkeypatch, n):
+        # h and N - h give equal terms, so each level forms h = 0..N//2 only.
+        seen = []
+        u_pows = gowersnorm._u_pows
+
+        def spy(rows, k):
+            seen.append((k, rows.shape[0]))
+            return u_pows(rows, k)
+
+        monkeypatch.setattr(gowersnorm, "_u_pows", spy)
+        u_norm_fast(random_cyclic(n, seed=n, low=-1.0, high=1.0), 4)
+        half = n // 2 + 1
+        assert [sum(m for k, m in seen if k == order) for order in (4, 3, 2)] == [
+            1, half, half**2
+        ]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 17])
     def test_real_spectrum_matches_complex_formula(self, n):

@@ -100,3 +100,26 @@ def test_chain_margins_charges_the_representation():
     )
     assert done.returncode == 2
     assert "(representation (r=3, n=5))" in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separation_sweep.py", "--moduli", "31,0", "--seeds", "1"],
+        ["chain_margins.py", "--moduli", "7,0", "--seeds", "1"],
+    ],
+)
+def test_failed_run_writes_nothing(tmp_path, argv):
+    # The rows for modulus 7 or 31 are computed before modulus 0 is refused;
+    # none of them reaches stdout or the output file.
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    out = tmp_path / "rows.csv"
+    for extra in ([], ["--output", str(out)]):
+        done = subprocess.run(
+            [sys.executable, str(SCRIPTS / argv[0]), *argv[1:], *extra],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: modulus must be positive, got 0\n"
+    assert not out.exists()
