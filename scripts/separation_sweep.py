@@ -5,7 +5,9 @@ ratios against progression densities.
 One CSV row per (kind, modulus, seed): the centered norm, the norm divided
 by the two candidate density powers, and the progression density of the
 measure, so the decay of random sets against structured sets can be read off
-directly.  Deterministic for a fixed configuration.
+directly.  A random draw that comes out empty has no measure and writes no
+row; the seed column still names each draw.  Deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ import argparse
 import csv
 import sys
 
-from gowers import GeneratorSpec, ap_density, generate, hypothesis_ratio
+from gowers import (
+    EmptySetGenerated,
+    GeneratorSpec,
+    ap_density,
+    generate,
+    hypothesis_ratio,
+)
 from gowers.cli import guarded
 
 HEADER = (
@@ -40,7 +48,10 @@ def sweep_rows(args):
         for kind in KINDS:
             seeds = range(args.seeds) if kind == "random" else (0,)
             for seed in seeds:
-                nu = generate(GeneratorSpec(kind=kind, n=n, p=args.p, seed=seed))
+                try:
+                    nu = generate(GeneratorSpec(kind=kind, n=n, p=args.p, seed=seed))
+                except EmptySetGenerated:
+                    continue
                 hr = hypothesis_ratio(nu, args.r, args.budget)
                 ap = ap_density([nu.fn] * (args.r + 1), args.budget)
                 yield (

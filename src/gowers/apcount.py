@@ -5,7 +5,10 @@ The density of length-k progressions weighted by functions f_0, ..., f_(k-1)
 is E over start a and difference d (d = 0 included) of the product
 f_j(a + j*d).  The trivial (d = 0) and nontrivial tuples with nonzero weight
 are counted separately; for indicator inputs those are plain progression
-counts.
+counts.  A dense tuple is walked one difference at a time; a sparse one,
+such as the measure of a set of density 0.2, is walked over the start pairs
+(a, a + d) drawn from the supports of f_0 and f_1, since every other product
+is zero.
 
 For a represented measure the product of all edge weights over the hypergraph
 coordinates sweeps progressions uniformly, which turns the progression
@@ -87,20 +90,20 @@ def _shifts(values: np.ndarray, j: int) -> np.ndarray:
 def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     """Weighted density of length-k progressions, differences 0..N-1.
 
-    Each f_j (j >= 1) is read through the strided view ``_shifts(f_j, j)``,
-    whose entry [d, a] is f_j((a + j*d) mod N).  Differences are walked in
-    blocks of at most ``_CHUNK_ELEMS`` elements (or one row); each block is
-    the product f_0 * f_1 * ... * f_(k-1) in that order, formed in one
-    preallocated buffer and summed per row.  The per-difference sums are
-    merged with exact compensated summation in ascending difference order,
-    so no N x N array is formed.
+    Two walks form the products f_0(a) * f_1(a+d) * ... * f_(k-1)(a+(k-1)d),
+    each in that order, so both form the same products bit for bit.  The
+    pair walk forms only those whose first two terms lie in the supports S0
+    of f_0 and S1 of f_1; every other product is zero.  It reads its terms
+    by gathers, each costlier than a strided read of the difference walk, so
+    it is taken when 4*|S0|*|S1| is at most the walk*N products the
+    difference walk would form (walk = N//2 + 1 for a palindrome, N
+    otherwise).  The factor 4 is a constant bounding that cost.
 
     When the tuple is a palindrome by value (f_j = f_(k-1-j)), reflecting a
     progression, (a, d) -> (a + (k-1)*d, -d), maps the progressions of
     difference N - d one to one onto those of difference d with the tuple
     reversed, which is the same tuple: both rows hold the same products.
-    Then only d = 0..N//2 are walked, and each 0 < d < N/2 counts twice in
-    the sum and in the nonzero count; doubling is exact.
+    Then the difference walk forms only d = 0..N//2 (``_difference_walk``).
     """
     if not fs:
         raise ShapeMismatch("need at least one weight function")
@@ -111,9 +114,35 @@ def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     check_budget(
         float(n) ** 2 * k, budget, what=f"progression density (k={k}, n={n})", power=2
     )
-    palindrome = all(np.array_equal(f.values, g.values) for f, g in zip(fs, fs[::-1]))
+    values = [f.values for f in fs]
+    palindrome = all(np.array_equal(f, g) for f, g in zip(values, values[::-1]))
     walk = n // 2 + 1 if palindrome else n
-    views = [_shifts(f.values, j) for j, f in enumerate(fs[1:], start=1)]
+    supports = [np.flatnonzero(v) for v in values[:2]]
+    if k >= 2 and 4 * supports[0].size * supports[1].size <= walk * n:
+        total, trivial, nontrivial = _pair_walk(values, *supports)
+    else:
+        total, trivial, nontrivial = _difference_walk(values, walk)
+    density = total / float(n) ** 2
+    prediction = math.prod(f.mean() for f in fs)
+    ratio = density / prediction if prediction != 0 else float("nan")
+    return ApReport(n, k, density, prediction, ratio, trivial, nontrivial)
+
+
+def _difference_walk(values: list[np.ndarray], walk: int) -> tuple[float, int, int]:
+    """Sum, trivial and nontrivial nonzero counts of the products over
+    differences d = 0..walk-1, every start at each.
+
+    Each f_j (j >= 1) is read through the strided view ``_shifts(f_j, j)``,
+    whose entry [d, a] is f_j((a + j*d) mod N).  Differences are walked in
+    blocks of at most ``_CHUNK_ELEMS`` elements (or one row), each formed in
+    one preallocated buffer and summed per row.  The per-difference sums are
+    merged with exact compensated summation in ascending difference order,
+    so no N x N array is formed.  A half walk (walk < N, a palindrome) counts
+    each 0 < d < N/2 twice in the sum and in the nonzero count; doubling is
+    exact.
+    """
+    n = values[0].size
+    views = [_shifts(v, j) for j, v in enumerate(values[1:], start=1)]
     rows = max(1, _CHUNK_ELEMS // n)
     buf = np.empty((min(rows, walk), n))
     sum_blocks = []
@@ -121,20 +150,57 @@ def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     for start in range(0, walk, rows):
         stop = min(start + rows, walk)
         prod = buf[: stop - start]
-        np.multiply(fs[0].values, views[0][start:stop] if views else 1.0, out=prod)
+        np.multiply(values[0], views[0][start:stop] if views else 1.0, out=prod)
         for view in views[1:]:
             prod *= view[start:stop]
         sum_blocks.append(np.sum(prod, axis=1))
         count_blocks.append(np.count_nonzero(prod, axis=1))
     sums = np.concatenate(sum_blocks)
     counts = np.concatenate(count_blocks)
-    if palindrome:
+    if walk < n:
         sums[1 : (n + 1) // 2] *= 2.0
         counts[1 : (n + 1) // 2] *= 2
-    density = math.fsum(sums.tolist()) / float(n) ** 2
-    prediction = math.prod(f.mean() for f in fs)
-    ratio = density / prediction if prediction != 0 else float("nan")
-    return ApReport(n, k, density, prediction, ratio, int(counts[0]), int(np.sum(counts[1:])))
+    return math.fsum(sums.tolist()), int(counts[0]), int(np.sum(counts[1:]))
+
+
+def _pair_walk(
+    values: list[np.ndarray], s0: np.ndarray, s1: np.ndarray
+) -> tuple[float, int, int]:
+    """Sum, trivial and nontrivial nonzero counts of the products over the
+    start pairs a in s0, b in s1 (k >= 2): the progression with first terms
+    a and b has difference b - a and term j at j*b - (j-1)*a mod N.
+
+    Starts a are walked in blocks of at most ``_CHUNK_ELEMS`` products (or
+    one row); the term indices and the terms read by ``np.take`` fill
+    buffers allocated once, so no N x N array is formed.  Each row is summed
+    on its own and the row sums are merged with exact compensated summation.
+    The d = 0 progressions are the pairs a = b, whose products are the
+    pointwise product f_0 * f_1 * ... * f_(k-1), formed in the same order.
+    """
+    head = values[1][s1]
+    rows = max(1, _CHUNK_ELEMS // max(1, s1.size))
+    prod_buf = np.empty((min(rows, s0.size), s1.size))
+    term_buf = np.empty_like(prod_buf)
+    index_buf = np.empty(prod_buf.shape, np.intp)
+    row_sums: list[float] = []
+    nonzero = 0
+    for start in range(0, s0.size, rows):
+        a = s0[start : start + rows, None]
+        prod = prod_buf[: a.size]
+        term = term_buf[: a.size]
+        index = index_buf[: a.size]
+        np.multiply(values[0][a], head, out=prod)
+        for j, f in enumerate(values[2:], start=2):
+            np.subtract(j * s1, (j - 1) * a, out=index)
+            np.take(f, index, out=term, mode="wrap")
+            prod *= term
+        row_sums.extend(np.sum(prod, axis=1).tolist())
+        nonzero += int(np.count_nonzero(prod))
+    diagonal = values[0] * values[1]
+    for f in values[2:]:
+        diagonal *= f
+    trivial = int(np.count_nonzero(diagonal))
+    return math.fsum(row_sums), trivial, nonzero - trivial
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ class _Plan:
     points: float
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=16384)
 def _plan(subscripts: str, sizes: tuple[int, ...]) -> _Plan:
     """Bucket-elimination plan for a factor structure: ``subscripts`` holds
     the axes of every factor in einsum form, the i-th variable of the
@@ -367,7 +367,7 @@ def _split_route(factors: list[Factor], layout: _SplitLayout) -> float:
     return math.fsum(np.concatenate(sums)) / (box * box)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=16384)
 def _route(
     structure: Structure, d: tuple[int, ...]
 ) -> _Plan | _BoxLayout | _SplitLayout:

@@ -4,6 +4,7 @@ experiments, validated against explicit loop oracles and frozen values."""
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def _signed_with_zeros(n, k, seed, zero_share):
     ]
 
 
+def _walked(fs):
+    """ap_density(fs) and whether it took the pair walk."""
+    with mock.patch.object(apcount, "_pair_walk", wraps=apcount._pair_walk) as spy:
+        report = ap_density(fs)
+    return report, spy.called
+
+
+def _indicator_measure(n, p, seed):
+    return generate(GeneratorSpec(kind="random", n=n, p=p, seed=seed)).fn
+
+
 def _palindromic(n, k, seed, zero_share, equal=False):
     """A tuple with f_j = f_(k-1-j): k copies of one function, or ceil(k/2)
     distinct functions mirrored, (f, g, f) at k=3 and (f, g, g, f) at k=4."""
@@ -94,12 +106,40 @@ class TestStridedDensity:
         zero_share=st.sampled_from([0.0, 0.3, 0.9]),
     )
     def test_matches_per_difference_loop(self, n, k, seed, zero_share):
+        # The difference walk keeps every bit.  The pair walk forms the same
+        # products but sums them by start instead of by difference, so its
+        # density agrees to roundoff, measured against the density of the
+        # |f_j|; the counts agree exactly.
         fs = _signed_with_zeros(n, k, seed, zero_share)
-        report = ap_density(fs)
+        report, paired = _walked(fs)
         density, trivial, nontrivial = _density_per_difference(fs)
-        assert report.density == density
+        if paired:
+            scale = _density_per_difference([CyclicFn(n, np.abs(f.values)) for f in fs])[0]
+            assert report.density == pytest.approx(density, rel=1e-12, abs=1e-12 * scale)
+        else:
+            assert report.density == density
         assert report.trivial_count == trivial
         assert report.nontrivial_count == nontrivial
+
+    def test_sparse_tuples_take_the_pair_walk(self):
+        # The pair walk is taken when 4*|S0|*|S1| <= walk*N: sparse tuples
+        # and sparse indicator measures, never dense or constant tuples.
+        sparse = [
+            _signed_with_zeros(101, 3, seed=1, zero_share=0.9),
+            [_indicator_measure(4093, 0.2, seed=0)] * 4,
+            # f_0 and f_1 sparse enough; the later terms do not matter.
+            _signed_with_zeros(64, 2, seed=2, zero_share=0.9)
+            + _signed_with_zeros(64, 1, seed=3, zero_share=0.0),
+        ]
+        dense = [
+            _signed_with_zeros(101, 3, seed=1, zero_share=0.0),
+            [CyclicFn(101, np.ones(101))] * 3,
+            [_indicator_measure(4093, 0.5, seed=0)] * 3,
+            # k = 1 has no second term to pair with.
+            _signed_with_zeros(64, 1, seed=4, zero_share=0.9),
+        ]
+        assert [_walked(fs)[1] for fs in sparse] == [True] * len(sparse)
+        assert [_walked(fs)[1] for fs in dense] == [False] * len(dense)
 
     @given(
         n=st.integers(1, 200),
@@ -161,11 +201,14 @@ class TestStridedDensity:
 
     @pytest.mark.parametrize("n,k", [(1, 3), (7, 3), (97, 2), (300, 4)])
     def test_block_size_keeps_every_bit(self, monkeypatch, n, k):
-        # The second tuple is a palindrome, so it takes the half walk.
+        # The second tuple is a palindrome, so it takes the half walk; the
+        # third is sparse, so it takes the pair walk.
         tuples = [
             _signed_with_zeros(n, k, seed=n + k, zero_share=0.3),
             _palindromic(n, k, seed=n + k, zero_share=0.3),
+            _signed_with_zeros(n, k, seed=n + k, zero_share=0.9),
         ]
+        assert _walked(tuples[2])[1]
         reports = [ap_density(fs) for fs in tuples]
         monkeypatch.setattr(apcount, "_CHUNK_ELEMS", 1)
         # repr compares floats bit for bit and a NaN ratio equal to itself.
@@ -173,9 +216,12 @@ class TestStridedDensity:
 
     def test_memory_is_blocked(self):
         # One N x N array of products would take 134 MB here.  The second
-        # tuple is a palindrome, so it takes the half walk.
+        # tuple is a palindrome, so it takes the half walk; the third is an
+        # indicator measure at p = 0.2, so it takes the pair walk.
         fs = [random_cyclic(4096, seed=i, low=-1.0, high=1.0) for i in range(4)]
-        for tup in (fs, [fs[0]] * 4):
+        sparse = [_indicator_measure(4096, 0.2, seed=0)] * 4
+        assert _walked(sparse)[1]
+        for tup in (fs, [fs[0]] * 4, sparse):
             tracemalloc.start()
             try:
                 ap_density(tup)
@@ -205,6 +251,18 @@ class TestApDensity:
         assert report.density == pytest.approx(density, rel=1e-12, abs=1e-15)
         assert report.trivial_count == trivial
         assert report.nontrivial_count == nontrivial
+
+    @pytest.mark.parametrize("n,k", [(11, 2), (19, 3), (23, 4)])
+    def test_loop_oracle_sparse(self, n, k):
+        # Sparse tuples take the pair walk.
+        fs = _signed_with_zeros(n, k, seed=n, zero_share=0.6)
+        report, paired = _walked(fs)
+        assert paired
+        density, trivial, nontrivial = _density_loop(fs)
+        assert report.density == pytest.approx(density, rel=1e-12, abs=1e-15)
+        assert report.trivial_count == trivial
+        assert report.nontrivial_count == nontrivial
+        assert trivial + nontrivial > 0
 
     def test_loop_oracle_indicator(self):
         members = {0, 1, 3}

@@ -485,6 +485,18 @@ def _progression_view_one_step_long(monkeypatch):
     monkeypatch.setattr(apcount, "_shifts", lambda values, j: real(values, j + 1))
 
 
+def _pair_walk_scaled(monkeypatch):
+    """The pair walk of ap_density sums its products one part in a million
+    high."""
+    real = apcount._pair_walk
+
+    def scaled(*args):
+        total, trivial, nontrivial = real(*args)
+        return total * (1.0 + 1e-6), trivial, nontrivial
+
+    monkeypatch.setattr(apcount, "_pair_walk", scaled)
+
+
 def _spectrum_without_nyquist(monkeypatch):
     """The order-two base of u_norm_fast loses the Nyquist bin of an even N."""
     real = np.fft.rfft
@@ -522,8 +534,14 @@ class TestMutations:
             (_progression_view_one_step_long, ["verify", "--r", "2", "--n", "7"]),
             # verify runs at primes only, so an even modulus needs norm.
             (_spectrum_without_nyquist, ["norm", "--k", "3", "--n", "16", "--mode", "both"]),
+            # A sparse measure takes the pair walk; telescoping-count-identity
+            # compares its density with terms computed without it.
+            (
+                _pair_walk_scaled,
+                ["experiment", "--r", "2", "--n", "101", "--p", "0.2", "--seed", "0"],
+            ),
         ],
-        ids=["ap-view-one-step-long", "rfft-without-nyquist"],
+        ids=["ap-view-one-step-long", "rfft-without-nyquist", "pair-walk-scaled"],
     )
     def test_fast_path_fault_fails(self, capsys, monkeypatch, fault, argv):
         code, _, err = _run(capsys, argv)

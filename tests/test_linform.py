@@ -536,6 +536,23 @@ class TestBinomialClasses:
         assert len(calls) == 2 * 53
         assert calls.count("cube expectation") == 2 * 8
 
+    def test_second_identical_seed_hits_the_route_cache(self):
+        # One seed of the r=4 cube suite routes 4,342 distinct structures,
+        # more than a 4,096-entry cache holds.  The route and plan caches
+        # hold them all, so an identical second seed plans none of them again.
+        nu = _measure(n=5, seed=0, p=0.5)
+        measures = [(nu, represent(nu, 4))]
+        caches = (linform._route, linform._plan)
+        for cache in caches:
+            cache.cache_clear()
+        cli._suite_cube(measures, 4, None)
+        first = [cache.cache_info() for cache in caches]
+        cli._suite_cube(measures, 4, None)
+        second = [cache.cache_info() for cache in caches]
+        assert first[0].misses > 4096
+        assert [info.misses for info in second] == [info.misses for info in first]
+        assert second[0].hits - first[0].hits >= first[0].misses
+
     def test_scaled_class_term_fails(self, monkeypatch):
         g = represent(_measure(n=5, seed=1), 3).weight_omitting(0)
         pat = CubePattern.all_ones(3)

@@ -59,6 +59,20 @@ def test_separation_sweep(tmp_path, monkeypatch):
         assert float(row[8]) == pytest.approx(float(row[7]) - 1.0, abs=1e-15)
 
 
+def test_separation_sweep_skips_empty_draws(tmp_path, monkeypatch):
+    # At N=7, p=0.2 the random draws for seeds 2, 5, 8 and 9 are empty: they
+    # write no row, and the other rows keep the seed that drew them.
+    out = tmp_path / "sweep.csv"
+    script = _load("separation_sweep", monkeypatch)
+    code = script.main(["--moduli", "7", "--output", str(out)])
+    assert code == 0
+    rows = _rows(out)[1:]
+    assert [(row[0], row[2]) for row in rows] == [
+        ("random", "0"), ("random", "1"), ("random", "3"), ("random", "4"),
+        ("random", "6"), ("random", "7"), ("interval", "0"), ("quadratic", "0"),
+    ]
+
+
 def test_separation_sweep_refuses_negative_seeds(capsys, monkeypatch):
     script = _load("separation_sweep", monkeypatch)
     with pytest.raises(SystemExit) as exc:
