@@ -94,6 +94,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", type=float, default=None)
     parser.add_argument("--output", default=None, help="CSV path (default stdout)")
     args = parser.parse_args(argv)
+    if args.seeds < 0:
+        parser.error(f"--seeds must be nonnegative, got {args.seeds}")
     return guarded(lambda: _write(args), args.budget)
 
 

@@ -97,7 +97,9 @@ def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     by gathers, each costlier than a strided read of the difference walk, so
     it is taken when 4*|S0|*|S1| is at most the walk*N products the
     difference walk would form (walk = N//2 + 1 for a palindrome, N
-    otherwise).  The factor 4 is a constant bounding that cost.
+    otherwise).  The factor 4 is a constant bounding that cost.  The walk
+    taken is charged k products per term it forms: walk*N terms, or
+    |S0|*|S1| + N for the pair walk and its d = 0 diagonal.
 
     When the tuple is a palindrome by value (f_j = f_(k-1-j)), reflecting a
     progression, (a, d) -> (a + (k-1)*d, -d), maps the progressions of
@@ -111,14 +113,17 @@ def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     if any(f.n != n for f in fs):
         raise ShapeMismatch("all weight functions must share the modulus")
     k = len(fs)
-    check_budget(
-        float(n) ** 2 * k, budget, what=f"progression density (k={k}, n={n})", power=2
-    )
     values = [f.values for f in fs]
     palindrome = all(np.array_equal(f, g) for f, g in zip(values, values[::-1]))
     walk = n // 2 + 1 if palindrome else n
     supports = [np.flatnonzero(v) for v in values[:2]]
-    if k >= 2 and 4 * supports[0].size * supports[1].size <= walk * n:
+    pairs = math.prod([s.size for s in supports])
+    pair_walk = k >= 2 and 4 * pairs <= walk * n
+    terms = pairs + n if pair_walk else walk * n
+    check_budget(
+        float(terms) * k, budget, what=f"progression density (k={k}, n={n})", power=2
+    )
+    if pair_walk:
         total, trivial, nontrivial = _pair_walk(values, *supports)
     else:
         total, trivial, nontrivial = _difference_walk(values, walk)
@@ -241,10 +246,11 @@ def _transposition(r: int, m: int) -> tuple[int, ...]:
 
 
 def telescoping_check(
-    nu: Measure, w: WeightedHypergraph, budget: float | None = None, with_chains: bool = False
+    w: WeightedHypergraph, density: float, budget: float | None = None, with_chains: bool = False
 ) -> VerificationReport:
-    """Verify that the progression density of nu minus one equals the sum of
-    the single-copy centered terms of its representation w.
+    """Verify that ``density``, the progression density of the measure that
+    w represents (``ap_density`` of r + 1 copies), minus one equals the sum
+    of the single-copy centered terms of w.
 
     Term m centers the edge omitting vertex m, keeps the weights of edges
     omitting 0..m-1 and replaces the rest by one; each term is the empty-set
@@ -253,15 +259,6 @@ def telescoping_check(
     With ``with_chains`` the composed chain bound of each term is attached as
     a measured ratio.
     """
-    lam = ap_density([nu.fn] * (w.r + 1), budget).density
-    return _telescoping(w, lam, budget, with_chains)
-
-
-def _telescoping(
-    w: WeightedHypergraph, lam: float, budget: float | None, with_chains: bool
-) -> VerificationReport:
-    """``telescoping_check`` against the already computed progression
-    density lam of the represented measure."""
     r = w.r
     report = VerificationReport(name="progression-telescoping")
     terms = []
@@ -289,8 +286,8 @@ def _telescoping(
                 if not c.passed:
                     report.add(c)
     total = math.fsum(terms)
-    report.add(eq_check("telescoping-count-identity", lam - 1.0, total, TOL))
-    report.ratios["density"] = lam
+    report.add(eq_check("telescoping-count-identity", density - 1.0, total, TOL))
+    report.ratios["density"] = density
     return report
 
 
@@ -304,7 +301,7 @@ def relsz_experiment(
     ratios = hypothesis_ratio(nu, r, budget)
     if is_prime(nu.n) and nu.n > r:
         charge_representation(nu.n, r, budget)
-        report = _telescoping(represent(nu, r), ap.density, budget, with_chains)
+        report = telescoping_check(represent(nu, r), ap.density, budget, with_chains)
     else:
         report = VerificationReport(name="progression-telescoping")
         report.notes.append("modulus not prime above the arity; telescoping skipped")

@@ -27,10 +27,10 @@ import numpy as np
 from .apcount import (
     CSV_HEADER,
     ApReport,
-    _telescoping,
     ap_density,
     hypothesis_ratio,
     relsz_experiment,
+    telescoping_check,
 )
 from .budget import DEFAULT_BUDGET, resolve_budget
 from .errors import BudgetExceeded, GowersError, NumericalInconsistency
@@ -53,8 +53,6 @@ from .hypersystem import (
 from .linform import (
     CubePattern,
     Lf2Exponents,
-    _binomial_reports,
-    _l2_dev,
     binomial_expansion_identity,
     chain_verify,
     cube_centered_expectation,
@@ -85,7 +83,19 @@ def _spec_from_args(args) -> GeneratorSpec:
             return GeneratorSpec.from_json_obj(json.load(fh))
     if args.n is None:
         raise UsageError("--n is required (or pass --input with a spec file)")
+    _nonnegative("--seed", args.seed)
     return GeneratorSpec(kind=args.kind, n=args.n, p=args.p, seed=args.seed)
+
+
+def _nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise UsageError(f"{flag} must be nonnegative, got {value}")
+
+
+def _bits(flag: str, text: str) -> list[int]:
+    if set(text) - set("01"):
+        raise UsageError(f"{flag} must be a string of 0s and 1s, got {text!r}")
+    return [int(ch) for ch in text]
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
@@ -248,7 +258,7 @@ def _moments(rep, w, tag: str, budget) -> dict[str, float]:
     m1 = prime.mean()
     m2_direct = math.fsum((prime.values.ravel() ** 2).tolist()) / prime.npoints
     m2_doubled = lf2_expectation(w, Lf2Exponents.all_ones(w.r), budget)
-    dev = _l2_dev(prime)
+    dev = nu_prime_l2_dev(prime)
     rep.add(
         eq_check(
             f"doubled-origin-second-moment{tag}",
@@ -314,8 +324,11 @@ def _cmd_gcs(args) -> int:
         dims = ()
     if not dims or any(d < 1 for d in dims):
         raise UsageError(f"--dims must be positive integers, got {args.dims!r}")
-    if args.tuples < 0:
-        raise UsageError(f"--tuples must be nonnegative, got {args.tuples}")
+    if len(dims) > 5:
+        # One einsum operand per cube vertex, and einsum takes at most 32.
+        raise UsageError(f"--dims takes at most 5 coordinates, got {len(dims)}")
+    _nonnegative("--tuples", args.tuples)
+    _nonnegative("--seed", args.seed)
     merged = VerificationReport(name="box-norm-product-bound")
     for t in range(args.tuples):
         margin = f"tuple {t}: equality-margin" if args.equal else None
@@ -352,7 +365,7 @@ def _cmd_cube(args, spec, nu):
     g = w.weight_omitting(args.j)
     if args.pattern is None:
         pat = CubePattern.all_ones(len(g.edge))
-    elif len(args.pattern) != 2 ** len(g.edge):
+    elif len(_bits("--pattern", args.pattern)) != 2 ** len(g.edge):
         raise UsageError(
             f"pattern has {len(args.pattern)} bits but the edge cube needs {2 ** len(g.edge)}"
         )
@@ -362,13 +375,14 @@ def _cmd_cube(args, spec, nu):
         "cube-expectation": cube_expectation(g, pat, args.budget),
         "cube-centered-expectation": cube_centered_expectation(g, pat, args.budget),
     }
-    report = binomial_expansion_identity(g, pat, args.budget)
+    (report,) = binomial_expansion_identity(g, [pat], args.budget)
     inputs = {"r": args.r, "j": args.j, "pattern": pat.to_string()}
     return inputs, {"values": values, "report": report.to_json_obj()}, report.passed
 
 
 def _cmd_slf(args, spec, nu):
     """``slf`` (two copies of vertex 0) and ``slf-single`` (one copy)."""
+    _nonnegative("--instance-seed", args.instance_seed)
     w = _represent(nu, args.r, args.budget)
     if args.command == "slf":
         inst = random_slf_instance(w, args.instance_seed, args.caps)
@@ -393,7 +407,7 @@ def _cmd_lf2(args, spec, nu):
     w = _represent(nu, args.r, args.budget)
     exps = Lf2Exponents.all_ones(args.r)
     if args.exponents is not None:
-        exps = Lf2Exponents.from_bits(args.r, [int(ch) for ch in args.exponents])
+        exps = Lf2Exponents.from_bits(args.r, _bits("--exponents", args.exponents))
     js = range(1, args.r + 1) if args.j is None else [args.j]
     reports = _lf2_reports(w, exps, js, args.budget)
     inputs = {
@@ -472,7 +486,7 @@ def _suite_cube(measures, r: int, budget) -> VerificationReport:
         ]
     patterns = [pat for pat in patterns if pat.weight()]
     for s, (_, w) in enumerate(measures):
-        subs = _binomial_reports(w.weight_omitting(0), patterns, budget)
+        subs = binomial_expansion_identity(w.weight_omitting(0), patterns, budget)
         for pat, sub in zip(patterns, subs):
             _fold(rep, sub, f"seed={s} pattern={pat.to_string()}")
     return rep
@@ -511,7 +525,7 @@ def _suite_lf2(measures, r: int, budget) -> VerificationReport:
 def _suite_count(measures, densities, budget) -> VerificationReport:
     rep = VerificationReport(name="progression-telescoping")
     for s, ((_, w), density) in enumerate(zip(measures, densities)):
-        _fold(rep, _telescoping(w, density, budget, False), f"seed={s}")
+        _fold(rep, telescoping_check(w, density, budget), f"seed={s}")
     return rep
 
 
@@ -524,7 +538,7 @@ def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
     rep.add(eq_check("centered-product", slf_lhs(inst, budget), 0.0, 0.0))
     exps = Lf2Exponents.all_ones(r)
     rep.add(eq_check("doubled-origin-term", lf2_term(w, 1, exps, budget), 0.0, 0.0))
-    rep.add(eq_check("product-weight-deviation", nu_prime_l2_dev(w, budget), 0.0, 0.0))
+    rep.add(eq_check("product-weight-deviation", nu_prime_l2_dev(nu_prime(w, budget)), 0.0, 0.0))
     g0 = w.weight_omitting(0)
     pat = CubePattern.all_ones(r)
     rep.add(eq_check("cube-centered", cube_centered_expectation(g0, pat, budget), 0.0, 0.0))
@@ -538,8 +552,7 @@ def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
 
 def _cmd_verify(args) -> int:
     n, r, seeds, budget = args.n, args.r, args.seeds, args.budget
-    if seeds < 0:
-        raise UsageError(f"--seeds must be nonnegative, got {seeds}")
+    _nonnegative("--seeds", seeds)
     # The random measures of density one half, one per seed; seed 0 is drawn
     # even without seeds, because the exhaustive map check reads it.
     nus = [

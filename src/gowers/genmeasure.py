@@ -49,6 +49,8 @@ class GeneratorSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.n < 1:
             raise ValueError(f"modulus must be positive, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"density must lie in (0, 1], got {self.p}")
         if self.kind in SET_KINDS and Fraction(self.p) * self.n < 1:

@@ -170,13 +170,14 @@ def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
 
 def u_norm_fast(f: CyclicFn, k: int, budget: float | None = None) -> float:
     """Order-k uniformity norm by the difference recursion of ``_u_pows``,
-    charged the N^(k-1) difference values of the full walk (the reflection
-    h <-> N - h forms about 2^(2-k) of them)."""
+    charged the N (N//2 + 1)^(k-2) difference values its half walk forms
+    (N for k <= 2)."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     n = f.n
     power = max(1, k - 1)
-    check_budget(float(n) ** power, budget, what=f"u_norm_fast(k={k}, n={n})", power=power)
+    cost = float(n) * float(n // 2 + 1) ** max(0, k - 2)
+    check_budget(cost, budget, what=f"u_norm_fast(k={k}, n={n})", power=power)
     if k == 1:
         return abs(math.fsum(f.values.tolist()) / n)
     avg = float(_u_pows(f.values[None, :], k)[0])
@@ -249,6 +250,8 @@ def _box_einsum(gs: Mapping[CubeVertex, EdgeFn]) -> float:
     """
     some = next(iter(gs.values()))
     kk = len(some.edge)
+    if kk > 5:  # one operand per cube vertex, and einsum takes at most 32
+        raise ShapeMismatch(f"the cube einsum takes at most 5 coordinates, got {kk}")
     operands = []
     subs = []
     for omega in cube_vertices(kk):

@@ -9,7 +9,7 @@ that connect them:
   centered patterns, whose centered terms are evaluated once per orbit of
   the coordinate flips (copy swaps) on sub-supports, through a per-k table
   of class representatives, and shared across the patterns of one edge
-  weight (``_binomial_reports``);
+  weight (``binomial_expansion_identity``);
 * the strong-linear-forms expectation with a centered distinguished edge and
   one minorant per remaining edge and copy, together with the doubling chain
   that bounds it by a box-norm power of the centered edge;
@@ -28,12 +28,12 @@ as measured ratios.
 
 Free variables are canonically ordered with doubled copies first (vertex
 ascending, copy 0 before copy 1) and plain coordinates after (vertex
-ascending).  ``_doubled`` evaluates every expectation, of factors doubled
-over a vertex set d, by a route that ``_route`` caches for their structure.
-At d=() it is a fixed bucket-elimination plan, each bucket contracted by
-unoptimized einsum with its output axes in this order; ``expect_product``
-is ``_doubled`` at d=().  At nonempty d, where every vertex of d must be
-read and no factor may read a copy of one, it is the cheaper of two: a box
+ascending).  ``expect_product`` evaluates every expectation, of factors
+doubled over a vertex set d, by a route that ``_route`` caches for their
+structure.  At d=() it is a fixed bucket-elimination plan, each bucket
+contracted by unoptimized einsum with its output axes in this order.  At
+nonempty d, where every vertex of d must be read and no factor may read a
+copy of one, it is the cheaper of two: a box
 route, the mean over the other variables z of a box power
 (``gowersnorm._box_pows``) of the product of the undoubled factors; and a
 split route, when z falls into components that share no variable: the
@@ -371,7 +371,7 @@ def _split_route(factors: list[Factor], layout: _SplitLayout) -> float:
 def _route(
     structure: Structure, d: tuple[int, ...]
 ) -> _Plan | _BoxLayout | _SplitLayout:
-    """How ``_doubled`` evaluates one structure (the shape and axes of each
+    """How ``expect_product`` evaluates one structure (the shape and axes of each
     factor) doubled over d.  At d empty it is the plan of the structure
     (``_plan``).  Otherwise every vertex of d must be read by some factor,
     and by none at a copy; the route is then the cheaper of the box route
@@ -399,11 +399,14 @@ def _route(
     return _plan(subscripts, tuple([sizes[v] for v in order]))
 
 
-def _doubled(
-    factors: list[Factor], d: tuple[int, ...], budget: float | None = None, what: str = ""
+def expect_product(
+    factors: list[Factor], budget: float | None = None, what: str = "", d: tuple[int, ...] = ()
 ) -> float:
-    """E[prod of _double(factors, d)] by the route ``_route`` takes, charged
-    at that route's cost before any work happens."""
+    """E[prod of factors doubled over d] over all variables that occur,
+    uniformly; each factor is an array plus the variable of each of its axes.
+    The empty product has expectation one.  The route is the one ``_route``
+    takes for the factors' structure and d (at d=() the bucket-elimination
+    plan of ``_plan``), charged at its cost before any work happens."""
     if not factors:
         return 1.0
     route = _route(tuple([(arr.shape, tuple(axes)) for arr, axes in factors]), d)
@@ -415,25 +418,12 @@ def _doubled(
     return _run(route, factors)
 
 
-def expect_product(
-    factors: list[Factor], budget: float | None = None, what: str = ""
-) -> float:
-    """E[prod of factors] over all variables that occur, uniformly.
-
-    Each factor is an array plus the variable name of each of its axes.  The
-    empty product has expectation one.  The sum runs by a bucket-elimination
-    plan (``_plan``) and is charged at the planned cost, the sum over buckets
-    of scope points times bucket factors, before any work happens.
-    """
-    return _doubled(factors, (), budget, what)
-
-
 def _on_planner(
     factors: list[Factor], d: tuple[int, ...], budget: float | None = None, what: str = ""
 ) -> float:
     """E[prod of _double(factors, d)] on the planner alone: the test oracle
-    of ``_doubled``, and the route of a chain endpoint that ``box_norm``
-    checks."""
+    of ``expect_product`` at nonempty d, and the route of a chain endpoint
+    that ``box_norm`` checks."""
     return expect_product(_double(factors, d), budget, what)
 
 
@@ -555,16 +545,18 @@ def _flip_classes(k: int) -> list[int]:
     return reps.tolist()
 
 
-def _binomial_reports(
+def binomial_expansion_identity(
     g: EdgeFn, patterns: Iterable[CubePattern], budget: float | None = None
 ) -> list[VerificationReport]:
-    """``binomial_expansion_identity`` of each pattern, sharing one memo of
-    centered terms.
+    """Check E[prod nu] = sum over sub-supports of E[prod (nu-1)] for each
+    pattern; one report per pattern.
 
-    Swapping the two copies of a cube coordinate relabels the integration
-    variables, so a centered term is constant on each orbit of the
-    coordinate flips.  Each orbit is evaluated once, at its representative
-    with its vertices in cube-vertex order, and charged before it runs.
+    The empty sub-support contributes one.  Exact identity by expanding
+    nu = (nu - 1) + 1 at each active vertex.  Swapping the two copies of a
+    cube coordinate relabels the integration variables, so a centered term
+    is constant on each orbit of the coordinate flips.  Each orbit is
+    evaluated once across all the patterns, at its representative with its
+    vertices in cube-vertex order, and charged before it runs.
     """
     k = len(g.edge)
     vertices = cube_vertices(k)
@@ -598,17 +590,6 @@ def _binomial_reports(
         report.ratios["centered-sum"] = rhs
         reports.append(report)
     return reports
-
-
-def binomial_expansion_identity(
-    g: EdgeFn, pat: CubePattern, budget: float | None = None
-) -> VerificationReport:
-    """Check E[prod nu] = sum over sub-supports of E[prod (nu-1)].
-
-    The empty sub-support contributes one.  Exact identity by expanding
-    nu = (nu - 1) + 1 at each active vertex.
-    """
-    return _binomial_reports(g, [pat], budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -822,9 +803,9 @@ def _missing(caps: list[Factor], j: int) -> list[Factor]:
 
 def _ybar(factors: list[Factor], d: tuple[int, ...], sup: float, evaluate) -> YbarStats:
     """Moments of the split-off factors doubled over d, each taken by
-    ``evaluate(factors, d, what=...)``."""
-    mean = evaluate(factors, d, what="capped product mean")
-    mean_sq = evaluate(factors + factors, d, what="capped product second moment")
+    ``evaluate(factors, d=d, what=...)``."""
+    mean = evaluate(factors, d=d, what="capped product mean")
+    mean_sq = evaluate(factors + factors, d=d, what="capped product second moment")
     count = len(factors) * 2 ** len(d)
     return YbarStats(mean_sq, mean, count, mean * sup**count)
 
@@ -852,7 +833,7 @@ def _chain(
     q(d)^2 <= q(d + j) * E[Ybar^2] and every pointwise bound
     E[Ybar^2] <= E[Ybar] * sup^(factor count).  ``caps`` replace the base
     factors in Ybar; ``letters`` name d and j in the check ids.  Every
-    quantity runs through ``_doubled``, except q at the sets in ``planned``,
+    quantity runs through ``expect_product``, except q at the sets in ``planned``,
     which stays on the planner.  Returns the report, q at each set, and the
     product of the step roots E[Ybar^2]^(1/2^t) along the ascending path to
     the last set.
@@ -863,12 +844,12 @@ def _chain(
         (d, j) for d in sets for j in last if j not in d and tuple(sorted(d + (j,))) in sets
     ]
     q_at = {
-        d: (_on_planner if d in planned else _doubled)(
-            _kept(base, d), d, budget, what=f"{name} at {a}={d}"
+        d: (_on_planner if d in planned else expect_product)(
+            _kept(base, d), d=d, budget=budget, what=f"{name} at {a}={d}"
         )
         for d in sets
     }
-    evaluate = functools.partial(_doubled, budget=budget)
+    evaluate = functools.partial(expect_product, budget=budget)
     stats_at = {(d, j): _ybar(_missing(caps, j), d, sup, evaluate) for d, j in steps}
     report = VerificationReport(name=name)
     for d, j in sorted(steps):
@@ -918,7 +899,7 @@ def _close(
 
 def _endpoint_box_power(w: WeightedHypergraph, budget: float | None) -> float:
     """The box power of the centered distinguished weight by a route that
-    shares no code with ``_doubled``'s box route, so that it can check the
+    shares no code with ``expect_product``'s box route, so that it can check the
     chain's endpoint.  For a represented hypergraph it is the order-r
     uniformity power of nu - 1, equal by norm preservation, with
     nu(y) = w_{e0}(y / c, 0, ..., 0) mod N for the first coefficient c of
@@ -1029,16 +1010,12 @@ def nu_prime(w: WeightedHypergraph, budget: float | None = None) -> EdgeFn:
     return EdgeFn(e0, shape, vals)
 
 
-def nu_prime_l2_dev(w: WeightedHypergraph, budget: float | None = None) -> float:
-    """E[(nu' - 1)^2], with the expansion through the first two moments
-    checked internally to TOL."""
-    return _l2_dev(nu_prime(w, budget))
-
-
-def _l2_dev(fn: EdgeFn) -> float:
-    """``nu_prime_l2_dev`` of an already built conditional product weight."""
-    flat = fn.values.ravel().tolist()
-    npts = fn.npoints
+def nu_prime_l2_dev(prime: EdgeFn) -> float:
+    """E[(nu' - 1)^2] of a conditional product weight nu' (``nu_prime``),
+    with the expansion through the first two moments checked internally to
+    TOL."""
+    flat = prime.values.ravel().tolist()
+    npts = prime.npoints
     dev = math.fsum((v - 1.0) ** 2 for v in flat) / npts
     m1 = math.fsum(flat) / npts
     m2 = math.fsum(v * v for v in flat) / npts
@@ -1196,10 +1173,10 @@ def lf2_chain_verify(
 
     # Final split: double vertex 0 separately in the centered and raw halves.
     plain = [(v, None) for v in ej]
-    box_power = _doubled([(base[0][0], plain)], ej, budget, what="centered box power")
+    box_power = expect_product([(base[0][0], plain)], budget, "centered box power", d=ej)
     if n_final == 1:
         raw = [(w.weights[ej].values, plain)]
-        cube_power = _doubled(raw, ej, budget, what="cube expectation")
+        cube_power = expect_product(raw, budget, "cube expectation", d=ej)
     else:
         cube_power = 1.0
     lhs = q_at[others] ** 2

@@ -305,6 +305,27 @@ class TestApDensity:
         with pytest.raises(BudgetExceeded):
             ap_density(fs, budget=100.0)
 
+    @pytest.mark.parametrize("walk", ["half-difference", "pair"])
+    def test_budget_charges_the_walk_taken(self, walk):
+        # k products per term of the walk taken, priced before it runs:
+        # (N//2 + 1) N terms for a palindrome and N^2 for any other dense
+        # tuple, |S0| |S1| + N for the pairs.
+        n = 64
+        if walk == "pair":
+            ind = _indicator_measure(n, 0.2, 1)
+            cases = [([ind] * 3, int(np.count_nonzero(ind.values)) ** 2 + n)]
+        else:
+            f, g = random_cyclic(n, seed=0), random_cyclic(n, seed=1)
+            cases = [([f, g, f], (n // 2 + 1) * n), ([f, f, g], n * n)]
+        for fs, terms in cases:
+            with mock.patch.object(apcount, "_pair_walk", side_effect=RuntimeError), \
+                    mock.patch.object(apcount, "_difference_walk", side_effect=RuntimeError):
+                with pytest.raises(BudgetExceeded) as err:
+                    ap_density(fs, budget=3.0 * terms - 1.0)
+            assert (err.value.estimated, err.value.power) == (3.0 * terms, 2)
+            assert _walked(fs)[1] == (walk == "pair")
+            assert repr(ap_density(fs, budget=3.0 * terms)) == repr(ap_density(fs))
+
     def test_report_serialization(self):
         report = ap_density([random_cyclic(5, seed=3)] * 2)
         obj = json.loads(report.to_json())
@@ -361,7 +382,7 @@ class TestTelescoping:
     )
     def test_identity_holds(self, members, n, r):
         nu = from_set(members, n)
-        report = telescoping_check(nu, represent(nu, r))
+        report = telescoping_check(represent(nu, r), ap_density([nu.fn] * (r + 1)).density)
         assert report.passed, report.failures()
         assert set(f"term-{m}" for m in range(r + 1)) <= set(report.ratios)
         assert "density" in report.ratios
@@ -370,19 +391,20 @@ class TestTelescoping:
         # The first decomposition step replaces every non-distinguished edge
         # weight by one, so the term is the mean of the centered weight: zero.
         nu = from_set({1, 2, 4}, 7)
-        report = telescoping_check(nu, represent(nu, 2))
+        report = telescoping_check(represent(nu, 2), ap_density([nu.fn] * 3).density)
         assert abs(report.ratios["term-0"]) < 1e-12
 
     def test_sum_matches_density(self):
         nu = from_set({0, 3, 5, 9}, 11)
-        report = telescoping_check(nu, represent(nu, 2))
+        report = telescoping_check(represent(nu, 2), ap_density([nu.fn] * 3).density)
         lam = ap_density([nu.fn] * 3).density
         total = math.fsum(report.ratios[f"term-{m}"] for m in range(3))
         assert lam - 1.0 == pytest.approx(total, abs=1e-12)
 
     def test_with_chains_attaches_bounds(self):
         nu = from_set({1, 2, 4}, 7)
-        report = telescoping_check(nu, represent(nu, 2), with_chains=True)
+        density = ap_density([nu.fn] * 3).density
+        report = telescoping_check(represent(nu, 2), density, with_chains=True)
         assert report.passed, report.failures()
         for m in range(3):
             bound = report.ratios[f"term-{m}-chain-bound"]
@@ -392,7 +414,7 @@ class TestTelescoping:
         for seed in range(3):
             spec = GeneratorSpec(kind="random", n=11, p=0.4, seed=seed)
             nu = generate(spec)
-            report = telescoping_check(nu, represent(nu, 2))
+            report = telescoping_check(represent(nu, 2), ap_density([nu.fn] * 3).density)
             assert report.passed, report.failures()
 
 

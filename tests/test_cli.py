@@ -114,6 +114,21 @@ class TestBudget:
         assert "(strong-linear-forms-chain at d=(1, 2, 3))" in err
         assert "suggestion: retry with --n <= 11 (assuming cost ~ n^7)" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2048 * 1025 difference values; the full walk's 2048^2 was charged.
+            ["norm", "--kind", "constant", "--k", "3", "--mode", "fast", "--n", "2048",
+             "--budget", "2.2e6"],
+            # The pair walk: 3 (|S0|^2 + N) products; 3 N^2 = 5.03e7 was charged.
+            ["count", "--r", "2", "--n", "4096", "--p", "0.2", "--budget", "3e6"],
+        ],
+        ids=["u-norm-fast", "ap-density"],
+    )
+    def test_spectral_charges_count_the_walk_taken(self, capsys, argv):
+        code, _, err = _run(capsys, argv)
+        assert code == 0, err
+
     def test_explicit_tiny_budget(self, capsys):
         code, _, err = _run(
             capsys,
@@ -172,14 +187,52 @@ class TestBudget:
 class TestErrors:
     @pytest.mark.parametrize(
         "argv,option",
-        [(["gcs", "--tuples", "-1"], "--tuples"), (["verify", "--seeds", "-1", "--n", "5"], "--seeds")],
-        ids=["tuples", "seeds"],
+        [
+            (["gcs", "--tuples", "-1"], "--tuples"),
+            (["verify", "--seeds", "-1", "--n", "5"], "--seeds"),
+            (["gcs", "--seed", "-1"], "--seed"),
+            (["norm", "--n", "7", "--k", "2", "--seed", "-1"], "--seed"),
+            (["slf", "--r", "2", "--n", "5", "--seed", "-1"], "--seed"),
+            (["slf", "--r", "2", "--n", "5", "--instance-seed", "-1"], "--instance-seed"),
+            (["slf-single", "--r", "2", "--n", "5", "--instance-seed", "-1"], "--instance-seed"),
+        ],
+        ids=["tuples", "seeds", "gcs-seed", "norm-seed", "slf-seed", "slf-instance-seed",
+             "slf-single-instance-seed"],
     )
     def test_negative_count_is_usage_error(self, capsys, argv, option):
         code, out, err = _run(capsys, argv)
         assert code == 2
         assert out == ""
         assert f"error: {option} must be nonnegative" in err
+
+    def test_negative_spec_seed_names_the_field(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "random", "n": 7, "seed": -1}')
+        code, out, err = _run(capsys, ["norm", "--k", "2", "--input", str(spec)])
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["cube", "--r", "2", "--n", "5", "--pattern", "10x1"], "--pattern"),
+            (["cube", "--r", "2", "--n", "5", "--pattern", "1021"], "--pattern"),
+            (["lf2", "--r", "2", "--n", "5", "--exponents", "10x1"], "--exponents"),
+        ],
+        ids=["pattern", "pattern-digit", "exponents"],
+    )
+    def test_malformed_bits_name_the_flag(self, capsys, argv, option):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} must be a string of 0s and 1s, got {argv[-1]!r}\n"
+
+    def test_six_dims_name_the_limit(self, capsys):
+        # One einsum operand per cube vertex: 64 at six coordinates, and
+        # einsum takes 32.
+        code, out, err = _run(capsys, ["gcs", "--dims", "2,2,2,2,2,2"])
+        assert (code, out) == (2, "")
+        assert err == "error: --dims takes at most 5 coordinates, got 6\n"
+        assert _run(capsys, ["gcs", "--dims", "2,2,2,2,2"])[0] == 0
 
     @pytest.mark.parametrize("dims", ["3,,4", "3,x", "0,2"])
     def test_malformed_dims_name_the_flag(self, capsys, dims):
@@ -517,12 +570,12 @@ class TestMutations:
         argv = ["slf-single", "--r", "3", "--n", "7"]
         code, _, err = _run(capsys, argv)
         assert code == 0, err
-        real = linform._doubled
+        real = linform.expect_product
 
         def scaled(*args, **kwargs):
             return real(*args, **kwargs) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(linform, "_doubled", scaled)
+        monkeypatch.setattr(linform, "expect_product", scaled)
         code, obj, _ = _run_json(capsys, argv)
         assert code == 1
         failed = [c["check"] for c in obj["report"]["checks"] if not c["pass"]]
@@ -659,9 +712,9 @@ class TestExperimentInputs:
         monkeypatch.undo()
         assert code == 0
         assert calls == [3]
-        # The report is the one telescoping_check builds with its own density.
+        # The report is the one telescoping_check builds from the same density.
         nu = generate(GeneratorSpec.from_json_obj(obj["inputs"]["spec"]))
-        expect = telescoping_check(nu, represent(nu, 2)).to_json_obj()
+        expect = telescoping_check(represent(nu, 2), ap_density([nu.fn] * 3).density).to_json_obj()
         got = obj["report"]
         assert got["checks"] == expect["checks"]
         assert {key: got["ratios"][key] for key in expect["ratios"]} == expect["ratios"]

@@ -25,6 +25,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GeneratorSpec(kind="random", n=0)
 
+    @pytest.mark.parametrize("kind", ["random", "constant"])
+    def test_negative_seed_names_the_field(self, kind):
+        # Philox refused it with "key must be positive and less than 2**128."
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            GeneratorSpec(kind=kind, n=7, seed=-1)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            GeneratorSpec.from_json_obj({"kind": kind, "n": 7, "seed": -1})
+
     @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
     def test_bad_density(self, p):
         with pytest.raises(ValueError):

@@ -156,11 +156,12 @@ class TestFastRecursion:
         assert peak < 16e6
 
     def test_budget_charges_difference_values(self):
+        # The half walk forms N (N//2 + 1)^(k-2) difference values.
         f = CyclicFn.constant(64, 1.0)
         with pytest.raises(BudgetExceeded) as err:
-            u_norm_fast(f, 4, budget=64.0**3 - 1.0)
-        assert err.value.estimated == 64.0**3 and err.value.power == 3
-        assert u_norm_fast(f, 4, budget=64.0**3) == pytest.approx(1.0, rel=1e-12)
+            u_norm_fast(f, 4, budget=64.0 * 33**2 - 1.0)
+        assert err.value.estimated == 64.0 * 33**2 and err.value.power == 3
+        assert u_norm_fast(f, 4, budget=64.0 * 33**2) == pytest.approx(1.0, rel=1e-12)
 
     def test_independent_of_the_brute_route(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -278,6 +279,14 @@ class TestBoxNorm:
         g = random_edge_fn((1, 2), (30, 30), seed=1)
         with pytest.raises(BudgetExceeded):
             box_norm_brute(g, budget=100.0)
+
+    def test_six_coordinates_name_the_limit(self):
+        # 2^6 cube vertices are 64 einsum operands; einsum takes 32.
+        g = EdgeFn.ones(tuple(range(1, 7)), (2,) * 6)
+        with pytest.raises(ShapeMismatch, match="at most 5 coordinates"):
+            box_norm_brute(g)
+        with pytest.raises(ShapeMismatch, match="at most 5 coordinates"):
+            mixed_cube_expectation(dict.fromkeys(cube_vertices(6), g))
 
 
 class TestBoxNormRecursion:

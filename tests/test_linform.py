@@ -163,10 +163,10 @@ class TestPlanner:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linform, "check_budget", record)
             got = expect_product(factors)
-            doubled = linform._doubled(factors, ())
+            doubled = expect_product(factors, d=())
         assert len(charges) == 2
         assert charges[0] <= math.prod(sizes.values()) * len(factors)
-        # expect_product is _doubled at d=(): the same bits at the same charge.
+        # d=() is the default: the same bits at the same charge.
         assert (got, charges[0]) == (doubled, charges[1])
 
     @given(_factor_graphs())
@@ -298,7 +298,7 @@ class TestOracleIndependence:
         e0 = (1, 2, 3)
         factors = linform._kept(linform._slf_base(inst)[0], e0)
         for module, name in (
-            (linform, "expect_product"),
+            (linform, "_plan"),
             (linform, "_run"),
             (linform, "u_norm_fast"),
             (gowersnorm, "u_norm_fast"),
@@ -306,7 +306,7 @@ class TestOracleIndependence:
             (np, "einsum"),
         ):
             monkeypatch.setattr(module, name, refuse)
-        got = linform._doubled(factors, e0)
+        got = expect_product(factors, d=e0)
         monkeypatch.undo()
         assert got == pytest.approx(q_value(inst, e0), rel=1e-12)
 
@@ -326,16 +326,17 @@ class TestOracleIndependence:
         route = linform._route(_structure(factors), d)
         assert isinstance(route, linform._SplitLayout)
         for module, name in (
-            (linform, "expect_product"),
+            (linform, "_plan"),
             (linform, "_run"),
             (linform, "_box_route"),
             (linform, "_box_pows"),
             (gowersnorm, "_box_pows"),
             (linform, "u_norm_fast"),
             (gowersnorm, "u_norm_fast"),
+            (np, "einsum"),
         ):
             monkeypatch.setattr(module, name, refuse)
-        got = linform._doubled(factors, d)
+        got = expect_product(factors, d=d)
         monkeypatch.undo()
         assert got == pytest.approx(q_value(inst, d), rel=1e-12)
 
@@ -368,13 +369,13 @@ class TestOracleIndependence:
         if not represented:
             w = WeightedHypergraph(w.system, w.weights)
         routed = []
-        real = linform._doubled
+        real = linform.expect_product
 
-        def spy(factors, d, *args, **kwargs):
+        def spy(factors, budget=None, what="", d=()):
             routed.append(d)
-            return real(factors, d, *args, **kwargs)
+            return real(factors, budget, what, d)
 
-        monkeypatch.setattr(linform, "_doubled", spy)
+        monkeypatch.setattr(linform, "expect_product", spy)
         report = chain_verify(random_slf_instance(w, 4, copies=1))
         assert report.passed, report.failures()
         assert ((1, 2) in routed) is represented
@@ -440,7 +441,7 @@ class TestCubeEngines:
         nu = _measure(seed=seed)
         g = represent(nu, 2).weight_omitting(0)
         for bits in ("1111", "1010", "0111"):
-            report = binomial_expansion_identity(g, CubePattern.from_string(bits))
+            (report,) = binomial_expansion_identity(g, [CubePattern.from_string(bits)])
             assert report.passed, report.failures()
 
 
@@ -494,7 +495,7 @@ class TestBinomialClasses:
         centered = g.centered()
         table = linform._flip_classes(r)
         vertices = cube_vertices(r)
-        reports = linform._binomial_reports(g, patterns)
+        reports = binomial_expansion_identity(g, patterns)
         for pat, report in zip(patterns, reports):
             assert report.passed, report.failures()
             terms = _binomial_loop(g, pat)
@@ -511,7 +512,7 @@ class TestBinomialClasses:
         # flips of each sub-support.
         g = EdgeFn((1, 2, 3, 4, 5), (2,) * 5, 0.5 + philox(3).random((2,) * 5))
         pat = CubePattern.from_support(5, [(0,) * 5, (1, 0, 0, 0, 0), (1, 1, 0, 1, 1)])
-        report = binomial_expansion_identity(g, pat)
+        (report,) = binomial_expansion_identity(g, [pat])
         assert report.passed, report.failures()
         oracle = math.fsum([1.0, *_binomial_loop(g, pat).values()])
         assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
@@ -566,7 +567,7 @@ class TestBinomialClasses:
             return value
 
         monkeypatch.setattr(linform, "expect_product", recorded)
-        assert binomial_expansion_identity(g, pat).passed
+        assert binomial_expansion_identity(g, [pat])[0].passed
         target = max(terms, key=lambda key: abs(terms[key]))
 
         def scaled(factors, budget=None, what=""):
@@ -578,7 +579,7 @@ class TestBinomialClasses:
             return value
 
         monkeypatch.setattr(linform, "expect_product", scaled)
-        report = binomial_expansion_identity(g, pat)
+        (report,) = binomial_expansion_identity(g, [pat])
         assert [c.check for c in report.failures()] == ["binomial-expansion"]
 
 
@@ -840,11 +841,11 @@ class TestNuPrime:
         w = represent(_measure(seed=16), 2)
         prime = nu_prime(w)
         direct = float(np.mean((prime.values - 1.0) ** 2))
-        assert nu_prime_l2_dev(w) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+        assert nu_prime_l2_dev(prime) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
     def test_constant_measure_dev_is_zero(self):
         w = represent(generate(GeneratorSpec(kind="constant", n=5)), 2)
-        assert nu_prime_l2_dev(w) == 0.0
+        assert nu_prime_l2_dev(nu_prime(w)) == 0.0
 
 
 class TestLf2:
@@ -924,7 +925,7 @@ class TestLf2:
 
 def _chain_factors(kind: str, w: WeightedHypergraph, seed: int):
     """(factors, d, oracle) for every quantity the chain of a random
-    instance routes through ``_doubled``; each oracle is a thunk that runs
+    instance routes through ``expect_product``; each oracle is a thunk that runs
     on the planner alone."""
     r = w.r
     out = []
@@ -976,7 +977,7 @@ def _structure(factors):
 
 
 class TestDoubledRouter:
-    """``_doubled`` and its box route against the planner, which stays the
+    """``expect_product`` and its box route against the planner, which stays the
     oracle of every chain quantity."""
 
     @given(
@@ -990,7 +991,7 @@ class TestDoubledRouter:
         except EmptySetGenerated:
             assume(False)
         for factors, d, oracle in quantities:
-            assert linform._doubled(factors, d) == pytest.approx(oracle, rel=1e-12)
+            assert expect_product(factors, d=d) == pytest.approx(oracle, rel=1e-12)
             if d:
                 layout = linform._box_layout(_structure(factors), d)
                 box = linform._box_route(factors, layout)
@@ -1009,13 +1010,13 @@ class TestDoubledRouter:
         route_key = _structure(factors)
         route = linform._route(route_key, (1,))
         assert isinstance(route, linform._BoxLayout)  # the box route
-        whole = linform._doubled(factors, (1,))
+        whole = expect_product(factors, d=(1,))
         monkeypatch.setattr(linform, "_CHUNK_ELEMS", 1)
         monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", 1)
         # A fresh route cache, so that the layout is built again in blocks.
         monkeypatch.setattr(linform, "_route", functools.lru_cache()(linform._route.__wrapped__))
         assert linform._route(route_key, (1,)).fixed == (11,) * 4
-        assert linform._doubled(factors, (1,)) == whole
+        assert expect_product(factors, d=(1,)) == whole
 
     def test_charge_is_the_box_route(self):
         # Single copy, r=4, N=11, d=(1,2,3): z = (x0, x4), so F takes
@@ -1024,7 +1025,7 @@ class TestDoubledRouter:
         inst = random_slf_instance(represent(_measure(n=11, seed=6), 4), 6, copies=1)
         factors = linform._kept(linform._slf_base(inst)[0], (1, 2, 3))
         with pytest.raises(BudgetExceeded) as exc:
-            linform._doubled(factors, (1, 2, 3), budget=1e7)
+            expect_product(factors, budget=1e7, d=(1, 2, 3))
         assert exc.value.estimated == 2 * 11.0**5 + 11.0**7
         assert exc.value.power == 7
 
@@ -1034,7 +1035,7 @@ class TestDoubledRouter:
         factors = linform._kept(linform._slf_base(inst)[0], (1, 2, 3))
         tracemalloc.start()
         try:
-            linform._doubled(factors, (1, 2, 3))
+            expect_product(factors, d=(1, 2, 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1061,12 +1062,12 @@ class TestDoubledRouter:
         factors = _two_copy_r4()
         route_key = _structure(factors)
         assert isinstance(linform._route(route_key, (1, 2, 3)), linform._SplitLayout)
-        whole = linform._doubled(factors, (1, 2, 3))
+        whole = expect_product(factors, d=(1, 2, 3))
         monkeypatch.setattr(linform, "_CHUNK_ELEMS", 1)
         monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", 1)
         monkeypatch.setattr(linform, "_route", functools.lru_cache()(linform._route.__wrapped__))
         assert linform._route(route_key, (1, 2, 3)).rows == 1
-        assert linform._doubled(factors, (1, 2, 3)) == whole
+        assert expect_product(factors, d=(1, 2, 3)) == whole
 
     def test_split_rows_per_block(self, monkeypatch):
         # At N=7 a default block holds three rows of 7^5 marginal elements;
@@ -1085,7 +1086,7 @@ class TestDoubledRouter:
         # route would charge 3 * 11^6 + 11^8 = 2.20e8.
         factors = _two_copy_r4()
         with pytest.raises(BudgetExceeded) as exc:
-            linform._doubled(factors, (1, 2, 3), budget=1e7)
+            expect_product(factors, budget=1e7, d=(1, 2, 3))
         n = 11
         assert exc.value.estimated == 3.0 * (n**4 + n**5 + n**6 + n**7) + 3.0 * n**6
         assert exc.value.power == 7
@@ -1094,7 +1095,7 @@ class TestDoubledRouter:
         factors = _two_copy_r4()
         tracemalloc.start()
         try:
-            linform._doubled(factors, (1, 2, 3))
+            expect_product(factors, d=(1, 2, 3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1119,7 +1120,7 @@ class TestDoubledRouter:
         monkeypatch.setattr(linform, "_route", functools.lru_cache()(linform._route.__wrapped__))
         monkeypatch.setattr(linform, "_plan", refuse)
         for factors, d in quantities:
-            linform._doubled(factors, d)
+            expect_product(factors, d=d)
 
     @pytest.mark.parametrize(
         "axes",
@@ -1129,7 +1130,7 @@ class TestDoubledRouter:
     def test_malformed_doubled_structure(self, axes):
         # Neither has a box or split route; neither may fall back to the plan.
         with pytest.raises(ShapeMismatch):
-            linform._doubled([(np.ones((3, 3)), axes)], (1,))
+            expect_product([(np.ones((3, 3)), axes)], d=(1,))
 
 
 def _two_copy_r4(n: int = 11) -> list:

@@ -73,14 +73,23 @@ def test_separation_sweep_skips_empty_draws(tmp_path, monkeypatch):
     ]
 
 
-def test_separation_sweep_refuses_negative_seeds(capsys, monkeypatch):
-    script = _load("separation_sweep", monkeypatch)
+def _refuses_negative_seeds(name, capsys, monkeypatch):
+    script = _load(name, monkeypatch)
     with pytest.raises(SystemExit) as exc:
         script.main(["--seeds", "-1", "--moduli", "11"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--seeds must be nonnegative, got -1" in captured.err
+
+
+def test_separation_sweep_refuses_negative_seeds(capsys, monkeypatch):
+    _refuses_negative_seeds("separation_sweep", capsys, monkeypatch)
+
+
+def test_chain_margins_refuses_negative_seeds(capsys, monkeypatch):
+    # It printed only the CSV header and exited 0.
+    _refuses_negative_seeds("chain_margins", capsys, monkeypatch)
 
 
 @pytest.mark.parametrize(
