@@ -11,7 +11,6 @@ stderr.  Deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from collections import defaultdict
 
@@ -26,7 +25,7 @@ from gowers import (
     represent,
     single_chain_verify,
 )
-from gowers.cli import guarded
+from gowers.cli import csv_text, guarded, write_text
 from gowers.hypersystem import charge_representation
 
 HEADER = ("variant", "r", "n", "seed", "check", "lhs", "rhs", "margin", "pass")
@@ -103,14 +102,7 @@ def _write(args) -> int:
     # Every row is computed before the output is opened, so a run that fails
     # part way writes nothing.
     rows = list(margin_rows(args))
-    out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(HEADER)
-        writer.writerows(rows)
-    finally:
-        if args.output:
-            out.close()
+    write_text(csv_text(HEADER, rows), args.output)
     worst: dict[str, float] = defaultdict(lambda: float("inf"))
     failures = 0
     for row in rows:

@@ -13,8 +13,6 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import csv
-import sys
 
 from gowers import (
     EmptySetGenerated,
@@ -23,7 +21,7 @@ from gowers import (
     generate,
     hypothesis_ratio,
 )
-from gowers.cli import guarded
+from gowers.cli import csv_text, guarded, write_text
 
 HEADER = (
     "kind",
@@ -85,17 +83,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _write(args) -> int:
-    # Every row is computed before the output is opened, so a run that fails
-    # part way writes nothing.
-    rows = list(sweep_rows(args))
-    out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(HEADER)
-        writer.writerows(rows)
-    finally:
-        if args.output:
-            out.close()
+    # The text holds every row before the output is opened, so a run that
+    # fails part way writes nothing.
+    write_text(csv_text(HEADER, sweep_rows(args)), args.output)
     return 0
 
 

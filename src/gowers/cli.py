@@ -32,7 +32,7 @@ from .apcount import (
     relsz_experiment,
     telescoping_check,
 )
-from .budget import DEFAULT_BUDGET, resolve_budget
+from .budget import DEFAULT_BUDGET, check_budget, resolve_budget
 from .errors import BudgetExceeded, GowersError, NumericalInconsistency
 from .genmeasure import KINDS, GeneratorSpec, generate
 from .gowersnorm import (
@@ -83,13 +83,27 @@ def _spec_from_args(args) -> GeneratorSpec:
             return GeneratorSpec.from_json_obj(json.load(fh))
     if args.n is None:
         raise UsageError("--n is required (or pass --input with a spec file)")
-    _nonnegative("--seed", args.seed)
+    _seed("--seed", args.seed)
     return GeneratorSpec(kind=args.kind, n=args.n, p=args.p, seed=args.seed)
 
 
 def _nonnegative(flag: str, value: int) -> None:
     if value < 0:
         raise UsageError(f"{flag} must be nonnegative, got {value}")
+
+
+def _seed(flag: str, seed: int, tuples: int = 1) -> None:
+    """Refuse a seed that cannot key Philox: negative, or with the last key
+    drawn from it, ``seed + tuples - 1``, at 2**128 or above."""
+    _nonnegative(flag, seed)
+    if seed + max(tuples, 1) - 1 >= 2**128:
+        limit = f"2**128 - {tuples - 1} for --tuples {tuples}" if tuples > 1 else "2**128"
+        raise UsageError(f"{flag} must be below {limit}, got {seed}")
+
+
+def _in_range(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise UsageError(f"{flag} must be in {lo}..{hi}, got {value}")
 
 
 def _bits(flag: str, text: str) -> list[int]:
@@ -116,55 +130,43 @@ def _fold(dst: VerificationReport, sub: VerificationReport, prefix: str) -> None
     dst.notes.extend(f"{prefix}: {note}" for note in sub.notes)
 
 
-def _checks_csv(reports: list[dict]) -> str:
+def csv_text(header, rows) -> str:
+    """CSV text of a header and its rows, each line ended by a newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["report", "check", "lhs", "rhs", "margin", "pass", "note"])
-    for rep in reports:
-        for c in rep["checks"]:
-            writer.writerow(
-                [
-                    rep["name"],
-                    c["check"],
-                    repr(c["lhs"]),
-                    repr(c["rhs"]),
-                    repr(c["margin"]),
-                    c["pass"],
-                    c.get("note", ""),
-                ]
-            )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _values_csv(values: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "value"])
-    for key in sorted(values):
-        writer.writerow([key, repr(values[key])])
-    return buf.getvalue()
-
-
-def _emit(obj: dict, args) -> None:
-    if args.format == "csv":
-        if "ap" in obj:
-            text = f"{CSV_HEADER}\n{ApReport(**obj['ap']).to_csv_row()}\n"
-        elif "suites" in obj:
-            text = _checks_csv(obj["suites"])
-        elif "reports" in obj:
-            text = _checks_csv(obj["reports"])
-        elif "report" in obj:
-            text = _checks_csv([obj["report"]])
-        else:
-            text = _values_csv(obj.get("values", {}))
-    else:
-        # Strict JSON: a NaN or infinite number raises ValueError (exit 2).
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+def write_text(text: str, path: str | None) -> None:
+    """Write text to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj: dict, args) -> None:
+    if args.format == "json":
+        # Strict JSON: a NaN or infinite number raises ValueError (exit 2).
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    elif "ap" in obj:
+        text = f"{CSV_HEADER}\n{ApReport(**obj['ap']).to_csv_row()}\n"
+    elif {"suites", "reports", "report"} & obj.keys():
+        reports = obj.get("suites", obj.get("reports", [obj.get("report")]))
+        rows = (
+            (rep["name"], c["check"], repr(c["lhs"]), repr(c["rhs"]), repr(c["margin"]),
+             c["pass"], c.get("note", ""))
+            for rep in reports
+            for c in rep["checks"]
+        )
+        text = csv_text(("report", "check", "lhs", "rhs", "margin", "pass", "note"), rows)
+    else:
+        values = obj.get("values", {})
+        text = csv_text(("name", "value"), ((key, repr(values[key])) for key in sorted(values)))
+    write_text(text, args.output)
 
 
 def _result(args, inputs: dict, extra: dict, passed: bool) -> int:
@@ -234,14 +236,23 @@ def _density(rep, nu, w, tag: str, budget) -> float:
     """Check the product of all edge weights of w against the progression
     density of nu, and return that density."""
     density = ap_density([nu.fn] * (w.r + 1), budget).density
-    rep.add(eq_check(f"progression-density{tag}", progression_count_check(w), density, TOL))
+    count = progression_count_check(w, budget)
+    rep.add(eq_check(f"progression-density{tag}", count, density, TOL))
     return density
 
 
-def _map_failures(w, points) -> int:
-    """How many points map to evaluation points that do not step by their
-    common difference."""
+def _map_failures(w, points=None, budget=None) -> int:
+    """How many points, every point of the cube when ``points`` is None, map
+    to evaluation points that do not step by their common difference.  The
+    r+1 evaluation points of each are charged before the walk."""
     n, r = w.modulus, w.r
+    if points is None:
+        count, power = float(n) ** (r + 1), r + 1
+        points = itertools.product(range(n), repeat=r + 1)
+    else:
+        count, power = float(len(points)), 0
+    what = f"progression map (r={r}, n={n})"
+    check_budget((r + 1) * count, budget, what=what, power=power)
     bad = 0
     for x in points:
         ys, d = ap_values(w, x)
@@ -328,7 +339,7 @@ def _cmd_gcs(args) -> int:
         # One einsum operand per cube vertex, and einsum takes at most 32.
         raise UsageError(f"--dims takes at most 5 coordinates, got {len(dims)}")
     _nonnegative("--tuples", args.tuples)
-    _nonnegative("--seed", args.seed)
+    _seed("--seed", args.seed, args.tuples)
     merged = VerificationReport(name="box-norm-product-bound")
     for t in range(args.tuples):
         margin = f"tuple {t}: equality-margin" if args.equal else None
@@ -347,13 +358,13 @@ def _cmd_represent(args, spec, nu):
     w = _represent(nu, r, args.budget)
     report = VerificationReport(name="representation")
     u = _preservation(report, nu, w, "", args.budget)
-    if float(n) ** (r + 1) <= 50_000:
-        points = list(itertools.product(range(n), repeat=r + 1))
-    else:
+    points, npoints = None, n ** (r + 1)  # every point of the cube
+    if npoints > 50_000:
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
         points = [tuple(int(v) for v in rng.integers(0, n, size=r + 1)) for _ in range(2000)]
-    bad = _map_failures(w, points)
-    report.add(eq_check(f"progression-map ({len(points)} points)", bad, 0.0, 0.0))
+        npoints = len(points)
+    bad = _map_failures(w, points, args.budget)
+    report.add(eq_check(f"progression-map ({npoints} points)", bad, 0.0, 0.0))
     _density(report, nu, w, "", args.budget)
     report.ratios["u-norm-centered"] = u
     report.ratios["sup"] = nu.sup
@@ -361,6 +372,7 @@ def _cmd_represent(args, spec, nu):
 
 
 def _cmd_cube(args, spec, nu):
+    _in_range("--j", args.j, 0, args.r)
     w = _represent(nu, args.r, args.budget)
     g = w.weight_omitting(args.j)
     if args.pattern is None:
@@ -382,7 +394,7 @@ def _cmd_cube(args, spec, nu):
 
 def _cmd_slf(args, spec, nu):
     """``slf`` (two copies of vertex 0) and ``slf-single`` (one copy)."""
-    _nonnegative("--instance-seed", args.instance_seed)
+    _seed("--instance-seed", args.instance_seed)
     w = _represent(nu, args.r, args.budget)
     if args.command == "slf":
         inst = random_slf_instance(w, args.instance_seed, args.caps)
@@ -404,6 +416,8 @@ def _cmd_nuprime(args, spec, nu):
 
 
 def _cmd_lf2(args, spec, nu):
+    if args.j is not None:
+        _in_range("--j", args.j, 1, args.r)
     w = _represent(nu, args.r, args.budget)
     exps = Lf2Exponents.all_ones(args.r)
     if args.exponents is not None:
@@ -467,7 +481,7 @@ def _suite_representation(measures, w0, budget) -> tuple[VerificationReport, lis
         _preservation(rep, nu, w, f" seed={s}", budget)
         densities.append(_density(rep, nu, w, f" seed={s}", budget))
     n, r = w0.modulus, w0.r
-    bad = _map_failures(w0, itertools.product(range(n), repeat=r + 1))
+    bad = _map_failures(w0, budget=budget)
     rep.add(eq_check(f"progression-map exhaustive n={n} r={r}", bad, 0.0, 0.0))
     return rep, densities
 

@@ -26,8 +26,6 @@ from .errors import EmptySetGenerated
 KINDS = ("constant", "random", "interval", "quadratic", "singleton")
 SET_KINDS = ("random", "interval", "quadratic", "singleton")
 
-GENERATOR_STREAM = "philox-key-u01-v1"
-
 
 def _integral(value) -> int:
     """``int(value)``, refusing a bool and a float with a fractional part,
@@ -51,6 +49,8 @@ class GeneratorSpec:
             raise ValueError(f"modulus must be positive, got {self.n}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed >= 2**128:  # the largest Philox key is 2**128 - 1
+            raise ValueError(f"seed must be below 2**128, got {self.seed}")
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"density must lie in (0, 1], got {self.p}")
         if self.kind in SET_KINDS and Fraction(self.p) * self.n < 1:

@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     SupBelowOneWarning,
 )
-from .gowersnorm import EdgeFn
+from .gowersnorm import _LETTERS, EdgeFn
 
 Edge = tuple[int, ...]
 
@@ -219,20 +219,23 @@ def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:
     return WeightedHypergraph(system, weights, tuple(forms) if forms else None, w.modulus)
 
 
-def progression_count_check(w: WeightedHypergraph) -> float:
+def progression_count_check(w: WeightedHypergraph, budget: float | None = None) -> float:
     """E over all coordinates of the product of every edge weight.
 
     For a represented measure this equals the arithmetic-progression density
     of length r+1 exactly (the evaluation points sweep progressions uniformly).
+    The einsum forms r+1 products at each of the coordinate points, charged
+    before it runs.
     """
     r = w.r
-    letters = "abcdefghijklmnopqrstuvwxyz"[: r + 1]
+    npoints = math.prod(w.system.dims)
+    what = f"progression count (r={r}, {npoints} points)"
+    check_budget((r + 1) * float(npoints), budget, what=what, power=r + 1)
     subs = []
     operands = []
     for j in range(r + 1):
         fn = w.weight_omitting(j)
-        subs.append("".join(letters[v] for v in fn.edge))
+        subs.append("".join(_LETTERS[v] for v in fn.edge))
         operands.append(fn.values)
     total = float(np.einsum(",".join(subs) + "->", *operands, optimize=False))
-    npoints = float(math.prod(w.system.dims))
     return total / npoints

@@ -67,6 +67,7 @@ from .errors import (
 from .cyclic import CyclicFn
 from .gowersnorm import (
     _CHUNK_ELEMS,
+    _LETTERS,
     CubeVertex,
     EdgeFn,
     _box_pows,
@@ -85,8 +86,6 @@ Var = tuple[int, int | None]
 Factor = tuple[np.ndarray, list[Var]]
 # The structures of a factor list, hashable, as a cache key.
 Structure = tuple[tuple[tuple[int, ...], tuple[Var, ...]], ...]
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def _var_order_key(v: Var):

@@ -129,6 +129,31 @@ class TestBudget:
         code, _, err = _run(capsys, argv)
         assert code == 0, err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["represent", "--r", "2", "--n", "31", "--budget", "5e4"],
+            ["verify", "--r", "2", "--n", "31", "--seeds", "0", "--budget", "5e4"],
+        ],
+        ids=["represent", "verify"],
+    )
+    def test_progression_map_charged(self, capsys, argv):
+        # 3 * 31^3 = 8.94e4 points walked through ap_values; represent ran
+        # them uncharged and exited 0.
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "budget exceeded: estimated 8.94e+04 elementary products > budget 5e+04 "
+            "(progression map (r=2, n=31))\n"
+        )
+        assert "suggestion: retry with --n <= 23" in err
+
+    def test_progression_count_charged(self, capsys):
+        # At N=59 the map samples 2000 points; the count still sums 3 * 59^3.
+        code, out, err = _run(capsys, ["represent", "--r", "2", "--n", "59", "--budget", "5e5"])
+        assert (code, out) == (2, "")
+        assert "(progression count (r=2, 205379 points))" in err
+
     def test_explicit_tiny_budget(self, capsys):
         code, _, err = _run(
             capsys,
@@ -204,6 +229,61 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"error: {option} must be nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["norm", "--n", "7", "--k", "2", "--seed", str(2**128)],
+             f"--seed must be below 2**128, got {2**128}"),
+            (["slf", "--r", "2", "--n", "5", "--instance-seed", str(2**128)],
+             f"--instance-seed must be below 2**128, got {2**128}"),
+            (["slf-single", "--r", "2", "--n", "5", "--instance-seed", str(2**128)],
+             f"--instance-seed must be below 2**128, got {2**128}"),
+            (["gcs", "--seed", str(2**128 - 1), "--tuples", "2"],
+             f"--seed must be below 2**128 - 1 for --tuples 2, got {2**128 - 1}"),
+        ],
+        ids=["norm-seed", "slf-instance-seed", "slf-single-instance-seed", "gcs-last-key"],
+    )
+    def test_seed_beyond_philox_names_the_flag(self, capsys, argv, message):
+        # Philox refused each with "key must be positive and less than 2**128."
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norm", "--n", "7", "--k", "2", "--seed", str(2**128 - 1)],
+            ["slf", "--r", "2", "--n", "5", "--instance-seed", str(2**128 - 1)],
+            ["gcs", "--seed", str(2**128 - 2), "--tuples", "2"],
+        ],
+        ids=["norm-seed", "slf-instance-seed", "gcs-last-key"],
+    )
+    def test_largest_philox_key_runs(self, capsys, argv):
+        assert _run(capsys, argv)[0] == 0
+
+    def test_spec_seed_beyond_philox_names_the_field(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"kind": "random", "n": 7, "seed": {2**128}}}')
+        code, out, err = _run(capsys, ["norm", "--k", "2", "--input", str(spec)])
+        assert (code, out) == (2, "")
+        assert err == f"error: seed must be below 2**128, got {2**128}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["cube", "--r", "2", "--n", "7", "--j", "5"], "--j must be in 0..2, got 5"),
+            (["cube", "--r", "2", "--n", "7", "--j", "-1"], "--j must be in 0..2, got -1"),
+            (["lf2", "--r", "2", "--n", "7", "--j", "5"], "--j must be in 1..2, got 5"),
+            (["lf2", "--r", "2", "--n", "7", "--j", "0"], "--j must be in 1..2, got 0"),
+        ],
+        ids=["cube-above", "cube-negative", "lf2-above", "lf2-origin"],
+    )
+    def test_edge_out_of_range_names_the_flag(self, capsys, argv, message):
+        # They read "vertex 5 not in 0..2" and "edge index 5 must be in 1..2".
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_negative_spec_seed_names_the_field(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

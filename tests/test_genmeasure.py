@@ -33,6 +33,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             GeneratorSpec.from_json_obj({"kind": kind, "n": 7, "seed": -1})
 
+    def test_seed_beyond_philox_names_the_field(self):
+        # Philox refused it with "key must be positive and less than 2**128."
+        with pytest.raises(ValueError, match=rf"seed must be below 2\*\*128, got {2**128}"):
+            GeneratorSpec(kind="random", n=7, seed=2**128)
+        with pytest.raises(ValueError, match=r"seed must be below 2\*\*128"):
+            GeneratorSpec.from_json_obj({"kind": "constant", "n": 7, "seed": 2**129})
+        assert generate_set(GeneratorSpec(kind="random", n=7, seed=2**128 - 1))
+
     @pytest.mark.parametrize("p", [0.0, -0.1, 1.5])
     def test_bad_density(self, p):
         with pytest.raises(ValueError):

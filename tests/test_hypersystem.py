@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gowers import (
+    BudgetExceeded,
     CompositeModulus,
     EdgeFn,
     GeneratorSpec,
@@ -206,3 +207,10 @@ class TestCounting:
         density = ap_density([nu.fn] * (r + 1)).density
         assert progression_count_check(w) == pytest.approx(density, abs=1e-12)
 
+    def test_budget_charges_every_product(self):
+        # r+1 weights multiplied at each of the N^(r+1) coordinate points.
+        w = represent(generate(GeneratorSpec(kind="random", n=7, p=0.5, seed=1)), 2)
+        assert progression_count_check(w, budget=3 * 7**3) > 0
+        with pytest.raises(BudgetExceeded) as exc:
+            progression_count_check(w, budget=3 * 7**3 - 1)
+        assert (exc.value.estimated, exc.value.power) == (3 * 7**3, 3)

@@ -21,6 +21,15 @@ def _load(name: str, monkeypatch):
     return module
 
 
+def _script(argv: list[str], text: bool = True) -> subprocess.CompletedProcess:
+    """Run ``scripts/<argv[0]>`` with the rest of argv in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True, text=text, env=env, timeout=120,
+    )
+
+
 def _rows(path: Path) -> list[list[str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -102,11 +111,7 @@ def test_chain_margins_refuses_negative_seeds(capsys, monkeypatch):
 def test_budget_refusal_exits_2(argv):
     # The scripts map errors to exit codes as the command line does: a
     # refused step is a clean exit 2, not a traceback with exit 1.
-    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = _script(argv)
     assert done.returncode == 2
     assert "budget exceeded" in done.stderr
     assert "Traceback" not in done.stderr
@@ -115,11 +120,8 @@ def test_budget_refusal_exits_2(argv):
 def test_chain_margins_charges_the_representation():
     # As on the command line, the edge weights are charged before they are
     # allocated, so the representation is the step refused, not a chain step.
-    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
-    argv = ["--r", "3", "--moduli", "5", "--seeds", "1", "--budget", "10"]
-    done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "chain_margins.py"), *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+    done = _script(
+        ["chain_margins.py", "--r", "3", "--moduli", "5", "--seeds", "1", "--budget", "10"]
     )
     assert done.returncode == 2
     assert "(representation (r=3, n=5))" in done.stderr
@@ -135,14 +137,28 @@ def test_chain_margins_charges_the_representation():
 def test_failed_run_writes_nothing(tmp_path, argv):
     # The rows for modulus 7 or 31 are computed before modulus 0 is refused;
     # none of them reaches stdout or the output file.
-    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
     out = tmp_path / "rows.csv"
     for extra in ([], ["--output", str(out)]):
-        done = subprocess.run(
-            [sys.executable, str(SCRIPTS / argv[0]), *argv[1:], *extra],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done = _script(argv + extra)
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == "error: modulus must be positive, got 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separation_sweep.py", "--moduli", "31", "--seeds", "1"],
+        ["chain_margins.py", "--moduli", "5", "--seeds", "1"],
+    ],
+)
+def test_stdout_matches_output_file(tmp_path, argv):
+    # Both destinations receive the same bytes from the one writer.
+    out = tmp_path / "rows.csv"
+    to_stdout = _script(argv, text=False)
+    to_file = _script(argv + ["--output", str(out)], text=False)
+    assert (to_stdout.returncode, to_file.returncode, to_file.stdout) == (0, 0, b"")
+    assert to_stdout.stdout.count(b"\n") > 1
+    assert to_stdout.stdout == out.read_bytes()
+    assert to_stdout.stderr == to_file.stderr
