@@ -44,9 +44,9 @@ from .gowersnorm import (
     u_norm_fast,
 )
 from .hypersystem import (
-    ap_values,
     charge_representation,
     is_prime,
+    map_failures,
     progression_count_check,
     represent,
 )
@@ -248,17 +248,11 @@ def _map_failures(w, points=None, budget=None) -> int:
     n, r = w.modulus, w.r
     if points is None:
         count, power = float(n) ** (r + 1), r + 1
-        points = itertools.product(range(n), repeat=r + 1)
     else:
         count, power = float(len(points)), 0
     what = f"progression map (r={r}, n={n})"
     check_budget((r + 1) * count, budget, what=what, power=power)
-    bad = 0
-    for x in points:
-        ys, d = ap_values(w, x)
-        if any((ys[j + 1] - ys[j]) % n != d for j in range(r)):
-            bad += 1
-    return bad
+    return map_failures(w, points)
 
 
 def _moments(rep, w, tag: str, budget) -> dict[str, float]:

@@ -102,8 +102,9 @@ def generate_set(spec: GeneratorSpec) -> frozenset[int]:
         length = math.ceil(Fraction(p) * n)
         members = frozenset(range(length))
     elif spec.kind == "quadratic":
-        threshold = Fraction(p) * n
-        members = frozenset(x for x in range(n) if (x * x) % n < threshold)
+        # For an integer residue, residue < p*n exactly when residue < ceil(p*n).
+        x = np.arange(n, dtype=np.int64)
+        members = frozenset(np.flatnonzero(x * x % n < math.ceil(Fraction(p) * n)).tolist())
     elif spec.kind == "singleton":
         members = frozenset({0})
     else:

@@ -8,8 +8,8 @@ Two independent routes are kept deliberately separate:
   down to the spectral identity at order two, whose base transforms each
   real row with a real FFT and weighs the nonnegative frequencies by their
   conjugate pairs.  Shifted rows are read from a strided view of the doubled
-  rows, and the difference parameter h is walked in blocks, so no N x N
-  array is ever formed.  For a real row the difference at -h is the one at
+  rows, and the difference parameter h is walked in blocks written into one
+  buffer per level, so no N x N array is ever formed.  For a real row the difference at -h is the one at
   h shifted, so the terms for h and N - h are equal and each level forms
   only h = 0..N//2, counting the interior ones twice.
 
@@ -145,12 +145,23 @@ def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
     is read from a read-only (m, N//2 + 1, N) view of the doubled rows
     with strides (row, 1, 1); the ndarray constructor, unlike as_strided,
     refuses a view that reads past the buffer, and costs a fifth as much,
-    which small-N calls notice."""
+    which small-N calls notice.
+
+    Each level above two allocates one difference buffer, sized for its
+    largest block, and every block writes its differences into the front
+    of it.  The base squares the transform in place through its float64
+    view and adds the interleaved real and imaginary squares into one
+    array, so a block allocates only its transform and that array.  The
+    products, sums and their order are those of the plain formula, so the
+    values are bit for bit the same."""
     m, n = rows.shape
     if k == 2:
         coeffs = np.fft.rfft(rows, axis=1)
         coeffs /= n
-        pows = (coeffs.real**2 + coeffs.imag**2) ** 2
+        parts = coeffs.view(np.float64)
+        parts *= parts
+        pows = parts[:, 0::2] + parts[:, 1::2]
+        pows *= pows
         pows[:, 1 : (n + 1) // 2] *= 2.0
         return np.sum(pows, axis=1)
     half = n // 2 + 1
@@ -158,12 +169,14 @@ def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
     s_row, s_col = doubled.strides
     shifted = np.ndarray((m, half, n), doubled.dtype, doubled, 0, (s_row, s_col, s_col))
     shifted.flags.writeable = False
-    step = max(1, _CHUNK_ELEMS // (m * n))
-    per_h = []
+    step = min(half, max(1, _CHUNK_ELEMS // (m * n)))
+    buf = np.empty(m * step * n, dtype=rows.dtype)
+    pows = np.empty((m, half))
     for start in range(0, half, step):
-        diffs = rows[:, None, :] * shifted[:, start : start + step]
-        per_h.append(_u_pows(diffs.reshape(-1, n), k - 1).reshape(m, -1))
-    pows = np.concatenate(per_h, axis=1)
+        b = min(step, half - start)
+        diffs = buf[: m * b * n].reshape(m, b, n)
+        np.multiply(rows[:, None, :], shifted[:, start : start + b], out=diffs)
+        pows[:, start : start + b] = _u_pows(diffs.reshape(-1, n), k - 1).reshape(m, b)
     pows[:, 1 : (n + 1) // 2] *= 2.0
     return np.array([math.fsum(row) / n for row in pows.tolist()])
 

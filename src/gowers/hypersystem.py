@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     SupBelowOneWarning,
 )
-from .gowersnorm import _LETTERS, EdgeFn
+from .gowersnorm import _CHUNK_ELEMS, _LETTERS, EdgeFn
 
 Edge = tuple[int, ...]
 
@@ -189,6 +189,42 @@ def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...
         coeffs = w.forms[j]
         ys.append(sum(c * int(x[v]) for c, v in zip(coeffs, edge)) % n)
     return tuple(ys), sum(int(v) for v in x) % n
+
+
+def map_failures(w: WeightedHypergraph, points=None) -> int:
+    """How many points x, every point of the cube when ``points`` is None,
+    have evaluation points (those of ``ap_values``) that do not step by the
+    coordinate sum d.  The stored forms are applied with int64 numpy to
+    blocks of at most _CHUNK_ELEMS points at once, so each point costs its
+    r+1 forms and no Python call."""
+    if w.forms is None or w.modulus is None:
+        raise NotRepresentation("hypergraph was not built by represent()")
+    n, r = w.modulus, w.r
+    if points is None:
+        npoints = n ** (r + 1)
+    else:
+        points = np.array(points, dtype=np.int64)
+        npoints = len(points)
+        if npoints and points.shape[1:] != (r + 1,):
+            raise ShapeMismatch(f"need {r + 1} coordinates, got {points.shape[1:]}")
+    edges = w.system.edges
+    bad = 0
+    for start in range(0, npoints, _CHUNK_ELEMS):
+        stop = min(start + _CHUNK_ELEMS, npoints)
+        if points is None:
+            x = np.unravel_index(np.arange(start, stop), (n,) * (r + 1))
+        else:
+            x = points[start:stop].T
+        ys = [
+            sum(c * x[v] for c, v in zip(coeffs, edge)) % n
+            for coeffs, edge in zip(w.forms, edges)
+        ]
+        d = sum(x) % n
+        wrong = np.zeros(stop - start, dtype=bool)
+        for j in range(r):
+            wrong |= (ys[j + 1] - ys[j]) % n != d
+        bad += int(np.count_nonzero(wrong))
+    return bad
 
 
 def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:

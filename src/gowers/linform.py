@@ -262,7 +262,7 @@ def _box_route(factors: list[Factor], layout: _BoxLayout) -> float:
             part = view[tuple([i if n > 1 else 0 for i, n in zip(prefix, view.shape)])]
             values = part if values is None else values * part
         pows.append(_box_pows(np.reshape(values, layout.block)))
-    return math.fsum(np.concatenate(pows)) / layout.points
+    return math.fsum(memoryview(np.concatenate(pows))) / layout.points
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ def _split_route(factors: list[Factor], layout: _SplitLayout) -> float:
             prod = marginal if prod is None else prod * marginal
         sums.append(np.sum(prod.reshape(len(prod), -1), axis=1))
     box = math.prod(layout.dims)
-    return math.fsum(np.concatenate(sums)) / (box * box)
+    return math.fsum(memoryview(np.concatenate(sums))) / (box * box)
 
 
 @functools.lru_cache(maxsize=16384)

@@ -1,6 +1,8 @@
 """Seeded measure generators: frozen member sets, exact-rational thresholds,
 determinism, and validation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,19 @@ class TestGenerateSet:
         spec = GeneratorSpec(kind="quadratic", n=11, p=0.4)
         expect = {x for x in range(11) if (x * x) % 11 < 0.4 * 11}
         assert generate_set(spec) == expect
+
+    def test_quadratic_matches_rational_threshold(self):
+        # One integer threshold ceil(p * n) gives the sets of the exact
+        # rational comparison x^2 mod n < p * n, p * n integral or not.
+        integral = 0
+        for n in range(1, 301):
+            for p in (0.1, 0.125, 0.2, 0.25, 0.3, 1 / 3, 0.5, 0.7, 1.0, 1 / n, 2 / n, 0.5 + 1 / n):
+                if not 0.0 < p <= 1.0 or Fraction(p) * n < 1:
+                    continue
+                integral += (Fraction(p) * n).denominator == 1
+                expect = {x for x in range(n) if (x * x) % n < Fraction(p) * n}
+                assert generate_set(GeneratorSpec(kind="quadratic", n=n, p=p)) == expect
+        assert integral > 300
 
     def test_singleton(self):
         assert generate_set(GeneratorSpec(kind="singleton", n=7)) == {0}

@@ -144,6 +144,29 @@ class TestFastRecursion:
         expect = np.sum((coeffs.real**2 + coeffs.imag**2) ** 2, axis=1)
         np.testing.assert_allclose(gowersnorm._u_pows(rows, 2), expect, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 17, 257, 4096])
+    def test_order_two_base_matches_plain_formula(self, n):
+        # The in-place squares of the base take the plain formula's
+        # operations in its order, so every bit agrees.
+        rows = philox(n).random((3, n)) * 2.0 - 1.0
+        coeffs = np.fft.rfft(rows, axis=1)
+        coeffs /= n
+        pows = (coeffs.real**2 + coeffs.imag**2) ** 2
+        pows[:, 1 : (n + 1) // 2] *= 2.0
+        assert gowersnorm._u_pows(rows, 2).tolist() == np.sum(pows, axis=1).tolist()
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_difference_buffer_keeps_every_bit(self, monkeypatch, k):
+        # 1488 // (16 * 31) = 3 differences per block at the second level of
+        # k=4, so its last block holds one: a ragged block at the front of
+        # the buffer.
+        f = random_cyclic(31, seed=k, low=-1.0, high=1.0)
+        values = []
+        for chunk in (gowersnorm._CHUNK_ELEMS, 1, 1488):
+            monkeypatch.setattr(gowersnorm, "_CHUNK_ELEMS", chunk)
+            values.append(u_norm_fast(f, k))
+        assert values[1] == values[0] and values[2] == values[0]
+
     def test_order_three_memory_is_blocked(self):
         # An N x N array of differences alone would take 32 MB here.
         f = random_cyclic(2048, seed=3)

@@ -1,10 +1,12 @@
 """The weighted-hypergraph representation of a measure on Z_N."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import gowers.hypersystem as hypersystem
 from gowers import (
     BudgetExceeded,
     CompositeModulus,
@@ -13,6 +15,7 @@ from gowers import (
     HypergraphSystem,
     ModulusTooSmall,
     NotRepresentation,
+    ShapeMismatch,
     WeightedHypergraph,
     ap_density,
     ap_values,
@@ -26,6 +29,7 @@ from gowers import (
     sup_norm,
     u_norm_fast,
 )
+from gowers.hypersystem import map_failures
 
 
 class TestPrimality:
@@ -141,6 +145,46 @@ class TestApValues:
         )
         with pytest.raises(NotRepresentation):
             ap_values(w, (0, 0, 0))
+        with pytest.raises(NotRepresentation):
+            map_failures(w)
+
+
+class TestMapFailures:
+    @pytest.mark.parametrize("r,n", [(2, 7), (3, 5), (4, 5)])
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_blocks_count_what_ap_values_counts(self, monkeypatch, r, n, chunk):
+        # The block walk against one ap_values call per point, on the map
+        # and on maps broken by one coefficient or by two swapped forms.
+        if chunk is not None:
+            monkeypatch.setattr(hypersystem, "_CHUNK_ELEMS", chunk)
+        w = represent(from_set({0, 1, 3}, n), r)
+        forms = list(w.forms)
+        changed = forms[:1] + [((forms[1][0] + 1) % n,) + forms[1][1:]] + forms[2:]
+        swapped = [forms[1], forms[0]] + forms[2:]
+        points = list(itertools.product(range(n), repeat=r + 1))
+        for fs in (forms, changed, swapped):
+            mapped = dataclasses.replace(w, forms=tuple(fs))
+            expect = _ap_failures(mapped, points)
+            assert (expect == 0) == (fs is forms)
+            assert map_failures(mapped) == expect
+            assert map_failures(mapped, points[::3]) == _ap_failures(mapped, points[::3])
+
+    def test_points_need_every_coordinate(self):
+        w = represent(from_set({0, 1}, 5), 2)
+        assert map_failures(w, []) == 0
+        with pytest.raises(ShapeMismatch):
+            map_failures(w, [(0, 1)])
+
+
+def _ap_failures(w, points) -> int:
+    """The points whose ap_values do not step by their common difference,
+    one ap_values call per point."""
+    n, r = w.modulus, w.r
+    bad = 0
+    for x in points:
+        ys, d = ap_values(w, x)
+        bad += any((ys[j + 1] - ys[j]) % n != d for j in range(r))
+    return bad
 
 
 class TestRelabel:
