@@ -22,11 +22,10 @@ from gowers import (
     generate,
     lf2_chain_verify,
     random_slf_instance,
-    represent,
+    represent_charged,
     single_chain_verify,
 )
 from gowers.cli import csv_text, guarded, write_text
-from gowers.hypersystem import charge_representation
 
 HEADER = ("variant", "r", "n", "seed", "check", "lhs", "rhs", "margin", "pass")
 
@@ -51,8 +50,7 @@ def _measures(n: int, count: int):
 def margin_rows(args):
     for n in args.moduli:
         for idx, nu in _measures(n, args.seeds):
-            charge_representation(n, args.r, args.budget)
-            w = represent(nu, args.r)
+            w = represent_charged(nu, args.r, args.budget)
             reports = [
                 ("two-copy", chain_verify(random_slf_instance(w, idx, args.caps), args.budget)),
                 (

@@ -48,6 +48,7 @@ from .hypersystem import (
     progression_count_check,
     relabel,
     represent,
+    represent_charged,
     sup_norm,
 )
 from .linform import (
@@ -72,7 +73,7 @@ from .linform import (
     slf_lhs,
     ybar_sq_expectation,
 )
-from .apcount import CSV_HEADER, ap_density, hypothesis_ratio, relsz_experiment, telescoping_check
+from .apcount import ap_density, hypothesis_ratio, relsz_experiment, telescoping_check
 from .genmeasure import KINDS, GeneratorSpec, generate, generate_set
 
 __version__ = "0.1.0"

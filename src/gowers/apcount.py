@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,17 +29,9 @@ from .budget import check_budget
 from .cyclic import CyclicFn, Measure
 from .errors import ShapeMismatch
 from .gowersnorm import _CHUNK_ELEMS, EdgeFn, u_norm_fast
-from .hypersystem import (
-    WeightedHypergraph,
-    charge_representation,
-    is_prime,
-    relabel,
-    represent,
-)
+from .hypersystem import WeightedHypergraph, is_prime, relabel, represent_charged
 from .linform import Cap, SlfInstance, q_value, single_chain_verify
 from .report import TOL, VerificationReport, eq_check
-
-CSV_HEADER = "n,k,density,prediction,ratio,trivial_count,nontrivial_count"
 
 
 @dataclass(frozen=True)
@@ -54,25 +46,8 @@ class ApReport:
     trivial_count: int
     nontrivial_count: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "density": self.density,
-            "prediction": self.prediction,
-            "ratio": self.ratio,
-            "trivial_count": self.trivial_count,
-            "nontrivial_count": self.nontrivial_count,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.n},{self.k},{self.density!r},{self.prediction!r},"
-            f"{self.ratio!r},{self.trivial_count},{self.nontrivial_count}"
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _shifts(values: np.ndarray, j: int) -> np.ndarray:
@@ -220,16 +195,6 @@ class HypothesisRatio:
     over_p_r: float
     over_p_half_r: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "p": self.p,
-            "norm": self.norm,
-            "over_p_r": self.over_p_r,
-            "over_p_half_r": self.over_p_half_r,
-        }
-
 
 def hypothesis_ratio(nu: Measure, r: int, budget: float | None = None) -> HypothesisRatio:
     """Order-r uniformity norm of nu - 1 compared with p^r and p^(r/2)."""
@@ -300,8 +265,8 @@ def relsz_experiment(
     ap = ap_density([nu.fn] * (r + 1), budget)
     ratios = hypothesis_ratio(nu, r, budget)
     if is_prime(nu.n) and nu.n > r:
-        charge_representation(nu.n, r, budget)
-        report = telescoping_check(represent(nu, r), ap.density, budget, with_chains)
+        w = represent_charged(nu, r, budget)
+        report = telescoping_check(w, ap.density, budget, with_chains)
     else:
         report = VerificationReport(name="progression-telescoping")
         report.notes.append("modulus not prime above the arity; telescoping skipped")

@@ -2,9 +2,11 @@
 
 Every brute-force engine estimates its term count (index-space size times
 factors per term) before touching memory and refuses to start if the estimate
-exceeds the budget.  The default budget is 1e8 and can be overridden per call
-or through the GOWERS_BUDGET environment variable; a value that is not a
-finite positive number is refused rather than taken to switch the guard off.
+exceeds the budget; an estimate beyond the float range is infinite
+(``power_cost``) and refused like any other.  The default budget is 1e8 and
+can be overridden per call or through the GOWERS_BUDGET environment
+variable; a value that is not a finite positive number is refused rather
+than taken to switch the guard off.
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ def resolve_budget(budget: float | None = None) -> float:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{source} must be a finite positive number, got {value!r}")
     return value
+
+
+def power_cost(base: float, exponent: float) -> float:
+    """``base ** exponent`` as a float product count: infinite where a float
+    cannot hold it, so a step too large to price is refused, not crashed."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def check_budget(

@@ -2,9 +2,10 @@
 
 Each subcommand builds its inputs from a seeded generator spec (or a JSON
 file holding one), runs the requested computation, and writes a
-machine-readable report to stdout or a file.  Exit code 0 means every check
-passed, 1 means at least one check failed, 2 means a usage, budget,
-out-of-memory or internal error.
+machine-readable report to stdout or a file.  The front end charges no
+budget itself: every engine it calls charges its own steps.  Exit code 0
+means every check passed, 1 means at least one check failed, 2 means a
+usage, budget, out-of-memory or internal error.
 Budget errors carry the estimated elementary-product count and, when the
 refused step's cost scales with the modulus, the largest prime modulus at
 which that step fits.
@@ -20,35 +21,29 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .apcount import (
-    CSV_HEADER,
-    ApReport,
-    ap_density,
-    hypothesis_ratio,
-    relsz_experiment,
-    telescoping_check,
-)
-from .budget import DEFAULT_BUDGET, check_budget, resolve_budget
+from .apcount import ap_density, hypothesis_ratio, relsz_experiment, telescoping_check
+from .budget import DEFAULT_BUDGET, resolve_budget
 from .errors import BudgetExceeded, GowersError, NumericalInconsistency
 from .genmeasure import KINDS, GeneratorSpec, generate
 from .gowersnorm import (
     EdgeFn,
     box_norm,
+    charge_gcs,
     cube_vertices,
     gcs_verify,
     u_norm_brute,
     u_norm_fast,
 )
 from .hypersystem import (
-    charge_representation,
     is_prime,
     map_failures,
     progression_count_check,
-    represent,
+    represent,  # noqa: F401  perfbench/selfcheck.py checks that its tracer wraps this binding
+    represent_charged,
 )
 from .linform import (
     CubePattern,
@@ -153,7 +148,7 @@ def _emit(obj: dict, args) -> None:
         # Strict JSON: a NaN or infinite number raises ValueError (exit 2).
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     elif "ap" in obj:
-        text = f"{CSV_HEADER}\n{ApReport(**obj['ap']).to_csv_row()}\n"
+        text = csv_text(obj["ap"], [[repr(value) for value in obj["ap"].values()]])
     elif {"suites", "reports", "report"} & obj.keys():
         reports = obj.get("suites", obj.get("reports", [obj.get("report")]))
         rows = (
@@ -190,12 +185,6 @@ def _measure(handler, args) -> int:
 # suite; the check ids of the two differ only by the tag the caller passes.
 
 
-def _represent(nu, r: int, budget):
-    """represent(nu, r), once its edge weights fit the budget."""
-    charge_representation(nu.n, r, budget)
-    return represent(nu, r)
-
-
 def _agreement(check: str, f, k: int, budget):
     """The order-k norm of f by the brute and the fast route, checked equal."""
     brute = u_norm_brute(f, k, budget)
@@ -204,11 +193,13 @@ def _agreement(check: str, f, k: int, budget):
 
 def _gcs_case(rep, key: int, dims, prefix: str, margin: str | None, budget) -> None:
     """Fold into rep the product-form bound for one tuple of random functions
-    on the product of ``dims``, drawn from Philox(key).  With a ``margin`` id
-    every slot holds the same function and the equality margin is checked
-    under that id; without one every slot is drawn afresh."""
-    rng = np.random.Generator(np.random.Philox(key=key))
+    on the product of ``dims``, drawn from Philox(key) once the bound's
+    charge fits.  With a ``margin`` id every slot holds the same function
+    and the equality margin is checked under that id; without one every
+    slot is drawn afresh."""
     edge = tuple(range(1, len(dims) + 1))
+    charge_gcs(edge, dims, budget)
+    rng = np.random.Generator(np.random.Philox(key=key))
 
     def draw() -> EdgeFn:
         return EdgeFn(edge, dims, rng.random(dims) * 2.0 - 1.0)
@@ -239,20 +230,6 @@ def _density(rep, nu, w, tag: str, budget) -> float:
     count = progression_count_check(w, budget)
     rep.add(eq_check(f"progression-density{tag}", count, density, TOL))
     return density
-
-
-def _map_failures(w, points=None, budget=None) -> int:
-    """How many points, every point of the cube when ``points`` is None, map
-    to evaluation points that do not step by their common difference.  The
-    r+1 evaluation points of each are charged before the walk."""
-    n, r = w.modulus, w.r
-    if points is None:
-        count, power = float(n) ** (r + 1), r + 1
-    else:
-        count, power = float(len(points)), 0
-    what = f"progression map (r={r}, n={n})"
-    check_budget((r + 1) * count, budget, what=what, power=power)
-    return map_failures(w, points)
 
 
 def _moments(rep, w, tag: str, budget) -> dict[str, float]:
@@ -313,7 +290,7 @@ def _cmd_norm(args, spec, nu):
 
 
 def _cmd_boxnorm(args, spec, nu):
-    w = _represent(nu, args.r, args.budget)
+    w = represent_charged(nu, args.r, args.budget)
     values = {"u-norm-centered": u_norm_fast(nu.centered(), args.r, args.budget)}
     for j in range(args.r + 1):
         g = w.weight_omitting(j)
@@ -349,15 +326,15 @@ def _cmd_gcs(args) -> int:
 
 def _cmd_represent(args, spec, nu):
     n, r = spec.n, args.r
-    w = _represent(nu, r, args.budget)
+    w = represent_charged(nu, r, args.budget)
     report = VerificationReport(name="representation")
     u = _preservation(report, nu, w, "", args.budget)
     points, npoints = None, n ** (r + 1)  # every point of the cube
     if npoints > 50_000:
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
-        points = [tuple(int(v) for v in rng.integers(0, n, size=r + 1)) for _ in range(2000)]
+        points = rng.integers(0, n, size=(2000, r + 1))
         npoints = len(points)
-    bad = _map_failures(w, points, args.budget)
+    bad = map_failures(w, points, args.budget)
     report.add(eq_check(f"progression-map ({npoints} points)", bad, 0.0, 0.0))
     _density(report, nu, w, "", args.budget)
     report.ratios["u-norm-centered"] = u
@@ -367,7 +344,7 @@ def _cmd_represent(args, spec, nu):
 
 def _cmd_cube(args, spec, nu):
     _in_range("--j", args.j, 0, args.r)
-    w = _represent(nu, args.r, args.budget)
+    w = represent_charged(nu, args.r, args.budget)
     g = w.weight_omitting(args.j)
     if args.pattern is None:
         pat = CubePattern.all_ones(len(g.edge))
@@ -377,11 +354,13 @@ def _cmd_cube(args, spec, nu):
         )
     else:
         pat = CubePattern.from_string(args.pattern)
+    # The expansion first, so its walk is charged before any expectation;
+    # its left-hand side is the raw cube expectation.
+    (report,) = binomial_expansion_identity(g, [pat], args.budget)
     values = {
-        "cube-expectation": cube_expectation(g, pat, args.budget),
+        "cube-expectation": report.ratios["raw"],
         "cube-centered-expectation": cube_centered_expectation(g, pat, args.budget),
     }
-    (report,) = binomial_expansion_identity(g, [pat], args.budget)
     inputs = {"r": args.r, "j": args.j, "pattern": pat.to_string()}
     return inputs, {"values": values, "report": report.to_json_obj()}, report.passed
 
@@ -389,7 +368,7 @@ def _cmd_cube(args, spec, nu):
 def _cmd_slf(args, spec, nu):
     """``slf`` (two copies of vertex 0) and ``slf-single`` (one copy)."""
     _seed("--instance-seed", args.instance_seed)
-    w = _represent(nu, args.r, args.budget)
+    w = represent_charged(nu, args.r, args.budget)
     if args.command == "slf":
         inst = random_slf_instance(w, args.instance_seed, args.caps)
         lhs = slf_lhs(inst, args.budget)
@@ -403,7 +382,7 @@ def _cmd_slf(args, spec, nu):
 
 
 def _cmd_nuprime(args, spec, nu):
-    w = _represent(nu, args.r, args.budget)
+    w = represent_charged(nu, args.r, args.budget)
     report = VerificationReport(name="product-weight-moments")
     report.ratios.update(_moments(report, w, "", args.budget))
     return {"r": args.r}, {"report": report.to_json_obj()}, report.passed
@@ -412,7 +391,7 @@ def _cmd_nuprime(args, spec, nu):
 def _cmd_lf2(args, spec, nu):
     if args.j is not None:
         _in_range("--j", args.j, 1, args.r)
-    w = _represent(nu, args.r, args.budget)
+    w = represent_charged(nu, args.r, args.budget)
     exps = Lf2Exponents.all_ones(args.r)
     if args.exponents is not None:
         exps = Lf2Exponents.from_bits(args.r, _bits("--exponents", args.exponents))
@@ -430,13 +409,13 @@ def _cmd_lf2(args, spec, nu):
 def _cmd_count(args, spec, nu):
     ap = ap_density([nu.fn] * (args.r + 1), args.budget)
     hr = hypothesis_ratio(nu, args.r, args.budget)
-    return {"r": args.r}, {"ap": ap.to_json_obj(), "ratios": hr.to_json_obj()}, True
+    return {"r": args.r}, {"ap": asdict(ap), "ratios": asdict(hr)}, True
 
 
 def _cmd_experiment(args, spec, nu):
     ap, report = relsz_experiment(nu, args.r, args.with_chains, args.budget)
     inputs = {"r": args.r, "with_chains": args.with_chains}
-    return inputs, {"ap": ap.to_json_obj(), "report": report.to_json_obj()}, report.passed
+    return inputs, {"ap": asdict(ap), "report": report.to_json_obj()}, report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +454,7 @@ def _suite_representation(measures, w0, budget) -> tuple[VerificationReport, lis
         _preservation(rep, nu, w, f" seed={s}", budget)
         densities.append(_density(rep, nu, w, f" seed={s}", budget))
     n, r = w0.modulus, w0.r
-    bad = _map_failures(w0, budget=budget)
+    bad = map_failures(w0, budget=budget)
     rep.add(eq_check(f"progression-map exhaustive n={n} r={r}", bad, 0.0, 0.0))
     return rep, densities
 
@@ -540,7 +519,7 @@ def _suite_count(measures, densities, budget) -> VerificationReport:
 def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
     rep = VerificationReport(name="degenerate-exactness")
     nu = generate(GeneratorSpec(kind="constant", n=n))
-    w = _represent(nu, r, budget)
+    w = represent_charged(nu, r, budget)
     rep.add(eq_check("u-norm-centered", u_norm_fast(nu.centered(), r, budget), 0.0, 0.0))
     inst = random_slf_instance(w, 0, "one")
     rep.add(eq_check("centered-product", slf_lhs(inst, budget), 0.0, 0.0))
@@ -570,7 +549,7 @@ def _cmd_verify(args) -> int:
     suites = [_suite_dual_route(nus[:seeds], budget), _suite_gcs(seeds, budget)]
     # Represented only after the two suites that need no representation, so
     # a size that their budget checks refuse never allocates one.
-    pairs = [(nu, _represent(nu, r, budget)) for nu in nus]
+    pairs = [(nu, represent_charged(nu, r, budget)) for nu in nus]
     measures = pairs[:seeds]
     representation, densities = _suite_representation(measures, pairs[0][1], budget)
     suites += [

@@ -43,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, power_cost
 from .cyclic import CyclicFn
 from .errors import NumericalInconsistency, ShapeMismatch
 from .report import TOL, VerificationReport, ineq_check
@@ -97,7 +97,7 @@ def u_norm_brute(f: CyclicFn, k: int, budget: float | None = None) -> float:
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     n = f.n
-    cost = float(n) ** (k + 1) * (2.0**k)
+    cost = power_cost(n, k + 1) * power_cost(2, k)
     check_budget(cost, budget, what=f"u_norm_brute(k={k}, n={n})", power=k + 1)
     vals = f.values
     doubled = np.concatenate([vals, vals])
@@ -189,7 +189,7 @@ def u_norm_fast(f: CyclicFn, k: int, budget: float | None = None) -> float:
         raise ValueError(f"order must be >= 1, got {k}")
     n = f.n
     power = max(1, k - 1)
-    cost = float(n) * float(n // 2 + 1) ** max(0, k - 2)
+    cost = float(n) * power_cost(n // 2 + 1, max(0, k - 2))
     check_budget(cost, budget, what=f"u_norm_fast(k={k}, n={n})", power=power)
     if k == 1:
         return abs(math.fsum(f.values.tolist()) / n)
@@ -354,6 +354,15 @@ def box_norm(g: EdgeFn, budget: float | None = None) -> float:
     return clamp_cube_average(avg, scale) ** (1.0 / 2.0**kk)
 
 
+def charge_gcs(edge: tuple[int, ...], dims: tuple[int, ...], budget: float | None = None) -> None:
+    """Charge ``gcs_verify`` on functions of ``edge`` with vertex set sizes
+    ``dims``: one mixed expectation over the whole box and 2^k recursive box
+    norms.  A caller that draws the functions takes it before the draw."""
+    kk = len(dims)
+    cost = (2.0**kk) * power_cost(math.prod(dims), 2) * (1.0 + 1.0 / dims[-1])
+    check_budget(cost, budget, what=f"product-form bound on edge {edge}", power=2 * kk)
+
+
 def gcs_verify(
     gs: Mapping[CubeVertex, EdgeFn], budget: float | None = None
 ) -> VerificationReport:
@@ -364,10 +373,7 @@ def gcs_verify(
     """
     some = _validate_cube_assignment(gs)
     kk = len(some.edge)
-    npts = float(some.npoints)
-    # One mixed expectation over the whole box and 2^k recursive box norms.
-    cost = (2.0**kk) * npts**2 * (1.0 + 1.0 / some.dims[-1])
-    check_budget(cost, budget, what=f"product-form bound on edge {some.edge}", power=2 * kk)
+    charge_gcs(some.edge, some.dims, budget)
     lhs = abs(mixed_cube_expectation(gs, budget=budget))
     rhs = 1.0
     for omega in cube_vertices(kk):

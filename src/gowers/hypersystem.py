@@ -10,7 +10,8 @@ a measure nu on Z_N into edge weights
 which has two exact consequences for prime N > r: the r+1 evaluation points
 y_j form an arithmetic progression with common difference sum_i x_i, and each
 centered edge weight has box norm equal to the order-r uniformity norm of
-nu - 1.
+nu - 1.  ``represent_charged`` charges the edge weights to the budget before
+``represent`` allocates them, and ``map_failures`` charges its walk.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, power_cost
 from .cyclic import Measure
 from .errors import (
     CompositeModulus,
@@ -137,16 +138,6 @@ def sup_norm(w: WeightedHypergraph) -> float:
     return sup
 
 
-def charge_representation(n: int, r: int, budget: float | None = None) -> None:
-    """Charge the (r+1)·N^r edge-weight values ``represent`` allocates.
-
-    A step of its own, taken before ``represent``, so that ``represent``
-    keeps its two-argument signature.
-    """
-    what = f"representation (r={r}, n={n})"
-    check_budget((r + 1) * float(n) ** r, budget, what=what, power=r)
-
-
 def represent(nu: Measure, r: int) -> WeightedHypergraph:
     """Norm-preserving weighted-hypergraph representation of a measure.
 
@@ -167,6 +158,14 @@ def represent(nu: Measure, r: int) -> WeightedHypergraph:
         idx = sum(np.ix_(*[c * np.arange(n) for c in coeffs])) % n
         weights[edge] = EdgeFn(edge, (n,) * r, nu.fn.values[idx])
     return WeightedHypergraph(system, weights, forms=tuple(forms), modulus=n)
+
+
+def represent_charged(nu: Measure, r: int, budget: float | None = None) -> WeightedHypergraph:
+    """``represent(nu, r)``, once the (r+1)·N^r edge-weight values it
+    allocates fit the budget; the route every caller with a budget takes."""
+    what = f"representation (r={r}, n={nu.n})"
+    check_budget((r + 1) * power_cost(nu.n, r), budget, what=what, power=r)
+    return represent(nu, r)
 
 
 def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -191,22 +190,25 @@ def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...
     return tuple(ys), sum(int(v) for v in x) % n
 
 
-def map_failures(w: WeightedHypergraph, points=None) -> int:
+def map_failures(w: WeightedHypergraph, points=None, budget: float | None = None) -> int:
     """How many points x, every point of the cube when ``points`` is None,
     have evaluation points (those of ``ap_values``) that do not step by the
-    coordinate sum d.  The stored forms are applied with int64 numpy to
-    blocks of at most _CHUNK_ELEMS points at once, so each point costs its
-    r+1 forms and no Python call."""
+    coordinate sum d.  The r+1 evaluation points of each point walked are
+    charged before the walk.  The stored forms are applied with int64 numpy
+    to blocks of at most _CHUNK_ELEMS points at once, so each point costs
+    its r+1 forms and no Python call."""
     if w.forms is None or w.modulus is None:
         raise NotRepresentation("hypergraph was not built by represent()")
     n, r = w.modulus, w.r
     if points is None:
-        npoints = n ** (r + 1)
+        npoints, count, power = n ** (r + 1), power_cost(n, r + 1), r + 1
     else:
         points = np.array(points, dtype=np.int64)
-        npoints = len(points)
+        npoints, count, power = len(points), float(len(points)), 0
         if npoints and points.shape[1:] != (r + 1,):
             raise ShapeMismatch(f"need {r + 1} coordinates, got {points.shape[1:]}")
+    what = f"progression map (r={r}, n={n})"
+    check_budget((r + 1) * count, budget, what=what, power=power)
     edges = w.system.edges
     bad = 0
     for start in range(0, npoints, _CHUNK_ELEMS):

@@ -56,7 +56,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, power_cost
 from .errors import (
     AllZeroPattern,
     CapViolation,
@@ -555,16 +555,22 @@ def binomial_expansion_identity(
     cube coordinate relabels the integration variables, so a centered term
     is constant on each orbit of the coordinate flips.  Each orbit is
     evaluated once across all the patterns, at its representative with its
-    vertices in cube-vertex order, and charged before it runs.
+    vertices in cube-vertex order, and charged before it runs.  The walk of
+    a pattern's 2^weight - 1 sub-supports is charged before the pattern:
+    one table lookup each for k <= _TABLE_K, above that 2^k flips of 2^k
+    bits each.
     """
     k = len(g.edge)
     vertices = cube_vertices(k)
     n = len(vertices)
     table = _flip_classes(k) if k <= _TABLE_K else None
+    per_sub = 1.0 if table is not None else float(n * n)
     centered = g.centered()
     terms: dict[int, float] = {}
     reports = []
     for pat in patterns:
+        what = f"cube expansion walk (k={k}, 2^{pat.weight()} - 1 sub-supports)"
+        check_budget((power_cost(2, pat.weight()) - 1.0) * per_sub, budget, what=what)
         lhs = cube_expectation(g, pat, budget)
         full = sum([1 << j for j, b in enumerate(pat.bits) if b])
         # Every nonempty submask of ``full``, in falling order; fsum rounds

@@ -1,6 +1,7 @@
 """Progression densities, the telescoping decomposition, and the density
 experiments, validated against explicit loop oracles and frozen values."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -15,7 +16,6 @@ import gowers.apcount as apcount
 from conftest import philox, random_cyclic
 from gowers import (
     BudgetExceeded,
-    CSV_HEADER,
     CyclicFn,
     GeneratorSpec,
     ap_density,
@@ -331,11 +331,6 @@ class TestApDensity:
         obj = json.loads(report.to_json())
         assert obj["n"] == 5 and obj["k"] == 2
         assert obj["density"] == report.density
-        row = report.to_csv_row()
-        assert len(row.split(",")) == len(CSV_HEADER.split(","))
-        assert row.split(",")[0] == "5"
-        # repr round-trips floats exactly
-        assert float(row.split(",")[2]) == report.density
 
     def test_json_byte_stable(self):
         report = ap_density([random_cyclic(5, seed=4)] * 2)
@@ -365,7 +360,7 @@ class TestHypothesisRatio:
 
     def test_json_obj(self):
         hr = hypothesis_ratio(from_set({1, 2}, 5), 2)
-        obj = hr.to_json_obj()
+        obj = dataclasses.asdict(hr)
         assert set(obj) == {"n", "r", "p", "norm", "over_p_r", "over_p_half_r"}
 
 

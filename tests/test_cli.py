@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import gowers.apcount as apcount
 import gowers.cli as cli
 import gowers.genmeasure as genmeasure
+import gowers.hypersystem as hypersystem
 import gowers.linform as linform
 from gowers import (
     GeneratorSpec,
@@ -153,6 +155,60 @@ class TestBudget:
         code, out, err = _run(capsys, ["represent", "--r", "2", "--n", "59", "--budget", "5e5"])
         assert (code, out) == (2, "")
         assert "(progression count (r=2, 205379 points))" in err
+
+    @pytest.mark.parametrize(
+        "argv,step",
+        [
+            (["norm", "--n", "7", "--k", "600"], "u_norm_fast(k=600, n=7)"),
+            (["norm", "--n", "7", "--k", "2000", "--mode", "brute"], "u_norm_brute(k=2000, n=7)"),
+            (["count", "--r", "600", "--n", "7"], "u_norm_fast(k=600, n=7)"),
+            (["experiment", "--r", "600", "--n", "7"], "u_norm_fast(k=600, n=7)"),
+            (
+                ["verify", "--r", "300", "--n", "307", "--seeds", "0"],
+                "representation (r=300, n=307)",
+            ),
+            (["boxnorm", "--r", "300", "--n", "307"], "representation (r=300, n=307)"),
+            (["slf", "--r", "400", "--n", "401"], "representation (r=400, n=401)"),
+        ],
+        ids=["norm-fast", "norm-brute", "count", "experiment", "verify", "boxnorm", "slf"],
+    )
+    def test_charge_beyond_float_range_refused(self, capsys, argv, step):
+        # Each charge overflowed while it was computed (float **) and ended
+        # in an internal OverflowError.
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"budget exceeded: estimated inf elementary products > budget 1e+08 ({step})\n"
+            "suggestion: raise --budget / GOWERS_BUDGET\n"
+        )
+
+    def test_gcs_refused_before_drawing(self, capsys):
+        # The four 1000 x 1000 functions (32 MB) were drawn before
+        # gcs_verify refused them.
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, ["gcs", "--dims", "1000,1000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "budget exceeded: estimated 4e+12 elementary products > budget 1e+08 "
+            "(product-form bound on edge (1, 2))\n"
+        )
+        assert peak < 1 << 20
+
+    def test_cube_walk_refused_before_any_expectation(self, capsys, monkeypatch):
+        # 2^32 - 1 sub-supports of 2^5 flips of 2^5 bits each; the walk ran
+        # uncharged, for minutes, after the cube expectations.
+        monkeypatch.setattr(linform, "expect_product", None)  # any expectation raises
+        code, out, err = _run(capsys, ["cube", "--r", "5", "--n", "7", "--budget", "2e9"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "budget exceeded: estimated 4.4e+12 elementary products > budget 2e+09 "
+            "(cube expansion walk (k=5, 2^32 - 1 sub-supports))\n"
+            "suggestion: raise --budget / GOWERS_BUDGET\n"
+        )
 
     def test_explicit_tiny_budget(self, capsys):
         code, _, err = _run(
@@ -550,7 +606,12 @@ class TestOutputFormats:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "n,k,density,prediction,ratio,trivial_count,nontrivial_count"
-        assert lines[1].split(",")[0] == "7"
+        row = lines[1].split(",")
+        assert len(lines) == 2 and len(row) == 7
+        assert row[0] == "7"
+        # repr round-trips floats exactly
+        nu = generate(GeneratorSpec(kind="random", n=7, seed=1))
+        assert float(row[2]) == ap_density([nu.fn] * 3).density
 
     def test_numpy_sides_serialise(self, capsys):
         # A numpy-scalar side used to make the pass flag an np.bool_, which
@@ -694,16 +755,35 @@ class TestProgressionMap:
         forms[1] = ((forms[1][0] + 1) % n,) + forms[1][1:]
         broken = dataclasses.replace(w, forms=tuple(forms))
         points = list(itertools.product(range(n), repeat=r + 1))
-        assert cli._map_failures(w, points) == 0
-        assert cli._map_failures(broken, points) > 0
+        assert hypersystem.map_failures(w, points) == 0
+        assert hypersystem.map_failures(broken, points) > 0
+
+    @pytest.mark.parametrize("r,n,seed", [(2, 59, 0), (2, 59, 5), (3, 17, 1), (4, 11, 2)])
+    def test_sample_is_the_per_point_draw(self, capsys, monkeypatch, r, n, seed):
+        # Above 50,000 cube points represent checks 2000 points drawn in one
+        # call; they are the points that one draw per point gave.
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        expect = [tuple(int(v) for v in rng.integers(0, n, size=r + 1)) for _ in range(2000)]
+        seen = []
+
+        def spy(w, points=None, budget=None):
+            seen.append([tuple(map(int, x)) for x in points])
+            return hypersystem.map_failures(w, points, budget)
+
+        monkeypatch.setattr(cli, "map_failures", spy)
+        argv = ["represent", "--r", str(r), "--n", str(n), "--seed", str(seed)]
+        code, obj, _ = _run_json(capsys, argv)
+        assert code == 0
+        assert seen == [expect]
+        assert obj["report"]["checks"][-2]["check"] == "progression-map (2000 points)"
 
 
 class TestVerifyInputs:
     def test_each_seeded_measure_built_and_represented_once(self, capsys, monkeypatch):
         specs, measures = [], []
-        real_generate, real_represent = cli.generate, cli.represent
-        # apcount is patched too, so a representation rebuilt inside a
-        # library step is counted as well.
+        real_generate, real_represent = cli.generate, hypersystem.represent
+        # Every caller reaches represent through hypersystem, so a
+        # representation rebuilt inside a library step is counted as well.
 
         def generate(spec):
             specs.append(spec)
@@ -714,8 +794,7 @@ class TestVerifyInputs:
             return real_represent(nu, r)
 
         monkeypatch.setattr(cli, "generate", generate)
-        monkeypatch.setattr(cli, "represent", represent)
-        monkeypatch.setattr(apcount, "represent", represent)
+        monkeypatch.setattr(hypersystem, "represent", represent)
         code, _, _ = _run(capsys, ["verify", "--r", "2", "--n", "5", "--seeds", "3"])
         assert code == 0
         assert len(specs) == len(set(map(repr, specs))) == 3 + 1  # seeds + constant
@@ -798,7 +877,7 @@ class TestExperimentInputs:
         got = obj["report"]
         assert got["checks"] == expect["checks"]
         assert {key: got["ratios"][key] for key in expect["ratios"]} == expect["ratios"]
-        assert obj["ap"] == ap_density([nu.fn] * 3).to_json_obj()
+        assert obj["ap"] == dataclasses.asdict(ap_density([nu.fn] * 3))
 
 
 class TestParser:

@@ -443,3 +443,12 @@ class TestGcsVerify:
         assert exc.value.estimated == 720.0
         assert exc.value.power == 4
         assert gcs_verify(gs, budget=720.0).passed
+
+    def test_charge_taken_without_the_functions(self):
+        # The front end draws the functions only after this charge fits, so
+        # it must be the very charge gcs_verify takes.
+        with pytest.raises(BudgetExceeded) as exc:
+            gowersnorm.charge_gcs((1, 2), (3, 4), budget=719.0)
+        assert (exc.value.estimated, exc.value.power) == (720.0, 4)
+        assert exc.value.what == "product-form bound on edge (1, 2)"
+        gowersnorm.charge_gcs((1, 2), (3, 4), budget=720.0)

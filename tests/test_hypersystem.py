@@ -29,7 +29,7 @@ from gowers import (
     sup_norm,
     u_norm_fast,
 )
-from gowers.hypersystem import map_failures
+from gowers.hypersystem import map_failures, represent_charged
 
 
 class TestPrimality:
@@ -68,6 +68,20 @@ class TestRepresent:
     def test_too_small_rejected(self):
         with pytest.raises(ModulusTooSmall):
             represent(from_set({0, 1}, 3), 3)
+
+    def test_charged_before_allocation(self, monkeypatch):
+        # The (r+1) N^r edge-weight values, charged before represent runs.
+        nu = from_set({0, 1, 3}, 7)
+        monkeypatch.setattr(hypersystem, "represent", None)  # allocation raises
+        with pytest.raises(BudgetExceeded) as exc:
+            represent_charged(nu, 3, budget=4 * 7**3 - 1)
+        assert (exc.value.estimated, exc.value.power) == (4.0 * 7**3, 3)
+        assert exc.value.what == "representation (r=3, n=7)"
+        monkeypatch.undo()
+        w, expect = represent_charged(nu, 3, budget=4 * 7**3), represent(nu, 3)
+        assert w.forms == expect.forms
+        for edge, fn in expect.weights.items():
+            assert np.array_equal(w.weights[edge].values, fn.values)
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_weights_match_formula(self, r):
@@ -168,6 +182,21 @@ class TestMapFailures:
             assert (expect == 0) == (fs is forms)
             assert map_failures(mapped) == expect
             assert map_failures(mapped, points[::3]) == _ap_failures(mapped, points[::3])
+
+    @pytest.mark.parametrize("sample", [False, True], ids=["cube", "points"])
+    def test_walk_charged_before_it_runs(self, monkeypatch, sample):
+        # r+1 evaluation points per point walked: power r+1 over the whole
+        # cube, 0 for given points, whose number does not grow with N.
+        w = represent(from_set({0, 1}, 5), 2)
+        points = [(0, 1, 2)] * 10 if sample else None
+        estimate, power = (30.0, 0) if sample else (3.0 * 5**3, 3)
+        monkeypatch.setattr(hypersystem, "_CHUNK_ELEMS", None)  # any walk raises
+        with pytest.raises(BudgetExceeded) as exc:
+            map_failures(w, points, budget=estimate - 1)
+        assert (exc.value.estimated, exc.value.power) == (estimate, power)
+        assert exc.value.what == "progression map (r=2, n=5)"
+        monkeypatch.undo()
+        assert map_failures(w, points, budget=estimate) == 0
 
     def test_points_need_every_coordinate(self):
         w = represent(from_set({0, 1}, 5), 2)

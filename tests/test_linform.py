@@ -517,6 +517,24 @@ class TestBinomialClasses:
         oracle = math.fsum([1.0, *_binomial_loop(g, pat).values()])
         assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "k,weight,per_sub", [(2, 4, 1), (4, 16, 1), (5, 3, 4**5)], ids=["k2", "k4", "k5"]
+    )
+    def test_walk_charged_before_any_expectation(self, monkeypatch, k, weight, per_sub):
+        # A table lookup per sub-support up to k=4, 2^k flips of 2^k bits
+        # above; the walk used to run uncharged.
+        g = EdgeFn(tuple(range(1, k + 1)), (2,) * k, 0.5 + philox(k).random((2,) * k))
+        pat = CubePattern.from_support(k, cube_vertices(k)[:weight])
+        estimate = (2.0**weight - 1.0) * per_sub
+        monkeypatch.setattr(linform, "expect_product", None)  # any expectation raises
+        with pytest.raises(BudgetExceeded) as err:
+            binomial_expansion_identity(g, [pat], budget=estimate - 1.0)
+        assert (err.value.estimated, err.value.power) == (estimate, 0)
+        assert err.value.what == f"cube expansion walk (k={k}, 2^{weight} - 1 sub-supports)"
+        monkeypatch.undo()
+        (report,) = binomial_expansion_identity(g, [pat], budget=max(estimate, 1e6))
+        assert report.passed, report.failures()
+
     def test_one_expectation_per_class_in_verify_suite(self, monkeypatch):
         # 45 nonempty classes at k=3 plus 8 left-hand sides per seed; one
         # expectation per sub-support and pattern made 416.
