@@ -663,7 +663,8 @@ def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
     """Exit code of ``run()`` under ``budget``, for the command line and the
     scripts alike: an error is reported on stderr and gives 2, or 1 for a
     numerical inconsistency; any other exception is an internal error, 2.
-    A budget refusal suggests a prime below n."""
+    A budget refusal suggests a prime below n, or a smaller size when its
+    charge is infinite, which no budget covers."""
     try:
         resolve_budget(budget)  # refuse a bad budget before any work
         return run()
@@ -674,8 +675,9 @@ def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
             + (f" ({exc.what})" if exc.what else "")
             + "\n"
         )
-        m = _suggest_n(n, r, exc.power, exc.estimated, exc.budget)
-        if m is not None:
+        if math.isinf(exc.estimated):  # resolve_budget refuses an infinite budget
+            sys.stderr.write("suggestion: no budget covers this step; retry with a smaller size\n")
+        elif (m := _suggest_n(n, r, exc.power, exc.estimated, exc.budget)) is not None:
             sys.stderr.write(
                 f"suggestion: retry with --n <= {m} (assuming cost ~ n^{exc.power}) "
                 "or raise --budget / GOWERS_BUDGET\n"

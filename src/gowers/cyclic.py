@@ -121,17 +121,22 @@ def from_set(members: Iterable[int], n: int) -> Measure:
     (N/|S|) * |S| == N is checked in exact rational arithmetic at
     construction (the stored values are the correctly rounded float).
     """
-    S = frozenset(int(x) for x in members)
-    if not S:
+    try:
+        members = np.fromiter(members, dtype=np.int64)
+    except OverflowError:
+        raise OutOfRange(f"an element is not in [0, {n})") from None
+    if not members.size:
         raise EmptySet("from_set requires a nonempty set")
-    for x in S:
-        if not (0 <= x < n):
-            raise OutOfRange(f"element {x} not in [0, {n})")
-    weight = Fraction(n, len(S))
-    if weight * len(S) != n:  # exact rational identity behind E nu = 1
-        raise NumericalInconsistency(f"(N/|S|) * |S| = {weight * len(S)}, not N = {n}")
+    if members.min() < 0 or members.max() >= n:
+        outside = members[(members < 0) | (members >= n)]
+        raise OutOfRange(f"element {outside[0]} not in [0, {n})")
     vals = np.zeros(n)
-    vals[sorted(S)] = float(weight)
+    vals[members] = 1.0
+    size = int(vals.sum())  # a repeated member marks its point once
+    weight = Fraction(n, size)
+    if weight * size != n:  # exact rational identity behind E nu = 1
+        raise NumericalInconsistency(f"(N/|S|) * |S| = {weight * size}, not N = {n}")
+    vals *= float(weight)
     fn = CyclicFn(n, vals)
     return Measure(fn, float(weight), 1.0 / float(weight))
 

@@ -97,7 +97,7 @@ def generate_set(spec: GeneratorSpec) -> frozenset[int]:
     n, p = spec.n, spec.p
     if spec.kind == "random":
         rng = np.random.Generator(np.random.Philox(key=spec.seed))
-        members = frozenset(int(x) for x in np.flatnonzero(rng.random(n) < p))
+        members = frozenset(np.flatnonzero(rng.random(n) < p).tolist())
     elif spec.kind == "interval":
         length = math.ceil(Fraction(p) * n)
         members = frozenset(range(length))

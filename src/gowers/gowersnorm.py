@@ -31,7 +31,11 @@ Determinism: brute-force sums run in C-order chunks whose partial sums are
 merged with Kahan compensation in a fixed order; einsum contractions are
 performed unoptimized, which fixes their traversal order; the recursions
 reduce over fixed shapes, so their values do not depend on the block size.
-Repeated runs give bit-identical results.
+Each level of ``u_norm_fast`` ends in one weighted sum per row, so its
+values are bit-identical across block sizes; they differ in the last bits
+from those of the earlier route, which summed the normalized base pairwise
+and merged each level's row with an exact fsum.  Repeated runs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -139,8 +143,7 @@ def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
     the differences pair up the same way: row * row(. - h) is row * row(. + h)
     shifted by -h, and the order-(k-1) power is shift-invariant, so only
     h = 0..N//2 are formed; h = 0 counts once, each 0 < h < N/2 stands for
-    itself and N - h, and h = N/2 of an even N counts once.  Doubling is
-    exact, so the per-row fsum still merges exact terms, and the halving
+    itself and N - h, and h = N/2 of an even N counts once.  The halving
     compounds over the levels (about 2^(k-2) fewer differences).  row(. + h)
     is read from a read-only (m, N//2 + 1, N) view of the doubled rows
     with strides (row, 1, 1); the ndarray constructor, unlike as_strided,
@@ -149,21 +152,30 @@ def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
 
     Each level above two allocates one difference buffer, sized for its
     largest block, and every block writes its differences into the front
-    of it.  The base squares the transform in place through its float64
-    view and adds the interleaved real and imaginary squares into one
-    array, so a block allocates only its transform and that array.  The
-    products, sums and their order are those of the plain formula, so the
-    values are bit for bit the same."""
+    of it.  The base squares the unnormalized transform in place through
+    its float64 view, adds the interleaved real and imaginary squares into
+    |c|^2 and ends in one weighted row sum, sum_j |c_j|^4 w_j by a
+    three-operand einsum, and one division by N^4.  A level above it
+    weighs its row of order-(k-1) powers in place and ends in one np.sum
+    per row and one division by N.  Both reductions take each row by
+    itself over its fixed length, so a value does not depend on how many
+    rows a block holds: values are bit-identical across block sizes.  A
+    matrix product (gemv) sums in an order that changes with the row
+    count, and so does the two-operand einsum "ij,j->i" once a row is
+    longer than numpy's 8192-element buffer.  The values differ in the
+    last bits from those of the earlier pairwise base sum and per-row
+    fsum, by a few units in the last place."""
     m, n = rows.shape
+    w = np.full(n // 2 + 1, 2.0)  # how many of the N bins or h each one stands for
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
     if k == 2:
         coeffs = np.fft.rfft(rows, axis=1)
-        coeffs /= n
         parts = coeffs.view(np.float64)
         parts *= parts
-        pows = parts[:, 0::2] + parts[:, 1::2]
-        pows *= pows
-        pows[:, 1 : (n + 1) // 2] *= 2.0
-        return np.sum(pows, axis=1)
+        sq = parts[:, 0::2] + parts[:, 1::2]
+        return np.einsum("ij,ij,j->i", sq, sq, w) / float(n) ** 4
     half = n // 2 + 1
     doubled = np.concatenate([rows, rows], axis=1)
     s_row, s_col = doubled.strides
@@ -177,8 +189,8 @@ def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
         diffs = buf[: m * b * n].reshape(m, b, n)
         np.multiply(rows[:, None, :], shifted[:, start : start + b], out=diffs)
         pows[:, start : start + b] = _u_pows(diffs.reshape(-1, n), k - 1).reshape(m, b)
-    pows[:, 1 : (n + 1) // 2] *= 2.0
-    return np.array([math.fsum(row) / n for row in pows.tolist()])
+    pows *= w
+    return np.sum(pows, axis=1) / n
 
 
 def u_norm_fast(f: CyclicFn, k: int, budget: float | None = None) -> float:

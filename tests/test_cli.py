@@ -174,12 +174,13 @@ class TestBudget:
     )
     def test_charge_beyond_float_range_refused(self, capsys, argv, step):
         # Each charge overflowed while it was computed (float **) and ended
-        # in an internal OverflowError.
+        # in an internal OverflowError.  No finite budget covers an infinite
+        # charge, so the suggestion is a smaller size.
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err == (
             f"budget exceeded: estimated inf elementary products > budget 1e+08 ({step})\n"
-            "suggestion: raise --budget / GOWERS_BUDGET\n"
+            "suggestion: no budget covers this step; retry with a smaller size\n"
         )
 
     def test_gcs_refused_before_drawing(self, capsys):

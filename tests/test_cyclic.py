@@ -1,5 +1,7 @@
 """Functions on Z_N and measures."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -79,6 +81,34 @@ class TestMeasure:
     def test_from_set_out_of_range(self):
         with pytest.raises(OutOfRange):
             from_set({5}, 5)
+
+    @pytest.mark.parametrize("members", [[-1, 0], [0, 2**70], (-(2**70),)])
+    def test_from_set_negative_or_beyond_int64(self, members):
+        with pytest.raises(OutOfRange):
+            from_set(members, 5)
+
+    @pytest.mark.parametrize(
+        "members,n",
+        [
+            ({0, 2}, 4),
+            ([3, 1, 3, 0], 7),
+            (np.array([6, 2, 2], dtype=np.int32), 7),
+            ([np.int64(4), 1], 5),
+            (range(12), 12),
+            (np.flatnonzero(np.arange(4093) % 7 < 2).tolist(), 4093),
+        ],
+    )
+    def test_from_set_matches_the_per_element_route(self, members, n):
+        # The per-element conversion, range check and sort the vectorized
+        # route replaced; the values agree bit for bit.
+        members = list(members)
+        S = sorted(frozenset(int(x) for x in members))
+        weight = float(Fraction(n, len(S)))
+        vals = np.zeros(n)
+        vals[S] = weight
+        nu = from_set(members, n)
+        assert nu.fn.values.tolist() == vals.tolist()
+        assert (nu.sup, nu.p) == (weight, 1.0 / weight)
 
     def test_centered_mean_zero(self):
         nu = from_set({1, 2, 4}, 7)

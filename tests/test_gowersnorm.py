@@ -104,6 +104,29 @@ class TestDualRoute:
         assert u_norm_brute(f, 2) == pytest.approx(u_norm_fast(f, 2), rel=1e-9)
 
 
+def _pairwise_base(rows):
+    """The order-two powers from the normalized transform, the fourth
+    powers of the interior bins doubled and summed pairwise."""
+    n = rows.shape[1]
+    coeffs = np.fft.rfft(rows, axis=1) / n
+    pows = (coeffs.real**2 + coeffs.imag**2) ** 2
+    pows[:, 1 : (n + 1) // 2] *= 2.0
+    return np.sum(pows, axis=1)
+
+
+def _fsum_levels(rows, k):
+    """The order-k powers by the full difference walk over h = 0..N//2,
+    the interior h doubled and each row merged by an exact fsum."""
+    m, n = rows.shape
+    if k == 2:
+        return _pairwise_base(rows)
+    half = n // 2 + 1
+    diffs = np.stack([rows * np.roll(rows, -h, axis=1) for h in range(half)], axis=1)
+    pows = _fsum_levels(diffs.reshape(-1, n), k - 1).reshape(m, half)
+    pows[:, 1 : (n + 1) // 2] *= 2.0
+    return np.array([math.fsum(row) / n for row in pows.tolist()])
+
+
 class TestFastRecursion:
     @pytest.mark.parametrize(
         "n,k", [(13, 3), (31, 3), (13, 4), (31, 4), (11, 5), (16, 3), (32, 3), (12, 4), (10, 5)]
@@ -147,13 +170,42 @@ class TestFastRecursion:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 17, 257, 4096])
     def test_order_two_base_matches_plain_formula(self, n):
         # The in-place squares of the base take the plain formula's
-        # operations in its order, so every bit agrees.
+        # operations in its order, so every bit agrees.  The earlier base,
+        # which normalized the transform and summed the doubled fourth
+        # powers pairwise, agrees to rounding.
         rows = philox(n).random((3, n)) * 2.0 - 1.0
         coeffs = np.fft.rfft(rows, axis=1)
-        coeffs /= n
-        pows = (coeffs.real**2 + coeffs.imag**2) ** 2
-        pows[:, 1 : (n + 1) // 2] *= 2.0
-        assert gowersnorm._u_pows(rows, 2).tolist() == np.sum(pows, axis=1).tolist()
+        sq = coeffs.real**2 + coeffs.imag**2
+        weights = np.full(n // 2 + 1, 2.0)
+        weights[0] = 1.0
+        if n % 2 == 0:
+            weights[-1] = 1.0
+        expect = np.einsum("ij,ij,j->i", sq, sq, weights) / float(n) ** 4
+        assert gowersnorm._u_pows(rows, 2).tolist() == expect.tolist()
+        np.testing.assert_allclose(
+            gowersnorm._u_pows(rows, 2), _pairwise_base(rows), rtol=1e-13, atol=0
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 31])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_levels_match_the_per_row_fsum(self, n, k):
+        # The levels end in one weighted np.sum per row; the exact fsum of
+        # the doubled terms they replaced agrees to rounding.
+        rows = philox(n + k).random((2, n)) * 2.0 - 1.0
+        np.testing.assert_allclose(
+            gowersnorm._u_pows(rows, k), _fsum_levels(rows, k), rtol=1e-13, atol=0
+        )
+
+    def test_rows_beyond_the_iteration_buffer_keep_every_bit(self, monkeypatch):
+        # Rows of 8194 bins and 8194 order-two powers, longer than numpy's
+        # 8192-element iteration buffer, where the two-operand einsum
+        # "ij,j->i" sums a row in an order that depends on the row count.
+        # The order-three check stubs its order-two calls to stay cheap.
+        rows = philox(7).random((3, 16386)) * 2.0 - 1.0
+        u_pows = gowersnorm._u_pows
+        assert u_pows(rows, 2).tolist() == [u_pows(rows[i : i + 1], 2)[0] for i in range(3)]
+        monkeypatch.setattr(gowersnorm, "_u_pows", lambda diffs, k: diffs[:, 1] * diffs[:, 2])
+        assert u_pows(rows, 3).tolist() == [u_pows(rows[i : i + 1], 3)[0] for i in range(3)]
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_difference_buffer_keeps_every_bit(self, monkeypatch, k):
