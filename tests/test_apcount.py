@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gowers.apcount as apcount
@@ -26,7 +26,7 @@ from gowers import (
     represent,
     telescoping_check,
 )
-from gowers.errors import ShapeMismatch
+from gowers.errors import NumericalInconsistency, ShapeMismatch
 
 
 def _density_loop(fs):
@@ -122,8 +122,10 @@ class TestStridedDensity:
         assert report.nontrivial_count == nontrivial
 
     def test_sparse_tuples_take_the_pair_walk(self):
-        # The pair walk is taken when 4*|S0|*|S1| <= walk*N: sparse tuples
+        # The pair walk is taken when 3*|S0|*|S1| <= walk*N: sparse tuples
         # and sparse indicator measures, never dense or constant tuples.
+        # k = 3 tuples of one value per function take the count route, so
+        # the measures here have four terms.
         sparse = [
             _signed_with_zeros(101, 3, seed=1, zero_share=0.9),
             [_indicator_measure(4093, 0.2, seed=0)] * 4,
@@ -133,8 +135,8 @@ class TestStridedDensity:
         ]
         dense = [
             _signed_with_zeros(101, 3, seed=1, zero_share=0.0),
-            [CyclicFn(101, np.ones(101))] * 3,
-            [_indicator_measure(4093, 0.5, seed=0)] * 3,
+            [CyclicFn(101, np.ones(101))] * 4,
+            [_indicator_measure(4093, 0.5, seed=0)] * 4,
             # k = 1 has no second term to pair with.
             _signed_with_zeros(64, 1, seed=4, zero_share=0.9),
         ]
@@ -231,6 +233,135 @@ class TestStridedDensity:
             assert peak < 4e6
 
 
+def _level_tuple(n, shapes, cs, seed, share):
+    """f_j = c_j on a support of the named shape and 0 elsewhere; with
+    ``share``, f_2 is f_0."""
+    rng = philox(seed)
+    fs = []
+    for shape, c in zip(shapes, cs):
+        if shape == "empty":
+            support = np.arange(0)
+        elif shape == "full":
+            support = np.arange(n)
+        elif shape == "singleton":
+            support = rng.integers(0, n, size=1)
+        else:
+            support = np.flatnonzero(rng.random(n) < rng.random())
+        values = np.zeros(n)
+        values[support] = c
+        fs.append(CyclicFn(n, values))
+    if share:
+        fs[2] = fs[0]
+    return fs
+
+
+class TestCountRoute:
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(1, 300),
+        shapes=st.lists(
+            st.sampled_from(["empty", "full", "singleton", "random"]), min_size=3, max_size=3
+        ),
+        cs=st.lists(
+            st.sampled_from([1.0, 2.5, -0.75, 1.0 / 3.0, -7.0, 4093.0 / 811.0]),
+            min_size=3,
+            max_size=3,
+            unique=True,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.booleans(),
+    )
+    def test_counts_equal_the_walks_and_the_loop(self, n, shapes, cs, seed, share):
+        # Every product the walks form is p or 0, so the counts are equal and
+        # the density is float(count) * p / N^2 exactly; the walks round
+        # their partial sums, so they agree with it to roundoff.  A function
+        # with an empty support takes no nonzero value, so its tuple is
+        # walked.
+        fs = _level_tuple(n, shapes, cs, seed, share)
+        values = [f.values for f in fs]
+        supports = [np.flatnonzero(v) for v in values]
+        with mock.patch.object(apcount, "_count_route", wraps=apcount._count_route) as spy:
+            report = ap_density(fs)
+        assert spy.called == all(s.size for s in supports)
+        counts = (report.trivial_count, report.nontrivial_count)
+        difference = apcount._difference_walk(values, n)
+        pair = apcount._pair_walk(values, *supports[:2])
+        assert counts == difference[1:] == pair[1:]
+        if n <= 60:
+            assert counts == _density_loop(fs)[1:]
+        p = (cs[0] * cs[1]) * (cs[0] if share else cs[2])
+        assert report.density == float(sum(counts)) * p / float(n) ** 2
+        for total, _, _ in (difference, pair):
+            assert report.density == pytest.approx(total / float(n) ** 2, rel=1e-15, abs=0.0)
+
+    def test_constant_measure_reads_exactly_one(self):
+        wrong = []
+        with mock.patch.object(apcount, "_count_route", wraps=apcount._count_route) as spy:
+            for n in range(1, 2001):
+                nu = generate(GeneratorSpec(kind="constant", n=n))
+                if ap_density([nu.fn] * 3).density != 1.0:
+                    wrong.append(n)
+        assert wrong == []
+        assert spy.call_count == 2000
+
+    @pytest.mark.parametrize("case", ["three-level", "underflow", "overflow"])
+    def test_fallbacks_take_the_walks(self, case):
+        # A function with two nonzero values, or a product p that is 0 or
+        # infinite as a float, takes the walks: there the products are not
+        # all p on the progressions the count route would count.
+        n = 23
+        ind = np.isin(np.arange(n), [0, 1, 3, 7, 8, 12, 19]).astype(float)
+        if case == "three-level":
+            fs = [CyclicFn(n, ind * np.where(np.arange(n) % 2, 1.0, 2.0))] * 3
+        else:
+            c = 1e-200 if case == "underflow" else 1e200
+            fs = [CyclicFn(n, ind * c)] * 3
+        with mock.patch.object(apcount, "_count_route", wraps=apcount._count_route) as counted, \
+                mock.patch.object(apcount, "_pair_walk", wraps=apcount._pair_walk) as paired, \
+                mock.patch.object(apcount, "_difference_walk", wraps=apcount._difference_walk) as walked:
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = ap_density(fs)
+        assert not counted.called
+        assert paired.called or walked.called
+        # repr, because an overflowed product times a zero term is NaN.
+        assert repr((report.density, report.trivial_count, report.nontrivial_count)) == repr(
+            _density_loop(fs)
+        )
+
+    @pytest.mark.parametrize("noise", [0.2, 0.3])
+    def test_rounding_check(self, noise):
+        # Each count is an integer; an entry of the convolution more than
+        # 0.25 from one raises instead of being rounded to a wrong count.
+        fs = [_indicator_measure(64, 0.3, seed=5)] * 3
+        expect = ap_density(fs)
+        real = np.fft.irfft
+
+        def noisy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[1] += noise
+            return out
+
+        with mock.patch.object(np.fft, "irfft", noisy):
+            if noise < 0.25:
+                assert repr(ap_density(fs)) == repr(expect)
+            else:
+                with pytest.raises(NumericalInconsistency, match="off an integer"):
+                    ap_density(fs)
+
+    def test_count_beyond_float_exactness_raises(self):
+        # Entries near 2^50 are still exact integers, but their sum over S1
+        # passes 2^53, past which a float count is no longer exact.
+        fs = [_indicator_measure(64, 0.3, seed=5)] * 3
+        real = np.fft.irfft
+
+        def huge(*args, **kwargs):
+            return np.rint(real(*args, **kwargs)) + 2.0**49
+
+        with mock.patch.object(np.fft, "irfft", huge):
+            with pytest.raises(NumericalInconsistency, match="not exact as a float"):
+                ap_density(fs)
+
+
 class TestApDensity:
     def test_point_indicator_pin(self):
         # Only the constant tuple at 0 survives: exactly one trivial
@@ -305,26 +436,36 @@ class TestApDensity:
         with pytest.raises(BudgetExceeded):
             ap_density(fs, budget=100.0)
 
-    @pytest.mark.parametrize("walk", ["half-difference", "pair"])
+    @pytest.mark.parametrize("walk", ["half-difference", "pair", "count"])
     def test_budget_charges_the_walk_taken(self, walk):
-        # k products per term of the walk taken, priced before it runs:
+        # Priced before it runs.  A walk: k products per term, with power 2,
         # (N//2 + 1) N terms for a palindrome and N^2 for any other dense
-        # tuple, |S0| |S1| + N for the pairs.
+        # tuple, |S0| |S1| + N for the pairs.  The count route: 4N log2(4N)
+        # per transform, with power 1, two transforms when S2 = S0 and three
+        # otherwise.  No transform runs before a refusal.
         n = 64
+        ind = _indicator_measure(n, 0.2, 1)
         if walk == "pair":
-            ind = _indicator_measure(n, 0.2, 1)
-            cases = [([ind] * 3, int(np.count_nonzero(ind.values)) ** 2 + n)]
+            # At k = 3 an indicator measure takes the count route.
+            pairs = int(np.count_nonzero(ind.values)) ** 2
+            cases = [([ind] * 4, 4.0 * (pairs + n), 2)]
+        elif walk == "count":
+            other = _indicator_measure(n, 0.5, 2)
+            transform = 4.0 * n * math.log2(4.0 * n)
+            cases = [([ind] * 3, 2 * transform, 1), ([ind, other, other], 3 * transform, 1)]
         else:
             f, g = random_cyclic(n, seed=0), random_cyclic(n, seed=1)
-            cases = [([f, g, f], (n // 2 + 1) * n), ([f, f, g], n * n)]
-        for fs, terms in cases:
+            cases = [([f, g, f], 3.0 * (n // 2 + 1) * n, 2), ([f, f, g], 3.0 * n * n, 2)]
+        for fs, charge, power in cases:
             with mock.patch.object(apcount, "_pair_walk", side_effect=RuntimeError), \
-                    mock.patch.object(apcount, "_difference_walk", side_effect=RuntimeError):
+                    mock.patch.object(apcount, "_difference_walk", side_effect=RuntimeError), \
+                    mock.patch.object(apcount, "_count_route", side_effect=RuntimeError), \
+                    mock.patch.object(np.fft, "rfft", side_effect=RuntimeError):
                 with pytest.raises(BudgetExceeded) as err:
-                    ap_density(fs, budget=3.0 * terms - 1.0)
-            assert (err.value.estimated, err.value.power) == (3.0 * terms, 2)
+                    ap_density(fs, budget=charge - 1.0)
+            assert (err.value.estimated, err.value.power) == (charge, power)
             assert _walked(fs)[1] == (walk == "pair")
-            assert repr(ap_density(fs, budget=3.0 * terms)) == repr(ap_density(fs))
+            assert repr(ap_density(fs, budget=charge)) == repr(ap_density(fs))
 
     def test_report_serialization(self):
         report = ap_density([random_cyclic(5, seed=3)] * 2)

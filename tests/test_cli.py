@@ -2,9 +2,11 @@
 and the built-in verification suite."""
 
 import dataclasses
+import inspect
 import itertools
 import json
 import math
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -122,13 +124,45 @@ class TestBudget:
             # 2048 * 1025 difference values; the full walk's 2048^2 was charged.
             ["norm", "--kind", "constant", "--k", "3", "--mode", "fast", "--n", "2048",
              "--budget", "2.2e6"],
-            # The pair walk: 3 (|S0|^2 + N) products; 3 N^2 = 5.03e7 was charged.
+            # The count route: 2 * 4N log2(4N) = 4.59e5 products; 3 N^2 =
+            # 5.03e7 was charged before the walks were charged as taken.
             ["count", "--r", "2", "--n", "4096", "--p", "0.2", "--budget", "3e6"],
         ],
         ids=["u-norm-fast", "ap-density"],
     )
     def test_spectral_charges_count_the_walk_taken(self, capsys, argv):
         code, _, err = _run(capsys, argv)
+        assert code == 0, err
+
+    def test_count_refusal_suggests_a_size_that_runs(self, capsys):
+        # The count route is charged 2 * 4N log2(4N) products with power 1.
+        # The half difference walk was charged 3 (N//2 + 1) N and refused
+        # N=65537 at 6.44e9, suggesting 8161.
+        code, _, err = _run(capsys, ["count", "--r", "2", "--n", "65537"])
+        assert code == 0, err
+        code, out, err = _run(capsys, ["count", "--r", "2", "--n", "590431"])
+        assert (code, out) == (2, "")
+        assert "(progression density (k=3, n=590431))" in err
+        assert "suggestion: retry with --n <= 590407 (assuming cost ~ n^1)" in err
+        code, _, err = _run(capsys, ["count", "--r", "2", "--n", "590407"])
+        assert code == 0, err
+
+    def test_count_refused_before_any_transform(self, capsys, monkeypatch):
+        def transform(*args, **kwargs):
+            raise AssertionError("a transform ran before the refusal")
+
+        monkeypatch.setattr(np.fft, "rfft", transform)
+        code, out, err = _run(capsys, ["count", "--r", "2", "--n", "590431"])
+        assert (code, out) == (2, "")
+        assert err.startswith("budget exceeded: estimated 1e+08 elementary products")
+
+    def test_count_never_walks(self, capsys, monkeypatch):
+        # Every measure the program builds takes the count route at k = 3,
+        # so a change to how measures are built cannot fall back to a walk
+        # unnoticed.
+        for walk in ("_pair_walk", "_difference_walk"):
+            monkeypatch.setattr(apcount, walk, None)  # any walk raises
+        code, _, err = _run(capsys, ["count", "--r", "2", "--n", "4093"])
         assert code == 0, err
 
     @pytest.mark.parametrize(
@@ -674,6 +708,32 @@ class TestCheckIds:
             assert ids == expected, command
 
 
+def _count_route_rewritten(old: str, new: str):
+    """A fault that recompiles apcount._count_route from its source with the
+    one fragment ``old`` replaced by ``new``."""
+
+    def fault(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(apcount._count_route))
+        assert source.count(old) == 1
+        namespace = {}
+        exec(compile(source.replace(old, new), apcount.__file__, "exec"), vars(apcount), namespace)
+        monkeypatch.setattr(apcount, "_count_route", namespace["_count_route"])
+
+    return fault
+
+
+def _count_route_scaled(monkeypatch):
+    """The count route of ap_density returns its sum one part in a million
+    high."""
+    real = apcount._count_route
+
+    def scaled(*args):
+        total, trivial, nontrivial = real(*args)
+        return total * (1.0 + 1e-6), trivial, nontrivial
+
+    monkeypatch.setattr(apcount, "_count_route", scaled)
+
+
 def _progression_view_one_step_long(monkeypatch):
     """ap_density reads f_j at a + (j+1)*d."""
     real = apcount._shifts
@@ -726,17 +786,39 @@ class TestMutations:
     @pytest.mark.parametrize(
         "fault,argv",
         [
-            (_progression_view_one_step_long, ["verify", "--r", "2", "--n", "7"]),
+            # At k = 3 every measure takes the count route, so the walks are
+            # reached through four-term progressions: verify at r = 3 takes
+            # the difference walk for most seeds, experiment the pair walk at
+            # density 0.2.  Not at N = 5: there {a, a+2d, a+3d, a+4d} and
+            # {a, a+d, a+2d, a+3d} are each Z_5 less one point, so a view one
+            # step long counts the same progressions.
+            (_progression_view_one_step_long, ["verify", "--r", "3", "--n", "7"]),
             # verify runs at primes only, so an even modulus needs norm.
             (_spectrum_without_nyquist, ["norm", "--k", "3", "--n", "16", "--mode", "both"]),
-            # A sparse measure takes the pair walk; telescoping-count-identity
-            # compares its density with terms computed without it.
+            # telescoping-count-identity compares the density with terms
+            # computed without it.
             (
                 _pair_walk_scaled,
+                ["experiment", "--r", "3", "--n", "41", "--p", "0.2", "--seed", "0"],
+            ),
+            (
+                _count_route_rewritten("    g[: n - 1] += linear[n : 2 * n - 1]\n", ""),
+                ["verify", "--r", "2", "--n", "7"],
+            ),
+            (
+                _count_route_rewritten("rounded[2 * s1 % n]", "rounded[s1]"),
                 ["experiment", "--r", "2", "--n", "101", "--p", "0.2", "--seed", "0"],
             ),
+            (_count_route_scaled, ["verify", "--r", "2", "--n", "7"]),
         ],
-        ids=["ap-view-one-step-long", "rfft-without-nyquist", "pair-walk-scaled"],
+        ids=[
+            "ap-view-one-step-long",
+            "rfft-without-nyquist",
+            "pair-walk-scaled",
+            "count-without-fold",
+            "count-gathered-at-b",
+            "count-scaled",
+        ],
     )
     def test_fast_path_fault_fails(self, capsys, monkeypatch, fault, argv):
         code, _, err = _run(capsys, argv)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import gowers.apcount as apcount
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -66,6 +68,17 @@ def test_separation_sweep(tmp_path, monkeypatch):
     assert [row[0] for row in rows[1:5]] == ["random", "random", "interval", "quadratic"]
     for row in rows[1:]:
         assert float(row[8]) == pytest.approx(float(row[7]) - 1.0, abs=1e-15)
+
+
+def test_separation_sweep_never_walks(tmp_path, monkeypatch):
+    # At its default moduli, draws and r = 2 every density the sweep reads
+    # takes the count route, so a change to how measures are built cannot
+    # fall back to a walk unnoticed.
+    for walk in ("_pair_walk", "_difference_walk"):
+        monkeypatch.setattr(apcount, walk, None)  # any walk raises
+    script = _load("separation_sweep", monkeypatch)
+    assert script.main(["--output", str(tmp_path / "sweep.csv")]) == 0
+    assert len(_rows(tmp_path / "sweep.csv")) == 1 + 3 * (10 + 2)
 
 
 def test_separation_sweep_skips_empty_draws(tmp_path, monkeypatch):
