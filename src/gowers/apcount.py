@@ -7,15 +7,14 @@ f_j(a + j*d).  The trivial (d = 0) and nontrivial tuples with nonzero weight
 are counted separately; for indicator inputs those are plain progression
 counts.
 
-Three-term progressions of functions that each take one nonzero value,
-f_j = c_j * 1_{S_j} (every measure the program builds is c * 1_S), are
-counted rather than walked: the density is c_0 c_1 c_2 times the number of
-progressions in S_0 x S_1 x S_2, over N^2.  That number is the sum over
-b in S_1 of the cyclic convolution 1_{S_0} * 1_{S_2} at 2b, the Fourier sum
-of Roth's argument, and one real FFT gives it exactly once rounded to
-integers.  Any other tuple is walked: a dense one one difference at a time,
-a sparse one over the start pairs (a, a + d) drawn from the supports of f_0
-and f_1, since every other product is zero.
+Every weight function takes one nonzero value, f_j = c_j * 1_{S_j} (every
+measure the program builds is c * 1_S), so the density is the product of
+the c_j times the number of progressions with term j in S_j, over N^2, and
+that number is counted in integers.  Three-term progressions are counted
+by the Fourier sum of Roth's argument, one real FFT convolution; any other
+length by population counts of bit-packed indicators (Gowers, GAFA 2001,
+for the counts; Warren, Hacker's Delight, 2nd ed., ch. 5, for the
+population count).
 
 For a represented measure the product of all edge weights over the hypergraph
 coordinates sweeps progressions uniformly, which turns the progression
@@ -57,56 +56,34 @@ class ApReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _shifts(values: np.ndarray, j: int) -> np.ndarray:
-    """Read-only (N, N) view whose entry [d, a] is values[(a + j*d) mod N]:
-    values tiled j+1 times, read with strides (j, 1) elements, so no shifted
-    copy is formed."""
-    n = values.size
-    tiled = np.tile(values, j + 1)
-    step = tiled.strides[0]
-    view = np.ndarray((n, n), tiled.dtype, tiled, 0, (j * step, step))
-    view.flags.writeable = False
-    return view
-
-
 def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
-    """Weighted density of length-k progressions, differences 0..N-1.
+    """Weighted density of length-k progressions, differences 0..N-1, of
+    functions f_j = c_j * 1_{S_j} that each take one nonzero value c_j.
 
-    Three routes, chosen from the tuple alone.  At k = 3, when each f_j
-    takes one nonzero value c_j on its support S_j and p = (c_0 * c_1) * c_2
-    is finite and nonzero (every measure the program builds, the constant
-    measure and every indicator), the count route (``_count_route``) counts
-    the progressions with all three terms in the supports by one FFT
-    convolution.  Each product the walks would form is then exactly p on
-    such a progression and exactly 0 elsewhere, so the counts equal the
-    walks' counts and float(count) * p, with count exact, is the sum of
-    the products the walks form, correctly rounded; the density is that
-    sum over N^2.  The route is charged 4N log2(4N) products per real
-    transform, with power 1, before any transform runs: two forward ones
-    (one when S2 = S0) and one inverse.  The padded length is below 4N;
-    charging 4N rather than that length keeps the charge monotone and
-    continuous in N, so the modulus a refusal suggests, scaled as N^1, is
-    never itself refused.
+    Each product f_0(a) * f_1(a+d) * ... * f_(k-1)(a+(k-1)d), multiplied in
+    that order, is exactly p = (c_0 * c_1) * ... * c_(k-1) on a progression
+    with term j in S_j and exactly 0 elsewhere.  So a kernel counts those
+    progressions exactly in integers, and float(count) * p is the sum of the
+    products, correctly rounded; the density is that sum over N^2.  The d = 0
+    progressions are the points of S_0 & ... & S_(k-1).  A function with an
+    empty support gives density 0.0 and counts of 0.  A function with two
+    nonzero values, or a p that is 0 or not finite as a float, raises
+    ShapeMismatch naming the function.
 
-    Every other tuple is walked, and the two walks form the products
-    f_0(a) * f_1(a+d) * ... * f_(k-1)(a+(k-1)d), each in that order, so both
-    form the same products bit for bit.  The pair walk forms only those
-    whose first two terms lie in the supports S0 of f_0 and S1 of f_1; every
-    other product is zero.  It reads its terms by gathers, each costlier
-    than a strided read of the difference walk, so it is taken when
-    3*|S0|*|S1| is at most the walk*N products the difference walk would
-    form (walk = N//2 + 1 for a palindrome, N otherwise).  The factor 3 is
-    the measured cost of a pair-walk product over a difference-walk one:
-    2.6 to 3.6 for indicator measures at N = 1009 and 4093, k = 4 and 5.
-    The walk taken is charged k products per term it forms, with power 2:
-    walk*N terms, or |S0|*|S1| + N for the pair walk and its d = 0
-    diagonal.
+    At k = 3 the count is one FFT convolution (``_count_route``), charged
+    4N log2(4N) products per real transform, with power 1: two forward
+    transforms (one when S2 = S0) and one inverse.  The padded length is
+    below 4N; charging 4N keeps the charge monotone and continuous in N, so
+    the modulus a refusal suggests, scaled as N^1, is never itself refused.
+    At every other k the count is taken from bit-packed indicators
+    (``_bit_count``), charged k word operations per difference walked and
+    word of a row, k * walk * ceil(N/64), with power 2.  Either charge is
+    taken before any transform or table is built.
 
-    When the tuple is a palindrome by value (f_j = f_(k-1-j)), reflecting a
-    progression, (a, d) -> (a + (k-1)*d, -d), maps the progressions of
-    difference N - d one to one onto those of difference d with the tuple
-    reversed, which is the same tuple: both rows hold the same products.
-    Then the difference walk forms only d = 0..N//2 (``_difference_walk``).
+    When S_j = S_(k-1-j) for every j, reflecting a progression,
+    (a, d) -> (a + (k-1)*d, -d), maps the progressions of difference N - d
+    one to one onto those of difference d, so the bit kernel walks only
+    d = 0..N//2 (walk = N//2 + 1, else N) and counts each 0 < d < N/2 twice.
     """
     if not fs:
         raise ShapeMismatch("need at least one weight function")
@@ -114,63 +91,70 @@ def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
     if any(f.n != n for f in fs):
         raise ShapeMismatch("all weight functions must share the modulus")
     k = len(fs)
-    values = [f.values for f in fs]
+    supports = [np.flatnonzero(f.values) for f in fs]
+    p = _level_product(fs, supports)
     what = f"progression density (k={k}, n={n})"
-    supports = [np.flatnonzero(v) for v in values[:3]]
-    p = _level_product(values, supports) if k == 3 else 0.0
-    if p != 0.0 and math.isfinite(p):
+    if not all(s.size for s in supports):
+        count = 0
+    elif k == 3:
         squared = np.array_equal(supports[0], supports[2])
         transforms = 2 if squared else 3
         check_budget(transforms * 4.0 * n * math.log2(4.0 * n), budget, what=what, power=1)
-        total, trivial, nontrivial = _count_route(n, supports, p, squared)
+        count = _count_route(n, supports, squared)
     else:
-        palindrome = all(np.array_equal(f, g) for f, g in zip(values, values[::-1]))
-        walk = n // 2 + 1 if palindrome else n
-        pairs = math.prod([s.size for s in supports[:2]])
-        pair_walk = k >= 2 and 3 * pairs <= walk * n
-        terms = pairs + n if pair_walk else walk * n
-        check_budget(float(terms) * k, budget, what=what, power=2)
-        if pair_walk:
-            total, trivial, nontrivial = _pair_walk(values, *supports[:2])
-        else:
-            total, trivial, nontrivial = _difference_walk(values, walk)
-    density = total / float(n) ** 2
+        mirrored = all(np.array_equal(s, t) for s, t in zip(supports, supports[::-1]))
+        walk = n // 2 + 1 if mirrored else n
+        check_budget(float(k) * walk * -(-n // 64), budget, what=what, power=2)
+        count = _bit_count(n, supports, walk)
+    if count >= 2**53:
+        raise NumericalInconsistency(f"progression count {count} is not exact as a float")
+    common = np.ones(n, bool)
+    for f in fs:
+        common &= f.values != 0
+    trivial = int(np.count_nonzero(common))
+    density = float(count) * p / float(n) ** 2
     distinct = {id(f): f for f in fs}
     means = {key: f.mean() for key, f in distinct.items()}
     prediction = math.prod(means[id(f)] for f in fs)
     ratio = density / prediction if prediction != 0 else float("nan")
-    return ApReport(n, k, density, prediction, ratio, trivial, nontrivial)
+    return ApReport(n, k, density, prediction, ratio, trivial, count - trivial)
 
 
-def _level_product(values: list[np.ndarray], supports: list[np.ndarray]) -> float:
-    """(c_0 * c_1) * ... multiplied in the walks' order, c_j the one nonzero
-    value f_j takes on its support; 0.0 when some f_j takes none or two."""
+def _level_product(fs: list[CyclicFn], supports: list[np.ndarray]) -> float:
+    """(c_0 * c_1) * ... multiplied in the order the products are formed, c_j
+    the one nonzero value f_j takes on its support; 0.0 when a support is
+    empty.  Raises ShapeMismatch naming f_j when it takes two nonzero values
+    or when the running product is 0 or not finite at it."""
+    for j, (f, s) in enumerate(zip(fs, supports)):
+        if np.any(f.values[s] != f.values[s[:1]]):
+            raise ShapeMismatch(
+                f"weight function {j} takes more than one nonzero value; "
+                "progression densities are counted for functions c * 1_S"
+            )
+    if not all(s.size for s in supports):
+        return 0.0
     p = 1.0
-    for v, s in zip(values, supports):
-        if not s.size or not np.all(v[s] == v[s[0]]):
-            return 0.0
-        p *= v[s[0]]
-    return float(p)
+    for j, (f, s) in enumerate(zip(fs, supports)):
+        p *= float(f.values[s[0]])
+        if p == 0.0 or not math.isfinite(p):
+            raise ShapeMismatch(
+                f"the product of the nonzero values is {p!r} as a float at weight function {j}"
+            )
+    return p
 
 
-def _count_route(
-    n: int, supports: list[np.ndarray], p: float, squared: bool
-) -> tuple[float, int, int]:
-    """Sum, trivial and nontrivial counts of the products of a k = 3 tuple
-    f_j = c_j * 1_{S_j} with p = (c_0 * c_1) * c_2 finite and nonzero, and
-    ``squared`` when S2 = S0.
+def _count_route(n: int, supports: list[np.ndarray], squared: bool) -> int:
+    """Number of progressions (a, b, c) with each term in its support S0, S1
+    or S2, ``squared`` when S2 = S0.
 
-    A progression (a, b, c) has a + c = 2b mod N, so the number with every
-    term in its support is the sum over b in S1 of g(2b mod N), where
-    g = 1_{S0} * 1_{S2} is the cyclic convolution: g(x) counts the pairs
-    (a, c) in S0 x S2 with a + c = x mod N.  g is the linear convolution
-    of the two indicators, of length 2N - 1, folded back mod N; it comes
-    from one zero-padded power-of-two ``rfft``/``irfft`` pair, with one
-    forward transform when S2 = S0, and is rounded to integers.  An entry
-    more than 0.25 from an integer, or a count of 2^53 or more (no longer
-    exact as a float), raises NumericalInconsistency, so a wrong count never
-    passes silently.  The d = 0 progressions are the points of
-    S0 & S1 & S2.
+    A progression has a + c = 2b mod N, so the number is the sum over b in
+    S1 of g(2b mod N), where g = 1_{S0} * 1_{S2} is the cyclic convolution:
+    g(x) counts the pairs (a, c) in S0 x S2 with a + c = x mod N.  g is the
+    linear convolution of the two indicators, of length 2N - 1, folded back
+    mod N; it comes from one zero-padded power-of-two ``rfft``/``irfft``
+    pair, with one forward transform when S2 = S0, and is rounded to
+    integers.  An entry more than 0.25 from an integer raises
+    NumericalInconsistency, so a wrong count never passes silently.
     """
     s0, s1, s2 = supports
     size = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2N - 1
@@ -178,7 +162,6 @@ def _count_route(
     ind0[s0] = 1.0
     spectrum = np.fft.rfft(ind0, size)
     if squared:
-        ind2 = ind0
         spectrum *= spectrum
     else:
         ind2 = np.zeros(n)
@@ -193,86 +176,63 @@ def _count_route(
         raise NumericalInconsistency(
             f"progression count convolution is {off:.3g} off an integer (n={n})"
         )
-    count = int(np.sum(rounded[2 * s1 % n].astype(np.int64)))
-    if count >= 2**53:
-        raise NumericalInconsistency(f"progression count {count} is not exact as a float")
-    trivial = int(np.count_nonzero(ind0[s1] * ind2[s1]))
-    return float(count) * p, trivial, count - trivial
+    return int(np.sum(rounded[2 * s1 % n].astype(np.int64)))
 
 
-def _difference_walk(values: list[np.ndarray], walk: int) -> tuple[float, int, int]:
-    """Sum, trivial and nontrivial nonzero counts of the products over
-    differences d = 0..walk-1, every start at each.
+def _bit_table(n: int, support: np.ndarray, words: int) -> np.ndarray:
+    """Flat table of 64 bit-offset copies of 1_S, 2W+1 uint64 words each
+    (W = ``words``): bit i of copy r is 1_S((i + r) mod N) for i < 2N - r,
+    so the W words of copy o % 64 from word o // 64 on hold 1_S read from o."""
+    bits = np.zeros(64 * (2 * words + 2), bool)
+    bits[support] = bits[support + n] = True
+    # The packed words as one integer, bit x at x: copy r is it shifted down r.
+    packed = int.from_bytes(np.packbits(bits, bitorder="little"), "little")
+    size = 8 * (2 * words + 1)
+    copies = b"".join((packed >> r).to_bytes(size + 8, "little")[:size] for r in range(64))
+    return np.frombuffer(copies, "<u8")
 
-    Each f_j (j >= 1) is read through the strided view ``_shifts(f_j, j)``,
-    whose entry [d, a] is f_j((a + j*d) mod N).  Differences are walked in
-    blocks of at most ``_CHUNK_ELEMS`` elements (or one row), each formed in
-    one preallocated buffer and summed per row.  The per-difference sums are
-    merged with exact compensated summation in ascending difference order,
-    so no N x N array is formed.  A half walk (walk < N, a palindrome) counts
-    each 0 < d < N/2 twice in the sum and in the nonzero count; doubling is
-    exact.
+
+def _bit_count(n: int, supports: list[np.ndarray], walk: int) -> int:
+    """Number of progressions with term j in S_j over differences
+    d = 0..walk-1, every start at each; a half walk (walk < N) counts each
+    0 < d < N/2 twice.
+
+    Bit a of row d is 1 when a + j*d mod N is in S_j for every j: the AND of
+    the W words of each S_j read from offset j*d mod N, gathered from its
+    ``_bit_table`` (one per distinct support).  The bits past N in the last
+    word are cleared and each row's set bits counted by ``np.bitwise_count``.
+    Differences are walked in blocks of at most ``_CHUNK_ELEMS`` words (or
+    one row), in buffers allocated once.
     """
-    n = values[0].size
-    views = [_shifts(v, j) for j, v in enumerate(values[1:], start=1)]
-    rows = max(1, _CHUNK_ELEMS // n)
-    buf = np.empty((min(rows, walk), n))
-    sum_blocks = []
-    count_blocks = []
+    words = -(-n // 64)
+    stride = 2 * words + 1
+    tables: dict[bytes, np.ndarray] = {}
+    for s in supports:
+        if s.tobytes() not in tables:
+            tables[s.tobytes()] = _bit_table(n, s, words)
+    terms = [tables[s.tobytes()] for s in supports]
+    tail = np.uint64((1 << (n - 64 * (words - 1))) - 1)
+    rows = max(1, _CHUNK_ELEMS // words)
+    acc_buf = np.empty((min(rows, walk), words), np.uint64)
+    term_buf = np.empty_like(acc_buf)
+    index_buf = np.empty(acc_buf.shape, np.intp)
+    cols = np.arange(words)
+    counts = np.empty(walk, np.int64)
     for start in range(0, walk, rows):
-        stop = min(start + rows, walk)
-        prod = buf[: stop - start]
-        np.multiply(values[0], views[0][start:stop] if views else 1.0, out=prod)
-        for view in views[1:]:
-            prod *= view[start:stop]
-        sum_blocks.append(np.sum(prod, axis=1))
-        count_blocks.append(np.count_nonzero(prod, axis=1))
-    sums = np.concatenate(sum_blocks)
-    counts = np.concatenate(count_blocks)
+        d = np.arange(start, min(start + rows, walk))
+        acc, term, index = acc_buf[: d.size], term_buf[: d.size], index_buf[: d.size]
+        acc[:] = terms[0][:words]
+        for j, table in enumerate(terms[1:], start=1):
+            offset = j * d % n
+            np.add((offset % 64 * stride + offset // 64)[:, None], cols, out=index)
+            # Every index is in range; under the default mode take buffers out.
+            np.take(table, index, out=term, mode="clip")
+            acc &= term
+        acc[:, -1] &= tail
+        counts[start : start + d.size] = np.sum(np.bitwise_count(acc, out=term), axis=1)
     if walk < n:
-        sums[1 : (n + 1) // 2] *= 2.0
         counts[1 : (n + 1) // 2] *= 2
-    return math.fsum(sums.tolist()), int(counts[0]), int(np.sum(counts[1:]))
-
-
-def _pair_walk(
-    values: list[np.ndarray], s0: np.ndarray, s1: np.ndarray
-) -> tuple[float, int, int]:
-    """Sum, trivial and nontrivial nonzero counts of the products over the
-    start pairs a in s0, b in s1 (k >= 2): the progression with first terms
-    a and b has difference b - a and term j at j*b - (j-1)*a mod N.
-
-    Starts a are walked in blocks of at most ``_CHUNK_ELEMS`` products (or
-    one row); the term indices and the terms read by ``np.take`` fill
-    buffers allocated once, so no N x N array is formed.  Each row is summed
-    on its own and the row sums are merged with exact compensated summation.
-    The d = 0 progressions are the pairs a = b, whose products are the
-    pointwise product f_0 * f_1 * ... * f_(k-1), formed in the same order.
-    """
-    head = values[1][s1]
-    rows = max(1, _CHUNK_ELEMS // max(1, s1.size))
-    prod_buf = np.empty((min(rows, s0.size), s1.size))
-    term_buf = np.empty_like(prod_buf)
-    index_buf = np.empty(prod_buf.shape, np.intp)
-    row_sums: list[float] = []
-    nonzero = 0
-    for start in range(0, s0.size, rows):
-        a = s0[start : start + rows, None]
-        prod = prod_buf[: a.size]
-        term = term_buf[: a.size]
-        index = index_buf[: a.size]
-        np.multiply(values[0][a], head, out=prod)
-        for j, f in enumerate(values[2:], start=2):
-            np.subtract(j * s1, (j - 1) * a, out=index)
-            np.take(f, index, out=term, mode="wrap")
-            prod *= term
-        row_sums.extend(np.sum(prod, axis=1).tolist())
-        nonzero += int(np.count_nonzero(prod))
-    diagonal = values[0] * values[1]
-    for f in values[2:]:
-        diagonal *= f
-    trivial = int(np.count_nonzero(diagonal))
-    return math.fsum(row_sums), trivial, nonzero - trivial
+    return int(np.sum(counts))
 
 
 @dataclass(frozen=True)

@@ -669,8 +669,12 @@ def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
         resolve_budget(budget)  # refuse a bad budget before any work
         return run()
     except BudgetExceeded as exc:
+        # The estimate takes the fewest digits, from 3, that tell it from the budget.
+        digits = 3
+        while f"{exc.estimated:.{digits}g}" == f"{exc.budget:.{digits}g}" and digits < 17:
+            digits += 1
         sys.stderr.write(
-            f"budget exceeded: estimated {exc.estimated:.3g} elementary products "
+            f"budget exceeded: estimated {exc.estimated:.{digits}g} elementary products "
             f"> budget {exc.budget:.3g}"
             + (f" ({exc.what})" if exc.what else "")
             + "\n"

@@ -1,5 +1,6 @@
 """Progression densities, the telescoping decomposition, and the density
-experiments, validated against explicit loop oracles and frozen values."""
+experiments, validated against explicit loop oracles, the float walks of
+``ap_oracle`` and frozen values."""
 
 import dataclasses
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ap_oracle
 import gowers.apcount as apcount
 from conftest import philox, random_cyclic
 from gowers import (
@@ -26,6 +28,7 @@ from gowers import (
     represent,
     telescoping_check,
 )
+from gowers.apcount import ApReport
 from gowers.errors import NumericalInconsistency, ShapeMismatch
 
 
@@ -78,11 +81,23 @@ def _signed_with_zeros(n, k, seed, zero_share):
     ]
 
 
+def _two_level(n, k, seed, low=-1.0, high=1.0, zero_share=0.5):
+    """k functions c_j * 1_{S_j}: each S_j leaves out about ``zero_share``
+    of Z_N, and c_j is drawn from [low, high)."""
+    rng = philox(seed)
+    return [
+        CyclicFn(n, np.where(rng.random(n) < zero_share, 0.0, rng.uniform(low, high)))
+        for _ in range(k)
+    ]
+
+
 def _walked(fs):
-    """ap_density(fs) and whether it took the pair walk."""
-    with mock.patch.object(apcount, "_pair_walk", wraps=apcount._pair_walk) as spy:
-        report = ap_density(fs)
-    return report, spy.called
+    """The oracle walk of fs as an ApReport (prediction and ratio NaN), and
+    whether it took the pair walk."""
+    total, trivial, nontrivial, paired = ap_oracle.walk(fs)
+    n = fs[0].n
+    density = total / float(n) ** 2
+    return ApReport(n, len(fs), density, math.nan, math.nan, trivial, nontrivial), paired
 
 
 def _indicator_measure(n, p, seed):
@@ -99,6 +114,9 @@ def _palindromic(n, k, seed, zero_share, equal=False):
 
 
 class TestStridedDensity:
+    # The float walks of ap_oracle, the oracle of ap_density's count kernels,
+    # against the per-difference loop they replaced, on signed tuples of any
+    # number of values.
     @given(
         n=st.integers(1, 200),
         k=st.integers(1, 5),
@@ -124,8 +142,6 @@ class TestStridedDensity:
     def test_sparse_tuples_take_the_pair_walk(self):
         # The pair walk is taken when 3*|S0|*|S1| <= walk*N: sparse tuples
         # and sparse indicator measures, never dense or constant tuples.
-        # k = 3 tuples of one value per function take the count route, so
-        # the measures here have four terms.
         sparse = [
             _signed_with_zeros(101, 3, seed=1, zero_share=0.9),
             [_indicator_measure(4093, 0.2, seed=0)] * 4,
@@ -156,7 +172,7 @@ class TestStridedDensity:
         # in another order, so the density agrees to roundoff, measured
         # against the density of the |f_j|; the counts agree exactly.
         fs = _palindromic(n, k, seed, zero_share, equal)
-        report = ap_density(fs)
+        report, _ = _walked(fs)
         density, trivial, nontrivial = _density_per_difference(fs)
         scale = _density_per_difference([CyclicFn(n, np.abs(f.values)) for f in fs])[0]
         assert report.density == pytest.approx(density, rel=1e-12, abs=1e-12 * scale)
@@ -169,7 +185,7 @@ class TestStridedDensity:
         # so these tuples keep the full walk and every bit of it.
         named = dict(zip("fgh", _signed_with_zeros(64, 3, seed=9, zero_share=0.3)))
         fs = [named[c] for c in pattern]
-        report = ap_density(fs)
+        report, _ = _walked(fs)
         expect = _density_per_difference(fs)
         assert (report.density, report.trivial_count, report.nontrivial_count) == expect
 
@@ -182,8 +198,8 @@ class TestStridedDensity:
                 walked.append(item.stop)
                 return super().__getitem__(item)
 
-        shifts = apcount._shifts
-        monkeypatch.setattr(apcount, "_shifts", lambda values, j: shifts(values, j).view(Rows))
+        shifts = ap_oracle._shifts
+        monkeypatch.setattr(ap_oracle, "_shifts", lambda values, j: shifts(values, j).view(Rows))
         f, g = _signed_with_zeros(n, 2, seed=n, zero_share=0.0)
         f_copy = CyclicFn(n, f.values.copy())
         for fs, last in [
@@ -193,13 +209,13 @@ class TestStridedDensity:
             ([f, f, g, f], n),
         ]:
             walked.clear()
-            ap_density(fs)
+            ap_oracle.walk(fs)
             assert max(walked) == last
 
     def test_palindrome_is_recognised_by_value(self):
         f = random_cyclic(101, seed=3, low=-1.0, high=1.0)
         copies = [CyclicFn(101, f.values.copy()) for _ in range(4)]
-        assert repr(ap_density(copies)) == repr(ap_density([f] * 4))
+        assert repr(_walked(copies)) == repr(_walked([f] * 4))
 
     @pytest.mark.parametrize("n,k", [(1, 3), (7, 3), (97, 2), (300, 4)])
     def test_block_size_keeps_every_bit(self, monkeypatch, n, k):
@@ -211,48 +227,79 @@ class TestStridedDensity:
             _signed_with_zeros(n, k, seed=n + k, zero_share=0.9),
         ]
         assert _walked(tuples[2])[1]
-        reports = [ap_density(fs) for fs in tuples]
-        monkeypatch.setattr(apcount, "_CHUNK_ELEMS", 1)
+        reports = [_walked(fs) for fs in tuples]
+        monkeypatch.setattr(ap_oracle, "_CHUNK_ELEMS", 1)
         # repr compares floats bit for bit and a NaN ratio equal to itself.
-        assert [repr(ap_density(fs)) for fs in tuples] == [repr(r) for r in reports]
+        assert [repr(_walked(fs)) for fs in tuples] == [repr(r) for r in reports]
 
     def test_memory_is_blocked(self):
         # One N x N array of products would take 134 MB here.  The second
         # tuple is a palindrome, so it takes the half walk; the third is an
-        # indicator measure at p = 0.2, so it takes the pair walk.
+        # indicator measure at p = 0.2, so it takes the pair walk.  ap_density
+        # counts the measures and a two-level tuple that is not mirrored.
         fs = [random_cyclic(4096, seed=i, low=-1.0, high=1.0) for i in range(4)]
         sparse = [_indicator_measure(4096, 0.2, seed=0)] * 4
         assert _walked(sparse)[1]
-        for tup in (fs, [fs[0]] * 4, sparse):
+        dense = [_indicator_measure(4096, 0.5, seed=0)] * 4
+        for tup, run in [
+            (fs, ap_oracle.walk),
+            ([fs[0]] * 4, ap_oracle.walk),
+            (sparse, ap_oracle.walk),
+            (sparse, ap_density),
+            (dense, ap_density),
+            (_two_level(4096, 5, seed=1), ap_density),
+        ]:
             tracemalloc.start()
             try:
-                ap_density(tup)
+                run(tup)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 4e6
 
 
-def _level_tuple(n, shapes, cs, seed, share):
-    """f_j = c_j on a support of the named shape and 0 elsewhere; with
-    ``share``, f_2 is f_0."""
+def _level_tuple(n, shapes, cs, seed, mirror="none", same_support=False):
+    """f_j = c_j on a support of the named shape and 0 elsewhere.  With
+    ``mirror`` "value", f_(k-1-j) is f_j; with "support", it keeps its own
+    value on the support of f_j.  With ``same_support``, every f_j is
+    supported on the support of f_0."""
     rng = philox(seed)
-    fs = []
-    for shape, c in zip(shapes, cs):
+    supports = []
+    for shape in shapes:
         if shape == "empty":
-            support = np.arange(0)
+            supports.append(np.arange(0))
         elif shape == "full":
-            support = np.arange(n)
+            supports.append(np.arange(n))
         elif shape == "singleton":
-            support = rng.integers(0, n, size=1)
+            supports.append(rng.integers(0, n, size=1))
         else:
-            support = np.flatnonzero(rng.random(n) < rng.random())
+            supports.append(np.flatnonzero(rng.random(n) < rng.random()))
+    k = len(shapes)
+    for j in range(k):
+        if same_support:
+            supports[j] = supports[0]
+        elif mirror != "none" and j >= (k + 1) // 2:
+            supports[j] = supports[k - 1 - j]
+    fs = []
+    for support, c in zip(supports, cs):
         values = np.zeros(n)
         values[support] = c
         fs.append(CyclicFn(n, values))
-    if share:
-        fs[2] = fs[0]
+    if mirror == "value":
+        fs = fs[: (k + 1) // 2] + fs[: k // 2][::-1]
     return fs
+
+
+def _walk_oracles(fs):
+    """The difference and pair walks of fs: (sum, trivial, nontrivial) each."""
+    values = [f.values for f in fs]
+    supports = [np.flatnonzero(v) for v in values[:2]]
+    difference = ap_oracle._difference_walk(values, fs[0].n)
+    pair = ap_oracle._pair_walk(values, *supports) if len(fs) >= 2 else difference
+    return difference, pair
+
+
+_LEVELS = [1.0, 2.5, -0.75, 1.0 / 3.0, -7.0, 4093.0 / 811.0]
 
 
 class TestCountRoute:
@@ -262,12 +309,7 @@ class TestCountRoute:
         shapes=st.lists(
             st.sampled_from(["empty", "full", "singleton", "random"]), min_size=3, max_size=3
         ),
-        cs=st.lists(
-            st.sampled_from([1.0, 2.5, -0.75, 1.0 / 3.0, -7.0, 4093.0 / 811.0]),
-            min_size=3,
-            max_size=3,
-            unique=True,
-        ),
+        cs=st.lists(st.sampled_from(_LEVELS), min_size=3, max_size=3, unique=True),
         seed=st.integers(0, 2**32 - 1),
         share=st.booleans(),
     )
@@ -275,17 +317,14 @@ class TestCountRoute:
         # Every product the walks form is p or 0, so the counts are equal and
         # the density is float(count) * p / N^2 exactly; the walks round
         # their partial sums, so they agree with it to roundoff.  A function
-        # with an empty support takes no nonzero value, so its tuple is
-        # walked.
-        fs = _level_tuple(n, shapes, cs, seed, share)
-        values = [f.values for f in fs]
-        supports = [np.flatnonzero(v) for v in values]
+        # with an empty support gives no progression, and no kernel runs.
+        fs = _level_tuple(n, shapes, cs, seed, "value" if share else "none")
+        supports = [np.flatnonzero(f.values) for f in fs]
         with mock.patch.object(apcount, "_count_route", wraps=apcount._count_route) as spy:
             report = ap_density(fs)
         assert spy.called == all(s.size for s in supports)
         counts = (report.trivial_count, report.nontrivial_count)
-        difference = apcount._difference_walk(values, n)
-        pair = apcount._pair_walk(values, *supports[:2])
+        difference, pair = _walk_oracles(fs)
         assert counts == difference[1:] == pair[1:]
         if n <= 60:
             assert counts == _density_loop(fs)[1:]
@@ -307,21 +346,26 @@ class TestCountRoute:
     @pytest.mark.parametrize("case", ["three-level", "underflow", "overflow"])
     def test_fallbacks_take_the_walks(self, case):
         # A function with two nonzero values, or a product p that is 0 or
-        # infinite as a float, takes the walks: there the products are not
-        # all p on the progressions the count route would count.
+        # infinite as a float, is refused: there the products are not all p
+        # on the progressions a kernel would count.  Only the walks of
+        # ap_oracle, which form every product, take such tuples.
         n = 23
         ind = np.isin(np.arange(n), [0, 1, 3, 7, 8, 12, 19]).astype(float)
         if case == "three-level":
             fs = [CyclicFn(n, ind * np.where(np.arange(n) % 2, 1.0, 2.0))] * 3
+            refusal = "weight function 0 takes more than one nonzero value"
         else:
             c = 1e-200 if case == "underflow" else 1e200
             fs = [CyclicFn(n, ind * c)] * 3
-        with mock.patch.object(apcount, "_count_route", wraps=apcount._count_route) as counted, \
-                mock.patch.object(apcount, "_pair_walk", wraps=apcount._pair_walk) as paired, \
-                mock.patch.object(apcount, "_difference_walk", wraps=apcount._difference_walk) as walked:
-            with np.errstate(over="ignore", invalid="ignore"):
-                report = ap_density(fs)
+            refusal = f"is {c * c!r} as a float at weight function 1"
+        with mock.patch.object(apcount, "_count_route", wraps=apcount._count_route) as counted:
+            with pytest.raises(ShapeMismatch, match=refusal):
+                ap_density(fs)
         assert not counted.called
+        with mock.patch.object(ap_oracle, "_pair_walk", wraps=ap_oracle._pair_walk) as paired, \
+                mock.patch.object(ap_oracle, "_difference_walk", wraps=ap_oracle._difference_walk) as walked:
+            with np.errstate(over="ignore", invalid="ignore"):
+                report, _ = _walked(fs)
         assert paired.called or walked.called
         # repr, because an overflowed product times a zero term is NaN.
         assert repr((report.density, report.trivial_count, report.nontrivial_count)) == repr(
@@ -362,6 +406,86 @@ class TestCountRoute:
                 ap_density(fs)
 
 
+class TestBitKernel:
+    @settings(max_examples=150)
+    @given(
+        n=st.integers(1, 300),
+        k=st.integers(1, 6),
+        # Mostly nonempty supports: one empty support empties the tuple.
+        shapes=st.lists(
+            st.sampled_from(["random", "full", "random", "singleton", "random", "empty"]),
+            min_size=6,
+            max_size=6,
+        ),
+        cs=st.lists(st.sampled_from(_LEVELS), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        mirror=st.sampled_from(["none", "support", "value"]),
+        same_support=st.booleans(),
+    )
+    def test_counts_equal_the_walks_and_the_loop(
+        self, n, k, shapes, cs, seed, mirror, same_support
+    ):
+        # At every k the counts equal both walks and the loop, the density
+        # is float(count) * p / N^2 exactly, with p multiplied in the walks'
+        # order, and the walks' densities agree with it to roundoff.  The
+        # bit kernel runs at every k but 3 when no support is empty, and
+        # walks half the differences exactly when S_j = S_(k-1-j).
+        fs = _level_tuple(n, shapes[:k], cs[:k], seed, mirror, same_support)
+        supports = [np.flatnonzero(f.values) for f in fs]
+        with mock.patch.object(apcount, "_bit_count", wraps=apcount._bit_count) as spy:
+            report = ap_density(fs)
+        assert spy.called == (k != 3 and all(s.size for s in supports))
+        if spy.called:
+            mirrored = all(np.array_equal(s, t) for s, t in zip(supports, supports[::-1]))
+            assert spy.call_args.args[2] == (n // 2 + 1 if mirrored else n)
+        counts = (report.trivial_count, report.nontrivial_count)
+        difference, pair = _walk_oracles(fs)
+        assert counts == difference[1:] == pair[1:]
+        if n <= 60:
+            assert counts == _density_loop(fs)[1:]
+        p = 1.0
+        for f, s in zip(fs, supports):
+            p *= float(f.values[s[0]]) if s.size else 0.0
+        assert report.density == float(sum(counts)) * p / float(n) ** 2
+        for total, _, _ in (difference, pair):
+            assert report.density == pytest.approx(total / float(n) ** 2, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_constant_measure_reads_exactly_one(self, k):
+        wrong = []
+        with mock.patch.object(apcount, "_bit_count", wraps=apcount._bit_count) as spy:
+            for n in range(1, 2000):
+                nu = generate(GeneratorSpec(kind="constant", n=n))
+                if ap_density([nu.fn] * k).density != 1.0:
+                    wrong.append(n)
+        assert wrong == []
+        assert spy.call_count == 1999
+
+    @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 300])
+    def test_block_size_keeps_every_bit(self, monkeypatch, n):
+        # One difference per block, for mirrored and other tuples at k = 1..6.
+        tuples = [_two_level(n, k, seed=n + k) for k in range(1, 7)]
+        tuples += [_two_level(n, 1, seed=n + k) * k for k in range(1, 7)]
+        reports = [repr(ap_density(fs)) for fs in tuples]
+        monkeypatch.setattr(apcount, "_CHUNK_ELEMS", 1)
+        assert [repr(ap_density(fs)) for fs in tuples] == reports
+
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_charged_before_any_table(self, mirrored):
+        # k word operations per difference walked and word of a row, with
+        # power 2; nothing is packed or counted before a refusal.
+        n = 200
+        f, g = _two_level(n, 2, seed=3, zero_share=0.3)
+        fs = [f, g, g, g, f] if mirrored else [f, f, g, g, g]
+        charge = 5.0 * (n // 2 + 1 if mirrored else n) * 4
+        with mock.patch.object(np, "bitwise_count", side_effect=RuntimeError), \
+                mock.patch.object(np, "packbits", side_effect=RuntimeError):
+            with pytest.raises(BudgetExceeded) as err:
+                ap_density(fs, budget=charge - 1.0)
+        assert (err.value.estimated, err.value.power) == (charge, 2)
+        assert repr(ap_density(fs, budget=charge)) == repr(ap_density(fs))
+
+
 class TestApDensity:
     def test_point_indicator_pin(self):
         # Only the constant tuple at 0 survives: exactly one trivial
@@ -376,7 +500,7 @@ class TestApDensity:
 
     @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3), (5, 4)])
     def test_loop_oracle_random(self, n, k):
-        fs = [random_cyclic(n, seed=10 * k + i, low=-1.0, high=1.0) for i in range(k)]
+        fs = _two_level(n, k, seed=10 * k, zero_share=0.3)
         report = ap_density(fs)
         density, trivial, nontrivial = _density_loop(fs)
         assert report.density == pytest.approx(density, rel=1e-12, abs=1e-15)
@@ -385,7 +509,7 @@ class TestApDensity:
 
     @pytest.mark.parametrize("n,k", [(11, 2), (19, 3), (23, 4)])
     def test_loop_oracle_sparse(self, n, k):
-        # Sparse tuples take the pair walk.
+        # Sparse signed tuples take the pair walk of the oracle.
         fs = _signed_with_zeros(n, k, seed=n, zero_share=0.6)
         report, paired = _walked(fs)
         assert paired
@@ -405,14 +529,14 @@ class TestApDensity:
         assert report.nontrivial_count == nontrivial
 
     def test_prediction_is_product_of_means(self):
-        fs = [random_cyclic(5, seed=i) for i in range(3)]
+        fs = _two_level(5, 3, seed=0, low=0.0, high=1.0, zero_share=0.3)
         report = ap_density(fs)
         expect = math.prod(f.mean() for f in fs)
         assert report.prediction == pytest.approx(expect, rel=1e-12)
         assert report.ratio == pytest.approx(report.density / expect, rel=1e-12)
 
     def test_scaling_multilinearity(self):
-        fs = [random_cyclic(6, seed=i, low=0.1, high=1.0) for i in range(3)]
+        fs = _two_level(6, 3, seed=1, low=0.1, high=1.0, zero_share=0.3)
         scaled = [CyclicFn(6, fs[0].values * 2.0)] + fs[1:]
         base = ap_density(fs)
         twice = ap_density(scaled)
@@ -421,60 +545,69 @@ class TestApDensity:
         assert twice.ratio == pytest.approx(base.ratio, rel=1e-12)
 
     def test_zero_prediction_gives_nan_ratio(self):
-        fs = [CyclicFn(4, np.array([1.0, -1.0, 1.0, -1.0]))]
+        # Only an empty support has mean zero; it gives no progression.
+        fs = [CyclicFn(4, np.zeros(4))]
         report = ap_density(fs)
         assert math.isnan(report.ratio)
+        assert (report.density, report.trivial_count, report.nontrivial_count) == (0.0, 0, 0)
 
     def test_validation(self):
         with pytest.raises(ShapeMismatch):
             ap_density([])
         with pytest.raises(ShapeMismatch):
             ap_density([random_cyclic(5, seed=0), random_cyclic(7, seed=0)])
+        with pytest.raises(ShapeMismatch, match="weight function 1 takes more than one"):
+            ap_density([CyclicFn(5, np.ones(5)), random_cyclic(5, seed=0)])
 
     def test_budget(self):
-        fs = [random_cyclic(50, seed=0)] * 3
+        fs = _two_level(50, 1, seed=0) * 3
         with pytest.raises(BudgetExceeded):
             ap_density(fs, budget=100.0)
 
     @pytest.mark.parametrize("walk", ["half-difference", "pair", "count"])
     def test_budget_charges_the_walk_taken(self, walk):
-        # Priced before it runs.  A walk: k products per term, with power 2,
-        # (N//2 + 1) N terms for a palindrome and N^2 for any other dense
-        # tuple, |S0| |S1| + N for the pairs.  The count route: 4N log2(4N)
-        # per transform, with power 1, two transforms when S2 = S0 and three
-        # otherwise.  No transform runs before a refusal.
-        n = 64
+        # Priced before it runs.  The bit kernel: k word operations per
+        # difference walked and word of a row, with power 2, N//2 + 1
+        # differences when S_j = S_(k-1-j) and N otherwise, whichever walk
+        # the oracle takes.  The count route: 4N log2(4N) per transform,
+        # with power 1, two transforms when S2 = S0 and three otherwise.  No
+        # transform runs and no table is built before a refusal.
+        n = 100
+        words = 2
         ind = _indicator_measure(n, 0.2, 1)
         if walk == "pair":
-            # At k = 3 an indicator measure takes the count route.
-            pairs = int(np.count_nonzero(ind.values)) ** 2
-            cases = [([ind] * 4, 4.0 * (pairs + n), 2)]
+            cases = [([ind] * 4, 4.0 * (n // 2 + 1) * words, 2)]
         elif walk == "count":
             other = _indicator_measure(n, 0.5, 2)
             transform = 4.0 * n * math.log2(4.0 * n)
             cases = [([ind] * 3, 2 * transform, 1), ([ind, other, other], 3 * transform, 1)]
         else:
-            f, g = random_cyclic(n, seed=0), random_cyclic(n, seed=1)
-            cases = [([f, g, f], 3.0 * (n // 2 + 1) * n, 2), ([f, f, g], 3.0 * n * n, 2)]
+            f, g = _two_level(n, 2, seed=0, zero_share=0.3)
+            cases = [
+                ([f, g, g, f], 4.0 * (n // 2 + 1) * words, 2),
+                ([f, f, g, g], 4.0 * n * words, 2),
+            ]
         for fs, charge, power in cases:
-            with mock.patch.object(apcount, "_pair_walk", side_effect=RuntimeError), \
-                    mock.patch.object(apcount, "_difference_walk", side_effect=RuntimeError), \
+            with mock.patch.object(apcount, "_bit_count", side_effect=RuntimeError), \
                     mock.patch.object(apcount, "_count_route", side_effect=RuntimeError), \
-                    mock.patch.object(np.fft, "rfft", side_effect=RuntimeError):
+                    mock.patch.object(np.fft, "rfft", side_effect=RuntimeError), \
+                    mock.patch.object(np, "bitwise_count", side_effect=RuntimeError):
                 with pytest.raises(BudgetExceeded) as err:
                     ap_density(fs, budget=charge - 1.0)
             assert (err.value.estimated, err.value.power) == (charge, power)
-            assert _walked(fs)[1] == (walk == "pair")
+            # The oracle's rule sends the sparse indicator measures, and only
+            # they, to the pair walk.
+            assert _walked(fs)[1] == (walk != "half-difference")
             assert repr(ap_density(fs, budget=charge)) == repr(ap_density(fs))
 
     def test_report_serialization(self):
-        report = ap_density([random_cyclic(5, seed=3)] * 2)
+        report = ap_density(_two_level(5, 1, seed=3) * 2)
         obj = json.loads(report.to_json())
         assert obj["n"] == 5 and obj["k"] == 2
         assert obj["density"] == report.density
 
     def test_json_byte_stable(self):
-        report = ap_density([random_cyclic(5, seed=4)] * 2)
+        report = ap_density(_two_level(5, 1, seed=4) * 2)
         assert report.to_json() == report.to_json()
 
 

@@ -9,6 +9,7 @@ import math
 import textwrap
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,16 +155,24 @@ class TestBudget:
         monkeypatch.setattr(np.fft, "rfft", transform)
         code, out, err = _run(capsys, ["count", "--r", "2", "--n", "590431"])
         assert (code, out) == (2, "")
-        assert err.startswith("budget exceeded: estimated 1e+08 elementary products")
+        # The estimate, 1.00002e8, is printed to as many digits as it takes
+        # to differ from the budget.
+        assert err.startswith("budget exceeded: estimated 1.00002e+08 elementary products")
 
     def test_count_never_walks(self, capsys, monkeypatch):
-        # Every measure the program builds takes the count route at k = 3,
-        # so a change to how measures are built cannot fall back to a walk
-        # unnoticed.
-        for walk in ("_pair_walk", "_difference_walk"):
-            monkeypatch.setattr(apcount, walk, None)  # any walk raises
-        code, _, err = _run(capsys, ["count", "--r", "2", "--n", "4093"])
-        assert code == 0, err
+        # Every measure the program builds is counted: by the FFT count route
+        # at k = 3 and by the bit kernel at any other k.
+        spies = {
+            kernel: mock.Mock(wraps=getattr(apcount, kernel))
+            for kernel in ("_count_route", "_bit_count")
+        }
+        for kernel, spy in spies.items():
+            monkeypatch.setattr(apcount, kernel, spy)
+        for r, kernel in [(2, "_count_route"), (3, "_bit_count")]:
+            code, _, err = _run(capsys, ["count", "--r", str(r), "--n", "4093"])
+            assert code == 0, err
+            assert spies[kernel].call_count == 1
+        assert sum(spy.call_count for spy in spies.values()) == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -708,48 +717,29 @@ class TestCheckIds:
             assert ids == expected, command
 
 
-def _count_route_rewritten(old: str, new: str):
-    """A fault that recompiles apcount._count_route from its source with the
-    one fragment ``old`` replaced by ``new``."""
+def _rewritten(name: str, old: str, new: str):
+    """A fault that recompiles the function ``name`` of apcount from its
+    source with the one fragment ``old`` replaced by ``new``."""
 
     def fault(monkeypatch):
-        source = textwrap.dedent(inspect.getsource(apcount._count_route))
+        source = textwrap.dedent(inspect.getsource(getattr(apcount, name)))
         assert source.count(old) == 1
         namespace = {}
         exec(compile(source.replace(old, new), apcount.__file__, "exec"), vars(apcount), namespace)
-        monkeypatch.setattr(apcount, "_count_route", namespace["_count_route"])
+        monkeypatch.setattr(apcount, name, namespace[name])
 
     return fault
 
 
 def _count_route_scaled(monkeypatch):
-    """The count route of ap_density returns its sum one part in a million
+    """The count route of ap_density returns its count one part in a million
     high."""
     real = apcount._count_route
 
     def scaled(*args):
-        total, trivial, nontrivial = real(*args)
-        return total * (1.0 + 1e-6), trivial, nontrivial
+        return real(*args) * (1.0 + 1e-6)
 
     monkeypatch.setattr(apcount, "_count_route", scaled)
-
-
-def _progression_view_one_step_long(monkeypatch):
-    """ap_density reads f_j at a + (j+1)*d."""
-    real = apcount._shifts
-    monkeypatch.setattr(apcount, "_shifts", lambda values, j: real(values, j + 1))
-
-
-def _pair_walk_scaled(monkeypatch):
-    """The pair walk of ap_density sums its products one part in a million
-    high."""
-    real = apcount._pair_walk
-
-    def scaled(*args):
-        total, trivial, nontrivial = real(*args)
-        return total * (1.0 + 1e-6), trivial, nontrivial
-
-    monkeypatch.setattr(apcount, "_pair_walk", scaled)
 
 
 def _spectrum_without_nyquist(monkeypatch):
@@ -786,35 +776,41 @@ class TestMutations:
     @pytest.mark.parametrize(
         "fault,argv",
         [
-            # At k = 3 every measure takes the count route, so the walks are
-            # reached through four-term progressions: verify at r = 3 takes
-            # the difference walk for most seeds, experiment the pair walk at
-            # density 0.2.  Not at N = 5: there {a, a+2d, a+3d, a+4d} and
-            # {a, a+d, a+2d, a+3d} are each Z_5 less one point, so a view one
-            # step long counts the same progressions.
-            (_progression_view_one_step_long, ["verify", "--r", "3", "--n", "7"]),
+            # The bit kernel counts four-term progressions.  Not at N = 5:
+            # there {a, a+2d, a+3d, a+4d} and {a, a+d, a+2d, a+3d} are each
+            # Z_5 less one point, so a term read one stride long counts the
+            # same progressions.
+            (
+                _rewritten("_bit_count", "offset = j * d % n", "offset = (j + 1) * d % n"),
+                ["verify", "--r", "3", "--n", "7"],
+            ),
             # verify runs at primes only, so an even modulus needs norm.
             (_spectrum_without_nyquist, ["norm", "--k", "3", "--n", "16", "--mode", "both"]),
             # telescoping-count-identity compares the density with terms
             # computed without it.
             (
-                _pair_walk_scaled,
+                _rewritten("_bit_count", "        acc[:, -1] &= tail\n", ""),
                 ["experiment", "--r", "3", "--n", "41", "--p", "0.2", "--seed", "0"],
             ),
             (
-                _count_route_rewritten("    g[: n - 1] += linear[n : 2 * n - 1]\n", ""),
+                _rewritten("_bit_count", "(n + 1) // 2] *= 2", "(n + 1) // 2] *= 1"),
+                ["verify", "--r", "3", "--n", "7"],
+            ),
+            (
+                _rewritten("_count_route", "    g[: n - 1] += linear[n : 2 * n - 1]\n", ""),
                 ["verify", "--r", "2", "--n", "7"],
             ),
             (
-                _count_route_rewritten("rounded[2 * s1 % n]", "rounded[s1]"),
+                _rewritten("_count_route", "rounded[2 * s1 % n]", "rounded[s1]"),
                 ["experiment", "--r", "2", "--n", "101", "--p", "0.2", "--seed", "0"],
             ),
             (_count_route_scaled, ["verify", "--r", "2", "--n", "7"]),
         ],
         ids=[
-            "ap-view-one-step-long",
+            "bit-term-one-stride-long",
             "rfft-without-nyquist",
-            "pair-walk-scaled",
+            "bit-tail-unmasked",
+            "bit-half-walk-undoubled",
             "count-without-fold",
             "count-gathered-at-b",
             "count-scaled",

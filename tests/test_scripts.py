@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -72,13 +73,13 @@ def test_separation_sweep(tmp_path, monkeypatch):
 
 def test_separation_sweep_never_walks(tmp_path, monkeypatch):
     # At its default moduli, draws and r = 2 every density the sweep reads
-    # takes the count route, so a change to how measures are built cannot
-    # fall back to a walk unnoticed.
-    for walk in ("_pair_walk", "_difference_walk"):
-        monkeypatch.setattr(apcount, walk, None)  # any walk raises
+    # is counted by the FFT count route, one count per row.
+    spy = mock.Mock(wraps=apcount._count_route)
+    monkeypatch.setattr(apcount, "_count_route", spy)
     script = _load("separation_sweep", monkeypatch)
     assert script.main(["--output", str(tmp_path / "sweep.csv")]) == 0
     assert len(_rows(tmp_path / "sweep.csv")) == 1 + 3 * (10 + 2)
+    assert spy.call_count == 3 * (10 + 2)
 
 
 def test_separation_sweep_skips_empty_draws(tmp_path, monkeypatch):
