@@ -47,23 +47,21 @@ def _measures(n: int, count: int):
         seed += 1
 
 
-def margin_rows(args):
+def margin_rows(args, budget: float):
     for n in args.moduli:
         for idx, nu in _measures(n, args.seeds):
-            w = represent_charged(nu, args.r, args.budget)
+            w = represent_charged(nu, args.r, budget)
             reports = [
-                ("two-copy", chain_verify(random_slf_instance(w, idx, args.caps), args.budget)),
+                ("two-copy", chain_verify(random_slf_instance(w, idx, args.caps), budget)),
                 (
                     "single-copy",
-                    single_chain_verify(
-                        random_slf_instance(w, idx, args.caps, copies=1), args.budget
-                    ),
+                    single_chain_verify(random_slf_instance(w, idx, args.caps, copies=1), budget),
                 ),
             ]
             exps = Lf2Exponents.all_ones(args.r)
             for j in range(1, args.r + 1):
                 reports.append(
-                    (f"doubled-origin-j{j}", lf2_chain_verify(w, j, exps, args.budget))
+                    (f"doubled-origin-j{j}", lf2_chain_verify(w, j, exps, budget))
                 )
             for variant, report in reports:
                 for c in report.checks:
@@ -93,13 +91,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 0:
         parser.error(f"--seeds must be nonnegative, got {args.seeds}")
-    return guarded(lambda: _write(args), args.budget)
+    return guarded(lambda budget: _write(args, budget), args.budget)
 
 
-def _write(args) -> int:
+def _write(args, budget: float) -> int:
     # Every row is computed before the output is opened, so a run that fails
     # part way writes nothing.
-    rows = list(margin_rows(args))
+    rows = list(margin_rows(args, budget))
     write_text(csv_text(HEADER, rows), args.output)
     worst: dict[str, float] = defaultdict(lambda: float("inf"))
     failures = 0

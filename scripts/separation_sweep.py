@@ -41,7 +41,7 @@ def _moduli(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def sweep_rows(args):
+def sweep_rows(args, budget: float):
     for n in args.moduli:
         for kind in KINDS:
             seeds = range(args.seeds) if kind == "random" else (0,)
@@ -50,8 +50,8 @@ def sweep_rows(args):
                     nu = generate(GeneratorSpec(kind=kind, n=n, p=args.p, seed=seed))
                 except EmptySetGenerated:
                     continue
-                hr = hypothesis_ratio(nu, args.r, args.budget)
-                ap = ap_density([nu.fn] * (args.r + 1), args.budget)
+                hr = hypothesis_ratio(nu, args.r, budget)
+                ap = ap_density([nu.fn] * (args.r + 1), budget)
                 yield (
                     kind,
                     n,
@@ -79,13 +79,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.seeds < 0:
         parser.error(f"--seeds must be nonnegative, got {args.seeds}")
 
-    return guarded(lambda: _write(args), args.budget)
+    return guarded(lambda budget: _write(args, budget), args.budget)
 
 
-def _write(args) -> int:
+def _write(args, budget: float) -> int:
     # The text holds every row before the output is opened, so a run that
     # fails part way writes nothing.
-    write_text(csv_text(HEADER, sweep_rows(args)), args.output)
+    write_text(csv_text(HEADER, sweep_rows(args, budget)), args.output)
     return 0
 
 

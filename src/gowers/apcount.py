@@ -34,9 +34,9 @@ import numpy as np
 from .budget import check_budget
 from .cyclic import CyclicFn, Measure
 from .errors import NumericalInconsistency, ShapeMismatch
-from .gowersnorm import _CHUNK_ELEMS, EdgeFn, u_norm_fast
+from .gowersnorm import _CHUNK_ELEMS, u_norm_fast
 from .hypersystem import WeightedHypergraph, is_prime, relabel, represent_charged
-from .linform import Cap, SlfInstance, q_value, single_chain_verify
+from .linform import Cap, capped_chain_verify, expect_product, weight_factor
 from .report import TOL, VerificationReport, eq_check
 
 
@@ -269,35 +269,32 @@ def telescoping_check(
     w represents (``ap_density`` of r + 1 copies), minus one equals the sum
     of the single-copy centered terms of w.
 
-    Term m centers the edge omitting vertex m, keeps the weights of edges
-    omitting 0..m-1 and replaces the rest by one; each term is the empty-set
-    chain quantity ``q_value(inst, ())`` of a single-copy instance, after
-    relabeling vertex m to the distinguished slot.
-    With ``with_chains`` the composed chain bound of each term is attached as
-    a measured ratio.
+    Term m is E[(w_m - 1) w_0 ... w_(m-1)], w_i the weight of the edge
+    omitting vertex i, on formed factors when w carries forms.  It is the
+    empty-set chain quantity of the single-copy instance whose minorants are
+    their caps, after relabeling vertex m to the distinguished slot: the
+    weights of the edges that omitted 0..m-1, and one for the rest.  With
+    ``with_chains`` the composed chain bound of that instance
+    (``capped_chain_verify``) is attached as a measured ratio, and any check
+    of it that fails is added.
     """
     r = w.r
     report = VerificationReport(name="progression-telescoping")
+    edges = w.system.edges
     terms = []
     for m in range(r + 1):
-        wm = relabel(w, _transposition(r, m))
-        caps: dict[tuple[tuple[int, ...], int], Cap] = {}
-        gs = {}
-        for j in range(1, r + 1):
-            edge = wm.system.edge_omitting(j)
-            old = 0 if j == m else j
-            if old < m:
-                caps[(edge, 0)] = Cap.NU
-                gs[(edge, 0)] = wm.weights[edge]
-            else:
-                caps[(edge, 0)] = Cap.ONE
-                gs[(edge, 0)] = EdgeFn.ones(edge, wm.system.edge_dims(edge))
-        inst = SlfInstance(wm, caps, gs)
-        term = q_value(inst, (), budget)
+        factors = [weight_factor(w, edges[m], centered=True)]
+        factors += [weight_factor(w, edge) for edge in edges[:m]]
+        term = expect_product(factors, budget, what="chain quantity at d=()")
         terms.append(term)
         report.ratios[f"term-{m}"] = term
         if with_chains:
-            chain = single_chain_verify(inst, budget)
+            wm = relabel(w, _transposition(r, m))
+            caps = {
+                (wm.system.edge_omitting(j), 0): Cap.NU if (0 if j == m else j) < m else Cap.ONE
+                for j in range(1, r + 1)
+            }
+            chain = capped_chain_verify(wm, caps, budget)
             report.ratios[f"term-{m}-chain-bound"] = chain.ratios["composed-bound"]
             for c in chain.checks:
                 if not c.passed:

@@ -356,10 +356,11 @@ def _cmd_cube(args, spec, nu):
         pat = CubePattern.from_string(args.pattern)
     # The expansion first, so its walk is charged before any expectation;
     # its left-hand side is the raw cube expectation.
-    (report,) = binomial_expansion_identity(g, [pat], args.budget)
+    form = w.form(args.j)
+    (report,) = binomial_expansion_identity(g, [pat], args.budget, form)
     values = {
         "cube-expectation": report.ratios["raw"],
-        "cube-centered-expectation": cube_centered_expectation(g, pat, args.budget),
+        "cube-centered-expectation": cube_centered_expectation(g, pat, args.budget, form),
     }
     inputs = {"r": args.r, "j": args.j, "pattern": pat.to_string()}
     return inputs, {"values": values, "report": report.to_json_obj()}, report.passed
@@ -473,7 +474,7 @@ def _suite_cube(measures, r: int, budget) -> VerificationReport:
         ]
     patterns = [pat for pat in patterns if pat.weight()]
     for s, (_, w) in enumerate(measures):
-        subs = binomial_expansion_identity(w.weight_omitting(0), patterns, budget)
+        subs = binomial_expansion_identity(w.weight_omitting(0), patterns, budget, w.form(0))
         for pat, sub in zip(patterns, subs):
             _fold(rep, sub, f"seed={s} pattern={pat.to_string()}")
     return rep
@@ -526,10 +527,11 @@ def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
     exps = Lf2Exponents.all_ones(r)
     rep.add(eq_check("doubled-origin-term", lf2_term(w, 1, exps, budget), 0.0, 0.0))
     rep.add(eq_check("product-weight-deviation", nu_prime_l2_dev(nu_prime(w, budget)), 0.0, 0.0))
-    g0 = w.weight_omitting(0)
+    g0, form = w.weight_omitting(0), w.form(0)
     pat = CubePattern.all_ones(r)
-    rep.add(eq_check("cube-centered", cube_centered_expectation(g0, pat, budget), 0.0, 0.0))
-    rep.add(eq_check("cube-product", cube_expectation(g0, pat, budget), 1.0, 0.0))
+    centered = cube_centered_expectation(g0, pat, budget, form)
+    rep.add(eq_check("cube-centered", centered, 0.0, 0.0))
+    rep.add(eq_check("cube-product", cube_expectation(g0, pat, budget, form), 1.0, 0.0))
     rep.add(eq_check("doubled-origin-product", lf2_expectation(w, exps, budget), 1.0, 0.0))
     rep.add(
         eq_check("progression-density", ap_density([nu.fn] * (r + 1), budget).density, 1.0, 0.0)
@@ -660,14 +662,15 @@ def _suggest_n(
 
 
 def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
-    """Exit code of ``run()`` under ``budget``, for the command line and the
-    scripts alike: an error is reported on stderr and gives 2, or 1 for a
-    numerical inconsistency; any other exception is an internal error, 2.
-    A budget refusal suggests a prime below n, or a smaller size when its
-    charge is infinite, which no budget covers."""
+    """Exit code of ``run(limit)``, for the command line and the scripts
+    alike.  ``limit`` is ``budget`` resolved once (``resolve_budget``), so
+    that no step reads GOWERS_BUDGET again.  An error is reported on stderr
+    and gives 2, or 1 for a numerical inconsistency; any other exception is
+    an internal error, 2.  A budget refusal suggests a prime below n, or a
+    smaller size when its charge is infinite, which no budget covers."""
     try:
-        resolve_budget(budget)  # refuse a bad budget before any work
-        return run()
+        limit = resolve_budget(budget)  # refuse a bad budget before any work
+        return run(limit)
     except BudgetExceeded as exc:
         # The estimate takes the fewest digits, from 3, that tell it from the budget.
         digits = 3
@@ -707,10 +710,16 @@ def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
         return 2
 
 
+def _dispatch(args, budget: float) -> int:
+    """Run the subcommand of ``args`` against the resolved budget."""
+    args.budget = budget
+    return args.func(args)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     n, r = getattr(args, "n", None), getattr(args, "r", 0)
-    return guarded(lambda: args.func(args), args.budget, n, r)
+    return guarded(functools.partial(_dispatch, args), args.budget, n, r)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     ShapeMismatch,
     SupBelowOneWarning,
 )
+from .forms import Form
 from .gowersnorm import _CHUNK_ELEMS, _LETTERS, EdgeFn
 
 Edge = tuple[int, ...]
@@ -94,13 +95,17 @@ class WeightedHypergraph:
 
     ``forms`` and ``modulus`` carry the linear-form coefficients when the
     weights came from ``represent`` or ``relabel``; direct constructions
-    leave them None and ``ap_values`` then refuses to answer.
+    leave them None and ``ap_values`` then refuses to answer.  ``paired``
+    holds, per edge, the weight that ``linform.weight_factor`` has checked
+    against its form, the centered weight and the form, so that each is
+    built and checked once per hypergraph.
     """
 
     system: HypergraphSystem
     weights: dict[Edge, EdgeFn]
     forms: tuple[tuple[int, ...], ...] | None = None
     modulus: int | None = None
+    paired: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = set(self.system.edges)
@@ -123,6 +128,13 @@ class WeightedHypergraph:
 
     def weight_omitting(self, j: int) -> EdgeFn:
         return self.weights[self.system.edge_omitting(j)]
+
+    def form(self, j: int) -> Form | None:
+        """The form of the weight of the edge omitting j, or None without
+        forms."""
+        if self.forms is None or self.modulus is None:
+            return None
+        return Form(self.forms[j], self.modulus)
 
 
 def sup_norm(w: WeightedHypergraph) -> float:

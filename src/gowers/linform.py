@@ -41,8 +41,19 @@ doubled product then factors pointwise, so the expectation is the mean over
 both copies of d of the product of one marginal per component.
 ``q_value``, ``ybar_sq_expectation`` and ``cube_expectation`` run the plan
 on the explicitly doubled factors (``_on_planner``) and are the router's
-test oracles.  Every route reduces over fixed shapes, so repeated runs are
-bit-identical.
+test oracles.
+
+A factor may also carry its form, (array, axes, form), when its values are
+h(L·x mod N) for the linear form L and a prime N: the represented weights,
+their centered copies and the constant one (the zero form).  A product of
+such formed factors reads x only through the image of the form map, onto
+which the uniform x is pushed uniformly, so it may take a fourth route, the
+quotient route: the plan of the doubled factors sliced at 0 along the
+variables outside a basis of the form system (``_quotient_layout``).  The
+lf2 engine, the cube engine on a represented edge and the telescoping
+terms and their chains pass formed factors; the slf chains, whose
+minorants are random, pass plain ones.  Every route reduces over fixed
+shapes, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -64,7 +75,9 @@ from .errors import (
     NumericalInconsistency,
     ShapeMismatch,
 )
+from . import forms
 from .cyclic import CyclicFn
+from .forms import Form
 from .gowersnorm import (
     _CHUNK_ELEMS,
     _LETTERS,
@@ -76,16 +89,18 @@ from .gowersnorm import (
     cube_vertices,
     u_norm_fast,
 )
-from .hypersystem import Edge, WeightedHypergraph, sup_norm
+from .hypersystem import Edge, WeightedHypergraph, is_prime, sup_norm
 from .report import TOL, VerificationReport, eq_check, ineq_check
 
 # A free variable is a vertex together with a copy index; copy None means the
 # coordinate is not doubled.
 Var = tuple[int, int | None]
-# A factor is an array plus the variable read by each of its axes.
-Factor = tuple[np.ndarray, list[Var]]
-# The structures of a factor list, hashable, as a cache key.
-Structure = tuple[tuple[tuple[int, ...], tuple[Var, ...]], ...]
+# A factor is an array plus the variable read by each of its axes, and for
+# a formed factor the form of its values as a third item.
+Factor = tuple[np.ndarray, list[Var]] | tuple[np.ndarray, list[Var], Form]
+# The structures of a factor list, hashable, as a cache key: the shape and
+# axes of each factor, and its form when it carries one.
+Structure = tuple[tuple, ...]
 
 
 def _var_order_key(v: Var):
@@ -141,8 +156,8 @@ def _plan(subscripts: str, sizes: tuple[int, ...]) -> _Plan:
         return bucket, "".join(v for v in order if v in scope)
 
     def rank(var: str) -> tuple[int, int]:
-        bucket, scope = bucket_of(var)
-        return math.prod(size[v] for v in scope), len(bucket)
+        bucket = [scope for scope in live.values() if var in scope]
+        return math.prod([size[v] for v in set().union(*bucket)]), len(bucket)
 
     steps = []
     cost = 0.0
@@ -174,7 +189,7 @@ def _plan(subscripts: str, sizes: tuple[int, ...]) -> _Plan:
 def _run(plan: _Plan, factors: list[Factor]) -> float:
     """Contract the factors step by step as the plan says; the sum divided
     by the number of index points."""
-    slots: list[np.ndarray | None] = [arr for arr, _ in factors]
+    slots: list[np.ndarray | None] = [f[0] for f in factors]
     for inputs, expr in plan.steps:
         slots.append(np.einsum(expr, *[slots[i] for i in inputs], optimize=False))
         for i in inputs:
@@ -252,8 +267,8 @@ def _box_route(factors: list[Factor], layout: _BoxLayout) -> float:
     may read a copy of a vertex in d.  z is walked in blocks, and F is built
     for one block at a time, as the layout says."""
     views = [
-        arr.transpose(perm).reshape(shape)
-        for (arr, _), perm, shape in zip(factors, layout.perms, layout.shapes)
+        f[0].transpose(perm).reshape(shape)
+        for f, perm, shape in zip(factors, layout.perms, layout.shapes)
     ]
     pows = []
     for prefix in itertools.product(*[range(n) for n in layout.fixed]):
@@ -342,8 +357,8 @@ def _split_route(factors: list[Factor], layout: _SplitLayout) -> float:
     as the layout says; each row is summed over a fixed shape and the rows
     by ``math.fsum``, so the value does not depend on the block size."""
     views = [
-        arr.transpose(perm).reshape(shape)
-        for (arr, _), perm, shape in zip(factors, layout.perms, layout.shapes)
+        f[0].transpose(perm).reshape(shape)
+        for f, perm, shape in zip(factors, layout.perms, layout.shapes)
     ]
     fs = []
     for members, m in zip(layout.members, layout.points):
@@ -366,18 +381,81 @@ def _split_route(factors: list[Factor], layout: _SplitLayout) -> float:
     return math.fsum(memoryview(np.concatenate(sums))) / (box * box)
 
 
-@functools.lru_cache(maxsize=16384)
-def _route(
+@dataclass(frozen=True)
+class _QuotientLayout:
+    """How ``_quotient_route`` evaluates one formed structure doubled over d:
+    doubled factor i copies factor ``slices[i][0]`` and is sliced by the
+    index ``slices[i][1]``, and ``plan`` runs on the slices; ``cost`` and
+    ``power`` are the plan's."""
+
+    slices: tuple[tuple[int, tuple], ...]
+    plan: _Plan
+    cost: float
+    power: int
+
+
+def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _QuotientLayout | None:
+    """The layout of the quotient route for a formed structure, or None
+    unless every form has one prime modulus N that sizes every axis.
+
+    Each factor is doubled over d as ``_double`` doubles it, keeping its
+    form on each axis.  Let M be the matrix of the doubled forms over the
+    variables in canonical order.  For prime N the map x -> Mx pushes the
+    uniform measure onto the uniform measure on its image, and for pivot
+    columns P with rank(M_P) = |P| = rank(M) the map of x_P alone reaches
+    that image one to one.  So the expectation is unchanged when every
+    variable outside P is fixed at 0: each factor is sliced at 0 along those
+    axes and the plan of the slices (``_plan``) is run.  P comes from
+    ``forms.pivots``, once per structure, and is certified by
+    ``forms.independent_columns``; a pivot set that fails raises
+    NumericalInconsistency.
+    """
+    n = structure[0][2].modulus
+    moduli = {form.modulus for _, _, form in structure}
+    if not is_prime(n) or moduli != {n} or {s for shape, _, _ in structure for s in shape} != {n}:
+        return None
+    patterns = [dict(zip(d, omega)) for omega in itertools.product((0, 1), repeat=len(d))]
+    doubled = [
+        (i, [(v, copy_of.get(v)) if c is None else (v, c) for v, c in axes], form.coeffs)
+        for i, (_, axes, form) in enumerate(structure)
+        for copy_of in patterns
+    ]
+    order = sorted({var for _, axes, _ in doubled for var in axes}, key=_var_order_key)
+    column = {var: k for k, var in enumerate(order)}
+    rows = {}
+    for _, axes, coeffs in doubled:
+        row = [0] * len(order)
+        for var, c in zip(axes, coeffs):
+            row[column[var]] = c % n
+        rows[tuple(row)] = None
+    rows = list(rows)
+    pivots = forms.pivots(rows, n)
+    first = [*pivots, *[k for k in range(len(order)) if k not in pivots]]
+    if forms.independent_columns([[row[k] for k in first] for row in rows], n) != tuple(
+        range(len(pivots))
+    ):
+        raise NumericalInconsistency(
+            f"pivot columns {pivots} are not a basis of the form system mod {n}"
+        )
+    letter = dict(zip([order[k] for k in pivots], _LETTERS))
+    slices, terms = [], []
+    for i, axes, _ in doubled:
+        slices.append((i, tuple([slice(None) if var in letter else 0 for var in axes])))
+        terms.append("".join([letter[var] for var in axes if var in letter]))
+    plan = _plan(",".join(terms), (n,) * len(pivots))
+    return _QuotientLayout(tuple(slices), plan, plan.cost, plan.power)
+
+
+def _quotient_route(factors: list[Factor], layout: _QuotientLayout) -> float:
+    """The plan of the layout on the doubled factors sliced as it says,
+    each slice a view of its factor."""
+    return _run(layout.plan, [(factors[i][0][index],) for i, index in layout.slices])
+
+
+def _router(
     structure: Structure, d: tuple[int, ...]
 ) -> _Plan | _BoxLayout | _SplitLayout:
-    """How ``expect_product`` evaluates one structure (the shape and axes of each
-    factor) doubled over d.  At d empty it is the plan of the structure
-    (``_plan``).  Otherwise every vertex of d must be read by some factor,
-    and by none at a copy; the route is then the cheaper of the box route
-    (``_box_layout``) and, when the variables outside d fall into
-    independent components, the split route (``_split_layout``), ties going
-    to the box route.
-    """
+    """The route of a structure without forms (``_route``)."""
     sizes: dict[Var, int] = {}
     for shape, axes in structure:
         if len(shape) != len(axes):
@@ -398,22 +476,52 @@ def _route(
     return _plan(subscripts, tuple([sizes[v] for v in order]))
 
 
+@functools.lru_cache(maxsize=16384)
+def _route(
+    structure: Structure, d: tuple[int, ...]
+) -> _Plan | _BoxLayout | _SplitLayout | _QuotientLayout:
+    """How ``expect_product`` evaluates one structure (the shape and axes of each
+    factor) doubled over d.  At d empty it is the plan of the structure
+    (``_plan``).  Otherwise every vertex of d must be read by some factor,
+    and by none at a copy; the route is then the cheaper of the box route
+    (``_box_layout``) and, when the variables outside d fall into
+    independent components, the split route (``_split_layout``), ties going
+    to the box route.  A formed structure, every factor of which carries
+    its form, takes the quotient route (``_quotient_layout``) where that is
+    charged less than the route of the same structure without its forms.
+    """
+    if len(structure[0]) == 2:
+        return _router(structure, d)
+    if any(len(entry) != 3 for entry in structure):
+        raise ShapeMismatch("every factor or none must carry a form")
+    route = _router(tuple([entry[:2] for entry in structure]), d)
+    quotient = _quotient_layout(structure, d)
+    return quotient if quotient is not None and quotient.cost < route.cost else route
+
+
 def expect_product(
     factors: list[Factor], budget: float | None = None, what: str = "", d: tuple[int, ...] = ()
 ) -> float:
     """E[prod of factors doubled over d] over all variables that occur,
-    uniformly; each factor is an array plus the variable of each of its axes.
-    The empty product has expectation one.  The route is the one ``_route``
-    takes for the factors' structure and d (at d=() the bucket-elimination
-    plan of ``_plan``), charged at its cost before any work happens."""
+    uniformly; each factor is an array plus the variable of each of its axes,
+    and a formed factor also its form.  The empty product has expectation
+    one.  The route is the one ``_route`` takes for the factors' structure
+    and d (at d=() the bucket-elimination plan of ``_plan``), charged at its
+    cost before any work happens."""
     if not factors:
         return 1.0
-    route = _route(tuple([(arr.shape, tuple(axes)) for arr, axes in factors]), d)
+    if len(factors[0]) == 2:
+        key = tuple([(arr.shape, tuple(axes)) for arr, axes in factors])
+    else:
+        key = tuple([(f[0].shape, tuple(f[1]), *f[2:]) for f in factors])
+    route = _route(key, d)
     check_budget(route.cost, budget, what=what or "product expectation", power=route.power)
     if isinstance(route, _BoxLayout):
         return _box_route(factors, route)
     if isinstance(route, _SplitLayout):
         return _split_route(factors, route)
+    if isinstance(route, _QuotientLayout):
+        return _quotient_route(factors, route)
     return _run(route, factors)
 
 
@@ -472,22 +580,37 @@ class CubePattern:
         return "".join(str(b) for b in self.bits)
 
 
-def _cube_factors(g: EdgeFn, support: Iterable[CubeVertex]) -> list[Factor]:
-    factors = []
-    for omega in support:
-        axes: list[Var] = [(v, omega[i]) for i, v in enumerate(g.edge)]
-        factors.append((g.values, axes))
-    return factors
+def _uniformity_norm(centered: np.ndarray, form: Form, budget: float | None) -> float:
+    """The box norm of a centered formed array nu(L·x) - 1, every
+    coefficient of L invertible: by norm preservation the uniformity norm
+    of nu - 1 of the array's order, nu - 1 read along its ``forms.line``.
+    It shares no code with the expectation routes."""
+    line = CyclicFn(form.modulus, forms.line(centered, form))
+    return u_norm_fast(line, centered.ndim, budget)
+
+
+def _cube_factors(
+    g: EdgeFn, support: Iterable[CubeVertex], form: Form | None = None
+) -> list[Factor]:
+    """g at each cube vertex of the support; formed with ``form`` when one is
+    given, which the caller has paired with g (``forms.paired``)."""
+    tail = () if form is None else (form,)
+    return [
+        (g.values, [(v, omega[i]) for i, v in enumerate(g.edge)], *tail) for omega in support
+    ]
 
 
 def cube_expectation(
-    g: EdgeFn, pat: CubePattern, budget: float | None = None
+    g: EdgeFn, pat: CubePattern, budget: float | None = None, form: Form | None = None
 ) -> float:
-    """E[prod over active cube vertices of g(x^omega)], both copies uniform."""
+    """E[prod over active cube vertices of g(x^omega)], both copies uniform;
+    on formed factors when g is nu(L·x) for the given form L."""
     if pat.k != len(g.edge):
         raise ShapeMismatch("pattern dimension does not match edge size")
+    if form is not None:
+        forms.paired(g.values, form)
     return expect_product(
-        _cube_factors(g, pat.support()), budget, what="cube expectation"
+        _cube_factors(g, pat.support(), form), budget, what="cube expectation"
     )
 
 
@@ -495,21 +618,30 @@ def cube_centered_expectation(
     g: EdgeFn,
     pat: CubePattern,
     budget: float | None = None,
+    form: Form | None = None,
 ) -> float:
     """Same as ``cube_expectation`` with g - 1 at the active vertices.
 
     The product-form bound |value| <= boxnorm(g-1)^weight is verified (a
-    slack of TOL times the bound absorbs roundoff).
+    slack of TOL times the bound absorbs roundoff).  The box norm is
+    ``box_norm``'s, or for g = nu(L·x) with a form whose every coefficient
+    is invertible the uniformity norm of nu - 1 (``_uniformity_norm``).
     """
     if pat.k != len(g.edge):
         raise ShapeMismatch("pattern dimension does not match edge size")
     if pat.weight() == 0:
         raise AllZeroPattern("centered cube expectation needs an active vertex")
+    if form is not None:
+        forms.paired(g.values, form)
     centered = g.centered()
     value = expect_product(
-        _cube_factors(centered, pat.support()), budget, what="centered cube expectation"
+        _cube_factors(centered, pat.support(), form), budget, what="centered cube expectation"
     )
-    bound = box_norm(centered, budget=budget) ** pat.weight()
+    if form is not None and all(c % form.modulus for c in form.coeffs):
+        box = _uniformity_norm(centered.values, form, budget)
+    else:
+        box = box_norm(centered, budget=budget)
+    bound = box ** pat.weight()
     if abs(value) > bound + TOL * max(1.0, bound):
         raise NumericalInconsistency(
             f"centered cube expectation {value} exceeds product bound {bound}"
@@ -545,7 +677,10 @@ def _flip_classes(k: int) -> list[int]:
 
 
 def binomial_expansion_identity(
-    g: EdgeFn, patterns: Iterable[CubePattern], budget: float | None = None
+    g: EdgeFn,
+    patterns: Iterable[CubePattern],
+    budget: float | None = None,
+    form: Form | None = None,
 ) -> list[VerificationReport]:
     """Check E[prod nu] = sum over sub-supports of E[prod (nu-1)] for each
     pattern; one report per pattern.
@@ -558,20 +693,27 @@ def binomial_expansion_identity(
     vertices in cube-vertex order, and charged before it runs.  The walk of
     a pattern's 2^weight - 1 sub-supports is charged before the pattern:
     one table lookup each for k <= _TABLE_K, above that 2^k flips of 2^k
-    bits each.
+    bits each.  With the form of g = nu(L·x), g is paired with it once and
+    every expectation runs on formed factors.
     """
     k = len(g.edge)
     vertices = cube_vertices(k)
     n = len(vertices)
     table = _flip_classes(k) if k <= _TABLE_K else None
     per_sub = 1.0 if table is not None else float(n * n)
+    if form is not None:
+        forms.paired(g.values, form)
     centered = g.centered()
     terms: dict[int, float] = {}
     reports = []
     for pat in patterns:
         what = f"cube expansion walk (k={k}, 2^{pat.weight()} - 1 sub-supports)"
         check_budget((power_cost(2, pat.weight()) - 1.0) * per_sub, budget, what=what)
-        lhs = cube_expectation(g, pat, budget)
+        if pat.k != k:
+            raise ShapeMismatch("pattern dimension does not match edge size")
+        lhs = expect_product(
+            _cube_factors(g, pat.support(), form), budget, what="cube expectation"
+        )
         full = sum([1 << j for j, b in enumerate(pat.bits) if b])
         # Every nonempty submask of ``full``, in falling order; fsum rounds
         # the exact sum, so the order does not show.
@@ -584,7 +726,9 @@ def binomial_expansion_identity(
             if rep not in terms:
                 support = [om for j, om in enumerate(vertices) if rep >> j & 1]
                 terms[rep] = expect_product(
-                    _cube_factors(centered, support), budget, what="centered cube expectation"
+                    _cube_factors(centered, support, form),
+                    budget,
+                    what="centered cube expectation",
                 )
             parts.append(terms[rep])
             sub = (sub - 1) & full
@@ -726,6 +870,38 @@ def slf_lhs(inst: SlfInstance, budget: float | None = None) -> float:
 def _origin_axes(edge: Edge, copy: int | None) -> list[Var]:
     """Axes of an edge that reads vertex 0 at ``copy`` and the rest plain."""
     return [(v, copy) if v == 0 else (v, None) for v in edge]
+
+
+def weight_factor(
+    w: WeightedHypergraph, edge: Edge, copy: int | None = None, centered: bool = False
+) -> Factor:
+    """The factor of the weight of ``edge``, minus one when ``centered``,
+    reading vertex 0 at ``copy`` and its other vertices plain.  It is
+    formed when w carries forms: the weight is then paired with the form of
+    the edge (``forms.paired``) once per hypergraph, and kept in ``w.paired``
+    with the centered weight."""
+    axes = _origin_axes(edge, copy)
+    if w.forms is None or w.modulus is None:
+        values = w.weights[edge].values
+        return (values - 1.0 if centered else values), axes
+    if edge not in w.paired:
+        form = w.form(next(v for v in range(w.r + 1) if v not in edge))
+        raw = forms.paired(w.weights[edge].values, form)
+        w.paired[edge] = (raw, raw - 1.0, form)
+    raw, less_one, form = w.paired[edge]
+    return (less_one if centered else raw), axes, form
+
+
+def _cap_factor(w: WeightedHypergraph, edge: Edge, cap: Cap) -> Factor:
+    """The single-copy factor of a cap: the weight of the edge, or the
+    constant one, formed with the zero form when w carries forms."""
+    if cap is Cap.NU:
+        return weight_factor(w, edge)
+    ones = np.ones(w.system.edge_dims(edge))
+    axes = _origin_axes(edge, None)
+    if w.forms is None or w.modulus is None:
+        return ones, axes
+    return ones, axes, Form((0,) * len(edge), w.modulus)
 
 
 def _slf_base(inst: SlfInstance) -> tuple[list[Factor], list[Factor]]:
@@ -910,24 +1086,26 @@ def _endpoint_box_power(w: WeightedHypergraph, budget: float | None) -> float:
     nu(y) = w_{e0}(y / c, 0, ..., 0) mod N for the first coefficient c of
     the form of e0.  Otherwise (no forms) it is ``box_norm``, and the
     endpoint stays on the planner."""
-    r = w.r
     g = w.weights[_distinguished_edge(w)]
-    if w.forms is None:
-        return box_norm(g.centered(), budget=budget) ** (2.0**r)
-    n = w.system.dims[0]
-    ys = np.arange(n) * pow(w.forms[0][0], -1, n) % n
-    centered = CyclicFn(n, g.values[(ys,) + (0,) * (r - 1)] - 1.0)
-    return u_norm_fast(centered, r, budget) ** (2.0**r)
+    form = w.form(0)
+    if form is None:
+        return box_norm(g.centered(), budget=budget) ** (2.0**w.r)
+    return _uniformity_norm(g.values - 1.0, form, budget) ** (2.0**w.r)
 
 
-def _slf_chain(inst: SlfInstance, budget: float | None) -> VerificationReport:
-    w = inst.hypergraph
+def _slf_chain(
+    w: WeightedHypergraph,
+    base: list[Factor],
+    caps: list[Factor],
+    single: bool,
+    budget: float | None,
+) -> VerificationReport:
+    """The chain of an instance on w, of one copy of vertex 0 or two, from
+    its base factors and their caps (as ``_slf_base`` lays them out)."""
     r = w.r
     e0 = _distinguished_edge(w)
     sup = sup_norm(w)
-    single = len(inst.copies) == 1
     sets = [d for size in range(r + 1) for d in itertools.combinations(e0, size)]
-    base, caps = _slf_base(inst)
     name = "single-copy-chain" if single else "strong-linear-forms-chain"
     planned = () if w.forms is not None else (e0,)
     report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget, planned)
@@ -954,13 +1132,29 @@ def chain_verify(inst: SlfInstance, budget: float | None = None) -> Verification
     one copy) is reported but never asserted; at finite N it stands in for an
     asymptotic statement.
     """
-    return _slf_chain(inst, budget)
+    single = len(inst.copies) == 1
+    return _slf_chain(inst.hypergraph, *_slf_base(inst), single, budget)
 
 
 def single_chain_verify(inst: SlfInstance, budget: float | None = None) -> VerificationReport:
     """``chain_verify`` under the name of the single-copy variant, whose
     capped products have 2^|d| factors per step instead of 2^(|d|+1)."""
-    return _slf_chain(inst, budget)
+    return _slf_chain(inst.hypergraph, *_slf_base(inst), len(inst.copies) == 1, budget)
+
+
+def capped_chain_verify(
+    w: WeightedHypergraph, caps: dict[tuple[Edge, int], Cap], budget: float | None = None
+) -> VerificationReport:
+    """``chain_verify`` of the single-copy instance on w whose every
+    minorant is its cap, the caps keyed (edge, 0) as in ``SlfInstance``.
+    Its factors are formed when w carries forms (``weight_factor``,
+    ``_cap_factor``), so each expectation may take the quotient route."""
+    slots = _slots(w.r, (0,))
+    if set(caps) != set(slots):
+        raise ShapeMismatch("caps must cover every non-distinguished edge in copy 0")
+    capped = [_cap_factor(w, edge, caps[(edge, copy)]) for edge, copy in slots]
+    base = [weight_factor(w, _distinguished_edge(w), centered=True)] + capped
+    return _slf_chain(w, base, capped, True, budget)
 
 
 def random_slf_instance(
@@ -1082,25 +1276,25 @@ def lf2_expectation(
     of the active edge weights, each reading its own copy of vertex 0."""
     if exps.r != w.r:
         raise ShapeMismatch("exponent arity does not match hypergraph")
-    factors = [
-        (w.weights[edge].values, _origin_axes(edge, copy))
-        for edge, copy in exps.active_slots()
-    ]
+    factors = [weight_factor(w, edge, copy) for edge, copy in exps.active_slots()]
     return expect_product(factors, budget, what="doubled-origin expectation")
 
 
-def _lf2_factors(w: WeightedHypergraph, ej: Edge, exps: Lf2Exponents) -> list[Factor]:
+def _lf2_factors(
+    w: WeightedHypergraph, ej: Edge, exps: Lf2Exponents, formed: bool = False
+) -> list[Factor]:
     """Factors of the centered term at edge ej: (weight - 1) on ej at copy 0
-    of vertex 0, then every other active slot's weight at its own copy."""
+    of vertex 0, then every other active slot's weight at its own copy;
+    formed (``weight_factor``) when ``formed`` and w carries forms."""
     if exps.r != w.r:
         raise ShapeMismatch("exponent arity does not match hypergraph")
-    factors = [(w.weights[ej].values - 1.0, _origin_axes(ej, 0))]
+    factors = [weight_factor(w, ej, 0, centered=True)]
     factors += [
-        (w.weights[edge].values, _origin_axes(edge, copy))
+        weight_factor(w, edge, copy)
         for edge, copy in exps.active_slots()
         if (edge, copy) != (ej, 0)
     ]
-    return factors
+    return factors if formed else [f[:2] for f in factors]
 
 
 def lf2_term(
@@ -1111,7 +1305,7 @@ def lf2_term(
     active slot contributes its weight unchanged."""
     if not (1 <= j <= w.r):
         raise InvalidSubset(f"edge index {j} must be in 1..{w.r}")
-    factors = _lf2_factors(w, w.system.edge_omitting(j), exps)
+    factors = _lf2_factors(w, w.system.edge_omitting(j), exps, formed=True)
     return expect_product(factors, budget, what="centered doubled-origin term")
 
 
@@ -1163,7 +1357,7 @@ def lf2_chain_verify(
     r = w.r
     ej = w.system.edge_omitting(j)
     others = tuple(v for v in ej if v != 0)
-    base = _lf2_factors(w, ej, exps)
+    base = _lf2_factors(w, ej, exps, formed=True)
     sup = sup_norm(w)
     n_final = exps.table[(ej, 1)]
     prefixes = [others[:t] for t in range(len(others) + 1)]
@@ -1178,10 +1372,10 @@ def lf2_chain_verify(
 
     # Final split: double vertex 0 separately in the centered and raw halves.
     plain = [(v, None) for v in ej]
-    box_power = expect_product([(base[0][0], plain)], budget, "centered box power", d=ej)
+    centered = [(base[0][0], plain, *base[0][2:])]
+    box_power = expect_product(centered, budget, "centered box power", d=ej)
     if n_final == 1:
-        raw = [(w.weights[ej].values, plain)]
-        cube_power = expect_product(raw, budget, "cube expectation", d=ej)
+        cube_power = expect_product([weight_factor(w, ej)], budget, "cube expectation", d=ej)
     else:
         cube_power = 1.0
     lhs = q_at[others] ** 2

@@ -2,12 +2,15 @@
 and the built-in verification suite."""
 
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
 import math
+import os
 import textwrap
 import tracemalloc
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +18,9 @@ import numpy as np
 import pytest
 
 import gowers.apcount as apcount
+import gowers.budget as budget
 import gowers.cli as cli
+import gowers.forms as forms
 import gowers.genmeasure as genmeasure
 import gowers.hypersystem as hypersystem
 import gowers.linform as linform
@@ -276,6 +281,29 @@ class TestBudget:
         assert code == 2
         assert out == ""
         assert "got -1.0" in err
+
+    def test_budget_read_once_per_command(self, capsys, monkeypatch):
+        # Every step used to resolve the budget again: 1,531 reads of
+        # GOWERS_BUDGET in this run.
+        reads = []
+
+        class Environ(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(budget, "os", types.SimpleNamespace(environ=Environ(os.environ)))
+        code, _, err = _run(capsys, ["verify", "--r", "3", "--n", "5"])
+        assert code == 0, err
+        assert reads == ["GOWERS_BUDGET"]
+
+    def test_env_budget_still_decides_a_refusal(self, capsys, monkeypatch):
+        monkeypatch.setenv("GOWERS_BUDGET", "1e4")
+        code, _, err = _run(capsys, ["lf2", "--r", "3", "--n", "13"])
+        assert code == 2
+        assert "> budget 1e+04 (centered-term-chain at c=(2,))" in err
+        code, _, err = _run(capsys, ["lf2", "--r", "3", "--n", "13", "--budget", "1e8"])
+        assert code == 0, err
 
     def test_nan_env_budget_refused(self, capsys, monkeypatch):
         monkeypatch.setenv("GOWERS_BUDGET", "nan")
@@ -717,16 +745,29 @@ class TestCheckIds:
             assert ids == expected, command
 
 
-def _rewritten(name: str, old: str, new: str):
-    """A fault that recompiles the function ``name`` of apcount from its
+def _rewritten(name: str, old: str, new: str, module=apcount):
+    """A fault that recompiles the function ``name`` of ``module`` from its
     source with the one fragment ``old`` replaced by ``new``."""
 
     def fault(monkeypatch):
-        source = textwrap.dedent(inspect.getsource(getattr(apcount, name)))
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
         assert source.count(old) == 1
         namespace = {}
-        exec(compile(source.replace(old, new), apcount.__file__, "exec"), vars(apcount), namespace)
-        monkeypatch.setattr(apcount, name, namespace[name])
+        exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), namespace)
+        monkeypatch.setattr(module, name, namespace[name])
+
+    return fault
+
+
+def _quotient_fault(module, name: str, old: str, new: str):
+    """``_rewritten`` with an empty route cache, so that every formed
+    structure is routed, and its pivots picked, under the fault."""
+    rewrite = _rewritten(name, old, new, module)
+
+    def fault(monkeypatch):
+        rewrite(monkeypatch)
+        fresh = functools.lru_cache(maxsize=16384)(linform._route.__wrapped__)
+        monkeypatch.setattr(linform, "_route", fresh)
 
     return fault
 
@@ -822,6 +863,79 @@ class TestMutations:
         fault(monkeypatch)
         code, _, _ = _run(capsys, argv)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["lf2", "--r", "3", "--n", "13"], ["verify", "--r", "3", "--n", "7"]]
+    )
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            _quotient_fault(
+                forms, "pivots", "return tuple(sorted(basis))", "return tuple(sorted(basis))[:-1]"
+            ),
+            # The weight of an edge through vertex 0 paired with the form of
+            # the first edge that omits one of its vertices.
+            _quotient_fault(linform, "weight_factor", "if v not in edge))", "if v in edge))"),
+            # A fault inside the elimination: the certificate, which does
+            # not share it, still refuses the pivots it picks.
+            _quotient_fault(forms, "pivots", "(x - f * y) % n", "(x + f * y) % n"),
+        ],
+        ids=["pivot-choice-drops-last", "factor-paired-with-other-form", "elimination-adds"],
+    )
+    def test_quotient_fault_fails(self, capsys, monkeypatch, fault, argv):
+        code, _, err = _run(capsys, argv)
+        assert code == 0, err
+        fault(monkeypatch)
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert err.startswith("numerical inconsistency: ")
+
+
+class TestQuotientRoute:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lf2", "--r", "3", "--n", "29"],
+            ["lf2", "--r", "4", "--n", "17"],
+            ["cube", "--r", "3", "--n", "41"],
+        ],
+    )
+    def test_refused_before_the_quotient_runs_now(self, capsys, argv):
+        # Refused at 1.03e8, 1.69e8 and 8.17e8 products by the router.
+        code, _, err = _run(capsys, argv)
+        assert code == 0, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slf", "--r", "4", "--n", "5", "--seed", "0", "--instance-seed", "0"],
+            ["slf-single", "--r", "4", "--n", "7", "--seed", "0", "--instance-seed", "0"],
+        ],
+    )
+    def test_benchmark_slf_operations_never_enter_the_quotient(self, capsys, monkeypatch, argv):
+        # perfbench compares a margin of slf --r 4 --n 5 that is already
+        # close to its tolerance, so no slf quantity may change its route.
+        entered = []
+
+        def spy(name):
+            real = getattr(linform, name)
+
+            def recorded(*args, **kwargs):
+                entered.append(name)
+                return real(*args, **kwargs)
+
+            return recorded
+
+        for name in ("_quotient_layout", "_quotient_route"):
+            monkeypatch.setattr(linform, name, spy(name))
+        fresh = functools.lru_cache(maxsize=16384)(linform._route.__wrapped__)
+        monkeypatch.setattr(linform, "_route", fresh)
+        code, _, err = _run(capsys, argv)
+        assert code == 0, err
+        assert entered == []
+        # The spies are live: a formed engine enters both.
+        _run(capsys, ["lf2", "--r", "2", "--n", "5"])
+        assert {"_quotient_layout", "_quotient_route"} <= set(entered)
 
 
 class TestProgressionMap:

@@ -176,3 +176,27 @@ def test_stdout_matches_output_file(tmp_path, argv):
     assert to_stdout.stdout.count(b"\n") > 1
     assert to_stdout.stdout == out.read_bytes()
     assert to_stdout.stderr == to_file.stderr
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("chain_margins", ["--moduli", "5", "--seeds", "2"]),
+        ("separation_sweep", ["--moduli", "31", "--seeds", "2"]),
+    ],
+)
+def test_budget_read_once(tmp_path, capsys, monkeypatch, name, argv):
+    # The budget is resolved once for the run and handed to every engine.
+    import gowers.budget as budget
+
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(budget, "os", mock.Mock(environ=Environ(os.environ)))
+    script = _load(name, monkeypatch)
+    assert script.main([*argv, "--output", str(tmp_path / "out.csv")]) == 0
+    assert reads == ["GOWERS_BUDGET"]
