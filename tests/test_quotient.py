@@ -233,9 +233,10 @@ class TestPivots:
         ids=["last-dropped", "every-column"],
     )
     def test_a_wrong_pivot_set_raises(self, monkeypatch, fault):
-        # The chain quantity at c=(2,): 6 variables, rank 3.
+        # The chain quantity at c=(2,): 6 variables, rank 4.
         w = represent(_measure(7, 4), 3)
-        factors = linform._lf2_factors(w, (0, 2, 3), Lf2Exponents.all_ones(3), formed=True)
+        base = linform._lf2_factors(w, (0, 2, 3), Lf2Exponents.all_ones(3), formed=True)
+        factors = linform._kept(base, (2,))
         real = forms.pivots
         monkeypatch.setattr(forms, "pivots", lambda rows, n: fault(real(rows, n), rows))
         monkeypatch.setattr(linform, "_route", functools.lru_cache()(linform._route.__wrapped__))
@@ -263,7 +264,7 @@ class TestQuotientRoute:
 
     def test_binding_lf2_charges(self):
         # The chain quantity at c=(2,) of the edge omitting 1 is the first
-        # step refused at r=3, 7 N^3 + 3 N^2 products over the rank-3 form
+        # step refused at r=3, 7 N^3 + 3 N^2 products over the rank-4 form
         # system, where the router charged 1.03e8 at N=29.
         n = 29
         w = represent(_measure(n, 6, p=0.5), 3)
