@@ -35,7 +35,7 @@ from .budget import check_budget
 from .cyclic import CyclicFn, Measure
 from .errors import NumericalInconsistency, ShapeMismatch
 from .gowersnorm import _CHUNK_ELEMS, u_norm_fast
-from .hypersystem import WeightedHypergraph, is_prime, relabel, represent_charged
+from .hypersystem import WeightedHypergraph, is_prime, represent_charged
 from .linform import Cap, capped_chain_verify, expect_product, weight_factor
 from .report import TOL, VerificationReport, eq_check
 
@@ -256,12 +256,6 @@ def hypothesis_ratio(nu: Measure, r: int, budget: float | None = None) -> Hypoth
     )
 
 
-def _transposition(r: int, m: int) -> tuple[int, ...]:
-    perm = list(range(r + 1))
-    perm[0], perm[m] = perm[m], perm[0]
-    return tuple(perm)
-
-
 def telescoping_check(
     w: WeightedHypergraph, density: float, budget: float | None = None, with_chains: bool = False
 ) -> VerificationReport:
@@ -275,8 +269,8 @@ def telescoping_check(
     their caps, after relabeling vertex m to the distinguished slot: the
     weights of the edges that omitted 0..m-1, and one for the rest.  With
     ``with_chains`` the composed chain bound of that instance
-    (``capped_chain_verify``) is attached as a measured ratio, and any check
-    of it that fails is added.
+    (``capped_chain_verify`` on w with vertices 0 and m exchanged) is
+    attached as a measured ratio, and any check of it that fails is added.
     """
     r = w.r
     report = VerificationReport(name="progression-telescoping")
@@ -289,12 +283,11 @@ def telescoping_check(
         terms.append(term)
         report.ratios[f"term-{m}"] = term
         if with_chains:
-            wm = relabel(w, _transposition(r, m))
             caps = {
-                (wm.system.edge_omitting(j), 0): Cap.NU if (0 if j == m else j) < m else Cap.ONE
+                (w.system.edge_omitting(j), 0): Cap.NU if (0 if j == m else j) < m else Cap.ONE
                 for j in range(1, r + 1)
             }
-            chain = capped_chain_verify(wm, caps, budget)
+            chain = capped_chain_verify(w, caps, budget, swap=m)
             report.ratios[f"term-{m}-chain-bound"] = chain.ratios["composed-bound"]
             for c in chain.checks:
                 if not c.passed:

@@ -200,8 +200,10 @@ def _run(plan: _Plan, factors: list[Factor]) -> float:
 def _double(factors: list[Factor], d: tuple[int, ...]) -> list[Factor]:
     """Each factor once per copy pattern of the doubled vertices d, pattern
     order innermost: a plain axis of a vertex in d reads that vertex's copy
-    in the pattern, every other axis is kept.  Only the planner oracle
-    ``_on_planner`` doubles factors this way."""
+    in the pattern, every other axis is kept.  The planner oracle
+    ``_on_planner`` doubles factors this way, and ``_quotient_layout``
+    doubles the axes of a structure, each with its factor's index in place
+    of the array."""
     patterns = [dict(zip(d, omega)) for omega in itertools.product((0, 1), repeat=len(d))]
     return [
         (arr, [(v, copy_of.get(v)) if c is None else (v, c) for v, c in axes])
@@ -414,18 +416,13 @@ def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _QuotientLayou
     moduli = {form.modulus for _, _, form in structure}
     if not is_prime(n) or moduli != {n} or {s for shape, _, _ in structure for s in shape} != {n}:
         return None
-    patterns = [dict(zip(d, omega)) for omega in itertools.product((0, 1), repeat=len(d))]
-    doubled = [
-        (i, [(v, copy_of.get(v)) if c is None else (v, c) for v, c in axes], form.coeffs)
-        for i, (_, axes, form) in enumerate(structure)
-        for copy_of in patterns
-    ]
-    order = sorted({var for _, axes, _ in doubled for var in axes}, key=_var_order_key)
+    doubled = _double([(i, axes) for i, (_, axes, _) in enumerate(structure)], d)
+    order = sorted({var for _, axes in doubled for var in axes}, key=_var_order_key)
     column = {var: k for k, var in enumerate(order)}
     rows = {}
-    for _, axes, coeffs in doubled:
+    for i, axes in doubled:
         row = [0] * len(order)
-        for var, c in zip(axes, coeffs):
+        for var, c in zip(axes, structure[i][2].coeffs):
             row[column[var]] = c % n
         rows[tuple(row)] = None
     rows = list(rows)
@@ -439,7 +436,7 @@ def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _QuotientLayou
         )
     letter = dict(zip([order[k] for k in pivots], _LETTERS))
     slices, terms = [], []
-    for i, axes, _ in doubled:
+    for i, axes in doubled:
         slices.append((i, tuple([slice(None) if var in letter else 0 for var in axes])))
         terms.append("".join([letter[var] for var in axes if var in letter]))
     plan = _plan(",".join(terms), (n,) * len(pivots))
@@ -476,6 +473,17 @@ def _router(
     return _plan(subscripts, tuple([sizes[v] for v in order]))
 
 
+def _structure(factors: list[Factor]) -> Structure:
+    """The key of ``_route``: each factor's shape and axes, and its form
+    when it carries one."""
+    if len(factors[0]) == 2:
+        try:
+            return tuple([(arr.shape, tuple(axes)) for arr, axes in factors])
+        except ValueError:
+            raise ShapeMismatch("every factor or none must carry a form") from None
+    return tuple([(f[0].shape, tuple(f[1]), *f[2:]) for f in factors])
+
+
 @functools.lru_cache(maxsize=16384)
 def _route(
     structure: Structure, d: tuple[int, ...]
@@ -490,10 +498,10 @@ def _route(
     its form, takes the quotient route (``_quotient_layout``) where that is
     charged less than the route of the same structure without its forms.
     """
+    if len({len(entry) for entry in structure}) != 1:
+        raise ShapeMismatch("every factor or none must carry a form")
     if len(structure[0]) == 2:
         return _router(structure, d)
-    if any(len(entry) != 3 for entry in structure):
-        raise ShapeMismatch("every factor or none must carry a form")
     route = _router(tuple([entry[:2] for entry in structure]), d)
     quotient = _quotient_layout(structure, d)
     return quotient if quotient is not None and quotient.cost < route.cost else route
@@ -510,11 +518,7 @@ def expect_product(
     cost before any work happens."""
     if not factors:
         return 1.0
-    if len(factors[0]) == 2:
-        key = tuple([(arr.shape, tuple(axes)) for arr, axes in factors])
-    else:
-        key = tuple([(f[0].shape, tuple(f[1]), *f[2:]) for f in factors])
-    route = _route(key, d)
+    route = _route(_structure(factors), d)
     check_budget(route.cost, budget, what=what or "product expectation", power=route.power)
     if isinstance(route, _BoxLayout):
         return _box_route(factors, route)
@@ -580,13 +584,13 @@ class CubePattern:
         return "".join(str(b) for b in self.bits)
 
 
-def _uniformity_norm(centered: np.ndarray, form: Form, budget: float | None) -> float:
-    """The box norm of a centered formed array nu(L·x) - 1, every
+def _uniformity_norm(values: np.ndarray, form: Form, budget: float | None) -> float:
+    """The box norm of nu(L·x) - 1 for a formed array nu(L·x), every
     coefficient of L invertible: by norm preservation the uniformity norm
-    of nu - 1 of the array's order, nu - 1 read along its ``forms.line``.
+    of nu - 1 of the array's order, nu read along its ``forms.line``.
     It shares no code with the expectation routes."""
-    line = CyclicFn(form.modulus, forms.line(centered, form))
-    return u_norm_fast(line, centered.ndim, budget)
+    line = CyclicFn(form.modulus, forms.line(values, form) - 1.0)
+    return u_norm_fast(line, values.ndim, budget)
 
 
 def _cube_factors(
@@ -638,7 +642,7 @@ def cube_centered_expectation(
         _cube_factors(centered, pat.support(), form), budget, what="centered cube expectation"
     )
     if form is not None and all(c % form.modulus for c in form.coeffs):
-        box = _uniformity_norm(centered.values, form, budget)
+        box = _uniformity_norm(g.values, form, budget)
     else:
         box = box_norm(centered, budget=budget)
     bound = box ** pat.weight()
@@ -690,11 +694,12 @@ def binomial_expansion_identity(
     cube coordinate relabels the integration variables, so a centered term
     is constant on each orbit of the coordinate flips.  Each orbit is
     evaluated once across all the patterns, at its representative with its
-    vertices in cube-vertex order, and charged before it runs.  The walk of
-    a pattern's 2^weight - 1 sub-supports is charged before the pattern:
-    one table lookup each for k <= _TABLE_K, above that 2^k flips of 2^k
-    bits each.  With the form of g = nu(L·x), g is paired with it once and
-    every expectation runs on formed factors.
+    vertices in cube-vertex order.  The walk of a pattern's 2^weight - 1
+    sub-supports is charged before the pattern: one table lookup each for
+    k <= _TABLE_K, above that 2^k flips of 2^k bits each.  The pattern's
+    expectations, its raw one and each orbit not evaluated before, are then
+    charged together, as one step, before any of them runs.  With the form
+    of g = nu(L·x) every expectation runs on formed factors.
     """
     k = len(g.edge)
     vertices = cube_vertices(k)
@@ -711,28 +716,38 @@ def binomial_expansion_identity(
         check_budget((power_cost(2, pat.weight()) - 1.0) * per_sub, budget, what=what)
         if pat.k != k:
             raise ShapeMismatch("pattern dimension does not match edge size")
-        lhs = expect_product(
-            _cube_factors(g, pat.support(), form), budget, what="cube expectation"
-        )
         full = sum([1 << j for j, b in enumerate(pat.bits) if b])
         # Every nonempty submask of ``full``, in falling order; fsum rounds
         # the exact sum, so the order does not show.
-        parts = [1.0]
+        reps = []
         sub = full
         while sub:
-            rep = table[sub] if table is not None else min(
-                [_flipped(sub, t, n) for t in range(n)]
+            reps.append(
+                table[sub] if table is not None else min([_flipped(sub, t, n) for t in range(n)])
             )
-            if rep not in terms:
-                support = [om for j, om in enumerate(vertices) if rep >> j & 1]
-                terms[rep] = expect_product(
-                    _cube_factors(centered, support, form),
-                    budget,
-                    what="centered cube expectation",
-                )
-            parts.append(terms[rep])
             sub = (sub - 1) & full
-        rhs = math.fsum(parts)
+        new = {
+            rep: _cube_factors(
+                centered, [om for j, om in enumerate(vertices) if rep >> j & 1], form
+            )
+            for rep in reps
+            if rep not in terms
+        }
+        routes = [
+            _route(_structure(factors), ())
+            for factors in [_cube_factors(g, pat.support(), form), *new.values()]
+            if factors
+        ]
+        check_budget(
+            math.fsum([route.cost for route in routes]),
+            budget,
+            what=f"cube expansion (k={k}, {len(routes)} expectations)",
+            power=max([route.power for route in routes], default=0),
+        )
+        lhs = cube_expectation(g, pat, budget, form)
+        for rep, factors in new.items():
+            terms[rep] = expect_product(factors, budget, what="centered cube expectation")
+        rhs = math.fsum([1.0, *[terms[rep] for rep in reps]])
         report = VerificationReport(name="cube-binomial-expansion")
         report.add(eq_check("binomial-expansion", lhs, rhs, TOL))
         report.ratios["raw"] = lhs
@@ -894,14 +909,15 @@ def weight_factor(
 
 def _cap_factor(w: WeightedHypergraph, edge: Edge, cap: Cap) -> Factor:
     """The single-copy factor of a cap: the weight of the edge, or the
-    constant one, formed with the zero form when w carries forms."""
+    constant one.  When w carries forms the one has the zero form and is a
+    single value viewed over the edge; otherwise it is a dense array."""
     if cap is Cap.NU:
         return weight_factor(w, edge)
-    ones = np.ones(w.system.edge_dims(edge))
+    dims = w.system.edge_dims(edge)
     axes = _origin_axes(edge, None)
     if w.forms is None or w.modulus is None:
-        return ones, axes
-    return ones, axes, Form((0,) * len(edge), w.modulus)
+        return np.ones(dims), axes
+    return np.broadcast_to(np.float64(1.0), dims), axes, Form((0,) * len(edge), w.modulus)
 
 
 def _slf_base(inst: SlfInstance) -> tuple[list[Factor], list[Factor]]:
@@ -1078,19 +1094,20 @@ def _close(
     return report
 
 
-def _endpoint_box_power(w: WeightedHypergraph, budget: float | None) -> float:
-    """The box power of the centered distinguished weight by a route that
-    shares no code with ``expect_product``'s box route, so that it can check the
-    chain's endpoint.  For a represented hypergraph it is the order-r
-    uniformity power of nu - 1, equal by norm preservation, with
-    nu(y) = w_{e0}(y / c, 0, ..., 0) mod N for the first coefficient c of
-    the form of e0.  Otherwise (no forms) it is ``box_norm``, and the
+def _endpoint_box_power(w: WeightedHypergraph, budget: float | None, swap: int = 0) -> float:
+    """The box power of the centered distinguished weight, the weight of the
+    edge omitting ``swap``, by a route that shares no code with
+    ``expect_product``'s box route, so that it can check the chain's
+    endpoint.  For a represented hypergraph it is the order-r uniformity
+    power of nu - 1, equal by norm preservation, with
+    nu(y) = w_e(y / c, 0, ..., 0) mod N for the first coefficient c of the
+    form of that edge e.  Otherwise (no forms) it is ``box_norm``, and the
     endpoint stays on the planner."""
-    g = w.weights[_distinguished_edge(w)]
-    form = w.form(0)
+    g = w.weight_omitting(swap)
+    form = w.form(swap)
     if form is None:
         return box_norm(g.centered(), budget=budget) ** (2.0**w.r)
-    return _uniformity_norm(g.values - 1.0, form, budget) ** (2.0**w.r)
+    return _uniformity_norm(g.values, form, budget) ** (2.0**w.r)
 
 
 def _slf_chain(
@@ -1099,9 +1116,13 @@ def _slf_chain(
     caps: list[Factor],
     single: bool,
     budget: float | None,
+    swap: int = 0,
 ) -> VerificationReport:
     """The chain of an instance on w, of one copy of vertex 0 or two, from
-    its base factors and their caps (as ``_slf_base`` lays them out)."""
+    its base factors and their caps (as ``_slf_base`` lays them out).  The
+    distinguished slot reads the weight of the edge omitting ``swap``: 0
+    unless the factors exchange the labels 0 and ``swap``
+    (``capped_chain_verify``)."""
     r = w.r
     e0 = _distinguished_edge(w)
     sup = sup_norm(w)
@@ -1109,7 +1130,7 @@ def _slf_chain(
     name = "single-copy-chain" if single else "strong-linear-forms-chain"
     planned = () if w.forms is not None else (e0,)
     report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget, planned)
-    box_power = _endpoint_box_power(w, budget)
+    box_power = _endpoint_box_power(w, budget, swap)
     endpoint = q_at[e0]
     tol = TOL * max(1.0, abs(endpoint), abs(box_power))
     report.add(eq_check("endpoint-box-power", endpoint, box_power, tol))
@@ -1143,18 +1164,36 @@ def single_chain_verify(inst: SlfInstance, budget: float | None = None) -> Verif
 
 
 def capped_chain_verify(
-    w: WeightedHypergraph, caps: dict[tuple[Edge, int], Cap], budget: float | None = None
+    w: WeightedHypergraph,
+    caps: dict[tuple[Edge, int], Cap],
+    budget: float | None = None,
+    swap: int = 0,
 ) -> VerificationReport:
-    """``chain_verify`` of the single-copy instance on w whose every
-    minorant is its cap, the caps keyed (edge, 0) as in ``SlfInstance``.
-    Its factors are formed when w carries forms (``weight_factor``,
-    ``_cap_factor``), so each expectation may take the quotient route."""
+    """``chain_verify`` of the single-copy instance whose every minorant is
+    its cap, the caps keyed (edge, 0) as in ``SlfInstance``, on w with
+    vertices 0 and ``swap`` exchanged.  Each factor reads the weight of the
+    edge at the exchanged labels, relabeling the factor's axes instead of
+    copying the weight.  Its factors are formed when w carries forms
+    (``weight_factor``, ``_cap_factor``), so each expectation may take the
+    quotient route."""
     slots = _slots(w.r, (0,))
     if set(caps) != set(slots):
         raise ShapeMismatch("caps must cover every non-distinguished edge in copy 0")
-    capped = [_cap_factor(w, edge, caps[(edge, copy)]) for edge, copy in slots]
-    base = [weight_factor(w, _distinguished_edge(w), centered=True)] + capped
-    return _slf_chain(w, base, capped, True, budget)
+    label = list(range(w.r + 1))
+    label[0], label[swap] = swap, 0
+
+    def exchanged(edge: Edge) -> Edge:
+        return tuple(sorted(label[v] for v in edge))
+
+    def relabeled(factor: Factor) -> Factor:
+        return (factor[0], [(label[v], c) for v, c in factor[1]], *factor[2:])
+
+    capped = [
+        relabeled(_cap_factor(w, exchanged(edge), caps[(edge, copy)])) for edge, copy in slots
+    ]
+    e0 = exchanged(_distinguished_edge(w))
+    base = [relabeled(weight_factor(w, e0, centered=True))] + capped
+    return _slf_chain(w, base, capped, True, budget, swap)
 
 
 def random_slf_instance(
@@ -1280,12 +1319,10 @@ def lf2_expectation(
     return expect_product(factors, budget, what="doubled-origin expectation")
 
 
-def _lf2_factors(
-    w: WeightedHypergraph, ej: Edge, exps: Lf2Exponents, formed: bool = False
-) -> list[Factor]:
+def _lf2_factors(w: WeightedHypergraph, ej: Edge, exps: Lf2Exponents) -> list[Factor]:
     """Factors of the centered term at edge ej: (weight - 1) on ej at copy 0
     of vertex 0, then every other active slot's weight at its own copy;
-    formed (``weight_factor``) when ``formed`` and w carries forms."""
+    formed when w carries forms (``weight_factor``)."""
     if exps.r != w.r:
         raise ShapeMismatch("exponent arity does not match hypergraph")
     factors = [weight_factor(w, ej, 0, centered=True)]
@@ -1294,7 +1331,7 @@ def _lf2_factors(
         for edge, copy in exps.active_slots()
         if (edge, copy) != (ej, 0)
     ]
-    return factors if formed else [f[:2] for f in factors]
+    return factors
 
 
 def lf2_term(
@@ -1305,7 +1342,7 @@ def lf2_term(
     active slot contributes its weight unchanged."""
     if not (1 <= j <= w.r):
         raise InvalidSubset(f"edge index {j} must be in 1..{w.r}")
-    factors = _lf2_factors(w, w.system.edge_omitting(j), exps, formed=True)
+    factors = _lf2_factors(w, w.system.edge_omitting(j), exps)
     return expect_product(factors, budget, what="centered doubled-origin term")
 
 
@@ -1357,7 +1394,7 @@ def lf2_chain_verify(
     r = w.r
     ej = w.system.edge_omitting(j)
     others = tuple(v for v in ej if v != 0)
-    base = _lf2_factors(w, ej, exps, formed=True)
+    base = _lf2_factors(w, ej, exps)
     sup = sup_norm(w)
     n_final = exps.table[(ej, 1)]
     prefixes = [others[:t] for t in range(len(others) + 1)]

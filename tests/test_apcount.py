@@ -18,17 +18,21 @@ import gowers.apcount as apcount
 from conftest import philox, random_cyclic
 from gowers import (
     BudgetExceeded,
+    Cap,
     CyclicFn,
     GeneratorSpec,
     ap_density,
     from_set,
     generate,
     hypothesis_ratio,
+    relabel,
     relsz_experiment,
     represent,
     telescoping_check,
 )
 from gowers.apcount import ApReport
+from gowers.hypersystem import WeightedHypergraph
+from gowers.linform import capped_chain_verify
 from gowers.errors import NumericalInconsistency, ShapeMismatch
 
 
@@ -678,6 +682,29 @@ class TestTelescoping:
         for m in range(3):
             bound = report.ratios[f"term-{m}-chain-bound"]
             assert abs(report.ratios[f"term-{m}"]) <= bound + 1e-9
+
+    @pytest.mark.parametrize("rn", [(2, 7), (3, 5)])
+    @pytest.mark.parametrize("formed", [True, False], ids=["formed", "plain"])
+    def test_exchanged_labels_match_the_relabeled_hypergraph(self, rn, formed):
+        # A term's chain reads the weights of w at exchanged labels; the
+        # same chain on the copy that ``relabel`` builds is its oracle.
+        r, n = rn
+        w = represent(generate(GeneratorSpec(kind="random", n=n, p=0.6, seed=4)), r)
+        if not formed:
+            w = WeightedHypergraph(w.system, w.weights)
+        for m in range(r + 1):
+            caps = {
+                (w.system.edge_omitting(j), 0): Cap.NU if (0 if j == m else j) < m else Cap.ONE
+                for j in range(1, r + 1)
+            }
+            perm = list(range(r + 1))
+            perm[0], perm[m] = m, 0
+            ours = capped_chain_verify(w, caps, swap=m)
+            oracle = capped_chain_verify(relabel(w, tuple(perm)), caps)
+            assert [c.check for c in ours.checks] == [c.check for c in oracle.checks]
+            assert ours.passed and oracle.passed
+            for key, value in oracle.ratios.items():
+                assert ours.ratios[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
 
     def test_random_measures(self):
         for seed in range(3):

@@ -532,8 +532,31 @@ class TestBinomialClasses:
         assert (err.value.estimated, err.value.power) == (estimate, 0)
         assert err.value.what == f"cube expansion walk (k={k}, 2^{weight} - 1 sub-supports)"
         monkeypatch.undo()
-        (report,) = binomial_expansion_identity(g, [pat], budget=max(estimate, 1e6))
+        (report,) = binomial_expansion_identity(g, [pat], budget=max(estimate, 1e7))
         assert report.passed, report.failures()
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_expansion_charged_as_one_step(self, monkeypatch, k):
+        # The pattern's expectations are charged together before any runs:
+        # the sum of the charges each of them then makes on its own.
+        g = EdgeFn(tuple(range(1, k + 1)), (3,) * k, 0.5 + philox(k).random((3,) * k))
+        pat = CubePattern.all_ones(k)
+        charges = []
+        real = linform.check_budget
+
+        def spy(estimated, budget=None, what="", power=0):
+            charges.append((what, estimated))
+            return real(estimated, budget, what, power)
+
+        monkeypatch.setattr(linform, "check_budget", spy)
+        binomial_expansion_identity(g, [pat])
+        expansion = [e for what, e in charges if what.startswith("cube expansion (")]
+        each = [e for what, e in charges if what.endswith("cube expectation")]
+        assert expansion == [math.fsum(each)]
+        monkeypatch.setattr(linform, "expect_product", None)  # any expectation raises
+        with pytest.raises(BudgetExceeded) as err:
+            binomial_expansion_identity(g, [pat], budget=expansion[0] - 1.0)
+        assert err.value.what == f"cube expansion (k={k}, {len(each)} expectations)"
 
     def test_one_expectation_per_class_in_verify_suite(self, monkeypatch):
         # 45 nonempty classes at k=3 plus 8 left-hand sides per seed; one
@@ -950,7 +973,8 @@ def _chain_factors(kind: str, w: WeightedHypergraph, seed: int):
     if kind == "lf2":
         exps = Lf2Exponents.all_ones(r)
         ej = w.system.edge_omitting(1 + seed % r)
-        base = caps = linform._lf2_factors(w, ej, exps)
+        # The chain of the plain factors, which the router serves.
+        base = caps = [f[:2] for f in linform._lf2_factors(w, ej, exps)]
         others = tuple(v for v in ej if v != 0)
         sets = [others[:t] for t in range(len(others) + 1)]
         plain = [(v, None) for v in ej]

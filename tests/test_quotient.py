@@ -235,7 +235,7 @@ class TestPivots:
     def test_a_wrong_pivot_set_raises(self, monkeypatch, fault):
         # The chain quantity at c=(2,): 6 variables, rank 4.
         w = represent(_measure(7, 4), 3)
-        base = linform._lf2_factors(w, (0, 2, 3), Lf2Exponents.all_ones(3), formed=True)
+        base = linform._lf2_factors(w, (0, 2, 3), Lf2Exponents.all_ones(3))
         factors = linform._kept(base, (2,))
         real = forms.pivots
         monkeypatch.setattr(forms, "pivots", lambda rows, n: fault(real(rows, n), rows))
@@ -247,7 +247,7 @@ class TestPivots:
 class TestQuotientRoute:
     def test_slices_are_views(self, monkeypatch):
         w = represent(_measure(7, 5), 3)
-        factors = linform._lf2_factors(w, (0, 2, 3), Lf2Exponents.all_ones(3), formed=True)
+        factors = linform._lf2_factors(w, (0, 2, 3), Lf2Exponents.all_ones(3))
         operands = []
         real = linform._run
 
@@ -296,5 +296,9 @@ class TestQuotientRoute:
     def test_mixed_factor_list_is_refused(self):
         w = represent(_measure(5, 8), 2)
         formed = linform.weight_factor(w, (0, 1))
-        with pytest.raises(ShapeMismatch):
-            expect_product([formed, formed[:2]])
+        for factors in ([formed, formed[:2]], [formed[:2], formed]):
+            with pytest.raises(ShapeMismatch):
+                expect_product(factors)
+            structure = tuple((f[0].shape, tuple(f[1]), *f[2:]) for f in factors)
+            with pytest.raises(ShapeMismatch):
+                linform._route(structure, ())
