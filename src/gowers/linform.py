@@ -730,7 +730,7 @@ def binomial_expansion_identity(
             rep: _cube_factors(
                 centered, [om for j, om in enumerate(vertices) if rep >> j & 1], form
             )
-            for rep in reps
+            for rep in dict.fromkeys(reps)
             if rep not in terms
         }
         routes = [
