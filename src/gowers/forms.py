@@ -10,7 +10,6 @@ basis by an elimination that shares no code with ``pivots``.
 from __future__ import annotations
 
 import functools
-import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -56,22 +55,14 @@ def line(values: np.ndarray, form: Form) -> np.ndarray:
     return values[_levels(form)[0]]
 
 
-# The read-only arrays that ``paired`` has checked, by id: a weak reference
-# to the array, which drops the entry when the array dies, and the forms it
-# was checked against.
-_checked: dict[int, tuple[weakref.ref, set[Form]]] = {}
-
-
 def paired(values: np.ndarray, form: Form) -> np.ndarray:
     """``values``, once checked equal to h(L·x) at every x, for L the form
-    and h its ``line``.  A read-only array is checked once per form, however
-    often it is paired with it; one computed from it value by value, such
-    as the centered weight, is formed with the same form unchecked.  L·x is
-    formed for blocks of the first axis, at most _CHUNK_ELEMS values or one
-    row each.  An array that fails raises NumericalInconsistency."""
-    entry = _checked.get(id(values))
-    if entry is not None and entry[0]() is values and form in entry[1]:
-        return values
+    and h its ``line``.  An array is checked where a caller pairs it with
+    its form (a hypergraph's weights once, in ``WeightedHypergraph.paired``);
+    one computed from it value by value, such as the centered weight, is
+    formed with the same form unchecked.  L·x is formed for
+    blocks of the first axis, at most _CHUNK_ELEMS values or one row each.
+    An array that fails raises NumericalInconsistency."""
     n = form.modulus
     if values.shape != (n,) * len(form.coeffs):
         raise ShapeMismatch(f"form {form} does not fit values of shape {values.shape}")
@@ -84,12 +75,6 @@ def paired(values: np.ndarray, form: Form) -> np.ndarray:
             raise NumericalInconsistency(
                 f"values are not constant on the level sets of their form {form.coeffs} mod {n}"
             )
-    if not values.flags.writeable:
-        if entry is None or entry[0]() is not values:
-            key = id(values)
-            entry = (weakref.ref(values, lambda _, key=key: _checked.pop(key, None)), set())
-            _checked[key] = entry
-        entry[1].add(form)
     return values
 
 

@@ -699,15 +699,14 @@ def binomial_expansion_identity(
     k <= _TABLE_K, above that 2^k flips of 2^k bits each.  The pattern's
     expectations, its raw one and each orbit not evaluated before, are then
     charged together, as one step, before any of them runs.  With the form
-    of g = nu(L·x) every expectation runs on formed factors.
+    of g = nu(L·x) every expectation runs on formed factors, g paired with
+    it by ``cube_expectation`` before each pattern's centered terms.
     """
     k = len(g.edge)
     vertices = cube_vertices(k)
     n = len(vertices)
     table = _flip_classes(k) if k <= _TABLE_K else None
     per_sub = 1.0 if table is not None else float(n * n)
-    if form is not None:
-        forms.paired(g.values, form)
     centered = g.centered()
     terms: dict[int, float] = {}
     reports = []
