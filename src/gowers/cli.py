@@ -23,12 +23,10 @@ import math
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from .apcount import ap_density, hypothesis_ratio, relsz_experiment, telescoping_check
 from .budget import DEFAULT_BUDGET, resolve_budget
 from .errors import BudgetExceeded, GowersError, NumericalInconsistency
-from .genmeasure import KINDS, GeneratorSpec, generate
+from .genmeasure import KINDS, GeneratorSpec, PhiloxStream, generate
 from .gowersnorm import (
     EdgeFn,
     box_norm,
@@ -199,7 +197,7 @@ def _gcs_case(rep, key: int, dims, prefix: str, margin: str | None, budget) -> N
     slot is drawn afresh."""
     edge = tuple(range(1, len(dims) + 1))
     charge_gcs(edge, dims, budget)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = PhiloxStream(key)
 
     def draw() -> EdgeFn:
         return EdgeFn(edge, dims, rng.random(dims) * 2.0 - 1.0)
@@ -331,8 +329,7 @@ def _cmd_represent(args, spec, nu):
     u = _preservation(report, nu, w, "", args.budget)
     points, npoints = None, n ** (r + 1)  # every point of the cube
     if npoints > 50_000:
-        rng = np.random.Generator(np.random.Philox(key=spec.seed))
-        points = rng.integers(0, n, size=(2000, r + 1))
+        points = PhiloxStream(spec.seed).integers(0, n, (2000, r + 1))
         npoints = len(points)
     bad = map_failures(w, points, args.budget)
     report.add(eq_check(f"progression-map ({npoints} points)", bad, 0.0, 0.0))
@@ -467,9 +464,9 @@ def _suite_cube(measures, r: int, budget) -> VerificationReport:
             CubePattern(2, bits) for bits in itertools.product((0, 1), repeat=4)
         ]
     else:
-        rng = np.random.Generator(np.random.Philox(key=0))
+        rng = PhiloxStream(0)
         patterns = [CubePattern.all_ones(r)] + [
-            CubePattern(r, tuple(int(b) for b in rng.integers(0, 2, size=2**r)))
+            CubePattern(r, tuple(int(b) for b in rng.integers(0, 2, 2**r)))
             for _ in range(7)
         ]
     patterns = [pat for pat in patterns if pat.weight()]

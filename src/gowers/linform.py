@@ -78,6 +78,7 @@ from .errors import (
 from . import forms
 from .cyclic import CyclicFn
 from .forms import Form
+from .genmeasure import PhiloxStream
 from .gowersnorm import (
     _CHUNK_ELEMS,
     _LETTERS,
@@ -748,7 +749,7 @@ def binomial_expansion_identity(
             terms[rep] = expect_product(factors, budget, what="centered cube expectation")
         rhs = math.fsum([1.0, *[terms[rep] for rep in reps]])
         report = VerificationReport(name="cube-binomial-expansion")
-        report.add(eq_check("binomial-expansion", lhs, rhs, TOL))
+        report.add(eq_check("binomial-expansion", lhs, rhs, TOL * max(1.0, abs(lhs), abs(rhs))))
         report.ratios["raw"] = lhs
         report.ratios["centered-sum"] = rhs
         reports.append(report)
@@ -1204,7 +1205,7 @@ def random_slf_instance(
     vertex ascending), copies inner."""
     if copies not in (1, 2):
         raise ValueError(f"copies must be 1 or 2, got {copies}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = PhiloxStream(seed)
     caps: dict[tuple[Edge, int], Cap] = {}
     gs: dict[tuple[Edge, int], EdgeFn] = {}
     for edge, copy in _slots(w.r, range(copies)):

@@ -1,18 +1,37 @@
 """Seeded measure generators: frozen member sets, exact-rational thresholds,
-determinism, and validation."""
+determinism, and validation; the in-package Philox stream against numpy's."""
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gowers.cli as cli
+import gowers.genmeasure as genmeasure
+import gowers.linform as linform
+from conftest import philox
 from gowers import (
     EmptySetGenerated,
     GeneratorSpec,
     KINDS,
     generate,
     generate_set,
+    represent,
 )
+from gowers.errors import NumericalInconsistency
+from gowers.genmeasure import PhiloxStream
+from gowers.linform import random_slf_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestSpecValidation:
@@ -154,3 +173,149 @@ class TestGenerate:
         spec = GeneratorSpec(kind="random", n=29, p=0.5, seed=11)
         a, b = generate(spec), generate(spec)
         assert np.array_equal(a.fn.values, b.fn.values)
+
+
+# ---------------------------------------------------------------------------
+# The in-package stream, with numpy.random as its oracle
+
+HANDOFF = genmeasure._HANDOFF_WORDS
+KEYS = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
+# 2**31 + 1 rejects about half of all halves, the others almost none.
+BOUNDS = [2, 3, 7, 61, 4093, 2**31 - 1, 2**31 + 1, 2**32 - 1]
+# Sizes on both sides of the hand-off, for uniforms (one word each) and for
+# integers (half a word each), odd ones leaving half a word pending.
+SIZES = st.one_of(
+    st.integers(0, 9),
+    st.tuples(st.integers(1, 4), st.integers(1, 5)),
+    st.sampled_from([HANDOFF - 1, HANDOFF, HANDOFF + 1, 2 * HANDOFF - 1, 2 * HANDOFF + 3]),
+)
+CALLS = st.one_of(
+    st.just(("random", None)),
+    st.tuples(st.just("random"), SIZES),
+    st.tuples(st.sampled_from(BOUNDS), SIZES),
+)
+
+
+def _same_draws(key: int, calls) -> None:
+    ours, ref = PhiloxStream(key), philox(key)
+    for bound, size in calls:
+        if bound == "random":
+            got, want = ours.random(size), ref.random(size)
+        else:
+            got, want = ours.integers(0, bound, size), ref.integers(0, bound, size=size)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.array_equal(got, want), (bound, size)
+
+
+class TestPhiloxStream:
+    @settings(max_examples=100)
+    @given(
+        key=st.one_of(st.sampled_from(KEYS), st.integers(0, 2**128 - 1)),
+        calls=st.lists(CALLS, min_size=1, max_size=6),
+    )
+    @example(key=2**128 - 1, calls=[(7, 3), ("random", None), (7, 1), ("random", 5), (61, 2)])
+    @example(key=1, calls=[("random", 3), ("random", 2 * HANDOFF + 3), ("random", None)])
+    @example(key=2**64, calls=[(3, 5), (2**32 - 1, 2 * HANDOFF + 3), (2, 1)])
+    def test_matches_numpy_on_mixed_calls(self, key, calls):
+        _same_draws(key, calls)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_every_bound_across_the_handoff(self, key):
+        calls = [(bound, size) for bound in BOUNDS for size in (1, 2 * HANDOFF + 1)]
+        _same_draws(key, [("random", 3), *calls, ("random", HANDOFF + 2), ("random", None)])
+
+    def test_span_of_2_32_matches_numpy_and_above_is_refused(self):
+        _same_draws(5, [(2**32, 3), (2**32, (2, 3)), ("random", None)])
+        with pytest.raises(ValueError, match=r"high - low <= 2\*\*32"):
+            PhiloxStream(5).integers(0, 2**32 + 1, 3)
+        with pytest.raises(ValueError):
+            PhiloxStream(5).integers(4, 4, 3)
+
+    def test_single_value_draws_nothing(self):
+        ours = PhiloxStream(3)
+        assert np.array_equal(ours.integers(6, 7, 4), [6, 6, 6, 6])
+        assert ours.random() == philox(3).random()
+
+    @pytest.mark.parametrize("key", [-1, 2**128])
+    def test_key_outside_philox_range_is_refused(self, key):
+        # Masking the key would turn -1 into the valid key 2**128 - 1.
+        with pytest.raises(ValueError, match="Philox key"):
+            PhiloxStream(key)
+        w = represent(generate(GeneratorSpec(kind="random", n=5, p=0.6, seed=0)), 2)
+        with pytest.raises(ValueError, match="Philox key"):
+            random_slf_instance(w, key)
+
+    def test_handoff_block_is_checked(self, monkeypatch):
+        real = genmeasure._philox_blocks
+        monkeypatch.setattr(genmeasure, "_philox_blocks", lambda key, *rest: real(key ^ 1, *rest))
+        assert PhiloxStream(8).random(HANDOFF).shape == (HANDOFF,)
+        with pytest.raises(NumericalInconsistency, match="Philox block"):
+            PhiloxStream(8).random(HANDOFF + 1)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["slf", "--r", "2", "--n", "5"],
+            ["verify", "--r", "2", "--n", "5", "--seeds", "1"],
+            ["gcs", "--tuples", "2"],
+            ["represent", "--r", "2", "--n", "59"],
+            ["norm", "--k", "2", "--n", "20011"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_cli_bytes_equal_numpys_generator(self, argv, monkeypatch):
+        # numpy's own Generator in place of the stream gives the same bytes;
+        # norm at N=20011 draws past the hand-off.
+        def stdout() -> str:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0
+            return out.getvalue()
+
+        ours = stdout()
+        for module in (genmeasure, cli, linform):
+            monkeypatch.setattr(module, "PhiloxStream", philox)
+        assert stdout() == ours
+
+
+_IMPORTS_AFTER = textwrap.dedent(
+    """
+    import contextlib, io, runpy, sys
+    argv, code = sys.argv[1:], 0
+    with contextlib.redirect_stdout(io.StringIO()):
+        if argv[0].endswith(".py"):
+            sys.argv = argv
+            try:
+                runpy.run_path(argv[0], run_name="__main__")
+            except SystemExit as exc:
+                code = exc.code
+        else:
+            from gowers.cli import main
+            code = main(argv)
+    print(code, "numpy.random" in sys.modules)
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "argv,imported",
+    [
+        (["slf", "--r", "2", "--n", "5"], False),
+        (["lf2", "--r", "3", "--n", "5"], False),
+        (["verify", "--r", "3", "--n", "5", "--seeds", "1"], False),
+        (["gcs"], False),
+        (["represent", "--r", "2", "--n", "59"], False),  # the sampled map check
+        (["scripts/chain_margins.py", "--moduli", "5", "--seeds", "1"], False),
+        (["norm", "--k", "2", "--n", "20011"], True),  # past the hand-off
+    ],
+    ids=["slf", "lf2", "verify", "gcs", "represent", "chain_margins", "norm-handoff"],
+)
+def test_numpy_random_imported_only_past_the_handoff(argv, imported):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_AFTER, *argv],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", str(imported)]

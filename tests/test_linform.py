@@ -54,6 +54,7 @@ from gowers import (
     u_norm_fast,
     ybar_sq_expectation,
 )
+from gowers.report import TOL
 
 
 def _measure(n=5, seed=0, p=0.6):
@@ -469,6 +470,36 @@ def _cube_patterns(k: int, count: int, seed: int) -> list[CubePattern]:
     ]
 
 
+def _fails_with_largest_term_scaled(monkeypatch, g: EdgeFn) -> None:
+    """The all-ones expansion of g passes, and fails on its identity alone
+    once the largest centered term is scaled by 1 + 1e-6."""
+    pat = CubePattern.all_ones(len(g.edge))
+    terms = {}
+    real = linform.expect_product
+
+    def recorded(factors, budget=None, what=""):
+        value = real(factors, budget, what)
+        if what == "centered cube expectation":
+            terms[tuple([tuple(axes) for _, axes in factors])] = value
+        return value
+
+    monkeypatch.setattr(linform, "expect_product", recorded)
+    assert binomial_expansion_identity(g, [pat])[0].passed
+    target = max(terms, key=lambda key: abs(terms[key]))
+
+    def scaled(factors, budget=None, what=""):
+        value = real(factors, budget, what)
+        if what == "centered cube expectation" and target == tuple(
+            [tuple(axes) for _, axes in factors]
+        ):
+            value *= 1.0 + 1e-6
+        return value
+
+    monkeypatch.setattr(linform, "expect_product", scaled)
+    (report,) = binomial_expansion_identity(g, [pat])
+    assert [c.check for c in report.failures()] == ["binomial-expansion"]
+
+
 class TestBinomialClasses:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_class_table_matches_orbits(self, k):
@@ -597,31 +628,24 @@ class TestBinomialClasses:
 
     def test_scaled_class_term_fails(self, monkeypatch):
         g = represent(_measure(n=5, seed=1), 3).weight_omitting(0)
-        pat = CubePattern.all_ones(3)
-        terms = {}
-        real = linform.expect_product
+        _fails_with_largest_term_scaled(monkeypatch, g)
 
-        def recorded(factors, budget=None, what=""):
-            value = real(factors, budget, what)
-            if what == "centered cube expectation":
-                terms[tuple([tuple(axes) for _, axes in factors])] = value
-            return value
+    def test_scaled_class_term_fails_at_large_magnitude(self, monkeypatch):
+        # The slack scales with the sides, TOL * max(1, |lhs|, |rhs|); at
+        # sides near 1.5e8 a relative fault of 1e-6 in one term still fails.
+        g = EdgeFn((1, 2), (5, 5), 200.0 * philox(2).random((5, 5)))
+        _fails_with_largest_term_scaled(monkeypatch, g)
 
-        monkeypatch.setattr(linform, "expect_product", recorded)
-        assert binomial_expansion_identity(g, [pat])[0].passed
-        target = max(terms, key=lambda key: abs(terms[key]))
-
-        def scaled(factors, budget=None, what=""):
-            value = real(factors, budget, what)
-            if what == "centered cube expectation" and target == tuple(
-                [tuple(axes) for _, axes in factors]
-            ):
-                value *= 1.0 + 1e-6
-            return value
-
-        monkeypatch.setattr(linform, "expect_product", scaled)
-        (report,) = binomial_expansion_identity(g, [pat])
-        assert [c.check for c in report.failures()] == ["binomial-expansion"]
+    def test_roundoff_at_large_magnitude_passes(self):
+        # Sides near 1.5e8 differ by roundoff alone (3e-8 here, 2e-16
+        # relative), which an absolute slack of TOL refused.
+        margins = []
+        for seed in (2, 3):
+            g = EdgeFn((1, 2), (5, 5), 200.0 * philox(seed).random((5, 5)))
+            (report,) = binomial_expansion_identity(g, [CubePattern.all_ones(2)])
+            assert report.passed, report.failures()
+            margins.append(abs(report.checks[0].margin))
+        assert max(margins) > TOL
 
 
 def _slf_lhs_loop(inst: SlfInstance) -> float:
