@@ -708,8 +708,12 @@ def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
 
 
 def _dispatch(args, budget: float) -> int:
-    """Run the subcommand of ``args`` against the resolved budget."""
+    """Run the subcommand of ``args`` against the resolved budget, once its
+    --r and --k, where it has them, are known to be at least one."""
     args.budget = budget
+    for flag in ("r", "k"):
+        if getattr(args, flag, 1) < 1:
+            raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     return args.func(args)
 
 

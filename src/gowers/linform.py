@@ -47,12 +47,13 @@ A factor may also carry its form, (array, axes, form), when its values are
 h(L·x mod N) for the linear form L and a prime N: the represented weights,
 their centered copies and the constant one (the zero form).  A product of
 such formed factors reads x only through the image of the form map, onto
-which the uniform x is pushed uniformly, so it may take a fourth route, the
-quotient route: the plan of the doubled factors sliced at 0 along the
-variables outside a basis of the form system (``_quotient_layout``).  The
-lf2 engine, the cube engine on a represented edge and the telescoping
-terms and their chains pass formed factors; the slf chains, whose
-minorants are random, pass plain ones.  Every route reduces over fixed
+which the uniform x is pushed uniformly, so it takes a fourth route, the
+quotient route, wherever every axis has the prime size N: a plan that reads
+the doubled factors through slices at 0 along the variables outside a basis
+of the form system (``_quotient_layout``).  The lf2 engine, the cube
+engine on a represented edge and the telescoping terms and their chains
+pass formed factors; the slf chains, whose minorants are random, pass
+plain ones.  Every route reduces over fixed
 shapes, so repeated runs are bit-identical.
 """
 
@@ -61,7 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
@@ -115,12 +116,13 @@ def _var_order_key(v: Var):
 class _Plan:
     """A fixed contraction order for one factor structure.
 
-    Slots 0..F-1 hold the factors; step i reads the slots in ``steps[i][0]``,
-    contracts them with the einsum expression ``steps[i][1]`` and stores the
-    result in slot F+i.  ``scalars`` are the slots left holding scalars.
-    ``cost`` is the sum over steps of scope points times factors read,
-    ``power`` the largest number of variables in one step's scope, and
-    ``points`` the number of index points.
+    Slots 0..F-1 hold the factors, or with ``slices`` slot i holds factor
+    ``slices[i][0]`` indexed by ``slices[i][1]``, a view of it; step i reads
+    the slots in ``steps[i][0]``, contracts them with the einsum expression
+    ``steps[i][1]`` and stores the result in slot F+i.  ``scalars`` are the
+    slots left holding scalars.  ``cost`` is the sum over steps of scope
+    points times factors read, ``power`` the largest number of variables in
+    one step's scope, and ``points`` the number of index points.
     """
 
     steps: tuple[tuple[tuple[int, ...], str], ...]
@@ -128,6 +130,7 @@ class _Plan:
     cost: float
     power: int
     points: float
+    slices: tuple[tuple[int, tuple], ...] = ()
 
 
 @functools.lru_cache(maxsize=16384)
@@ -188,9 +191,11 @@ def _plan(subscripts: str, sizes: tuple[int, ...]) -> _Plan:
 
 
 def _run(plan: _Plan, factors: list[Factor]) -> float:
-    """Contract the factors step by step as the plan says; the sum divided
-    by the number of index points."""
+    """Contract the factors, through the plan's slices if any, step by step
+    as the plan says; the sum divided by the number of index points."""
     slots: list[np.ndarray | None] = [f[0] for f in factors]
+    if plan.slices:
+        slots = [slots[i][index] for i, index in plan.slices]
     for inputs, expr in plan.steps:
         slots.append(np.einsum(expr, *[slots[i] for i in inputs], optimize=False))
         for i in inputs:
@@ -220,6 +225,14 @@ def _view(
     that then views it over ``order``: size one on the axes it does not read."""
     perm = tuple(sorted(range(len(axes)), key=lambda a: order.index(axes[a])))
     return perm, tuple(size[v] if v in axes else 1 for v in order)
+
+
+def _views(factors: list[Factor], layout: _BoxLayout | _SplitLayout) -> list[np.ndarray]:
+    """Each factor's array viewed as the layout says (``_view``)."""
+    return [
+        f[0].transpose(perm).reshape(shape)
+        for f, perm, shape in zip(factors, layout.perms, layout.shapes)
+    ]
 
 
 @dataclass(frozen=True)
@@ -269,10 +282,7 @@ def _box_route(factors: list[Factor], layout: _BoxLayout) -> float:
     factors and z the variables other than the plain axes of d; no factor
     may read a copy of a vertex in d.  z is walked in blocks, and F is built
     for one block at a time, as the layout says."""
-    views = [
-        f[0].transpose(perm).reshape(shape)
-        for f, perm, shape in zip(factors, layout.perms, layout.shapes)
-    ]
+    views = _views(factors, layout)
     pows = []
     for prefix in itertools.product(*[range(n) for n in layout.fixed]):
         values = None
@@ -359,10 +369,7 @@ def _split_route(factors: list[Factor], layout: _SplitLayout) -> float:
     the last.  Copy 0 of the first vertex is walked in blocks of whole rows,
     as the layout says; each row is summed over a fixed shape and the rows
     by ``math.fsum``, so the value does not depend on the block size."""
-    views = [
-        f[0].transpose(perm).reshape(shape)
-        for f, perm, shape in zip(factors, layout.perms, layout.shapes)
-    ]
+    views = _views(factors, layout)
     fs = []
     for members, m in zip(layout.members, layout.points):
         f = functools.reduce(np.multiply, [views[i] for i in members])
@@ -384,22 +391,10 @@ def _split_route(factors: list[Factor], layout: _SplitLayout) -> float:
     return math.fsum(memoryview(np.concatenate(sums))) / (box * box)
 
 
-@dataclass(frozen=True)
-class _QuotientLayout:
-    """How ``_quotient_route`` evaluates one formed structure doubled over d:
-    doubled factor i copies factor ``slices[i][0]`` and is sliced by the
-    index ``slices[i][1]``, and ``plan`` runs on the slices; ``cost`` and
-    ``power`` are the plan's."""
-
-    slices: tuple[tuple[int, tuple], ...]
-    plan: _Plan
-    cost: float
-    power: int
-
-
-def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _QuotientLayout | None:
-    """The layout of the quotient route for a formed structure, or None
-    unless every form has one prime modulus N that sizes every axis.
+def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _Plan | None:
+    """The quotient route of a formed structure, a plan read through
+    slices, or None unless every form has one prime modulus N that sizes
+    every axis.
 
     Each factor is doubled over d as ``_double`` doubles it, keeping its
     form on each axis.  Let M be the matrix of the doubled forms over the
@@ -407,9 +402,9 @@ def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _QuotientLayou
     uniform measure onto the uniform measure on its image, and for pivot
     columns P with rank(M_P) = |P| = rank(M) the map of x_P alone reaches
     that image one to one.  So the expectation is unchanged when every
-    variable outside P is fixed at 0: each factor is sliced at 0 along those
-    axes and the plan of the slices (``_plan``) is run.  P comes from
-    ``forms.pivots``, once per structure, and is certified by
+    variable outside P is fixed at 0: each doubled factor is sliced at 0
+    along those axes, and the plan of the slices (``_plan``) reads them.  P
+    comes from ``forms.pivots``, once per structure, and is certified by
     ``forms.independent_columns``; a pivot set that fails raises
     NumericalInconsistency.
     """
@@ -441,71 +436,57 @@ def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _QuotientLayou
         slices.append((i, tuple([slice(None) if var in letter else 0 for var in axes])))
         terms.append("".join([letter[var] for var in axes if var in letter]))
     plan = _plan(",".join(terms), (n,) * len(pivots))
-    return _QuotientLayout(tuple(slices), plan, plan.cost, plan.power)
-
-
-def _quotient_route(factors: list[Factor], layout: _QuotientLayout) -> float:
-    """The plan of the layout on the doubled factors sliced as it says,
-    each slice a view of its factor."""
-    return _run(layout.plan, [(factors[i][0][index],) for i, index in layout.slices])
-
-
-def _router(
-    structure: Structure, d: tuple[int, ...]
-) -> _Plan | _BoxLayout | _SplitLayout:
-    """The route of a structure without forms (``_route``)."""
-    sizes: dict[Var, int] = {}
-    for shape, axes in structure:
-        if len(shape) != len(axes):
-            raise ShapeMismatch("factor axis labels do not match array rank")
-        for var, size in zip(axes, shape):
-            if sizes.setdefault(var, size) != size:
-                raise ShapeMismatch(f"variable {var} has conflicting sizes")
-    if d:
-        if {var for var in sizes if var[0] in d} != {(v, None) for v in d}:
-            raise ShapeMismatch(f"every vertex of d={d} must be read, and only plain")
-        routes = [_box_layout(structure, d), _split_layout(structure, d)]
-        return min([r for r in routes if r is not None], key=lambda route: route.cost)
-    order = sorted(sizes, key=_var_order_key)
-    if len(order) > len(_LETTERS):
-        raise ShapeMismatch("too many free variables")
-    letter = dict(zip(order, _LETTERS))
-    subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in structure])
-    return _plan(subscripts, tuple([sizes[v] for v in order]))
+    return replace(plan, slices=tuple(slices))
 
 
 def _structure(factors: list[Factor]) -> Structure:
     """The key of ``_route``: each factor's shape and axes, and its form
     when it carries one."""
-    if len(factors[0]) == 2:
-        try:
-            return tuple([(arr.shape, tuple(axes)) for arr, axes in factors])
-        except ValueError:
-            raise ShapeMismatch("every factor or none must carry a form") from None
     return tuple([(f[0].shape, tuple(f[1]), *f[2:]) for f in factors])
 
 
 @functools.lru_cache(maxsize=16384)
-def _route(
-    structure: Structure, d: tuple[int, ...]
-) -> _Plan | _BoxLayout | _SplitLayout | _QuotientLayout:
-    """How ``expect_product`` evaluates one structure (the shape and axes of each
-    factor) doubled over d.  At d empty it is the plan of the structure
-    (``_plan``).  Otherwise every vertex of d must be read by some factor,
-    and by none at a copy; the route is then the cheaper of the box route
-    (``_box_layout``) and, when the variables outside d fall into
-    independent components, the split route (``_split_layout``), ties going
-    to the box route.  A formed structure, every factor of which carries
-    its form, takes the quotient route (``_quotient_layout``) where that is
-    charged less than the route of the same structure without its forms.
+def _route(structure: Structure, d: tuple[int, ...]) -> _Plan | _BoxLayout | _SplitLayout:
+    """How ``expect_product`` evaluates one structure (the shape and axes of
+    each factor, and its form when it carries one) doubled over d.
+
+    Every factor or none must carry a form, each must label every axis of
+    its array, each variable must have one size, and at nonempty d every
+    vertex of d must be read by some factor and by none at a copy.  A
+    formed structure then takes the quotient route (``_quotient_layout``)
+    wherever that applies, unpriced: above r=1 and N=3 it is charged less
+    than the other routes on every formed structure the engines build.
+    Any other structure, or a formed one off a prime modulus, read without
+    its forms, takes at d empty the plan of the structure (``_plan``), and
+    otherwise the cheaper of the box route (``_box_layout``) and, when the
+    variables outside d fall into independent components, the split route
+    (``_split_layout``), ties going to the box route.
     """
     if len({len(entry) for entry in structure}) != 1:
         raise ShapeMismatch("every factor or none must carry a form")
-    if len(structure[0]) == 2:
-        return _router(structure, d)
-    route = _router(tuple([entry[:2] for entry in structure]), d)
-    quotient = _quotient_layout(structure, d)
-    return quotient if quotient is not None and quotient.cost < route.cost else route
+    sizes: dict[Var, int] = {}
+    for shape, axes, *_ in structure:
+        if len(shape) != len(axes):
+            raise ShapeMismatch("factor axis labels do not match array rank")
+        for var, size in zip(axes, shape):
+            if sizes.setdefault(var, size) != size:
+                raise ShapeMismatch(f"variable {var} has conflicting sizes")
+    if d and {var for var in sizes if var[0] in d} != {(v, None) for v in d}:
+        raise ShapeMismatch(f"every vertex of d={d} must be read, and only plain")
+    if not d and len(sizes) > len(_LETTERS):
+        raise ShapeMismatch("too many free variables")
+    if len(structure[0]) == 3:
+        quotient = _quotient_layout(structure, d)
+        if quotient is not None:
+            return quotient
+        structure = tuple([entry[:2] for entry in structure])
+    if d:
+        routes = [_box_layout(structure, d), _split_layout(structure, d)]
+        return min([r for r in routes if r is not None], key=lambda route: route.cost)
+    order = sorted(sizes, key=_var_order_key)
+    letter = dict(zip(order, _LETTERS))
+    subscripts = ",".join(["".join([letter[v] for v in axes]) for _, axes in structure])
+    return _plan(subscripts, tuple([sizes[v] for v in order]))
 
 
 def expect_product(
@@ -525,8 +506,6 @@ def expect_product(
         return _box_route(factors, route)
     if isinstance(route, _SplitLayout):
         return _split_route(factors, route)
-    if isinstance(route, _QuotientLayout):
-        return _quotient_route(factors, route)
     return _run(route, factors)
 
 

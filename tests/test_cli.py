@@ -337,6 +337,10 @@ class TestBudget:
         assert step not in err2
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the usage check")
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "argv,option",
@@ -389,6 +393,25 @@ class TestErrors:
     )
     def test_largest_philox_key_runs(self, capsys, argv):
         assert _run(capsys, argv)[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, "--r", "0", "--n", "5"]
+            for command in ("slf", "slf-single", "lf2", "cube", "boxnorm", "represent",
+                            "nuprime", "count", "experiment")
+        ]
+        + [["verify", "--r", "0"], ["count", "--r", "-1", "--n", "5"],
+           ["norm", "--k", "0", "--n", "5"]],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_arity_or_order_below_one_names_the_flag(self, capsys, monkeypatch, argv):
+        # Refused before the measure is drawn, naming the flag; the engines'
+        # own checks name none ("arity must be >= 1, got 0").
+        monkeypatch.setattr(cli, "generate", _refuse_work)
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[1]} must be >= 1, got {argv[2]}\n"
 
     def test_spec_seed_beyond_philox_names_the_field(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -915,27 +938,61 @@ class TestQuotientRoute:
     def test_benchmark_slf_operations_never_enter_the_quotient(self, capsys, monkeypatch, argv):
         # perfbench compares a margin of slf --r 4 --n 5 that is already
         # close to its tolerance, so no slf quantity may change its route.
-        entered = []
+        entered, sliced = [], []
+        layout, run = linform._quotient_layout, linform._run
 
-        def spy(name):
-            real = getattr(linform, name)
+        def layout_spy(*args):
+            entered.append(args)
+            return layout(*args)
 
-            def recorded(*args, **kwargs):
-                entered.append(name)
-                return real(*args, **kwargs)
+        def run_spy(plan, factors):
+            sliced.append(bool(plan.slices))
+            return run(plan, factors)
 
-            return recorded
-
-        for name in ("_quotient_layout", "_quotient_route"):
-            monkeypatch.setattr(linform, name, spy(name))
+        monkeypatch.setattr(linform, "_quotient_layout", layout_spy)
+        monkeypatch.setattr(linform, "_run", run_spy)
         fresh = functools.lru_cache(maxsize=16384)(linform._route.__wrapped__)
         monkeypatch.setattr(linform, "_route", fresh)
         code, _, err = _run(capsys, argv)
         assert code == 0, err
         assert entered == []
-        # The spies are live: a formed engine enters both.
+        assert sliced and not any(sliced)
+        # The spies are live: a formed engine enters the quotient and runs
+        # its plans through slices.
         _run(capsys, ["lf2", "--r", "2", "--n", "5"])
-        assert {"_quotient_layout", "_quotient_route"} <= set(entered)
+        assert entered and any(sliced)
+
+    def test_one_plan_per_formed_structure(self, capsys, monkeypatch):
+        # Each formed structure is planned once, on its quotient slices, and
+        # never priced without its forms on the plan, box or split route;
+        # pricing those too made 37 plans and 15 box and 15 split layouts
+        # here for 26 structures.
+        calls = {"_plan": [], "_box_layout": [], "_split_layout": []}
+
+        def spy(name):
+            real = getattr(linform, name)
+
+            def recorded(*args):
+                calls[name].append(args)
+                return real(*args)
+
+            return recorded
+
+        for name in calls:
+            monkeypatch.setattr(linform, name, spy(name))
+        structures = []
+        route = linform._route.__wrapped__
+
+        def routed(structure, d):
+            structures.append(structure)
+            return route(structure, d)
+
+        monkeypatch.setattr(linform, "_route", functools.lru_cache(maxsize=16384)(routed))
+        code, _, err = _run(capsys, ["lf2", "--r", "3", "--n", "13"])
+        assert code == 0, err
+        assert structures and all(len(entry) == 3 for s in structures for entry in s)
+        assert len(calls["_plan"]) == len(structures)
+        assert calls["_box_layout"] == calls["_split_layout"] == []
 
 
 class TestProgressionMap:

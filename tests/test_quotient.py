@@ -3,6 +3,7 @@ lf2, cube and telescoping engines against the planner on the explicitly
 doubled factors, the level-set guard, the certified pivot columns, and the
 charges that now bind."""
 
+import contextlib
 import functools
 import itertools
 
@@ -12,6 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import gowers.apcount as apcount
+import gowers.cli as cli
 import gowers.forms as forms
 import gowers.linform as linform
 from conftest import philox
@@ -47,12 +49,11 @@ def _measure(n, seed, p=0.6):
     return generate(GeneratorSpec(kind="random", n=n, p=p, seed=seed))
 
 
-def _formed_calls(w, nu, exps, pattern, j, quotient_only=False):
-    """(factors, d, value) of every formed expectation that the lf2
-    telescoping and chains, the cube engines on the edge omitting j and the
-    telescoping terms with their chains take on w, routed afresh; with
-    ``quotient_only`` the box and split routes refuse to run."""
-    calls = []
+@contextlib.contextmanager
+def _recorded(calls, quotient_only=False):
+    """Append to ``calls`` the (factors, d, value) of every formed
+    expectation taken inside, routed afresh; with ``quotient_only`` the box
+    and split routes refuse to run."""
     real = linform.expect_product
 
     def recorded(factors, budget=None, what="", d=()):
@@ -68,6 +69,15 @@ def _formed_calls(w, nu, exps, pattern, j, quotient_only=False):
             mp.setattr(linform, "_split_route", _refuse)
         mp.setattr(linform, "expect_product", recorded)
         mp.setattr(apcount, "expect_product", recorded)
+        yield
+
+
+def _formed_calls(w, nu, exps, pattern, j, quotient_only=False):
+    """(factors, d, value) of every formed expectation that the lf2
+    telescoping and chains, the cube engines on the edge omitting j and the
+    telescoping terms with their chains take on w (``_recorded``)."""
+    calls = []
+    with _recorded(calls, quotient_only):
         assert lf2_telescoping(w, exps).passed
         for i in range(1, w.r + 1):
             assert lf2_chain_verify(w, i, exps).passed
@@ -81,6 +91,25 @@ def _formed_calls(w, nu, exps, pattern, j, quotient_only=False):
 
 def _key(factors):
     return tuple([(arr.shape, tuple(axes), form) for arr, axes, form in factors])
+
+
+def _engines_at_r3_n7():
+    nu = _measure(7, 3)
+    return _formed_calls(
+        represent(nu, 3), nu, Lf2Exponents.all_ones(3), CubePattern.all_ones(3), 1
+    )
+
+
+def _command(argv):
+    """The formed calls (``_recorded``) of one command-line run."""
+
+    def formed():
+        calls = []
+        with _recorded(calls):
+            assert cli.main(argv) == 0
+        return calls
+
+    return formed
 
 
 # (r, N): every prime N <= 11 above r, but at r=4 only those whose planner
@@ -114,26 +143,34 @@ class TestQuotientAgainstThePlanner:
     def test_every_formed_quantity(self, rn, seed, data):
         self._check(rn, seed, data, quotient_only=False)
 
-    # At r=1 and at N=3 the box route of the centered box power that ends an
-    # lf2 chain is charged no more than the quotient, so it keeps that step.
-    @given(
-        st.sampled_from([(r, n) for r, n in _SIZES if r > 1 and n > 3]),
-        st.integers(0, 2**16),
-        st.data(),
-    )
+    # Every formed structure takes the quotient at a prime modulus, even at
+    # r=1 and N=3, where the box route of the centered box power that ends
+    # an lf2 chain is charged no more.
+    @given(st.sampled_from(_SIZES), st.integers(0, 2**16), st.data())
     def test_without_the_box_and_split_routes(self, rn, seed, data):
         self._check(rn, seed, data, quotient_only=True)
 
     def test_every_engine_reaches_the_quotient(self):
-        # At r=3, N=7 the quotient wins every formed structure the engines
-        # take, at every d; the hypothesis test above would pass vacuously
-        # on structures that stayed on the plan.
-        nu = _measure(7, 3)
-        w = represent(nu, 3)
-        calls = _formed_calls(w, nu, Lf2Exponents.all_ones(3), CubePattern.all_ones(3), 1)
-        routes = {type(linform._route(_key(factors), d)).__name__ for factors, d, _ in calls}
-        assert routes == {"_QuotientLayout"}
-        assert {d for _, d, _ in calls} >= {(), (1,), (2,), (1, 2), (2, 3), (1, 2, 3)}
+        # Each formed structure the engines take, at every d, runs a plan
+        # through slices, and the router on the same factors without their
+        # forms, the oracle of that decision, is charged more for each; the
+        # hypothesis tests above would pass vacuously on structures that
+        # left the quotient.
+        for formed, ds in [
+            (_engines_at_r3_n7, {(), (1,), (2,), (1, 2), (2, 3), (1, 2, 3)}),
+            (_command(["lf2", "--r", "4", "--n", "11"]), {(), (2,), (2, 3), (0, 1, 2, 3)}),
+            (
+                _command(["experiment", "--r", "3", "--n", "29", "--with-chains"]),
+                {(), (1,), (1, 2), (1, 2, 3)},
+            ),
+        ]:
+            calls = formed()
+            for factors, d, _ in calls:
+                route = linform._route(_key(factors), d)
+                assert isinstance(route, linform._Plan) and route.slices
+                plain = tuple([(arr.shape, tuple(axes)) for arr, axes, _ in factors])
+                assert route.cost < linform._route(plain, d).cost
+            assert {d for _, d, _ in calls} >= ds
 
 
 class TestLevelSetGuard:
@@ -289,9 +326,34 @@ class TestQuotientRoute:
         form = Form((1, 2), 6)
         factors = [(values, [(1, None), (2, None)], form), (values, [(2, None), (3, None)], form)]
         route = linform._route(_key(factors), ())
-        assert isinstance(route, linform._Plan)
+        assert isinstance(route, linform._Plan) and not route.slices
         plain = [(arr, axes) for arr, axes, _ in factors]
         assert expect_product(factors) == expect_product(plain)
+
+    @pytest.mark.parametrize("case", ["reads-a-copy-of-d", "leaves-d-unread", "labels-too-few-axes"])
+    def test_input_checks_run_before_the_quotient(self, monkeypatch, case):
+        w = represent(_measure(5, 8), 2)
+        arr, axes, form = linform.weight_factor(w, (0, 1))
+        factors, d = {
+            "reads-a-copy-of-d": ([linform.weight_factor(w, (0, 1), 0)], (0,)),
+            "leaves-d-unread": ([(arr, axes, form)], (2,)),
+            "labels-too-few-axes": ([(arr, axes[:1], form)], ()),
+        }[case]
+        entered = []
+        real = linform._quotient_layout
+
+        def spy(*args):
+            entered.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linform, "_quotient_layout", spy)
+        monkeypatch.setattr(linform, "_route", functools.lru_cache()(linform._route.__wrapped__))
+        with pytest.raises(ShapeMismatch):
+            expect_product(factors, d=d)
+        assert entered == []
+        # The spy is live: a well-formed list enters the quotient.
+        expect_product([(arr, axes, form)], d=(1,))
+        assert entered
 
     def test_mixed_factor_list_is_refused(self):
         w = represent(_measure(5, 8), 2)
