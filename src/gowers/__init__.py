@@ -36,7 +36,6 @@ from .gowersnorm import (
     clamp_cube_average,
     cube_vertices,
     gcs_verify,
-    mixed_cube_expectation,
     u_norm_brute,
     u_norm_fast,
 )
@@ -71,7 +70,6 @@ from .linform import (
     random_slf_instance,
     single_chain_verify,
     slf_lhs,
-    ybar_sq_expectation,
 )
 from .apcount import ap_density, hypothesis_ratio, relsz_experiment, telescoping_check
 from .genmeasure import KINDS, GeneratorSpec, generate, generate_set

@@ -1,10 +1,11 @@
 """Linear forms mod a prime and the arithmetic of the quotient route.
 
 A form L = (c_1, ..., c_k) mod N indexes an array with k axes of size N: a
-formed array has values h(L·x mod N) for some h on Z_N.  ``paired`` checks
-that an array is one, ``line`` reads h back, ``pivots`` picks a basis of the
-variables of a system of forms, and ``independent_columns`` certifies that
-basis by an elimination that shares no code with ``pivots``.
+formed array has values h(L·x mod N) for some h on Z_N.  ``formed`` builds
+one block by block; ``paired`` checks that an array equals the one built from
+its ``line``, which reads h back.  ``pivots`` picks a basis of the variables
+of a system of forms, and ``independent_columns`` certifies that basis by an
+elimination that shares no code with ``pivots``.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ class Form(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _levels(form: Form) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """For a form L over k axes of size N: the index of ``line``; the term
-    of the first axis in L·x mod N, over that axis; and the sum of the other
-    terms, over the other axes, shaped to broadcast with it."""
+def _levels(form: Form) -> tuple[tuple, tuple[np.ndarray, ...]]:
+    """For a form L over k axes of size N: the index of ``line``, and the
+    term of each axis in L·x mod N, over that axis, shaped to broadcast
+    with the others (``np.ix_``).  Each holds N values, so the cache keeps
+    no array the size of a block."""
     n = form.modulus
     k = len(form.coeffs)
     axis = next((a for a, c in enumerate(form.coeffs) if c % n), None)
@@ -39,13 +41,7 @@ def _levels(form: Form) -> tuple[tuple, np.ndarray, np.ndarray]:
         index[0] = np.zeros(n, dtype=np.intp)
     else:
         index[axis] = np.arange(n) * pow(form.coeffs[axis], -1, n) % n
-    terms = []
-    for a, c in enumerate(form.coeffs):
-        shape = [1] * k
-        shape[a] = n
-        terms.append((c % n) * np.arange(n).reshape(shape))
-    rest = functools.reduce(np.add, terms[1:], np.zeros((1,) + (n,) * (k - 1), dtype=np.int64))
-    return tuple(index), terms[0], rest
+    return tuple(index), np.ix_(*[(c % n) * np.arange(n) for c in form.coeffs])
 
 
 def line(values: np.ndarray, form: Form) -> np.ndarray:
@@ -55,23 +51,36 @@ def line(values: np.ndarray, form: Form) -> np.ndarray:
     return values[_levels(form)[0]]
 
 
+def _formed_blocks(h: np.ndarray, form: Form):
+    """h(L·x mod N) over blocks of the first axis, at most _CHUNK_ELEMS
+    values or one row each, with each block's slice."""
+    _, (first, *others) = _levels(form)
+    rest = sum(others, np.zeros((1,) * len(form.coeffs), dtype=np.int64))
+    rows = max(1, _CHUNK_ELEMS // rest.size)
+    for start in range(0, form.modulus, rows):
+        block = slice(start, start + rows)
+        yield block, h[(first[block] + rest) % form.modulus]
+
+
+def formed(h: np.ndarray, form: Form) -> np.ndarray:
+    """The array h(L·x mod N) over the axes of L, built block by block
+    (``_formed_blocks``), so that no N^k index is ever formed."""
+    return np.concatenate([values for _, values in _formed_blocks(h, form)])
+
+
 def paired(values: np.ndarray, form: Form) -> np.ndarray:
     """``values``, once checked equal to h(L·x) at every x, for L the form
     and h its ``line``.  An array is checked where a caller pairs it with
     its form (a hypergraph's weights once, in ``WeightedHypergraph.paired``);
     one computed from it value by value, such as the centered weight, is
-    formed with the same form unchecked.  L·x is formed for
-    blocks of the first axis, at most _CHUNK_ELEMS values or one row each.
+    formed with the same form unchecked.  It is compared block by block
+    with the blocks of h(L·x) that ``formed`` builds from.
     An array that fails raises NumericalInconsistency."""
     n = form.modulus
     if values.shape != (n,) * len(form.coeffs):
         raise ShapeMismatch(f"form {form} does not fit values of shape {values.shape}")
-    _, first, rest = _levels(form)
-    h = line(values, form)
-    rows = max(1, _CHUNK_ELEMS // rest.size)
-    for start in range(0, n, rows):
-        levels = (first[start : start + rows] + rest) % n
-        if not np.array_equal(values[start : start + rows], h[levels]):
+    for block, built in _formed_blocks(line(values, form), form):
+        if not np.array_equal(values[block], built):
             raise NumericalInconsistency(
                 f"values are not constant on the level sets of their form {form.coeffs} mod {n}"
             )

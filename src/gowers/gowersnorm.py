@@ -25,7 +25,8 @@ as well:
   recursion (``_box_pows``) batched over many functions at once.
 
 ``gcs_verify`` checks the product-form Cauchy-Schwarz bound for a full
-assignment of functions to cube vertices.
+assignment of functions to cube vertices, its left side by one validated
+and charged ``_box_einsum`` and its right side by ``box_norm``.
 
 Determinism: brute-force sums run in C-order chunks whose partial sums are
 merged with Kahan compensation in a fixed order; einsum contractions are
@@ -287,36 +288,6 @@ def _box_einsum(gs: Mapping[CubeVertex, EdgeFn]) -> float:
     return float(np.einsum(expr, *operands, optimize=False))
 
 
-def _validate_cube_assignment(gs: Mapping[CubeVertex, EdgeFn]) -> EdgeFn:
-    if not gs:
-        raise ShapeMismatch("empty cube assignment")
-    some = next(iter(gs.values()))
-    kk = len(some.edge)
-    expected = set(cube_vertices(kk))
-    if set(gs.keys()) != expected:
-        raise ShapeMismatch(
-            f"cube assignment must cover exactly the {2**kk} vertices of the "
-            f"{kk}-cube"
-        )
-    for g in gs.values():
-        if not g.same_shape(some):
-            raise ShapeMismatch("all cube functions must share edge and dims")
-    return some
-
-
-def mixed_cube_expectation(
-    gs: Mapping[CubeVertex, EdgeFn], budget: float | None = None
-) -> float:
-    """E[prod_omega g_omega(x^omega)] over two independent copies of each
-    coordinate; the signed average, not a norm."""
-    some = _validate_cube_assignment(gs)
-    kk = len(some.edge)
-    npts = float(some.npoints)
-    cost = npts**2 * (2.0**kk)
-    check_budget(cost, budget, what=f"cube expectation on edge {some.edge}", power=2 * kk)
-    return _box_einsum(gs) / npts**2
-
-
 def box_norm_brute(g: EdgeFn, budget: float | None = None) -> float:
     """Box norm by direct enumeration: the 2^|e|-th root of the cube average
     with g at every cube vertex.  For a single vertex this is |E g|."""
@@ -383,10 +354,19 @@ def gcs_verify(
     Passes when RHS - LHS >= -TOL * max(1, RHS), so the equality case
     (all functions identical) is accepted up to roundoff.
     """
-    some = _validate_cube_assignment(gs)
+    if not gs:
+        raise ShapeMismatch("empty cube assignment")
+    some = next(iter(gs.values()))
     kk = len(some.edge)
+    if set(gs.keys()) != set(cube_vertices(kk)):
+        raise ShapeMismatch(
+            f"cube assignment must cover exactly the {2**kk} vertices of the "
+            f"{kk}-cube"
+        )
+    if not all(g.same_shape(some) for g in gs.values()):
+        raise ShapeMismatch("all cube functions must share edge and dims")
     charge_gcs(some.edge, some.dims, budget)
-    lhs = abs(mixed_cube_expectation(gs, budget=budget))
+    lhs = abs(_box_einsum(gs) / float(some.npoints) ** 2)
     rhs = 1.0
     for omega in cube_vertices(kk):
         rhs *= box_norm(gs[omega], budget=budget)

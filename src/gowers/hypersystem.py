@@ -10,7 +10,9 @@ a measure nu on Z_N into edge weights
 which has two exact consequences for prime N > r: the r+1 evaluation points
 y_j form an arithmetic progression with common difference sum_i x_i, and each
 centered edge weight has box norm equal to the order-r uniformity norm of
-nu - 1.  ``represent_charged`` charges the edge weights to the budget before
+nu - 1.  ``represent`` builds each weight nu(L·x), L the form of its edge, with
+``forms.formed``, the construction ``forms.paired`` checks weights against.
+``represent_charged`` charges the edge weights to the budget before
 ``represent`` allocates them, and ``map_failures`` charges its walk.
 """
 
@@ -31,7 +33,7 @@ from .errors import (
     ShapeMismatch,
     SupBelowOneWarning,
 )
-from .forms import Form
+from .forms import Form, formed
 from .gowersnorm import _CHUNK_ELEMS, _LETTERS, EdgeFn
 
 Edge = tuple[int, ...]
@@ -167,8 +169,7 @@ def represent(nu: Measure, r: int) -> WeightedHypergraph:
         edge = system.edge_omitting(j)
         coeffs = tuple((j - i) % n for i in edge)
         forms.append(coeffs)
-        idx = sum(np.ix_(*[c * np.arange(n) for c in coeffs])) % n
-        weights[edge] = EdgeFn(edge, (n,) * r, nu.fn.values[idx])
+        weights[edge] = EdgeFn(edge, (n,) * r, formed(nu.fn.values, Form(coeffs, n)))
     return WeightedHypergraph(system, weights, forms=tuple(forms), modulus=n)
 
 

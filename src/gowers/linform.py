@@ -39,9 +39,9 @@ route, the mean over the other variables z of a box power
 split route, when z falls into components that share no variable: the
 doubled product then factors pointwise, so the expectation is the mean over
 both copies of d of the product of one marginal per component.
-``q_value``, ``ybar_sq_expectation`` and ``cube_expectation`` run the plan
-on the explicitly doubled factors (``_on_planner``) and are the router's
-test oracles.
+``q_value`` and ``cube_expectation`` run the plan on the explicitly doubled
+factors (``_on_planner``) and are, with ``ybar_sq_expectation`` in
+``tests/chain_oracle.py``, the router's test oracles.
 
 A factor may also carry its form, (array, axes, form), when its values are
 h(L·x mod N) for the linear form L and a prime N: the represented weights,
@@ -680,7 +680,7 @@ def binomial_expansion_identity(
     expectations, its raw one and each orbit not evaluated before, are then
     charged together, as one step, before any of them runs.  With the form
     of g = nu(L·x) every expectation runs on formed factors, g paired with
-    it by ``cube_expectation`` before each pattern's centered terms.
+    it once per call (``forms.paired``), the raw side on its priced factors.
     """
     k = len(g.edge)
     vertices = cube_vertices(k)
@@ -690,6 +690,8 @@ def binomial_expansion_identity(
     centered = g.centered()
     terms: dict[int, float] = {}
     reports = []
+    if form is not None:
+        forms.paired(g.values, form)
     for pat in patterns:
         what = f"cube expansion walk (k={k}, 2^{pat.weight()} - 1 sub-supports)"
         check_budget((power_cost(2, pat.weight()) - 1.0) * per_sub, budget, what=what)
@@ -712,18 +714,15 @@ def binomial_expansion_identity(
             for rep in dict.fromkeys(reps)
             if rep not in terms
         }
-        routes = [
-            _route(_structure(factors), ())
-            for factors in [_cube_factors(g, pat.support(), form), *new.values()]
-            if factors
-        ]
+        raw = _cube_factors(g, pat.support(), form)
+        routes = [_route(_structure(factors), ()) for factors in [raw, *new.values()] if factors]
         check_budget(
             math.fsum([route.cost for route in routes]),
             budget,
             what=f"cube expansion (k={k}, {len(routes)} expectations)",
             power=max([route.power for route in routes], default=0),
         )
-        lhs = cube_expectation(g, pat, budget, form)
+        lhs = expect_product(raw, budget, what="cube expectation")
         for rep, factors in new.items():
             terms[rep] = expect_product(factors, budget, what="centered cube expectation")
         rhs = math.fsum([1.0, *[terms[rep] for rep in reps]])
@@ -941,25 +940,6 @@ class YbarStats:
     sup_power_bound: float
 
 
-def ybar_sq_expectation(
-    inst: SlfInstance,
-    d: Iterable[int],
-    j: int,
-    budget: float | None = None,
-) -> YbarStats:
-    """First and second moments of the capped product over the edge omitting
-    j (the one edge missing the next doubling vertex) at doubled subset d,
-    plus the exact pointwise bound E[Ybar^2] <= E[Ybar] * sup^(factor count).
-    """
-    w = inst.hypergraph
-    dd = _normalize_subset(w, d)
-    if j in dd or j == 0 or j > w.r:
-        raise InvalidSubset(f"next vertex {j} must lie outside d and the origin")
-    _, caps = _slf_base(inst)
-    evaluate = functools.partial(_on_planner, budget=budget)
-    return _ybar(_missing(caps, j), dd, sup_norm(w), evaluate)
-
-
 # ---------------------------------------------------------------------------
 # Doubling chains
 
@@ -1060,16 +1040,17 @@ def _close(
     sup_power: float,
     ratio_key: str,
 ) -> VerificationReport:
-    """Check the composed bound and record the measured ratios."""
+    """Check the composed bound and record the measured ratios, the ratio to
+    box * sup^sup_power only where box is above roundoff (TOL; not at r=1)."""
     slack = TOL * max(1.0, lhs_abs, bound)
     report.add(ineq_check("composed-chain-bound", lhs_abs, bound, slack))
     report.ratios["lhs"] = lhs_abs
     report.ratios["composed-bound"] = bound
     report.ratios["box-norm-centered"] = box
     report.ratios["sup"] = sup
-    denom = box * sup**sup_power
-    if denom > 0:
-        report.ratios[ratio_key] = lhs_abs / denom
+    scale = sup**sup_power
+    if box * scale > TOL * scale:
+        report.ratios[ratio_key] = lhs_abs / (box * scale)
     return report
 
 

@@ -625,6 +625,18 @@ class TestSubcommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("r,n,reported", [(1, 101, False), (2, 7, True)])
+    def test_lf2_chain_ratio_only_above_roundoff(self, capsys, r, n, reported):
+        # At r=1 the centered box norm and the chain's lhs are both zero up
+        # to roundoff (about 1e-17), so their ratio is left out.
+        code, obj, err = _run_json(capsys, ["lf2", "--r", str(r), "--n", str(n)])
+        assert code == 0, err
+        chains = [rep for rep in obj["reports"] if rep["name"] == "centered-term-chain"]
+        assert len(chains) == r
+        for rep in chains:
+            assert ("lhs-over-boxnorm-times-sup-power" in rep["ratios"]) is reported
+            assert (rep["ratios"]["box-norm-centered"] > 1e-9) is reported
+
     def test_count(self, capsys):
         code, obj, _ = _run_json(capsys, ["count", "--n", "7", "--seed", "1", "--r", "2"])
         assert code == 0

@@ -23,7 +23,6 @@ from gowers import (
     cube_vertices,
     from_set,
     gcs_verify,
-    mixed_cube_expectation,
     u_norm_brute,
     u_norm_fast,
 )
@@ -361,7 +360,7 @@ class TestBoxNorm:
         with pytest.raises(ShapeMismatch, match="at most 5 coordinates"):
             box_norm_brute(g)
         with pytest.raises(ShapeMismatch, match="at most 5 coordinates"):
-            mixed_cube_expectation(dict.fromkeys(cube_vertices(6), g))
+            gcs_verify(dict.fromkeys(cube_vertices(6), g))
 
 
 class TestBoxNormRecursion:
@@ -398,11 +397,17 @@ class TestBoxNormRecursion:
         assert type(box_norm(g)) is float
 
 
+def _mixed(gs):
+    """The signed left side of ``gcs_verify``: E prod_omega g_omega(x^omega)
+    over both copies of every coordinate."""
+    return gowersnorm._box_einsum(gs) / float(next(iter(gs.values())).npoints) ** 2
+
+
 class TestMixedCube:
     def test_all_equal_reduces_to_box_power(self):
         g = random_edge_fn((1, 2), (3, 4), seed=5)
         gs = {omega: g for omega in cube_vertices(2)}
-        assert mixed_cube_expectation(gs) == pytest.approx(
+        assert _mixed(gs) == pytest.approx(
             box_norm_brute(g) ** 4, rel=1e-9, abs=1e-12
         )
 
@@ -410,13 +415,13 @@ class TestMixedCube:
         gs = {omega: random_edge_fn((1, 2), (3, 3), seed=1) for omega in cube_vertices(2)}
         gs[(1, 1)] = random_edge_fn((1, 2), (3, 4), seed=2)
         with pytest.raises(ShapeMismatch):
-            mixed_cube_expectation(gs)
+            gcs_verify(gs)
 
     def test_missing_vertex_rejected(self):
         gs = {omega: random_edge_fn((1, 2), (3, 3), seed=1) for omega in cube_vertices(2)}
         del gs[(0, 1)]
         with pytest.raises(ShapeMismatch):
-            mixed_cube_expectation(gs)
+            gcs_verify(gs)
 
 
 class TestTwoStepChain:
@@ -436,11 +441,11 @@ class TestTwoStepChain:
             omega: random_edge_fn((1, 2), dims, seed=10 + 2 * omega[0] + omega[1])
             for omega in cube_vertices(2)
         }
-        m = mixed_cube_expectation(gs)
-        p0 = mixed_cube_expectation(
+        m = _mixed(gs)
+        p0 = _mixed(
             {omega: gs[(0, omega[1])] for omega in cube_vertices(2)}
         )
-        p1 = mixed_cube_expectation(
+        p1 = _mixed(
             {omega: gs[(1, omega[1])] for omega in cube_vertices(2)}
         )
         assert p0 >= -1e-12 and p1 >= -1e-12

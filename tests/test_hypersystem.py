@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ class TestRepresent:
             g = w.weight_omitting(j)
             for x in itertools.product(range(n), repeat=r):
                 assert g.values[x] == _expected_weight(nu, n, r, j, x)
+
+    def test_builds_each_weight_without_an_index(self):
+        # Above the four weights it keeps, represent holds one more weight's
+        # worth while it builds and stores each; an N^r index (int64) held
+        # next to the gathered values and their stored copy would be two.
+        nu = from_set({0, 1, 3}, 41)
+        represent(nu, 3)
+        tracemalloc.start()
+        try:
+            w = represent(nu, 3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.r == 3 and peak - kept < 1.5 * 41**3 * 8
 
     def test_mean_preserved(self):
         nu = from_set({1, 2, 4}, 7)

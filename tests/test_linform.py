@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import gowers.cli as cli
 import gowers.gowersnorm as gowersnorm
 import gowers.linform as linform
+from chain_oracle import ybar_sq_expectation
 from conftest import philox
 from gowers import (
     AllZeroPattern,
@@ -52,7 +53,6 @@ from gowers import (
     single_chain_verify,
     slf_lhs,
     u_norm_fast,
-    ybar_sq_expectation,
 )
 from gowers.report import TOL
 
