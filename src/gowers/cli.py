@@ -37,6 +37,7 @@ from .gowersnorm import (
     u_norm_fast,
 )
 from .hypersystem import (
+    check_modulus,
     is_prime,
     map_failures,
     progression_count_check,
@@ -539,6 +540,7 @@ def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
 def _cmd_verify(args) -> int:
     n, r, seeds, budget = args.n, args.r, args.seeds, args.budget
     _nonnegative("--seeds", seeds)
+    check_modulus(n, r)  # before any measure is drawn or any suite runs
     # The random measures of density one half, one per seed; seed 0 is drawn
     # even without seeds, because the exhaustive map check reads it.
     nus = [
@@ -570,10 +572,10 @@ def _cmd_verify(args) -> int:
 # Parser and entry point
 
 
-def _measure_command(sub, name: str, help: str, handler, r: bool = True):
-    """Register a measure subcommand: the generator flags, the common flags,
-    a required --r unless ``r`` is false, and ``handler`` run by ``_measure``."""
-    p = sub.add_parser(name, help=help)
+def _measure_args(p, handler, r: bool = True) -> None:
+    """Register a measure subcommand's flags: the generator flags, the common
+    flags, a required --r unless ``r`` is false, and ``handler`` run by
+    ``_measure``."""
     p.add_argument("--kind", choices=KINDS, default="random", help="measure generator")
     p.add_argument("--n", type=int, default=None, help="modulus N")
     p.add_argument("--p", type=float, default=0.5, help="target density in (0, 1]")
@@ -583,24 +585,16 @@ def _measure_command(sub, name: str, help: str, handler, r: bool = True):
     if r:
         p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=functools.partial(_measure, handler))
-    return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gowers",
-        description="Uniformity norms, box norms, and inequality verification on Z_N.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _measure_command(sub, "norm", "uniformity norm of a generated measure", _cmd_norm, r=False)
+def _norm_args(p) -> None:
+    _measure_args(p, _cmd_norm, r=False)
     p.add_argument("--k", type=int, required=True, help="norm order")
     p.add_argument("--mode", choices=("brute", "fast", "both"), default="fast")
     p.add_argument("--centered", action="store_true", help="use the measure minus one")
 
-    _measure_command(sub, "boxnorm", "box norms of the representation edge weights", _cmd_boxnorm)
 
-    p = sub.add_parser("gcs", help="product-form bound on seeded random tuples")
+def _gcs_args(p) -> None:
     _add_common_args(p)
     p.add_argument("--dims", default="3,4", help="comma-separated vertex set sizes")
     p.add_argument("--tuples", type=int, default=1)
@@ -608,40 +602,83 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equal", action="store_true", help="use one function for every slot")
     p.set_defaults(func=_cmd_gcs)
 
-    _measure_command(sub, "represent", "build the representation and verify it", _cmd_represent)
 
-    p = _measure_command(sub, "cube", "cube expectations and the expansion identity", _cmd_cube)
+def _cube_args(p) -> None:
+    _measure_args(p, _cmd_cube)
     p.add_argument("--j", type=int, default=0, help="edge (omitted vertex) to use")
     p.add_argument("--pattern", default=None, help="bit string over the cube vertices")
 
-    for name, help in (
-        ("slf", "centered product expectation and its chain"),
-        ("slf-single", "single-copy centered product and chain"),
-    ):
-        p = _measure_command(sub, name, help, _cmd_slf)
-        p.add_argument("--caps", choices=("one", "nu", "mixed"), default="mixed")
-        p.add_argument("--instance-seed", type=int, default=0)
 
-    _measure_command(sub, "nuprime", "conditional product weight moments", _cmd_nuprime)
+def _slf_args(p) -> None:
+    _measure_args(p, _cmd_slf)
+    p.add_argument("--caps", choices=("one", "nu", "mixed"), default="mixed")
+    p.add_argument("--instance-seed", type=int, default=0)
 
-    p = _measure_command(sub, "lf2", "doubled-origin telescoping and chains", _cmd_lf2)
+
+def _lf2_args(p) -> None:
+    _measure_args(p, _cmd_lf2)
     p.add_argument("--j", type=int, default=None, help="restrict the chain to one edge")
     p.add_argument("--exponents", default=None, help="bit string over (edge, copy) slots")
 
-    _measure_command(sub, "count", "progression density and hypothesis ratios", _cmd_count)
 
-    p = _measure_command(
-        sub, "experiment", "density, ratios, and telescoping end to end", _cmd_experiment
-    )
+def _experiment_args(p) -> None:
+    _measure_args(p, _cmd_experiment)
     p.add_argument("--with-chains", action="store_true")
 
-    p = sub.add_parser("verify", help="full property suite at fixed sizes")
+
+def _verify_args(p) -> None:
     _add_common_args(p)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--n", type=int, default=7)
     p.add_argument("--seeds", type=int, default=10)
     p.set_defaults(func=_cmd_verify)
 
+
+# Every subcommand, in help order: its help line and the registration that
+# adds its flags to its parser.
+_COMMANDS = {
+    "norm": ("uniformity norm of a generated measure", _norm_args),
+    "boxnorm": (
+        "box norms of the representation edge weights",
+        functools.partial(_measure_args, handler=_cmd_boxnorm),
+    ),
+    "gcs": ("product-form bound on seeded random tuples", _gcs_args),
+    "represent": (
+        "build the representation and verify it",
+        functools.partial(_measure_args, handler=_cmd_represent),
+    ),
+    "cube": ("cube expectations and the expansion identity", _cube_args),
+    "slf": ("centered product expectation and its chain", _slf_args),
+    "slf-single": ("single-copy centered product and chain", _slf_args),
+    "nuprime": (
+        "conditional product weight moments",
+        functools.partial(_measure_args, handler=_cmd_nuprime),
+    ),
+    "lf2": ("doubled-origin telescoping and chains", _lf2_args),
+    "count": (
+        "progression density and hypothesis ratios",
+        functools.partial(_measure_args, handler=_cmd_count),
+    ),
+    "experiment": ("density, ratios, and telescoping end to end", _experiment_args),
+    "verify": ("full property suite at fixed sizes", _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.  Parsing a
+    command's arguments gives the same result, help and errors either way:
+    the one-command parser names all the choices in its usage."""
+    parser = argparse.ArgumentParser(
+        prog="gowers",
+        description="Uniformity norms, box norms, and inequality verification on Z_N.",
+    )
+    # Left unset on the full parser, where argparse names the positional
+    # after it in its invalid-choice and missing-command errors.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help, register = _COMMANDS[name]
+        register(sub.add_parser(name, help=help))
     return parser
 
 
@@ -718,7 +755,12 @@ def _dispatch(args, budget: float) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Parse argv (``sys.argv[1:]`` when None) with the parser of its
+    subcommand alone, or of them all without a known one, and run it."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     n, r = getattr(args, "n", None), getattr(args, "r", 0)
     return guarded(functools.partial(_dispatch, args), args.budget, n, r)
 

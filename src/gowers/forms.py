@@ -63,9 +63,13 @@ def _formed_blocks(h: np.ndarray, form: Form):
 
 
 def formed(h: np.ndarray, form: Form) -> np.ndarray:
-    """The array h(L·x mod N) over the axes of L, built block by block
-    (``_formed_blocks``), so that no N^k index is ever formed."""
-    return np.concatenate([values for _, values in _formed_blocks(h, form)])
+    """The array h(L·x mod N) over the axes of L, each block
+    (``_formed_blocks``) written into it in turn, so that no N^k index,
+    and no second N^k array, is ever formed."""
+    out = np.empty((form.modulus,) * len(form.coeffs), dtype=h.dtype)
+    for block, values in _formed_blocks(h, form):
+        out[block] = values
+    return out
 
 
 def paired(values: np.ndarray, form: Form) -> np.ndarray:

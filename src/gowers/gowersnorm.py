@@ -240,8 +240,11 @@ class EdgeFn:
             raise ShapeMismatch(f"values shape {vals.shape} does not match dims {dims}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
+        # A float64 array handed over read-only and owning its data is kept
+        # as it is; any other is copied, so no caller can write to values.
+        if vals is not self.values or vals.flags.writeable or not vals.flags.owndata:
+            vals = vals.copy()
+            vals.flags.writeable = False
         object.__setattr__(self, "edge", edge)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "values", vals)

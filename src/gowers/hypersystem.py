@@ -152,16 +152,22 @@ def sup_norm(w: WeightedHypergraph) -> float:
     return sup
 
 
+def check_modulus(n: int, r: int) -> None:
+    """Refuse a modulus that admits no representation at arity r: one not
+    prime, or not above r, so that some coefficient j - i is not invertible."""
+    if not is_prime(n):
+        raise CompositeModulus(f"modulus {n} must be prime")
+    if n <= r:
+        raise ModulusTooSmall(f"modulus {n} must exceed the arity {r}")
+
+
 def represent(nu: Measure, r: int) -> WeightedHypergraph:
     """Norm-preserving weighted-hypergraph representation of a measure.
 
     Requires prime N > r so every coefficient j - i is invertible mod N.
     """
     n = nu.n
-    if not is_prime(n):
-        raise CompositeModulus(f"modulus {n} must be prime")
-    if n <= r:
-        raise ModulusTooSmall(f"modulus {n} must exceed the arity {r}")
+    check_modulus(n, r)
     system = HypergraphSystem(r, (n,) * (r + 1))
     weights: dict[Edge, EdgeFn] = {}
     forms = []
@@ -169,7 +175,9 @@ def represent(nu: Measure, r: int) -> WeightedHypergraph:
         edge = system.edge_omitting(j)
         coeffs = tuple((j - i) % n for i in edge)
         forms.append(coeffs)
-        weights[edge] = EdgeFn(edge, (n,) * r, formed(nu.fn.values, Form(coeffs, n)))
+        values = formed(nu.fn.values, Form(coeffs, n))
+        values.flags.writeable = False  # handed to EdgeFn, which keeps it uncopied
+        weights[edge] = EdgeFn(edge, (n,) * r, values)
     return WeightedHypergraph(system, weights, forms=tuple(forms), modulus=n)
 
 

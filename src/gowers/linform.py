@@ -549,11 +549,6 @@ class CubePattern:
     def all_ones(cls, k: int) -> "CubePattern":
         return cls(k, (1,) * 2**k)
 
-    @classmethod
-    def from_support(cls, k: int, support: Iterable[CubeVertex]) -> "CubePattern":
-        support = set(support)
-        return cls(k, tuple(1 if om in support else 0 for om in cube_vertices(k)))
-
     def support(self) -> list[CubeVertex]:
         return [om for om, b in zip(cube_vertices(self.k), self.bits) if b]
 

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON/CSV stability, budget errors,
 and the built-in verification suite."""
 
+import argparse
+import collections
 import dataclasses
 import functools
 import inspect
@@ -412,6 +414,21 @@ class TestErrors:
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err == f"error: {argv[1]} must be >= 1, got {argv[2]}\n"
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [(2, "modulus 2 must exceed the arity 2"), (4, "modulus 4 must be prime"),
+         (1, "modulus 1 must be prime")],
+        ids=["not-above-arity", "composite", "one"],
+    )
+    def test_verify_refuses_a_bad_modulus_before_any_work(self, capsys, monkeypatch, n, message):
+        # They read "spec GeneratorSpec(..., seed=5) produced the empty set"
+        # at n=2, and named the modulus at n=4 only after the dual-route suite.
+        monkeypatch.setattr(cli, "generate", _refuse_work)
+        monkeypatch.setattr(cli, "u_norm_brute", _refuse_work)
+        code, out, err = _run(capsys, ["verify", "--r", "2", "--n", str(n)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
 
     def test_spec_seed_beyond_philox_names_the_field(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -1142,6 +1159,45 @@ class TestExperimentInputs:
         assert obj["ap"] == dataclasses.asdict(ap_density([nu.fn] * 3))
 
 
+# One argv per subcommand, each setting flags of its own.
+PARSE_CASES = {
+    "norm": ["norm", "--k", "3", "--n", "7", "--mode", "both", "--centered"],
+    "boxnorm": ["boxnorm", "--r", "2", "--n", "7", "--kind", "constant"],
+    "gcs": ["gcs", "--dims", "2,3", "--tuples", "2", "--equal", "--format", "csv"],
+    "represent": ["represent", "--r", "2", "--n", "11", "--seed", "3", "--p", "0.3"],
+    "cube": ["cube", "--r", "2", "--n", "7", "--j", "1", "--pattern", "1011"],
+    "slf": ["slf", "--r", "3", "--n", "7", "--caps", "nu", "--instance-seed", "2"],
+    "slf-single": ["slf-single", "--r", "2", "--n", "5", "--caps", "one"],
+    "nuprime": ["nuprime", "--r", "2", "--input", "spec.json", "--budget", "1e6"],
+    "lf2": ["lf2", "--r", "3", "--n", "7", "--j", "2", "--exponents", "101101"],
+    "count": ["count", "--r", "1", "--n", "13", "--output", "out.json"],
+    "experiment": ["experiment", "--r", "2", "--n", "7", "--with-chains"],
+    "verify": ["verify", "--r", "3", "--n", "5", "--seeds", "2"],
+}
+
+
+def _choices(parser) -> set[str]:
+    (sub,) = parser._subparsers._group_actions
+    return set(sub.choices)
+
+
+def _parsed(parser, argv):
+    """The parsed namespace as a dict, its ``func`` replaced by the handler
+    (a partial of ``_measure`` compares by its function and arguments)."""
+    ns = vars(parser.parse_args(argv))
+    func = ns.pop("func")
+    handler = (func.func, func.args) if isinstance(func, functools.partial) else func
+    return ns, handler
+
+
+def _exit(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 class TestParser:
     def test_every_subcommand_registered(self):
         parser = build_parser()
@@ -1154,3 +1210,41 @@ class TestParser:
             "norm", "boxnorm", "gcs", "represent", "cube", "slf", "slf-single",
             "nuprime", "lf2", "count", "experiment", "verify",
         }
+
+    @pytest.mark.parametrize("command", list(PARSE_CASES))
+    def test_one_command_parser_parses_as_the_full_one(self, command):
+        assert set(PARSE_CASES) == _choices(build_parser())
+        argv = PARSE_CASES[command]
+        one, full = _parsed(build_parser(command), argv), _parsed(build_parser(), argv)
+        assert one == full and one[0]["command"] == command
+        assert _choices(build_parser(command)) == {command}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["-h", "slf"], ["bogus"], [], ["slf", "--r", "2", "--bogus"]]
+        + [[command, flag] for command in PARSE_CASES for flag in ("--help", "--bogus")],
+        ids=lambda argv: " ".join(argv) or "no-command",
+    )
+    def test_main_prints_what_the_full_parser_prints(self, capsys, argv):
+        # The one-command parser's usage names every choice, as the full
+        # parser's does, so an error printed at the top level is unchanged.
+        assert _exit(capsys, main, argv) == _exit(capsys, build_parser().parse_args, argv)
+
+    def test_one_command_registers_only_its_parser(self, capsys, monkeypatch):
+        # The full parser registers 12 subcommands and 127 arguments.
+        counts = collections.Counter()
+
+        def counting(method):
+            def counted(self, *args, **kwargs):
+                counts[method.__name__] += 1
+                return method(self, *args, **kwargs)
+            return counted
+
+        for cls, name in ((argparse._ActionsContainer, "add_argument"),
+                          (argparse._SubParsersAction, "add_parser")):
+            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+        assert _run(capsys, ["slf", "--r", "2", "--n", "5"])[0] == 0
+        assert counts["add_parser"] == 1 and counts["add_argument"] <= 13
+        counts.clear()
+        build_parser()
+        assert counts["add_parser"] == 12

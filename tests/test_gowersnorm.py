@@ -313,6 +313,22 @@ class TestEdgeFn:
         assert g.mean() == 2.5
         assert g.centered().values[1, 1] == 3.0
 
+    def test_keeps_only_a_handed_over_array(self):
+        # Kept uncopied: float64, read-only and owning its data.  Any other
+        # array is copied, so writing to it later leaves values unchanged.
+        owned = np.ones((2, 2))
+        owned.flags.writeable = False
+        assert EdgeFn((1, 2), (2, 2), owned).values is owned
+        writable, view = np.ones((2, 2)), np.ones((2, 3))[:, :2]
+        view.flags.writeable = False
+        for given in (writable, view, np.ones((2, 2), dtype=np.float32)):
+            g = EdgeFn((1, 2), (2, 2), given)
+            assert g.values is not given and not g.values.flags.writeable
+            assert not np.shares_memory(g.values, given)
+        g = EdgeFn((1, 2), (2, 2), writable)
+        writable[0, 0] = 5.0
+        assert g.values[0, 0] == 1.0
+
 
 def _box_pow_loop(g: EdgeFn) -> float:
     """Independent nested-loop evaluation of the box power of an edge

@@ -95,10 +95,13 @@ class TestRepresent:
                 assert g.values[x] == _expected_weight(nu, n, r, j, x)
 
     def test_builds_each_weight_without_an_index(self):
-        # Above the four weights it keeps, represent holds one more weight's
-        # worth while it builds and stores each; an N^r index (int64) held
-        # next to the gathered values and their stored copy would be two.
-        nu = from_set({0, 1, 3}, 41)
+        # Above the four weights it keeps, represent holds only one block's
+        # gather index and values (6 of 101 rows) while it builds each
+        # weight in place; an N^r index, the blocks concatenated next to
+        # their result, or a stored copy of the weight would each be one
+        # more weight.  At N=101 one block is a small part of a weight.
+        n = 101
+        nu = from_set({0, 1, 3}, n)
         represent(nu, 3)
         tracemalloc.start()
         try:
@@ -106,7 +109,8 @@ class TestRepresent:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert w.r == 3 and peak - kept < 1.5 * 41**3 * 8
+        assert w.r == 3 and peak - kept < 0.5 * n**3 * 8
+        assert all(not g.values.flags.writeable for g in w.weights.values())
 
     def test_mean_preserved(self):
         nu = from_set({1, 2, 4}, 7)
