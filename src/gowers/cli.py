@@ -30,7 +30,6 @@ from .genmeasure import KINDS, GeneratorSpec, PhiloxStream, generate
 from .gowersnorm import (
     EdgeFn,
     box_norm,
-    charge_gcs,
     cube_vertices,
     gcs_verify,
     u_norm_brute,
@@ -49,6 +48,7 @@ from .linform import (
     Lf2Exponents,
     binomial_expansion_identity,
     chain_verify,
+    charge_gcs,
     cube_centered_expectation,
     cube_expectation,
     lf2_chain_verify,
@@ -305,9 +305,6 @@ def _cmd_gcs(args) -> int:
         dims = ()
     if not dims or any(d < 1 for d in dims):
         raise UsageError(f"--dims must be positive integers, got {args.dims!r}")
-    if len(dims) > 5:
-        # One einsum operand per cube vertex, and einsum takes at most 32.
-        raise UsageError(f"--dims takes at most 5 coordinates, got {len(dims)}")
     _nonnegative("--tuples", args.tuples)
     _seed("--seed", args.seed, args.tuples)
     merged = VerificationReport(name="box-norm-product-bound")

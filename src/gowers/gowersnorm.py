@@ -25,8 +25,10 @@ as well:
   recursion (``_box_pows``) batched over many functions at once.
 
 ``gcs_verify`` checks the product-form Cauchy-Schwarz bound for a full
-assignment of functions to cube vertices, its left side by one validated
-and charged ``_box_einsum`` and its right side by ``box_norm``.
+assignment of functions to cube vertices, its left side by the planner of
+``linform.expect_product`` on the 2^k cube factors and its right side by
+``box_norm``, which share no evaluation code, both charged by
+``linform.charge_gcs``.
 
 Determinism: brute-force sums run in C-order chunks whose partial sums are
 merged with Kahan compensation in a fixed order; einsum contractions are
@@ -257,7 +259,9 @@ class EdgeFn:
         return math.fsum(self.values.ravel().tolist()) / self.npoints
 
     def centered(self) -> "EdgeFn":
-        return EdgeFn(self.edge, self.dims, self.values - 1.0)
+        vals = self.values - 1.0
+        vals.flags.writeable = False  # handed over read-only, so kept uncopied
+        return EdgeFn(self.edge, self.dims, vals)
 
     def same_shape(self, other: "EdgeFn") -> bool:
         return self.edge == other.edge and self.dims == other.dims
@@ -270,35 +274,18 @@ class EdgeFn:
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _box_einsum(gs: Mapping[CubeVertex, EdgeFn]) -> float:
-    """Sum over both copies of every coordinate of prod_omega g_omega(x^omega).
-
-    Coordinate i of the edge gets two einsum letters (copy 0 and copy 1);
-    the operand for omega picks letter 2*i + omega_i on axis i.  Unoptimized
-    einsum fixes the traversal order, so results are reproducible.
-    """
-    some = next(iter(gs.values()))
-    kk = len(some.edge)
-    if kk > 5:  # one operand per cube vertex, and einsum takes at most 32
-        raise ShapeMismatch(f"the cube einsum takes at most 5 coordinates, got {kk}")
-    operands = []
-    subs = []
-    for omega in cube_vertices(kk):
-        g = gs[omega]
-        subs.append("".join(_LETTERS[2 * i + omega[i]] for i in range(kk)))
-        operands.append(g.values)
-    expr = ",".join(subs) + "->"
-    return float(np.einsum(expr, *operands, optimize=False))
-
-
 def box_norm_brute(g: EdgeFn, budget: float | None = None) -> float:
     """Box norm by direct enumeration: the 2^|e|-th root of the cube average
     with g at every cube vertex.  For a single vertex this is |E g|."""
     kk = len(g.edge)
+    if kk > 5:  # one einsum operand per cube vertex: 64 at six, and einsum takes 63
+        raise ShapeMismatch(f"the cube einsum takes at most 5 coordinates, got {kk}")
     npts = float(g.npoints)
     cost = npts**2 * (2.0**kk)
     check_budget(cost, budget, what=f"box norm on edge {g.edge}", power=2 * kk)
-    avg = _box_einsum({omega: g for omega in cube_vertices(kk)}) / npts**2
+    # The operand of omega reads letter 2i + omega_i (copy omega_i) on axis i.
+    subs = ["".join(_LETTERS[2 * i + bit] for i, bit in enumerate(om)) for om in cube_vertices(kk)]
+    avg = float(np.einsum(",".join(subs) + "->", *[g.values] * 2**kk, optimize=False)) / npts**2
     scale = float(np.max(np.abs(g.values))) ** (2.0**kk)
     return clamp_cube_average(avg, scale) ** (1.0 / 2.0**kk)
 
@@ -340,15 +327,6 @@ def box_norm(g: EdgeFn, budget: float | None = None) -> float:
     return clamp_cube_average(avg, scale) ** (1.0 / 2.0**kk)
 
 
-def charge_gcs(edge: tuple[int, ...], dims: tuple[int, ...], budget: float | None = None) -> None:
-    """Charge ``gcs_verify`` on functions of ``edge`` with vertex set sizes
-    ``dims``: one mixed expectation over the whole box and 2^k recursive box
-    norms.  A caller that draws the functions takes it before the draw."""
-    kk = len(dims)
-    cost = (2.0**kk) * power_cost(math.prod(dims), 2) * (1.0 + 1.0 / dims[-1])
-    check_budget(cost, budget, what=f"product-form bound on edge {edge}", power=2 * kk)
-
-
 def gcs_verify(
     gs: Mapping[CubeVertex, EdgeFn], budget: float | None = None
 ) -> VerificationReport:
@@ -368,8 +346,11 @@ def gcs_verify(
         )
     if not all(g.same_shape(some) for g in gs.values()):
         raise ShapeMismatch("all cube functions must share edge and dims")
+    from .linform import _cube_axes, charge_gcs, expect_product  # linform imports this module
+
     charge_gcs(some.edge, some.dims, budget)
-    lhs = abs(_box_einsum(gs) / float(some.npoints) ** 2)
+    factors = [(gs[omega].values, _cube_axes(some.edge, omega)) for omega in cube_vertices(kk)]
+    lhs = abs(expect_product(factors, budget, what=f"product-form bound on edge {some.edge}"))
     rhs = 1.0
     for omega in cube_vertices(kk):
         rhs *= box_norm(gs[omega], budget=budget)

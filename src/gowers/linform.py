@@ -41,7 +41,8 @@ doubled product then factors pointwise, so the expectation is the mean over
 both copies of d of the product of one marginal per component.
 ``q_value`` and ``cube_expectation`` run the plan on the explicitly doubled
 factors (``_on_planner``) and are, with ``ybar_sq_expectation`` in
-``tests/chain_oracle.py``, the router's test oracles.
+``tests/chain_oracle.py``, the router's test oracles.  ``charge_gcs``
+prices ``gowersnorm.gcs_verify``, whose left side is one such plan.
 
 A factor may also carry its form, (array, axes, form), when its values are
 h(L·x mod N) for the linear form L and a prime N: the represented weights,
@@ -568,15 +569,34 @@ def _uniformity_norm(values: np.ndarray, form: Form, budget: float | None) -> fl
     return u_norm_fast(line, values.ndim, budget)
 
 
+def _cube_axes(edge: Edge, omega: CubeVertex) -> list[Var]:
+    """The axes of a function of ``edge`` at cube vertex omega: its i-th vertex at copy omega_i."""
+    return [(v, omega[i]) for i, v in enumerate(edge)]
+
+
 def _cube_factors(
     g: EdgeFn, support: Iterable[CubeVertex], form: Form | None = None
 ) -> list[Factor]:
     """g at each cube vertex of the support; formed with ``form`` when one is
     given, which the caller has paired with g (``forms.paired``)."""
     tail = () if form is None else (form,)
-    return [
-        (g.values, [(v, omega[i]) for i, v in enumerate(g.edge)], *tail) for omega in support
-    ]
+    return [(g.values, _cube_axes(g.edge, omega), *tail) for omega in support]
+
+
+def charge_gcs(edge: Edge, dims: tuple[int, ...], budget: float | None = None) -> None:
+    """Charge ``gowersnorm.gcs_verify`` on functions of ``edge`` with vertex
+    set sizes ``dims`` from the shapes alone: the plan of the 2^k cube factors
+    (``_route``) and 2^k box norms of npoints^2 / d_k products each.  A
+    caller that draws the functions takes it before the draw."""
+    kk = len(dims)
+    if kk > 5:  # six coordinates of size one plan one einsum of 64 operands; it takes 63
+        raise ShapeMismatch(f"the product-form bound takes at most 5 coordinates, got {kk}")
+    cost, power = (2.0**kk) * power_cost(math.prod(dims), 2) / dims[-1], 2 * kk - 1
+    if cost < math.inf:  # then no scope of the plan leaves the float range
+        axes = [tuple(_cube_axes(edge, omega)) for omega in cube_vertices(kk)]
+        plan = _route(tuple([(tuple(dims), a) for a in axes]), ())
+        cost, power = cost + plan.cost, max(power, plan.power)
+    check_budget(cost, budget, what=f"product-form bound on edge {edge}", power=power)
 
 
 def cube_expectation(

@@ -219,8 +219,9 @@ class TestBudget:
             ),
             (["boxnorm", "--r", "300", "--n", "307"], "representation (r=300, n=307)"),
             (["slf", "--r", "400", "--n", "401"], "representation (r=400, n=401)"),
+            (["gcs", "--dims", f"{10**155},{10**155}"], "product-form bound on edge (1, 2)"),
         ],
-        ids=["norm-fast", "norm-brute", "count", "experiment", "verify", "boxnorm", "slf"],
+        ids=["norm-fast", "norm-brute", "count", "experiment", "verify", "boxnorm", "slf", "gcs"],
     )
     def test_charge_beyond_float_range_refused(self, capsys, argv, step):
         # Each charge overflowed while it was computed (float **) and ended
@@ -235,7 +236,9 @@ class TestBudget:
 
     def test_gcs_refused_before_drawing(self, capsys):
         # The four 1000 x 1000 functions (32 MB) were drawn before
-        # gcs_verify refused them.
+        # gcs_verify refused them.  The charge is the plan of the left side,
+        # two steps of 2 * 1000^3 and one of 2 * 1000^2, and four box norms
+        # of 1000^4 / 1000 each: 8.002e9.
         tracemalloc.start()
         try:
             code, out, err = _run(capsys, ["gcs", "--dims", "1000,1000"])
@@ -244,7 +247,7 @@ class TestBudget:
             tracemalloc.stop()
         assert (code, out) == (2, "")
         assert err.startswith(
-            "budget exceeded: estimated 4e+12 elementary products > budget 1e+08 "
+            "budget exceeded: estimated 8e+09 elementary products > budget 1e+08 "
             "(product-form bound on edge (1, 2))\n"
         )
         assert peak < 1 << 20
@@ -474,13 +477,30 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == f"error: {option} must be a string of 0s and 1s, got {argv[-1]!r}\n"
 
-    def test_six_dims_name_the_limit(self, capsys):
-        # One einsum operand per cube vertex: 64 at six coordinates, and
-        # einsum takes 32.
+    def test_six_dims_name_the_limit(self, capsys, monkeypatch):
+        # At six coordinates of size one the plan of the left side is one
+        # einsum of 64 operands, and einsum takes 63.  The charge refuses
+        # them before any function is drawn.
+        monkeypatch.setattr(cli, "PhiloxStream", None)  # any draw raises
         code, out, err = _run(capsys, ["gcs", "--dims", "2,2,2,2,2,2"])
         assert (code, out) == (2, "")
-        assert err == "error: --dims takes at most 5 coordinates, got 6\n"
+        assert err == "error: the product-form bound takes at most 5 coordinates, got 6\n"
+        monkeypatch.undo()
         assert _run(capsys, ["gcs", "--dims", "2,2,2,2,2"])[0] == 0
+
+    @pytest.mark.parametrize("dims", ["231,231", "23,23,23", "8,8,8,8", "4,4,4,4,4"])
+    def test_largest_equal_dims_fit_the_default_budget(self, capsys, dims):
+        code, obj, err = _run_json(capsys, ["gcs", "--dims", dims])
+        assert (code, err) == (0, "")
+        assert obj["report"]["pass"] is True
+
+    @pytest.mark.parametrize("dims", ["232,232", "24,24,24", "9,9,9,9", "5,5,5,5,5"])
+    def test_next_equal_dims_refused_before_drawing(self, capsys, monkeypatch, dims):
+        monkeypatch.setattr(cli, "PhiloxStream", None)  # any draw raises
+        code, out, err = _run(capsys, ["gcs", "--dims", dims])
+        assert (code, out) == (2, "")
+        assert err.startswith("budget exceeded: ")
+        assert "(product-form bound on edge " in err
 
     @pytest.mark.parametrize("dims", ["3,,4", "3,x", "0,2"])
     def test_malformed_dims_name_the_flag(self, capsys, dims):

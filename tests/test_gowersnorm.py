@@ -6,10 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import gowers.gowersnorm as gowersnorm
+import gowers.linform as linform
 from conftest import philox, random_cyclic, random_edge_fn
 from gowers import (
     BudgetExceeded,
@@ -23,6 +24,7 @@ from gowers import (
     cube_vertices,
     from_set,
     gcs_verify,
+    represent,
     u_norm_brute,
     u_norm_fast,
 )
@@ -241,7 +243,7 @@ class TestFastRecursion:
         def refuse(*args, **kwargs):
             raise AssertionError("the fast route called into the brute route")
 
-        for name in ("u_norm_brute", "_kahan_add", "_box_einsum"):
+        for name in ("u_norm_brute", "_kahan_add", "box_norm_brute"):
             monkeypatch.setattr(gowersnorm, name, refuse)
         f = random_cyclic(12, seed=5, low=-1.0, high=1.0)
         assert u_norm_fast(f, 3) > 0.0
@@ -329,6 +331,23 @@ class TestEdgeFn:
         writable[0, 0] = 5.0
         assert g.values[0, 0] == 1.0
 
+    def test_centered_holds_one_weight(self):
+        # centered() hands its difference over read-only, so EdgeFn keeps it
+        # uncopied: the peak is that one weight and the finiteness mask (an
+        # eighth of one), where a copy of the difference made it two.
+        n = 101
+        g = represent(from_set({0, 1, 3}, n), 3).weight_omitting(0)
+        g.centered()
+        tracemalloc.start()
+        try:
+            centered = g.centered()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n**3 * 8
+        assert not centered.values.flags.writeable
+        assert np.array_equal(centered.values, g.values - 1.0)
+
 
 def _box_pow_loop(g: EdgeFn) -> float:
     """Independent nested-loop evaluation of the box power of an edge
@@ -371,7 +390,7 @@ class TestBoxNorm:
             box_norm_brute(g, budget=100.0)
 
     def test_six_coordinates_name_the_limit(self):
-        # 2^6 cube vertices are 64 einsum operands; einsum takes 32.
+        # 2^6 cube vertices are 64 einsum operands; einsum takes 63.
         g = EdgeFn.ones(tuple(range(1, 7)), (2,) * 6)
         with pytest.raises(ShapeMismatch, match="at most 5 coordinates"):
             box_norm_brute(g)
@@ -414,9 +433,15 @@ class TestBoxNormRecursion:
 
 
 def _mixed(gs):
-    """The signed left side of ``gcs_verify``: E prod_omega g_omega(x^omega)
-    over both copies of every coordinate."""
-    return gowersnorm._box_einsum(gs) / float(next(iter(gs.values())).npoints) ** 2
+    """The signed left side of ``gcs_verify``, E prod_omega g_omega(x^omega)
+    over both copies of every coordinate, by one unoptimized einsum:
+    coordinate i gets letters 2i (copy 0) and 2i + 1 (copy 1), and the
+    operand of omega reads letter 2i + omega_i on axis i."""
+    some = next(iter(gs.values()))
+    kk = len(some.edge)
+    subs = ["".join("abcdefghij"[2 * i + bit] for i, bit in enumerate(om)) for om in gs]
+    total = np.einsum(",".join(subs) + "->", *[g.values for g in gs.values()], optimize=False)
+    return float(total) / float(some.npoints) ** 2
 
 
 class TestMixedCube:
@@ -505,23 +530,83 @@ class TestGcsVerify:
             gcs_verify(gs, budget=50.0)
 
     def test_charge_is_one_mixed_expectation_and_recursive_norms(self):
-        # 2^k npoints^2 for the mixed expectation plus 2^k box norms of
-        # npoints^2 / d_k each: 4 * 144 + 4 * 36.
+        # The plan of the mixed expectation over x1, x1' (size 3) and x2, x2'
+        # (size 4): sum out x2 from g00 and g10 (3*3*4 points read twice,
+        # 72), then x1 from g01 and that result (72), then x1' and x2' from
+        # g11 and the last result (3*4 points twice, 24): 168, at most 3
+        # variables a step.  Plus 2^k box norms of npoints^2 / d_k = 36
+        # each, 144, at power 2k - 1 = 3.
         gs = {
             omega: random_edge_fn((1, 2), (3, 4), seed=omega[0] + 2 * omega[1])
             for omega in cube_vertices(2)
         }
         with pytest.raises(BudgetExceeded) as exc:
-            gcs_verify(gs, budget=719.0)
-        assert exc.value.estimated == 720.0
-        assert exc.value.power == 4
-        assert gcs_verify(gs, budget=720.0).passed
+            gcs_verify(gs, budget=311.0)
+        assert exc.value.estimated == 312.0
+        assert exc.value.power == 3
+        assert gcs_verify(gs, budget=312.0).passed
 
     def test_charge_taken_without_the_functions(self):
         # The front end draws the functions only after this charge fits, so
         # it must be the very charge gcs_verify takes.
         with pytest.raises(BudgetExceeded) as exc:
-            gowersnorm.charge_gcs((1, 2), (3, 4), budget=719.0)
-        assert (exc.value.estimated, exc.value.power) == (720.0, 4)
+            linform.charge_gcs((1, 2), (3, 4), budget=311.0)
+        assert (exc.value.estimated, exc.value.power) == (312.0, 3)
         assert exc.value.what == "product-form bound on edge (1, 2)"
-        gowersnorm.charge_gcs((1, 2), (3, 4), budget=720.0)
+        linform.charge_gcs((1, 2), (3, 4), budget=312.0)
+
+    @given(
+        dims=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        seed=st.integers(0, 2**16),
+    )
+    @example(dims=[1], seed=0)
+    @example(dims=[1] * 5, seed=1)
+    @example(dims=[4] * 5, seed=2)
+    def test_left_side_matches_one_einsum(self, dims, seed):
+        edge = tuple(range(1, len(dims) + 1))
+        rng = philox(seed)
+        gs = {
+            omega: EdgeFn(edge, tuple(dims), rng.random(tuple(dims)) * 2 - 1)
+            for omega in cube_vertices(len(dims))
+        }
+        lhs = gcs_verify(gs).ratios["lhs"]
+        assert lhs == pytest.approx(abs(_mixed(gs)), rel=1e-12, abs=1e-15)
+
+    def test_the_two_sides_share_no_evaluation_code(self, monkeypatch):
+        # The left side runs on the planner alone and the right side on the
+        # pair recursion alone, so neither can hide a fault of the other.
+        inside_box_norm = []
+        seen = {"left": set(), "right": set()}
+        real_box_norm = gowersnorm.box_norm
+
+        def box_norm_spy(g, budget=None):
+            inside_box_norm.append(g)
+            try:
+                return real_box_norm(g, budget)
+            finally:
+                inside_box_norm.pop()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                seen["right" if inside_box_norm else "left"].add(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, call)
+
+        monkeypatch.setattr(gowersnorm, "box_norm", box_norm_spy)
+        for module, name in (
+            (gowersnorm, "_box_pows"),
+            (linform, "_box_pows"),
+            (linform, "_plan"),
+            (linform, "_run"),
+        ):
+            spy(module, name)
+        linform._route.cache_clear()  # so the left side plans afresh
+        gs = {
+            omega: random_edge_fn((1, 2, 3), (2, 3, 2), seed=sum(omega))
+            for omega in cube_vertices(3)
+        }
+        assert gcs_verify(gs).passed
+        assert seen == {"left": {"_plan", "_run"}, "right": {"_box_pows"}}

@@ -253,7 +253,7 @@ class TestOracleIndependence:
         for module, name in (
             (linform, "expect_product"),
             (linform, "_plan"),
-            (gowersnorm, "_box_einsum"),
+            (gowersnorm, "box_norm_brute"),
             (gowersnorm, "_u_pows"),
         ):
             monkeypatch.setattr(module, name, refuse)
