@@ -219,6 +219,8 @@ class TestBudget:
             ),
             (["boxnorm", "--r", "300", "--n", "307"], "representation (r=300, n=307)"),
             (["slf", "--r", "400", "--n", "401"], "representation (r=400, n=401)"),
+            # The plan of the left side is then never built: its scope sizes
+            # would leave the float range.
             (["gcs", "--dims", f"{10**155},{10**155}"], "product-form bound on edge (1, 2)"),
         ],
         ids=["norm-fast", "norm-brute", "count", "experiment", "verify", "boxnorm", "slf", "gcs"],
