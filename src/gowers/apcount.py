@@ -264,8 +264,8 @@ def telescoping_check(
     of the single-copy centered terms of w.
 
     Term m is E[(w_m - 1) w_0 ... w_(m-1)], w_i the weight of the edge
-    omitting vertex i, on formed factors when w carries forms.  It is the
-    empty-set chain quantity of the single-copy instance whose minorants are
+    omitting vertex i, on formed factors when the weights carry forms.  It
+    is the empty-set chain quantity of the single-copy instance whose minorants are
     their caps, after relabeling vertex m to the distinguished slot: the
     weights of the edges that omitted 0..m-1, and one for the rest.  With
     ``with_chains`` the composed chain bound of that instance

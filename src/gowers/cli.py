@@ -351,11 +351,10 @@ def _cmd_cube(args, spec, nu):
         pat = CubePattern.from_string(args.pattern)
     # The expansion first, so its walk is charged before any expectation;
     # its left-hand side is the raw cube expectation.
-    form = w.form(args.j)
-    (report,) = binomial_expansion_identity(g, [pat], args.budget, form)
+    (report,) = binomial_expansion_identity(g, [pat], args.budget)
     values = {
         "cube-expectation": report.ratios["raw"],
-        "cube-centered-expectation": cube_centered_expectation(g, pat, args.budget, form),
+        "cube-centered-expectation": cube_centered_expectation(g, pat, args.budget),
     }
     inputs = {"r": args.r, "j": args.j, "pattern": pat.to_string()}
     return inputs, {"values": values, "report": report.to_json_obj()}, report.passed
@@ -449,7 +448,7 @@ def _suite_representation(measures, w0, budget) -> tuple[VerificationReport, lis
     for s, (nu, w) in enumerate(measures):
         _preservation(rep, nu, w, f" seed={s}", budget)
         densities.append(_density(rep, nu, w, f" seed={s}", budget))
-    n, r = w0.modulus, w0.r
+    n, r = w0.system.dims[0], w0.r
     bad = map_failures(w0, budget=budget)
     rep.add(eq_check(f"progression-map exhaustive n={n} r={r}", bad, 0.0, 0.0))
     return rep, densities
@@ -469,7 +468,7 @@ def _suite_cube(measures, r: int, budget) -> VerificationReport:
         ]
     patterns = [pat for pat in patterns if pat.weight()]
     for s, (_, w) in enumerate(measures):
-        subs = binomial_expansion_identity(w.weight_omitting(0), patterns, budget, w.form(0))
+        subs = binomial_expansion_identity(w.weight_omitting(0), patterns, budget)
         for pat, sub in zip(patterns, subs):
             _fold(rep, sub, f"seed={s} pattern={pat.to_string()}")
     return rep
@@ -522,11 +521,11 @@ def _suite_degenerate(n: int, r: int, budget) -> VerificationReport:
     exps = Lf2Exponents.all_ones(r)
     rep.add(eq_check("doubled-origin-term", lf2_term(w, 1, exps, budget), 0.0, 0.0))
     rep.add(eq_check("product-weight-deviation", nu_prime_l2_dev(nu_prime(w, budget)), 0.0, 0.0))
-    g0, form = w.weight_omitting(0), w.form(0)
+    g0 = w.weight_omitting(0)
     pat = CubePattern.all_ones(r)
-    centered = cube_centered_expectation(g0, pat, budget, form)
+    centered = cube_centered_expectation(g0, pat, budget)
     rep.add(eq_check("cube-centered", centered, 0.0, 0.0))
-    rep.add(eq_check("cube-product", cube_expectation(g0, pat, budget, form), 1.0, 0.0))
+    rep.add(eq_check("cube-product", cube_expectation(g0, pat, budget), 1.0, 0.0))
     rep.add(eq_check("doubled-origin-product", lf2_expectation(w, exps, budget), 1.0, 0.0))
     rep.add(
         eq_check("progression-density", ap_density([nu.fn] * (r + 1), budget).density, 1.0, 0.0)

@@ -2,8 +2,9 @@
 
 A form L = (c_1, ..., c_k) mod N indexes an array with k axes of size N: a
 formed array has values h(L·x mod N) for some h on Z_N.  ``formed`` builds
-one block by block; ``paired`` checks that an array equals the one built from
-its ``line``, which reads h back.  ``pivots`` picks a basis of the variables
+one block by block, for ``gowersnorm.EdgeFn.formed``, which binds the array
+to its form, so that no weight is ever paired with a form after it is
+built; ``line`` reads h back.  ``pivots`` picks a basis of the variables
 of a system of forms, and ``independent_columns`` certifies that basis by an
 elimination that shares no code with ``pivots``.
 """
@@ -15,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalInconsistency, ShapeMismatch
 from .gowersnorm import _CHUNK_ELEMS
 
 
@@ -51,44 +51,19 @@ def line(values: np.ndarray, form: Form) -> np.ndarray:
     return values[_levels(form)[0]]
 
 
-def _formed_blocks(h: np.ndarray, form: Form):
-    """h(L·x mod N) over blocks of the first axis, at most _CHUNK_ELEMS
-    values or one row each, with each block's slice."""
+def formed(h: np.ndarray, form: Form) -> np.ndarray:
+    """The array h(L·x mod N) over the axes of L, written block by block
+    along the first axis, at most _CHUNK_ELEMS values or one row each, so
+    that no N^k index, and no second N^k array, is ever formed."""
+    n = form.modulus
     _, (first, *others) = _levels(form)
     rest = sum(others, np.zeros((1,) * len(form.coeffs), dtype=np.int64))
     rows = max(1, _CHUNK_ELEMS // rest.size)
-    for start in range(0, form.modulus, rows):
+    out = np.empty((n,) * len(form.coeffs), dtype=h.dtype)
+    for start in range(0, n, rows):
         block = slice(start, start + rows)
-        yield block, h[(first[block] + rest) % form.modulus]
-
-
-def formed(h: np.ndarray, form: Form) -> np.ndarray:
-    """The array h(L·x mod N) over the axes of L, each block
-    (``_formed_blocks``) written into it in turn, so that no N^k index,
-    and no second N^k array, is ever formed."""
-    out = np.empty((form.modulus,) * len(form.coeffs), dtype=h.dtype)
-    for block, values in _formed_blocks(h, form):
-        out[block] = values
+        out[block] = h[(first[block] + rest) % n]
     return out
-
-
-def paired(values: np.ndarray, form: Form) -> np.ndarray:
-    """``values``, once checked equal to h(L·x) at every x, for L the form
-    and h its ``line``.  An array is checked where a caller pairs it with
-    its form (a hypergraph's weights once, in ``WeightedHypergraph.paired``);
-    one computed from it value by value, such as the centered weight, is
-    formed with the same form unchecked.  It is compared block by block
-    with the blocks of h(L·x) that ``formed`` builds from.
-    An array that fails raises NumericalInconsistency."""
-    n = form.modulus
-    if values.shape != (n,) * len(form.coeffs):
-        raise ShapeMismatch(f"form {form} does not fit values of shape {values.shape}")
-    for block, built in _formed_blocks(line(values, form), form):
-        if not np.array_equal(values[block], built):
-            raise NumericalInconsistency(
-                f"values are not constant on the level sets of their form {form.coeffs} mod {n}"
-            )
-    return values
 
 
 def pivots(rows: list[tuple[int, ...]], n: int) -> tuple[int, ...]:

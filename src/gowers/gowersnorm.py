@@ -30,6 +30,12 @@ assignment of functions to cube vertices, its left side by the planner of
 ``box_norm``, which share no evaluation code, both charged by
 ``linform.charge_gcs``.
 
+``EdgeFn``, a function on a product of vertex sets, also carries the linear
+form L of a weight h(L·x mod N) when ``EdgeFn.formed`` builds it (the
+represented weights of ``hypersystem``); ``centered`` keeps the form, and
+every other construction leaves it None.  A weight and its form are thus
+one object, which the formed expectations of ``linform`` read.
+
 Determinism: brute-force sums run in C-order chunks whose partial sums are
 merged with Kahan compensation in a fixed order; einsum contractions are
 performed unoptimized, which fixes their traversal order; the recursions
@@ -45,8 +51,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -54,6 +60,9 @@ from .budget import check_budget, power_cost
 from .cyclic import CyclicFn
 from .errors import NumericalInconsistency, ShapeMismatch
 from .report import TOL, VerificationReport, ineq_check
+
+if TYPE_CHECKING:
+    from .forms import Form
 
 # Absolute clamp tolerance for cube averages that are squares analytically
 # but may round slightly negative.
@@ -219,12 +228,16 @@ class EdgeFn:
 
     ``edge`` lists the vertex labels in strictly ascending order and ``dims``
     gives the matching set sizes; ``values`` is indexed with one axis per
-    vertex in that order.
+    vertex in that order.  ``form`` is the linear form L of a weight built
+    as h(L·x mod N) by ``formed``, which alone sets it, and ``centered``
+    keeps it; every other weight, ``dataclasses.replace`` of a formed one
+    too, has None.
     """
 
     edge: tuple[int, ...]
     dims: tuple[int, ...]
     values: np.ndarray
+    form: Form | None = field(default=None, init=False)
 
     def __post_init__(self):
         edge = tuple(int(v) for v in self.edge)
@@ -259,9 +272,28 @@ class EdgeFn:
         return math.fsum(self.values.ravel().tolist()) / self.npoints
 
     def centered(self) -> "EdgeFn":
+        """g - 1, with the form of g: (h - 1)(L·x) is formed by L too."""
         vals = self.values - 1.0
         vals.flags.writeable = False  # handed over read-only, so kept uncopied
-        return EdgeFn(self.edge, self.dims, vals)
+        fn = EdgeFn(self.edge, self.dims, vals)
+        object.__setattr__(fn, "form", self.form)
+        return fn
+
+    @classmethod
+    def formed(cls, edge: tuple[int, ...], h: np.ndarray, form: Form) -> "EdgeFn":
+        """The weight h(L·x mod N) on ``edge``, L the form and h a function
+        on Z_N, each vertex of size N: built by ``forms.formed`` and handed
+        over read-only, so kept uncopied, with its form."""
+        from .forms import formed  # forms imports this module
+
+        h = np.asarray(h, dtype=np.float64)
+        if h.shape != (form.modulus,):
+            raise ShapeMismatch(f"form {form} reads a function of shape ({form.modulus},)")
+        values = formed(h, form)
+        values.flags.writeable = False
+        fn = cls(edge, (form.modulus,) * len(form.coeffs), values)
+        object.__setattr__(fn, "form", form)
+        return fn
 
     def same_shape(self, other: "EdgeFn") -> bool:
         return self.edge == other.edge and self.dims == other.dims

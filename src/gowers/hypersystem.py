@@ -10,17 +10,18 @@ a measure nu on Z_N into edge weights
 which has two exact consequences for prime N > r: the r+1 evaluation points
 y_j form an arithmetic progression with common difference sum_i x_i, and each
 centered edge weight has box norm equal to the order-r uniformity norm of
-nu - 1.  ``represent`` builds each weight nu(L·x), L the form of its edge, with
-``forms.formed``, the construction ``forms.paired`` checks weights against.
-``represent_charged`` charges the edge weights to the budget before
-``represent`` allocates them, and ``map_failures`` charges its walk.
+nu - 1.  ``represent`` builds each weight nu(L·x), L the form of its edge, as
+``EdgeFn.formed``, so every weight carries its own form and no weight is
+ever matched with a form after it is built.  ``represent_charged`` charges
+the edge weights to the budget before ``represent`` allocates them, and
+``map_failures`` charges its walk.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     SupBelowOneWarning,
 )
-from .forms import Form, formed
+from .forms import Form, line
 from .gowersnorm import _CHUNK_ELEMS, _LETTERS, EdgeFn
 
 Edge = tuple[int, ...]
@@ -95,19 +96,13 @@ class HypergraphSystem:
 class WeightedHypergraph:
     """Edge weights for every edge of a HypergraphSystem.
 
-    ``forms`` and ``modulus`` carry the linear-form coefficients when the
-    weights came from ``represent`` or ``relabel``; direct constructions
-    leave them None and ``ap_values`` then refuses to answer.  ``paired``
-    holds, per edge, the weight that ``linform.weight_factor`` has checked
-    against its form, the centered weight and the form, so that each is
-    built and checked once per hypergraph.
+    The weights that ``represent`` and ``relabel`` build carry their
+    linear forms (``EdgeFn.form``); without them ``ap_values`` refuses to
+    answer.
     """
 
     system: HypergraphSystem
     weights: dict[Edge, EdgeFn]
-    forms: tuple[tuple[int, ...], ...] | None = None
-    modulus: int | None = None
-    paired: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = set(self.system.edges)
@@ -130,13 +125,6 @@ class WeightedHypergraph:
 
     def weight_omitting(self, j: int) -> EdgeFn:
         return self.weights[self.system.edge_omitting(j)]
-
-    def form(self, j: int) -> Form | None:
-        """The form of the weight of the edge omitting j, or None without
-        forms."""
-        if self.forms is None or self.modulus is None:
-            return None
-        return Form(self.forms[j], self.modulus)
 
 
 def sup_norm(w: WeightedHypergraph) -> float:
@@ -170,15 +158,11 @@ def represent(nu: Measure, r: int) -> WeightedHypergraph:
     check_modulus(n, r)
     system = HypergraphSystem(r, (n,) * (r + 1))
     weights: dict[Edge, EdgeFn] = {}
-    forms = []
     for j in range(r + 1):
         edge = system.edge_omitting(j)
         coeffs = tuple((j - i) % n for i in edge)
-        forms.append(coeffs)
-        values = formed(nu.fn.values, Form(coeffs, n))
-        values.flags.writeable = False  # handed to EdgeFn, which keeps it uncopied
-        weights[edge] = EdgeFn(edge, (n,) * r, values)
-    return WeightedHypergraph(system, weights, forms=tuple(forms), modulus=n)
+        weights[edge] = EdgeFn.formed(edge, nu.fn.values, Form(coeffs, n))
+    return WeightedHypergraph(system, weights)
 
 
 def represent_charged(nu: Measure, r: int, budget: float | None = None) -> WeightedHypergraph:
@@ -189,25 +173,32 @@ def represent_charged(nu: Measure, r: int, budget: float | None = None) -> Weigh
     return represent(nu, r)
 
 
+def _forms(w: WeightedHypergraph) -> list[Form]:
+    """The form of each weight, by omitted vertex; NotRepresentation when
+    some weight carries none."""
+    found = [w.weight_omitting(j).form for j in range(w.r + 1)]
+    if None in found:
+        raise NotRepresentation("hypergraph was not built by represent()")
+    return found
+
+
 def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Evaluation points (y_0, ..., y_r) of the stored linear forms at x and
-    the coordinate sum d = sum_i x_i mod N.
+    """Evaluation points (y_0, ..., y_r) of the weights' linear forms at x
+    and the coordinate sum d = sum_i x_i mod N.
 
     For a correct representation the points form a progression with common
     difference d; callers check that, so a broken map is reported as a
-    failed check.  Only available when the hypergraph carries forms.
+    failed check.  Only available when the weights carry forms.
     """
-    if w.forms is None or w.modulus is None:
-        raise NotRepresentation("hypergraph was not built by represent()")
-    n = w.modulus
+    forms = _forms(w)
+    n = forms[0].modulus
     r = w.r
     if len(x) != r + 1:
         raise ShapeMismatch(f"need {r + 1} coordinates, got {len(x)}")
     ys = []
-    for j in range(r + 1):
+    for j, form in enumerate(forms):
         edge = w.system.edge_omitting(j)
-        coeffs = w.forms[j]
-        ys.append(sum(c * int(x[v]) for c, v in zip(coeffs, edge)) % n)
+        ys.append(sum(c * int(x[v]) for c, v in zip(form.coeffs, edge)) % n)
     return tuple(ys), sum(int(v) for v in x) % n
 
 
@@ -215,12 +206,11 @@ def map_failures(w: WeightedHypergraph, points=None, budget: float | None = None
     """How many points x, every point of the cube when ``points`` is None,
     have evaluation points (those of ``ap_values``) that do not step by the
     coordinate sum d.  The r+1 evaluation points of each point walked are
-    charged before the walk.  The stored forms are applied with int64 numpy
-    to blocks of at most _CHUNK_ELEMS points at once, so each point costs
-    its r+1 forms and no Python call."""
-    if w.forms is None or w.modulus is None:
-        raise NotRepresentation("hypergraph was not built by represent()")
-    n, r = w.modulus, w.r
+    charged before the walk.  The weights' forms are applied with int64
+    numpy to blocks of at most _CHUNK_ELEMS points at once, so each point
+    costs its r+1 forms and no Python call."""
+    forms = _forms(w)
+    n, r = forms[0].modulus, w.r
     if points is None:
         npoints, count, power = n ** (r + 1), power_cost(n, r + 1), r + 1
     else:
@@ -239,8 +229,8 @@ def map_failures(w: WeightedHypergraph, points=None, budget: float | None = None
         else:
             x = points[start:stop].T
         ys = [
-            sum(c * x[v] for c, v in zip(coeffs, edge)) % n
-            for coeffs, edge in zip(w.forms, edges)
+            sum(c * x[v] for c, v in zip(form.coeffs, edge)) % n
+            for form, edge in zip(forms, edges)
         ]
         d = sum(x) % n
         wrong = np.zeros(stop - start, dtype=bool)
@@ -253,9 +243,11 @@ def map_failures(w: WeightedHypergraph, points=None, budget: float | None = None
 def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:
     """Pull the hypergraph back along a vertex permutation.
 
-    ``perm[i]`` is the old label of new vertex i.  Linear forms are pulled
-    back along the weights' axis map, so each weight stays nu at its form;
-    a permuted representation's evaluation points are a permuted progression.
+    ``perm[i]`` is the old label of new vertex i.  A weight without a form
+    is transposed along the axis map; a formed one is formed anew from its
+    line with its form pulled back along that map, so each weight stays nu
+    at its form and a permuted representation's evaluation points are a
+    permuted progression.
     """
     r = w.r
     if sorted(perm) != list(range(r + 1)):
@@ -263,19 +255,19 @@ def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:
     dims = tuple(w.system.dims[perm[i]] for i in range(r + 1))
     system = HypergraphSystem(r, dims)
     weights: dict[Edge, EdgeFn] = {}
-    forms = []
     for j in range(r + 1):
         new_edge = system.edge_omitting(j)
-        old_fn = w.weight_omitting(perm[j])
-        old_edge = old_fn.edge
+        old = w.weight_omitting(perm[j])
         # Axis a of the new tensor is new vertex new_edge[a], which reads old
         # vertex perm[new_edge[a]]; find that vertex's axis in the old tensor.
-        axes = tuple(old_edge.index(perm[v]) for v in new_edge)
-        vals = np.transpose(old_fn.values, axes)
-        weights[new_edge] = EdgeFn(new_edge, system.edge_dims(new_edge), vals)
-        if w.forms is not None:
-            forms.append(tuple(w.forms[perm[j]][a] for a in axes))
-    return WeightedHypergraph(system, weights, tuple(forms) if forms else None, w.modulus)
+        axes = tuple(old.edge.index(perm[v]) for v in new_edge)
+        if old.form is None:
+            vals = np.transpose(old.values, axes)
+            weights[new_edge] = EdgeFn(new_edge, system.edge_dims(new_edge), vals)
+        else:
+            form = Form(tuple(old.form.coeffs[a] for a in axes), old.form.modulus)
+            weights[new_edge] = EdgeFn.formed(new_edge, line(old.values, old.form), form)
+    return WeightedHypergraph(system, weights)
 
 
 def progression_count_check(w: WeightedHypergraph, budget: float | None = None) -> float:

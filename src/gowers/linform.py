@@ -46,7 +46,9 @@ prices ``gowersnorm.gcs_verify``, whose left side is one such plan.
 
 A factor may also carry its form, (array, axes, form), when its values are
 h(L·x mod N) for the linear form L and a prime N: the represented weights,
-their centered copies and the constant one (the zero form).  A product of
+each of which carries its form from the moment it is built
+(``EdgeFn.formed``), their centered copies and the constant one (the zero
+form).  Every engine reads a factor's form from its weight.  A product of
 such formed factors reads x only through the image of the form map, onto
 which the uniform x is pushed uniformly, so it takes a fourth route, the
 quotient route, wherever every axis has the prime size N: a plan that reads
@@ -560,13 +562,21 @@ class CubePattern:
         return "".join(str(b) for b in self.bits)
 
 
-def _uniformity_norm(values: np.ndarray, form: Form, budget: float | None) -> float:
-    """The box norm of nu(L·x) - 1 for a formed array nu(L·x), every
-    coefficient of L invertible: by norm preservation the uniformity norm
-    of nu - 1 of the array's order, nu read along its ``forms.line``.
-    It shares no code with the expectation routes."""
-    line = CyclicFn(form.modulus, forms.line(values, form) - 1.0)
-    return u_norm_fast(line, values.ndim, budget)
+def _normed_on_line(g: EdgeFn) -> bool:
+    """Whether the box norm of g - 1 is read off g's line: when g is
+    nu(L·x) for a form L whose every coefficient is invertible, norm
+    preservation makes it the uniformity norm of nu - 1 of g's order."""
+    return g.form is not None and all(c % g.form.modulus for c in g.form.coeffs)
+
+
+def _centered_box_norm(g: EdgeFn, budget: float | None) -> float:
+    """The box norm of g - 1: when ``_normed_on_line``, the uniformity norm
+    of nu - 1, nu read along g's ``forms.line``, which shares no code with
+    the expectation routes; otherwise ``box_norm`` of g - 1."""
+    if not _normed_on_line(g):
+        return box_norm(g.centered(), budget=budget)
+    line = CyclicFn(g.form.modulus, forms.line(g.values, g.form) - 1.0)
+    return u_norm_fast(line, g.values.ndim, budget)
 
 
 def _cube_axes(edge: Edge, omega: CubeVertex) -> list[Var]:
@@ -574,12 +584,9 @@ def _cube_axes(edge: Edge, omega: CubeVertex) -> list[Var]:
     return [(v, omega[i]) for i, v in enumerate(edge)]
 
 
-def _cube_factors(
-    g: EdgeFn, support: Iterable[CubeVertex], form: Form | None = None
-) -> list[Factor]:
-    """g at each cube vertex of the support; formed with ``form`` when one is
-    given, which the caller has paired with g (``forms.paired``)."""
-    tail = () if form is None else (form,)
+def _cube_factors(g: EdgeFn, support: Iterable[CubeVertex]) -> list[Factor]:
+    """g at each cube vertex of the support; formed when g carries a form."""
+    tail = () if g.form is None else (g.form,)
     return [(g.values, _cube_axes(g.edge, omega), *tail) for omega in support]
 
 
@@ -599,48 +606,31 @@ def charge_gcs(edge: Edge, dims: tuple[int, ...], budget: float | None = None) -
     check_budget(cost, budget, what=f"product-form bound on edge {edge}", power=power)
 
 
-def cube_expectation(
-    g: EdgeFn, pat: CubePattern, budget: float | None = None, form: Form | None = None
-) -> float:
+def cube_expectation(g: EdgeFn, pat: CubePattern, budget: float | None = None) -> float:
     """E[prod over active cube vertices of g(x^omega)], both copies uniform;
-    on formed factors when g is nu(L·x) for the given form L."""
+    on formed factors when g is nu(L·x) with its form L."""
     if pat.k != len(g.edge):
         raise ShapeMismatch("pattern dimension does not match edge size")
-    if form is not None:
-        forms.paired(g.values, form)
-    return expect_product(
-        _cube_factors(g, pat.support(), form), budget, what="cube expectation"
-    )
+    return expect_product(_cube_factors(g, pat.support()), budget, what="cube expectation")
 
 
 def cube_centered_expectation(
-    g: EdgeFn,
-    pat: CubePattern,
-    budget: float | None = None,
-    form: Form | None = None,
+    g: EdgeFn, pat: CubePattern, budget: float | None = None
 ) -> float:
     """Same as ``cube_expectation`` with g - 1 at the active vertices.
 
     The product-form bound |value| <= boxnorm(g-1)^weight is verified (a
-    slack of TOL times the bound absorbs roundoff).  The box norm is
-    ``box_norm``'s, or for g = nu(L·x) with a form whose every coefficient
-    is invertible the uniformity norm of nu - 1 (``_uniformity_norm``).
+    slack of TOL times the bound absorbs roundoff), the box norm by
+    ``_centered_box_norm``.
     """
     if pat.k != len(g.edge):
         raise ShapeMismatch("pattern dimension does not match edge size")
     if pat.weight() == 0:
         raise AllZeroPattern("centered cube expectation needs an active vertex")
-    if form is not None:
-        forms.paired(g.values, form)
-    centered = g.centered()
     value = expect_product(
-        _cube_factors(centered, pat.support(), form), budget, what="centered cube expectation"
+        _cube_factors(g.centered(), pat.support()), budget, what="centered cube expectation"
     )
-    if form is not None and all(c % form.modulus for c in form.coeffs):
-        box = _uniformity_norm(g.values, form, budget)
-    else:
-        box = box_norm(centered, budget=budget)
-    bound = box ** pat.weight()
+    bound = _centered_box_norm(g, budget) ** pat.weight()
     if abs(value) > bound + TOL * max(1.0, bound):
         raise NumericalInconsistency(
             f"centered cube expectation {value} exceeds product bound {bound}"
@@ -676,10 +666,7 @@ def _flip_classes(k: int) -> list[int]:
 
 
 def binomial_expansion_identity(
-    g: EdgeFn,
-    patterns: Iterable[CubePattern],
-    budget: float | None = None,
-    form: Form | None = None,
+    g: EdgeFn, patterns: Iterable[CubePattern], budget: float | None = None
 ) -> list[VerificationReport]:
     """Check E[prod nu] = sum over sub-supports of E[prod (nu-1)] for each
     pattern; one report per pattern.
@@ -693,9 +680,9 @@ def binomial_expansion_identity(
     sub-supports is charged before the pattern: one table lookup each for
     k <= _TABLE_K, above that 2^k flips of 2^k bits each.  The pattern's
     expectations, its raw one and each orbit not evaluated before, are then
-    charged together, as one step, before any of them runs.  With the form
-    of g = nu(L·x) every expectation runs on formed factors, g paired with
-    it once per call (``forms.paired``), the raw side on its priced factors.
+    charged together, as one step, before any of them runs.  When g is
+    nu(L·x) with its form L every expectation runs on formed factors, the
+    raw side on its priced factors.
     """
     k = len(g.edge)
     vertices = cube_vertices(k)
@@ -705,8 +692,6 @@ def binomial_expansion_identity(
     centered = g.centered()
     terms: dict[int, float] = {}
     reports = []
-    if form is not None:
-        forms.paired(g.values, form)
     for pat in patterns:
         what = f"cube expansion walk (k={k}, 2^{pat.weight()} - 1 sub-supports)"
         check_budget((power_cost(2, pat.weight()) - 1.0) * per_sub, budget, what=what)
@@ -723,13 +708,11 @@ def binomial_expansion_identity(
             )
             sub = (sub - 1) & full
         new = {
-            rep: _cube_factors(
-                centered, [om for j, om in enumerate(vertices) if rep >> j & 1], form
-            )
+            rep: _cube_factors(centered, [om for j, om in enumerate(vertices) if rep >> j & 1])
             for rep in dict.fromkeys(reps)
             if rep not in terms
         }
-        raw = _cube_factors(g, pat.support(), form)
+        raw = _cube_factors(g, pat.support())
         routes = [_route(_structure(factors), ()) for factors in [raw, *new.values()] if factors]
         check_budget(
             math.fsum([route.cost for route in routes]),
@@ -884,33 +867,26 @@ def weight_factor(
     w: WeightedHypergraph, edge: Edge, copy: int | None = None, centered: bool = False
 ) -> Factor:
     """The factor of the weight of ``edge``, minus one when ``centered``,
-    reading vertex 0 at ``copy`` and its other vertices plain.  It is
-    formed when w carries forms: the weight is then paired with the form of
-    the edge (``forms.paired``) once per hypergraph, and kept in ``w.paired``
-    with the centered weight."""
-    axes = _origin_axes(edge, copy)
-    if w.forms is None or w.modulus is None:
-        values = w.weights[edge].values
-        return (values - 1.0 if centered else values), axes
-    if edge not in w.paired:
-        form = w.form(next(v for v in range(w.r + 1) if v not in edge))
-        raw = forms.paired(w.weights[edge].values, form)
-        w.paired[edge] = (raw, raw - 1.0, form)
-    raw, less_one, form = w.paired[edge]
-    return (less_one if centered else raw), axes, form
+    reading vertex 0 at ``copy`` and its other vertices plain; formed with
+    the weight's form when it carries one."""
+    g = w.weights[edge]
+    tail = () if g.form is None else (g.form,)
+    return (g.values - 1.0 if centered else g.values), _origin_axes(edge, copy), *tail
 
 
 def _cap_factor(w: WeightedHypergraph, edge: Edge, cap: Cap) -> Factor:
     """The single-copy factor of a cap: the weight of the edge, or the
-    constant one.  When w carries forms the one has the zero form and is a
-    single value viewed over the edge; otherwise it is a dense array."""
+    constant one.  When the weight carries a form the one has the zero form
+    and is a single value viewed over the edge; otherwise it is a dense
+    array."""
     if cap is Cap.NU:
         return weight_factor(w, edge)
     dims = w.system.edge_dims(edge)
     axes = _origin_axes(edge, None)
-    if w.forms is None or w.modulus is None:
+    form = w.weights[edge].form
+    if form is None:
         return np.ones(dims), axes
-    return np.broadcast_to(np.float64(1.0), dims), axes, Form((0,) * len(edge), w.modulus)
+    return np.broadcast_to(np.float64(1.0), dims), axes, Form((0,) * len(edge), form.modulus)
 
 
 def _slf_base(inst: SlfInstance) -> tuple[list[Factor], list[Factor]]:
@@ -1071,18 +1047,12 @@ def _close(
 
 def _endpoint_box_power(w: WeightedHypergraph, budget: float | None, swap: int = 0) -> float:
     """The box power of the centered distinguished weight, the weight of the
-    edge omitting ``swap``, by a route that shares no code with
-    ``expect_product``'s box route, so that it can check the chain's
-    endpoint.  For a represented hypergraph it is the order-r uniformity
-    power of nu - 1, equal by norm preservation, with
-    nu(y) = w_e(y / c, 0, ..., 0) mod N for the first coefficient c of the
-    form of that edge e.  Otherwise (no forms) it is ``box_norm``, and the
-    endpoint stays on the planner."""
-    g = w.weight_omitting(swap)
-    form = w.form(swap)
-    if form is None:
-        return box_norm(g.centered(), budget=budget) ** (2.0**w.r)
-    return _uniformity_norm(g.values, form, budget) ** (2.0**w.r)
+    edge omitting ``swap``, by ``_centered_box_norm``: for a represented
+    weight the order-r uniformity power of nu - 1, which shares no code
+    with ``expect_product``'s box route, so that it can check the chain's
+    endpoint.  Otherwise it is ``box_norm``'s, and the endpoint stays on
+    the planner (``_slf_chain``)."""
+    return _centered_box_norm(w.weight_omitting(swap), budget) ** (2.0**w.r)
 
 
 def _slf_chain(
@@ -1103,7 +1073,7 @@ def _slf_chain(
     sup = sup_norm(w)
     sets = [d for size in range(r + 1) for d in itertools.combinations(e0, size)]
     name = "single-copy-chain" if single else "strong-linear-forms-chain"
-    planned = () if w.forms is not None else (e0,)
+    planned = () if _normed_on_line(w.weight_omitting(swap)) else (e0,)
     report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget, planned)
     box_power = _endpoint_box_power(w, budget, swap)
     endpoint = q_at[e0]
@@ -1148,9 +1118,9 @@ def capped_chain_verify(
     its cap, the caps keyed (edge, 0) as in ``SlfInstance``, on w with
     vertices 0 and ``swap`` exchanged.  Each factor reads the weight of the
     edge at the exchanged labels, relabeling the factor's axes instead of
-    copying the weight.  Its factors are formed when w carries forms
-    (``weight_factor``, ``_cap_factor``), so each expectation may take the
-    quotient route."""
+    copying the weight.  Its factors are formed when the weights carry
+    forms (``weight_factor``, ``_cap_factor``), so each expectation may take
+    the quotient route."""
     slots = _slots(w.r, (0,))
     if set(caps) != set(slots):
         raise ShapeMismatch("caps must cover every non-distinguished edge in copy 0")
@@ -1297,7 +1267,7 @@ def lf2_expectation(
 def _lf2_factors(w: WeightedHypergraph, ej: Edge, exps: Lf2Exponents) -> list[Factor]:
     """Factors of the centered term at edge ej: (weight - 1) on ej at copy 0
     of vertex 0, then every other active slot's weight at its own copy;
-    formed when w carries forms (``weight_factor``)."""
+    formed when the weights carry forms (``weight_factor``)."""
     if exps.r != w.r:
         raise ShapeMismatch("exponent arity does not match hypergraph")
     factors = [weight_factor(w, ej, 0, centered=True)]

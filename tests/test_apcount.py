@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import ap_oracle
 import gowers.apcount as apcount
 from conftest import philox, random_cyclic
+from form_oracle import unformed
 from gowers import (
     BudgetExceeded,
     Cap,
@@ -31,7 +32,6 @@ from gowers import (
     telescoping_check,
 )
 from gowers.apcount import ApReport
-from gowers.hypersystem import WeightedHypergraph
 from gowers.linform import capped_chain_verify
 from gowers.errors import NumericalInconsistency, ShapeMismatch
 
@@ -691,7 +691,7 @@ class TestTelescoping:
         r, n = rn
         w = represent(generate(GeneratorSpec(kind="random", n=n, p=0.6, seed=4)), r)
         if not formed:
-            w = WeightedHypergraph(w.system, w.weights)
+            w = unformed(w)
         for m in range(r + 1):
             caps = {
                 (w.system.edge_omitting(j), 0): Cap.NU if (0 if j == m else j) < m else Cap.ONE

@@ -26,6 +26,7 @@ import gowers.forms as forms
 import gowers.genmeasure as genmeasure
 import gowers.hypersystem as hypersystem
 import gowers.linform as linform
+from form_oracle import formed_by
 from gowers import (
     GeneratorSpec,
     ap_density,
@@ -920,6 +921,14 @@ class TestMutations:
                 ["experiment", "--r", "2", "--n", "101", "--p", "0.2", "--seed", "0"],
             ),
             (_count_route_scaled, ["verify", "--r", "2", "--n", "7"]),
+            # Every edge but the one omitting r reads its last vertex one
+            # coefficient off; its weight is formed by the wrong form, so
+            # weight and form agree and only the representation's own
+            # checks can see it.
+            (
+                _rewritten("represent", "(j - i) % n", "(j - i + (i == r)) % n", hypersystem),
+                ["verify", "--r", "3", "--n", "7"],
+            ),
         ],
         ids=[
             "bit-term-one-stride-long",
@@ -929,6 +938,7 @@ class TestMutations:
             "count-without-fold",
             "count-gathered-at-b",
             "count-scaled",
+            "represent-coefficient",
         ],
     )
     def test_fast_path_fault_fails(self, capsys, monkeypatch, fault, argv):
@@ -947,14 +957,11 @@ class TestMutations:
             _quotient_fault(
                 forms, "pivots", "return tuple(sorted(basis))", "return tuple(sorted(basis))[:-1]"
             ),
-            # The weight of an edge through vertex 0 paired with the form of
-            # the first edge that omits one of its vertices.
-            _quotient_fault(linform, "weight_factor", "if v not in edge))", "if v in edge))"),
             # A fault inside the elimination: the certificate, which does
             # not share it, still refuses the pivots it picks.
             _quotient_fault(forms, "pivots", "(x - f * y) % n", "(x + f * y) % n"),
         ],
-        ids=["pivot-choice-drops-last", "factor-paired-with-other-form", "elimination-adds"],
+        ids=["pivot-choice-drops-last", "elimination-adds"],
     )
     def test_quotient_fault_fails(self, capsys, monkeypatch, fault, argv):
         code, _, err = _run(capsys, argv)
@@ -1051,10 +1058,11 @@ class TestProgressionMap:
         # A wrong coefficient must be counted by the check, not raised from
         # inside ap_values.
         n, r = 7, 2
-        w = represent(from_set({0, 1, 3}, n), r)
-        forms = list(w.forms)
+        nu = from_set({0, 1, 3}, n)
+        w = represent(nu, r)
+        forms = [w.weight_omitting(j).form.coeffs for j in range(r + 1)]
         forms[1] = ((forms[1][0] + 1) % n,) + forms[1][1:]
-        broken = dataclasses.replace(w, forms=tuple(forms))
+        broken = formed_by(w, nu.fn.values, forms)
         points = list(itertools.product(range(n), repeat=r + 1))
         assert hypersystem.map_failures(w, points) == 0
         assert hypersystem.map_failures(broken, points) > 0

@@ -17,6 +17,7 @@ import gowers.gowersnorm as gowersnorm
 import gowers.linform as linform
 from chain_oracle import ybar_sq_expectation
 from conftest import philox
+from form_oracle import unformed
 from gowers import (
     AllZeroPattern,
     BudgetExceeded,
@@ -281,7 +282,7 @@ class TestOracleIndependence:
             monkeypatch.setattr(module, name, refuse)
         got = linform._endpoint_box_power(w, None)
         with pytest.raises(BoxRecursionCalled):
-            linform._endpoint_box_power(WeightedHypergraph(w.system, w.weights), None)
+            linform._endpoint_box_power(unformed(w), None)
         monkeypatch.undo()
         centered = w.weight_omitting(0).centered()
         assert got == pytest.approx(box_norm_brute(centered) ** 8, rel=1e-9)
@@ -368,7 +369,7 @@ class TestOracleIndependence:
         # endpoint oracle is box_norm and q(e0) must stay on the planner.
         w = represent(_measure(n=5, seed=4), 2)
         if not represented:
-            w = WeightedHypergraph(w.system, w.weights)
+            w = unformed(w)
         routed = []
         real = linform.expect_product
 
@@ -486,7 +487,7 @@ def _fails_with_largest_term_scaled(monkeypatch, g: EdgeFn) -> None:
     def recorded(factors, budget=None, what=""):
         value = real(factors, budget, what)
         if what == "centered cube expectation":
-            terms[tuple([tuple(axes) for _, axes in factors])] = value
+            terms[tuple([tuple(factor[1]) for factor in factors])] = value
         return value
 
     monkeypatch.setattr(linform, "expect_product", recorded)
@@ -496,7 +497,7 @@ def _fails_with_largest_term_scaled(monkeypatch, g: EdgeFn) -> None:
     def scaled(factors, budget=None, what=""):
         value = real(factors, budget, what)
         if what == "centered cube expectation" and target == tuple(
-            [tuple(axes) for _, axes in factors]
+            [tuple(factor[1]) for factor in factors]
         ):
             value *= 1.0 + 1e-6
         return value

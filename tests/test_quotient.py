@@ -1,7 +1,7 @@
 """The quotient route of formed expectations: each formed quantity of the
 lf2, cube and telescoping engines against the planner on the explicitly
-doubled factors, the level-set guard, the certified pivot columns, and the
-charges that now bind."""
+doubled factors, the level-set oracle of formed weights, the certified
+pivot columns, and the charges that now bind."""
 
 import contextlib
 import functools
@@ -17,6 +17,7 @@ import gowers.cli as cli
 import gowers.forms as forms
 import gowers.linform as linform
 from conftest import philox
+from form_oracle import paired
 from gowers import (
     BudgetExceeded,
     CubePattern,
@@ -82,8 +83,8 @@ def _formed_calls(w, nu, exps, pattern, j, quotient_only=False):
         for i in range(1, w.r + 1):
             assert lf2_chain_verify(w, i, exps).passed
         g = w.weight_omitting(j)
-        assert binomial_expansion_identity(g, [pattern], form=w.form(j))[0].passed
-        cube_centered_expectation(g, pattern, form=w.form(j))
+        assert binomial_expansion_identity(g, [pattern])[0].passed
+        cube_centered_expectation(g, pattern)
         density = ap_density([nu.fn] * (w.r + 1)).density
         assert telescoping_check(w, density, with_chains=True).passed
     return calls
@@ -174,15 +175,15 @@ class TestQuotientAgainstThePlanner:
 
 
 class TestLevelSetGuard:
-    """``forms.paired`` accepts exactly the arrays constant on the level sets of
-    their form."""
+    """``form_oracle.paired``, the oracle of ``EdgeFn.formed``, accepts
+    exactly the arrays constant on the level sets of their form."""
 
     @pytest.mark.parametrize("r,n", [(1, 5), (2, 7), (3, 5), (4, 5)])
     def test_every_represented_weight_passes(self, r, n):
         w = represent(_measure(n, r), r)
         for j in range(r + 1):
-            values = w.weight_omitting(j).values
-            assert forms.paired(values, w.form(j)) is values
+            g = w.weight_omitting(j)
+            assert paired(g.values, g.form) is g.values
 
     @pytest.mark.parametrize("r,n", [(2, 7), (3, 5), (4, 5), (4, 7)])
     def test_another_edges_form_is_refused(self, r, n):
@@ -191,49 +192,32 @@ class TestLevelSetGuard:
         # (4, 3, 2, 1) and (4, 3, 2, 1) * 4.
         w = represent(_measure(n, r), r)
         for j, k in itertools.permutations(range(r + 1), 2):
-            own, other = w.form(j).coeffs, w.form(k).coeffs
+            values, form = w.weight_omitting(j).values, w.weight_omitting(k).form
+            own, other = w.weight_omitting(j).form.coeffs, form.coeffs
             if any(tuple(c * a % n for a in own) == other for c in range(1, n)):
-                forms.paired(w.weight_omitting(j).values, w.form(k))
+                paired(values, form)
                 continue
             with pytest.raises(NumericalInconsistency):
-                forms.paired(w.weight_omitting(j).values, w.form(k))
+                paired(values, form)
 
     def test_one_changed_value_is_refused_in_the_last_block(self):
-        # At N=101, r=3 a block holds six rows of the first axis, so the
-        # changed value sits in the eighteenth block.
+        # The last point, which at N=101, r=3 ``forms.formed`` writes in
+        # its eighteenth block of six rows of the first axis.
         w = represent(_measure(101, 1, p=0.5), 3)
         values = np.array(w.weight_omitting(2).values)
         values[-1, -1, -1] += 1.0
         with pytest.raises(NumericalInconsistency):
-            forms.paired(values, w.form(2))
+            paired(values, w.weight_omitting(2).form)
 
     def test_zero_form_accepts_only_constants(self):
         zero = Form((0, 0), 5)
-        forms.paired(np.full((5, 5), 2.5), zero)
+        paired(np.full((5, 5), 2.5), zero)
         with pytest.raises(NumericalInconsistency):
-            forms.paired(philox(1).random((5, 5)), zero)
+            paired(philox(1).random((5, 5)), zero)
 
     def test_form_must_fit_the_array(self):
         with pytest.raises(ShapeMismatch):
-            forms.paired(np.ones((5, 5)), Form((1, 2, 3), 5))
-
-    def test_each_weight_checked_once_per_hypergraph(self, monkeypatch):
-        checked = []
-        real = forms.paired
-
-        def counted(values, form):
-            checked.append(form)
-            return real(values, form)
-
-        monkeypatch.setattr(forms, "paired", counted)
-        w = represent(_measure(7, 2), 3)
-        exps = Lf2Exponents.all_ones(3)
-        lf2_telescoping(w, exps)
-        for j in (1, 2, 3):
-            lf2_chain_verify(w, j, exps)
-        # One per edge through vertex 0; their centered weights are formed
-        # from the checked arrays.
-        assert sorted(checked) == sorted(w.form(j) for j in (1, 2, 3))
+            paired(np.ones((5, 5)), Form((1, 2, 3), 5))
 
 
 class TestPivots:
