@@ -6,10 +6,13 @@ that connect them:
 
 * cube-pattern expectations over a single edge (products of the edge weight
   over chosen cube vertices) and the binomial expansion that relates raw and
-  centered patterns, whose centered terms are evaluated once per orbit of
-  the coordinate flips (copy swaps) on sub-supports, through a per-k table
-  of class representatives, and shared across the patterns of one edge
-  weight (``binomial_expansion_identity``);
+  centered patterns, whose centered terms are evaluated once per class of
+  sub-supports, through a per-k table of class representatives, and shared
+  across the patterns of one edge weight (``binomial_expansion_identity``):
+  a class is an orbit of the whole cube group on an edge formed with
+  invertible coefficients, where a class with coloops is a power of the
+  weight's mean times the term of its core, and an orbit of the coordinate
+  flips (copy swaps) on any other edge;
 * the strong-linear-forms expectation with a centered distinguished edge and
   one minorant per remaining edge and copy, together with the doubling chain
   that bounds it by a box-norm power of the centered edge;
@@ -209,14 +212,14 @@ def _run(plan: _Plan, factors: list[Factor]) -> float:
 def _double(factors: list[Factor], d: tuple[int, ...]) -> list[Factor]:
     """Each factor once per copy pattern of the doubled vertices d, pattern
     order innermost: a plain axis of a vertex in d reads that vertex's copy
-    in the pattern, every other axis is kept.  The planner oracle
-    ``_on_planner`` doubles factors this way, and ``_quotient_layout``
-    doubles the axes of a structure, each with its factor's index in place
-    of the array."""
+    in the pattern, every other axis is kept, and so is a factor's form.
+    The planner oracle ``_on_planner`` doubles factors this way, and
+    ``_quotient_layout`` doubles the axes of a structure, each with its
+    factor's index in place of the array."""
     patterns = [dict(zip(d, omega)) for omega in itertools.product((0, 1), repeat=len(d))]
     return [
-        (arr, [(v, copy_of.get(v)) if c is None else (v, c) for v, c in axes])
-        for arr, axes in factors
+        (f[0], [(v, copy_of.get(v)) if c is None else (v, c) for v, c in f[1]], *f[2:])
+        for f in factors
         for copy_of in patterns
     ]
 
@@ -665,6 +668,52 @@ def _flip_classes(k: int) -> list[int]:
     return reps.tolist()
 
 
+@functools.lru_cache(maxsize=None)
+def _cube_classes(k: int) -> list[int]:
+    """The class representative, the least mask of its orbit under the
+    whole cube group (the 2^k flips and the k! coordinate permutations), of
+    every sub-support mask of the k-dimensional cube.  Each permutation
+    moves the flip representatives alone, and ``_flip_classes`` finds the
+    least mask of each image's flip orbit."""
+    vertices = cube_vertices(k)
+    index = {om: j for j, om in enumerate(vertices)}
+    flips = np.asarray(_flip_classes(k))
+    reps = np.flatnonzero(flips == np.arange(len(flips)))
+    least = reps
+    for perm in itertools.permutations(range(k)):
+        moved = np.zeros_like(reps)
+        for j, om in enumerate(vertices):
+            moved |= ((reps >> j) & 1) << index[tuple([om[p] for p in perm])]
+        least = np.minimum(least, flips[moved])
+    return least[np.searchsorted(reps, flips)].tolist()
+
+
+@functools.lru_cache(maxsize=None)
+def _coloop_split(k: int, n: int, rep: int) -> tuple[int, int]:
+    """The number of coloops of the class ``rep`` of the k-cube mod a prime
+    n, and the class of its core, the class less its coloops (0 when none
+    is left).
+
+    Copy w_i of x_i is y_i + w_i h_i, so the form of vertex w has the row
+    (c_i, c_i w_i) over (y_i, h_i).  With every c_i invertible, scaling the
+    columns by 1/c_i and merging the k equal y columns leaves the row
+    (1, w) and the same matroid.  A coloop lies in every basis, so only the
+    vertices of one basis (``forms.independent_columns``) are tested: each
+    is a coloop when the rank mod n (``forms.pivots``) drops without it.
+    Mod a small n a 0/1 dependency may hold that fails over Q.  No circuit
+    holds a coloop, so the core has none.
+    """
+    vertices = cube_vertices(k)
+    bits = [j for j in range(len(vertices)) if rep >> j & 1]
+    rows = [(1, *vertices[j]) for j in bits]
+    basis = forms.independent_columns([list(col) for col in zip(*rows)], n)
+    coloops = [
+        at for at in basis if len(forms.pivots(rows[:at] + rows[at + 1 :], n)) < len(basis)
+    ]
+    core = sum([1 << j for at, j in enumerate(bits) if at not in coloops])
+    return len(coloops), _cube_classes(k)[core]
+
+
 def binomial_expansion_identity(
     g: EdgeFn, patterns: Iterable[CubePattern], budget: float | None = None
 ) -> list[VerificationReport]:
@@ -674,43 +723,64 @@ def binomial_expansion_identity(
     The empty sub-support contributes one.  Exact identity by expanding
     nu = (nu - 1) + 1 at each active vertex.  Swapping the two copies of a
     cube coordinate relabels the integration variables, so a centered term
-    is constant on each orbit of the coordinate flips.  Each orbit is
-    evaluated once across all the patterns, at its representative with its
-    vertices in cube-vertex order.  The walk of a pattern's 2^weight - 1
-    sub-supports is charged before the pattern: one table lookup each for
-    k <= _TABLE_K, above that 2^k flips of 2^k bits each.  The pattern's
-    expectations, its raw one and each orbit not evaluated before, are then
-    charged together, as one step, before any of them runs.  When g is
-    nu(L·x) with its form L every expectation runs on formed factors, the
-    raw side on its priced factors.
+    is constant on each orbit of the coordinate flips (``_flip_classes``).
+    When g is nu(L·x) for a form L whose every coefficient is invertible
+    (``_normed_on_line``) mod a prime, and k <= _TABLE_K, the change of
+    variables x_i -> x_i / c_i makes the term a function of the rows (1, w)
+    of its vertices w alone, so it is constant on each orbit of the whole
+    cube group, flips and coordinate permutations (``_cube_classes``).
+    There a class with c coloops (``_coloop_split``) is m^c times the term
+    of its core, m = E(g - 1) read along g's line, for any h: the forms of
+    the coloops are uniform and independent of the others.  Each class
+    without coloops is evaluated once across all the patterns, at its
+    representative with its vertices in cube-vertex order.  The core of a
+    sub-support is a sub-support too, so a class with coloops costs no
+    expectation.  A pattern's dimension is checked first, and then the walk
+    of its 2^weight - 1 sub-supports is charged before the pattern: one
+    table lookup each for k <= _TABLE_K, above that 2^k flips of 2^k bits
+    each.  The pattern's expectations, its raw one and each class not
+    evaluated before, are then charged together, as one step, before any of
+    them runs.  The raw side is the pattern's own expectation, never shared
+    by class.  When g carries its form L every expectation runs on formed
+    factors.
     """
     k = len(g.edge)
     vertices = cube_vertices(k)
     n = len(vertices)
-    table = _flip_classes(k) if k <= _TABLE_K else None
+    group = k <= _TABLE_K and _normed_on_line(g) and is_prime(g.form.modulus)
+    if k > _TABLE_K:
+        table = None
+    else:
+        table = _cube_classes(k) if group else _flip_classes(k)
     per_sub = 1.0 if table is not None else float(n * n)
     centered = g.centered()
-    terms: dict[int, float] = {}
+    # m = E(g - 1) along g's line; on flip classes no term has a coloop.
+    mean = 0.0
+    if group:
+        mean = math.fsum(forms.line(centered.values, g.form).tolist()) / g.form.modulus
+    terms: dict[int, float] = {0: 1.0}
     reports = []
     for pat in patterns:
-        what = f"cube expansion walk (k={k}, 2^{pat.weight()} - 1 sub-supports)"
-        check_budget((power_cost(2, pat.weight()) - 1.0) * per_sub, budget, what=what)
         if pat.k != k:
             raise ShapeMismatch("pattern dimension does not match edge size")
+        what = f"cube expansion walk (k={k}, 2^{pat.weight()} - 1 sub-supports)"
+        check_budget((power_cost(2, pat.weight()) - 1.0) * per_sub, budget, what=what)
         full = sum([1 << j for j, b in enumerate(pat.bits) if b])
-        # Every nonempty submask of ``full``, in falling order; fsum rounds
-        # the exact sum, so the order does not show.
-        reps = []
+        # Every nonempty submask of ``full``, in falling order, as (coloops,
+        # core class); fsum rounds the exact sum, so the order does not show.
+        parts = []
         sub = full
         while sub:
-            reps.append(
-                table[sub] if table is not None else min([_flipped(sub, t, n) for t in range(n)])
-            )
+            if table is None:
+                rep = min([_flipped(sub, t, n) for t in range(n)])
+            else:
+                rep = table[sub]
+            parts.append(_coloop_split(k, g.form.modulus, rep) if group else (0, rep))
             sub = (sub - 1) & full
         new = {
-            rep: _cube_factors(centered, [om for j, om in enumerate(vertices) if rep >> j & 1])
-            for rep in dict.fromkeys(reps)
-            if rep not in terms
+            core: _cube_factors(centered, [om for j, om in enumerate(vertices) if core >> j & 1])
+            for core in dict.fromkeys([core for _, core in parts])
+            if core not in terms
         }
         raw = _cube_factors(g, pat.support())
         routes = [_route(_structure(factors), ()) for factors in [raw, *new.values()] if factors]
@@ -721,9 +791,9 @@ def binomial_expansion_identity(
             power=max([route.power for route in routes], default=0),
         )
         lhs = expect_product(raw, budget, what="cube expectation")
-        for rep, factors in new.items():
-            terms[rep] = expect_product(factors, budget, what="centered cube expectation")
-        rhs = math.fsum([1.0, *[terms[rep] for rep in reps]])
+        for core, factors in new.items():
+            terms[core] = expect_product(factors, budget, what="centered cube expectation")
+        rhs = math.fsum([1.0, *[mean**c * terms[core] for c, core in parts]])
         report = VerificationReport(name="cube-binomial-expansion")
         report.add(eq_check("binomial-expansion", lhs, rhs, TOL * max(1.0, abs(lhs), abs(rhs))))
         report.ratios["raw"] = lhs

@@ -10,6 +10,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import textwrap
 import tracemalloc
 import types
@@ -343,6 +345,16 @@ class TestBudget:
         code2, _, err2 = _run(capsys, [command, "--r", "3", "--n", str(m)])
         assert code2 in (0, 2), err2
         assert step not in err2
+
+    @pytest.mark.parametrize("r,refused,fits", [(4, 17, 13), (3, 137, 131)])
+    def test_cube_suggestion_runs(self, capsys, r, refused, fits):
+        # The expansion is charged for its classes without a coloop alone,
+        # and the suggested modulus is the largest prime that runs.
+        code, _, err = _run(capsys, ["cube", "--r", str(r), "--n", str(refused)])
+        assert code == 2
+        assert f"suggestion: retry with --n <= {fits} (assuming cost ~ n^{r})" in err
+        code, _, err = _run(capsys, ["cube", "--r", str(r), "--n", str(fits)])
+        assert code == 0, err
 
 
 def _refuse_work(*args, **kwargs):
@@ -871,6 +883,27 @@ def _spectrum_without_nyquist(monkeypatch):
     monkeypatch.setattr(np.fft, "rfft", dropped)
 
 
+# Every vertex of a class's basis is taken for a coloop, so a class without
+# one is read as m^c times a smaller core.
+_coloop_free_as_coloop = _rewritten(
+    "_coloop_split", "n)) < len(basis)", "n)) <= len(basis)", linform
+)
+# Each permuted vertex reads the first coordinate of the permutation in
+# every place: no coordinate permutation, and no cube symmetry.
+_table_one_coordinate = _rewritten(
+    "_cube_classes", "tuple([om[p] for p in perm])", "tuple([om[perm[0]] for p in perm])", linform
+)
+# The vertex index read with the first coordinate fastest.  That reverses
+# the coordinates, itself a permutation, so every orbit and the whole table
+# stay as they are: no check can tell this fault from the code.
+_table_bits_reversed = _rewritten(
+    "_cube_classes", "index = {om: j", "index = {om[::-1]: j", linform
+)
+_EQUIVALENT_TABLE = pytest.mark.xfail(
+    strict=True, reason="reversing the coordinates is a cube symmetry; the table is unchanged"
+)
+
+
 class TestMutations:
     def test_scaled_router_value_fails(self, capsys, monkeypatch):
         # Every doubled chain quantity is off by one part in a million; the
@@ -929,6 +962,15 @@ class TestMutations:
                 _rewritten("represent", "(j - i) % n", "(j - i + (i == r)) % n", hypersystem),
                 ["verify", "--r", "3", "--n", "7"],
             ),
+            *[
+                (fault, argv)
+                for fault in (_coloop_free_as_coloop, _table_one_coordinate)
+                for argv in (["cube", "--r", "3", "--n", "7"], ["verify", "--r", "3", "--n", "7"])
+            ],
+            *[
+                pytest.param(_table_bits_reversed, argv, marks=_EQUIVALENT_TABLE)
+                for argv in (["cube", "--r", "3", "--n", "7"], ["verify", "--r", "3", "--n", "7"])
+            ],
         ],
         ids=[
             "bit-term-one-stride-long",
@@ -939,6 +981,12 @@ class TestMutations:
             "count-gathered-at-b",
             "count-scaled",
             "represent-coefficient",
+            "coloop-free-as-coloop-cube",
+            "coloop-free-as-coloop-verify",
+            "group-table-one-coordinate-cube",
+            "group-table-one-coordinate-verify",
+            "group-table-vertex-bits-reversed-cube",
+            "group-table-vertex-bits-reversed-verify",
         ],
     )
     def test_fast_path_fault_fails(self, capsys, monkeypatch, fault, argv):
@@ -1229,6 +1277,20 @@ def _exit(capsys, parse, argv):
 
 
 class TestParser:
+    def test_import_builds_no_class_table(self):
+        # The cube class tables are built on first use, so that importing
+        # the command line costs no table.
+        probe = (
+            "import gowers.cli, gowers.linform as L; print(*[f.cache_info().currsize"
+            " for f in (L._flip_classes, L._cube_classes, L._coloop_split)])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0", "0", "0"]
+
     def test_every_subcommand_registered(self):
         parser = build_parser()
         sub = next(

@@ -24,11 +24,13 @@ from gowers import (
     Cap,
     CapViolation,
     CubePattern,
+    CyclicFn,
     EdgeFn,
     EmptySetGenerated,
     GeneratorSpec,
     InvalidSubset,
     Lf2Exponents,
+    Measure,
     ShapeMismatch,
     SlfInstance,
     WeightedHypergraph,
@@ -55,6 +57,7 @@ from gowers import (
     slf_lhs,
     u_norm_fast,
 )
+from gowers.forms import Form
 from gowers.report import TOL
 
 
@@ -525,6 +528,103 @@ class TestBinomialClasses:
         # Burnside over the 2^k flips, the empty class included.
         assert len(reps) == {1: 3, 2: 7, 3: 46}[k]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_group_table_matches_orbits(self, k):
+        # Every flip of every coordinate permutation of each sub-support.
+        vertices = cube_vertices(k)
+        table = linform._cube_classes(k)
+        reps = set()
+        for size in range(len(vertices) + 1):
+            for subset in itertools.combinations(vertices, size):
+                orbit = [
+                    [tuple(om[p] ^ flip[i] for i, p in enumerate(perm)) for om in subset]
+                    for perm in itertools.permutations(range(k))
+                    for flip in vertices
+                ]
+                least = min(_mask(k, member) for member in orbit)
+                assert table[_mask(k, subset)] == least
+                reps.add(least)
+        assert len(reps) == {1: 3, 2: 6, 3: 22}[k]
+
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_every_member_gives_its_class_value(self, k, n, seed, data):
+        # On a formed edge with invertible coefficients, any h: a sub-support
+        # gives the value of its class's representative, and a class with c
+        # coloops gives m^c times the value of its core, m = E(h - 1).
+        rng = philox(seed)
+        h = 2.0 * rng.random(n)
+        coeffs = tuple(int(c) for c in rng.integers(1, n, size=k))
+        g = EdgeFn.formed(tuple(range(1, k + 1)), h, Form(coeffs, n)).centered()
+        vertices = cube_vertices(k)
+
+        def term(mask):
+            support = [om for j, om in enumerate(vertices) if mask >> j & 1]
+            return expect_product(linform._cube_factors(g, support)) if support else 1.0
+
+        mask = data.draw(st.integers(1, 2 ** len(vertices) - 1))
+        rep = linform._cube_classes(k)[mask]
+        value = term(mask)
+        assert value == pytest.approx(term(rep), rel=1e-12, abs=1e-15)
+        coloops, core = linform._coloop_split(k, n, rep)
+        m = math.fsum((h - 1.0).tolist()) / n
+        assert value == pytest.approx(m**coloops * term(core), rel=1e-12, abs=1e-15)
+        assert core == 0 or linform._coloop_split(k, n, core)[0] == 0
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_mean_other_than_one_matches_loop_oracle(self, r):
+        # Measure.from_fn takes any nonnegative function, so m = E(nu - 1)
+        # need not vanish, and a class with coloops is m^c times its core.
+        nu = Measure.from_fn(CyclicFn(7, 0.2 + 2.0 * philox(r).random(7)))
+        assert abs(nu.mean() - 1.0) > 0.05
+        g = represent(nu, r).weight_omitting(0)
+        pattern = CubePattern.all_ones(r)
+        (report,) = binomial_expansion_identity(g, [pattern])
+        assert report.passed, report.failures()
+        oracle = math.fsum([1.0, *_binomial_loop(g, pattern).values()])
+        assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("formed", [False, True], ids=["plain", "zero-coefficient"])
+    def test_permuted_term_differs_off_the_group_path(self, formed):
+        # Without a form, or with a zero coefficient, a term is not a
+        # function of the rows (1, w) alone: some coordinate permutation of
+        # some sub-support changes it, so these edges keep the flip orbits.
+        rng = philox(7)
+        if formed:
+            g = EdgeFn.formed((1, 2), 0.5 + rng.random(5), Form((2, 0), 5))
+        else:
+            g = EdgeFn((1, 2), (5, 5), 0.5 + rng.random((5, 5)))
+        assert not linform._normed_on_line(g)
+        centered = g.centered()
+        vertices = cube_vertices(2)
+
+        def term(support):
+            return expect_product(linform._cube_factors(centered, support))
+
+        moved = [
+            subset
+            for size in range(1, len(vertices) + 1)
+            for subset in itertools.combinations(vertices, size)
+            if abs(term(subset) - term([om[::-1] for om in subset])) > 1e-6 * abs(term(subset))
+        ]
+        assert moved
+        pattern = CubePattern.all_ones(2)
+        (report,) = binomial_expansion_identity(g, [pattern])
+        assert report.passed, report.failures()
+        oracle = math.fsum([1.0, *_binomial_loop(g, pattern).values()])
+        assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
+
+    def test_pattern_dimension_checked_before_the_walk(self):
+        # A k=5 pattern on a k=3 edge was charged a walk of 2^32 - 1
+        # sub-supports, and refused, before its dimension was read.
+        g = EdgeFn((1, 2, 3), (2,) * 3, 0.5 + philox(3).random((2,) * 3))
+        with pytest.raises(ShapeMismatch, match="pattern dimension"):
+            binomial_expansion_identity(g, [CubePattern.all_ones(5)])
+
     @pytest.mark.parametrize("r,n", [(2, 7), (3, 5)])
     @pytest.mark.parametrize("seed", range(3))
     def test_terms_match_loop_oracle(self, r, n, seed):
@@ -597,7 +697,8 @@ class TestBinomialClasses:
         assert err.value.what == f"cube expansion (k={k}, {len(each)} expectations)"
 
     def test_one_expectation_per_class_in_verify_suite(self, monkeypatch):
-        # 45 nonempty classes at k=3 plus 8 left-hand sides per seed; one
+        # 8 classes under the whole cube group without a coloop at k=3 plus
+        # 8 left-hand sides per seed; the 45 flip orbits made 53, and one
         # expectation per sub-support and pattern made 416.
         calls = []
         real = linform.expect_product
@@ -613,13 +714,15 @@ class TestBinomialClasses:
             measures.append((nu, represent(nu, 3)))
         report = cli._suite_cube(measures, 3, None)
         assert report.passed, report.failures()
-        assert len(calls) == 2 * 53
+        assert len(calls) == 2 * 16
         assert calls.count("cube expectation") == 2 * 8
 
     def test_second_identical_seed_hits_the_route_cache(self):
-        # One seed of the r=4 cube suite routes 4,342 distinct structures,
-        # more than a 4,096-entry cache holds.  The route and plan caches
-        # hold them all, so an identical second seed plans none of them again.
+        # One seed of the r=4 cube suite routes 292 distinct structures: the
+        # 285 classes without a coloop and 8 left-hand sides, one of which
+        # has a class's structure (4,342 on the flip orbits).  The route and
+        # plan caches hold them all, so an identical second seed plans none
+        # of them again.
         nu = _measure(n=5, seed=0, p=0.5)
         measures = [(nu, represent(nu, 4))]
         caches = (linform._route, linform._plan)
@@ -629,7 +732,7 @@ class TestBinomialClasses:
         first = [cache.cache_info() for cache in caches]
         cli._suite_cube(measures, 4, None)
         second = [cache.cache_info() for cache in caches]
-        assert first[0].misses > 4096
+        assert first[0].misses == 292
         assert [info.misses for info in second] == [info.misses for info in first]
         assert second[0].hits - first[0].hits >= first[0].misses
 

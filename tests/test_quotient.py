@@ -173,6 +173,23 @@ class TestQuotientAgainstThePlanner:
                 assert route.cost < linform._route(plain, d).cost
             assert {d for _, d, _ in calls} >= ds
 
+    def test_planner_oracle_keeps_the_forms(self):
+        # The cube factors of the weight omitting 0 with formed factors that
+        # read vertex 0 plain: the planner oracle doubles them with their
+        # forms, as the router does, at d=(0,).
+        d = (0,)
+        w = represent(_measure(7, 1), 3)
+        g = w.weight_omitting(0)
+        factors = linform._cube_factors(g.centered(), [(0, 0, 1), (1, 0, 0), (1, 1, 1)])
+        for j in (1, 2):
+            h = w.weight_omitting(j)
+            factors.append((h.values, [(v, None if v == 0 else 0) for v in h.edge], h.form))
+        planned = linform._on_planner(factors, d)
+        assert all(len(f) == 3 for f in linform._double(factors, d))
+        assert planned == pytest.approx(expect_product(factors, d=d), rel=1e-12)
+        plain = [(arr, axes) for arr, axes, _ in factors]
+        assert planned == pytest.approx(linform._on_planner(plain, d), rel=1e-12)
+
 
 class TestLevelSetGuard:
     """``form_oracle.paired``, the oracle of ``EdgeFn.formed``, accepts
