@@ -192,19 +192,16 @@ def _agreement(check: str, f, k: int, budget):
 
 def _gcs_case(rep, key: int, dims, prefix: str, margin: str | None, budget) -> None:
     """Fold into rep the product-form bound for one tuple of random functions
-    on the product of ``dims``, drawn from Philox(key) once the bound's
-    charge fits.  With a ``margin`` id every slot holds the same function
-    and the equality margin is checked under that id; without one every
-    slot is drawn afresh."""
+    on the product of ``dims``, drawn in one request of Philox(key) once
+    the bound's charge fits.  With a ``margin`` id every slot holds the
+    same function and the equality margin is checked under that id; without
+    one every slot is drawn afresh."""
     edge = tuple(range(1, len(dims) + 1))
     charge_gcs(edge, dims, budget)
-    rng = PhiloxStream(key)
-
-    def draw() -> EdgeFn:
-        return EdgeFn(edge, dims, rng.random(dims) * 2.0 - 1.0)
-
     vertices = cube_vertices(len(dims))
-    gs = dict.fromkeys(vertices, draw()) if margin else {om: draw() for om in vertices}
+    draws = PhiloxStream(key).random((1 if margin else len(vertices), *dims)) * 2.0 - 1.0
+    fns = [EdgeFn(edge, dims, values) for values in draws]
+    gs = dict.fromkeys(vertices, fns[0]) if margin else dict(zip(vertices, fns))
     sub = gcs_verify(gs, budget=budget)
     _fold(rep, sub, prefix)
     if margin:
@@ -461,11 +458,8 @@ def _suite_cube(measures, r: int, budget) -> VerificationReport:
             CubePattern(2, bits) for bits in itertools.product((0, 1), repeat=4)
         ]
     else:
-        rng = PhiloxStream(0)
-        patterns = [CubePattern.all_ones(r)] + [
-            CubePattern(r, tuple(int(b) for b in rng.integers(0, 2, 2**r)))
-            for _ in range(7)
-        ]
+        bits = PhiloxStream(0).integers(0, 2, (7, 2**r))
+        patterns = [CubePattern.all_ones(r)] + [CubePattern(r, row) for row in bits]
     patterns = [pat for pat in patterns if pat.weight()]
     for s, (_, w) in enumerate(measures):
         subs = binomial_expansion_identity(w.weight_omitting(0), patterns, budget)

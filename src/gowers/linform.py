@@ -813,12 +813,6 @@ class Cap(Enum):
     NU = "nu"
 
 
-def _cap_fn(w: WeightedHypergraph, edge: Edge, cap: Cap) -> EdgeFn:
-    if cap is Cap.NU:
-        return w.weights[edge]
-    return EdgeFn.ones(edge, w.system.edge_dims(edge))
-
-
 def _slots(r: int, copies: Iterable[int] = (0, 1)) -> list[tuple[Edge, int]]:
     """(edge, copy of vertex 0) for every edge containing vertex 0, edges by
     their omitted vertex ascending, copies inner."""
@@ -827,15 +821,6 @@ def _slots(r: int, copies: Iterable[int] = (0, 1)) -> list[tuple[Edge, int]]:
         for j in range(1, r + 1)
         for copy in copies
     ]
-
-
-def _validate_minorant(g: EdgeFn, gbar: EdgeFn, where: str) -> None:
-    if not g.same_shape(gbar):
-        raise ShapeMismatch(f"minorant at {where} has wrong shape")
-    if np.any(g.values < 0):
-        raise CapViolation(f"minorant at {where} is negative somewhere")
-    if np.any(g.values > gbar.values):
-        raise CapViolation(f"minorant at {where} exceeds its cap somewhere")
 
 
 @dataclass(frozen=True)
@@ -867,9 +852,14 @@ class SlfInstance:
             )
         for key in sorted(keys):
             edge, copy = key
-            _validate_minorant(
-                self.gs[key], _cap_fn(w, edge, self.caps[key]), f"{edge} copy {copy}"
-            )
+            g, where = self.gs[key], f"{edge} copy {copy}"
+            if g.edge != edge or g.dims != w.system.edge_dims(edge):
+                raise ShapeMismatch(f"minorant at {where} has wrong shape")
+            if np.any(g.values < 0):
+                raise CapViolation(f"minorant at {where} is negative somewhere")
+            cap = w.weights[edge].values if self.caps[key] is Cap.NU else 1.0
+            if np.any(g.values > cap):
+                raise CapViolation(f"minorant at {where} exceeds its cap somewhere")
 
     @property
     def r(self) -> int:
@@ -878,9 +868,6 @@ class SlfInstance:
     @property
     def copies(self) -> tuple[int, ...]:
         return tuple(sorted({key[1] for key in self.gs}))
-
-    def gbar(self, key: tuple[Edge, int]) -> EdgeFn:
-        return _cap_fn(self.hypergraph, key[0], self.caps[key])
 
 
 def _distinguished_edge(w: WeightedHypergraph) -> Edge:
@@ -974,7 +961,12 @@ def _slf_base(inst: SlfInstance) -> tuple[list[Factor], list[Factor]]:
     axes = [_origin_axes(edge, copy if two else None) for edge, copy in slots]
     base = [(w.weights[e0].values - 1.0, _origin_axes(e0, None))]
     base += [(inst.gs[slot].values, ax) for slot, ax in zip(slots, axes)]
-    caps = [(inst.gbar(slot).values, ax) for slot, ax in zip(slots, axes)]
+    one_capped = {edge for (edge, _), cap in inst.caps.items() if cap is not Cap.NU}
+    ones = {edge: np.ones(w.system.edge_dims(edge)) for edge in one_capped}
+    caps = [
+        (w.weights[edge].values if inst.caps[(edge, copy)] is Cap.NU else ones[edge], ax)
+        for (edge, copy), ax in zip(slots, axes)
+    ]
     return base, caps
 
 
@@ -1215,23 +1207,35 @@ def random_slf_instance(
     w: WeightedHypergraph, seed: int, caps_mode: str = "mixed", copies: int = 2
 ) -> SlfInstance:
     """Seeded random instance with one or two copies of vertex 0: each slot
-    draws a cap (or uses the forced mode) and a minorant that is the cap
-    times i.i.d. uniforms on [0, 1].  Slots are drawn edge by edge (omitted
-    vertex ascending), copies inner."""
+    has a cap (drawn, or the forced mode) and a minorant that is the cap
+    times i.i.d. uniforms on [0, 1).
+
+    All uniforms come from one request of Philox(seed).  Slots follow edge
+    by edge (omitted vertex ascending), copies inner; each takes one word
+    for its cap when ``caps_mode`` is "mixed" (ν below 0.5, else one), then
+    one word per point of its edge in C order."""
     if copies not in (1, 2):
         raise ValueError(f"copies must be 1 or 2, got {copies}")
-    rng = PhiloxStream(seed)
+    mixed = caps_mode == "mixed"
+    cap = None if mixed else Cap(caps_mode)
+    slots = _slots(w.r, range(copies))
+    sizes = [math.prod(w.system.edge_dims(edge)) for edge, _ in slots]
+    u = PhiloxStream(seed).random(sum(sizes) + mixed * len(slots))
     caps: dict[tuple[Edge, int], Cap] = {}
     gs: dict[tuple[Edge, int], EdgeFn] = {}
-    for edge, copy in _slots(w.r, range(copies)):
+    start = 0
+    for (edge, copy), size in zip(slots, sizes):
+        if mixed:
+            cap = Cap.NU if u[start] < 0.5 else Cap.ONE
+            start += 1
         dims = w.system.edge_dims(edge)
-        if caps_mode == "mixed":
-            cap = Cap.NU if rng.random() < 0.5 else Cap.ONE
-        else:
-            cap = Cap(caps_mode)
+        g = u[start : start + size].reshape(dims)
+        start += size
+        if cap is Cap.NU:
+            g = w.weights[edge].values * g
+            g.flags.writeable = False  # handed over read-only, so kept uncopied
         caps[(edge, copy)] = cap
-        base = _cap_fn(w, edge, cap).values
-        gs[(edge, copy)] = EdgeFn(edge, dims, base * rng.random(dims))
+        gs[(edge, copy)] = EdgeFn(edge, dims, g)
     return SlfInstance(w, caps, gs)
 
 

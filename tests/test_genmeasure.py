@@ -208,6 +208,19 @@ def _same_draws(key: int, calls) -> None:
         assert np.array_equal(got, want), (bound, size)
 
 
+def _spy_blocks(monkeypatch) -> list:
+    """The calls made to ``_philox_blocks`` from now on, one entry each."""
+    calls = []
+    real = genmeasure._philox_blocks
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(genmeasure, "_philox_blocks", spy)
+    return calls
+
+
 class TestPhiloxStream:
     @settings(max_examples=100)
     @given(
@@ -253,6 +266,20 @@ class TestPhiloxStream:
         with pytest.raises(NumericalInconsistency, match="Philox block"):
             PhiloxStream(8).random(HANDOFF + 1)
 
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_instance_is_one_request(self, copies, monkeypatch):
+        w = represent(generate(GeneratorSpec(kind="random", n=7, p=0.6, seed=0)), 2)
+        calls = _spy_blocks(monkeypatch)
+        random_slf_instance(w, 3, copies=copies)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("equal", [[], ["--equal"]], ids=["drawn", "equal"])
+    def test_gcs_tuple_is_one_request(self, equal, monkeypatch):
+        calls = _spy_blocks(monkeypatch)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gcs", "--dims", "3,4", "--tuples", "3", *equal]) == 0
+        assert len(calls) == 3
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -261,12 +288,16 @@ class TestPhiloxStream:
             ["gcs", "--tuples", "2"],
             ["represent", "--r", "2", "--n", "59"],
             ["norm", "--k", "2", "--n", "20011"],
+            ["slf-single", "--r", "3", "--n", "5"],
+            ["verify", "--r", "3", "--n", "5", "--seeds", "1"],
+            ["gcs", "--dims", "3,4", "--tuples", "2"],
         ],
-        ids=lambda argv: argv[0],
+        ids=["slf", "verify", "gcs", "represent", "norm", "slf-single", "verify-r3", "gcs-dims"],
     )
     def test_cli_bytes_equal_numpys_generator(self, argv, monkeypatch):
         # numpy's own Generator in place of the stream gives the same bytes;
-        # norm at N=20011 draws past the hand-off.
+        # norm at N=20011 draws past the hand-off, and verify at r=3 draws
+        # its random cube patterns.
         def stdout() -> str:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -308,8 +339,11 @@ _IMPORTS_AFTER = textwrap.dedent(
         (["represent", "--r", "2", "--n", "59"], False),  # the sampled map check
         (["scripts/chain_margins.py", "--moduli", "5", "--seeds", "1"], False),
         (["norm", "--k", "2", "--n", "20011"], True),  # past the hand-off
+        # Each slot of 67^2 words is below the hand-off, the instance of
+        # 4 * 67^2 + 4 words above it, and an instance is one request.
+        (["slf", "--r", "2", "--n", "67"], True),
     ],
-    ids=["slf", "lf2", "verify", "gcs", "represent", "chain_margins", "norm-handoff"],
+    ids=["slf", "lf2", "verify", "gcs", "represent", "chain_margins", "norm-handoff", "slf-handoff"],
 )
 def test_numpy_random_imported_only_past_the_handoff(argv, imported):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

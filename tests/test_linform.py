@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import gowers.cli as cli
+import gowers.genmeasure as genmeasure
 import gowers.gowersnorm as gowersnorm
 import gowers.linform as linform
 from chain_oracle import ybar_sq_expectation
@@ -792,6 +794,59 @@ def _q_loop_d1(inst: SlfInstance) -> float:
     return total / n**5
 
 
+def _capped_halves(w: WeightedHypergraph, cap: Cap) -> tuple[dict, dict]:
+    """Caps and minorants of a valid two-copy instance: every slot capped by
+    ``cap`` and its minorant half the cap."""
+    caps, gs = {}, {}
+    for j in range(1, w.r + 1):
+        edge = w.system.edge_omitting(j)
+        dims = w.system.edge_dims(edge)
+        values = w.weights[edge].values if cap is Cap.NU else np.ones(dims)
+        for copy in (0, 1):
+            caps[(edge, copy)] = cap
+            gs[(edge, copy)] = EdgeFn(edge, dims, 0.5 * values)
+    return caps, gs
+
+
+def _instance_loop(w: WeightedHypergraph, seed: int, caps_mode: str, copies: int):
+    """Oracle: the caps and minorant values of an instance, slot by slot
+    from numpy's Generator(Philox(key=seed)), each slot its own requests: a
+    scalar for a mixed cap, then the slot's uniforms scaled by its cap."""
+    rng = philox(seed)
+    caps, gs = {}, {}
+    for j in range(1, w.r + 1):
+        edge = w.system.edge_omitting(j)
+        dims = w.system.edge_dims(edge)
+        for copy in range(copies):
+            if caps_mode == "mixed":
+                cap = Cap.NU if rng.random() < 0.5 else Cap.ONE
+            else:
+                cap = Cap(caps_mode)
+            base = w.weights[edge].values if cap is Cap.NU else np.ones(dims)
+            caps[(edge, copy)] = cap
+            gs[(edge, copy)] = base * rng.random(dims)
+    return caps, gs
+
+
+class TestRandomInstance:
+    @pytest.mark.parametrize("caps_mode", ["mixed", "one", "nu"])
+    @pytest.mark.parametrize("copies", [1, 2])
+    @pytest.mark.parametrize("r,n", [(1, 7), (2, 7), (3, 5), (4, 5), (2, 97)])
+    def test_single_request_equals_per_slot_draws(self, r, n, copies, caps_mode):
+        w = represent(_measure(n=n, seed=r), r)
+        seed = 10 * r + copies
+        inst = random_slf_instance(w, seed, caps_mode, copies=copies)
+        caps, gs = _instance_loop(w, seed, caps_mode, copies)
+        assert list(inst.caps.items()) == list(caps.items())
+        assert list(inst.gs) == list(gs)
+        for key, values in gs.items():
+            assert np.array_equal(inst.gs[key].values, values), key
+        if n == 97:
+            # Every slot is below the hand-off and the single request above it.
+            words = sum(values.size for values in gs.values())
+            assert n**r <= genmeasure._HANDOFF_WORDS < words
+
+
 class TestSlfTwoCopy:
     @pytest.mark.parametrize("copies", [1, 2])
     def test_lhs_charged_the_work_done(self, copies):
@@ -873,6 +928,44 @@ class TestSlfTwoCopy:
             bad_edge, w.system.edge_dims(bad_edge), np.full((5, 5), 1.2)
         )
         with pytest.raises(CapViolation):
+            SlfInstance(w, caps, gs)
+
+    def test_negative_minorant_rejected(self):
+        w = represent(_measure(seed=6), 2)
+        caps, gs = _capped_halves(w, Cap.ONE)
+        edge = w.system.edge_omitting(2)
+        values = gs[(edge, 1)].values.copy()
+        values[1, 3] = -1e-300
+        gs[(edge, 1)] = EdgeFn(edge, values.shape, values)
+        with pytest.raises(CapViolation, match=re.escape(f"minorant at {edge} copy 1 is negative")):
+            SlfInstance(w, caps, gs)
+
+    def test_minorant_above_its_nu_cap_at_one_point_rejected(self):
+        # At a zero of the weight a minorant of 0.5 lies under the constant
+        # one but above its cap.
+        w = represent(_measure(seed=6), 2)
+        caps, gs = _capped_halves(w, Cap.NU)
+        edge = w.system.edge_omitting(1)
+        cap = w.weights[edge].values
+        SlfInstance(w, caps, {**gs, (edge, 0): EdgeFn(edge, cap.shape, cap)})
+        point = np.unravel_index(np.argmin(cap), cap.shape)
+        assert cap[point] == 0.0
+        values = gs[(edge, 0)].values.copy()
+        values[point] = 0.5
+        gs[(edge, 0)] = EdgeFn(edge, cap.shape, values)
+        with pytest.raises(CapViolation, match=re.escape(f"minorant at {edge} copy 0 exceeds its cap")):
+            SlfInstance(w, caps, gs)
+
+    @pytest.mark.parametrize("wrong", ["edge", "dims"])
+    def test_minorant_of_wrong_edge_or_dims_rejected(self, wrong):
+        w = represent(_measure(seed=6), 2)
+        caps, gs = _capped_halves(w, Cap.ONE)
+        edge = w.system.edge_omitting(1)
+        if wrong == "edge":
+            gs[(edge, 1)] = gs[(w.system.edge_omitting(2), 1)]
+        else:
+            gs[(edge, 1)] = EdgeFn(edge, (5, 4), np.full((5, 4), 0.5))
+        with pytest.raises(ShapeMismatch, match=re.escape(f"minorant at {edge} copy 1 has wrong shape")):
             SlfInstance(w, caps, gs)
 
     def test_chain_verify_passes(self):
