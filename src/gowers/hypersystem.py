@@ -13,8 +13,9 @@ centered edge weight has box norm equal to the order-r uniformity norm of
 nu - 1.  ``represent`` builds each weight nu(L·x), L the form of its edge, as
 ``EdgeFn.formed``, so every weight carries its own form and no weight is
 ever matched with a form after it is built.  ``represent_charged`` charges
-the edge weights to the budget before ``represent`` allocates them, and
-``map_failures`` charges its walk.
+the edge weights to the budget before ``represent`` allocates them.  The
+progression is linear in x, so ``represent`` certifies it from the forms'
+difference rows and ``map_failures`` counts its failures from their rank.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .errors import (
     CompositeModulus,
     ModulusTooSmall,
     NotRepresentation,
+    NumericalInconsistency,
     ShapeMismatch,
     SupBelowOneWarning,
 )
-from .forms import Form, line
-from .gowersnorm import _CHUNK_ELEMS, _LETTERS, EdgeFn
+from .forms import Form, line, pivots
+from .gowersnorm import _LETTERS, EdgeFn
 
 Edge = tuple[int, ...]
 
@@ -153,6 +155,8 @@ def represent(nu: Measure, r: int) -> WeightedHypergraph:
     """Norm-preserving weighted-hypergraph representation of a measure.
 
     Requires prime N > r so every coefficient j - i is invertible mod N.
+    A difference row of the forms (``_map_rows``) that is not zero raises
+    NumericalInconsistency, so no caller receives a broken map.
     """
     n = nu.n
     check_modulus(n, r)
@@ -162,7 +166,13 @@ def represent(nu: Measure, r: int) -> WeightedHypergraph:
         edge = system.edge_omitting(j)
         coeffs = tuple((j - i) % n for i in edge)
         weights[edge] = EdgeFn.formed(edge, nu.fn.values, Form(coeffs, n))
-    return WeightedHypergraph(system, weights)
+    w = WeightedHypergraph(system, weights)
+    for j, row in enumerate(_map_rows(w)):
+        if any(row):
+            raise NumericalInconsistency(
+                f"progression map: L_{j + 1} - L_{j} - (1, ..., 1) = {row} mod {n}, not zero"
+            )
+    return w
 
 
 def represent_charged(nu: Measure, r: int, budget: float | None = None) -> WeightedHypergraph:
@@ -202,42 +212,28 @@ def ap_values(w: WeightedHypergraph, x: tuple[int, ...]) -> tuple[tuple[int, ...
     return tuple(ys), sum(int(v) for v in x) % n
 
 
-def map_failures(w: WeightedHypergraph, points=None, budget: float | None = None) -> int:
-    """How many points x, every point of the cube when ``points`` is None,
-    have evaluation points (those of ``ap_values``) that do not step by the
-    coordinate sum d.  The r+1 evaluation points of each point walked are
-    charged before the walk.  The weights' forms are applied with int64
-    numpy to blocks of at most _CHUNK_ELEMS points at once, so each point
-    costs its r+1 forms and no Python call."""
+def _map_rows(w: WeightedHypergraph) -> list[tuple[int, ...]]:
+    """The r rows L_{j+1} - L_j - (1, ..., 1) mod N, L_j the form of the
+    weight omitting j over all r+1 vertices, 0 at vertex j: the evaluation
+    points at x step by sum_i x_i exactly where every row vanishes."""
     forms = _forms(w)
-    n, r = forms[0].modulus, w.r
-    if points is None:
-        npoints, count, power = n ** (r + 1), power_cost(n, r + 1), r + 1
-    else:
-        points = np.array(points, dtype=np.int64)
-        npoints, count, power = len(points), float(len(points)), 0
-        if npoints and points.shape[1:] != (r + 1,):
-            raise ShapeMismatch(f"need {r + 1} coordinates, got {points.shape[1:]}")
-    what = f"progression map (r={r}, n={n})"
-    check_budget((r + 1) * count, budget, what=what, power=power)
-    edges = w.system.edges
-    bad = 0
-    for start in range(0, npoints, _CHUNK_ELEMS):
-        stop = min(start + _CHUNK_ELEMS, npoints)
-        if points is None:
-            x = np.unravel_index(np.arange(start, stop), (n,) * (r + 1))
-        else:
-            x = points[start:stop].T
-        ys = [
-            sum(c * x[v] for c, v in zip(form.coeffs, edge)) % n
-            for form, edge in zip(forms, edges)
-        ]
-        d = sum(x) % n
-        wrong = np.zeros(stop - start, dtype=bool)
-        for j in range(r):
-            wrong |= (ys[j + 1] - ys[j]) % n != d
-        bad += int(np.count_nonzero(wrong))
-    return bad
+    n, full = forms[0].modulus, [[0] * (w.r + 1) for _ in forms]
+    for j, form in enumerate(forms):
+        for c, v in zip(form.coeffs, w.system.edge_omitting(j)):
+            full[j][v] = c
+    return [tuple((b - a - 1) % n for a, b in zip(lo, hi)) for lo, hi in zip(full, full[1:])]
+
+
+def map_failures(w: WeightedHypergraph) -> int:
+    """How many points x of Z_N^(r+1) have evaluation points (those of
+    ``ap_values``) that do not step by the coordinate sum: for a prime N,
+    the N^(r+1) - N^(r+1-rank) points off the kernel of the difference
+    rows.  Nothing is walked, so nothing is charged."""
+    rows = _map_rows(w)
+    n, r = w.weight_omitting(0).form.modulus, w.r
+    if not is_prime(n):
+        raise CompositeModulus(f"modulus {n} must be prime to count the map by rank")
+    return n ** (r + 1) - n ** (r + 1 - len(pivots(rows, n)))
 
 
 def relabel(w: WeightedHypergraph, perm: tuple[int, ...]) -> WeightedHypergraph:

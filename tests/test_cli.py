@@ -6,7 +6,6 @@ import collections
 import dataclasses
 import functools
 import inspect
-import itertools
 import json
 import math
 import os
@@ -184,27 +183,9 @@ class TestBudget:
             assert spies[kernel].call_count == 1
         assert sum(spy.call_count for spy in spies.values()) == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["represent", "--r", "2", "--n", "31", "--budget", "5e4"],
-            ["verify", "--r", "2", "--n", "31", "--seeds", "0", "--budget", "5e4"],
-        ],
-        ids=["represent", "verify"],
-    )
-    def test_progression_map_charged(self, capsys, argv):
-        # 3 * 31^3 = 8.94e4 points walked through ap_values; represent ran
-        # them uncharged and exited 0.
-        code, out, err = _run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err.startswith(
-            "budget exceeded: estimated 8.94e+04 elementary products > budget 5e+04 "
-            "(progression map (r=2, n=31))\n"
-        )
-        assert "suggestion: retry with --n <= 23" in err
-
     def test_progression_count_charged(self, capsys):
-        # At N=59 the map samples 2000 points; the count still sums 3 * 59^3.
+        # The map is counted from its forms and charged nothing; the count
+        # sums 3 * 59^3 products.
         code, out, err = _run(capsys, ["represent", "--r", "2", "--n", "59", "--budget", "5e5"])
         assert (code, out) == (2, "")
         assert "(progression count (r=2, 205379 points))" in err
@@ -893,14 +874,8 @@ _coloop_free_as_coloop = _rewritten(
 _table_one_coordinate = _rewritten(
     "_cube_classes", "tuple([om[p] for p in perm])", "tuple([om[perm[0]] for p in perm])", linform
 )
-# The vertex index read with the first coordinate fastest.  That reverses
-# the coordinates, itself a permutation, so every orbit and the whole table
-# stay as they are: no check can tell this fault from the code.
-_table_bits_reversed = _rewritten(
-    "_cube_classes", "index = {om: j", "index = {om[::-1]: j", linform
-)
-_EQUIVALENT_TABLE = pytest.mark.xfail(
-    strict=True, reason="reversing the coordinates is a cube symmetry; the table is unchanged"
+_represent_coefficient = _rewritten(
+    "represent", "(j - i) % n", "(j - i + (i == r)) % n", hypersystem
 )
 
 
@@ -956,19 +931,21 @@ class TestMutations:
             (_count_route_scaled, ["verify", "--r", "2", "--n", "7"]),
             # Every edge but the one omitting r reads its last vertex one
             # coefficient off; its weight is formed by the wrong form, so
-            # weight and form agree and only the representation's own
-            # checks can see it.
-            (
-                _rewritten("represent", "(j - i) % n", "(j - i + (i == r)) % n", hypersystem),
-                ["verify", "--r", "3", "--n", "7"],
-            ),
+            # weight and form agree and only the certificate in represent,
+            # which every engine that represents runs, can see it.
+            *[
+                (_represent_coefficient, argv)
+                for argv in (
+                    ["verify", "--r", "3", "--n", "7"],
+                    ["lf2", "--r", "3", "--n", "13"],
+                    ["cube", "--r", "3", "--n", "7"],
+                    ["slf", "--r", "3", "--n", "7"],
+                    ["experiment", "--r", "3", "--n", "29", "--with-chains"],
+                )
+            ],
             *[
                 (fault, argv)
                 for fault in (_coloop_free_as_coloop, _table_one_coordinate)
-                for argv in (["cube", "--r", "3", "--n", "7"], ["verify", "--r", "3", "--n", "7"])
-            ],
-            *[
-                pytest.param(_table_bits_reversed, argv, marks=_EQUIVALENT_TABLE)
                 for argv in (["cube", "--r", "3", "--n", "7"], ["verify", "--r", "3", "--n", "7"])
             ],
         ],
@@ -981,12 +958,14 @@ class TestMutations:
             "count-gathered-at-b",
             "count-scaled",
             "represent-coefficient",
+            "represent-coefficient-lf2",
+            "represent-coefficient-cube",
+            "represent-coefficient-slf",
+            "represent-coefficient-experiment",
             "coloop-free-as-coloop-cube",
             "coloop-free-as-coloop-verify",
             "group-table-one-coordinate-cube",
             "group-table-one-coordinate-verify",
-            "group-table-vertex-bits-reversed-cube",
-            "group-table-vertex-bits-reversed-verify",
         ],
     )
     def test_fast_path_fault_fails(self, capsys, monkeypatch, fault, argv):
@@ -1111,28 +1090,14 @@ class TestProgressionMap:
         forms = [w.weight_omitting(j).form.coeffs for j in range(r + 1)]
         forms[1] = ((forms[1][0] + 1) % n,) + forms[1][1:]
         broken = formed_by(w, nu.fn.values, forms)
-        points = list(itertools.product(range(n), repeat=r + 1))
-        assert hypersystem.map_failures(w, points) == 0
-        assert hypersystem.map_failures(broken, points) > 0
+        assert hypersystem.map_failures(w) == 0
+        assert hypersystem.map_failures(broken) > 0
 
-    @pytest.mark.parametrize("r,n,seed", [(2, 59, 0), (2, 59, 5), (3, 17, 1), (4, 11, 2)])
-    def test_sample_is_the_per_point_draw(self, capsys, monkeypatch, r, n, seed):
-        # Above 50,000 cube points represent checks 2000 points drawn in one
-        # call; they are the points that one draw per point gave.
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        expect = [tuple(int(v) for v in rng.integers(0, n, size=r + 1)) for _ in range(2000)]
-        seen = []
-
-        def spy(w, points=None, budget=None):
-            seen.append([tuple(map(int, x)) for x in points])
-            return hypersystem.map_failures(w, points, budget)
-
-        monkeypatch.setattr(cli, "map_failures", spy)
-        argv = ["represent", "--r", str(r), "--n", str(n), "--seed", str(seed)]
-        code, obj, _ = _run_json(capsys, argv)
+    def test_every_point_counted_above_the_old_sample_size(self, capsys):
+        # Every one of the 59^3 points is counted, however many there are.
+        code, obj, _ = _run_json(capsys, ["represent", "--r", "2", "--n", "59"])
         assert code == 0
-        assert seen == [expect]
-        assert obj["report"]["checks"][-2]["check"] == "progression-map (2000 points)"
+        assert obj["report"]["checks"][-2]["check"] == "progression-map (205379 points)"
 
 
 class TestVerifyInputs:

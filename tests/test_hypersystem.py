@@ -2,12 +2,14 @@
 
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import gowers.hypersystem as hypersystem
-from form_oracle import formed_by
 from gowers import (
     BudgetExceeded,
     CompositeModulus,
@@ -16,7 +18,6 @@ from gowers import (
     HypergraphSystem,
     ModulusTooSmall,
     NotRepresentation,
-    ShapeMismatch,
     WeightedHypergraph,
     ap_density,
     ap_values,
@@ -30,6 +31,7 @@ from gowers import (
     sup_norm,
     u_norm_fast,
 )
+from gowers.forms import Form
 from gowers.hypersystem import map_failures, represent_charged
 
 
@@ -183,46 +185,49 @@ class TestApValues:
 
 
 class TestMapFailures:
-    @pytest.mark.parametrize("r,n", [(2, 7), (3, 5), (4, 5)])
-    @pytest.mark.parametrize("chunk", [None, 100])
-    def test_blocks_count_what_ap_values_counts(self, monkeypatch, r, n, chunk):
-        # The block walk against one ap_values call per point, on the map
-        # and on maps broken by one coefficient or by two swapped forms.
-        if chunk is not None:
-            monkeypatch.setattr(hypersystem, "_CHUNK_ELEMS", chunk)
-        nu = from_set({0, 1, 3}, n)
-        w = represent(nu, r)
-        forms = [w.weight_omitting(j).form.coeffs for j in range(r + 1)]
-        changed = forms[:1] + [((forms[1][0] + 1) % n,) + forms[1][1:]] + forms[2:]
-        swapped = [forms[1], forms[0]] + forms[2:]
-        points = list(itertools.product(range(n), repeat=r + 1))
-        for fs in (forms, changed, swapped):
-            mapped = formed_by(w, nu.fn.values, fs)
-            expect = _ap_failures(mapped, points)
-            assert (expect == 0) == (fs is forms)
-            assert map_failures(mapped) == expect
-            assert map_failures(mapped, points[::3]) == _ap_failures(mapped, points[::3])
+    @given(st.integers(1, 4), st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
+    def test_rank_count_is_the_ap_values_walk(self, r, n, data):
+        # The count from the rank of the difference rows against one
+        # ap_values call per point, on the map and on maps whose
+        # coefficients are shifted in a few drawn places.
+        assume(n ** (r + 1) <= 20_000)
+        system = HypergraphSystem(r, (n,) * (r + 1))
+        forms = [[(j - i) % n for i in system.edge_omitting(j)] for j in range(r + 1)]
+        shifts = st.tuples(st.integers(0, r), st.integers(0, r - 1), st.integers(1, n - 1))
+        for j, a, delta in data.draw(st.lists(shifts, max_size=3)):
+            forms[j][a] = (forms[j][a] + delta) % n
+        h = np.arange(n, dtype=np.float64)
+        mapped = WeightedHypergraph(
+            system,
+            {e: EdgeFn.formed(e, h, Form(tuple(c), n)) for e, c in zip(system.edges, forms)},
+        )
+        points = itertools.product(range(n), repeat=r + 1)
+        assert map_failures(mapped) == _ap_failures(mapped, points)
 
-    @pytest.mark.parametrize("sample", [False, True], ids=["cube", "points"])
-    def test_walk_charged_before_it_runs(self, monkeypatch, sample):
-        # r+1 evaluation points per point walked: power r+1 over the whole
-        # cube, 0 for given points, whose number does not grow with N.
-        w = represent(from_set({0, 1}, 5), 2)
-        points = [(0, 1, 2)] * 10 if sample else None
-        estimate, power = (30.0, 0) if sample else (3.0 * 5**3, 3)
-        monkeypatch.setattr(hypersystem, "_CHUNK_ELEMS", None)  # any walk raises
-        with pytest.raises(BudgetExceeded) as exc:
-            map_failures(w, points, budget=estimate - 1)
-        assert (exc.value.estimated, exc.value.power) == (estimate, power)
-        assert exc.value.what == "progression map (r=2, n=5)"
-        monkeypatch.undo()
-        assert map_failures(w, points, budget=estimate) == 0
+    def test_counts_without_walking_or_charging(self, monkeypatch):
+        # At r=4, N=10007 the cube has 1e20 points and no weight could be
+        # allocated: the count reads the forms alone, so the weights here
+        # carry their forms and no values.
+        n, r = 10007, 4
+        system = HypergraphSystem(r, (n,) * (r + 1))
+        weights = {}
+        for j, edge in enumerate(system.edges):
+            form = Form(tuple((j - i) % n for i in edge), n)
+            weights[edge] = SimpleNamespace(edge=edge, dims=(n,) * r, form=form)
+        calls = []
+        monkeypatch.setattr(hypersystem, "check_budget", lambda *a, **k: calls.append(a))
+        assert map_failures(WeightedHypergraph(system, weights)) == 0
+        assert calls == []
 
-    def test_points_need_every_coordinate(self):
-        w = represent(from_set({0, 1}, 5), 2)
-        assert map_failures(w, []) == 0
-        with pytest.raises(ShapeMismatch):
-            map_failures(w, [(0, 1)])
+    def test_refuses_a_composite_modulus(self):
+        # The count by rank holds over a field only.
+        n, system = 9, HypergraphSystem(2, (9, 9, 9))
+        forms = [Form(tuple((j - i) % n for i in e), n) for j, e in enumerate(system.edges)]
+        w = WeightedHypergraph(
+            system, {e: EdgeFn.formed(e, np.ones(n), f) for e, f in zip(system.edges, forms)}
+        )
+        with pytest.raises(CompositeModulus):
+            map_failures(w)
 
 
 def _ap_failures(w, points) -> int:

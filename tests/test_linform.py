@@ -3,9 +3,11 @@ doubled-origin engines, each validated against explicit loop oracles."""
 
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
 import re
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -547,6 +549,18 @@ class TestBinomialClasses:
                 assert table[_mask(k, subset)] == least
                 reps.add(least)
         assert len(reps) == {1: 3, 2: 6, 3: 22}[k]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_group_table_blind_to_vertex_bit_order(self, k):
+        # Reading a vertex index with the first coordinate fastest reverses
+        # the coordinates, itself a cube permutation, so the table is the
+        # same: no check on its values can see that slip, and none needs to.
+        source = textwrap.dedent(inspect.getsource(linform._cube_classes))
+        assert source.count("index = {om: j") == 1
+        source = source.replace("index = {om: j", "index = {om[::-1]: j")
+        namespace = {}
+        exec(compile(source, linform.__file__, "exec"), vars(linform), namespace)
+        assert namespace["_cube_classes"](k) == linform._cube_classes(k)
 
     @given(
         st.integers(1, 4),
