@@ -183,6 +183,36 @@ class TestBudget:
             assert spies[kernel].call_count == 1
         assert sum(spy.call_count for spy in spies.values()) == 2
 
+    @pytest.mark.parametrize(
+        "argv,estimate,step,largest",
+        [
+            (
+                ["represent", "--r", "2", "--n", "31", "--budget", "5e4"],
+                "8.94e+04",
+                "progression count (r=2, 29791 points)",
+                23,
+            ),
+            (
+                ["verify", "--r", "2", "--n", "31", "--seeds", "0", "--budget", "5e4"],
+                "1.79e+05",
+                "strong-linear-forms expectation",
+                19,
+            ),
+        ],
+        ids=["represent", "verify"],
+    )
+    def test_progression_map_charged(self, capsys, argv, estimate, step, largest):
+        # The map once walked 3 * 31^3 points and was refused first.  It is
+        # now counted from its forms and charged nothing, so the refusal
+        # names the next charged step, still before any output.
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"budget exceeded: estimated {estimate} elementary products > budget 5e+04 ({step})\n"
+        )
+        assert "progression map" not in err
+        assert f"suggestion: retry with --n <= {largest}" in err
+
     def test_progression_count_charged(self, capsys):
         # The map is counted from its forms and charged nothing; the count
         # sums 3 * 59^3 products.
@@ -1093,11 +1123,25 @@ class TestProgressionMap:
         assert hypersystem.map_failures(w) == 0
         assert hypersystem.map_failures(broken) > 0
 
-    def test_every_point_counted_above_the_old_sample_size(self, capsys):
-        # Every one of the 59^3 points is counted, however many there are.
-        code, obj, _ = _run_json(capsys, ["represent", "--r", "2", "--n", "59"])
+    @pytest.mark.parametrize("r,n,seed", [(2, 59, 0), (2, 59, 5), (3, 17, 1), (4, 11, 2)])
+    def test_sample_is_the_per_point_draw(self, capsys, monkeypatch, r, n, seed):
+        # Above 50,000 cube points represent once checked 2000 points drawn
+        # one per point from the seed.  The map is now counted over every
+        # point from the representation alone, so no seed draws a sample.
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((args, kwargs))
+            return hypersystem.map_failures(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "map_failures", spy)
+        argv = ["represent", "--r", str(r), "--n", str(n), "--seed", str(seed)]
+        code, obj, _ = _run_json(capsys, argv)
         assert code == 0
-        assert obj["report"]["checks"][-2]["check"] == "progression-map (205379 points)"
+        assert [(len(args), kwargs) for args, kwargs in seen] == [(1, {})]
+        check = obj["report"]["checks"][-2]
+        assert check["check"] == f"progression-map ({n ** (r + 1)} points)"
+        assert check["pass"] and check["lhs"] == 0.0
 
 
 class TestVerifyInputs:

@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import gowers.hypersystem as hypersystem
+from form_oracle import formed_by
 from gowers import (
     BudgetExceeded,
     CompositeModulus,
@@ -18,6 +19,7 @@ from gowers import (
     HypergraphSystem,
     ModulusTooSmall,
     NotRepresentation,
+    ShapeMismatch,
     WeightedHypergraph,
     ap_density,
     ap_values,
@@ -185,6 +187,33 @@ class TestApValues:
 
 
 class TestMapFailures:
+    @pytest.mark.parametrize("r,n", [(2, 7), (3, 5), (4, 5)])
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_blocks_count_what_ap_values_counts(self, r, n, chunk):
+        # The exact count against one ap_values call per point, on the map
+        # and on maps broken by one coefficient or by two swapped forms.
+        # The cube is walked whole or in blocks of `chunk` points, and in
+        # each block ap_values fails at exactly the points off the kernel
+        # of the difference rows.
+        nu = from_set({0, 1, 3}, n)
+        w = represent(nu, r)
+        forms = [w.weight_omitting(j).form.coeffs for j in range(r + 1)]
+        changed = forms[:1] + [((forms[1][0] + 1) % n,) + forms[1][1:]] + forms[2:]
+        swapped = [forms[1], forms[0]] + forms[2:]
+        points = list(itertools.product(range(n), repeat=r + 1))
+        step = chunk or len(points)
+        for fs in (forms, changed, swapped):
+            mapped = formed_by(w, nu.fn.values, fs)
+            rows = hypersystem._map_rows(mapped)
+            expect = 0
+            for start in range(0, len(points), step):
+                block = points[start : start + step]
+                off = sum(any(np.dot(row, x) % n for row in rows) for x in block)
+                assert _ap_failures(mapped, block) == off
+                expect += off
+            assert (expect == 0) == (fs is forms)
+            assert map_failures(mapped) == expect
+
     @given(st.integers(1, 4), st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
     def test_rank_count_is_the_ap_values_walk(self, r, n, data):
         # The count from the rank of the difference rows against one
@@ -228,6 +257,15 @@ class TestMapFailures:
         )
         with pytest.raises(CompositeModulus):
             map_failures(w)
+
+    def test_points_need_every_coordinate(self):
+        # The count takes no points; the per-point evaluation still wants
+        # all r+1 coordinates of each.
+        w = represent(from_set({0, 1}, 5), 2)
+        assert ap_values(w, (0, 1, 2)) == ((0, 3, 1), 3)
+        for x in [(0, 1), (0, 1, 2, 3)]:
+            with pytest.raises(ShapeMismatch):
+                ap_values(w, x)
 
 
 def _ap_failures(w, points) -> int:
