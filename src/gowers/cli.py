@@ -25,11 +25,10 @@ from dataclasses import asdict, replace
 
 from .apcount import ap_density, hypothesis_ratio, relsz_experiment, telescoping_check
 from .budget import DEFAULT_BUDGET, resolve_budget
-from .errors import BudgetExceeded, GowersError, NumericalInconsistency
+from .errors import BudgetExceeded, EmptySetGenerated, GowersError, NumericalInconsistency
 from .genmeasure import KINDS, GeneratorSpec, PhiloxStream, generate
 from .gowersnorm import (
     EdgeFn,
-    box_norm,
     cube_vertices,
     gcs_verify,
     u_norm_brute,
@@ -51,6 +50,7 @@ from .linform import (
     charge_gcs,
     cube_centered_expectation,
     cube_expectation,
+    formed_box_norm,
     lf2_chain_verify,
     lf2_expectation,
     lf2_telescoping,
@@ -214,7 +214,7 @@ def _preservation(rep, nu, w, tag: str, budget) -> float:
     uniformity norm of nu - 1, and return that norm."""
     u = u_norm_fast(nu.centered(), w.r, budget)
     for j in range(w.r + 1):
-        box = box_norm(w.weight_omitting(j).centered(), budget)
+        box = formed_box_norm(w.weight_omitting(j).centered(), budget)
         rep.add(eq_check(f"norm-preservation{tag} j={j}", box, u, TOL))
     return u
 
@@ -290,8 +290,8 @@ def _cmd_boxnorm(args, spec, nu):
     values = {"u-norm-centered": u_norm_fast(nu.centered(), args.r, args.budget)}
     for j in range(args.r + 1):
         g = w.weight_omitting(j)
-        values[f"box-norm-raw-j{j}"] = box_norm(g, args.budget)
-        values[f"box-norm-centered-j{j}"] = box_norm(g.centered(), args.budget)
+        values[f"box-norm-raw-j{j}"] = formed_box_norm(g, args.budget)
+        values[f"box-norm-centered-j{j}"] = formed_box_norm(g.centered(), args.budget)
     return {"r": args.r}, {"values": values}, True
 
 
@@ -527,8 +527,12 @@ def _cmd_verify(args) -> int:
     n, r, seeds, budget = args.n, args.r, args.seeds, args.budget
     _nonnegative("--seeds", seeds)
     check_modulus(n, r)  # before any measure is drawn or any suite runs
-    # The random measures of density one half, one per seed.
-    nus = [generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s)) for s in range(seeds)]
+    nus = []  # The random measures of density one half, one per seed.
+    for s in range(seeds):
+        try:
+            nus.append(generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=s)))
+        except EmptySetGenerated:
+            raise UsageError(f"--n {n} draws an empty set at seed {s}; pass --seeds <= {s}")
     suites = [_suite_dual_route(nus, budget), _suite_gcs(seeds, budget)]
     # Represented only after the two suites that need no representation, so
     # a size that their budget checks refuse never allocates one.

@@ -20,9 +20,11 @@ as well:
   enumeration of all npoints^2 points of the box; it is the test oracle.
 * ``box_norm`` uses the pair recursion
   ||g||^(2^k) = E_{x1,x1'} ||g(x1, .) g(x1', .)||^(2^(k-1)) down to a Gram
-  matrix base case, walking the pairs in blocks, and is the route every
-  runtime box norm takes.  The chain router of ``linform`` runs the same
-  recursion (``_box_pows``) batched over many functions at once.
+  matrix base case, walking the pairs in blocks.  It serves plain functions,
+  such as the right side of ``gcs_verify``; a represented weight's box norm
+  is a formed expectation (``linform.formed_box_norm``).  The chain router of
+  ``linform`` runs the same recursion (``_box_pows``) batched over many
+  functions at once.
 
 ``gcs_verify`` checks the product-form Cauchy-Schwarz bound for a full
 assignment of functions to cube vertices, its left side by the planner of
@@ -41,9 +43,7 @@ merged with Kahan compensation in a fixed order; einsum contractions are
 performed unoptimized, which fixes their traversal order; the recursions
 reduce over fixed shapes, so their values do not depend on the block size.
 Each level of ``u_norm_fast`` ends in one weighted sum per row, so its
-values are bit-identical across block sizes; they differ in the last bits
-from those of the earlier route, which summed the normalized base pairwise
-and merged each level's row with an exact fsum.  Repeated runs give
+values are bit-identical across block sizes.  Repeated runs give
 bit-identical results.
 """
 
@@ -174,9 +174,7 @@ def _u_pows(rows: np.ndarray, k: int) -> np.ndarray:
     rows a block holds: values are bit-identical across block sizes.  A
     matrix product (gemv) sums in an order that changes with the row
     count, and so does the two-operand einsum "ij,j->i" once a row is
-    longer than numpy's 8192-element buffer.  The values differ in the
-    last bits from those of the earlier pairwise base sum and per-row
-    fsum, by a few units in the last place."""
+    longer than numpy's 8192-element buffer."""
     m, n = rows.shape
     w = np.full(n // 2 + 1, 2.0)  # how many of the N bins or h each one stands for
     w[0] = 1.0
@@ -295,9 +293,6 @@ class EdgeFn:
         object.__setattr__(fn, "form", form)
         return fn
 
-    def same_shape(self, other: "EdgeFn") -> bool:
-        return self.edge == other.edge and self.dims == other.dims
-
     @classmethod
     def ones(cls, edge: tuple[int, ...], dims: tuple[int, ...]) -> "EdgeFn":
         return cls(tuple(edge), tuple(dims), np.ones(tuple(dims)))
@@ -376,16 +371,14 @@ def gcs_verify(
             f"cube assignment must cover exactly the {2**kk} vertices of the "
             f"{kk}-cube"
         )
-    if not all(g.same_shape(some) for g in gs.values()):
+    if len({(g.edge, g.dims) for g in gs.values()}) != 1:
         raise ShapeMismatch("all cube functions must share edge and dims")
     from .linform import _cube_axes, charge_gcs, expect_product  # linform imports this module
 
     charge_gcs(some.edge, some.dims, budget)
     factors = [(gs[omega].values, _cube_axes(some.edge, omega)) for omega in cube_vertices(kk)]
     lhs = abs(expect_product(factors, budget, what=f"product-form bound on edge {some.edge}"))
-    rhs = 1.0
-    for omega in cube_vertices(kk):
-        rhs *= box_norm(gs[omega], budget=budget)
+    rhs = math.prod([box_norm(gs[omega], budget=budget) for omega in cube_vertices(kk)])
     report = VerificationReport(name="box-norm-product-bound")
     report.add(ineq_check("gowers-cauchy-schwarz", lhs, rhs, slack=TOL * max(1.0, rhs)))
     report.ratios["lhs"] = lhs

@@ -11,11 +11,12 @@ which has two exact consequences for prime N > r: the r+1 evaluation points
 y_j form an arithmetic progression with common difference sum_i x_i, and each
 centered edge weight has box norm equal to the order-r uniformity norm of
 nu - 1.  ``represent`` builds each weight nu(L·x), L the form of its edge, as
-``EdgeFn.formed``, so every weight carries its own form and no weight is
-ever matched with a form after it is built.  ``represent_charged`` charges
-the edge weights to the budget before ``represent`` allocates them.  The
+``EdgeFn.formed``, so every weight carries its form; ``represent_charged``
+charges the weights to the budget before ``represent`` allocates them.  The
 progression is linear in x, so ``represent`` certifies it from the forms'
 difference rows and ``map_failures`` counts its failures from their rank.
+``progression_count_check`` takes the product of the weights as one formed
+expectation of ``linform``, whose forms have rank 2: a start and a step.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     SupBelowOneWarning,
 )
 from .forms import Form, line, pivots
-from .gowersnorm import _LETTERS, EdgeFn
+from .gowersnorm import EdgeFn
 
 Edge = tuple[int, ...]
 
@@ -271,18 +272,10 @@ def progression_count_check(w: WeightedHypergraph, budget: float | None = None) 
 
     For a represented measure this equals the arithmetic-progression density
     of length r+1 exactly (the evaluation points sweep progressions uniformly).
-    The einsum forms r+1 products at each of the coordinate points, charged
-    before it runs.
+    One ``linform.expect_product`` of the weights' factors, charged by its
+    route: the quotient route for formed weights, the plan otherwise.
     """
-    r = w.r
-    npoints = math.prod(w.system.dims)
-    what = f"progression count (r={r}, {npoints} points)"
-    check_budget((r + 1) * float(npoints), budget, what=what, power=r + 1)
-    subs = []
-    operands = []
-    for j in range(r + 1):
-        fn = w.weight_omitting(j)
-        subs.append("".join(_LETTERS[v] for v in fn.edge))
-        operands.append(fn.values)
-    total = float(np.einsum(",".join(subs) + "->", *operands, optimize=False))
-    return total / npoints
+    from .linform import expect_product, weight_factor  # linform imports this module
+
+    what = f"progression count (r={w.r}, {math.prod(w.system.dims)} points)"
+    return expect_product([weight_factor(w, e) for e in w.system.edges], budget, what=what)

@@ -57,10 +57,11 @@ which the uniform x is pushed uniformly, so it takes a fourth route, the
 quotient route, wherever every axis has the prime size N: a plan that reads
 the doubled factors through slices at 0 along the variables outside a basis
 of the form system (``_quotient_layout``).  The lf2 engine, the cube
-engine on a represented edge and the telescoping terms and their chains
-pass formed factors; the slf chains, whose minorants are random, pass
-plain ones.  Every route reduces over fixed
-shapes, so repeated runs are bit-identical.
+engine on a represented edge, the telescoping terms and their chains, the
+progression count and the box norms of represented weights
+(``formed_box_norm``) pass formed factors; the slf chains, whose minorants
+are random, pass plain ones.  Every route reduces over fixed shapes, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -580,6 +581,14 @@ def _centered_box_norm(g: EdgeFn, budget: float | None) -> float:
         return box_norm(g.centered(), budget=budget)
     line = CyclicFn(g.form.modulus, forms.line(g.values, g.form) - 1.0)
     return u_norm_fast(line, g.values.ndim, budget)
+
+
+def formed_box_norm(g: EdgeFn, budget: float | None = None) -> float:
+    """The box norm of a represented weight g: the 2^k-th root of g's expectation
+    at its 2^k cube vertices, on the quotient route, clamped as ``box_norm`` clamps."""
+    k = len(g.edge)
+    power = expect_product(_cube_factors(g, cube_vertices(k)), budget, f"box norm on edge {g.edge}")
+    return clamp_cube_average(power, max(g.values.max(), -g.values.min()) ** 2**k) ** (1 / 2**k)
 
 
 def _cube_axes(edge: Edge, omega: CubeVertex) -> list[Var]:

@@ -1,6 +1,7 @@
 """The level-set comparison of a formed array with its form, kept as the test
-oracle of ``EdgeFn.formed``, and hypergraphs stripped of their forms or
-formed by other ones.
+oracle of ``EdgeFn.formed``, the dense progression count, kept as the test
+oracle of ``hypersystem.progression_count_check``, and hypergraphs stripped
+of their forms or formed by other ones.
 
 ``expected`` and ``paired`` share no code with ``forms``: they evaluate
 L·x mod N at every point from ``np.indices``, and ``paired`` reads h, for
@@ -8,6 +9,8 @@ each value y of L·x, at the first point where L·x = y.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,6 +48,17 @@ def paired(values: np.ndarray, form: Form) -> np.ndarray:
             f"values are not constant on the level sets of their form {form.coeffs} mod {n}"
         )
     return values
+
+
+def progression_count(w: WeightedHypergraph) -> float:
+    """E over all coordinates of the product of every edge weight, by one
+    einsum over the dense weights: r+1 products at each of the N^(r+1)
+    points, with no form read."""
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    weights = [w.weight_omitting(j) for j in range(w.r + 1)]
+    subs = ",".join("".join(letters[v] for v in g.edge) for g in weights)
+    total = np.einsum(subs + "->", *[g.values for g in weights], optimize=False)
+    return float(total) / math.prod(w.system.dims)
 
 
 def unformed(w: WeightedHypergraph) -> WeightedHypergraph:

@@ -25,6 +25,7 @@ import gowers.budget as budget
 import gowers.cli as cli
 import gowers.forms as forms
 import gowers.genmeasure as genmeasure
+import gowers.gowersnorm as gowersnorm
 import gowers.hypersystem as hypersystem
 import gowers.linform as linform
 from form_oracle import formed_by
@@ -187,9 +188,9 @@ class TestBudget:
         "argv,estimate,step,largest",
         [
             (
-                ["represent", "--r", "2", "--n", "31", "--budget", "5e4"],
-                "8.94e+04",
-                "progression count (r=2, 29791 points)",
+                ["represent", "--r", "2", "--n", "31", "--budget", "3e3"],
+                "3.91e+03",
+                "box norm on edge (1, 2)",
                 23,
             ),
             (
@@ -204,21 +205,48 @@ class TestBudget:
     def test_progression_map_charged(self, capsys, argv, estimate, step, largest):
         # The map once walked 3 * 31^3 points and was refused first.  It is
         # now counted from its forms and charged nothing, so the refusal
-        # names the next charged step, still before any output.
+        # names the next charged step, still before any output.  For
+        # represent that is the box norm of a weight on its quotient route
+        # (3,906 products); the progression count that refused here at
+        # 8.94e4, 3 * 31^3 by its dense einsum, is now charged 1,984.  The
+        # suggested modulus runs.
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith(
-            f"budget exceeded: estimated {estimate} elementary products > budget 5e+04 ({step})\n"
+            f"budget exceeded: estimated {estimate} elementary products "
+            f"> budget {float(argv[-1]):.3g} ({step})\n"
         )
         assert "progression map" not in err
         assert f"suggestion: retry with --n <= {largest}" in err
+        code, _, err = _run(capsys, [str(largest) if a == "31" else a for a in argv])
+        assert code == 0, err
 
-    def test_progression_count_charged(self, capsys):
-        # The map is counted from its forms and charged nothing; the count
-        # sums 3 * 59^3 products.
-        code, out, err = _run(capsys, ["represent", "--r", "2", "--n", "59", "--budget", "5e5"])
+    def test_progression_count_charged(self, capsys, monkeypatch):
+        # The count refused this run at 3 * 59^3 products by its dense
+        # einsum.  It is now charged the plan of its quotient route, a start
+        # and a step, 2 N^2 + 2 N, below the box norm that runs before it;
+        # so the box norm refuses, before any output, and the suggested
+        # modulus runs with the count charged.
+        argv = ["represent", "--r", "2", "--n", "59", "--budget", "1.2e4"]
+        code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
-        assert "(progression count (r=2, 205379 points))" in err
+        assert err.startswith(
+            "budget exceeded: estimated 1.4e+04 elementary products > budget 1.2e+04 "
+            "(box norm on edge (1, 2))\n"
+        )
+        assert "suggestion: retry with --n <= 53 (assuming cost ~ n^2)" in err
+        charged = {}
+        real = linform.check_budget
+
+        def spy(estimated, budget=None, what="", power=0):
+            charged[what] = estimated
+            return real(estimated, budget, what, power)
+
+        monkeypatch.setattr(linform, "check_budget", spy)
+        code, _, err = _run(capsys, ["53" if a == "59" else a for a in argv])
+        assert code == 0, err
+        count = charged["progression count (r=2, 148877 points)"]
+        assert count == 2 * 53**2 + 2 * 53 < charged["box norm on edge (1, 2)"] <= 1.2e4
 
     @pytest.mark.parametrize(
         "argv,step",
@@ -343,10 +371,12 @@ class TestBudget:
             code2, _, err2 = _run(capsys, base + ["--n", str(m)])
             assert code2 == 0, err2
 
-    @pytest.mark.parametrize("command,n", [("slf", 29), ("represent", 101)])
+    @pytest.mark.parametrize("command,n", [("slf", 29), ("represent", 251)])
     def test_suggestion_is_prime_and_clears_the_step(self, capsys, command, n):
         # The refused step reports its own cost exponent, so the suggestion
-        # is a modulus the CLI accepts and the step no longer refuses.
+        # is a modulus the CLI accepts and the step no longer refuses.  Both
+        # suggestions run: slf's 23, and represent's 241, where the box norm
+        # of a weight on its quotient route refuses 251 at 1.11e8.
         code, _, err = _run(capsys, [command, "--r", "3", "--n", str(n)])
         assert code == 2
         refusal = err.splitlines()[0]
@@ -354,7 +384,7 @@ class TestBudget:
         m = int(err.split("--n <=")[1].split()[0])
         assert 3 < m < n and is_prime(m)
         code2, _, err2 = _run(capsys, [command, "--r", "3", "--n", str(m)])
-        assert code2 in (0, 2), err2
+        assert code2 == 0, err2
         assert step not in err2
 
     @pytest.mark.parametrize("r,refused,fits", [(4, 17, 13), (3, 137, 131)])
@@ -458,6 +488,19 @@ class TestErrors:
         code, out, err = _run(capsys, ["verify", "--r", "2", "--n", str(n)])
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    def test_verify_names_the_seeds_that_draw_an_empty_set(self, capsys, monkeypatch):
+        # At n=2 seed 5 draws no member.  It read "error: spec
+        # GeneratorSpec(kind='random', n=2, p=0.5, seed=5) produced the empty
+        # set", a seed never passed and no flag.  The refusal now comes
+        # before any suite, and the largest --seeds it names runs.
+        monkeypatch.setattr(cli, "u_norm_brute", _refuse_work)
+        code, out, err = _run(capsys, ["verify", "--r", "1", "--n", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: --n 2 draws an empty set at seed 5; pass --seeds <= 5\n"
+        monkeypatch.undo()
+        code, _, err = _run(capsys, ["verify", "--r", "1", "--n", "2", "--seeds", "5"])
+        assert code == 0, err
 
     def test_spec_seed_beyond_philox_names_the_field(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"
@@ -907,6 +950,22 @@ _table_one_coordinate = _rewritten(
 _represent_coefficient = _rewritten(
     "represent", "(j - i) % n", "(j - i + (i == r)) % n", hypersystem
 )
+# The quotient route slices its first pivot at 0, like the variables
+# outside the basis, and plans over the other pivots alone.
+_first_pivot_sliced = _quotient_fault(
+    linform,
+    "_quotient_layout",
+    "letter = dict(zip([order[k] for k in pivots], _LETTERS))",
+    "letter = dict(zip([order[k] for k in pivots[1:]], _LETTERS)); pivots = pivots[1:]",
+)
+# Every weight of two or more axes holds one value, its last, that its form
+# does not give.
+_formed_last_value_off = _rewritten(
+    "formed",
+    "    return out\n",
+    "    if out.ndim > 1:\n        out.flat[-1] += 1.0\n    return out\n",
+    forms,
+)
 
 
 class TestMutations:
@@ -978,6 +1037,13 @@ class TestMutations:
                 for fault in (_coloop_free_as_coloop, _table_one_coordinate)
                 for argv in (["cube", "--r", "3", "--n", "7"], ["verify", "--r", "3", "--n", "7"])
             ],
+            # Norm preservation takes each box norm from the quotient route,
+            # which the parent's dense box recursion never entered.
+            (_first_pivot_sliced, ["represent", "--r", "3", "--n", "7"]),
+            (_first_pivot_sliced, ["represent", "--r", "2", "--n", "7"]),
+            # The quotient route still reads the dense arrays: norm
+            # preservation sees a value the form does not give.
+            (_formed_last_value_off, ["represent", "--r", "3", "--n", "7"]),
         ],
         ids=[
             "bit-term-one-stride-long",
@@ -996,6 +1062,9 @@ class TestMutations:
             "coloop-free-as-coloop-verify",
             "group-table-one-coordinate-cube",
             "group-table-one-coordinate-verify",
+            "quotient-first-pivot-sliced-r3",
+            "quotient-first-pivot-sliced-r2",
+            "formed-last-value-off",
         ],
     )
     def test_fast_path_fault_fails(self, capsys, monkeypatch, fault, argv):
@@ -1076,6 +1145,34 @@ class TestQuotientRoute:
         # its plans through slices.
         _run(capsys, ["lf2", "--r", "2", "--n", "5"])
         assert entered and any(sliced)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["represent", "--r", "3", "--n", "7"],
+            ["boxnorm", "--r", "3", "--n", "7"],
+            ["verify", "--r", "2", "--n", "7"],
+        ],
+        ids=["represent", "boxnorm", "verify"],
+    )
+    def test_box_norm_sees_only_weights_without_a_form(self, capsys, monkeypatch, argv):
+        # A represented weight's box norm is a formed expectation; the dense
+        # pair recursion serves plain functions alone: the gcs right side,
+        # and the fallback of a weight with no invertible form.
+        seen = []
+        real = gowersnorm.box_norm
+
+        def spy(g, budget=None):
+            seen.append(g.form)
+            return real(g, budget)
+
+        for module in (gowersnorm, linform):
+            monkeypatch.setattr(module, "box_norm", spy)
+        assert not hasattr(cli, "box_norm")
+        code, _, err = _run(capsys, argv)
+        assert code == 0, err
+        assert seen == [None] * len(seen)
+        assert bool(seen) == (argv[0] == "verify")  # the spy is live: verify runs gcs
 
     def test_one_plan_per_formed_structure(self, capsys, monkeypatch):
         # Each formed structure is planned once, on its quotient slices, and

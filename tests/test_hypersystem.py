@@ -9,20 +9,25 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import gowers.apcount as apcount
 import gowers.hypersystem as hypersystem
-from form_oracle import formed_by
+import gowers.linform as linform
+from conftest import random_cyclic
+from form_oracle import formed_by, progression_count
 from gowers import (
     BudgetExceeded,
     CompositeModulus,
     EdgeFn,
     GeneratorSpec,
     HypergraphSystem,
+    Measure,
     ModulusTooSmall,
     NotRepresentation,
     ShapeMismatch,
     WeightedHypergraph,
     ap_density,
     ap_values,
+    box_norm,
     box_norm_brute,
     from_set,
     generate,
@@ -345,9 +350,55 @@ class TestCounting:
         assert progression_count_check(w) == pytest.approx(density, abs=1e-12)
 
     def test_budget_charges_every_product(self):
-        # r+1 weights multiplied at each of the N^(r+1) coordinate points.
+        # The count is charged the plan of its route before it runs: the
+        # quotient of the three formed weights, over a start and a step.
+        # The dense einsum was charged 3 * 7^3 = 1029.
         w = represent(generate(GeneratorSpec(kind="random", n=7, p=0.5, seed=1)), 2)
-        assert progression_count_check(w, budget=3 * 7**3) > 0
+        factors = [linform.weight_factor(w, e) for e in w.system.edges]
+        route = linform._route(linform._structure(factors), ())
+        assert route.slices and (route.cost, route.power) == (112.0, 2)
+        assert progression_count_check(w, budget=route.cost) > 0
         with pytest.raises(BudgetExceeded) as exc:
-            progression_count_check(w, budget=3 * 7**3 - 1)
-        assert (exc.value.estimated, exc.value.power) == (3 * 7**3, 3)
+            progression_count_check(w, budget=route.cost - 1)
+        assert (exc.value.estimated, exc.value.power) == (route.cost, route.power)
+        assert exc.value.what == "progression count (r=2, 343 points)"
+
+    @given(st.integers(1, 4), st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 2**32))
+    def test_formed_routes_equal_the_dense_oracles(self, r, n, seed):
+        # The count and every raw and centered box norm of a represented
+        # weight take the quotient route; the dense einsum and box_norm read
+        # the same arrays and no form.
+        assume(r < n and n ** (r + 1) <= 30_000)
+        fn = random_cyclic(n, seed, 0.0, 3.0)
+        assume(fn.values.max() >= 1.0)  # no sup-below-one warning
+        nu = Measure.from_fn(fn)
+        w = represent(nu, r)
+        assert progression_count_check(w) == pytest.approx(progression_count(w), rel=1e-12)
+        for g in w.weights.values():
+            for fn in (g, g.centered()):
+                assert linform.formed_box_norm(fn) == pytest.approx(box_norm(fn), rel=1e-12)
+
+    def test_count_computes_without_the_density_kernels(self, monkeypatch):
+        # The count is the runtime side of the progression-density check, so
+        # it may share no code with the kernels of ap_density, and they none
+        # with the planner.
+        class OtherSideCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise OtherSideCalled
+
+        for r, n in [(2, 7), (3, 7)]:  # the FFT count route and the bit kernel
+            nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=r))
+            w = represent(nu, r)
+            for name in ("ap_density", "_count_route", "_bit_count"):
+                monkeypatch.setattr(apcount, name, refuse)
+            count = progression_count_check(w)
+            monkeypatch.undo()
+            for module, name in ((linform, "expect_product"), (linform, "_plan")):
+                monkeypatch.setattr(module, name, refuse)
+            with pytest.raises(OtherSideCalled):
+                progression_count_check(w)
+            density = ap_density([nu.fn] * (r + 1)).density
+            monkeypatch.undo()
+            assert count == pytest.approx(density, rel=1e-12)

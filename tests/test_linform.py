@@ -247,8 +247,9 @@ class TestOracleIndependence:
         assert box_power == pytest.approx(u_norm_fast(nu.centered(), 2) ** 4, rel=1e-9)
 
     def test_box_norm_computes_without_the_other_routes(self, monkeypatch):
-        # box_norm is the runtime side of norm preservation and of the
-        # endpoint check, so it may share no evaluation code with the
+        # box_norm is the right side of gcs, the endpoint oracle of a
+        # hypergraph without forms and the dense oracle of a represented
+        # weight's box norm, so it may share no evaluation code with the
         # planner, the brute-force box or the difference recursion.
         class OtherRouteCalled(Exception):
             pass
@@ -269,6 +270,33 @@ class TestOracleIndependence:
         monkeypatch.undo()
         assert got == pytest.approx(box_norm_brute(centered), rel=1e-9)
         assert got == pytest.approx(u_norm_fast(nu.centered(), 2), rel=1e-9)
+
+    def test_preservation_sides_compute_without_each_other(self, monkeypatch):
+        # Norm preservation compares the box norm of each centered
+        # represented weight, a formed expectation on the quotient route,
+        # with the uniformity norm of nu - 1 by the difference recursion.
+        # Neither side may run through the other, and the box side not
+        # through the dense box recursion either.
+        class OtherSideCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise OtherSideCalled
+
+        nu = _measure(n=7, seed=4)
+        for r in (2, 3):
+            w = represent(nu, r)
+            for module in (gowersnorm, linform):
+                for name in ("u_norm_fast", "box_norm", "_box_pows"):
+                    monkeypatch.setattr(module, name, refuse)
+            monkeypatch.setattr(gowersnorm, "_u_pows", refuse)
+            boxes = [linform.formed_box_norm(g.centered()) for g in w.weights.values()]
+            monkeypatch.undo()
+            for name in ("expect_product", "_plan", "_run"):
+                monkeypatch.setattr(linform, name, refuse)
+            u = u_norm_fast(nu.centered(), r)
+            monkeypatch.undo()
+            assert boxes == pytest.approx([u] * (r + 1), rel=1e-9)
 
     def test_endpoint_oracle_computes_without_the_box_recursion(self, monkeypatch):
         # Once q(e0) runs the box recursion, the endpoint of a represented

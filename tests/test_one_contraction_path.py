@@ -14,7 +14,6 @@ EINSUM_CALLERS = {
     "box_norm_brute",  # gowersnorm: the 2^k-operand test oracle of box_norm
     "_u_pows",  # gowersnorm: the weighted row sum of the spectral base
     "nu_prime",  # linform: the conditional-product weight, an array over the edge
-    "progression_count_check",  # hypersystem: every weight at once, against the density
 }
 
 
