@@ -69,7 +69,6 @@ from .linform import (
     q_value,
     random_slf_instance,
     single_chain_verify,
-    slf_lhs,
 )
 from .apcount import ap_density, hypothesis_ratio, relsz_experiment, telescoping_check
 from .genmeasure import KINDS, GeneratorSpec, generate, generate_set

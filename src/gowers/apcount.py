@@ -25,9 +25,8 @@ chain bound for each term.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,9 +50,6 @@ class ApReport:
     ratio: float
     trivial_count: int
     nontrivial_count: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:

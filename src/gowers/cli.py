@@ -43,6 +43,7 @@ from .hypersystem import (
     represent_charged,
 )
 from .linform import (
+    MAX_CUBE_K,
     CubePattern,
     Lf2Exponents,
     binomial_expansion_identity,
@@ -60,7 +61,6 @@ from .linform import (
     q_value,
     random_slf_instance,
     single_chain_verify,
-    slf_lhs,
 )
 from .report import TOL, VerificationReport, eq_check
 
@@ -356,14 +356,10 @@ def _cmd_slf(args, spec, nu):
     """``slf`` (two copies of vertex 0) and ``slf-single`` (one copy)."""
     _seed("--instance-seed", args.instance_seed)
     w = represent_charged(nu, args.r, args.budget)
-    if args.command == "slf":
-        inst = random_slf_instance(w, args.instance_seed, args.caps)
-        lhs = slf_lhs(inst, args.budget)
-        report = chain_verify(inst, args.budget)
-    else:
-        inst = random_slf_instance(w, args.instance_seed, args.caps, copies=1)
-        lhs = q_value(inst, (), args.budget)
-        report = single_chain_verify(inst, args.budget)
+    single = args.command == "slf-single"
+    inst = random_slf_instance(w, args.instance_seed, args.caps, copies=1 if single else 2)
+    lhs = q_value(inst, (), args.budget)
+    report = (single_chain_verify if single else chain_verify)(inst, args.budget)
     inputs = {"r": args.r, "caps": args.caps, "instance_seed": args.instance_seed}
     return inputs, {"values": {"lhs": lhs}, "report": report.to_json_obj()}, report.passed
 
@@ -507,7 +503,7 @@ def _suite_degenerate(nu, w, budget) -> VerificationReport:
     rep = VerificationReport(name="degenerate-exactness")
     rep.add(eq_check("u-norm-centered", u_norm_fast(nu.centered(), r, budget), 0.0, 0.0))
     inst = random_slf_instance(w, 0, "one")
-    rep.add(eq_check("centered-product", slf_lhs(inst, budget), 0.0, 0.0))
+    rep.add(eq_check("centered-product", q_value(inst, (), budget), 0.0, 0.0))
     exps = Lf2Exponents.all_ones(r)
     rep.add(eq_check("doubled-origin-term", lf2_term(w, 1, exps, budget), 0.0, 0.0))
     rep.add(eq_check("product-weight-deviation", nu_prime_l2_dev(nu_prime(w, budget)), 0.0, 0.0))
@@ -592,6 +588,7 @@ def _gcs_args(p) -> None:
 
 def _cube_args(p) -> None:
     _measure_args(p, _cmd_cube)
+    p.set_defaults(max_r=MAX_CUBE_K)
     p.add_argument("--j", type=int, default=0, help="edge (omitted vertex) to use")
     p.add_argument("--pattern", default=None, help="bit string over the cube vertices")
 
@@ -618,7 +615,7 @@ def _verify_args(p) -> None:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--n", type=int, default=7)
     p.add_argument("--seeds", type=int, default=10)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, max_r=MAX_CUBE_K)
 
 
 # Every subcommand, in help order: its help line and the registration that
@@ -669,15 +666,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _suggest_n(
-    n: int | None, r: int, power: int, estimated: float, budget: float
-) -> int | None:
-    """Largest prime m with r < m < n at which a step that costs ``estimated``
-    at modulus n, scaled as m^power, fits the budget."""
+def _suggest_n(n: int | None, r: int, exc: BudgetExceeded) -> int | None:
+    """Largest prime m with r < m < n at which the refused step fits the
+    budget, priced by ``exc.cost_at`` where the step sets it, else scaled as
+    m^power; lower-order terms only raise the price at m."""
+    power, estimated, budget = exc.power, exc.estimated, exc.budget
     if not n or power <= 0:
         return None
     m = min(n - 1, int(n * (budget / estimated) ** (1.0 / power)) + 1)
-    while m > r and not (is_prime(m) and estimated * (m / n) ** power <= budget):
+    price = exc.cost_at or (lambda n, m: estimated * (m / n) ** power)
+    while m > r and not (is_prime(m) and price(n, m) <= budget):
         m -= 1
     return m if m > r else None
 
@@ -705,7 +703,7 @@ def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
         )
         if math.isinf(exc.estimated):  # resolve_budget refuses an infinite budget
             sys.stderr.write("suggestion: no budget covers this step; retry with a smaller size\n")
-        elif (m := _suggest_n(n, r, exc.power, exc.estimated, exc.budget)) is not None:
+        elif (m := _suggest_n(n, r, exc)) is not None:
             sys.stderr.write(
                 f"suggestion: retry with --n <= {m} (assuming cost ~ n^{exc.power}) "
                 "or raise --budget / GOWERS_BUDGET\n"
@@ -733,11 +731,14 @@ def guarded(run, budget: float | None, n: int | None = None, r: int = 0) -> int:
 
 def _dispatch(args, budget: float) -> int:
     """Run the subcommand of ``args`` against the resolved budget, once its
-    --r and --k, where it has them, are known to be at least one."""
+    --r and --k, where it has them, are known to be at least one, and its
+    --r at most ``max_r`` where it sets one."""
     args.budget = budget
     for flag in ("r", "k"):
         if getattr(args, flag, 1) < 1:
             raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if getattr(args, "r", 0) > getattr(args, "max_r", math.inf):
+        raise UsageError(f"--r must be <= {args.max_r} for the cube expansion, got {args.r}")
     return args.func(args)
 
 

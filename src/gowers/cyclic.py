@@ -61,10 +61,6 @@ class CyclicFn:
     def mean(self) -> float:
         return fmean(self.values)
 
-    def shift(self, h: int) -> "CyclicFn":
-        """x -> f(x + h)."""
-        return CyclicFn(self.n, np.roll(self.values, -(h % self.n)))
-
     @classmethod
     def constant(cls, n: int, c: float = 1.0) -> "CyclicFn":
         return cls(n, np.full(n, float(c)))

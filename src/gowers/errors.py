@@ -36,8 +36,9 @@ class ModulusTooSmall(GowersError):
 
 
 class NotRepresentation(GowersError):
-    """The weighted hypergraph was built directly, so no linear-form metadata
-    is available for arithmetic-progression lookups."""
+    """A weight carries no linear form, or one that is not invertible mod a
+    prime, so neither the progression lookups nor the cube expansion and the
+    chain endpoints, which read the weight's line, apply to it."""
 
 
 class AllZeroPattern(GowersError):
@@ -57,7 +58,9 @@ class BudgetExceeded(GowersError):
 
     Carries the estimated term count so callers can report what was asked
     for, and ``power``, the exponent of the modulus in the step's cost (0 when
-    unknown), so they can suggest a modulus that fits.
+    unknown), so they can suggest a modulus that fits.  A step that can
+    price itself at modulus m in place of n sets ``cost_at(n, m)``, exact
+    where its cost has terms of lower order than ``power``.
     """
 
     def __init__(self, estimated: float, budget: float, what: str = "", power: int = 0):
@@ -65,6 +68,7 @@ class BudgetExceeded(GowersError):
         self.budget = float(budget)
         self.what = what
         self.power = power
+        self.cost_at = None
         label = f" for {what}" if what else ""
         super().__init__(
             f"estimated {estimated:.3g} elementary products{label} "

@@ -17,7 +17,6 @@ binary value of p, so membership never depends on float rounding luck.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -66,9 +65,6 @@ class GeneratorSpec:
     def to_json_obj(self) -> dict:
         return {"kind": self.kind, "n": self.n, "p": self.p, "seed": self.seed}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GeneratorSpec":
         """The spec a JSON object holds; ``kind`` and ``n`` are required,
@@ -91,10 +87,6 @@ class GeneratorSpec:
             except (TypeError, ValueError):
                 raise ValueError(f"generator spec field {key!r} cannot be {value!r}") from None
         return cls(*values)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorSpec":
-        return cls.from_json_obj(json.loads(text))
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC 2011) as numpy runs it.

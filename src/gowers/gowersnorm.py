@@ -20,9 +20,9 @@ as well:
   enumeration of all npoints^2 points of the box; it is the test oracle.
 * ``box_norm`` uses the pair recursion
   ||g||^(2^k) = E_{x1,x1'} ||g(x1, .) g(x1', .)||^(2^(k-1)) down to a Gram
-  matrix base case, walking the pairs in blocks.  It serves plain functions,
-  such as the right side of ``gcs_verify``; a represented weight's box norm
-  is a formed expectation (``linform.formed_box_norm``).  The chain router of
+  matrix base case, walking the pairs in blocks.  It serves the plain
+  functions of the right side of ``gcs_verify``; a represented weight's box
+  norm is a formed expectation (``linform.formed_box_norm``).  The chain router of
   ``linform`` runs the same recursion (``_box_pows``) batched over many
   functions at once.
 

@@ -6,13 +6,9 @@ that connect them:
 
 * cube-pattern expectations over a single edge (products of the edge weight
   over chosen cube vertices) and the binomial expansion that relates raw and
-  centered patterns, whose centered terms are evaluated once per class of
-  sub-supports, through a per-k table of class representatives, and shared
-  across the patterns of one edge weight (``binomial_expansion_identity``):
-  a class is an orbit of the whole cube group on an edge formed with
-  invertible coefficients, where a class with coloops is a power of the
-  weight's mean times the term of its core, and an orbit of the coordinate
-  flips (copy swaps) on any other edge;
+  centered patterns, whose centered terms are evaluated once per orbit of
+  the whole cube group, a class with coloops being a power of the weight's
+  mean times the term of its core (``binomial_expansion_identity``);
 * the strong-linear-forms expectation with a centered distinguished edge and
   one minorant per remaining edge and copy, together with the doubling chain
   that bounds it by a box-norm power of the centered edge;
@@ -23,7 +19,12 @@ that connect them:
 
 All three chains are one operation applied step by step: double every
 factor over the copy patterns of the doubled vertices (``_double``) and split
-off the factors whose edge misses the newly doubled vertex.
+off the factors whose edge misses the newly doubled vertex.  The expansion
+and the slf chains read represented weights alone, nu(L·x) mod a prime N
+with every coefficient of L invertible (``_normed``): the box norm of such
+a centered weight is the uniformity norm of nu - 1 read off its line, which
+checks the chains' endpoint.  Any other weight raises NotRepresentation
+before any step is charged.
 
 Every intermediate inequality is checked exactly at finite N with a relative
 slack for roundoff; asymptotic statements are never asserted, only reported
@@ -36,28 +37,26 @@ doubled over a vertex set d, by a route that ``_route`` caches for their
 structure.  At d=() it is a fixed bucket-elimination plan, each bucket
 contracted by unoptimized einsum with its output axes in this order.  At
 nonempty d, where every vertex of d must be read and no factor may read a
-copy of one, it is the cheaper of two: a box
-route, the mean over the other variables z of a box power
-(``gowersnorm._box_pows``) of the product of the undoubled factors; and a
-split route, when z falls into components that share no variable: the
-doubled product then factors pointwise, so the expectation is the mean over
-both copies of d of the product of one marginal per component.
-``q_value`` and ``cube_expectation`` run the plan on the explicitly doubled
-factors (``_on_planner``) and are, with ``ybar_sq_expectation`` in
-``tests/chain_oracle.py``, the router's test oracles.  ``charge_gcs``
-prices ``gowersnorm.gcs_verify``, whose left side is one such plan.
+copy of one, it is the cheaper of two: a box route, the mean over the other
+variables z of a box power (``gowersnorm._box_pows``) of the product of the
+undoubled factors; and a split route, when z falls into components that
+share no variable: the doubled product then factors pointwise, so the
+expectation is the mean over both copies of d of the product of one
+marginal per component.  ``q_value`` runs the plan on the explicitly
+doubled factors (``_on_planner``) and is, with ``ybar_sq_expectation`` in
+``tests/chain_oracle.py``, the router's test oracle.  ``charge_gcs`` prices
+``gowersnorm.gcs_verify``, whose left side is one such plan.
 
 A factor may also carry its form, (array, axes, form), when its values are
 h(L·x mod N) for the linear form L and a prime N: the represented weights,
 each of which carries its form from the moment it is built
 (``EdgeFn.formed``), their centered copies and the constant one (the zero
-form).  Every engine reads a factor's form from its weight.  A product of
-such formed factors reads x only through the image of the form map, onto
-which the uniform x is pushed uniformly, so it takes a fourth route, the
-quotient route, wherever every axis has the prime size N: a plan that reads
-the doubled factors through slices at 0 along the variables outside a basis
-of the form system (``_quotient_layout``).  The lf2 engine, the cube
-engine on a represented edge, the telescoping terms and their chains, the
+form).  A product of such formed factors reads x only through the image of
+the form map, onto which the uniform x is pushed uniformly, so it takes a
+fourth route, the quotient route, wherever every axis has the prime size
+N: a plan that reads the doubled factors through slices at 0 along the
+variables outside a basis of the form system (``_quotient_layout``).  The
+lf2 engine, the cube engine, the telescoping terms and their chains, the
 progression count and the box norms of represented weights
 (``formed_box_norm``) pass formed factors; the slf chains, whose minorants
 are random, pass plain ones.  Every route reduces over fixed shapes, so
@@ -78,8 +77,10 @@ import numpy as np
 from .budget import check_budget, power_cost
 from .errors import (
     AllZeroPattern,
+    BudgetExceeded,
     CapViolation,
     InvalidSubset,
+    NotRepresentation,
     NumericalInconsistency,
     ShapeMismatch,
 )
@@ -93,7 +94,6 @@ from .gowersnorm import (
     CubeVertex,
     EdgeFn,
     _box_pows,
-    box_norm,
     clamp_cube_average,
     cube_vertices,
     u_norm_fast,
@@ -130,6 +130,7 @@ class _Plan:
     slots left holding scalars.  ``cost`` is the sum over steps of scope
     points times factors read, ``power`` the largest number of variables in
     one step's scope, and ``points`` the number of index points.
+    ``subscripts`` and ``sizes`` are what it was planned from (``_plan``).
     """
 
     steps: tuple[tuple[tuple[int, ...], str], ...]
@@ -137,6 +138,8 @@ class _Plan:
     cost: float
     power: int
     points: float
+    subscripts: str
+    sizes: tuple[int, ...]
     slices: tuple[tuple[int, tuple], ...] = ()
 
 
@@ -193,8 +196,8 @@ def _plan(subscripts: str, sizes: tuple[int, ...]) -> _Plan:
     if whole and one_bucket <= cost:
         scalars = tuple(slot for slot, term in enumerate(terms) if not term)
         step = (whole, ",".join(terms[s] for s in whole) + "->")
-        return _Plan((step,), scalars + (len(terms),), one_bucket, len(order), points)
-    return _Plan(tuple(steps), tuple(live), cost, power, points)
+        steps, live, cost, power = [step], scalars + (len(terms),), one_bucket, len(order)
+    return _Plan(tuple(steps), tuple(live), cost, power, points, subscripts, sizes)
 
 
 def _run(plan: _Plan, factors: list[Factor]) -> float:
@@ -504,11 +507,17 @@ def expect_product(
     and a formed factor also its form.  The empty product has expectation
     one.  The route is the one ``_route`` takes for the factors' structure
     and d (at d=() the bucket-elimination plan of ``_plan``), charged at its
-    cost before any work happens."""
+    cost before any work happens.  A refusal can price the structure at
+    another modulus (``_cost_at``)."""
     if not factors:
         return 1.0
-    route = _route(_structure(factors), d)
-    check_budget(route.cost, budget, what=what or "product expectation", power=route.power)
+    structure = _structure(factors)
+    route = _route(structure, d)
+    try:
+        check_budget(route.cost, budget, what=what or "product expectation", power=route.power)
+    except BudgetExceeded as exc:
+        exc.cost_at = functools.partial(_cost_at, route, structure, d)
+        raise
     if isinstance(route, _BoxLayout):
         return _box_route(factors, route)
     if isinstance(route, _SplitLayout):
@@ -516,12 +525,21 @@ def expect_product(
     return _run(route, factors)
 
 
+def _cost_at(route, structure: Structure, d: tuple[int, ...], n: int, m: int) -> float:
+    """The charge of ``route``, of ``structure`` doubled over d, with every
+    axis of size n at m instead: a plan, the quotient's too, planned again,
+    any other route taken again on the resized structure."""
+    if isinstance(route, _Plan):
+        return _plan(route.subscripts, tuple([m if s == n else s for s in route.sizes])).cost
+    resized = tuple([(tuple([m if s == n else s for s in f[0]]), f[1]) for f in structure])
+    return _route(resized, d).cost
+
+
 def _on_planner(
     factors: list[Factor], d: tuple[int, ...], budget: float | None = None, what: str = ""
 ) -> float:
-    """E[prod of _double(factors, d)] on the planner alone: the test oracle
-    of ``expect_product`` at nonempty d, and the route of a chain endpoint
-    that ``box_norm`` checks."""
+    """E[prod of _double(factors, d)] on the planner alone: the route of
+    ``q_value``, and at nonempty d the test oracle of ``expect_product``."""
     return expect_product(_double(factors, d), budget, what)
 
 
@@ -566,20 +584,23 @@ class CubePattern:
         return "".join(str(b) for b in self.bits)
 
 
-def _normed_on_line(g: EdgeFn) -> bool:
-    """Whether the box norm of g - 1 is read off g's line: when g is
-    nu(L·x) for a form L whose every coefficient is invertible, norm
-    preservation makes it the uniformity norm of nu - 1 of g's order."""
-    return g.form is not None and all(c % g.form.modulus for c in g.form.coeffs)
+def _normed(g: EdgeFn) -> Form:
+    """g's form L, when g is nu(L·x) mod a prime with every coefficient of L
+    invertible: then norm preservation reads the box norm of g - 1 off g's
+    line, and the cube group acts on its centered terms.  Any other g raises
+    NotRepresentation."""
+    form = g.form
+    if form is None or not (is_prime(form.modulus) and all(c % form.modulus for c in form.coeffs)):
+        raise NotRepresentation(f"weight on {g.edge} is not nu(L·x) mod a prime, L invertible")
+    return form
 
 
 def _centered_box_norm(g: EdgeFn, budget: float | None) -> float:
-    """The box norm of g - 1: when ``_normed_on_line``, the uniformity norm
-    of nu - 1, nu read along g's ``forms.line``, which shares no code with
-    the expectation routes; otherwise ``box_norm`` of g - 1."""
-    if not _normed_on_line(g):
-        return box_norm(g.centered(), budget=budget)
-    line = CyclicFn(g.form.modulus, forms.line(g.values, g.form) - 1.0)
+    """The box norm of g - 1, the uniformity norm of nu - 1 of g's order, nu
+    read along g's ``forms.line`` (``_normed``): it shares no code with the
+    expectation routes."""
+    form = _normed(g)
+    line = CyclicFn(form.modulus, forms.line(g.values, form) - 1.0)
     return u_norm_fast(line, g.values.ndim, budget)
 
 
@@ -626,19 +647,19 @@ def cube_expectation(g: EdgeFn, pat: CubePattern, budget: float | None = None) -
     return expect_product(_cube_factors(g, pat.support()), budget, what="cube expectation")
 
 
-def cube_centered_expectation(
-    g: EdgeFn, pat: CubePattern, budget: float | None = None
-) -> float:
+def cube_centered_expectation(g: EdgeFn, pat: CubePattern, budget: float | None = None) -> float:
     """Same as ``cube_expectation`` with g - 1 at the active vertices.
 
     The product-form bound |value| <= boxnorm(g-1)^weight is verified (a
     slack of TOL times the bound absorbs roundoff), the box norm by
-    ``_centered_box_norm``.
+    ``_centered_box_norm``; a g it cannot read raises NotRepresentation
+    before any step is charged.
     """
     if pat.k != len(g.edge):
         raise ShapeMismatch("pattern dimension does not match edge size")
     if pat.weight() == 0:
         raise AllZeroPattern("centered cube expectation needs an active vertex")
+    _normed(g)
     value = expect_product(
         _cube_factors(g.centered(), pat.support()), budget, what="centered cube expectation"
     )
@@ -652,13 +673,13 @@ def cube_centered_expectation(
 
 # Largest cube dimension with a class table; it has 2^(2^k) entries, so
 # 65,536 at k=4 but 2^32 at k=5.
-_TABLE_K = 4
+MAX_CUBE_K = 4
 
 
 def _flipped(mask, t: int, n: int):
     """The sub-support ``mask`` (bit j: the j-th of the n cube vertices)
     with each coordinate flipped where the t-th vertex has a one, so bit j
-    moves to bit j ^ t.  ``mask`` is an int or an integer array."""
+    moves to bit j ^ t.  ``mask`` is an integer array."""
     out = 0
     for j in range(n):
         out = out | (((mask >> (j ^ t)) & 1) << j)
@@ -727,64 +748,44 @@ def binomial_expansion_identity(
     g: EdgeFn, patterns: Iterable[CubePattern], budget: float | None = None
 ) -> list[VerificationReport]:
     """Check E[prod nu] = sum over sub-supports of E[prod (nu-1)] for each
-    pattern; one report per pattern.
+    pattern, the empty one contributing one; one report per pattern.
 
-    The empty sub-support contributes one.  Exact identity by expanding
-    nu = (nu - 1) + 1 at each active vertex.  Swapping the two copies of a
-    cube coordinate relabels the integration variables, so a centered term
-    is constant on each orbit of the coordinate flips (``_flip_classes``).
-    When g is nu(L·x) for a form L whose every coefficient is invertible
-    (``_normed_on_line``) mod a prime, and k <= _TABLE_K, the change of
-    variables x_i -> x_i / c_i makes the term a function of the rows (1, w)
-    of its vertices w alone, so it is constant on each orbit of the whole
-    cube group, flips and coordinate permutations (``_cube_classes``).
-    There a class with c coloops (``_coloop_split``) is m^c times the term
-    of its core, m = E(g - 1) read along g's line, for any h: the forms of
-    the coloops are uniform and independent of the others.  Each class
-    without coloops is evaluated once across all the patterns, at its
-    representative with its vertices in cube-vertex order.  The core of a
-    sub-support is a sub-support too, so a class with coloops costs no
-    expectation.  A pattern's dimension is checked first, and then the walk
-    of its 2^weight - 1 sub-supports is charged before the pattern: one
-    table lookup each for k <= _TABLE_K, above that 2^k flips of 2^k bits
-    each.  The pattern's expectations, its raw one and each class not
-    evaluated before, are then charged together, as one step, before any of
-    them runs.  The raw side is the pattern's own expectation, never shared
-    by class.  When g carries its form L every expectation runs on formed
-    factors.
+    g must be nu(L·x) mod a prime with L invertible (``_normed``), and k <=
+    MAX_CUBE_K, or NotRepresentation is raised before any step is charged.
+    The change of variables x_i -> x_i / c_i makes a centered term a
+    function of the rows (1, w) of its vertices w alone, so it is constant
+    on each orbit of the whole cube group (``_cube_classes``).  A class with
+    c coloops (``_coloop_split``) is m^c times the term of its core, m =
+    E(g - 1) read along g's line: the forms of the coloops are uniform and
+    independent of the others.  Each class without coloops is evaluated once
+    across all the patterns, at its representative.  A pattern's dimension
+    is checked first, then the walk of its 2^weight - 1 sub-supports, one
+    table lookup each, is charged, and then its expectations, its raw one
+    and each class not evaluated before, are charged together as one step
+    before any of them runs.  The raw side is never shared by class.
     """
     k = len(g.edge)
+    form = _normed(g)
+    if k > MAX_CUBE_K:
+        raise NotRepresentation(f"the cube expansion takes k <= {MAX_CUBE_K}, got k={k}")
     vertices = cube_vertices(k)
-    n = len(vertices)
-    group = k <= _TABLE_K and _normed_on_line(g) and is_prime(g.form.modulus)
-    if k > _TABLE_K:
-        table = None
-    else:
-        table = _cube_classes(k) if group else _flip_classes(k)
-    per_sub = 1.0 if table is not None else float(n * n)
+    table = _cube_classes(k)
     centered = g.centered()
-    # m = E(g - 1) along g's line; on flip classes no term has a coloop.
-    mean = 0.0
-    if group:
-        mean = math.fsum(forms.line(centered.values, g.form).tolist()) / g.form.modulus
+    mean = math.fsum(forms.line(centered.values, form).tolist()) / form.modulus
     terms: dict[int, float] = {0: 1.0}
     reports = []
     for pat in patterns:
         if pat.k != k:
             raise ShapeMismatch("pattern dimension does not match edge size")
         what = f"cube expansion walk (k={k}, 2^{pat.weight()} - 1 sub-supports)"
-        check_budget((power_cost(2, pat.weight()) - 1.0) * per_sub, budget, what=what)
+        check_budget(power_cost(2, pat.weight()) - 1.0, budget, what=what)
         full = sum([1 << j for j, b in enumerate(pat.bits) if b])
         # Every nonempty submask of ``full``, in falling order, as (coloops,
         # core class); fsum rounds the exact sum, so the order does not show.
         parts = []
         sub = full
         while sub:
-            if table is None:
-                rep = min([_flipped(sub, t, n) for t in range(n)])
-            else:
-                rep = table[sub]
-            parts.append(_coloop_split(k, g.form.modulus, rep) if group else (0, rep))
+            parts.append(_coloop_split(k, form.modulus, table[sub]))
             sub = (sub - 1) & full
         new = {
             core: _cube_factors(centered, [om for j, om in enumerate(vertices) if core >> j & 1])
@@ -891,39 +892,6 @@ def _normalize_subset(w: WeightedHypergraph, d: Iterable[int]) -> tuple[int, ...
     return dd
 
 
-def slf_lhs(inst: SlfInstance, budget: float | None = None) -> float:
-    """The strong-linear-forms expectation: centered distinguished weight
-    times the product of every minorant, averaged over each copy of vertex 0
-    and one copy of each remaining coordinate.
-
-    Evaluated by averaging each copy's minorant product over vertex 0 first;
-    this is a different route from ``q_value`` with the empty subset, and the
-    two must agree.  Charged the products it forms: r + 1 per point of
-    (x_0, x_{e0}) and copy, c (r + 1) N^(r+1) for c copies.
-    """
-    w = inst.hypergraph
-    r = w.r
-    n0 = w.system.dims[0]
-    e0 = _distinguished_edge(w)
-    c = len(inst.copies)
-    cost = float(c * (r + 1)) * n0 * math.prod(w.system.edge_dims(e0))
-    check_budget(cost, budget, what="strong-linear-forms expectation", power=r + 1)
-
-    # Copy products live on (x_0, x_{e0}); axis a+1 belongs to vertex e0[a].
-    full_shape = (n0,) + w.system.edge_dims(e0)
-    total = w.weights[e0].values - 1.0
-    for copy in inst.copies:
-        prod = np.ones(full_shape)
-        for j in range(1, r + 1):
-            edge = w.system.edge_omitting(j)
-            g = inst.gs[(edge, copy)]
-            # Expand g onto (x_0, x_{e0}) by inserting the missing vertex axis.
-            expanded = np.expand_dims(g.values, axis=1 + e0.index(j))
-            prod = prod * expanded
-        total = total * prod.mean(axis=0)
-    return float(total.mean())
-
-
 def _origin_axes(edge: Edge, copy: int | None) -> list[Var]:
     """Axes of an edge that reads vertex 0 at ``copy`` and the rest plain."""
     return [(v, copy) if v == 0 else (v, None) for v in edge]
@@ -942,17 +910,12 @@ def weight_factor(
 
 def _cap_factor(w: WeightedHypergraph, edge: Edge, cap: Cap) -> Factor:
     """The single-copy factor of a cap: the weight of the edge, or the
-    constant one.  When the weight carries a form the one has the zero form
-    and is a single value viewed over the edge; otherwise it is a dense
-    array."""
+    constant one, which has the zero form and is a single value viewed over
+    the edge.  The weight must be normed on its line (``_normed``)."""
     if cap is Cap.NU:
         return weight_factor(w, edge)
-    dims = w.system.edge_dims(edge)
-    axes = _origin_axes(edge, None)
-    form = w.weights[edge].form
-    if form is None:
-        return np.ones(dims), axes
-    return np.broadcast_to(np.float64(1.0), dims), axes, Form((0,) * len(edge), form.modulus)
+    one = np.broadcast_to(np.float64(1.0), w.system.edge_dims(edge))
+    return one, _origin_axes(edge, None), Form((0,) * len(edge), _normed(w.weights[edge]).modulus)
 
 
 def _slf_base(inst: SlfInstance) -> tuple[list[Factor], list[Factor]]:
@@ -962,11 +925,7 @@ def _slf_base(inst: SlfInstance) -> tuple[list[Factor], list[Factor]]:
     w = inst.hypergraph
     e0 = _distinguished_edge(w)
     two = len(inst.copies) == 2
-    slots = [
-        (w.system.edge_omitting(j), copy)
-        for copy in inst.copies
-        for j in range(1, w.r + 1)
-    ]
+    slots = [(w.system.edge_omitting(j), copy) for copy in inst.copies for j in range(1, w.r + 1)]
     axes = [_origin_axes(edge, copy if two else None) for edge, copy in slots]
     base = [(w.weights[e0].values - 1.0, _origin_axes(e0, None))]
     base += [(inst.gs[slot].values, ax) for slot, ax in zip(slots, axes)]
@@ -1041,7 +1000,6 @@ def _chain(
     letters: tuple[str, str],
     sup: float,
     budget: float | None,
-    planned: tuple[tuple[int, ...], ...] = (),
 ) -> tuple[VerificationReport, dict[tuple[int, ...], float], float]:
     """Shared core of every doubling chain.
 
@@ -1051,8 +1009,7 @@ def _chain(
     q(d)^2 <= q(d + j) * E[Ybar^2] and every pointwise bound
     E[Ybar^2] <= E[Ybar] * sup^(factor count).  ``caps`` replace the base
     factors in Ybar; ``letters`` name d and j in the check ids.  Every
-    quantity runs through ``expect_product``, except q at the sets in ``planned``,
-    which stays on the planner.  Returns the report, q at each set, and the
+    quantity runs through ``expect_product``.  Returns the report, q at each set, and the
     product of the step roots E[Ybar^2]^(1/2^t) along the ascending path to
     the last set.
     """
@@ -1062,9 +1019,7 @@ def _chain(
         (d, j) for d in sets for j in last if j not in d and tuple(sorted(d + (j,))) in sets
     ]
     q_at = {
-        d: (_on_planner if d in planned else expect_product)(
-            _kept(base, d), d=d, budget=budget, what=f"{name} at {a}={d}"
-        )
+        d: expect_product(_kept(base, d), d=d, budget=budget, what=f"{name} at {a}={d}")
         for d in sets
     }
     evaluate = functools.partial(expect_product, budget=budget)
@@ -1117,12 +1072,9 @@ def _close(
 
 
 def _endpoint_box_power(w: WeightedHypergraph, budget: float | None, swap: int = 0) -> float:
-    """The box power of the centered distinguished weight, the weight of the
-    edge omitting ``swap``, by ``_centered_box_norm``: for a represented
-    weight the order-r uniformity power of nu - 1, which shares no code
-    with ``expect_product``'s box route, so that it can check the chain's
-    endpoint.  Otherwise it is ``box_norm``'s, and the endpoint stays on
-    the planner (``_slf_chain``)."""
+    """The box power of the centered weight of the edge omitting ``swap``,
+    the order-r uniformity power of nu - 1 (``_centered_box_norm``), which
+    shares no code with ``expect_product``: it checks the chain's endpoint."""
     return _centered_box_norm(w.weight_omitting(swap), budget) ** (2.0**w.r)
 
 
@@ -1138,14 +1090,16 @@ def _slf_chain(
     its base factors and their caps (as ``_slf_base`` lays them out).  The
     distinguished slot reads the weight of the edge omitting ``swap``: 0
     unless the factors exchange the labels 0 and ``swap``
-    (``capped_chain_verify``)."""
+    (``capped_chain_verify``).  A weight of w not normed on its line
+    (``_normed``) raises NotRepresentation before any step is charged."""
+    for g in w.weights.values():
+        _normed(g)
     r = w.r
     e0 = _distinguished_edge(w)
     sup = sup_norm(w)
     sets = [d for size in range(r + 1) for d in itertools.combinations(e0, size)]
     name = "single-copy-chain" if single else "strong-linear-forms-chain"
-    planned = () if _normed_on_line(w.weight_omitting(swap)) else (e0,)
-    report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget, planned)
+    report, q_at, bound = _chain(name, base, caps, sets, ("d", "j"), sup, budget)
     box_power = _endpoint_box_power(w, budget, swap)
     endpoint = q_at[e0]
     tol = TOL * max(1.0, abs(endpoint), abs(box_power))
@@ -1169,8 +1123,7 @@ def chain_verify(inst: SlfInstance, budget: float | None = None) -> Verification
     one copy) is reported but never asserted; at finite N it stands in for an
     asymptotic statement.
     """
-    single = len(inst.copies) == 1
-    return _slf_chain(inst.hypergraph, *_slf_base(inst), single, budget)
+    return _slf_chain(inst.hypergraph, *_slf_base(inst), len(inst.copies) == 1, budget)
 
 
 def single_chain_verify(inst: SlfInstance, budget: float | None = None) -> VerificationReport:

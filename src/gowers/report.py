@@ -8,7 +8,6 @@ stand-ins for asymptotic statements) live in ``ratios``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 # Tolerance of the identity and inequality checks: absolute for quantities of
@@ -74,6 +73,3 @@ class VerificationReport:
             "ratios": dict(sorted(self.ratios.items())),
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)

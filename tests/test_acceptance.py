@@ -39,9 +39,9 @@ from gowers import (
     lf2_term,
     nu_prime,
     nu_prime_l2_dev,
+    q_value,
     random_slf_instance,
     represent,
-    slf_lhs,
     telescoping_check,
     u_norm_brute,
     u_norm_fast,
@@ -283,7 +283,7 @@ def test_c08_degenerate_exactness(verdict):
     inst = SlfInstance(w, caps, gs)
     exps = Lf2Exponents.all_ones(2)
     zeros = {
-        "centered-product": slf_lhs(inst),
+        "centered-product": q_value(inst, ()),
         "doubled-origin-term-1": lf2_term(w, 1, exps),
         "doubled-origin-term-2": lf2_term(w, 2, exps),
         "product-weight-deviation": nu_prime_l2_dev(nu_prime(w)),

@@ -111,10 +111,20 @@ class TestBudget:
 
     def test_slf_lhs_charged_the_work_done(self, capsys):
         # Charged the defining sum N^(c+r) (cr+1), the strong-linear-forms
-        # expectation refused N=67 at 1.01e8; it forms 2 * 3 * 67^3 products.
-        code, _, err = _run(capsys, ["slf", "--r", "2", "--n", "67"])
-        assert "strong-linear-forms expectation" not in err
+        # expectation refused N=67 at 1.01e8, and its copy means, 2 * 3 N^3
+        # products, refused N=257.  The expectation is now the plan of its
+        # factors, 4 N^3 + 3 N^2: 283 runs, and 293 is refused at 1.01e8
+        # with a suggestion that runs.
+        code, _, err = _run(capsys, ["slf", "--r", "2", "--n", "283"])
         assert code == 0, err
+        code, out, err = _run(capsys, ["slf", "--r", "2", "--n", "293"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "budget exceeded: estimated 1.01e+08 elementary products > budget 1e+08 "
+            "(chain quantity at d=())\n"
+            "suggestion: retry with --n <= 283 (assuming cost ~ n^3) "
+            "or raise --budget / GOWERS_BUDGET\n"
+        )
 
     def test_two_copy_r4_fits_at_11(self, capsys):
         # The chain quantities at |d|=3 split into three independent
@@ -195,8 +205,8 @@ class TestBudget:
             ),
             (
                 ["verify", "--r", "2", "--n", "31", "--seeds", "0", "--budget", "5e4"],
-                "1.79e+05",
-                "strong-linear-forms expectation",
+                "1.22e+05",
+                "chain quantity at d=()",
                 19,
             ),
         ],
@@ -208,8 +218,12 @@ class TestBudget:
         # names the next charged step, still before any output.  For
         # represent that is the box norm of a weight on its quotient route
         # (3,906 products); the progression count that refused here at
-        # 8.94e4, 3 * 31^3 by its dense einsum, is now charged 1,984.  The
-        # suggested modulus runs.
+        # 8.94e4, 3 * 31^3 by its dense einsum, is now charged 1,984.  For
+        # verify it is the degenerate suite's centered product, the plan of
+        # its factors, 4 N^3 + 3 N^2 (its copy means were charged 1.79e5).
+        # The suggestion prices that plan at each smaller prime: scaled as
+        # N^3 alone it was 23, where the plan is charged 5.03e4 and refused.
+        # The suggested modulus runs.
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith(
@@ -255,17 +269,13 @@ class TestBudget:
             (["norm", "--n", "7", "--k", "2000", "--mode", "brute"], "u_norm_brute(k=2000, n=7)"),
             (["count", "--r", "600", "--n", "7"], "u_norm_fast(k=600, n=7)"),
             (["experiment", "--r", "600", "--n", "7"], "u_norm_fast(k=600, n=7)"),
-            (
-                ["verify", "--r", "300", "--n", "307", "--seeds", "0"],
-                "representation (r=300, n=307)",
-            ),
             (["boxnorm", "--r", "300", "--n", "307"], "representation (r=300, n=307)"),
             (["slf", "--r", "400", "--n", "401"], "representation (r=400, n=401)"),
             # The plan of the left side is then never built: its scope sizes
             # would leave the float range.
             (["gcs", "--dims", f"{10**155},{10**155}"], "product-form bound on edge (1, 2)"),
         ],
-        ids=["norm-fast", "norm-brute", "count", "experiment", "verify", "boxnorm", "slf", "gcs"],
+        ids=["norm-fast", "norm-brute", "count", "experiment", "boxnorm", "slf", "gcs"],
     )
     def test_charge_beyond_float_range_refused(self, capsys, argv, step):
         # Each charge overflowed while it was computed (float **) and ended
@@ -297,16 +307,22 @@ class TestBudget:
         assert peak < 1 << 20
 
     def test_cube_walk_refused_before_any_expectation(self, capsys, monkeypatch):
-        # 2^32 - 1 sub-supports of 2^5 flips of 2^5 bits each; the walk ran
-        # uncharged, for minutes, after the cube expectations.
+        # The expansion tabulates cubes up to k=4.  Above it, cube and verify
+        # drew and represented a measure, and verify ran three suites, before
+        # a walk of 2^32 - 1 sub-supports was refused at 4.4e12; a larger
+        # budget started it.  Now --r is refused before any measure is
+        # drawn, at any budget, and verify's r=300 before its representation
+        # was charged beyond the float range.
+        monkeypatch.setattr(cli, "generate", _refuse_work)
         monkeypatch.setattr(linform, "expect_product", None)  # any expectation raises
-        code, out, err = _run(capsys, ["cube", "--r", "5", "--n", "7", "--budget", "2e9"])
-        assert (code, out) == (2, "")
-        assert err == (
-            "budget exceeded: estimated 4.4e+12 elementary products > budget 2e+09 "
-            "(cube expansion walk (k=5, 2^32 - 1 sub-supports))\n"
-            "suggestion: raise --budget / GOWERS_BUDGET\n"
-        )
+        for argv in (
+            ["cube", "--r", "5", "--n", "7", "--budget", "1e15"],
+            ["verify", "--r", "5", "--n", "7", "--budget", "1e15"],
+            ["verify", "--r", "300", "--n", "307", "--seeds", "0"],
+        ):
+            code, out, err = _run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: --r must be <= 4 for the cube expansion, got {argv[2]}\n"
 
     def test_explicit_tiny_budget(self, capsys):
         code, _, err = _run(
@@ -371,21 +387,40 @@ class TestBudget:
             code2, _, err2 = _run(capsys, base + ["--n", str(m)])
             assert code2 == 0, err2
 
-    @pytest.mark.parametrize("command,n", [("slf", 29), ("represent", 251)])
-    def test_suggestion_is_prime_and_clears_the_step(self, capsys, command, n):
+    @pytest.mark.parametrize(
+        "command,r,n",
+        [("slf", 3, 29), ("represent", 3, 251), ("slf", 2, 293)],
+        ids=["slf-29", "represent-251", "slf-293"],
+    )
+    def test_suggestion_is_prime_and_clears_the_step(self, capsys, command, r, n):
         # The refused step reports its own cost exponent, so the suggestion
-        # is a modulus the CLI accepts and the step no longer refuses.  Both
-        # suggestions run: slf's 23, and represent's 241, where the box norm
-        # of a weight on its quotient route refuses 251 at 1.11e8.
-        code, _, err = _run(capsys, [command, "--r", "3", "--n", str(n)])
+        # is a modulus the CLI accepts and the step no longer refuses.  Every
+        # suggestion runs: slf's 23, represent's 241, where the box norm of
+        # a weight on its quotient route refuses 251 at 1.11e8, and slf's
+        # 283, where the r=2 expectation refuses 293 at 1.01e8.
+        code, _, err = _run(capsys, [command, "--r", str(r), "--n", str(n)])
         assert code == 2
         refusal = err.splitlines()[0]
         step = refusal[refusal.index(" (") :]
         m = int(err.split("--n <=")[1].split()[0])
-        assert 3 < m < n and is_prime(m)
-        code2, _, err2 = _run(capsys, [command, "--r", "3", "--n", str(m)])
+        assert r < m < n and is_prime(m)
+        code2, _, err2 = _run(capsys, [command, "--r", str(r), "--n", str(m)])
         assert code2 == 0, err2
         assert step not in err2
+
+    def test_suggestion_prices_the_step_at_the_smaller_modulus(self, capsys):
+        # A weight's box norm is charged the plan of its quotient route,
+        # 4 N^2 + 2 N: 3,906 at 31.  Scaled as N^2 alone the suggestion
+        # was 29, where the plan is charged 3,422 and refused again.
+        argv = ["represent", "--r", "2", "--n", "31", "--budget", "3420"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "budget exceeded: estimated 3.91e+03 elementary products > budget 3.42e+03 "
+            "(box norm on edge (1, 2))\nsuggestion: retry with --n <= 23 "
+        )
+        code, _, err = _run(capsys, ["23" if a == "31" else a for a in argv])
+        assert code == 0, err
 
     @pytest.mark.parametrize("r,refused,fits", [(4, 17, 13), (3, 137, 131)])
     def test_cube_suggestion_runs(self, capsys, r, refused, fits):
@@ -1157,8 +1192,7 @@ class TestQuotientRoute:
     )
     def test_box_norm_sees_only_weights_without_a_form(self, capsys, monkeypatch, argv):
         # A represented weight's box norm is a formed expectation; the dense
-        # pair recursion serves plain functions alone: the gcs right side,
-        # and the fallback of a weight with no invertible form.
+        # pair recursion serves plain functions alone, the gcs right side.
         seen = []
         real = gowersnorm.box_norm
 
@@ -1166,9 +1200,8 @@ class TestQuotientRoute:
             seen.append(g.form)
             return real(g, budget)
 
-        for module in (gowersnorm, linform):
-            monkeypatch.setattr(module, "box_norm", spy)
-        assert not hasattr(cli, "box_norm")
+        monkeypatch.setattr(gowersnorm, "box_norm", spy)
+        assert not hasattr(cli, "box_norm") and not hasattr(linform, "box_norm")
         code, _, err = _run(capsys, argv)
         assert code == 0, err
         assert seen == [None] * len(seen)

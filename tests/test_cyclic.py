@@ -4,10 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from conftest import random_cyclic
 from gowers import (
     CyclicFn,
     EmptySet,
@@ -30,11 +27,6 @@ class TestCyclicFn:
         assert f(5) == 1.0
         assert f(-1) == 3.0
 
-    def test_shift(self):
-        f = CyclicFn(4, [0.0, 1.0, 2.0, 3.0])
-        g = f.shift(1)
-        assert [g(x) for x in range(4)] == [1.0, 2.0, 3.0, 0.0]
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             CyclicFn(4, [1.0, 2.0])
@@ -47,13 +39,6 @@ class TestCyclicFn:
         f = CyclicFn(3, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             f.values[0] = 9.0
-
-    @given(st.integers(min_value=2, max_value=32), st.integers(), st.integers())
-    def test_shift_composes(self, n, a, b):
-        f = random_cyclic(n, seed=n)
-        lhs = f.shift(a).shift(b)
-        rhs = f.shift((a + b) % n)
-        assert np.array_equal(lhs.values, rhs.values)
 
 
 class TestMeasure:

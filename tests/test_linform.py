@@ -35,6 +35,7 @@ from gowers import (
     InvalidSubset,
     Lf2Exponents,
     Measure,
+    NotRepresentation,
     ShapeMismatch,
     SlfInstance,
     WeightedHypergraph,
@@ -58,7 +59,6 @@ from gowers import (
     random_slf_instance,
     represent,
     single_chain_verify,
-    slf_lhs,
     u_norm_fast,
 )
 from gowers.forms import Form
@@ -284,12 +284,18 @@ class TestOracleIndependence:
             raise OtherSideCalled
 
         nu = _measure(n=7, seed=4)
+        assert not hasattr(linform, "box_norm")
         for r in (2, 3):
             w = represent(nu, r)
-            for module in (gowersnorm, linform):
-                for name in ("u_norm_fast", "box_norm", "_box_pows"):
-                    monkeypatch.setattr(module, name, refuse)
-            monkeypatch.setattr(gowersnorm, "_u_pows", refuse)
+            for module, name in (
+                (gowersnorm, "u_norm_fast"),
+                (gowersnorm, "box_norm"),
+                (gowersnorm, "_box_pows"),
+                (gowersnorm, "_u_pows"),
+                (linform, "u_norm_fast"),
+                (linform, "_box_pows"),
+            ):
+                monkeypatch.setattr(module, name, refuse)
             boxes = [linform.formed_box_norm(g.centered()) for g in w.weights.values()]
             monkeypatch.undo()
             for name in ("expect_product", "_plan", "_run"):
@@ -300,7 +306,8 @@ class TestOracleIndependence:
 
     def test_endpoint_oracle_computes_without_the_box_recursion(self, monkeypatch):
         # Once q(e0) runs the box recursion, the endpoint of a represented
-        # hypergraph must be checked against the difference recursion.
+        # hypergraph must be checked against the difference recursion.  A
+        # hypergraph without forms has no line to read, and is refused.
         class BoxRecursionCalled(Exception):
             pass
 
@@ -310,13 +317,12 @@ class TestOracleIndependence:
         w = represent(_measure(n=7, seed=2), 3)
         for module, name in (
             (linform, "_box_pows"),
-            (linform, "box_norm"),
             (gowersnorm, "_box_pows"),
             (gowersnorm, "box_norm"),
         ):
             monkeypatch.setattr(module, name, refuse)
         got = linform._endpoint_box_power(w, None)
-        with pytest.raises(BoxRecursionCalled):
+        with pytest.raises(NotRepresentation):
             linform._endpoint_box_power(unformed(w), None)
         monkeypatch.undo()
         centered = w.weight_omitting(0).centered()
@@ -400,11 +406,13 @@ class TestOracleIndependence:
 
     @pytest.mark.parametrize("represented", [True, False])
     def test_endpoint_route_depends_on_the_oracle(self, represented, monkeypatch):
-        # A hand-built hypergraph has no forms to recover nu from, so its
-        # endpoint oracle is box_norm and q(e0) must stay on the planner.
+        # The endpoint oracle reads nu off a represented weight's line, so
+        # q(e0) runs on the router.  A hand-built hypergraph has no forms to
+        # recover nu from, and is refused before any step is charged.
         w = represent(_measure(n=5, seed=4), 2)
         if not represented:
             w = unformed(w)
+        inst = random_slf_instance(w, 4, copies=1)
         routed = []
         real = linform.expect_product
 
@@ -413,9 +421,15 @@ class TestOracleIndependence:
             return real(factors, budget, what, d)
 
         monkeypatch.setattr(linform, "expect_product", spy)
-        report = chain_verify(random_slf_instance(w, 4, copies=1))
+        if not represented:
+            monkeypatch.setattr(linform, "check_budget", None)  # any charge raises
+            with pytest.raises(NotRepresentation):
+                chain_verify(inst)
+            assert routed == []
+            return
+        report = chain_verify(inst)
         assert report.passed, report.failures()
-        assert ((1, 2) in routed) is represented
+        assert (1, 2) in routed
 
 
 def _cube_loop(g: EdgeFn, pattern: CubePattern) -> float:
@@ -435,6 +449,15 @@ def _cube_loop(g: EdgeFn, pattern: CubePattern) -> float:
     return total / count
 
 
+def _formed_edge(k: int, n: int, seed: int, scale: float = 1.0) -> EdgeFn:
+    """A weight h(L·x mod n) on the edge (1, ..., k): h drawn as 0.5 + scale
+    times uniforms, every coefficient of L drawn invertible."""
+    rng = philox(seed)
+    h = 0.5 + scale * rng.random(n)
+    coeffs = tuple(int(c) for c in rng.integers(1, n, size=k))
+    return EdgeFn.formed(tuple(range(1, k + 1)), h, Form(coeffs, n))
+
+
 def _pattern_from_support(k: int, support) -> CubePattern:
     """The k-cube pattern whose ones are exactly the vertices of ``support``."""
     support = set(support)
@@ -452,13 +475,16 @@ class TestCubeEngines:
         )
 
     def test_centered_matches_loop(self):
-        rng = philox(10)
-        g = EdgeFn((1, 2), (3, 4), 0.5 + rng.random((3, 4)))
+        # The bound reads g's line, so a weight without a form is refused.
+        g = _formed_edge(2, 5, seed=10)
         pat = CubePattern.from_string("1011")
-        centered = EdgeFn((1, 2), (3, 4), g.values - 1.0)
+        centered = EdgeFn((1, 2), (5, 5), g.values - 1.0)
         assert cube_centered_expectation(g, pat) == pytest.approx(
             _cube_loop(centered, pat), rel=1e-10, abs=1e-14
         )
+        plain = EdgeFn((1, 2), (3, 4), 0.5 + philox(10).random((3, 4)))
+        with pytest.raises(NotRepresentation):
+            cube_centered_expectation(plain, pat)
 
     def test_all_zero_pattern_rejected(self):
         g = EdgeFn.ones((1, 2), (3, 3))
@@ -633,16 +659,16 @@ class TestBinomialClasses:
         assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("formed", [False, True], ids=["plain", "zero-coefficient"])
-    def test_permuted_term_differs_off_the_group_path(self, formed):
+    def test_permuted_term_differs_off_the_group_path(self, monkeypatch, formed):
         # Without a form, or with a zero coefficient, a term is not a
         # function of the rows (1, w) alone: some coordinate permutation of
-        # some sub-support changes it, so these edges keep the flip orbits.
+        # some sub-support changes it.  So the class path would be wrong
+        # there, and such an edge is refused before any step is charged.
         rng = philox(7)
         if formed:
             g = EdgeFn.formed((1, 2), 0.5 + rng.random(5), Form((2, 0), 5))
         else:
             g = EdgeFn((1, 2), (5, 5), 0.5 + rng.random((5, 5)))
-        assert not linform._normed_on_line(g)
         centered = g.centered()
         vertices = cube_vertices(2)
 
@@ -656,16 +682,14 @@ class TestBinomialClasses:
             if abs(term(subset) - term([om[::-1] for om in subset])) > 1e-6 * abs(term(subset))
         ]
         assert moved
-        pattern = CubePattern.all_ones(2)
-        (report,) = binomial_expansion_identity(g, [pattern])
-        assert report.passed, report.failures()
-        oracle = math.fsum([1.0, *_binomial_loop(g, pattern).values()])
-        assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
+        monkeypatch.setattr(linform, "check_budget", None)  # any charge raises
+        with pytest.raises(NotRepresentation):
+            binomial_expansion_identity(g, [CubePattern.all_ones(2)])
 
     def test_pattern_dimension_checked_before_the_walk(self):
         # A k=5 pattern on a k=3 edge was charged a walk of 2^32 - 1
         # sub-supports, and refused, before its dimension was read.
-        g = EdgeFn((1, 2, 3), (2,) * 3, 0.5 + philox(3).random((2,) * 3))
+        g = _formed_edge(3, 2, seed=3)
         with pytest.raises(ShapeMismatch, match="pattern dimension"):
             binomial_expansion_identity(g, [CubePattern.all_ones(5)])
 
@@ -689,26 +713,27 @@ class TestBinomialClasses:
             oracle = math.fsum([1.0, *terms.values()])
             assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
 
-    def test_untabled_dimension_matches_loop_oracle(self):
-        # k=5 has no class table (2^32 masks); its classes come from the
-        # flips of each sub-support.
-        g = EdgeFn((1, 2, 3, 4, 5), (2,) * 5, 0.5 + philox(3).random((2,) * 5))
+    def test_untabled_dimension_matches_loop_oracle(self, monkeypatch):
+        # k=5 has no class table (2^32 masks), so even a formed edge with
+        # invertible coefficients is refused before any step is charged.
+        g = _formed_edge(5, 2, seed=3)
         pat = _pattern_from_support(5, [(0,) * 5, (1, 0, 0, 0, 0), (1, 1, 0, 1, 1)])
-        (report,) = binomial_expansion_identity(g, [pat])
-        assert report.passed, report.failures()
-        oracle = math.fsum([1.0, *_binomial_loop(g, pat).values()])
-        assert report.ratios["centered-sum"] == pytest.approx(oracle, rel=1e-12)
+        monkeypatch.setattr(linform, "check_budget", None)  # any charge raises
+        with pytest.raises(NotRepresentation, match="k <= 4, got k=5"):
+            binomial_expansion_identity(g, [pat])
 
-    @pytest.mark.parametrize(
-        "k,weight,per_sub", [(2, 4, 1), (4, 16, 1), (5, 3, 4**5)], ids=["k2", "k4", "k5"]
-    )
-    def test_walk_charged_before_any_expectation(self, monkeypatch, k, weight, per_sub):
-        # A table lookup per sub-support up to k=4, 2^k flips of 2^k bits
-        # above; the walk used to run uncharged.
-        g = EdgeFn(tuple(range(1, k + 1)), (2,) * k, 0.5 + philox(k).random((2,) * k))
+    @pytest.mark.parametrize("k,weight", [(2, 4), (4, 16), (5, 3)], ids=["k2", "k4", "k5"])
+    def test_walk_charged_before_any_expectation(self, monkeypatch, k, weight):
+        # A table lookup per sub-support; the walk used to run uncharged.
+        # Above k=4 there is no table, and no walk is charged.
+        g = _formed_edge(k, 2, seed=k)
         pat = _pattern_from_support(k, cube_vertices(k)[:weight])
-        estimate = (2.0**weight - 1.0) * per_sub
+        estimate = 2.0**weight - 1.0
         monkeypatch.setattr(linform, "expect_product", None)  # any expectation raises
+        if k > linform.MAX_CUBE_K:
+            with pytest.raises(NotRepresentation):
+                binomial_expansion_identity(g, [pat], budget=0.5)
+            return
         with pytest.raises(BudgetExceeded) as err:
             binomial_expansion_identity(g, [pat], budget=estimate - 1.0)
         assert (err.value.estimated, err.value.power) == (estimate, 0)
@@ -721,7 +746,7 @@ class TestBinomialClasses:
     def test_expansion_charged_as_one_step(self, monkeypatch, k):
         # The pattern's expectations are charged together before any runs:
         # the sum of the charges each of them then makes on its own.
-        g = EdgeFn(tuple(range(1, k + 1)), (3,) * k, 0.5 + philox(k).random((3,) * k))
+        g = _formed_edge(k, 3, seed=k)
         pat = CubePattern.all_ones(k)
         charges = []
         real = linform.check_budget
@@ -786,16 +811,16 @@ class TestBinomialClasses:
 
     def test_scaled_class_term_fails_at_large_magnitude(self, monkeypatch):
         # The slack scales with the sides, TOL * max(1, |lhs|, |rhs|); at
-        # sides near 1.5e8 a relative fault of 1e-6 in one term still fails.
-        g = EdgeFn((1, 2), (5, 5), 200.0 * philox(2).random((5, 5)))
+        # sides near 1.2e8 a relative fault of 1e-6 in one term still fails.
+        g = _formed_edge(2, 5, seed=2, scale=200.0)
         _fails_with_largest_term_scaled(monkeypatch, g)
 
     def test_roundoff_at_large_magnitude_passes(self):
-        # Sides near 1.5e8 differ by roundoff alone (3e-8 here, 2e-16
-        # relative), which an absolute slack of TOL refused.
+        # Sides near 1.2e8 and 2.0e8 differ by roundoff alone (up to 3e-8
+        # here, 1.5e-16 relative), which an absolute slack of TOL refused.
         margins = []
         for seed in (2, 3):
-            g = EdgeFn((1, 2), (5, 5), 200.0 * philox(seed).random((5, 5)))
+            g = _formed_edge(2, 5, seed=seed, scale=200.0)
             (report,) = binomial_expansion_identity(g, [CubePattern.all_ones(2)])
             assert report.passed, report.failures()
             margins.append(abs(report.checks[0].margin))
@@ -803,22 +828,27 @@ class TestBinomialClasses:
 
 
 def _slf_lhs_loop(inst: SlfInstance) -> float:
-    """Independent loop oracle for the two-copy centered expectation."""
+    """Independent loop oracle for the centered expectation at any r and
+    either copy count: at each point of the distinguished edge, the
+    centered weight times, for each copy of vertex 0, the mean over x_0 of
+    that copy's minorant product."""
     w = inst.hypergraph
-    n = w.system.dims[0]
+    n, r = w.system.dims[0], w.r
     nu0 = w.weight_omitting(0).values
-    g1 = {c: inst.gs[((0, 2), c)].values for c in (0, 1)}  # axes (x0, x2)
-    g2 = {c: inst.gs[((0, 1), c)].values for c in (0, 1)}  # axes (x0, x1)
-    total = 0.0
-    for x1 in range(n):
-        for x2 in range(n):
-            copy_means = []
-            for c in (0, 1):
-                copy_means.append(
-                    math.fsum(g1[c][x0, x2] * g2[c][x0, x1] for x0 in range(n)) / n
-                )
-            total += (nu0[x1, x2] - 1.0) * copy_means[0] * copy_means[1]
-    return total / n**2
+    edges = [w.system.edge_omitting(j) for j in range(1, r + 1)]
+    total = []
+    for x in itertools.product(range(n), repeat=r):
+        point = dict(enumerate(x, start=1))
+        copy_means = []
+        for c in inst.copies:
+            products = []
+            for x0 in range(n):
+                point[0] = x0
+                values = [inst.gs[(e, c)].values[tuple(point[v] for v in e)] for e in edges]
+                products.append(math.prod(values))
+            copy_means.append(math.fsum(products) / n)
+        total.append((nu0[x] - 1.0) * math.prod(copy_means))
+    return math.fsum(total) / n**r
 
 
 def _q_loop_d1(inst: SlfInstance) -> float:
@@ -892,7 +922,8 @@ class TestRandomInstance:
 class TestSlfTwoCopy:
     @pytest.mark.parametrize("copies", [1, 2])
     def test_lhs_charged_the_work_done(self, copies):
-        # r + 1 products per point of (x_0, x_1, x_2) and copy: c (r+1) N^(r+1).
+        # One charge, the plan of the expectation's factors, below the
+        # c (r+1) N^(r+1) products the copy-means evaluation formed.
         w = represent(_measure(n=5, seed=1), 2)
         charges = []
 
@@ -901,18 +932,27 @@ class TestSlfTwoCopy:
             return 1e8
 
         inst = random_slf_instance(w, 1, copies=copies)
+        plan = linform._route(_structure(linform._slf_base(inst)[0]), ())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linform, "check_budget", record)
-            slf_lhs(inst)
-        assert charges == [(copies * 3 * 5.0**3, "strong-linear-forms expectation", 3)]
+            q_value(inst, ())
+        assert charges == [(plan.cost, "chain quantity at d=()", plan.power)]
+        assert plan.cost < copies * 3 * 5.0**3
 
     def test_lhs_loop_oracle(self):
-        inst = _instance(seed=1)
-        assert slf_lhs(inst) == pytest.approx(_slf_lhs_loop(inst), rel=1e-10, abs=1e-14)
+        # Both copy counts at every r up to 4.
+        for r, n in ((1, 7), (2, 5), (3, 5), (4, 5)):
+            w = represent(_measure(n=n, seed=r), r)
+            for copies in (1, 2):
+                inst = random_slf_instance(w, r, copies=copies)
+                assert q_value(inst, ()) == pytest.approx(
+                    _slf_lhs_loop(inst), rel=1e-10, abs=1e-14
+                ), (r, copies)
 
     def test_lhs_equals_empty_chain_quantity(self):
+        # The chain reports |q(())| from the same route as q_value.
         inst = _instance(seed=2)
-        assert slf_lhs(inst) == pytest.approx(q_value(inst, ()), rel=1e-10, abs=1e-14)
+        assert chain_verify(inst).ratios["lhs"] == abs(q_value(inst, ()))
 
     def test_q_loop_oracle(self):
         inst = _instance(seed=3)
@@ -1073,11 +1113,10 @@ class TestSlfSingleCopy:
         )
 
     def test_lhs_equals_empty_chain_quantity(self):
+        # The chain reports |q(())| from the same route as q_value.
         w = represent(_measure(seed=12), 2)
         inst = random_slf_instance(w, 12, copies=1)
-        assert slf_lhs(inst) == pytest.approx(
-            q_value(inst, ()), rel=1e-10, abs=1e-14
-        )
+        assert single_chain_verify(inst).ratios["lhs"] == abs(q_value(inst, ()))
 
     def test_q_loop_oracle(self):
         w = represent(_measure(n=5, seed=15), 2)
