@@ -99,6 +99,14 @@ class TestNorm:
 _SMALL_BRUTE = ["norm", "--kind", "constant", "--n", "8", "--k", "2", "--mode", "brute"]
 
 
+def _infinite_charge(step: str) -> str:
+    """The stderr of a refusal whose charge left the float range."""
+    return (
+        f"budget exceeded: estimated inf elementary products > budget 1e+08 ({step})\n"
+        "suggestion: no budget covers this step; retry with a smaller size\n"
+    )
+
+
 class TestBudget:
     def test_over_budget_exits_2_with_suggestion(self, capsys):
         code, _, err = _run(capsys, ["slf", "--n", "31", "--r", "3"])
@@ -263,30 +271,42 @@ class TestBudget:
         assert count == 2 * 53**2 + 2 * 53 < charged["box norm on edge (1, 2)"] <= 1.2e4
 
     @pytest.mark.parametrize(
-        "argv,step",
+        "argv,expected",
         [
-            (["norm", "--n", "7", "--k", "600"], "u_norm_fast(k=600, n=7)"),
-            (["norm", "--n", "7", "--k", "2000", "--mode", "brute"], "u_norm_brute(k=2000, n=7)"),
-            (["count", "--r", "600", "--n", "7"], "u_norm_fast(k=600, n=7)"),
-            (["experiment", "--r", "600", "--n", "7"], "u_norm_fast(k=600, n=7)"),
-            (["boxnorm", "--r", "300", "--n", "307"], "representation (r=300, n=307)"),
-            (["slf", "--r", "400", "--n", "401"], "representation (r=400, n=401)"),
+            (["norm", "--n", "7", "--k", "600"], _infinite_charge("u_norm_fast(k=600, n=7)")),
+            (
+                ["norm", "--n", "7", "--k", "2000", "--mode", "brute"],
+                _infinite_charge("u_norm_brute(k=2000, n=7)"),
+            ),
+            (["count", "--r", "600", "--n", "7"], _infinite_charge("u_norm_fast(k=600, n=7)")),
+            (["experiment", "--r", "600", "--n", "7"], _infinite_charge("u_norm_fast(k=600, n=7)")),
+            # Its representation was charged beyond the float range; --r
+            # above the cube expansion's 4 is now refused before any charge.
+            (
+                ["verify", "--r", "300", "--n", "307", "--seeds", "0"],
+                "error: --r must be <= 4 for the cube expansion, got 300\n",
+            ),
+            (
+                ["boxnorm", "--r", "300", "--n", "307"],
+                _infinite_charge("representation (r=300, n=307)"),
+            ),
+            (["slf", "--r", "400", "--n", "401"], _infinite_charge("representation (r=400, n=401)")),
             # The plan of the left side is then never built: its scope sizes
             # would leave the float range.
-            (["gcs", "--dims", f"{10**155},{10**155}"], "product-form bound on edge (1, 2)"),
+            (
+                ["gcs", "--dims", f"{10**155},{10**155}"],
+                _infinite_charge("product-form bound on edge (1, 2)"),
+            ),
         ],
-        ids=["norm-fast", "norm-brute", "count", "experiment", "boxnorm", "slf", "gcs"],
+        ids=["norm-fast", "norm-brute", "count", "experiment", "verify", "boxnorm", "slf", "gcs"],
     )
-    def test_charge_beyond_float_range_refused(self, capsys, argv, step):
+    def test_charge_beyond_float_range_refused(self, capsys, argv, expected):
         # Each charge overflowed while it was computed (float **) and ended
         # in an internal OverflowError.  No finite budget covers an infinite
         # charge, so the suggestion is a smaller size.
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == (
-            f"budget exceeded: estimated inf elementary products > budget 1e+08 ({step})\n"
-            "suggestion: no budget covers this step; retry with a smaller size\n"
-        )
+        assert err == expected
 
     def test_gcs_refused_before_drawing(self, capsys):
         # The four 1000 x 1000 functions (32 MB) were drawn before
