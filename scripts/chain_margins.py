@@ -25,7 +25,7 @@ from gowers import (
     represent_charged,
     single_chain_verify,
 )
-from gowers.cli import csv_text, guarded, write_text
+from gowers.cli import csv_text, guarded, modulus_flag, write_text
 
 HEADER = ("variant", "r", "n", "seed", "check", "lhs", "rhs", "margin", "pass")
 
@@ -50,13 +50,12 @@ def _measures(n: int, count: int):
 def margin_rows(args, budget: float):
     for n in args.moduli:
         for idx, nu in _measures(n, args.seeds):
-            w = represent_charged(nu, args.r, budget)
+            with modulus_flag("--moduli"):
+                w = represent_charged(nu, args.r, budget)
+            single = random_slf_instance(w, idx, args.caps, copies=1)
             reports = [
-                ("two-copy", chain_verify(random_slf_instance(w, idx, args.caps), budget)),
-                (
-                    "single-copy",
-                    single_chain_verify(random_slf_instance(w, idx, args.caps, copies=1), budget),
-                ),
+                ("two-copy", chain_verify(random_slf_instance(w, idx, args.caps), budget)[0]),
+                ("single-copy", single_chain_verify(single, budget)[0]),
             ]
             exps = Lf2Exponents.all_ones(args.r)
             for j in range(1, args.r + 1):

@@ -51,7 +51,7 @@ def sweep_rows(args, budget: float):
                 except EmptySetGenerated:
                     continue
                 hr = hypothesis_ratio(nu, args.r, budget)
-                ap = ap_density([nu.fn] * (args.r + 1), budget)
+                ap = ap_density(nu.fn, args.r + 1, budget)
                 yield (
                     kind,
                     n,

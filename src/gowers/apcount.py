@@ -1,20 +1,17 @@
 """Arithmetic-progression densities on Z_N and the pseudorandomness
 experiments built on them.
 
-The density of length-k progressions weighted by functions f_0, ..., f_(k-1)
-is E over start a and difference d (d = 0 included) of the product
-f_j(a + j*d).  The trivial (d = 0) and nontrivial tuples with nonzero weight
-are counted separately; for indicator inputs those are plain progression
-counts.
+The density of length-k progressions of a measure f is E over start a and
+difference d (d = 0 included) of the product f(a + j*d) over j < k.  The
+trivial (d = 0) and nontrivial progressions with nonzero weight are counted
+separately; for an indicator those are plain progression counts.
 
-Every weight function takes one nonzero value, f_j = c_j * 1_{S_j} (every
-measure the program builds is c * 1_S), so the density is the product of
-the c_j times the number of progressions with term j in S_j, over N^2, and
-that number is counted in integers.  Three-term progressions are counted
-by the Fourier sum of Roth's argument, one real FFT convolution; any other
-length by population counts of bit-packed indicators (Gowers, GAFA 2001,
-for the counts; Warren, Hacker's Delight, 2nd ed., ch. 5, for the
-population count).
+Every measure the program builds is c * 1_S, so the density is c^k times
+the number of progressions inside S, over N^2, and that number is counted
+in integers.  Three-term progressions are counted by the Fourier sum of
+Roth's argument, one real FFT convolution; any other length by population
+counts of bit-packed indicators (Gowers, GAFA 2001, for the counts; Warren,
+Hacker's Delight, 2nd ed., ch. 5, for the population count).
 
 For a represented measure the product of all edge weights over the hypergraph
 coordinates sweeps progressions uniformly, which turns the progression
@@ -41,7 +38,7 @@ from .report import TOL, VerificationReport, eq_check
 
 @dataclass(frozen=True)
 class ApReport:
-    """Progression-density summary for one tuple of weight functions."""
+    """Progression-density summary of one measure."""
 
     n: int
     k: int
@@ -52,117 +49,82 @@ class ApReport:
     nontrivial_count: int
 
 
-def ap_density(fs: list[CyclicFn], budget: float | None = None) -> ApReport:
+def ap_density(f: CyclicFn, k: int, budget: float | None = None) -> ApReport:
     """Weighted density of length-k progressions, differences 0..N-1, of
-    functions f_j = c_j * 1_{S_j} that each take one nonzero value c_j.
+    one function f = c * 1_S that takes one nonzero value c: E over start a
+    and difference d of f(a) * f(a+d) * ... * f(a+(k-1)d).
 
-    Each product f_0(a) * f_1(a+d) * ... * f_(k-1)(a+(k-1)d), multiplied in
-    that order, is exactly p = (c_0 * c_1) * ... * c_(k-1) on a progression
-    with term j in S_j and exactly 0 elsewhere.  So a kernel counts those
-    progressions exactly in integers, and float(count) * p is the sum of the
-    products, correctly rounded; the density is that sum over N^2.  The d = 0
-    progressions are the points of S_0 & ... & S_(k-1).  A function with an
-    empty support gives density 0.0 and counts of 0.  A function with two
-    nonzero values, or a p that is 0 or not finite as a float, raises
-    ShapeMismatch naming the function.
+    Each product, multiplied in that order, is exactly p = (c * c) * ... * c
+    on a progression inside S and exactly 0 elsewhere.  So a kernel counts
+    those progressions exactly in integers, and float(count) * p is the sum
+    of the products, correctly rounded; the density is that sum over N^2.
+    The d = 0 progressions are the points of S.  An empty S gives density
+    0.0 and counts of 0.  A k below one, an f with two nonzero values, or a
+    p that is 0 or not finite as a float raises ShapeMismatch.
 
     At k = 3 the count is one FFT convolution (``_count_route``), charged
-    4N log2(4N) products per real transform, with power 1: two forward
-    transforms (one when S2 = S0) and one inverse.  The padded length is
-    below 4N; charging 4N keeps the charge monotone and continuous in N, so
-    the modulus a refusal suggests, scaled as N^1, is never itself refused.
-    At every other k the count is taken from bit-packed indicators
-    (``_bit_count``), charged k word operations per difference walked and
-    word of a row, k * walk * ceil(N/64), with power 2.  Either charge is
-    taken before any transform or table is built.
-
-    When S_j = S_(k-1-j) for every j, reflecting a progression,
-    (a, d) -> (a + (k-1)*d, -d), maps the progressions of difference N - d
-    one to one onto those of difference d, so the bit kernel walks only
-    d = 0..N//2 (walk = N//2 + 1, else N) and counts each 0 < d < N/2 twice.
+    4N log2(4N) products per real transform, with power 1: one forward
+    transform, squared, and one inverse.  The padded length is below 4N;
+    charging 4N keeps the charge monotone and continuous in N, so the
+    modulus a refusal suggests, scaled as N^1, is never itself refused.  At
+    every other k the count is taken from bit-packed indicators
+    (``_bit_count``).  Reflecting a progression, (a, d) -> (a + (k-1)*d, -d),
+    maps those of difference N - d one to one onto those of difference d,
+    so the kernel walks only d = 0..N//2 and counts each 0 < d < N/2 twice;
+    it is charged k word operations per difference walked and word of a
+    row, k * (N//2 + 1) * ceil(N/64), with power 2.  Either charge is taken
+    before any transform or table is built.
     """
-    if not fs:
-        raise ShapeMismatch("need at least one weight function")
-    n = fs[0].n
-    if any(f.n != n for f in fs):
-        raise ShapeMismatch("all weight functions must share the modulus")
-    k = len(fs)
-    supports = [np.flatnonzero(f.values) for f in fs]
-    p = _level_product(fs, supports)
-    what = f"progression density (k={k}, n={n})"
-    if not all(s.size for s in supports):
-        count = 0
-    elif k == 3:
-        squared = np.array_equal(supports[0], supports[2])
-        transforms = 2 if squared else 3
-        check_budget(transforms * 4.0 * n * math.log2(4.0 * n), budget, what=what, power=1)
-        count = _count_route(n, supports, squared)
-    else:
-        mirrored = all(np.array_equal(s, t) for s, t in zip(supports, supports[::-1]))
-        walk = n // 2 + 1 if mirrored else n
-        check_budget(float(k) * walk * -(-n // 64), budget, what=what, power=2)
-        count = _bit_count(n, supports, walk)
-    if count >= 2**53:
-        raise NumericalInconsistency(f"progression count {count} is not exact as a float")
-    common = np.ones(n, bool)
-    for f in fs:
-        common &= f.values != 0
-    trivial = int(np.count_nonzero(common))
-    density = float(count) * p / float(n) ** 2
-    distinct = {id(f): f for f in fs}
-    means = {key: f.mean() for key, f in distinct.items()}
-    prediction = math.prod(means[id(f)] for f in fs)
-    ratio = density / prediction if prediction != 0 else float("nan")
-    return ApReport(n, k, density, prediction, ratio, trivial, count - trivial)
-
-
-def _level_product(fs: list[CyclicFn], supports: list[np.ndarray]) -> float:
-    """(c_0 * c_1) * ... multiplied in the order the products are formed, c_j
-    the one nonzero value f_j takes on its support; 0.0 when a support is
-    empty.  Raises ShapeMismatch naming f_j when it takes two nonzero values
-    or when the running product is 0 or not finite at it."""
-    for j, (f, s) in enumerate(zip(fs, supports)):
-        if np.any(f.values[s] != f.values[s[:1]]):
-            raise ShapeMismatch(
-                f"weight function {j} takes more than one nonzero value; "
-                "progression densities are counted for functions c * 1_S"
-            )
-    if not all(s.size for s in supports):
-        return 0.0
-    p = 1.0
-    for j, (f, s) in enumerate(zip(fs, supports)):
-        p *= float(f.values[s[0]])
+    if k < 1:
+        raise ShapeMismatch(f"need k >= 1 terms, got {k}")
+    n = f.n
+    support = np.flatnonzero(f.values)
+    if np.any(f.values[support] != f.values[support[:1]]):
+        raise ShapeMismatch(
+            "the weight function takes more than one nonzero value; "
+            "progression densities are counted for functions c * 1_S"
+        )
+    p = 0.0 if not support.size else 1.0
+    for j in range(k if support.size else 0):
+        p *= float(f.values[support[0]])
         if p == 0.0 or not math.isfinite(p):
             raise ShapeMismatch(
-                f"the product of the nonzero values is {p!r} as a float at weight function {j}"
+                f"the product of the nonzero values is {p!r} as a float at term {j}"
             )
-    return p
+    what = f"progression density (k={k}, n={n})"
+    if not support.size:
+        count = 0
+    elif k == 3:
+        check_budget(2 * 4.0 * n * math.log2(4.0 * n), budget, what=what, power=1)
+        count = _count_route(n, support)
+    else:
+        check_budget(float(k) * (n // 2 + 1) * -(-n // 64), budget, what=what, power=2)
+        count = _bit_count(n, support, k)
+    if count >= 2**53:
+        raise NumericalInconsistency(f"progression count {count} is not exact as a float")
+    density = float(count) * p / float(n) ** 2
+    prediction = math.prod([f.mean()] * k)
+    ratio = density / prediction if prediction != 0 else float("nan")
+    return ApReport(n, k, density, prediction, ratio, support.size, count - support.size)
 
 
-def _count_route(n: int, supports: list[np.ndarray], squared: bool) -> int:
-    """Number of progressions (a, b, c) with each term in its support S0, S1
-    or S2, ``squared`` when S2 = S0.
+def _count_route(n: int, support: np.ndarray) -> int:
+    """Number of progressions (a, b, c) with every term in the support S.
 
     A progression has a + c = 2b mod N, so the number is the sum over b in
-    S1 of g(2b mod N), where g = 1_{S0} * 1_{S2} is the cyclic convolution:
-    g(x) counts the pairs (a, c) in S0 x S2 with a + c = x mod N.  g is the
-    linear convolution of the two indicators, of length 2N - 1, folded back
-    mod N; it comes from one zero-padded power-of-two ``rfft``/``irfft``
-    pair, with one forward transform when S2 = S0, and is rounded to
-    integers.  An entry more than 0.25 from an integer raises
-    NumericalInconsistency, so a wrong count never passes silently.
+    S of g(2b mod N), where g = 1_S * 1_S is the cyclic convolution: g(x)
+    counts the pairs (a, c) in S x S with a + c = x mod N.  g is the linear
+    convolution of the indicator with itself, of length 2N - 1, folded back
+    mod N; it comes from one zero-padded power-of-two ``rfft``, squared, and
+    its ``irfft``, and is rounded to integers.  An entry more than 0.25 from
+    an integer raises NumericalInconsistency, so a wrong count never passes
+    silently.
     """
-    s0, s1, s2 = supports
     size = 1 << (2 * n - 2).bit_length()  # the least power of two >= 2N - 1
-    ind0 = np.zeros(n)
-    ind0[s0] = 1.0
-    spectrum = np.fft.rfft(ind0, size)
-    if squared:
-        spectrum *= spectrum
-    else:
-        ind2 = np.zeros(n)
-        ind2[s2] = 1.0
-        spectrum *= np.fft.rfft(ind2, size)
+    indicator = np.zeros(n)
+    indicator[support] = 1.0
+    spectrum = np.fft.rfft(indicator, size)
+    spectrum *= spectrum
     linear = np.fft.irfft(spectrum, size)
     g = linear[:n]
     g[: n - 1] += linear[n : 2 * n - 1]
@@ -172,7 +134,7 @@ def _count_route(n: int, supports: list[np.ndarray], squared: bool) -> int:
         raise NumericalInconsistency(
             f"progression count convolution is {off:.3g} off an integer (n={n})"
         )
-    return int(np.sum(rounded[2 * s1 % n].astype(np.int64)))
+    return int(np.sum(rounded[2 * support % n].astype(np.int64)))
 
 
 def _bit_table(n: int, support: np.ndarray, words: int) -> np.ndarray:
@@ -188,25 +150,21 @@ def _bit_table(n: int, support: np.ndarray, words: int) -> np.ndarray:
     return np.frombuffer(copies, "<u8")
 
 
-def _bit_count(n: int, supports: list[np.ndarray], walk: int) -> int:
-    """Number of progressions with term j in S_j over differences
-    d = 0..walk-1, every start at each; a half walk (walk < N) counts each
-    0 < d < N/2 twice.
+def _bit_count(n: int, support: np.ndarray, k: int) -> int:
+    """Number of length-k progressions inside S, from the differences
+    d = 0..N//2, each 0 < d < N/2 counted twice.
 
-    Bit a of row d is 1 when a + j*d mod N is in S_j for every j: the AND of
-    the W words of each S_j read from offset j*d mod N, gathered from its
-    ``_bit_table`` (one per distinct support).  The bits past N in the last
-    word are cleared and each row's set bits counted by ``np.bitwise_count``.
-    Differences are walked in blocks of at most ``_CHUNK_ELEMS`` words (or
-    one row), in buffers allocated once.
+    Bit a of row d is 1 when a + j*d mod N is in S for every j < k: the AND
+    of the W words of S read from each offset j*d mod N, gathered from its
+    ``_bit_table``.  The bits past N in the last word are cleared and each
+    row's set bits counted by ``np.bitwise_count``.  Differences are walked
+    in blocks of at most ``_CHUNK_ELEMS`` words (or one row), in buffers
+    allocated once.
     """
     words = -(-n // 64)
     stride = 2 * words + 1
-    tables: dict[bytes, np.ndarray] = {}
-    for s in supports:
-        if s.tobytes() not in tables:
-            tables[s.tobytes()] = _bit_table(n, s, words)
-    terms = [tables[s.tobytes()] for s in supports]
+    table = _bit_table(n, support, words)
+    walk = n // 2 + 1
     tail = np.uint64((1 << (n - 64 * (words - 1))) - 1)
     rows = max(1, _CHUNK_ELEMS // words)
     acc_buf = np.empty((min(rows, walk), words), np.uint64)
@@ -217,8 +175,8 @@ def _bit_count(n: int, supports: list[np.ndarray], walk: int) -> int:
     for start in range(0, walk, rows):
         d = np.arange(start, min(start + rows, walk))
         acc, term, index = acc_buf[: d.size], term_buf[: d.size], index_buf[: d.size]
-        acc[:] = terms[0][:words]
-        for j, table in enumerate(terms[1:], start=1):
+        acc[:] = table[:words]
+        for j in range(1, k):
             offset = j * d % n
             np.add((offset % 64 * stride + offset // 64)[:, None], cols, out=index)
             # Every index is in range; under the default mode take buffers out.
@@ -226,8 +184,7 @@ def _bit_count(n: int, supports: list[np.ndarray], walk: int) -> int:
             acc &= term
         acc[:, -1] &= tail
         counts[start : start + d.size] = np.sum(np.bitwise_count(acc, out=term), axis=1)
-    if walk < n:
-        counts[1 : (n + 1) // 2] *= 2
+    counts[1 : (n + 1) // 2] *= 2
     return int(np.sum(counts))
 
 
@@ -256,7 +213,7 @@ def telescoping_check(
     w: WeightedHypergraph, density: float, budget: float | None = None, with_chains: bool = False
 ) -> VerificationReport:
     """Verify that ``density``, the progression density of the measure that
-    w represents (``ap_density`` of r + 1 copies), minus one equals the sum
+    w represents (``ap_density`` of nu.fn at k = r + 1), minus one equals the sum
     of the single-copy centered terms of w.
 
     Term m is E[(w_m - 1) w_0 ... w_(m-1)], w_i the weight of the edge
@@ -300,7 +257,7 @@ def relsz_experiment(
     """Measure how far nu is from density one on length-(r+1) progressions,
     alongside its uniformity-norm ratios and, for prime moduli, the exact
     telescoping decomposition with optional per-term chain bounds."""
-    ap = ap_density([nu.fn] * (r + 1), budget)
+    ap = ap_density(nu.fn, r + 1, budget)
     ratios = hypothesis_ratio(nu, r, budget)
     if is_prime(nu.n) and nu.n > r:
         w = represent_charged(nu, r, budget)

@@ -14,6 +14,7 @@ which that step fits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -25,8 +26,9 @@ from dataclasses import asdict, replace
 
 from .apcount import ap_density, hypothesis_ratio, relsz_experiment, telescoping_check
 from .budget import DEFAULT_BUDGET, resolve_budget
-from .errors import BudgetExceeded, EmptySetGenerated, GowersError, NumericalInconsistency
-from .genmeasure import KINDS, GeneratorSpec, PhiloxStream, generate
+from .errors import BudgetExceeded, CompositeModulus, EmptySetGenerated, GowersError
+from .errors import ModulusTooSmall, NumericalInconsistency
+from .genmeasure import KINDS, GeneratorSpec, generate, philox_integers, philox_random
 from .gowersnorm import (
     EdgeFn,
     cube_vertices,
@@ -78,7 +80,20 @@ def _spec_from_args(args) -> GeneratorSpec:
     if args.n is None:
         raise UsageError("--n is required (or pass --input with a spec file)")
     _seed("--seed", args.seed)
-    return GeneratorSpec(kind=args.kind, n=args.n, p=args.p, seed=args.seed)
+    try:
+        return GeneratorSpec(kind=args.kind, n=args.n, p=args.p, seed=args.seed)
+    except ValueError as exc:  # the spec checks the modulus before the density
+        raise UsageError(f"{'--n' if args.n < 1 else '--p'}: {exc}") from None
+
+
+@contextlib.contextmanager
+def modulus_flag(flag: str):
+    """Re-raise a modulus refused inside the block (not prime, or not above
+    the arity) as a usage error naming ``flag``, the option that gave it."""
+    try:
+        yield
+    except (CompositeModulus, ModulusTooSmall) as exc:
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _nonnegative(flag: str, value: int) -> None:
@@ -175,7 +190,8 @@ def _measure(handler, args) -> int:
     and report the spec along with the (inputs, extra, passed) that
     ``handler(args, spec, nu)`` returns."""
     spec = _spec_from_args(args)
-    inputs, extra, passed = handler(args, spec, generate(spec))
+    with modulus_flag("--input" if args.input else "--n"):
+        inputs, extra, passed = handler(args, spec, generate(spec))
     return _result(args, {"spec": spec.to_json_obj(), **inputs}, extra, passed)
 
 
@@ -199,7 +215,7 @@ def _gcs_case(rep, key: int, dims, prefix: str, margin: str | None, budget) -> N
     edge = tuple(range(1, len(dims) + 1))
     charge_gcs(edge, dims, budget)
     vertices = cube_vertices(len(dims))
-    draws = PhiloxStream(key).random((1 if margin else len(vertices), *dims)) * 2.0 - 1.0
+    draws = philox_random(key, (1 if margin else len(vertices), *dims)) * 2.0 - 1.0
     fns = [EdgeFn(edge, dims, values) for values in draws]
     gs = dict.fromkeys(vertices, fns[0]) if margin else dict(zip(vertices, fns))
     sub = gcs_verify(gs, budget=budget)
@@ -222,7 +238,7 @@ def _preservation(rep, nu, w, tag: str, budget) -> float:
 def _density(rep, nu, w, tag: str, budget) -> float:
     """Check the product of all edge weights of w against the progression
     density of nu, and return that density."""
-    density = ap_density([nu.fn] * (w.r + 1), budget).density
+    density = ap_density(nu.fn, w.r + 1, budget).density
     count = progression_count_check(w, budget)
     rep.add(eq_check(f"progression-density{tag}", count, density, TOL))
     return density
@@ -358,8 +374,7 @@ def _cmd_slf(args, spec, nu):
     w = represent_charged(nu, args.r, args.budget)
     single = args.command == "slf-single"
     inst = random_slf_instance(w, args.instance_seed, args.caps, copies=1 if single else 2)
-    lhs = q_value(inst, (), args.budget)
-    report = (single_chain_verify if single else chain_verify)(inst, args.budget)
+    report, lhs = (single_chain_verify if single else chain_verify)(inst, args.budget)
     inputs = {"r": args.r, "caps": args.caps, "instance_seed": args.instance_seed}
     return inputs, {"values": {"lhs": lhs}, "report": report.to_json_obj()}, report.passed
 
@@ -390,7 +405,7 @@ def _cmd_lf2(args, spec, nu):
 
 
 def _cmd_count(args, spec, nu):
-    ap = ap_density([nu.fn] * (args.r + 1), args.budget)
+    ap = ap_density(nu.fn, args.r + 1, args.budget)
     hr = hypothesis_ratio(nu, args.r, args.budget)
     return {"r": args.r}, {"ap": asdict(ap), "ratios": asdict(hr)}, True
 
@@ -450,7 +465,7 @@ def _suite_cube(measures, r: int, budget) -> VerificationReport:
             CubePattern(2, bits) for bits in itertools.product((0, 1), repeat=4)
         ]
     else:
-        bits = PhiloxStream(0).integers(0, 2, (7, 2**r))
+        bits = philox_integers(0, 0, 2, (7, 2**r))
         patterns = [CubePattern.all_ones(r)] + [CubePattern(r, row) for row in bits]
     patterns = [pat for pat in patterns if pat.weight()]
     for s, (_, w) in enumerate(measures):
@@ -463,12 +478,9 @@ def _suite_cube(measures, r: int, budget) -> VerificationReport:
 def _suite_chains(measures, r: int, budget) -> VerificationReport:
     rep = VerificationReport(name="strong-linear-forms-chain")
     for s, (_, w) in enumerate(measures if r == 2 else measures[:3]):
-        _fold(rep, chain_verify(random_slf_instance(w, s), budget), f"two-copy seed={s}")
-        _fold(
-            rep,
-            single_chain_verify(random_slf_instance(w, s, copies=1), budget),
-            f"single-copy seed={s}",
-        )
+        _fold(rep, chain_verify(random_slf_instance(w, s), budget)[0], f"two-copy seed={s}")
+        single = single_chain_verify(random_slf_instance(w, s, copies=1), budget)[0]
+        _fold(rep, single, f"single-copy seed={s}")
     return rep
 
 
@@ -513,16 +525,15 @@ def _suite_degenerate(nu, w, budget) -> VerificationReport:
     rep.add(eq_check("cube-centered", centered, 0.0, 0.0))
     rep.add(eq_check("cube-product", cube_expectation(g0, pat, budget), 1.0, 0.0))
     rep.add(eq_check("doubled-origin-product", lf2_expectation(w, exps, budget), 1.0, 0.0))
-    rep.add(
-        eq_check("progression-density", ap_density([nu.fn] * (r + 1), budget).density, 1.0, 0.0)
-    )
+    rep.add(eq_check("progression-density", ap_density(nu.fn, r + 1, budget).density, 1.0, 0.0))
     return rep
 
 
 def _cmd_verify(args) -> int:
     n, r, seeds, budget = args.n, args.r, args.seeds, args.budget
     _nonnegative("--seeds", seeds)
-    check_modulus(n, r)  # before any measure is drawn or any suite runs
+    with modulus_flag("--n"):
+        check_modulus(n, r)  # before any measure is drawn or any suite runs
     nus = []  # The random measures of density one half, one per seed.
     for s in range(seeds):
         try:

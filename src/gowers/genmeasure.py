@@ -1,12 +1,15 @@
-"""Seeded generators for test measures on Z_N, and the stream they draw from.
+"""Seeded generators for test measures on Z_N, and the Philox draws behind
+them.
 
 The random kind draws its membership from the Philox4x64-10 counter-based
 stream keyed directly by the seed: stream id "philox-key-u01-v1", meaning the
 first N uniforms of numpy's ``Generator(Philox(key=seed))``, element x
-joining the set when u[x] < p.  ``PhiloxStream`` computes that stream in the
-package, bit for bit, so a seeded draw never imports numpy.random; a single
+joining the set when u[x] < p.  Every seeded draw of the package is one
+request of the first words of Philox(key): ``philox_random`` and
+``philox_integers`` return the first draws of numpy's generator, computed in
+the package bit for bit, so a seeded draw never imports numpy.random; a
 request of more than ``_HANDOFF_WORDS`` words is handed to numpy's own
-Philox, and numpy.random is the oracle of the stream's tests.  The stream is
+Philox, and numpy.random is the oracle of the draws' tests.  The stream is
 platform independent and pinned by golden tests; identical specs give
 bit-identical measures.
 
@@ -132,104 +135,61 @@ def _philox_blocks(key: int, first: int, count: int) -> np.ndarray:
     return words.ravel()
 
 
-class PhiloxStream:
-    """The draws of numpy's ``Generator(Philox(key=key))`` that this package
-    makes, computed bit for bit.
+def _words(key: int, m: int) -> np.ndarray:
+    """The first m words of numpy's ``Philox(key=key)``: word i is lane
+    i mod 4 of the block at counter i // 4 + 1.  More than
+    ``_HANDOFF_WORDS`` words come from numpy's Philox, whose first block
+    must equal the package's."""
+    key = operator.index(key)
+    if not 0 <= key < 2**128:
+        raise ValueError(f"Philox key must lie in 0..2**128 - 1, got {key}")
+    if m <= _HANDOFF_WORDS:
+        return _philox_blocks(key, 1, -(-m // 4))[:m]
+    from numpy.random import Philox
 
-    Word i of the stream is lane i mod 4 of the block at counter i // 4 + 1.
-    ``random`` maps a word w to (w >> 11) * 2**-53; ``integers`` applies
-    numpy's 32-bit Lemire rule to the words split low half first, keeping an
-    unused high half for its next call.  The last block computed is kept, so
-    a scalar draw after an array draw usually costs no rounds."""
+    raw = Philox(key=key).random_raw(m)
+    if not np.array_equal(raw[:4], _philox_blocks(key, 1, 1)):
+        raise NumericalInconsistency("numpy's Philox block 1 differs from the package's")
+    return raw
 
-    def __init__(self, key: int):
-        key = operator.index(key)
-        if not 0 <= key < 2**128:
-            raise ValueError(f"Philox key must lie in 0..2**128 - 1, got {key}")
-        self._key = key
-        self._drawn = 0  # words drawn so far
-        self._half: int | None = None  # high half of a split word, not yet drawn
-        self._last: tuple[int, np.ndarray | None] = (0, None)  # counter, words
 
-    def _peek(self, start: int, m: int) -> np.ndarray:
-        """Words start..start+m-1 of the stream, without drawing them."""
-        if m > _HANDOFF_WORDS:
-            return self._handoff(start, m)
-        if m == 0:
-            return np.empty(0, dtype=np.uint64)
-        block, skip = divmod(start, 4)
-        first, last = block + 1, (start + m - 1) // 4 + 1  # counters of the ends
-        counter, cached = self._last
-        if counter != first:
-            words = _philox_blocks(self._key, first, last - first + 1)
-        elif last > first:
-            words = np.concatenate((cached, _philox_blocks(self._key, first + 1, last - first)))
-        else:
-            words = cached
-        self._last = (last, words[-4:])
-        return words[skip : skip + m]
+def philox_random(key: int, size) -> np.ndarray:
+    """The first uniforms on [0, 1) of numpy's ``Generator(Philox(key=key))``,
+    an array of shape ``size``: word w gives (w >> 11) * 2**-53."""
+    return ((_words(key, int(np.prod(size))) >> 11) * 2.0**-53).reshape(size)
 
-    def _handoff(self, start: int, m: int) -> np.ndarray:
-        """Words start..start+m-1: the rest of the current block from the
-        package, then numpy's Philox from the next block on, whose first
-        block must equal the package's."""
-        from numpy.random import Philox
 
-        head = -start % 4
-        done = (start + head) // 4  # blocks wholly before numpy's first
-        raw = Philox(key=self._key, counter=done).random_raw(m - head)
-        if not np.array_equal(raw[:4], _philox_blocks(self._key, done + 1, 1)):
-            raise NumericalInconsistency(f"numpy's Philox block {done + 1} differs from the package's")
-        return np.concatenate((self._peek(start, head), raw))
+def philox_integers(key: int, low: int, high: int, size) -> np.ndarray:
+    """The first integers uniform on low..high-1 of numpy's
+    ``Generator(Philox(key=key))``, an int64 array of shape ``size``.
 
-    def _words(self, m: int) -> np.ndarray:
-        words = self._peek(self._drawn, m)
-        self._drawn += m
-        return words
-
-    def random(self, size=None):
-        """Uniforms on [0, 1): one float, or an array of shape ``size``."""
-        if size is None:
-            return (int(self._words(1)[0]) >> 11) * 2.0**-53
-        return ((self._words(int(np.prod(size))) >> 11) * 2.0**-53).reshape(size)
-
-    def integers(self, low: int, high: int, size) -> np.ndarray:
-        """Integers uniform on low..high-1, an int64 array of shape ``size``.
-
-        Each value is numpy's: a 32-bit half h is scaled to m = h * span and
-        kept as m >> 32 unless m mod 2**32 < (2**32 - span) mod span.  A
-        span of one draws nothing, as in numpy; a span above 2**32 would
-        need numpy's 64-bit rule and is refused."""
-        span = high - low
-        if not 1 <= span <= 2**32:
-            raise ValueError(f"integers needs 1 <= high - low <= 2**32, got [{low}, {high})")
-        n = int(np.prod(size))
-        if span == 1 or n == 0:
-            return np.full(size, low, dtype=np.int64)
-        threshold = (2**32 - span) % span
-        pending = [] if self._half is None else [self._half]
-        nwords = -(-(n - len(pending)) // 2)
-        while True:
-            words = self._peek(self._drawn, nwords)
-            halves = np.concatenate(
-                (np.array(pending, dtype=np.uint64), np.stack((words & _MASK32, words >> 32), 1).ravel())
-            )
-            scaled = halves * np.uint64(span)
-            kept = np.flatnonzero((scaled & _MASK32) >= threshold)
-            if len(kept) >= n:
-                break
-            nwords += n - len(kept)
-        used = int(kept[n - 1]) + 1 - len(pending)  # halves taken from the words
-        self._drawn += -(-used // 2)
-        self._half = int(halves[len(pending) + used]) if used % 2 else None
-        return (low + (scaled[kept[:n]] >> 32).astype(np.int64)).reshape(size)
+    Each value is numpy's: the words are split into 32-bit halves, low half
+    first, and a half h is scaled to m = h * span and kept as m >> 32 unless
+    m mod 2**32 < (2**32 - span) mod span.  A span of one draws nothing, as
+    in numpy; a span above 2**32 would need numpy's 64-bit rule and is
+    refused."""
+    span = high - low
+    if not 1 <= span <= 2**32:
+        raise ValueError(f"integers needs 1 <= high - low <= 2**32, got [{low}, {high})")
+    n = int(np.prod(size))
+    if span == 1 or n == 0:
+        return np.full(size, low, dtype=np.int64)
+    threshold = (2**32 - span) % span
+    nwords = -(-n // 2)
+    while True:
+        words = _words(key, nwords)
+        scaled = np.stack((words & _MASK32, words >> 32), 1).ravel() * np.uint64(span)
+        kept = np.flatnonzero((scaled & _MASK32) >= threshold)
+        if len(kept) >= n:
+            return (low + (scaled[kept[:n]] >> 32).astype(np.int64)).reshape(size)
+        nwords += n - len(kept)
 
 
 def generate_set(spec: GeneratorSpec) -> frozenset[int]:
     """The member set behind a set-based spec (error if the kind has none)."""
     n, p = spec.n, spec.p
     if spec.kind == "random":
-        members = frozenset(np.flatnonzero(PhiloxStream(spec.seed).random(n) < p).tolist())
+        members = frozenset(np.flatnonzero(philox_random(spec.seed, n) < p).tolist())
     elif spec.kind == "interval":
         length = math.ceil(Fraction(p) * n)
         members = frozenset(range(length))

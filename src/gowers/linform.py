@@ -53,14 +53,14 @@ each of which carries its form from the moment it is built
 (``EdgeFn.formed``), their centered copies and the constant one (the zero
 form).  A product of such formed factors reads x only through the image of
 the form map, onto which the uniform x is pushed uniformly, so it takes a
-fourth route, the quotient route, wherever every axis has the prime size
-N: a plan that reads the doubled factors through slices at 0 along the
-variables outside a basis of the form system (``_quotient_layout``).  The
-lf2 engine, the cube engine, the telescoping terms and their chains, the
-progression count and the box norms of represented weights
-(``formed_box_norm``) pass formed factors; the slf chains, whose minorants
-are random, pass plain ones.  Every route reduces over fixed shapes, so
-repeated runs are bit-identical.
+fourth route, the quotient route: a plan that reads the doubled factors
+through slices at 0 along the variables outside a basis of the form system
+(``_quotient_layout``); a formed structure off one prime modulus that
+sizes every axis raises NotRepresentation.  The lf2 engine, the cube
+engine, the telescoping terms and their chains, the progression count and
+the box norms of represented weights (``formed_box_norm``) pass formed
+factors; the slf chains, whose minorants are random, pass plain ones.
+Every route reduces over fixed shapes, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from .errors import (
 from . import forms
 from .cyclic import CyclicFn
 from .forms import Form
-from .genmeasure import PhiloxStream
+from .genmeasure import philox_random
 from .gowersnorm import (
     _CHUNK_ELEMS,
     _LETTERS,
@@ -401,10 +401,10 @@ def _split_route(factors: list[Factor], layout: _SplitLayout) -> float:
     return math.fsum(memoryview(np.concatenate(sums))) / (box * box)
 
 
-def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _Plan | None:
+def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _Plan:
     """The quotient route of a formed structure, a plan read through
-    slices, or None unless every form has one prime modulus N that sizes
-    every axis.
+    slices.  Every form must have one prime modulus N that sizes every
+    axis, or NotRepresentation is raised.
 
     Each factor is doubled over d as ``_double`` doubles it, keeping its
     form on each axis.  Let M be the matrix of the doubled forms over the
@@ -419,9 +419,9 @@ def _quotient_layout(structure: Structure, d: tuple[int, ...]) -> _Plan | None:
     NumericalInconsistency.
     """
     n = structure[0][2].modulus
-    moduli = {form.modulus for _, _, form in structure}
-    if not is_prime(n) or moduli != {n} or {s for shape, _, _ in structure for s in shape} != {n}:
-        return None
+    moduli = {f.modulus for _, _, f in structure} | {s for shape, _, _ in structure for s in shape}
+    if not is_prime(n) or moduli != {n}:
+        raise NotRepresentation(f"one prime must size every form and axis, got {sorted(moduli)}")
     doubled = _double([(i, axes) for i, (_, axes, _) in enumerate(structure)], d)
     order = sorted({var for _, axes in doubled for var in axes}, key=_var_order_key)
     column = {var: k for k, var in enumerate(order)}
@@ -463,14 +463,14 @@ def _route(structure: Structure, d: tuple[int, ...]) -> _Plan | _BoxLayout | _Sp
     Every factor or none must carry a form, each must label every axis of
     its array, each variable must have one size, and at nonempty d every
     vertex of d must be read by some factor and by none at a copy.  A
-    formed structure then takes the quotient route (``_quotient_layout``)
-    wherever that applies, unpriced: above r=1 and N=3 it is charged less
-    than the other routes on every formed structure the engines build.
-    Any other structure, or a formed one off a prime modulus, read without
-    its forms, takes at d empty the plan of the structure (``_plan``), and
-    otherwise the cheaper of the box route (``_box_layout``) and, when the
-    variables outside d fall into independent components, the split route
-    (``_split_layout``), ties going to the box route.
+    formed structure takes the quotient route (``_quotient_layout``),
+    unpriced: above r=1 and N=3 it is charged less than the other routes on
+    every formed structure the engines build; one off a single prime
+    modulus is refused.  A plain structure takes at d empty the plan of the
+    structure (``_plan``), and otherwise the cheaper of the box route
+    (``_box_layout``) and, when the variables outside d fall into
+    independent components, the split route (``_split_layout``), ties going
+    to the box route.
     """
     if len({len(entry) for entry in structure}) != 1:
         raise ShapeMismatch("every factor or none must carry a form")
@@ -486,10 +486,7 @@ def _route(structure: Structure, d: tuple[int, ...]) -> _Plan | _BoxLayout | _Sp
     if not d and len(sizes) > len(_LETTERS):
         raise ShapeMismatch("too many free variables")
     if len(structure[0]) == 3:
-        quotient = _quotient_layout(structure, d)
-        if quotient is not None:
-            return quotient
-        structure = tuple([entry[:2] for entry in structure])
+        return _quotient_layout(structure, d)
     if d:
         routes = [_box_layout(structure, d), _split_layout(structure, d)]
         return min([r for r in routes if r is not None], key=lambda route: route.cost)
@@ -506,9 +503,11 @@ def expect_product(
     uniformly; each factor is an array plus the variable of each of its axes,
     and a formed factor also its form.  The empty product has expectation
     one.  The route is the one ``_route`` takes for the factors' structure
-    and d (at d=() the bucket-elimination plan of ``_plan``), charged at its
-    cost before any work happens.  A refusal can price the structure at
-    another modulus (``_cost_at``)."""
+    and d: the quotient route for formed factors, which must share one
+    prime modulus (else NotRepresentation, before any charge), and for
+    plain ones at d=() the bucket-elimination plan of ``_plan``.  It is
+    charged at its cost before any work happens, and a refusal can price
+    the structure at another modulus (``_cost_at``)."""
     if not factors:
         return 1.0
     structure = _structure(factors)
@@ -762,7 +761,8 @@ def binomial_expansion_identity(
     is checked first, then the walk of its 2^weight - 1 sub-supports, one
     table lookup each, is charged, and then its expectations, its raw one
     and each class not evaluated before, are charged together as one step
-    before any of them runs.  The raw side is never shared by class.
+    before any of them runs; its refusal prices each of them at another
+    modulus (``_cost_at``).  The raw side is never shared by class.
     """
     k = len(g.edge)
     form = _normed(g)
@@ -793,13 +793,20 @@ def binomial_expansion_identity(
             if core not in terms
         }
         raw = _cube_factors(g, pat.support())
-        routes = [_route(_structure(factors), ()) for factors in [raw, *new.values()] if factors]
-        check_budget(
-            math.fsum([route.cost for route in routes]),
-            budget,
-            what=f"cube expansion (k={k}, {len(routes)} expectations)",
-            power=max([route.power for route in routes], default=0),
-        )
+        structures = [_structure(factors) for factors in [raw, *new.values()] if factors]
+        routes = [_route(structure, ()) for structure in structures]
+        try:
+            check_budget(
+                math.fsum([route.cost for route in routes]),
+                budget,
+                what=f"cube expansion (k={k}, {len(routes)} expectations)",
+                power=max([route.power for route in routes], default=0),
+            )
+        except BudgetExceeded as exc:
+            exc.cost_at = lambda n, m: math.fsum(
+                [_cost_at(route, s, (), n, m) for route, s in zip(routes, structures)]
+            )
+            raise
         lhs = expect_product(raw, budget, what="cube expectation")
         for core, factors in new.items():
             terms[core] = expect_product(factors, budget, what="centered cube expectation")
@@ -1085,9 +1092,10 @@ def _slf_chain(
     single: bool,
     budget: float | None,
     swap: int = 0,
-) -> VerificationReport:
+) -> tuple[VerificationReport, float]:
     """The chain of an instance on w, of one copy of vertex 0 or two, from
-    its base factors and their caps (as ``_slf_base`` lays them out).  The
+    its base factors and their caps (as ``_slf_base`` lays them out), and
+    its signed q(()).  The
     distinguished slot reads the weight of the edge omitting ``swap``: 0
     unless the factors exchange the labels 0 and ``swap``
     (``capped_chain_verify``).  A weight of w not normed on its line
@@ -1111,13 +1119,16 @@ def _slf_chain(
         ratio_key, sup_power = "lhs-over-boxnorm-times-sup-half-power", r / 2.0
     else:
         ratio_key, sup_power = "lhs-over-boxnorm-times-sup-power", r
-    return _close(report, abs(q_at[()]), bound, box, sup, sup_power, ratio_key)
+    return _close(report, abs(q_at[()]), bound, box, sup, sup_power, ratio_key), q_at[()]
 
 
-def chain_verify(inst: SlfInstance, budget: float | None = None) -> VerificationReport:
+def chain_verify(
+    inst: SlfInstance, budget: float | None = None
+) -> tuple[VerificationReport, float]:
     """Verify every exact Cauchy-Schwarz step, every pointwise sup bound, the
     endpoint identity, and the composed bound for an instance with one or two
-    copies of vertex 0.
+    copies of vertex 0; return the report and the signed strong-linear-forms
+    expectation q(()), whose absolute value the report holds as ``lhs``.
 
     The measured ratio of the expectation to boxnorm * sup^r (sup^(r/2) with
     one copy) is reported but never asserted; at finite N it stands in for an
@@ -1126,7 +1137,9 @@ def chain_verify(inst: SlfInstance, budget: float | None = None) -> Verification
     return _slf_chain(inst.hypergraph, *_slf_base(inst), len(inst.copies) == 1, budget)
 
 
-def single_chain_verify(inst: SlfInstance, budget: float | None = None) -> VerificationReport:
+def single_chain_verify(
+    inst: SlfInstance, budget: float | None = None
+) -> tuple[VerificationReport, float]:
     """``chain_verify`` under the name of the single-copy variant, whose
     capped products have 2^|d| factors per step instead of 2^(|d|+1)."""
     return _slf_chain(inst.hypergraph, *_slf_base(inst), len(inst.copies) == 1, budget)
@@ -1138,13 +1151,13 @@ def capped_chain_verify(
     budget: float | None = None,
     swap: int = 0,
 ) -> VerificationReport:
-    """``chain_verify`` of the single-copy instance whose every minorant is
-    its cap, the caps keyed (edge, 0) as in ``SlfInstance``, on w with
-    vertices 0 and ``swap`` exchanged.  Each factor reads the weight of the
-    edge at the exchanged labels, relabeling the factor's axes instead of
-    copying the weight.  Its factors are formed when the weights carry
-    forms (``weight_factor``, ``_cap_factor``), so each expectation may take
-    the quotient route."""
+    """The report of ``chain_verify`` on the single-copy instance whose
+    every minorant is its cap, the caps keyed (edge, 0) as in
+    ``SlfInstance``, on w with vertices 0 and ``swap`` exchanged.  Each
+    factor reads the weight of the edge at the exchanged labels, relabeling
+    the factor's axes instead of copying the weight.  Its factors are formed
+    when the weights carry forms (``weight_factor``, ``_cap_factor``), so
+    each expectation takes the quotient route."""
     slots = _slots(w.r, (0,))
     if set(caps) != set(slots):
         raise ShapeMismatch("caps must cover every non-distinguished edge in copy 0")
@@ -1162,7 +1175,7 @@ def capped_chain_verify(
     ]
     e0 = exchanged(_distinguished_edge(w))
     base = [relabeled(weight_factor(w, e0, centered=True))] + capped
-    return _slf_chain(w, base, capped, True, budget, swap)
+    return _slf_chain(w, base, capped, True, budget, swap)[0]
 
 
 def random_slf_instance(
@@ -1182,7 +1195,7 @@ def random_slf_instance(
     cap = None if mixed else Cap(caps_mode)
     slots = _slots(w.r, range(copies))
     sizes = [math.prod(w.system.edge_dims(edge)) for edge, _ in slots]
-    u = PhiloxStream(seed).random(sum(sizes) + mixed * len(slots))
+    u = philox_random(seed, sum(sizes) + mixed * len(slots))
     caps: dict[tuple[Edge, int], Cap] = {}
     gs: dict[tuple[Edge, int], EdgeFn] = {}
     start = 0

@@ -199,7 +199,7 @@ def test_c05_chain_of_squares(verdict):
         for i, nu in enumerate(_random_measures(n, count, start_seed=100 * r)):
             w = represent(nu, r)
             inst = random_slf_instance(w, i, "mixed")
-            report = chain_verify(inst)
+            report, _ = chain_verify(inst)
             if not report.passed:
                 verdict("c05", False, f"chain failed at {r=} {n=} seed {i}: "
                         f"{[c.check for c in report.failures()]}")
@@ -292,7 +292,7 @@ def test_c08_degenerate_exactness(verdict):
     ones = {
         "cube-product": cube_expectation(g0, CubePattern.all_ones(2)),
         "doubled-origin-product": lf2_expectation(w, exps),
-        "progression-density": ap_density([nu.fn] * 3).density,
+        "progression-density": ap_density(nu.fn, 3).density,
     }
     bad = [k for k, v in zeros.items() if v != 0.0] + [
         k for k, v in ones.items() if v != 1.0
@@ -315,7 +315,7 @@ def test_c09_telescoping_identity(verdict):
         specs = [GeneratorSpec(kind="interval", n=n, p=0.4)]
         specs += [GeneratorSpec(kind="quadratic", n=n, p=0.4)]
         for nu in [generate(s) for s in specs] + _random_measures(n, 2, start_seed=900 + n):
-            report = telescoping_check(represent(nu, 2), ap_density([nu.fn] * 3).density)
+            report = telescoping_check(represent(nu, 2), ap_density(nu.fn, 3).density)
             if not report.passed:
                 verdict("c09", False, f"telescoping failed at {n=}")
             worst = max(worst, abs(report.checks[-1].margin))

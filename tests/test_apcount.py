@@ -241,7 +241,7 @@ class TestStridedDensity:
         # One N x N array of products would take 134 MB here.  The second
         # tuple is a palindrome, so it takes the half walk; the third is an
         # indicator measure at p = 0.2, so it takes the pair walk.  ap_density
-        # counts the measures and a two-level tuple that is not mirrored.
+        # counts the measures and a two-level measure at k = 5.
         fs = [random_cyclic(4096, seed=i, low=-1.0, high=1.0) for i in range(4)]
         sparse = [_indicator_measure(4096, 0.2, seed=0)] * 4
         assert _walked(sparse)[1]
@@ -250,9 +250,9 @@ class TestStridedDensity:
             (fs, ap_oracle.walk),
             ([fs[0]] * 4, ap_oracle.walk),
             (sparse, ap_oracle.walk),
-            (sparse, ap_density),
-            (dense, ap_density),
-            (_two_level(4096, 5, seed=1), ap_density),
+            (sparse, _counted),
+            (dense, _counted),
+            (_two_level(4096, 1, seed=1) * 5, _counted),
         ]:
             tracemalloc.start()
             try:
@@ -263,36 +263,26 @@ class TestStridedDensity:
             assert peak < 4e6
 
 
-def _level_tuple(n, shapes, cs, seed, mirror="none", same_support=False):
-    """f_j = c_j on a support of the named shape and 0 elsewhere.  With
-    ``mirror`` "value", f_(k-1-j) is f_j; with "support", it keeps its own
-    value on the support of f_j.  With ``same_support``, every f_j is
-    supported on the support of f_0."""
+def _level_fn(n, shape, c, seed):
+    """c on a support of the named shape and 0 elsewhere."""
     rng = philox(seed)
-    supports = []
-    for shape in shapes:
-        if shape == "empty":
-            supports.append(np.arange(0))
-        elif shape == "full":
-            supports.append(np.arange(n))
-        elif shape == "singleton":
-            supports.append(rng.integers(0, n, size=1))
-        else:
-            supports.append(np.flatnonzero(rng.random(n) < rng.random()))
-    k = len(shapes)
-    for j in range(k):
-        if same_support:
-            supports[j] = supports[0]
-        elif mirror != "none" and j >= (k + 1) // 2:
-            supports[j] = supports[k - 1 - j]
-    fs = []
-    for support, c in zip(supports, cs):
-        values = np.zeros(n)
-        values[support] = c
-        fs.append(CyclicFn(n, values))
-    if mirror == "value":
-        fs = fs[: (k + 1) // 2] + fs[: k // 2][::-1]
-    return fs
+    if shape == "empty":
+        support = np.arange(0)
+    elif shape == "full":
+        support = np.arange(n)
+    elif shape == "singleton":
+        support = rng.integers(0, n, size=1)
+    else:
+        support = np.flatnonzero(rng.random(n) < rng.random())
+    values = np.zeros(n)
+    values[support] = c
+    return CyclicFn(n, values)
+
+
+def _counted(fs):
+    """ap_density of a tuple of k copies of one function."""
+    assert all(f is fs[0] for f in fs)
+    return ap_density(fs[0], len(fs))
 
 
 def _walk_oracles(fs):
@@ -311,29 +301,26 @@ class TestCountRoute:
     @settings(max_examples=100)
     @given(
         n=st.integers(1, 300),
-        shapes=st.lists(
-            st.sampled_from(["empty", "full", "singleton", "random"]), min_size=3, max_size=3
-        ),
-        cs=st.lists(st.sampled_from(_LEVELS), min_size=3, max_size=3, unique=True),
+        shape=st.sampled_from(["empty", "full", "singleton", "random"]),
+        c=st.sampled_from(_LEVELS),
         seed=st.integers(0, 2**32 - 1),
-        share=st.booleans(),
     )
-    def test_counts_equal_the_walks_and_the_loop(self, n, shapes, cs, seed, share):
+    def test_counts_equal_the_walks_and_the_loop(self, n, shape, c, seed):
         # Every product the walks form is p or 0, so the counts are equal and
         # the density is float(count) * p / N^2 exactly; the walks round
-        # their partial sums, so they agree with it to roundoff.  A function
-        # with an empty support gives no progression, and no kernel runs.
-        fs = _level_tuple(n, shapes, cs, seed, "value" if share else "none")
-        supports = [np.flatnonzero(f.values) for f in fs]
+        # their partial sums, so they agree with it to roundoff.  An empty
+        # support gives no progression, and no kernel runs.
+        f = _level_fn(n, shape, c, seed)
+        fs = [f] * 3
         with mock.patch.object(apcount, "_count_route", wraps=apcount._count_route) as spy:
-            report = ap_density(fs)
-        assert spy.called == all(s.size for s in supports)
+            report = ap_density(f, 3)
+        assert spy.called == bool(np.any(f.values))
         counts = (report.trivial_count, report.nontrivial_count)
         difference, pair = _walk_oracles(fs)
         assert counts == difference[1:] == pair[1:]
         if n <= 60:
             assert counts == _density_loop(fs)[1:]
-        p = (cs[0] * cs[1]) * (cs[0] if share else cs[2])
+        p = (c * c) * c
         assert report.density == float(sum(counts)) * p / float(n) ** 2
         for total, _, _ in (difference, pair):
             assert report.density == pytest.approx(total / float(n) ** 2, rel=1e-15, abs=0.0)
@@ -343,7 +330,7 @@ class TestCountRoute:
         with mock.patch.object(apcount, "_count_route", wraps=apcount._count_route) as spy:
             for n in range(1, 2001):
                 nu = generate(GeneratorSpec(kind="constant", n=n))
-                if ap_density([nu.fn] * 3).density != 1.0:
+                if ap_density(nu.fn, 3).density != 1.0:
                     wrong.append(n)
         assert wrong == []
         assert spy.call_count == 2000
@@ -353,19 +340,19 @@ class TestCountRoute:
         # A function with two nonzero values, or a product p that is 0 or
         # infinite as a float, is refused: there the products are not all p
         # on the progressions a kernel would count.  Only the walks of
-        # ap_oracle, which form every product, take such tuples.
+        # ap_oracle, which form every product, take such functions.
         n = 23
         ind = np.isin(np.arange(n), [0, 1, 3, 7, 8, 12, 19]).astype(float)
         if case == "three-level":
             fs = [CyclicFn(n, ind * np.where(np.arange(n) % 2, 1.0, 2.0))] * 3
-            refusal = "weight function 0 takes more than one nonzero value"
+            refusal = "the weight function takes more than one nonzero value"
         else:
             c = 1e-200 if case == "underflow" else 1e200
             fs = [CyclicFn(n, ind * c)] * 3
-            refusal = f"is {c * c!r} as a float at weight function 1"
+            refusal = f"is {c * c!r} as a float at term 1"
         with mock.patch.object(apcount, "_count_route", wraps=apcount._count_route) as counted:
             with pytest.raises(ShapeMismatch, match=refusal):
-                ap_density(fs)
+                ap_density(fs[0], 3)
         assert not counted.called
         with mock.patch.object(ap_oracle, "_pair_walk", wraps=ap_oracle._pair_walk) as paired, \
                 mock.patch.object(ap_oracle, "_difference_walk", wraps=ap_oracle._difference_walk) as walked:
@@ -381,8 +368,8 @@ class TestCountRoute:
     def test_rounding_check(self, noise):
         # Each count is an integer; an entry of the convolution more than
         # 0.25 from one raises instead of being rounded to a wrong count.
-        fs = [_indicator_measure(64, 0.3, seed=5)] * 3
-        expect = ap_density(fs)
+        f = _indicator_measure(64, 0.3, seed=5)
+        expect = ap_density(f, 3)
         real = np.fft.irfft
 
         def noisy(*args, **kwargs):
@@ -392,15 +379,15 @@ class TestCountRoute:
 
         with mock.patch.object(np.fft, "irfft", noisy):
             if noise < 0.25:
-                assert repr(ap_density(fs)) == repr(expect)
+                assert repr(ap_density(f, 3)) == repr(expect)
             else:
                 with pytest.raises(NumericalInconsistency, match="off an integer"):
-                    ap_density(fs)
+                    ap_density(f, 3)
 
     def test_count_beyond_float_exactness_raises(self):
         # Entries near 2^50 are still exact integers, but their sum over S1
         # passes 2^53, past which a float count is no longer exact.
-        fs = [_indicator_measure(64, 0.3, seed=5)] * 3
+        f = _indicator_measure(64, 0.3, seed=5)
         real = np.fft.irfft
 
         def huge(*args, **kwargs):
@@ -408,7 +395,7 @@ class TestCountRoute:
 
         with mock.patch.object(np.fft, "irfft", huge):
             with pytest.raises(NumericalInconsistency, match="not exact as a float"):
-                ap_density(fs)
+                ap_density(f, 3)
 
 
 class TestBitKernel:
@@ -416,41 +403,29 @@ class TestBitKernel:
     @given(
         n=st.integers(1, 300),
         k=st.integers(1, 6),
-        # Mostly nonempty supports: one empty support empties the tuple.
-        shapes=st.lists(
-            st.sampled_from(["random", "full", "random", "singleton", "random", "empty"]),
-            min_size=6,
-            max_size=6,
-        ),
-        cs=st.lists(st.sampled_from(_LEVELS), min_size=6, max_size=6),
+        # Mostly nonempty supports.
+        shape=st.sampled_from(["random", "full", "random", "singleton", "random", "empty"]),
+        c=st.sampled_from(_LEVELS),
         seed=st.integers(0, 2**32 - 1),
-        mirror=st.sampled_from(["none", "support", "value"]),
-        same_support=st.booleans(),
     )
-    def test_counts_equal_the_walks_and_the_loop(
-        self, n, k, shapes, cs, seed, mirror, same_support
-    ):
+    def test_counts_equal_the_walks_and_the_loop(self, n, k, shape, c, seed):
         # At every k the counts equal both walks and the loop, the density
         # is float(count) * p / N^2 exactly, with p multiplied in the walks'
         # order, and the walks' densities agree with it to roundoff.  The
-        # bit kernel runs at every k but 3 when no support is empty, and
-        # walks half the differences exactly when S_j = S_(k-1-j).
-        fs = _level_tuple(n, shapes[:k], cs[:k], seed, mirror, same_support)
-        supports = [np.flatnonzero(f.values) for f in fs]
+        # bit kernel runs at every k but 3 when the support is not empty.
+        f = _level_fn(n, shape, c, seed)
+        fs = [f] * k
         with mock.patch.object(apcount, "_bit_count", wraps=apcount._bit_count) as spy:
-            report = ap_density(fs)
-        assert spy.called == (k != 3 and all(s.size for s in supports))
-        if spy.called:
-            mirrored = all(np.array_equal(s, t) for s, t in zip(supports, supports[::-1]))
-            assert spy.call_args.args[2] == (n // 2 + 1 if mirrored else n)
+            report = ap_density(f, k)
+        assert spy.called == (k != 3 and bool(np.any(f.values)))
         counts = (report.trivial_count, report.nontrivial_count)
         difference, pair = _walk_oracles(fs)
         assert counts == difference[1:] == pair[1:]
         if n <= 60:
             assert counts == _density_loop(fs)[1:]
         p = 1.0
-        for f, s in zip(fs, supports):
-            p *= float(f.values[s[0]]) if s.size else 0.0
+        for _ in range(k):
+            p *= c
         assert report.density == float(sum(counts)) * p / float(n) ** 2
         for total, _, _ in (difference, pair):
             assert report.density == pytest.approx(total / float(n) ** 2, rel=1e-15, abs=0.0)
@@ -461,34 +436,32 @@ class TestBitKernel:
         with mock.patch.object(apcount, "_bit_count", wraps=apcount._bit_count) as spy:
             for n in range(1, 2000):
                 nu = generate(GeneratorSpec(kind="constant", n=n))
-                if ap_density([nu.fn] * k).density != 1.0:
+                if ap_density(nu.fn, k).density != 1.0:
                     wrong.append(n)
         assert wrong == []
         assert spy.call_count == 1999
 
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 300])
     def test_block_size_keeps_every_bit(self, monkeypatch, n):
-        # One difference per block, for mirrored and other tuples at k = 1..6.
-        tuples = [_two_level(n, k, seed=n + k) for k in range(1, 7)]
-        tuples += [_two_level(n, 1, seed=n + k) * k for k in range(1, 7)]
-        reports = [repr(ap_density(fs)) for fs in tuples]
+        # One difference per block, for two-level measures at k = 1..6.
+        cases = [(_two_level(n, 1, seed=n + k)[0], k) for k in range(1, 7)]
+        reports = [repr(ap_density(f, k)) for f, k in cases]
         monkeypatch.setattr(apcount, "_CHUNK_ELEMS", 1)
-        assert [repr(ap_density(fs)) for fs in tuples] == reports
+        assert [repr(ap_density(f, k)) for f, k in cases] == reports
 
-    @pytest.mark.parametrize("mirrored", [True, False])
-    def test_charged_before_any_table(self, mirrored):
-        # k word operations per difference walked and word of a row, with
-        # power 2; nothing is packed or counted before a refusal.
+    def test_charged_before_any_table(self):
+        # k word operations per difference walked, N//2 + 1 of them, and
+        # word of a row, with power 2; nothing is packed or counted before a
+        # refusal.
         n = 200
-        f, g = _two_level(n, 2, seed=3, zero_share=0.3)
-        fs = [f, g, g, g, f] if mirrored else [f, f, g, g, g]
-        charge = 5.0 * (n // 2 + 1 if mirrored else n) * 4
+        f = _two_level(n, 1, seed=3, zero_share=0.3)[0]
+        charge = 5.0 * (n // 2 + 1) * 4
         with mock.patch.object(np, "bitwise_count", side_effect=RuntimeError), \
                 mock.patch.object(np, "packbits", side_effect=RuntimeError):
             with pytest.raises(BudgetExceeded) as err:
-                ap_density(fs, budget=charge - 1.0)
+                ap_density(f, 5, budget=charge - 1.0)
         assert (err.value.estimated, err.value.power) == (charge, 2)
-        assert repr(ap_density(fs, budget=charge)) == repr(ap_density(fs))
+        assert repr(ap_density(f, 5, budget=charge)) == repr(ap_density(f, 5))
 
 
 class TestApDensity:
@@ -496,7 +469,7 @@ class TestApDensity:
         # Only the constant tuple at 0 survives: exactly one trivial
         # progression out of 49 start/difference pairs.
         ind = CyclicFn(7, np.eye(7)[0])
-        report = ap_density([ind] * 3)
+        report = ap_density(ind, 3)
         assert report.density == 1.0 / 49.0
         assert report.trivial_count == 1
         assert report.nontrivial_count == 0
@@ -505,9 +478,9 @@ class TestApDensity:
 
     @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 3), (5, 4)])
     def test_loop_oracle_random(self, n, k):
-        fs = _two_level(n, k, seed=10 * k, zero_share=0.3)
-        report = ap_density(fs)
-        density, trivial, nontrivial = _density_loop(fs)
+        f = _two_level(n, 1, seed=10 * k, zero_share=0.3)[0]
+        report = ap_density(f, k)
+        density, trivial, nontrivial = _density_loop([f] * k)
         assert report.density == pytest.approx(density, rel=1e-12, abs=1e-15)
         assert report.trivial_count == trivial
         assert report.nontrivial_count == nontrivial
@@ -527,92 +500,81 @@ class TestApDensity:
     def test_loop_oracle_indicator(self):
         members = {0, 1, 3}
         ind = CyclicFn(7, np.isin(np.arange(7), list(members)).astype(float))
-        report = ap_density([ind] * 3)
+        report = ap_density(ind, 3)
         density, trivial, nontrivial = _density_loop([ind] * 3)
         assert report.density == pytest.approx(density, rel=1e-12)
         assert report.trivial_count == trivial == len(members)
         assert report.nontrivial_count == nontrivial
 
     def test_prediction_is_product_of_means(self):
-        fs = _two_level(5, 3, seed=0, low=0.0, high=1.0, zero_share=0.3)
-        report = ap_density(fs)
-        expect = math.prod(f.mean() for f in fs)
+        f = _two_level(5, 1, seed=0, low=0.0, high=1.0, zero_share=0.3)[0]
+        report = ap_density(f, 3)
+        expect = f.mean() * f.mean() * f.mean()
         assert report.prediction == pytest.approx(expect, rel=1e-12)
         assert report.ratio == pytest.approx(report.density / expect, rel=1e-12)
 
     def test_scaling_multilinearity(self):
-        fs = _two_level(6, 3, seed=1, low=0.1, high=1.0, zero_share=0.3)
-        scaled = [CyclicFn(6, fs[0].values * 2.0)] + fs[1:]
-        base = ap_density(fs)
-        twice = ap_density(scaled)
-        assert twice.density == pytest.approx(2.0 * base.density, rel=1e-12)
-        assert twice.prediction == pytest.approx(2.0 * base.prediction, rel=1e-12)
+        # Each of the k terms reads the measure once, so doubling it
+        # multiplies the density and the prediction by 2^k.
+        f = _two_level(6, 1, seed=1, low=0.1, high=1.0, zero_share=0.3)[0]
+        base = ap_density(f, 3)
+        twice = ap_density(CyclicFn(6, f.values * 2.0), 3)
+        assert twice.density == pytest.approx(8.0 * base.density, rel=1e-12)
+        assert twice.prediction == pytest.approx(8.0 * base.prediction, rel=1e-12)
         assert twice.ratio == pytest.approx(base.ratio, rel=1e-12)
 
     def test_zero_prediction_gives_nan_ratio(self):
         # Only an empty support has mean zero; it gives no progression.
-        fs = [CyclicFn(4, np.zeros(4))]
-        report = ap_density(fs)
+        report = ap_density(CyclicFn(4, np.zeros(4)), 1)
         assert math.isnan(report.ratio)
         assert (report.density, report.trivial_count, report.nontrivial_count) == (0.0, 0, 0)
 
     def test_validation(self):
-        with pytest.raises(ShapeMismatch):
-            ap_density([])
-        with pytest.raises(ShapeMismatch):
-            ap_density([random_cyclic(5, seed=0), random_cyclic(7, seed=0)])
-        with pytest.raises(ShapeMismatch, match="weight function 1 takes more than one"):
-            ap_density([CyclicFn(5, np.ones(5)), random_cyclic(5, seed=0)])
+        with pytest.raises(ShapeMismatch, match="need k >= 1 terms, got 0"):
+            ap_density(CyclicFn(5, np.ones(5)), 0)
+        with pytest.raises(ShapeMismatch, match="the weight function takes more than one"):
+            ap_density(random_cyclic(5, seed=0), 3)
 
     def test_budget(self):
-        fs = _two_level(50, 1, seed=0) * 3
+        f = _two_level(50, 1, seed=0)[0]
         with pytest.raises(BudgetExceeded):
-            ap_density(fs, budget=100.0)
+            ap_density(f, 3, budget=100.0)
 
     @pytest.mark.parametrize("walk", ["half-difference", "pair", "count"])
     def test_budget_charges_the_walk_taken(self, walk):
-        # Priced before it runs.  The bit kernel: k word operations per
-        # difference walked and word of a row, with power 2, N//2 + 1
-        # differences when S_j = S_(k-1-j) and N otherwise, whichever walk
-        # the oracle takes.  The count route: 4N log2(4N) per transform,
-        # with power 1, two transforms when S2 = S0 and three otherwise.  No
-        # transform runs and no table is built before a refusal.
+        # Priced before it runs, whichever walk the oracle takes.  The bit
+        # kernel: k word operations per difference walked, N//2 + 1 of them,
+        # and word of a row, with power 2.  The count route: 4N log2(4N) per
+        # transform, two of them, with power 1.  No transform runs and no
+        # table is built before a refusal.
         n = 100
         words = 2
-        ind = _indicator_measure(n, 0.2, 1)
-        if walk == "pair":
-            cases = [([ind] * 4, 4.0 * (n // 2 + 1) * words, 2)]
-        elif walk == "count":
-            other = _indicator_measure(n, 0.5, 2)
-            transform = 4.0 * n * math.log2(4.0 * n)
-            cases = [([ind] * 3, 2 * transform, 1), ([ind, other, other], 3 * transform, 1)]
-        else:
-            f, g = _two_level(n, 2, seed=0, zero_share=0.3)
-            cases = [
-                ([f, g, g, f], 4.0 * (n // 2 + 1) * words, 2),
-                ([f, f, g, g], 4.0 * n * words, 2),
-            ]
-        for fs, charge, power in cases:
-            with mock.patch.object(apcount, "_bit_count", side_effect=RuntimeError), \
-                    mock.patch.object(apcount, "_count_route", side_effect=RuntimeError), \
-                    mock.patch.object(np.fft, "rfft", side_effect=RuntimeError), \
-                    mock.patch.object(np, "bitwise_count", side_effect=RuntimeError):
-                with pytest.raises(BudgetExceeded) as err:
-                    ap_density(fs, budget=charge - 1.0)
-            assert (err.value.estimated, err.value.power) == (charge, power)
-            # The oracle's rule sends the sparse indicator measures, and only
-            # they, to the pair walk.
-            assert _walked(fs)[1] == (walk != "half-difference")
-            assert repr(ap_density(fs, budget=charge)) == repr(ap_density(fs))
+        f, k = _indicator_measure(n, 0.2, 1), 4
+        charge, power = 4.0 * (n // 2 + 1) * words, 2
+        if walk == "count":
+            k, charge, power = 3, 2 * 4.0 * n * math.log2(4.0 * n), 1
+        elif walk == "half-difference":
+            f = _two_level(n, 1, seed=0, zero_share=0.3)[0]
+        with mock.patch.object(apcount, "_bit_count", side_effect=RuntimeError), \
+                mock.patch.object(apcount, "_count_route", side_effect=RuntimeError), \
+                mock.patch.object(np.fft, "rfft", side_effect=RuntimeError), \
+                mock.patch.object(np, "bitwise_count", side_effect=RuntimeError):
+            with pytest.raises(BudgetExceeded) as err:
+                ap_density(f, k, budget=charge - 1.0)
+        assert (err.value.estimated, err.value.power) == (charge, power)
+        # The oracle's rule sends the sparse indicator measure, and only it,
+        # to the pair walk.
+        assert _walked([f] * k)[1] == (walk != "half-difference")
+        assert repr(ap_density(f, k, budget=charge)) == repr(ap_density(f, k))
 
     def test_report_serialization(self):
-        report = ap_density(_two_level(5, 1, seed=3) * 2)
+        report = ap_density(_two_level(5, 1, seed=3)[0], 2)
         obj = json.loads(json.dumps(dataclasses.asdict(report), sort_keys=True))
         assert obj["n"] == 5 and obj["k"] == 2
         assert obj["density"] == report.density
 
     def test_json_byte_stable(self):
-        report = ap_density(_two_level(5, 1, seed=4) * 2)
+        report = ap_density(_two_level(5, 1, seed=4)[0], 2)
         text = json.dumps(dataclasses.asdict(report), sort_keys=True)
         assert text == json.dumps(dataclasses.asdict(report), sort_keys=True)
 
@@ -657,7 +619,7 @@ class TestTelescoping:
     )
     def test_identity_holds(self, members, n, r):
         nu = from_set(members, n)
-        report = telescoping_check(represent(nu, r), ap_density([nu.fn] * (r + 1)).density)
+        report = telescoping_check(represent(nu, r), ap_density(nu.fn, r + 1).density)
         assert report.passed, report.failures()
         assert set(f"term-{m}" for m in range(r + 1)) <= set(report.ratios)
         assert "density" in report.ratios
@@ -666,19 +628,19 @@ class TestTelescoping:
         # The first decomposition step replaces every non-distinguished edge
         # weight by one, so the term is the mean of the centered weight: zero.
         nu = from_set({1, 2, 4}, 7)
-        report = telescoping_check(represent(nu, 2), ap_density([nu.fn] * 3).density)
+        report = telescoping_check(represent(nu, 2), ap_density(nu.fn, 3).density)
         assert abs(report.ratios["term-0"]) < 1e-12
 
     def test_sum_matches_density(self):
         nu = from_set({0, 3, 5, 9}, 11)
-        report = telescoping_check(represent(nu, 2), ap_density([nu.fn] * 3).density)
-        lam = ap_density([nu.fn] * 3).density
+        report = telescoping_check(represent(nu, 2), ap_density(nu.fn, 3).density)
+        lam = ap_density(nu.fn, 3).density
         total = math.fsum(report.ratios[f"term-{m}"] for m in range(3))
         assert lam - 1.0 == pytest.approx(total, abs=1e-12)
 
     def test_with_chains_attaches_bounds(self):
         nu = from_set({1, 2, 4}, 7)
-        density = ap_density([nu.fn] * 3).density
+        density = ap_density(nu.fn, 3).density
         report = telescoping_check(represent(nu, 2), density, with_chains=True)
         assert report.passed, report.failures()
         for m in range(3):
@@ -718,7 +680,7 @@ class TestTelescoping:
         for seed in range(3):
             spec = GeneratorSpec(kind="random", n=11, p=0.4, seed=seed)
             nu = generate(spec)
-            report = telescoping_check(represent(nu, 2), ap_density([nu.fn] * 3).density)
+            report = telescoping_check(represent(nu, 2), ap_density(nu.fn, 3).density)
             assert report.passed, report.failures()
 
 

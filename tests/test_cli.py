@@ -122,14 +122,15 @@ class TestBudget:
         # expectation refused N=67 at 1.01e8, and its copy means, 2 * 3 N^3
         # products, refused N=257.  The expectation is now the plan of its
         # factors, 4 N^3 + 3 N^2: 283 runs, and 293 is refused at 1.01e8
-        # with a suggestion that runs.
+        # with a suggestion that runs.  The chain evaluates it, once, so the
+        # refusal names the chain.
         code, _, err = _run(capsys, ["slf", "--r", "2", "--n", "283"])
         assert code == 0, err
         code, out, err = _run(capsys, ["slf", "--r", "2", "--n", "293"])
         assert (code, out) == (2, "")
         assert err == (
             "budget exceeded: estimated 1.01e+08 elementary products > budget 1e+08 "
-            "(chain quantity at d=())\n"
+            "(strong-linear-forms-chain at d=())\n"
             "suggestion: retry with --n <= 283 (assuming cost ~ n^3) "
             "or raise --budget / GOWERS_BUDGET\n"
         )
@@ -442,6 +443,50 @@ class TestBudget:
         code, _, err = _run(capsys, ["23" if a == "31" else a for a in argv])
         assert code == 0, err
 
+    @pytest.mark.parametrize(
+        "command,label,estimate,largest",
+        [("slf", "strong-linear-forms-chain", "1.52e+03", 3),
+         ("slf-single", "single-copy-chain", "784", 5)],
+    )
+    def test_lhs_is_the_chains_signed_q(self, capsys, monkeypatch, command, label, estimate,
+                                        largest):
+        # values.lhs is the q(()) the chain hands back, evaluated once: the
+        # front end no longer calls q_value, and the chain's refusal at d=()
+        # is the first.
+        monkeypatch.setattr(cli, "q_value", _refuse_work)
+        code, obj, err = _run_json(capsys, [command, "--r", "2", "--n", "7"])
+        assert code == 0, err
+        assert abs(obj["values"]["lhs"]) == obj["report"]["ratios"]["lhs"]
+        code, out, err = _run(capsys, [command, "--r", "2", "--n", "7", "--budget", "500"])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"budget exceeded: estimated {estimate} elementary products > budget 500 "
+            f"({label} at d=())\n"
+            f"suggestion: retry with --n <= {largest} (assuming cost ~ n^3) "
+            "or raise --budget / GOWERS_BUDGET\n"
+        )
+
+    def test_cube_expansion_suggestion_prices_each_route(self, capsys):
+        # The expansion's summed charge has lower-order terms: 1.0837e8 at
+        # 137 and 9.4765e7 at 131, where (131/137)^3 predicts 9.4750e7.
+        # Scaled as N^3 alone the suggestion was 131, which the same step
+        # refused at 9.477e7; each route priced at the smaller modulus
+        # suggests 127, which runs.
+        argv = ["cube", "--r", "3", "--n", "137", "--budget", "9.476e7"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "budget exceeded: estimated 1.08e+08 elementary products > budget 9.48e+07 "
+            "(cube expansion (k=3, 9 expectations))\n"
+            "suggestion: retry with --n <= 127 (assuming cost ~ n^3) "
+            "or raise --budget / GOWERS_BUDGET\n"
+        )
+        code, out, err = _run(capsys, ["131" if a == "137" else a for a in argv])
+        assert (code, out) == (2, "")
+        assert "(cube expansion (k=3, 9 expectations))" in err
+        code, _, err = _run(capsys, ["127" if a == "137" else a for a in argv])
+        assert code == 0, err
+
     @pytest.mark.parametrize("r,refused,fits", [(4, 17, 13), (3, 137, 131)])
     def test_cube_suggestion_runs(self, capsys, r, refused, fits):
         # The expansion is charged for its classes without a coloop alone,
@@ -530,9 +575,35 @@ class TestErrors:
         assert err == f"error: {argv[1]} must be >= 1, got {argv[2]}\n"
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["norm", "--k", "2", "--n", "7", "--p", "0"],
+             "--p: density must lie in (0, 1], got 0.0"),
+            (["norm", "--k", "2", "--n", "0"], "--n: modulus must be positive, got 0"),
+            (["count", "--r", "2", "--n", "7", "--p", "0.1"],
+             "--p: set kinds need p * n >= 1, got 0.1 * 7"),
+            (["represent", "--r", "2", "--n", "16"], "--n: modulus 16 must be prime"),
+            (["slf", "--r", "3", "--n", "3"], "--n: modulus 3 must exceed the arity 3"),
+            (["verify", "--r", "2", "--n", "15"], "--n: modulus 15 must be prime"),
+        ],
+        ids=["density", "nonpositive", "set-size", "composite", "not-above-arity", "verify"],
+    )
+    def test_modulus_and_density_refusals_name_the_flag(self, capsys, argv, message):
+        # The library's text follows the flag that gave the value; it read
+        # "error: density must lie in (0, 1], got 0.0" and named no flag.
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_modulus_from_a_spec_file_names_the_file_flag(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "random", "n": 16}), encoding="utf-8")
+        code, out, err = _run(capsys, ["represent", "--r", "2", "--input", str(spec)])
+        assert (code, out, err) == (2, "", "error: --input: modulus 16 must be prime\n")
+
+    @pytest.mark.parametrize(
         "n,message",
-        [(2, "modulus 2 must exceed the arity 2"), (4, "modulus 4 must be prime"),
-         (1, "modulus 1 must be prime")],
+        [(2, "--n: modulus 2 must exceed the arity 2"), (4, "--n: modulus 4 must be prime"),
+         (1, "--n: modulus 1 must be prime")],
         ids=["not-above-arity", "composite", "one"],
     )
     def test_verify_refuses_a_bad_modulus_before_any_work(self, capsys, monkeypatch, n, message):
@@ -605,7 +676,7 @@ class TestErrors:
         # At six coordinates of size one the plan of the left side is one
         # einsum of 64 operands, and einsum takes 63.  The charge refuses
         # them before any function is drawn.
-        monkeypatch.setattr(cli, "PhiloxStream", None)  # any draw raises
+        monkeypatch.setattr(cli, "philox_random", None)  # any draw raises
         code, out, err = _run(capsys, ["gcs", "--dims", "2,2,2,2,2,2"])
         assert (code, out) == (2, "")
         assert err == "error: the product-form bound takes at most 5 coordinates, got 6\n"
@@ -620,7 +691,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("dims", ["232,232", "24,24,24", "9,9,9,9", "5,5,5,5,5"])
     def test_next_equal_dims_refused_before_drawing(self, capsys, monkeypatch, dims):
-        monkeypatch.setattr(cli, "PhiloxStream", None)  # any draw raises
+        monkeypatch.setattr(cli, "philox_random", None)  # any draw raises
         code, out, err = _run(capsys, ["gcs", "--dims", dims])
         assert (code, out) == (2, "")
         assert err.startswith("budget exceeded: ")
@@ -879,7 +950,7 @@ class TestOutputFormats:
         assert row[0] == "7"
         # repr round-trips floats exactly
         nu = generate(GeneratorSpec(kind="random", n=7, seed=1))
-        assert float(row[2]) == ap_density([nu.fn] * 3).density
+        assert float(row[2]) == ap_density(nu.fn, 3).density
 
     def test_numpy_sides_serialise(self, capsys):
         # A numpy-scalar side used to make the pass flag an np.bool_, which
@@ -898,8 +969,8 @@ class TestOutputFormats:
         # the bare token NaN it made invalid JSON under exit 0.
         real = cli.ap_density
 
-        def nan_ratio(fs, budget=None):
-            return dataclasses.replace(real(fs, budget), ratio=math.nan)
+        def nan_ratio(f, k, budget=None):
+            return dataclasses.replace(real(f, k, budget), ratio=math.nan)
 
         monkeypatch.setattr(cli, "ap_density", nan_ratio)
         code, out, err = _run(capsys, ["count", "--n", "7", "--seed", "1", "--r", "2"])
@@ -1069,7 +1140,7 @@ class TestMutations:
                 ["verify", "--r", "2", "--n", "7"],
             ),
             (
-                _rewritten("_count_route", "rounded[2 * s1 % n]", "rounded[s1]"),
+                _rewritten("_count_route", "rounded[2 * support % n]", "rounded[support]"),
                 ["experiment", "--r", "2", "--n", "101", "--p", "0.2", "--seed", "0"],
             ),
             (_count_route_scaled, ["verify", "--r", "2", "--n", "7"]),
@@ -1377,9 +1448,9 @@ class TestExperimentInputs:
         calls = []
         real = apcount.ap_density
 
-        def counted(fs, budget=None):
-            calls.append(len(fs))
-            return real(fs, budget)
+        def counted(f, k, budget=None):
+            calls.append(k)
+            return real(f, k, budget)
 
         monkeypatch.setattr(apcount, "ap_density", counted)
         monkeypatch.setattr(cli, "ap_density", counted)
@@ -1389,11 +1460,11 @@ class TestExperimentInputs:
         assert calls == [3]
         # The report is the one telescoping_check builds from the same density.
         nu = generate(GeneratorSpec.from_json_obj(obj["inputs"]["spec"]))
-        expect = telescoping_check(represent(nu, 2), ap_density([nu.fn] * 3).density).to_json_obj()
+        expect = telescoping_check(represent(nu, 2), ap_density(nu.fn, 3).density).to_json_obj()
         got = obj["report"]
         assert got["checks"] == expect["checks"]
         assert {key: got["ratios"][key] for key in expect["ratios"]} == expect["ratios"]
-        assert obj["ap"] == dataclasses.asdict(ap_density([nu.fn] * 3))
+        assert obj["ap"] == dataclasses.asdict(ap_density(nu.fn, 3))
 
 
 # One argv per subcommand, each setting flags of its own.

@@ -1,5 +1,5 @@
 """Seeded measure generators: frozen member sets, exact-rational thresholds,
-determinism, and validation; the in-package Philox stream against numpy's."""
+determinism, and validation; the in-package Philox draws against numpy's."""
 
 import contextlib
 import io
@@ -29,7 +29,7 @@ from gowers import (
     represent,
 )
 from gowers.errors import NumericalInconsistency
-from gowers.genmeasure import PhiloxStream
+from gowers.genmeasure import philox_integers, philox_random
 from gowers.linform import random_slf_instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -177,36 +177,31 @@ class TestGenerate:
 
 
 # ---------------------------------------------------------------------------
-# The in-package stream, with numpy.random as its oracle
+# The in-package draws, with numpy.random as their oracle
 
 HANDOFF = genmeasure._HANDOFF_WORDS
 KEYS = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
 # 2**31 + 1 rejects about half of all halves, the others almost none.
 BOUNDS = [2, 3, 7, 61, 4093, 2**31 - 1, 2**31 + 1, 2**32 - 1]
 # Sizes on both sides of the hand-off, for uniforms (one word each) and for
-# integers (half a word each), odd ones leaving half a word pending.
+# integers (half a word each).
 SIZES = st.one_of(
     st.integers(0, 9),
     st.tuples(st.integers(1, 4), st.integers(1, 5)),
     st.sampled_from([HANDOFF - 1, HANDOFF, HANDOFF + 1, 2 * HANDOFF - 1, 2 * HANDOFF + 3]),
 )
-CALLS = st.one_of(
-    st.just(("random", None)),
-    st.tuples(st.just("random"), SIZES),
-    st.tuples(st.sampled_from(BOUNDS), SIZES),
-)
 
 
-def _same_draws(key: int, calls) -> None:
-    ours, ref = PhiloxStream(key), philox(key)
-    for bound, size in calls:
-        if bound == "random":
-            got, want = ours.random(size), ref.random(size)
-        else:
-            got, want = ours.integers(0, bound, size), ref.integers(0, bound, size=size)
-        assert type(got) is type(want)
-        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
-        assert np.array_equal(got, want), (bound, size)
+def _same_draw(key: int, bound, size) -> None:
+    """One request of the package's draws equals the first draws of numpy's
+    generator: uniforms when ``bound`` is "random", else integers below it."""
+    if bound == "random":
+        got, want = philox_random(key, size), philox(key).random(size)
+    else:
+        got, want = philox_integers(key, 0, bound, size), philox(key).integers(0, bound, size=size)
+    assert type(got) is type(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want), (bound, size)
 
 
 def _spy_blocks(monkeypatch) -> list:
@@ -222,40 +217,55 @@ def _spy_blocks(monkeypatch) -> list:
     return calls
 
 
+def _numpy_random(key, size):
+    return philox(key).random(size)
+
+
+def _numpy_integers(key, low, high, size):
+    return philox(key).integers(low, high, size=size)
+
+
 class TestPhiloxStream:
     @settings(max_examples=100)
     @given(
         key=st.one_of(st.sampled_from(KEYS), st.integers(0, 2**128 - 1)),
-        calls=st.lists(CALLS, min_size=1, max_size=6),
+        bound=st.sampled_from(["random", *BOUNDS]),
+        size=SIZES,
     )
-    @example(key=2**128 - 1, calls=[(7, 3), ("random", None), (7, 1), ("random", 5), (61, 2)])
-    @example(key=1, calls=[("random", 3), ("random", 2 * HANDOFF + 3), ("random", None)])
-    @example(key=2**64, calls=[(3, 5), (2**32 - 1, 2 * HANDOFF + 3), (2, 1)])
-    def test_matches_numpy_on_mixed_calls(self, key, calls):
-        _same_draws(key, calls)
+    @example(key=2**128 - 1, bound=7, size=3)
+    @example(key=1, bound="random", size=2 * HANDOFF + 3)
+    @example(key=2**64, bound=2**32 - 1, size=2 * HANDOFF + 3)
+    def test_matches_numpy_on_one_request(self, key, bound, size):
+        _same_draw(key, bound, size)
 
     @pytest.mark.parametrize("key", KEYS)
     def test_every_bound_across_the_handoff(self, key):
-        calls = [(bound, size) for bound in BOUNDS for size in (1, 2 * HANDOFF + 1)]
-        _same_draws(key, [("random", 3), *calls, ("random", HANDOFF + 2), ("random", None)])
+        for bound in ["random", *BOUNDS]:
+            for size in (1, HANDOFF + 2, 2 * HANDOFF + 1):
+                _same_draw(key, bound, size)
 
     def test_span_of_2_32_matches_numpy_and_above_is_refused(self):
-        _same_draws(5, [(2**32, 3), (2**32, (2, 3)), ("random", None)])
+        _same_draw(5, 2**32, 3)
+        _same_draw(5, 2**32, (2, 3))
         with pytest.raises(ValueError, match=r"high - low <= 2\*\*32"):
-            PhiloxStream(5).integers(0, 2**32 + 1, 3)
+            philox_integers(5, 0, 2**32 + 1, 3)
         with pytest.raises(ValueError):
-            PhiloxStream(5).integers(4, 4, 3)
+            philox_integers(5, 4, 4, 3)
 
-    def test_single_value_draws_nothing(self):
-        ours = PhiloxStream(3)
-        assert np.array_equal(ours.integers(6, 7, 4), [6, 6, 6, 6])
-        assert ours.random() == philox(3).random()
+    def test_single_value_draws_nothing(self, monkeypatch):
+        calls = _spy_blocks(monkeypatch)
+        drawn = philox_integers(3, 6, 7, 4)
+        assert np.array_equal(drawn, philox(3).integers(6, 7, size=4))
+        assert np.array_equal(drawn, [6, 6, 6, 6]) and drawn.dtype == np.int64
+        assert calls == []
 
     @pytest.mark.parametrize("key", [-1, 2**128])
     def test_key_outside_philox_range_is_refused(self, key):
         # Masking the key would turn -1 into the valid key 2**128 - 1.
         with pytest.raises(ValueError, match="Philox key"):
-            PhiloxStream(key)
+            philox_random(key, 1)
+        with pytest.raises(ValueError, match="Philox key"):
+            philox_integers(key, 0, 2, 1)
         w = represent(generate(GeneratorSpec(kind="random", n=5, p=0.6, seed=0)), 2)
         with pytest.raises(ValueError, match="Philox key"):
             random_slf_instance(w, key)
@@ -263,9 +273,9 @@ class TestPhiloxStream:
     def test_handoff_block_is_checked(self, monkeypatch):
         real = genmeasure._philox_blocks
         monkeypatch.setattr(genmeasure, "_philox_blocks", lambda key, *rest: real(key ^ 1, *rest))
-        assert PhiloxStream(8).random(HANDOFF).shape == (HANDOFF,)
+        assert philox_random(8, HANDOFF).shape == (HANDOFF,)
         with pytest.raises(NumericalInconsistency, match="Philox block"):
-            PhiloxStream(8).random(HANDOFF + 1)
+            philox_random(8, HANDOFF + 1)
 
     @pytest.mark.parametrize("copies", [1, 2])
     def test_instance_is_one_request(self, copies, monkeypatch):
@@ -296,9 +306,9 @@ class TestPhiloxStream:
         ids=["slf", "verify", "gcs", "represent", "norm", "slf-single", "verify-r3", "gcs-dims"],
     )
     def test_cli_bytes_equal_numpys_generator(self, argv, monkeypatch):
-        # numpy's own Generator in place of the stream gives the same bytes;
-        # norm at N=20011 draws past the hand-off, and verify at r=3 draws
-        # its random cube patterns.
+        # numpy's own Generator in place of the package's draws gives the
+        # same bytes; norm at N=20011 draws past the hand-off, and verify at
+        # r=3 draws its random cube patterns.
         def stdout() -> str:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -307,7 +317,8 @@ class TestPhiloxStream:
 
         ours = stdout()
         for module in (genmeasure, cli, linform):
-            monkeypatch.setattr(module, "PhiloxStream", philox)
+            monkeypatch.setattr(module, "philox_random", _numpy_random)
+        monkeypatch.setattr(cli, "philox_integers", _numpy_integers)
         assert stdout() == ours
 
 

@@ -346,7 +346,7 @@ class TestCounting:
     def test_count_equals_progression_density(self, n, r):
         nu = generate(GeneratorSpec(kind="random", n=n, p=0.5, seed=n + r))
         w = represent(nu, r)
-        density = ap_density([nu.fn] * (r + 1)).density
+        density = ap_density(nu.fn, r + 1).density
         assert progression_count_check(w) == pytest.approx(density, abs=1e-12)
 
     def test_budget_charges_every_product(self):
@@ -399,6 +399,6 @@ class TestCounting:
                 monkeypatch.setattr(module, name, refuse)
             with pytest.raises(OtherSideCalled):
                 progression_count_check(w)
-            density = ap_density([nu.fn] * (r + 1)).density
+            density = ap_density(nu.fn, r + 1).density
             monkeypatch.undo()
             assert count == pytest.approx(density, rel=1e-12)

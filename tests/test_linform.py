@@ -393,7 +393,7 @@ class TestOracleIndependence:
             raise ChainRouteCalled
 
         nu = _measure(n=7, seed=5)
-        expect = (ap_density([nu.fn] * 4), u_norm_fast(nu.centered(), 3))
+        expect = (ap_density(nu.fn, 4), u_norm_fast(nu.centered(), 3))
         for module, name in (
             (linform, "expect_product"),
             (linform, "_run"),
@@ -402,7 +402,7 @@ class TestOracleIndependence:
             (gowersnorm, "_box_pows"),
         ):
             monkeypatch.setattr(module, name, refuse)
-        assert (ap_density([nu.fn] * 4), u_norm_fast(nu.centered(), 3)) == expect
+        assert (ap_density(nu.fn, 4), u_norm_fast(nu.centered(), 3)) == expect
 
     @pytest.mark.parametrize("represented", [True, False])
     def test_endpoint_route_depends_on_the_oracle(self, represented, monkeypatch):
@@ -427,7 +427,7 @@ class TestOracleIndependence:
                 chain_verify(inst)
             assert routed == []
             return
-        report = chain_verify(inst)
+        report, _ = chain_verify(inst)
         assert report.passed, report.failures()
         assert (1, 2) in routed
 
@@ -950,9 +950,12 @@ class TestSlfTwoCopy:
                 ), (r, copies)
 
     def test_lhs_equals_empty_chain_quantity(self):
-        # The chain reports |q(())| from the same route as q_value.
+        # The chain hands back q(()) from the same route as q_value, and
+        # reports its absolute value.
         inst = _instance(seed=2)
-        assert chain_verify(inst).ratios["lhs"] == abs(q_value(inst, ()))
+        report, lhs = chain_verify(inst)
+        assert lhs == q_value(inst, ())
+        assert report.ratios["lhs"] == abs(lhs)
 
     def test_q_loop_oracle(self):
         inst = _instance(seed=3)
@@ -1053,14 +1056,14 @@ class TestSlfTwoCopy:
     def test_chain_verify_passes(self):
         for seed in range(3):
             inst = _instance(seed=seed)
-            report = chain_verify(inst)
+            report, _ = chain_verify(inst)
             assert report.passed, report.failures()
             assert "composed-bound" in report.ratios
             assert abs(report.ratios["lhs"]) <= report.ratios["composed-bound"] + 1e-9
 
     def test_chain_verify_r3(self):
         w = represent(_measure(seed=7), 3)
-        report = chain_verify(random_slf_instance(w, 7))
+        report, _ = chain_verify(random_slf_instance(w, 7))
         assert report.passed, report.failures()
 
     def test_random_instance_deterministic(self):
@@ -1113,10 +1116,13 @@ class TestSlfSingleCopy:
         )
 
     def test_lhs_equals_empty_chain_quantity(self):
-        # The chain reports |q(())| from the same route as q_value.
+        # The chain hands back q(()) from the same route as q_value, and
+        # reports its absolute value.
         w = represent(_measure(seed=12), 2)
         inst = random_slf_instance(w, 12, copies=1)
-        assert single_chain_verify(inst).ratios["lhs"] == abs(q_value(inst, ()))
+        report, lhs = single_chain_verify(inst)
+        assert lhs == q_value(inst, ())
+        assert report.ratios["lhs"] == abs(lhs)
 
     def test_q_loop_oracle(self):
         w = represent(_measure(n=5, seed=15), 2)
@@ -1154,7 +1160,7 @@ class TestSlfSingleCopy:
     def test_chain_verify_passes(self):
         for seed in range(3):
             w = represent(_measure(seed=seed), 2)
-            report = single_chain_verify(random_slf_instance(w, seed, copies=1))
+            report, _ = single_chain_verify(random_slf_instance(w, seed, copies=1))
             assert report.passed, report.failures()
 
     def test_endpoint_is_box_power(self):

@@ -34,7 +34,7 @@ from gowers import (
     represent,
     telescoping_check,
 )
-from gowers.errors import NumericalInconsistency, ShapeMismatch
+from gowers.errors import NotRepresentation, NumericalInconsistency, ShapeMismatch
 from gowers.forms import Form
 
 
@@ -85,7 +85,7 @@ def _formed_calls(w, nu, exps, pattern, j, quotient_only=False):
         g = w.weight_omitting(j)
         assert binomial_expansion_identity(g, [pattern])[0].passed
         cube_centered_expectation(g, pattern)
-        density = ap_density([nu.fn] * (w.r + 1)).density
+        density = ap_density(nu.fn, w.r + 1).density
         assert telescoping_check(w, density, with_chains=True).passed
     return calls
 
@@ -319,17 +319,20 @@ class TestQuotientRoute:
         assert err.value.what == "centered-term-chain at c=(2, 3)"
         assert (err.value.estimated, err.value.power) == (13.0 * n**4 + 3.0 * n**3 + 3.0 * n**2, 4)
 
-    def test_composite_modulus_stays_on_the_router(self):
+    @pytest.mark.parametrize("case", ["composite", "two-primes", "axis-off-the-modulus"])
+    def test_formed_structure_off_one_prime_is_refused(self, monkeypatch, case):
+        # Every formed factor the package builds has one prime modulus that
+        # sizes every axis; any other formed structure is refused before any
+        # charge instead of being read without its forms.
         rng = philox(7)
-        line = rng.random(6)
-        x = np.arange(6)
-        values = line[(x[:, None] + 2 * x[None, :]) % 6]
-        form = Form((1, 2), 6)
-        factors = [(values, [(1, None), (2, None)], form), (values, [(2, None), (3, None)], form)]
-        route = linform._route(_key(factors), ())
-        assert isinstance(route, linform._Plan) and not route.slices
-        plain = [(arr, axes) for arr, axes, _ in factors]
-        assert expect_product(factors) == expect_product(plain)
+        n, m, size = {"composite": (6, 6, 6), "two-primes": (5, 7, 5),
+                      "axis-off-the-modulus": (5, 5, 7)}[case]
+        first = (rng.random((n, n)), [(1, None), (2, None)], Form((1, 2), n))
+        second = (rng.random((size, n)), [(3, None), (2, None)], Form((1, 1), m))
+        monkeypatch.setattr(linform, "check_budget", None)  # any charge raises
+        for d in [(), (2,)]:
+            with pytest.raises(NotRepresentation, match="one prime must size every form and axis"):
+                expect_product([first, second], d=d)
 
     @pytest.mark.parametrize("case", ["reads-a-copy-of-d", "leaves-d-unread", "labels-too-few-axes"])
     def test_input_checks_run_before_the_quotient(self, monkeypatch, case):

@@ -161,6 +161,17 @@ def test_failed_run_writes_nothing(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "moduli,message",
+    [("15", "modulus 15 must be prime"), ("5,2", "modulus 2 must exceed the arity 2")],
+    ids=["composite", "not-above-arity"],
+)
+def test_chain_margins_modulus_names_the_flag(moduli, message):
+    done = _script(["chain_margins.py", "--moduli", moduli, "--seeds", "1"])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: --moduli: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["separation_sweep.py", "--moduli", "31", "--seeds", "1"],
