@@ -443,11 +443,15 @@ class TestBitKernel:
 
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 300])
     def test_block_size_keeps_every_bit(self, monkeypatch, n):
-        # One difference per block, for two-level measures at k = 1..6.
+        # One difference per block, for two-level measures at k = 1..6.  A
+        # block then counts one row, and the kernel counts d = 0..N//2.
         cases = [(_two_level(n, 1, seed=n + k)[0], k) for k in range(1, 7)]
         reports = [repr(ap_density(f, k)) for f, k in cases]
         monkeypatch.setattr(apcount, "_CHUNK_ELEMS", 1)
-        assert [repr(ap_density(f, k)) for f, k in cases] == reports
+        with mock.patch.object(np, "bitwise_count", wraps=np.bitwise_count) as rows:
+            assert [repr(ap_density(f, k)) for f, k in cases] == reports
+        walked = [k != 3 and bool(np.any(f.values)) for f, k in cases]
+        assert rows.call_count == sum(walked) * (n // 2 + 1)
 
     def test_charged_before_any_table(self):
         # k word operations per difference walked, N//2 + 1 of them, and
